@@ -25,9 +25,10 @@ import numpy as np
 from .mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, read_mesh
 from .operators import DdrComplex
 from .solutions import TrigSolution
-from .solver import (NavierStokesSolver, NonConvergenceError, ProblemSpec,
-                     SolverError, SolverOptions, natural_bc, pressflux_bc,
-                     essential_bc, load_config)
+from .solver import (EmptyRegionError, NavierStokesSolver,
+                     NonConvergenceError, ProblemSpec, SolverError,
+                     SolverOptions, natural_bc, pressflux_bc, essential_bc,
+                     load_config)
 from .spaces import SpaceKind
 from . import verify
 
@@ -81,56 +82,71 @@ def _regions_for(config: RunConfig, sol: TrigSolution):
     return pressflux_bc()
 
 
-def _solve_level(config: RunConfig, n: int, lam: float):
-    sol = TrigSolution(nu=1.0 / config.reynolds, lam=lam)
-    mesh = build_mesh_for(config, n)
-    cx = DdrComplex(mesh, config.k)
-    spec = ProblemSpec(nu=1.0 / config.reynolds, forcing=sol.forcing,
-                       regions=_regions_for(config, sol),
-                       exact_velocity=sol.velocity, exact_pressure=sol.pressure)
-    solver = NavierStokesSolver(cx, spec, SolverOptions(tol=config.tol,
-                                                        max_iter=config.max_iter))
-    result = solver.solve()
-    report = verify.compute_errors(cx, result.u, result.p, sol)
-    report.dim_condensed = result.diagnostics.dim_condensed
-    report.newton_iterations = result.diagnostics.iterations
-    return cx, result, report
-
-
-def _level_worker(args):
-    config, n, lam = args
-    _, result, report = _solve_level(config, n, lam)
-    return report
-
-
-def _run_levels(config: RunConfig, lam: float, log):
-    jobs = [(config, n, lam) for n in config.levels]
-    if config.parallel_levels and len(jobs) > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-            reports = list(pool.map(_level_worker, jobs))
-    else:
-        reports = []
-        for job in jobs:
-            reports.append(_level_worker(job))
-            r = reports[-1]
-            log(f"  level n={job[1]}: h={r.h:.4f} E^d_u={r.err_u_discrete:.6e} "
-                f"E^p_u={r.err_u_potential:.6e} E^d_p={r.err_p_discrete:.6e} "
-                f"E^p_p={r.err_p_potential:.6e} "
-                f"(newton {r.newton_iterations} its)")
-    verify.attach_eoc(reports)
+def _solve_level(config: RunConfig, n: int, lams):
+    """Error reports of the trigonometric problem at each lambda, all solved
+    on one mesh and complex of level n."""
+    cx = DdrComplex(build_mesh_for(config, n), config.k)
+    reports = []
+    for lam in lams:
+        sol = TrigSolution(nu=1.0 / config.reynolds, lam=lam)
+        spec = ProblemSpec(nu=1.0 / config.reynolds, forcing=sol.forcing,
+                           regions=_regions_for(config, sol),
+                           exact_velocity=sol.velocity,
+                           exact_pressure=sol.pressure)
+        solver = NavierStokesSolver(
+            cx, spec, SolverOptions(tol=config.tol, max_iter=config.max_iter))
+        result = solver.solve()
+        report = verify.compute_errors(cx, result.u, result.p, sol)
+        report.dim_condensed = result.diagnostics.dim_condensed
+        report.newton_iterations = result.diagnostics.iterations
+        reports.append(report)
     return reports
+
+
+def _run_levels(config: RunConfig, lams, log):
+    """Reports of every level at each lambda: one list per lambda, EOCs
+    attached."""
+    levels = config.levels
+    if config.parallel_levels and len(levels) > 1:
+        import concurrent.futures as cf
+        with cf.ProcessPoolExecutor(max_workers=min(4, len(levels))) as pool:
+            per_level = list(pool.map(_solve_level, [config] * len(levels),
+                                      levels, [lams] * len(levels)))
+    else:
+        per_level = []
+        for n in levels:
+            per_level.append(_solve_level(config, n, lams))
+            for lam, r in zip(lams, per_level[-1]):
+                log(f"  level n={n}"
+                    + (f" lambda={lam:g}" if len(lams) > 1 else "")
+                    + f": h={r.h:.4f} E^d_u={r.err_u_discrete:.6e} "
+                    f"E^p_u={r.err_u_potential:.6e} "
+                    f"E^d_p={r.err_p_discrete:.6e} "
+                    f"E^p_p={r.err_p_potential:.6e} "
+                    f"(newton {r.newton_iterations} its)")
+    per_lam = [list(reports) for reports in zip(*per_level)]
+    for reports in per_lam:
+        verify.attach_eoc(reports)
+    return per_lam
+
+
+def _csv_tag(config: RunConfig) -> str:
+    """Mesh part of a CSV name: the family, or file-<stem> for a file mesh."""
+    fam = config.mesh_family
+    if fam.startswith("file:"):
+        return "file-" + Path(fam[5:]).stem
+    return fam
 
 
 def cmd_convergence(config: RunConfig, out: Path, log) -> int:
     log(f"convergence: {config.mesh_family} levels={config.levels} "
         f"k={config.k} Re={config.reynolds} lambda={config.lam}")
     try:
-        reports = _run_levels(config, config.lam, log)
+        (reports,) = _run_levels(config, [config.lam], log)
     except (SolverError, NonConvergenceError) as exc:
         log(f"solver failure: {exc}")
         return 2
-    path = out / f"convergence_{config.mesh_family}_k{config.k}.csv"
+    path = out / f"convergence_{_csv_tag(config)}_k{config.k}.csv"
     verify.write_csv(reports, path)
     log(f"wrote {path}")
     for r in reports:
@@ -143,12 +159,12 @@ def cmd_convergence(config: RunConfig, out: Path, log) -> int:
 def cmd_robustness(config: RunConfig, out: Path, log) -> int:
     log(f"robustness: lambda={config.lam} vs {100 * config.lam}")
     try:
-        rep1 = _run_levels(config, config.lam, log)
-        rep2 = _run_levels(config, 100.0 * config.lam, log)
+        rep1, rep2 = _run_levels(config, [config.lam, 100.0 * config.lam],
+                                 log)
     except (SolverError, NonConvergenceError) as exc:
         log(f"solver failure: {exc}")
         return 2
-    path = out / f"robustness_{config.mesh_family}_k{config.k}.csv"
+    path = out / f"robustness_{_csv_tag(config)}_k{config.k}.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["MeshSize", "E^d_u(lam)", "E^d_u(100lam)", "reldiff",
@@ -223,7 +239,7 @@ def cmd_properties(config: RunConfig, out: Path, log) -> int:
 
 def cmd_constants(config: RunConfig, out: Path, log) -> int:
     sol = TrigSolution(nu=1.0 / config.reynolds, lam=config.lam)
-    path = out / f"constants_{config.mesh_family}_k{config.k}.csv"
+    path = out / f"constants_{_csv_tag(config)}_k{config.k}.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["MeshSize", "C_poincare", "C_cont_curl", "C_cont_div",
@@ -344,7 +360,7 @@ def main(argv=None) -> int:
 
     try:
         rc = COMMANDS[cfg.command](cfg, out, log)
-    except verify.DimensionCapError as exc:
+    except (verify.DimensionCapError, EmptyRegionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     (out / f"run_{cfg.command}.log").write_text("\n".join(log_lines) + "\n")

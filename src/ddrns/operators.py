@@ -1,8 +1,9 @@
 """Discrete gradient/curl/divergence operators, potentials and L2 products.
 
 Everything is assembled per entity as dense matrices acting on entity-local
-DoF vectors (``LocalOperator`` style): moment systems are solved once in the
-entity-local orthonormal bases and cached.  The module exposes a
+DoF vectors (``LocalOperator`` style): moment systems are solved in the
+entity-local orthonormal bases, once for each class of faces or cells that
+are translates of one another, and cached.  The module exposes a
 :class:`DdrComplex` tying together one mesh and one polynomial degree:
 interpolators onto the three spaces, the global discrete gradient and curl,
 the stabilised L2 products of the three spaces and the derived norms.
@@ -15,6 +16,9 @@ space.  Other reductions are rejected at construction.
 """
 
 from __future__ import annotations
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,18 +116,35 @@ class EdgeContext:
         return self.sca[l].eval(pts)
 
 
-class FaceContext:
+class _EntityContext:
+    """Placement of a face or cell context on a translate of its entity.
+
+    The local operators of an entity depend only on its shape, local
+    numbering and orientations, so one context built from scratch serves
+    every translate with the same local structure.  A placed context shares
+    the operator arrays and the basis coefficients of the one it is placed
+    from; ``_place`` rebuilds what depends on position: the entity, its
+    anchor and quadrature rule, and the maps keyed by global ids.
+    """
+
+    def placed_at(self, mesh: Mesh, index: int, *place_args):
+        new = copy.copy(self)
+        new._place(mesh, index, self.rule.exactness_degree, *place_args)
+        new.sca = {l: replace(b, geom=new.geom) for l, b in self.sca.items()}
+        new.vb = replace(self.vb, geom=new.geom)
+        new.sub = {key: replace(b, geom=new.geom)
+                   for key, b in self.sub.items()}
+        return new
+
+
+class FaceContext(_EntityContext):
     def __init__(self, mesh: Mesh, fid: int, k: int, ell: int, rule_degree: int,
                  edge_ctx: list[EdgeContext]):
         self.k = k
         self.ell = ell
-        f = mesh.faces[fid]
-        self.face = f
-        self.h = f.diameter
-        self.geom = ps.face_geometry(mesh, f)
-        self.rule = face_rule(mesh, fid, rule_degree)
-        self.gram = ps.scalar_monomial_gram(self.geom, k + 2, self.rule)
+        self._place(mesh, fid, rule_degree)
         g = self.geom
+        self.gram = ps.scalar_monomial_gram(g, k + 2, self.rule)
 
         self.sca = {l: ps.build_scalar_basis(g, l, self.rule)
                     for l in {k - 1, k, k + 1, ell}}
@@ -135,30 +156,36 @@ class FaceContext:
                        ("Rc", k + 2)]:
             self.sub[sel, l] = ps.build_subspace(g, sel, l, parent, self.gram)
 
-        self.edge_ids = sorted(f.edges)
-        self.edge_sign = {}
-        self.edge_nfe = {}
-        for eid, sgn, nfe in zip(f.edges, f.edge_signs, f.edge_normals):
-            self.edge_sign[eid] = sgn
-            self.edge_nfe[eid] = nfe
-
-        # local orders (match DofLayout.face_indices)
-        self.verts = sorted(f.vertex_loop)
         nv, ne = len(self.verts), len(self.edge_ids)
         dRm, dRc = self.sub["R", k - 1].dim, self.sub["Rc", ell + 1].dim
         dPl = self.sca[ell].dim
         self.n_grad = nv + ne * k + dPl
         self.n_curl = ne * (k + 1) + dRm + dRc
-        self.grad_edge_slices = {e: slice(nv + i * k, nv + (i + 1) * k)
-                                 for i, e in enumerate(self.edge_ids)}
-        self.grad_vert_pos = {v: i for i, v in enumerate(self.verts)}
         self.grad_face_slice = slice(nv + ne * k, self.n_grad)
-        self.curl_edge_slices = {e: slice(i * (k + 1), (i + 1) * (k + 1))
-                                 for i, e in enumerate(self.edge_ids)}
         self.curl_R_slice = slice(ne * (k + 1), ne * (k + 1) + dRm)
         self.curl_Rc_slice = slice(ne * (k + 1) + dRm, self.n_curl)
 
         self._assemble(mesh, edge_ctx)
+
+    def _place(self, mesh, fid, rule_degree):
+        k = self.k
+        f = mesh.faces[fid]
+        self.face = f
+        self.h = f.diameter
+        self.geom = ps.face_geometry(mesh, f)
+        self.rule = face_rule(mesh, fid, rule_degree)
+        self.edge_ids = sorted(f.edges)
+        self.edge_sign = dict(zip(f.edges, f.edge_signs))
+        self.edge_nfe = dict(zip(f.edges, f.edge_normals))
+
+        # local orders (match DofLayout.face_indices)
+        self.verts = sorted(f.vertex_loop)
+        nv = len(self.verts)
+        self.grad_edge_slices = {e: slice(nv + i * k, nv + (i + 1) * k)
+                                 for i, e in enumerate(self.edge_ids)}
+        self.grad_vert_pos = {v: i for i, v in enumerate(self.verts)}
+        self.curl_edge_slices = {e: slice(i * (k + 1), (i + 1) * (k + 1))
+                                 for i, e in enumerate(self.edge_ids)}
 
     # -- helpers ------------------------------------------------------------
     def edge_skeleton_map(self, eid: int, ectx: EdgeContext) -> np.ndarray:
@@ -281,18 +308,14 @@ class FaceContext:
         self.uG_face = np.vstack(parts)
 
 
-class CellContext:
+class CellContext(_EntityContext):
     def __init__(self, mesh: Mesh, cid: int, k: int, ell: int, rule_degree: int,
                  edge_ctx, face_ctx, layouts):
         self.k = k
         self.ell = ell
-        c = mesh.cells[cid]
-        self.cell = c
-        self.h = c.diameter
-        self.geom = ps.cell_geometry(mesh, c)
-        self.rule = cell_rule(mesh, cid, rule_degree)
-        self.gram = ps.scalar_monomial_gram(self.geom, k + 2, self.rule)
+        self._place(mesh, cid, rule_degree, layouts)
         g = self.geom
+        self.gram = ps.scalar_monomial_gram(g, k + 2, self.rule)
 
         self.sca = {l: ps.build_scalar_basis(g, l, self.rule)
                     for l in {k - 1, k, k + 1, ell}}
@@ -304,17 +327,29 @@ class CellContext:
                        ("Rc", k + 2), ("G", k - 1), ("Gc", k), ("Gc", k + 1)]:
             self.sub[sel, l] = ps.build_subspace(g, sel, l, parent, self.gram)
 
-        self.face_ids = sorted(c.faces)
-        self.face_sign = {f: s for f, s in zip(c.faces, c.face_signs)}
-        self.edge_ids = c.edge_ids
-        self.vert_ids = c.vertex_ids
-
-        self._index_maps(mesh, layouts, edge_ctx, face_ctx)
         self._assemble(mesh, edge_ctx, face_ctx)
         self._products(mesh, edge_ctx, face_ctx)
 
+    def placed_at(self, mesh: Mesh, cid: int, layouts):
+        new = super().placed_at(mesh, cid, layouts)
+        # the rule of a translate may list its points in another order
+        new.phi_k = new.sca[new.k].eval(new.rule.points)
+        return new
+
+    def _place(self, mesh, cid, rule_degree, layouts):
+        c = mesh.cells[cid]
+        self.cell = c
+        self.h = c.diameter
+        self.geom = ps.cell_geometry(mesh, c)
+        self.rule = cell_rule(mesh, cid, rule_degree)
+        self.face_ids = sorted(c.faces)
+        self.face_sign = dict(zip(c.faces, c.face_signs))
+        self.edge_ids = c.edge_ids
+        self.vert_ids = c.vertex_ids
+        self._index_maps(layouts)
+
     # -- local index bookkeeping --------------------------------------------
-    def _index_maps(self, mesh, layouts, edge_ctx, face_ctx):
+    def _index_maps(self, layouts):
         cid = self.cell.id
         self.glob = {kind: layouts[kind].cell_indices(cid) for kind in SpaceKind}
         self.n_grad = len(self.glob[SpaceKind.GRAD])
@@ -682,14 +717,58 @@ class CellContext:
 
 
 # ---------------------------------------------------------------------------
+# translation classes
+
+# relative resolution, in units of the entity diameter, of the vertex
+# positions in a translation key
+KEY_RTOL = 1e-12
+
+
+def _translation_key(mesh: Mesh, verts, anchor, h, loops, edges) -> tuple:
+    """Hashable description of an entity up to translation.
+
+    verts are the vertex ids in local DoF order; the key holds their
+    coordinates relative to the anchor, rounded at KEY_RTOL * h, the face
+    loops and the edge directions written in local vertex indices.
+    """
+    pos = {v: i for i, v in enumerate(verts)}
+    rel = np.rint((mesh.vertex_coords[verts] - anchor) / (KEY_RTOL * h))
+    return (rel.astype(np.int64).tobytes(),
+            tuple(tuple(pos[v] for v in loop) for loop in loops),
+            tuple(tuple(pos[v] for v in mesh.edges[e].vertices)
+                  for e in edges))
+
+
+def _face_key(mesh: Mesh, fid: int) -> tuple:
+    f = mesh.faces[fid]
+    return _translation_key(mesh, sorted(f.vertex_loop), f.anchor, f.diameter,
+                            [f.vertex_loop], sorted(f.edges))
+
+
+def _cell_key(mesh: Mesh, cid: int, face_class) -> tuple:
+    """Cell key; face_class[f] names the translation class of face f, whose
+    basis the face DoFs of the cell are expressed in.  omega_TF follows from
+    the geometry of a valid mesh and is kept in the key as a guard."""
+    c = mesh.cells[cid]
+    faces = sorted(c.faces)
+    sign = dict(zip(c.faces, c.face_signs))
+    return (_translation_key(mesh, c.vertex_ids, c.anchor, c.diameter,
+                             [mesh.faces[f].vertex_loop for f in faces],
+                             c.edge_ids),
+            tuple((face_class[f], sign[f]) for f in faces))
+
+
+# ---------------------------------------------------------------------------
 # the assembled complex
 
 
 class DdrComplex:
     """All discrete operators of one (mesh, degree) pair.
 
-    Construction assembles every entity-local operator once; the object is
-    immutable afterwards and safe to share between threads.
+    Construction assembles the local operators of each translation class
+    of faces and cells once, and those of each edge; the object is immutable
+    afterwards and safe to share between threads.  Contexts of one class
+    share their operator arrays and basis coefficients.
     """
 
     def __init__(self, mesh: Mesh, k: int,
@@ -709,12 +788,24 @@ class DdrComplex:
         ell = ser.ell_face(k)
         self.edges = [EdgeContext(mesh, e, k, deg_bilin)
                       for e in range(mesh.n_edges)]
-        self.faces = [FaceContext(mesh, f, k, ell, deg_bilin, self.edges)
-                      for f in range(mesh.n_faces)]
-        self.cells = [CellContext(mesh, c, k, ser.ell_cell(k),
-                                  self.cell_degree, self.edges, self.faces,
-                                  self.layouts)
-                      for c in range(mesh.n_cells)]
+        # each translation class of faces and cells is built once, from its
+        # first member, and placed on the others
+        face_reps, cell_reps, face_class = {}, {}, []
+        self.faces = []
+        for f in range(mesh.n_faces):
+            rep = face_reps.setdefault(_face_key(mesh, f), f)
+            face_class.append(rep)
+            self.faces.append(
+                FaceContext(mesh, f, k, ell, deg_bilin, self.edges)
+                if rep == f else self.faces[rep].placed_at(mesh, f))
+        self.cells = []
+        for c in range(mesh.n_cells):
+            rep = cell_reps.setdefault(_cell_key(mesh, c, face_class), c)
+            self.cells.append(
+                CellContext(mesh, c, k, ser.ell_cell(k), self.cell_degree,
+                            self.edges, self.faces, self.layouts)
+                if rep == c else self.cells[rep].placed_at(mesh, c,
+                                                           self.layouts))
         self._gram_cache = {}
         self._op_cache = {}
 

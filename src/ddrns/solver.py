@@ -31,6 +31,10 @@ class SolverError(Exception):
     pass
 
 
+class EmptyRegionError(ValueError):
+    """A boundary region that carries data matches no boundary face."""
+
+
 class NonConvergenceError(SolverError):
     def __init__(self, diagnostics):
         super().__init__(f"Newton failed to converge in "
@@ -169,6 +173,14 @@ class NavierStokesSolver:
                 if r.contains(mesh.faces[fid]):
                     self.region_of_face[fid] = r
                     break
+        used = {id(r) for r in self.region_of_face.values()}
+        for i, r in enumerate(regions):
+            if (r.kind == "essential" or r.flux is not None) \
+                    and id(r) not in used:
+                where = getattr(r.where, "__name__", repr(r.where))
+                raise EmptyRegionError(
+                    f"boundary region {i} ({r.kind}, where={where}) matches "
+                    "no boundary face")
         self.fixed_u = boundary_subspace_mask(self.ul, self.classification)
         self.fixed_p = boundary_subspace_mask(self.pl, self.classification)
 

@@ -109,3 +109,23 @@ def test_tet_family_smoke(tmp_path):
     assert rc == 0
     rows = (tmp_path / "convergence_tet_k0.csv").read_text().strip().splitlines()
     assert len(rows) == 3
+
+
+def test_file_mesh_csv_named_from_stem(tmp_path):
+    from ddrns.mesh import generate_cubic_mesh, write_poly3
+    (tmp_path / "m").mkdir()
+    path = tmp_path / "m" / "cube2.poly3"
+    write_poly3(generate_cubic_mesh(2), path)
+    out = tmp_path / "out"
+    rc = run_cli(["--cmd", "convergence", "--mesh", f"file:{path}",
+                  "--levels", "1", "--k", "0", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "convergence_file-cube2_k0.csv").read_text().splitlines()
+    assert len(rows) == 2
+
+
+def test_empty_boundary_patch_is_config_error(tmp_path, capsys):
+    rc = run_cli(["--cmd", "pressflux", "--mesh", "cubic", "--levels", "2",
+                  "--k", "0", "--re", "100", "--out", str(tmp_path)])
+    assert rc == 4
+    assert "matches no boundary face" in capsys.readouterr().err

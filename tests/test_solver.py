@@ -3,9 +3,9 @@ import pytest
 
 from ddrns.operators import DdrComplex
 from ddrns.solutions import TrigSolution
-from ddrns.solver import (BCRegion, NavierStokesSolver, NonConvergenceError,
-                          ProblemSpec, SolverOptions, essential_bc, load_config,
-                          natural_bc, pressflux_bc)
+from ddrns.solver import (BCRegion, EmptyRegionError, NavierStokesSolver,
+                          NonConvergenceError, ProblemSpec, SolverOptions,
+                          essential_bc, load_config, natural_bc, pressflux_bc)
 from ddrns.spaces import DofVector, SpaceKind
 from conftest import get_complex
 
@@ -250,11 +250,27 @@ def test_pressflux_zero_flux_variant():
                  velocity=ZERO_F, pressure=lambda pts: np.zeros(len(pts))),
         BCRegion("natural"),
     ]
-    cx = get_complex("cubic", 2, 0)
+    cx = get_complex("cubic", 4, 0)   # the patch is one face at n = 4
     spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=regions)
-    res = NavierStokesSolver(cx, spec).solve()
+    s = NavierStokesSolver(cx, spec)
+    assert len(s.classification.essential_faces) == 1
+    res = s.solve()
     assert np.abs(res.u.values).max() < 1e-12
     assert np.abs(res.p.values).max() < 1e-12
+
+
+def test_empty_boundary_patch_fails_at_setup():
+    # at n = 2 no boundary face anchor lies in (0, 0.25)^2
+    cx = get_complex("cubic", 2, 0)
+    spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=pressflux_bc())
+    with pytest.raises(EmptyRegionError, match="on_pressure_patch"):
+        NavierStokesSolver(cx, spec)
+    flux_only = [BCRegion("natural", where=lambda f: False,
+                          flux=lambda pts: np.ones(len(pts))),
+                 BCRegion("natural")]
+    spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=flux_only)
+    with pytest.raises(EmptyRegionError, match="region 0 \\(natural"):
+        NavierStokesSolver(cx, spec)
 
 
 def test_invalid_problem_spec():
