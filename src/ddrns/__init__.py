@@ -7,17 +7,16 @@ from .quadrature import QuadratureRule, rule_for
 from .solutions import TrigSolution
 from .solver import (BCRegion, NavierStokesSolver, ProblemSpec, SolverOptions,
                      essential_bc, natural_bc, pressflux_bc)
-from .spaces import (DofLayout, DofVector, SerendipityConfig, SpaceKind,
-                     boundary_subspace_mask, classify_boundary,
-                     load_dofvector, save_dofvector)
+from .spaces import (DofLayout, DofVector, SpaceKind, boundary_subspace_mask,
+                     classify_boundary, load_dofvector, save_dofvector)
 
 __all__ = [
     "Mesh", "MeshError", "Poly3ParseError", "generate_cubic_mesh",
     "generate_tet_mesh", "read_mesh", "write_poly3", "DdrComplex",
     "QuadratureRule", "rule_for", "TrigSolution", "BCRegion",
     "NavierStokesSolver", "ProblemSpec", "SolverOptions", "essential_bc",
-    "natural_bc", "pressflux_bc", "DofLayout", "DofVector",
-    "SerendipityConfig", "SpaceKind", "boundary_subspace_mask",
-    "classify_boundary", "load_dofvector", "save_dofvector",
+    "natural_bc", "pressflux_bc", "DofLayout", "DofVector", "SpaceKind",
+    "boundary_subspace_mask", "classify_boundary", "load_dofvector",
+    "save_dofvector",
 ]
 __version__ = "0.1.0"

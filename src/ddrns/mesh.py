@@ -50,7 +50,6 @@ class Edge:
     tangent: np.ndarray        # unit
     length: float
     midpoint: np.ndarray
-    on_boundary: bool = False
 
 
 @dataclass
@@ -67,10 +66,6 @@ class Face:
     frame: np.ndarray                # (2,3) rows e1,e2; e1 x e2 = n_F
     cells: list[int] = field(default_factory=list)
     on_boundary: bool = False
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
 
 
 @dataclass
@@ -100,11 +95,6 @@ class Mesh:
         self.cells: list[Cell] = cells
         self.vertex_coords = np.array([v.coords for v in vertices])
         self.h = max(c.diameter for c in cells)
-        self.boundary_vertices = np.zeros(len(vertices), dtype=bool)
-        for f in faces:
-            if f.on_boundary:
-                for v in f.vertex_loop:
-                    self.boundary_vertices[v] = True
 
     @property
     def n_vertices(self) -> int:
@@ -124,9 +114,6 @@ class Mesh:
 
     def boundary_faces(self) -> list[int]:
         return [f.id for f in self.faces if f.on_boundary]
-
-    def boundary_edges(self) -> list[int]:
-        return [e.id for e in self.edges if e.on_boundary]
 
     def regularity_ratio(self) -> float:
         """min over cells of (inscribed-ball diameter) / h_T.
@@ -320,12 +307,6 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
         if len(f.cells) > 2:
             raise MeshError(f"face {f.id} incident to {len(f.cells)} cells")
         f.on_boundary = len(f.cells) == 1
-    boundary_edge = set()
-    for f in faces:
-        if f.on_boundary:
-            boundary_edge.update(f.edges)
-    for e in edges:
-        e.on_boundary = e.id in boundary_edge
 
     mesh = Mesh(vertices, edges, faces, cells)
     if validate:

@@ -8,11 +8,11 @@ are translates of one another, and cached.  The module exposes a
 interpolators onto the three spaces, the global discrete gradient and curl,
 the stabilised L2 products of the three spaces and the derived norms.
 
-The serendipity reduction runs in "DDR mode" (eta_Y = 2, so ell_Y = k - 1):
-the complement-space moments that close the gradient and tangential-trace
-systems are supplied by explicit integration-by-parts formulas on faces and
-cells, and by the directly-available complement components for the curl
-space.  Other reductions are rejected at construction.
+The serendipity reduction runs in "DDR mode" only (eta_Y = 2, so
+ell_Y = k - 1): the complement-space moments that close the gradient and
+tangential-trace systems are supplied by explicit integration-by-parts
+formulas on faces and cells, and by the directly-available complement
+components for the curl space.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from . import polyspaces as ps
 from .mesh import Mesh
 from .quadrature import cell_rule, edge_rule, face_rule
-from .spaces import DofLayout, DofVector, SerendipityConfig, SpaceKind
+from .spaces import DofLayout, DofVector, SpaceKind
 
 
 def _inner_scalar(gram, A, B):
@@ -115,6 +115,17 @@ class EdgeContext:
         pts = self.rule.points if pts is None else pts
         return self.sca[l].eval(pts)
 
+    def skeleton_map(self, vert_pos, moment_idx, n_grad: int) -> np.ndarray:
+        """Matrix sending n_grad entity-local GRAD DoFs to P^{k+1}(E)
+        coefficients; vert_pos maps vertex ids to local positions and
+        moment_idx selects the k edge moments."""
+        cols = np.zeros((2 + self.k, n_grad))
+        va, vb = self.edge.vertices
+        cols[0, vert_pos[va]] = 1.0
+        cols[1, vert_pos[vb]] = 1.0
+        cols[2:, moment_idx] = np.eye(self.k)
+        return self.skeleton @ cols
+
 
 class _EntityContext:
     """Placement of a face or cell context on a translate of its entity.
@@ -190,17 +201,8 @@ class FaceContext(_EntityContext):
     # -- helpers ------------------------------------------------------------
     def edge_skeleton_map(self, eid: int, ectx: EdgeContext) -> np.ndarray:
         """Matrix sending face-local GRAD DoFs to P^{k+1}(E) coefficients."""
-        k = self.k
-        va, vb = ectx.edge.vertices
-        cols = np.zeros((2 + k, self.n_grad))
-        cols[0, self.grad_vert_pos[va]] = 1.0
-        cols[1, self.grad_vert_pos[vb]] = 1.0
-        sl = self.grad_edge_slices[eid]
-        cols[2:, sl] = np.eye(k)
-        return ectx.skeleton @ cols
-
-    def frame_nfe(self, eid: int) -> np.ndarray:
-        return self.geom.axes @ self.edge_nfe[eid]
+        return ectx.skeleton_map(self.grad_vert_pos,
+                                 self.grad_edge_slices[eid], self.n_grad)
 
     def _assemble(self, mesh, edge_ctx):
         k, ell, g = self.k, self.ell, self.geom
@@ -328,7 +330,7 @@ class CellContext(_EntityContext):
             self.sub[sel, l] = ps.build_subspace(g, sel, l, parent, self.gram)
 
         self._assemble(mesh, edge_ctx, face_ctx)
-        self._products(mesh, edge_ctx, face_ctx)
+        self._products(edge_ctx, face_ctx)
 
     def placed_at(self, mesh: Mesh, cid: int, layouts):
         new = super().placed_at(mesh, cid, layouts)
@@ -370,6 +372,7 @@ class CellContext(_EntityContext):
                                    for f in self.face_ids}
         self.grad_edge_map = {e: local_of(SpaceKind.GRAD, gl.edge_dofs(e))
                               for e in self.edge_ids}
+        self.grad_vert_pos = {v: i for i, v in enumerate(self.vert_ids)}
         self.curl_edge_map = {e: local_of(SpaceKind.CURL, cl.edge_dofs(e))
                               for e in self.edge_ids}
         self.div_face_map = {f: local_of(SpaceKind.DIV, dl.face_dofs(f))
@@ -512,15 +515,9 @@ class CellContext(_EntityContext):
 
         # --- cell blocks of the global operators -----------------------------
         uG = np.zeros((self.n_curl, self.n_grad))
-        pos = {v: i for i, v in enumerate(self.vert_ids)}
         for e in self.edge_ids:
             ectx = edge_ctx[e]
-            va, vbid = ectx.edge.vertices
-            cols = np.zeros((2 + k, self.n_grad))
-            cols[0, pos[va]] = 1.0
-            cols[1, pos[vbid]] = 1.0
-            cols[2:, self.grad_edge_map[e]] = np.eye(k)
-            uG[self.curl_edge_map[e]] = ectx.deriv @ ectx.skeleton @ cols
+            uG[self.curl_edge_map[e]] = ectx.deriv @ self._edge_skeleton(ectx)
         for f in self.face_ids:
             fctx = face_ctx[f]
             if fctx.uG_face.shape[0]:
@@ -550,84 +547,13 @@ class CellContext(_EntityContext):
                                     self.phi_k, self.phi_k, self.phi_k,
                                     optimize=True)
 
-    # -- interpolation of a cellwise polynomial (for the stabilisation) -------
-    def _interp_grad_poly(self, mesh, edge_ctx, face_ctx, coeff_rows):
-        """Local GRAD interpolation of P^{k+1}(T) polynomials given by
-        orthonormal-basis coefficient columns: returns (n_grad, ncols)."""
-        k, ell = self.k, self.ell
-        bs = self.sca[k + 1]
-        ncols = coeff_rows.shape[1]
-        out = np.zeros((self.n_grad, ncols))
-        vpts = np.array([mesh.vertex_coords[v] for v in self.vert_ids])
-        out[:len(self.vert_ids)] = bs.eval(vpts) @ coeff_rows
-        for e in self.edge_ids:
-            ectx = edge_ctx[e]
-            vals = bs.eval(ectx.rule.points) @ coeff_rows
-            phi = ectx.basis_values(k - 1)
-            out[self.grad_edge_map[e]] = phi.T @ (ectx.rule.weights[:, None] * vals)
-        for f in self.face_ids:
-            fctx = face_ctx[f]
-            vals = bs.eval(fctx.rule.points) @ coeff_rows
-            phi = fctx.sca[ell].eval(fctx.rule.points)
-            out[self.grad_face_map[f][fctx.grad_face_slice]] = \
-                phi.T @ (fctx.rule.weights[:, None] * vals)
-        if ell >= 0:
-            coords = _inner_scalar(self.gram, self.sca[ell].coeff, bs.coeff)
-            out[self.grad_cell] = coords @ coeff_rows
-        return out
-
-    def _interp_curl_poly(self, mesh, edge_ctx, face_ctx, coeff_cols):
-        """Local CURL interpolation of P^k(T)^3 polynomials; coeff_cols are
-        orthonormal vb coefficients (vb.dim, ncols)."""
-        k, ell = self.k, self.ell
-        ncols = coeff_cols.shape[1]
-        out = np.zeros((self.n_curl, ncols))
-        for e in self.edge_ids:
-            ectx = edge_ctx[e]
-            vals3 = np.einsum("pbx,bn->pnx", self.vb.eval(ectx.rule.points),
-                              coeff_cols)
-            vt = vals3 @ ectx.edge.tangent
-            phi = ectx.basis_values(k)
-            out[self.curl_edge_map[e]] = phi.T @ (ectx.rule.weights[:, None] * vt)
-        for f in self.face_ids:
-            fctx = face_ctx[f]
-            vals3 = np.einsum("pbx,bn->pnx", self.vb.eval(fctx.rule.points),
-                              coeff_cols)
-            vt = np.einsum("pnx,cx->pnc", vals3, fctx.geom.axes)
-            for sub, sl in ((fctx.sub["R", k - 1], fctx.curl_R_slice),
-                            (fctx.sub["Rc", ell + 1], fctx.curl_Rc_slice)):
-                if sub.dim:
-                    psi = sub.eval(fctx.rule.points)
-                    blk = np.einsum("pbc,pnc->bn",
-                                    psi * fctx.rule.weights[:, None, None], vt)
-                    out[self.curl_face_map[f][sl]] = blk
-        for sub, sl in ((self.sub["R", k - 1], self.curl_R_cell),
-                        (self.sub["Rc", ell + 1], self.curl_Rc_cell)):
-            if sub.dim:
-                coords = _inner_vector(self.gram, sub.coeff, self.vb.coeff)
-                out[sl] = coords @ coeff_cols
-        return out
-
-    def _interp_div_poly(self, mesh, face_ctx, coeff_cols):
-        k = self.k
-        ncols = coeff_cols.shape[1]
-        out = np.zeros((self.n_div, ncols))
-        for f in self.face_ids:
-            fctx = face_ctx[f]
-            vals3 = np.einsum("pbx,bn->pnx", self.vb.eval(fctx.rule.points),
-                              coeff_cols)
-            wn = vals3 @ fctx.face.normal
-            phi = fctx.sca[k].eval(fctx.rule.points)
-            out[self.div_face_map[f]] = phi.T @ (fctx.rule.weights[:, None] * wn)
-        for sub, sl in ((self.sub["G", k - 1], self.div_G_cell),
-                        (self.sub["Gc", k], self.div_Gc_cell)):
-            if sub.dim:
-                coords = _inner_vector(self.gram, sub.coeff, self.vb.coeff)
-                out[sl] = coords @ coeff_cols
-        return out
-
     # -- stabilised products ---------------------------------------------------
-    def _stab_grad_ops(self, mesh, edge_ctx, face_ctx):
+    def _edge_skeleton(self, ectx: EdgeContext) -> np.ndarray:
+        """Matrix sending cell-local GRAD DoFs to P^{k+1}(E) coefficients."""
+        return ectx.skeleton_map(self.grad_vert_pos,
+                                 self.grad_edge_map[ectx.edge.id], self.n_grad)
+
+    def _stab_grad_ops(self, edge_ctx, face_ctx):
         """Per-face and per-edge sampled difference operators for s_GRAD."""
         k = self.k
         bs = self.sca[k + 1]
@@ -641,41 +567,37 @@ class CellContext(_EntityContext):
         for e in self.edge_ids:
             ectx = edge_ctx[e]
             A = bs.eval(ectx.rule.points) @ self.pot_grad
-            sk = np.zeros((2 + k, self.n_grad))
-            pos = {v: i for i, v in enumerate(self.vert_ids)}
-            va, vb_ = ectx.edge.vertices
-            sk[0, pos[va]] = 1.0
-            sk[1, pos[vb_]] = 1.0
-            sk[2:, self.grad_edge_map[e]] = np.eye(k)
-            A -= ectx.basis_values(k + 1) @ (ectx.skeleton @ sk)
+            A -= ectx.basis_values(k + 1) @ self._edge_skeleton(ectx)
             ops.append((ectx.edge.length**2, ectx.rule.weights, A))
         return ops
 
-    def _stab_curl_ops(self, mesh, edge_ctx, face_ctx):
-        k, ell = self.k, self.ell
-        ops = []
+    def curl_diffs(self, edge_ctx, face_ctx):
+        """Sampled trace differences of the curl potential.
+
+        Returns (where, h_weight, quad_weights, operator) with the operator
+        mapping local CURL DoFs to sampled differences: (npts, 2, nloc) on
+        faces (tangent-frame components), (npts, nloc) on edges.  The
+        h-weights are h_F and h_E^2 as in the stabilisation.
+        """
+        out = []
         for f in self.face_ids:
             fctx = face_ctx[f]
             vals3 = self.vb.eval(fctx.rule.points)           # (p, nb, 3)
             tang = np.einsum("pbx,cx->pbc", vals3, fctx.geom.axes)
             A = np.einsum("pbc,bn->pcn", tang, self.pot_curl)
-            gt = np.einsum("pbc,bn->pcn", fctx.vb.eval(fctx.rule.points),
-                           fctx.ttrace_mat)
-            A2 = A.copy()
-            A2[:, :, self.curl_face_map[f]] -= gt
-            npts = len(fctx.rule.weights)
-            ops.append((fctx.face.diameter, np.repeat(fctx.rule.weights, 2),
-                        A2.reshape(npts * 2, self.n_curl)))
+            A[:, :, self.curl_face_map[f]] -= np.einsum(
+                "pbc,bn->pcn", fctx.vb.eval(fctx.rule.points), fctx.ttrace_mat)
+            out.append(("face", fctx.face.diameter, fctx.rule.weights, A))
         for e in self.edge_ids:
             ectx = edge_ctx[e]
             vals3 = self.vb.eval(ectx.rule.points)
             vt = np.einsum("pbx,x->pb", vals3, ectx.edge.tangent)
             A = vt @ self.pot_curl
-            A[:, self.curl_edge_map[e]] -= ectx.basis_values(k)
-            ops.append((ectx.edge.length**2, ectx.rule.weights, A))
-        return ops
+            A[:, self.curl_edge_map[e]] -= ectx.basis_values(self.k)
+            out.append(("edge", ectx.edge.length**2, ectx.rule.weights, A))
+        return out
 
-    def _stab_div_ops(self, mesh, face_ctx):
+    def _stab_div_ops(self, face_ctx):
         k = self.k
         ops = []
         for f in self.face_ids:
@@ -687,33 +609,28 @@ class CellContext(_EntityContext):
             ops.append((fctx.face.diameter, fctx.rule.weights, A))
         return ops
 
-    def _products(self, mesh, edge_ctx, face_ctx):
-        # GRAD
-        N = np.eye(self.n_grad) - self._interp_grad_poly(
-            mesh, edge_ctx, face_ctx, self.pot_grad)
-        S = np.zeros((self.n_grad, self.n_grad))
-        for hw, w, A in self._stab_grad_ops(mesh, edge_ctx, face_ctx):
-            S += hw * A.T @ (w[:, None] * A)
-        self.product_grad = self.pot_grad.T @ self.pot_grad + N.T @ S @ N
-        self.stab_grad = S
+    def _products(self, edge_ctx, face_ctx):
+        """Cell products P^T P + s_T.  The stabilisation s_T vanishes on the
+        interpolates of polynomials, so it needs no projection onto their
+        complement."""
+        def stabilised(pot, ops):
+            n = pot.shape[1]
+            S = np.zeros((n, n))
+            for hw, w, A in ops:
+                # the rows of A are points, or (point, component) pairs that
+                # share the point's weight
+                A = A.reshape(-1, n)
+                w = np.repeat(w, len(A) // len(w))
+                S += hw * A.T @ (w[:, None] * A)
+            return pot.T @ pot + S
 
-        # CURL
-        N = np.eye(self.n_curl) - self._interp_curl_poly(
-            mesh, edge_ctx, face_ctx, self.pot_curl)
-        S = np.zeros((self.n_curl, self.n_curl))
-        for hw, w, A in self._stab_curl_ops(mesh, edge_ctx, face_ctx):
-            S += hw * A.T @ (w[:, None] * A)
-        self.product_curl = self.pot_curl.T @ self.pot_curl + N.T @ S @ N
-        self.stab_curl = S
-
-        # DIV
-        N = np.eye(self.n_div) - self._interp_div_poly(mesh, face_ctx,
-                                                       self.pot_div)
-        S = np.zeros((self.n_div, self.n_div))
-        for hw, w, A in self._stab_div_ops(mesh, face_ctx):
-            S += hw * A.T @ (w[:, None] * A)
-        self.product_div = self.pot_div.T @ self.pot_div + N.T @ S @ N
-        self.stab_div = S
+        self.product_grad = stabilised(
+            self.pot_grad, self._stab_grad_ops(edge_ctx, face_ctx))
+        self.product_curl = stabilised(
+            self.pot_curl,
+            [op[1:] for op in self.curl_diffs(edge_ctx, face_ctx)])
+        self.product_div = stabilised(self.pot_div,
+                                      self._stab_div_ops(face_ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -771,21 +688,13 @@ class DdrComplex:
     share their operator arrays and basis coefficients.
     """
 
-    def __init__(self, mesh: Mesh, k: int,
-                 serendipity: SerendipityConfig | None = None):
-        ser = serendipity or SerendipityConfig()
-        if not ser.is_ddr_mode(k):
-            raise NotImplementedError(
-                "only the DDR-mode reduction (eta_Y = 2, ell_Y = k - 1) ships; "
-                f"got ell_F = {ser.ell_face(k)}, ell_T = {ser.ell_cell(k)}")
+    def __init__(self, mesh: Mesh, k: int):
         self.mesh = mesh
         self.k = k
-        self.serendipity = ser
-        self.layouts = {kind: DofLayout(mesh, kind, k, ser)
-                        for kind in SpaceKind}
+        self.layouts = {kind: DofLayout(mesh, kind, k) for kind in SpaceKind}
         deg_bilin = 2 * k + 4
         self.cell_degree = max(2 * k + 4, 3 * k + 3)
-        ell = ser.ell_face(k)
+        ell = k - 1     # DDR-mode face and cell moment degree
         self.edges = [EdgeContext(mesh, e, k, deg_bilin)
                       for e in range(mesh.n_edges)]
         # each translation class of faces and cells is built once, from its
@@ -802,7 +711,7 @@ class DdrComplex:
         for c in range(mesh.n_cells):
             rep = cell_reps.setdefault(_cell_key(mesh, c, face_class), c)
             self.cells.append(
-                CellContext(mesh, c, k, ser.ell_cell(k), self.cell_degree,
+                CellContext(mesh, c, k, ell, self.cell_degree,
                             self.edges, self.faces, self.layouts)
                 if rep == c else self.cells[rep].placed_at(mesh, c,
                                                            self.layouts))
@@ -1026,33 +935,9 @@ class DdrComplex:
 
     # -- Ls-type norms ----------------------------------------------------------
     def cell_curl_diffs(self, c: int):
-        """Sampled trace differences of the curl potential on cell c.
-
-        Yields (h_weight, quad_weights, operator) with the operator mapping
-        local CURL DoFs to sampled differences: (npts, 2, nloc) on faces
-        (tangent-frame components), (npts, nloc) on edges.  The h-weights are
-        h_F and h_E^2 as in the stabilisation.
-        """
-        cctx = self.cells[c]
-        k = self.k
-        out = []
-        for f in cctx.face_ids:
-            fctx = self.faces[f]
-            vals3 = cctx.vb.eval(fctx.rule.points)
-            tang = np.einsum("pbx,cx->pbc", vals3, fctx.geom.axes)
-            A = np.einsum("pbc,bn->pcn", tang, cctx.pot_curl)
-            gt = np.einsum("pbc,bn->pcn", fctx.vb.eval(fctx.rule.points),
-                           fctx.ttrace_mat)
-            A[:, :, cctx.curl_face_map[f]] -= gt
-            out.append(("face", fctx.face.diameter, fctx.rule.weights, A))
-        for e in cctx.edge_ids:
-            ectx = self.edges[e]
-            vals3 = cctx.vb.eval(ectx.rule.points)
-            vt = np.einsum("pbx,x->pb", vals3, ectx.edge.tangent)
-            A = vt @ cctx.pot_curl
-            A[:, cctx.curl_edge_map[e]] -= ectx.basis_values(k)
-            out.append(("edge", ectx.edge.length**2, ectx.rule.weights, A))
-        return out
+        """Sampled trace differences of the curl potential on cell c; see
+        :meth:`CellContext.curl_diffs`."""
+        return self.cells[c].curl_diffs(self.edges, self.faces)
 
     def ls_curl_norm(self, s: float, v: DofVector) -> float:
         """L^s-like norm on the curl space: cellwise potential plus h-weighted

@@ -138,20 +138,6 @@ def raise_matrix(space_dim: int, degree: int, axis: int) -> np.ndarray:
     return M
 
 
-def embed_coeff(coeff: np.ndarray, space_dim: int, deg_from: int, deg_to: int):
-    """Zero-pad monomial coefficients to a larger exponent table."""
-    if deg_to == deg_from:
-        return coeff
-    nm_to = len(monomial_exponents(space_dim, deg_to))
-    out = np.zeros(coeff.shape[:-1] + (nm_to,)) if coeff.ndim == 2 else \
-        np.zeros((coeff.shape[0], nm_to) + coeff.shape[2:])
-    if coeff.ndim == 2:
-        out[:, :coeff.shape[1]] = coeff
-    else:
-        out[:, :coeff.shape[1], :] = coeff
-    return out
-
-
 # ---------------------------------------------------------------------------
 # entity geometry
 
@@ -170,10 +156,6 @@ class EntityGeometry:
 
     def local_coords(self, points: np.ndarray) -> np.ndarray:
         return (points - self.origin) @ self.axes.T / self.scale
-
-    def lift(self, comps: np.ndarray) -> np.ndarray:
-        """Map local vector components (..., d) to ambient 3-vectors."""
-        return comps @ self.axes
 
 
 def edge_geometry(mesh: Mesh, e: Edge | int) -> EntityGeometry:
@@ -292,15 +274,6 @@ def scalar_monomial_gram(geom: EntityGeometry, degree: int,
     exps = monomial_exponents(geom.dim, degree)
     mono = mono_eval(exps, geom.local_coords(rule.points))
     return mono.T @ (rule.weights[:, None] * mono)
-
-
-def coords_in_scalar_basis(sb: ScalarBasis, coeff: np.ndarray,
-                           gram: np.ndarray) -> np.ndarray:
-    """Inner products of polynomials (monomial coefficient rows) against an
-    orthonormal scalar basis; gram is the entity monomial Gram at a degree
-    covering both (monomial tables are prefix-nested)."""
-    a = np.atleast_2d(coeff)
-    return a @ gram[:a.shape[1], :sb.coeff.shape[1]] @ sb.coeff.T
 
 
 def coords_in_vector_basis(vb: VectorBasis, coeff: np.ndarray,

@@ -105,16 +105,20 @@ def pressflux_bc() -> list[BCRegion]:
     ]
 
 
+# pseudo-transient (SER) globalisation: the u-block of the Newton matrix is
+# shifted by PTC_LAMBDA0 * (|R_k|/|R_0|) times the CURL mass; the shift
+# vanishes as the residual drops, recovering plain Newton.  A step whose
+# residual does not drop is retried at most MAX_DAMPING times, each with a
+# tenfold shift.
+PTC_LAMBDA0 = 1.0
+MAX_DAMPING = 6
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-9
     max_iter: int = 50
-    max_damping: int = 6
     condense: bool = True
-    # pseudo-transient (SER) globalisation: the u-block of the Newton matrix
-    # is shifted by lambda0 * (|R_k|/|R_0|) times the CURL mass; the shift
-    # vanishes as the residual drops, recovering plain Newton
-    ptc_lambda0: float = 1.0
 
 
 @dataclass
@@ -317,14 +321,9 @@ class NavierStokesSolver:
         return float(np.linalg.norm(R[self._free_mask()]))
 
     # -- Newton step with static condensation ------------------------------------
-    def _cell_jacobian(self, cell, ul, with_convection: bool,
-                      mode: str = "newton"):
-        """Linearisation of the cell momentum rows.
-
-        'newton' uses the exact derivative t(delta;u,v) + t(u;delta,v);
-        'picard' freezes the curl factor, keeping only t(u;delta,v) (a skew
-        form, more robust far from the solution).
-        """
+    def _cell_jacobian(self, cell, ul, with_convection: bool):
+        """Linearisation of the cell momentum rows: the exact derivative
+        t(delta;u,v) + t(u;delta,v) of the convective form."""
         J = cell["visc"]
         if with_convection:
             a = (cell["CH"] @ ul).reshape(-1, 3)
@@ -335,15 +334,14 @@ class NavierStokesSolver:
                            optimize=True).reshape(3 * nb, 3 * nb)
             # rows are the test side
             J = J + cell["P"].T @ (T2.T @ cell["P"])
-            if mode == "newton":
-                Mb = np.cross(np.eye(3)[None, :, :], b[:, None, :])  # (j, a, c)
-                T1 = np.einsum("ijl,jac->ialc", cell["S"], Mb,
-                               optimize=True).reshape(3 * nb, 3 * nb)
-                J = J + cell["P"].T @ (T1.T @ cell["CH"])
+            Mb = np.cross(np.eye(3)[None, :, :], b[:, None, :])  # (j, a, c)
+            T1 = np.einsum("ijl,jac->ialc", cell["S"], Mb,
+                           optimize=True).reshape(3 * nb, 3 * nb)
+            J = J + cell["P"].T @ (T1.T @ cell["CH"])
         return J
 
     def newton_step(self, x: np.ndarray, R: np.ndarray,
-                    with_convection: bool = True, mode: str = "newton",
+                    with_convection: bool = True,
                     shift: float = 0.0) -> np.ndarray:
         """Solve (J + shift M_curl) delta = -R with per-cell elimination of
         the cell-attached blocks (Schur complements, back-substituted)."""
@@ -368,12 +366,12 @@ class NavierStokesSolver:
         rhs_ret = rhs[retained].copy()
         back = []
 
-        for cell in self.cells:
+        for c, cell in enumerate(self.cells):
             iu, ip = cell["idxu"], cell["idxp"]
             nu_loc, np_loc = len(iu), len(ip)
             nloc = nu_loc + np_loc + nmu
             K = np.zeros((nloc, nloc))
-            Juu = self._cell_jacobian(cell, u[iu], with_convection, mode)
+            Juu = self._cell_jacobian(cell, u[iu], with_convection)
             if shift:
                 Juu = Juu + shift * cell["Mc"]
             K[:nu_loc, :nu_loc] = Juu
@@ -399,8 +397,8 @@ class NavierStokesSolver:
                     rI = rhs[gx[loc_int]]
                     KII_inv_rI = np.linalg.solve(KII, rI)
                 except np.linalg.LinAlgError as exc:
-                    raise SolverError("singular cell-interior block during "
-                                      "static condensation") from exc
+                    raise SolverError(f"singular cell-interior block of cell "
+                                      f"{c} during static condensation") from exc
                 Sgg = KGG - KGI @ KII_inv_KIG
                 g_ret = gx[loc_ret]
                 np.subtract.at(rhs_ret, ret_index[g_ret], KGI @ KII_inv_rI)
@@ -460,9 +458,9 @@ class NavierStokesSolver:
             if diag.iterations >= opts.max_iter:
                 diag.converged = False
                 raise NonConvergenceError(diag)
-            lam = opts.ptc_lambda0 * rnorm / r0
+            lam = PTC_LAMBDA0 * rnorm / r0
             accepted = None
-            for _ in range(opts.max_damping + 1):
+            for _ in range(MAX_DAMPING + 1):
                 delta = self.newton_step(x, R, shift=lam)
                 cand = x + delta
                 cand_R = self.residual(cand)

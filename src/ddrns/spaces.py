@@ -33,56 +33,31 @@ class SpaceKind(str, Enum):
     DIV = "div"
 
 
-@dataclass(frozen=True)
-class SerendipityConfig:
-    """Reduction exponents eta_Y >= 2 per face/cell; ell_Y = k + 1 - eta_Y.
-
-    The shipped configuration is eta = 2 everywhere ("DDR mode",
-    ell_Y = k - 1); the type keeps the door open for stronger reductions.
-    """
-    eta_face: int = 2
-    eta_cell: int = 2
-
-    def __post_init__(self):
-        if self.eta_face < 2 or self.eta_cell < 2:
-            raise ValueError("eta_Y must be >= 2")
-
-    def ell_face(self, k: int) -> int:
-        return k + 1 - self.eta_face
-
-    def ell_cell(self, k: int) -> int:
-        return k + 1 - self.eta_cell
-
-    def is_ddr_mode(self, k: int) -> bool:
-        return self.ell_face(k) == k - 1 and self.ell_cell(k) == k - 1
-
-
 class DofLayout:
-    """Entity-blocked global numbering for one space kind and degree."""
+    """Entity-blocked global numbering for one space kind and degree.
 
-    def __init__(self, mesh: Mesh, kind: SpaceKind, k: int,
-                 serendipity: SerendipityConfig | None = None):
+    The spaces are the DDR-mode serendipity reductions (eta_Y = 2 on faces
+    and cells), so the face and cell moments have degree ell = k - 1.
+    """
+
+    def __init__(self, mesh: Mesh, kind: SpaceKind, k: int):
         if k < 0:
             raise ValueError("polynomial degree k must be >= 0")
         self.mesh = mesh
         self.kind = SpaceKind(kind)
         self.k = k
-        self.serendipity = serendipity or SerendipityConfig()
-        lf = self.serendipity.ell_face(k)
-        lt = self.serendipity.ell_cell(k)
-        self.ell_face = lf
-        self.ell_cell = lt
+        ell = k - 1
 
         if self.kind == SpaceKind.GRAD:
             self.vertex_block = 1
             self.edge_block = dim_poly(1, k - 1)
-            self.face_subsizes = [dim_poly(2, lf)]
-            self.cell_subsizes = [dim_poly(3, lt)]
+            self.face_subsizes = [dim_poly(2, ell)]
+            self.cell_subsizes = [dim_poly(3, ell)]
         elif self.kind == SpaceKind.CURL:
             self.vertex_block = 0
             self.edge_block = dim_poly(1, k)
-            self.face_subsizes = [subspace_dim(2, "R", k - 1), dim_poly(2, lf)]
-            self.cell_subsizes = [subspace_dim(3, "R", k - 1), dim_poly(3, lt)]
+            self.face_subsizes = [subspace_dim(2, "R", k - 1), dim_poly(2, ell)]
+            self.cell_subsizes = [subspace_dim(3, "R", k - 1), dim_poly(3, ell)]
         elif self.kind == SpaceKind.DIV:
             self.vertex_block = 0
             self.edge_block = 0
@@ -99,7 +74,6 @@ class DofLayout:
         self.face_offset = self.edge_offset + ne * self.edge_block
         self.cell_offset = self.face_offset + nf * self.face_block
         self.total_dim = self.cell_offset + nc * self.cell_block
-        self.n_interior = nc * self.cell_block   # condensable cell blocks
 
     # -- per-entity global index ranges ------------------------------------
     def vertex_dofs(self, v: int) -> np.ndarray:
@@ -169,17 +143,11 @@ class DofLayout:
             return np.zeros(0, dtype=int)
         return np.concatenate(parts)
 
-    def n_cell_local(self) -> int:
-        c0 = self.mesh.cells[0]
-        return (len(c0.vertex_ids) * self.vertex_block
-                + len(c0.edge_ids) * self.edge_block
-                + len(c0.faces) * self.face_block + self.cell_block)
-
     def descriptor(self) -> dict:
         return {
             "kind": self.kind.value,
             "k": self.k,
-            "eta": [self.serendipity.eta_face, self.serendipity.eta_cell],
+            "eta": [2, 2],      # DDR mode; kept so saved hashes still match
             "counts": [self.mesh.n_vertices, self.mesh.n_edges,
                        self.mesh.n_faces, self.mesh.n_cells],
             "blocks": [self.vertex_block, self.edge_block,
@@ -211,12 +179,6 @@ class DofVector:
 
     def restrict_cell(self, c: int) -> np.ndarray:
         return self.values[self.layout.cell_indices(c)]
-
-    def restrict_face(self, f: int) -> np.ndarray:
-        return self.values[self.layout.face_indices(f)]
-
-    def restrict_edge(self, e: int) -> np.ndarray:
-        return self.values[self.layout.edge_indices(e)]
 
 
 def save_dofvector(vec: DofVector, path) -> None:

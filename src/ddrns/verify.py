@@ -172,15 +172,6 @@ def estimate_continuity_div(cx: DdrComplex) -> float:
     return _continuity_constant(cx, SpaceKind.DIV)
 
 
-def _l4_potential_norm(cx: DdrComplex, v: np.ndarray) -> float:
-    cl = cx.layouts[SpaceKind.CURL]
-    acc = 0.0
-    for c, cctx in enumerate(cx.cells):
-        pv = cx.curl_potential_values(c, v[cl.cell_indices(c)])
-        acc += np.sum(cctx.rule.weights * np.sum(pv**2, axis=1)**2)
-    return acc ** 0.25
-
-
 def estimate_sobolev_lower_bound(cx: DdrComplex, samples: int = 12,
                                  ascent_steps: int = 40,
                                  seed: int = 0) -> float:

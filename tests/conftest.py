@@ -23,6 +23,14 @@ def get_complex(family: str, n: int, k: int) -> DdrComplex:
     return _COMPLEX_CACHE[key]
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _release_complexes():
+    """Complexes are shared within a test module only: the large ones of the
+    acceptance module would otherwise stay resident for the whole session."""
+    yield
+    _COMPLEX_CACHE.clear()
+
+
 def random_tet_mesh(seed: int = 7):
     """Single well-shaped random tetrahedron."""
     rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@ import pytest
 
 from ddrns import polyspaces as ps
 from ddrns.operators import DdrComplex
-from ddrns.spaces import DofVector, SerendipityConfig, SpaceKind
+from ddrns.spaces import DofVector, SpaceKind
 from conftest import (get_complex, pentagon_prism_mesh, random_hex_mesh,
                       random_tet_mesh)
 
@@ -438,11 +438,6 @@ def test_serendipity_moment_consistency(hex_cx):
     assert np.abs(mom - ref).max() < 1e-11 * (np.abs(ref).max() + 1)
 
 
-def test_rejects_non_ddr_serendipity(cube1):
-    with pytest.raises(NotImplementedError):
-        DdrComplex(cube1, 2, SerendipityConfig(eta_face=3))
-
-
 # -- products and norms -----------------------------------------------------------
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -463,23 +458,28 @@ def test_products_spd_symmetric(k):
     assert cx.l2_product("curl", x, x) > 0
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_stabilisation_vanishes_at_interpolates(k):
-    cx = get_complex("cubic", 1, k)
+# the cube cases are named by k alone
+@pytest.mark.parametrize("mesh,k", [
+    pytest.param(mesh, k, id=str(k) if mesh == "cubic" else f"{mesh}-{k}")
+    for mesh in ("cubic", "tet", "pentagon-prism") for k in (0, 1, 2)])
+def test_stabilisation_vanishes_at_interpolates(mesh, k):
+    """The cell products are P^T P + s_T with no projection, so s_T itself
+    must vanish on the interpolates of P^{k+1} scalars (GRAD) and of P^k
+    fields (CURL, DIV), on every cell."""
+    cx = (DdrComplex(pentagon_prism_mesh(), k) if mesh == "pentagon-prism"
+          else get_complex(mesh, 1, k))
     q, _ = _poly_scalar(k + 1, seed=k)
-    iq = cx.interpolate_grad(q)
-    gl = cx.layouts[SpaceKind.GRAD]
-    cctx = cx.cells[0]
-    loc = iq.values[gl.cell_indices(0)]
-    stab = loc @ (cctx.product_grad - cctx.pot_grad.T @ cctx.pot_grad) @ loc
-    assert abs(stab) < 1e-10 * max(loc @ cctx.product_grad @ loc, 1.0)
-
     v, _ = _poly_vector(k, seed=k + 1)
-    iv = cx.interpolate_curl(v)
-    cl = cx.layouts[SpaceKind.CURL]
-    loc = iv.values[cl.cell_indices(0)]
-    stab = loc @ (cctx.product_curl - cctx.pot_curl.T @ cctx.pot_curl) @ loc
-    assert abs(stab) < 1e-10 * max(loc @ cctx.product_curl @ loc, 1.0)
+    for kind, dofs in ((SpaceKind.GRAD, cx.interpolate_grad(q)),
+                       (SpaceKind.CURL, cx.interpolate_curl(v)),
+                       (SpaceKind.DIV, cx.interpolate_div(v))):
+        lay = cx.layouts[kind]
+        for c, cctx in enumerate(cx.cells):
+            prod = getattr(cctx, f"product_{kind.value}")
+            pot = getattr(cctx, f"pot_{kind.value}")
+            loc = dofs.values[lay.cell_indices(c)]
+            stab = loc @ (prod - pot.T @ pot) @ loc
+            assert abs(stab) < 1e-10 * max(loc @ prod @ loc, 1.0), (kind, c)
 
 
 def test_ls_norm_s2_matches_product_norm():

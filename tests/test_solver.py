@@ -4,8 +4,9 @@ import pytest
 from ddrns.operators import DdrComplex
 from ddrns.solutions import TrigSolution
 from ddrns.solver import (BCRegion, EmptyRegionError, NavierStokesSolver,
-                          NonConvergenceError, ProblemSpec, SolverOptions,
-                          essential_bc, load_config, natural_bc, pressflux_bc)
+                          NonConvergenceError, ProblemSpec, SolverError,
+                          SolverOptions, essential_bc, load_config, natural_bc,
+                          pressflux_bc)
 from ddrns.spaces import DofVector, SpaceKind
 from conftest import get_complex
 
@@ -239,6 +240,19 @@ def test_nonconvergence_raises():
     with pytest.raises(NonConvergenceError) as err:
         s.solve()
     assert err.value.diagnostics.iterations == 0
+
+
+def test_singular_interior_block_names_cell():
+    # at k=1 every cell has interior DoFs; with its viscous and pressure
+    # blocks zeroed, cell 5's interior block of the Stokes step is zero
+    _, _, s = make_solver("cubic", 2, 1)
+    cell = s.cells[5]
+    cell["visc"] = np.zeros_like(cell["visc"])
+    cell["B"] = np.zeros_like(cell["B"])
+    x = s.initial_state()
+    R = s.residual(x, with_convection=False)
+    with pytest.raises(SolverError, match=r"\bcell 5\b"):
+        s.newton_step(x, R, with_convection=False)
 
 
 def test_pressflux_zero_flux_variant():

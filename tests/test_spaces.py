@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from ddrns import polyspaces as ps
-from ddrns.spaces import (DofLayout, DofVector, SerendipityConfig, SpaceKind,
+from ddrns.spaces import (DofLayout, DofVector, SpaceKind,
                           boundary_subspace_mask, classify_boundary,
                           load_dofvector, save_dofvector)
 from conftest import get_complex, get_mesh, prism_mesh
@@ -42,14 +42,6 @@ def test_k0_special_shapes(cube1):
     assert DofLayout(cube1, SpaceKind.GRAD, 0).total_dim == 8
     assert DofLayout(cube1, SpaceKind.CURL, 0).total_dim == 12
     assert DofLayout(cube1, SpaceKind.DIV, 0).total_dim == 6
-
-
-def test_serendipity_config():
-    cfg = SerendipityConfig()
-    assert cfg.is_ddr_mode(0) and cfg.is_ddr_mode(2)
-    assert cfg.ell_face(2) == 1
-    with pytest.raises(ValueError):
-        SerendipityConfig(eta_face=1)
 
 
 def test_restrict_roundtrip(cube2):
