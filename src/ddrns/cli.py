@@ -15,6 +15,8 @@ Exit codes: 0 success, 2 solver failure, 3 property failure, 4 config error.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures as cf
+import contextlib
 import csv
 import sys
 from dataclasses import dataclass, field
@@ -54,10 +56,14 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not self.levels or sorted(self.levels) != self.levels:
             raise ValueError("levels must be a non-empty ascending list")
+        if self.levels[0] < 1:
+            raise ValueError("levels must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.reynolds <= 0:
             raise ValueError("re must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.bc not in ("natural", "essential", "pressflux"):
             raise ValueError(f"unknown bc preset {self.bc!r}")
         return self
@@ -107,16 +113,18 @@ def _run_levels(config: RunConfig, lams, log):
     """Reports of every level at each lambda: one list per lambda, EOCs
     attached."""
     levels = config.levels
+    args = ([config] * len(levels), levels, [lams] * len(levels))
     if config.parallel_levels and len(levels) > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=min(4, len(levels))) as pool:
-            per_level = list(pool.map(_solve_level, [config] * len(levels),
-                                      levels, [lams] * len(levels)))
+        pool = cf.ProcessPoolExecutor(max_workers=min(4, len(levels)))
+        results = pool.map(_solve_level, *args)
     else:
-        per_level = []
-        for n in levels:
-            per_level.append(_solve_level(config, n, lams))
-            for lam, r in zip(lams, per_level[-1]):
+        pool, results = contextlib.nullcontext(), map(_solve_level, *args)
+    per_level = []
+    # both maps yield the reports in level order, so both paths log alike
+    with pool:
+        for n, reports in zip(levels, results):
+            per_level.append(reports)
+            for lam, r in zip(lams, reports):
                 log(f"  level n={n}"
                     + (f" lambda={lam:g}" if len(lams) > 1 else "")
                     + f": h={r.h:.4f} E^d_u={r.err_u_discrete:.6e} "

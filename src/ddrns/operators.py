@@ -3,10 +3,15 @@
 Everything is assembled per entity as dense matrices acting on entity-local
 DoF vectors (``LocalOperator`` style): moment systems are solved in the
 entity-local orthonormal bases, once for each class of faces or cells that
-are translates of one another, and cached.  The module exposes a
-:class:`DdrComplex` tying together one mesh and one polynomial degree:
-interpolators onto the three spaces, the global discrete gradient and curl,
-the stabilised L2 products of the three spaces and the derived norms.
+are translates of one another, and cached.  Every face and cell operator
+comes from integration by parts against the traces on the entity's
+boundary, and the stabilisation penalises the gap between the cell
+potentials and those same traces: one trace table per cell
+(:meth:`CellContext.traces`) feeds both its moment systems and its
+stabilisation.  The module exposes a :class:`DdrComplex` tying together one
+mesh and one polynomial degree: interpolators onto the three spaces, the
+global discrete gradient and curl, the stabilised L2 products of the three
+spaces and the derived norms.
 
 The serendipity reduction runs in "DDR mode" only (eta_Y = 2, so
 ell_Y = k - 1): the complement-space moments that close the gradient and
@@ -42,26 +47,27 @@ def _inner_vector(gram, A, B):
 
 def _grad_coeffs(C, dim, h):
     """Physical gradient of scalar coefficient rows; same exponent table."""
-    return np.stack([C @ ps.deriv_matrix(dim, _deg(dim, C.shape[1]), a).T / h
+    deg = ps._deg_of(dim, C.shape[1])
+    return np.stack([C @ ps.deriv_matrix(dim, deg, a).T / h
                      for a in range(dim)], axis=-1)
 
 
 def _div_coeffs(V, dim, h):
-    deg = _deg(dim, V.shape[1])
+    deg = ps._deg_of(dim, V.shape[1])
     return sum(V[:, :, a] @ ps.deriv_matrix(dim, deg, a).T / h
                for a in range(dim))
 
 
 def _rot2_of_scalar(C, h):
     """Vector rot on a face: (d2 m, -d1 m) in frame components."""
-    deg = _deg(2, C.shape[1])
+    deg = ps._deg_of(2, C.shape[1])
     d1 = C @ ps.deriv_matrix(2, deg, 0).T / h
     d2 = C @ ps.deriv_matrix(2, deg, 1).T / h
     return np.stack([d2, -d1], axis=-1)
 
 
 def _curl3_coeffs(V, h):
-    deg = _deg(3, V.shape[1])
+    deg = ps._deg_of(3, V.shape[1])
     D = [ps.deriv_matrix(3, deg, a).T / h for a in range(3)]
     cx = V[:, :, 2] @ D[1] - V[:, :, 1] @ D[2]
     cy = V[:, :, 0] @ D[2] - V[:, :, 2] @ D[0]
@@ -69,14 +75,41 @@ def _curl3_coeffs(V, h):
     return np.stack([cx, cy, cz], axis=-1)
 
 
-def _deg(dim, nm):
-    return ps._deg_of(dim, nm)
-
-
 def _lsnorm(weights, vals, s):
     """L^s norm of sampled scalar/vector values (vector: Euclidean pointwise)."""
     mag = np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=-1)
     return float(np.sum(weights * mag**s)) ** (1.0 / s)
+
+
+def _boundary_term(n_rows, n_loc, pieces):
+    """sum_b omega_b int_b test . trial over boundary pieces b.
+
+    Each piece is (omega_b, quadrature weights, test, trial, cols): test is
+    (npts[, ncomp], n_rows) and trial (npts[, ncomp], ncols), both sampled
+    at the rule points of b, and cols are the n_loc local columns the trial
+    acts on.
+    """
+    out = np.zeros((n_rows, n_loc))
+    for sign, w, test, trial, cols in pieces:
+        # the rows are points, or (point, component) pairs that share the
+        # point's weight
+        trial = trial.reshape(-1, trial.shape[-1])
+        test = test.reshape(len(trial), n_rows)
+        w = np.repeat(w, len(trial) // len(w))
+        out[:, cols] += sign * (test * w[:, None]).T @ trial
+    return out
+
+
+def _rot_components(ctx, v, slices):
+    """Frame components, at the rule points of a face or cell context, of
+    the R^{k-1} (+) Rc^{ell+1} field whose two coefficient blocks are
+    v[slices[0]] and v[slices[1]]."""
+    comp = np.zeros((ctx.rule.n_points, ctx.geom.dim))
+    for key, sl in zip((("R", ctx.k - 1), ("Rc", ctx.ell + 1)), slices):
+        if ctx.sub[key].dim:
+            comp += np.einsum("pbc,b->pc", ctx.sub[key].eval(ctx.rule.points),
+                              v[sl])
+    return comp
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +125,8 @@ class EdgeContext:
         self.geom = ps.edge_geometry(mesh, e)
         self.rule = edge_rule(mesh, eid, rule_degree)
         self.gram = ps.scalar_monomial_gram(self.geom, k + 1, self.rule)
-        self.sca = {}
-        for l in (k - 1, k, k + 1):
-            self.sca[l] = ps.build_scalar_basis(self.geom, l, self.rule)
+        self.sca = {l: ps.build_scalar_basis(self.geom, l, self.rule)
+                    for l in (k - 1, k, k + 1)}
 
         # skeleton reconstruction: [q(v_a), q(v_b), moments vs P^{k-1}] ->
         # coefficients in the P^{k+1}(E) orthonormal basis
@@ -126,9 +158,19 @@ class EdgeContext:
         cols[2:, moment_idx] = np.eye(self.k)
         return self.skeleton @ cols
 
+    def traces(self, skeleton, curl_cols) -> dict:
+        """GRAD and CURL traces of an entity's local DoFs at the edge rule
+        points, as {kind: (values, local columns)}: skeleton maps the local
+        GRAD DoFs to P^{k+1}(E) coefficients, and curl_cols are the local
+        columns of the edge's CURL DoFs."""
+        return {SpaceKind.GRAD: (self.basis_values(self.k + 1) @ skeleton,
+                                 slice(None)),
+                SpaceKind.CURL: (self.basis_values(self.k), curl_cols)}
+
 
 class _EntityContext:
-    """Placement of a face or cell context on a translate of its entity.
+    """What faces and cells share: their bases, their gradient, and their
+    placement on a translate of their entity.
 
     The local operators of an entity depend only on its shape, local
     numbering and orientations, so one context built from scratch serves
@@ -147,6 +189,55 @@ class _EntityContext:
                    for key, b in self.sub.items()}
         return new
 
+    def _bases(self, extra=()):
+        """Monomial Gram, scalar bases, P^k vector basis and the split
+        subspaces R^{k-1}, Rc^{ell+1}, R^k, Rc^k, Rc^{k+2} and extra."""
+        k, ell, g = self.k, self.ell, self.geom
+        self.gram = ps.scalar_monomial_gram(g, k + 2, self.rule)
+        self.sca = {l: ps.build_scalar_basis(g, l, self.rule)
+                    for l in {k - 1, k, k + 1, ell}}
+        self.vb = ps.tensor_vector_basis(self.sca[k], g.dim)
+        parent = ps.tensor_vector_basis(
+            ps.build_scalar_basis(g, k + 2, self.rule), g.dim)
+        self.sub = {}
+        for sel, l in [("R", k - 1), ("Rc", ell + 1), ("R", k), ("Rc", k),
+                       ("Rc", k + 2), *extra]:
+            self.sub[sel, l] = ps.build_subspace(g, sel, l, parent, self.gram)
+
+    def _flux(self, pieces, kind, n_rows, test):
+        """sum_b omega_b int_b test(b) . (kind trace on b) over the boundary
+        pieces (omega_b, context of b, traces of b), in local columns."""
+        n_loc = getattr(self, f"n_{kind.value}")
+        return _boundary_term(n_rows, n_loc, [
+            (sign, ctx.rule.weights, test(ctx), *tr[kind])
+            for sign, ctx, tr in pieces])
+
+    def _gradient(self, grad_flux, own_cols):
+        """Serendipity moments, gradient and P^{k+1} potential of the local
+        GRAD DoFs.
+
+        grad_flux(sub) is the boundary term sum_b omega_b int_b (w . n_b) q_b
+        for w in the basis sub, against the boundary traces q_b; own_cols are
+        the columns of the entity's own P^ell moments q_Y.
+        """
+        k, g, gram, vb = self.k, self.geom, self.gram, self.vb
+        Rk, Rck = self.sub["R", k], self.sub["Rc", k]
+        cRk2 = self.sub["Rc", k + 2]
+        # int G q . tau = -int q_Y div tau + boundary term, tau in Rc^k
+        sg = grad_flux(Rck)
+        if Rck.dim:
+            sg[:, own_cols] -= _inner_scalar(
+                gram, _div_coeffs(Rck.coeff, g.dim, g.scale),
+                self.sca[self.ell].coeff)
+        M = np.vstack([Rk.coords_in(vb, gram), Rck.coords_in(vb, gram)])
+        grad = np.linalg.solve(M, np.vstack([grad_flux(Rk), sg]))
+        # int P q div w = -int G q . w + boundary term, w in Rc^{k+2}
+        D = _inner_scalar(gram, _div_coeffs(cRk2.coeff, g.dim, g.scale),
+                          self.sca[k + 1].coeff)
+        rhs = (grad_flux(cRk2)
+               - ps.coords_in_vector_basis(vb, cRk2.coeff, gram) @ grad)
+        return sg, grad, np.linalg.solve(D, rhs)
+
 
 class FaceContext(_EntityContext):
     def __init__(self, mesh: Mesh, fid: int, k: int, ell: int, rule_degree: int,
@@ -154,18 +245,7 @@ class FaceContext(_EntityContext):
         self.k = k
         self.ell = ell
         self._place(mesh, fid, rule_degree)
-        g = self.geom
-        self.gram = ps.scalar_monomial_gram(g, k + 2, self.rule)
-
-        self.sca = {l: ps.build_scalar_basis(g, l, self.rule)
-                    for l in {k - 1, k, k + 1, ell}}
-        self.vb = ps.tensor_vector_basis(self.sca[k], 2)
-        parent = ps.tensor_vector_basis(
-            ps.build_scalar_basis(g, k + 2, self.rule), 2)
-        self.sub = {}
-        for sel, l in [("R", k - 1), ("Rc", ell + 1), ("R", k), ("Rc", k),
-                       ("Rc", k + 2)]:
-            self.sub[sel, l] = ps.build_subspace(g, sel, l, parent, self.gram)
+        self._bases()
 
         nv, ne = len(self.verts), len(self.edge_ids)
         dRm, dRc = self.sub["R", k - 1].dim, self.sub["Rc", ell + 1].dim
@@ -176,7 +256,7 @@ class FaceContext(_EntityContext):
         self.curl_R_slice = slice(ne * (k + 1), ne * (k + 1) + dRm)
         self.curl_Rc_slice = slice(ne * (k + 1) + dRm, self.n_curl)
 
-        self._assemble(mesh, edge_ctx)
+        self._assemble(edge_ctx)
 
     def _place(self, mesh, fid, rule_degree):
         k = self.k
@@ -204,72 +284,30 @@ class FaceContext(_EntityContext):
         return ectx.skeleton_map(self.grad_vert_pos,
                                  self.grad_edge_slices[eid], self.n_grad)
 
-    def _assemble(self, mesh, edge_ctx):
-        k, ell, g = self.k, self.ell, self.geom
-        vb, gram = self.vb, self.gram
-        Rk = self.sub["R", k]
-        Rck = self.sub["Rc", k]
-        Rkm = self.sub["R", k - 1]
-        Rcd = self.sub["Rc", ell + 1]
-        cRk2 = self.sub["Rc", k + 2]
+    def _assemble(self, edge_ctx):
+        k, g, gram, vb = self.k, self.geom, self.gram, self.vb
+        Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
+        Rcd = self.sub["Rc", self.ell + 1]
+        edges = [(self.edge_sign[e], edge_ctx[e], edge_ctx[e].traces(
+                      self.edge_skeleton_map(e, edge_ctx[e]),
+                      self.curl_edge_slices[e]))
+                 for e in self.edge_ids]
 
-        # --- serendipity gradient moments (DDR mode): rows over cRoly^k ----
-        # int_F S_GF q . tau = -int_F q_F div tau + sum_E w_FE int_E q_E (tau.n_FE)
-        sg = np.zeros((Rck.dim, self.n_grad))
-        if Rck.dim:
-            divtau = _div_coeffs(Rck.coeff, 2, g.scale)
-            sg[:, self.grad_face_slice] = -_inner_scalar(
-                gram, divtau, self.sca[ell].coeff)
-            for eid in self.edge_ids:
-                ectx = edge_ctx[eid]
-                tau3 = np.einsum("pbc,cx->pbx", Rck.eval(ectx.rule.points),
-                                 g.axes)
-                tn = tau3 @ self.edge_nfe[eid]          # (npts, dim Rc)
-                phi_km1 = ectx.basis_values(k - 1)
-                sg[:, self.grad_edge_slices[eid]] += self.edge_sign[eid] * (
-                    tn * ectx.rule.weights[:, None]).T @ phi_km1
-        self.serendipity_grad = sg
-
-        # --- face gradient --------------------------------------------------
-        M = np.vstack([Rk.coords_in(vb, gram),
-                       Rck.coords_in(vb, gram)])
-        rhs = np.zeros((vb.dim, self.n_grad))
-        for j, eid in enumerate(self.edge_ids):
-            ectx = edge_ctx[eid]
-            sk = self.edge_skeleton_map(eid, ectx)
-            w3 = np.einsum("pbc,cx->pbx", Rk.eval(ectx.rule.points), g.axes)
-            wn = w3 @ self.edge_nfe[eid]
-            qvals = ectx.basis_values(k + 1) @ sk      # (npts, n_grad)
-            rhs[:Rk.dim] += self.edge_sign[eid] * (
-                wn * ectx.rule.weights[:, None]).T @ qvals
-        rhs[Rk.dim:] = sg
-        self.grad_mat = np.linalg.solve(M, rhs)
-
-        # --- scalar trace ----------------------------------------------------
-        divw = _div_coeffs(cRk2.coeff, 2, g.scale)
-        D = _inner_scalar(gram, divw, self.sca[k + 1].coeff)     # (ncR, nk+1)
-        rhs = -ps.coords_in_vector_basis(vb, cRk2.coeff, gram) @ self.grad_mat
-        for eid in self.edge_ids:
-            ectx = edge_ctx[eid]
-            sk = self.edge_skeleton_map(eid, ectx)
-            w3 = np.einsum("pbc,cx->pbx", cRk2.eval(ectx.rule.points), g.axes)
-            wn = w3 @ self.edge_nfe[eid]
-            qvals = ectx.basis_values(k + 1) @ sk
-            rhs += self.edge_sign[eid] * (
-                wn * ectx.rule.weights[:, None]).T @ qvals
-        self.trace_mat = np.linalg.solve(D, rhs)
+        # --- gradient, serendipity gradient moments and scalar trace --------
+        def normal_flux(sub):
+            # n_FE in frame components
+            return self._flux(edges, SpaceKind.GRAD, sub.dim, lambda ectx: (
+                sub.eval(ectx.rule.points)
+                @ (g.axes @ self.edge_nfe[ectx.edge.id])))
+        self.serendipity_grad, self.grad_mat, self.trace_mat = self._gradient(
+            normal_flux, self.grad_face_slice)
 
         # --- face curl --------------------------------------------------------
-        cm = np.zeros((self.sca[k].dim, self.n_curl))
-        rotphi = _rot2_of_scalar(self.sca[k].coeff, g.scale)
+        cm = -self._flux(edges, SpaceKind.CURL, self.sca[k].dim,
+                         lambda ectx: self.sca[k].eval(ectx.rule.points))
         if Rkm.dim:
-            cm[:, self.curl_R_slice] = _inner_vector(gram, rotphi, Rkm.coeff)
-        for eid in self.edge_ids:
-            ectx = edge_ctx[eid]
-            phi_k_edge = ectx.basis_values(k)
-            rvals = self.sca[k].eval(ectx.rule.points)
-            cm[:, self.curl_edge_slices[eid]] -= self.edge_sign[eid] * (
-                rvals * ectx.rule.weights[:, None]).T @ phi_k_edge
+            cm[:, self.curl_R_slice] += _inner_vector(
+                gram, _rot2_of_scalar(self.sca[k].coeff, g.scale), Rkm.coeff)
         self.curl_mat = cm
 
         # --- serendipity curl moments: directly the Rc component -------------
@@ -278,36 +316,22 @@ class FaceContext(_EntityContext):
         self.serendipity_curl = sc
 
         # --- tangential trace -------------------------------------------------
-        nm1 = len(ps.monomial_exponents(2, k + 1))
-        mono_test = np.eye(nm1)[1:]                    # non-constant monomials
+        exps = ps.monomial_exponents(2, k + 1)
+        mono_test = np.eye(len(exps))[1:]              # non-constant monomials
         rot_test = _rot2_of_scalar(mono_test, g.scale)
         M = np.vstack([ps.coords_in_vector_basis(vb, rot_test, gram),
                        Rck.coords_in(vb, gram)])
-        rhs = np.zeros((vb.dim, self.n_curl))
-        rhs[:len(mono_test)] = _inner_scalar(
-            gram, mono_test, self.sca[k].coeff) @ cm
-        for eid in self.edge_ids:
-            ectx = edge_ctx[eid]
-            phi_k_edge = ectx.basis_values(k)
-            xi = g.local_coords(ectx.rule.points)
-            rvals = ps.mono_eval(ps.monomial_exponents(2, k + 1), xi)[:, 1:]
-            rhs[:len(mono_test), self.curl_edge_slices[eid]] += \
-                self.edge_sign[eid] * (
-                    rvals * ectx.rule.weights[:, None]).T @ phi_k_edge
-        rhs[len(mono_test):] = sc
+        rhs = np.vstack([
+            _inner_scalar(gram, mono_test, self.sca[k].coeff) @ cm
+            + self._flux(edges, SpaceKind.CURL, len(mono_test),
+                         lambda ectx: ps.mono_eval(
+                             exps, g.local_coords(ectx.rule.points))[:, 1:]),
+            sc])
         self.ttrace_mat = np.linalg.solve(M, rhs)
 
         # --- face blocks of the global gradient ------------------------------
-        parts = []
-        if Rkm.dim:
-            parts.append(Rkm.coords_in(vb, gram) @ self.grad_mat)
-        else:
-            parts.append(np.zeros((0, self.n_grad)))
-        if Rcd.dim:
-            parts.append(Rcd.coords_in(vb, gram) @ self.grad_mat)
-        else:
-            parts.append(np.zeros((0, self.n_grad)))
-        self.uG_face = np.vstack(parts)
+        self.uG_face = np.vstack([Rkm.coords_in(vb, gram) @ self.grad_mat,
+                                  Rcd.coords_in(vb, gram) @ self.grad_mat])
 
 
 class CellContext(_EntityContext):
@@ -316,21 +340,10 @@ class CellContext(_EntityContext):
         self.k = k
         self.ell = ell
         self._place(mesh, cid, rule_degree, layouts)
-        g = self.geom
-        self.gram = ps.scalar_monomial_gram(g, k + 2, self.rule)
-
-        self.sca = {l: ps.build_scalar_basis(g, l, self.rule)
-                    for l in {k - 1, k, k + 1, ell}}
-        self.vb = ps.tensor_vector_basis(self.sca[k], 3)
-        parent = ps.tensor_vector_basis(
-            ps.build_scalar_basis(g, k + 2, self.rule), 3)
-        self.sub = {}
-        for sel, l in [("R", k - 1), ("Rc", ell + 1), ("R", k), ("Rc", k),
-                       ("Rc", k + 2), ("G", k - 1), ("Gc", k), ("Gc", k + 1)]:
-            self.sub[sel, l] = ps.build_subspace(g, sel, l, parent, self.gram)
-
-        self._assemble(mesh, edge_ctx, face_ctx)
-        self._products(edge_ctx, face_ctx)
+        self._bases([("G", k - 1), ("Gc", k), ("Gc", k + 1)])
+        faces, edges = self.traces(edge_ctx, face_ctx)
+        self._assemble(faces, edges)
+        self._products(faces, edges)
 
     def placed_at(self, mesh: Mesh, cid: int, layouts):
         new = super().placed_at(mesh, cid, layouts)
@@ -391,73 +404,65 @@ class CellContext(_EntityContext):
             SpaceKind.DIV: np.arange(self.n_div)[self.n_div - sum(dcb):],
         }
 
-    # -- operator assembly ----------------------------------------------------
-    def _assemble(self, mesh, edge_ctx, face_ctx):
-        k, ell, g = self.k, self.ell, self.geom
-        gram, vb = self.gram, self.vb
-        Rk, Rck = self.sub["R", k], self.sub["Rc", k]
-        Rkm, Rcd = self.sub["R", k - 1], self.sub["Rc", ell + 1]
-        Gkm, Gck = self.sub["G", k - 1], self.sub["Gc", k]
-        cGk1, cRk2 = self.sub["Gc", k + 1], self.sub["Rc", k + 2]
+    def _edge_skeleton(self, ectx: EdgeContext) -> np.ndarray:
+        """Matrix sending cell-local GRAD DoFs to P^{k+1}(E) coefficients."""
+        return ectx.skeleton_map(self.grad_vert_pos,
+                                 self.grad_edge_map[ectx.edge.id], self.n_grad)
 
-        # face data at face quadrature points, reused by several systems
-        fdata = {}
+    def traces(self, edge_ctx, face_ctx):
+        """Boundary traces of the cell-local DoFs, sampled at the rule points
+        of each face and edge of the cell.
+
+        Returns (faces, edges).  faces lists (omega_TF, face context,
+        traces) and edges lists (1, edge context, traces); traces maps each
+        space to (values, cell-local columns).  On a face the values are
+        the GRAD trace, the CURL tangential trace in frame components
+        (npts, 2, ncols) and the DIV normal component; on an edge, the GRAD
+        skeleton and the CURL tangential component.
+        """
+        k = self.k
+        faces = []
         for f in self.face_ids:
             fctx = face_ctx[f]
-            fr = fctx.rule
-            phi_kp1_F = fctx.sca[k + 1].eval(fr.points)
-            E3 = np.einsum("pbc,cx->pbx", fctx.vb.eval(fr.points),
-                           fctx.geom.axes)
-            fdata[f] = (fctx, fr, phi_kp1_F, E3)
+            pts = fctx.rule.points
+            faces.append((self.face_sign[f], fctx, {
+                SpaceKind.GRAD: (fctx.sca[k + 1].eval(pts) @ fctx.trace_mat,
+                                 self.grad_face_map[f]),
+                SpaceKind.CURL: (np.einsum("pbc,bn->pcn", fctx.vb.eval(pts),
+                                           fctx.ttrace_mat),
+                                 self.curl_face_map[f]),
+                SpaceKind.DIV: (fctx.sca[k].eval(pts), self.div_face_map[f])}))
+        edges = [(1.0, edge_ctx[e], edge_ctx[e].traces(
+                      self._edge_skeleton(edge_ctx[e]), self.curl_edge_map[e]))
+                 for e in self.edge_ids]
+        return faces, edges
 
-        # --- serendipity gradient moments on the cell -----------------------
-        sg = np.zeros((Rck.dim, self.n_grad))
-        if Rck.dim:
-            divtau = _div_coeffs(Rck.coeff, 3, g.scale)
-            sg[:, self.grad_cell] = -_inner_scalar(gram, divtau,
-                                                   self.sca[ell].coeff)
-            for f in self.face_ids:
-                fctx, fr, phi_kp1_F, _ = fdata[f]
-                taun = Rck.eval(fr.points) @ fctx.face.normal
-                sg[:, self.grad_face_map[f]] += self.face_sign[f] * (
-                    (taun * fr.weights[:, None]).T @ phi_kp1_F) @ fctx.trace_mat
-        self.serendipity_grad = sg
+    # -- operator assembly ----------------------------------------------------
+    def _assemble(self, faces, edges):
+        k, g, gram, vb = self.k, self.geom, self.gram, self.vb
+        Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
+        Rcd = self.sub["Rc", self.ell + 1]
+        Gkm, Gck = self.sub["G", k - 1], self.sub["Gc", k]
+        cGk1 = self.sub["Gc", k + 1]
 
-        # --- element gradient -------------------------------------------------
-        M = np.vstack([Rk.coords_in(vb, gram),
-                       Rck.coords_in(vb, gram)])
-        rhs = np.zeros((vb.dim, self.n_grad))
-        for f in self.face_ids:
-            fctx, fr, phi_kp1_F, _ = fdata[f]
-            wn = Rk.eval(fr.points) @ fctx.face.normal
-            rhs[:Rk.dim, self.grad_face_map[f]] += self.face_sign[f] * (
-                (wn * fr.weights[:, None]).T @ phi_kp1_F) @ fctx.trace_mat
-        rhs[Rk.dim:] = sg
-        self.grad_mat = np.linalg.solve(M, rhs)
-
-        # --- gradient potential ------------------------------------------------
-        divw = _div_coeffs(cRk2.coeff, 3, g.scale)
-        D = _inner_scalar(gram, divw, self.sca[k + 1].coeff)
-        rhs = -ps.coords_in_vector_basis(vb, cRk2.coeff, gram) @ self.grad_mat
-        for f in self.face_ids:
-            fctx, fr, phi_kp1_F, _ = fdata[f]
-            wn = cRk2.eval(fr.points) @ fctx.face.normal
-            rhs[:, self.grad_face_map[f]] += self.face_sign[f] * (
-                (wn * fr.weights[:, None]).T @ phi_kp1_F) @ fctx.trace_mat
-        self.pot_grad = np.linalg.solve(D, rhs)
+        # --- element gradient, serendipity moments and gradient potential ----
+        def normal_flux(sub):
+            return self._flux(faces, SpaceKind.GRAD, sub.dim, lambda fctx: (
+                sub.eval(fctx.rule.points) @ fctx.face.normal))
+        self.serendipity_grad, self.grad_mat, self.pot_grad = self._gradient(
+            normal_flux, self.grad_cell)
 
         # --- element curl -------------------------------------------------------
-        cm = np.zeros((vb.dim, self.n_curl))
-        curlphi = _curl3_coeffs(vb.coeff, g.scale)
+        def cross_flux(w):
+            # int_F (w x n_F) . gamma_t, with w x n_F in frame components
+            return self._flux(faces, SpaceKind.CURL, w.dim, lambda fctx: (
+                np.einsum("pbx,cx->pcb", np.cross(
+                    w.eval(fctx.rule.points), fctx.face.normal),
+                    fctx.geom.axes)))
+        cm = cross_flux(vb)
         if Rkm.dim:
-            cm[:, self.curl_R_cell] = _inner_vector(gram, curlphi, Rkm.coeff)
-        for f in self.face_ids:
-            fctx, fr, _, E3 = fdata[f]
-            wvals = vb.eval(fr.points)                       # (npts, nb, 3)
-            wxn = np.cross(wvals, fctx.face.normal[None, None, :])
-            T = np.einsum("ptx,pbx->tb", wxn * fr.weights[:, None, None], E3,
-                          optimize=True)
-            cm[:, self.curl_face_map[f]] += self.face_sign[f] * T @ fctx.ttrace_mat
+            cm[:, self.curl_R_cell] += _inner_vector(
+                gram, _curl3_coeffs(vb.coeff, g.scale), Rkm.coeff)
         self.curl_op = cm
 
         # --- serendipity curl moments -------------------------------------------
@@ -469,75 +474,49 @@ class CellContext(_EntityContext):
         curlw = _curl3_coeffs(cGk1.coeff, g.scale)
         M = np.vstack([ps.coords_in_vector_basis(vb, curlw, gram),
                        Rck.coords_in(vb, gram)])
-        rhs = np.zeros((vb.dim, self.n_curl))
-        rhs[:cGk1.dim] = _inner_vector(gram, cGk1.coeff, vb.coeff) @ cm
-        for f in self.face_ids:
-            fctx, fr, _, E3 = fdata[f]
-            wvals = cGk1.eval(fr.points)
-            wxn = np.cross(wvals, fctx.face.normal[None, None, :])
-            T = np.einsum("ptx,pbx->tb", wxn * fr.weights[:, None, None], E3,
-                          optimize=True)
-            rhs[:cGk1.dim, self.curl_face_map[f]] -= self.face_sign[f] * (
-                T @ fctx.ttrace_mat)
-        rhs[cGk1.dim:] = sc
+        rhs = np.vstack([
+            _inner_vector(gram, cGk1.coeff, vb.coeff) @ cm - cross_flux(cGk1),
+            sc])
         self.pot_curl = np.linalg.solve(M, rhs)
 
         # --- divergence and its potential ----------------------------------------
-        dm = np.zeros((self.sca[k].dim, self.n_div))
-        gradphi = _grad_coeffs(self.sca[k].coeff, 3, g.scale)
+        dm = self._flux(faces, SpaceKind.DIV, self.sca[k].dim,
+                        lambda fctx: self.sca[k].eval(fctx.rule.points))
         if Gkm.dim:
-            dm[:, self.div_G_cell] = -_inner_vector(gram, gradphi, Gkm.coeff)
-        for f in self.face_ids:
-            fctx, fr, _, _ = fdata[f]
-            rvals = self.sca[k].eval(fr.points)
-            phi_k_F = fctx.sca[k].eval(fr.points)
-            dm[:, self.div_face_map[f]] += self.face_sign[f] * (
-                rvals * fr.weights[:, None]).T @ phi_k_F
+            dm[:, self.div_G_cell] -= _inner_vector(
+                gram, _grad_coeffs(self.sca[k].coeff, 3, g.scale), Gkm.coeff)
         self.div_op = dm
 
-        nm1 = len(ps.monomial_exponents(3, k + 1))
-        mono_test = np.eye(nm1)[1:]
+        exps = ps.monomial_exponents(3, k + 1)
+        mono_test = np.eye(len(exps))[1:]
         grad_test = _grad_coeffs(mono_test, 3, g.scale)
         M = np.vstack([ps.coords_in_vector_basis(vb, grad_test, gram),
                        Gck.coords_in(vb, gram)])
         rhs = np.zeros((vb.dim, self.n_div))
-        rhs[:len(mono_test)] = -_inner_scalar(
-            gram, mono_test, self.sca[k].coeff) @ dm
-        for f in self.face_ids:
-            fctx, fr, _, _ = fdata[f]
-            xi = g.local_coords(fr.points)
-            rvals = ps.mono_eval(ps.monomial_exponents(3, k + 1), xi)[:, 1:]
-            phi_k_F = fctx.sca[k].eval(fr.points)
-            rhs[:len(mono_test), self.div_face_map[f]] += self.face_sign[f] * (
-                rvals * fr.weights[:, None]).T @ phi_k_F
+        rhs[:len(mono_test)] = self._flux(
+            faces, SpaceKind.DIV, len(mono_test), lambda fctx:
+            ps.mono_eval(exps, g.local_coords(fctx.rule.points))[:, 1:]
+        ) - _inner_scalar(gram, mono_test, self.sca[k].coeff) @ dm
         rhs[len(mono_test):, self.div_Gc_cell] = np.eye(Gck.dim)
         self.pot_div = np.linalg.solve(M, rhs)
 
         # --- cell blocks of the global operators -----------------------------
         uG = np.zeros((self.n_curl, self.n_grad))
-        for e in self.edge_ids:
-            ectx = edge_ctx[e]
-            uG[self.curl_edge_map[e]] = ectx.deriv @ self._edge_skeleton(ectx)
-        for f in self.face_ids:
-            fctx = face_ctx[f]
-            if fctx.uG_face.shape[0]:
-                uG[self.curl_faceblock_map[f][:, None],
-                   self.grad_face_map[f][None, :]] = fctx.uG_face
-        if Rkm.dim:
-            uG[self.curl_R_cell] = Rkm.coords_in(vb, gram) @ self.grad_mat
-        if Rcd.dim:
-            uG[self.curl_Rc_cell] = Rcd.coords_in(vb, gram) @ self.grad_mat
-        self.uG = uG
-
         uC = np.zeros((self.n_div, self.n_curl))
-        for f in self.face_ids:
+        for _, ectx, _ in edges:
+            uG[self.curl_edge_map[ectx.edge.id]] = \
+                ectx.deriv @ self._edge_skeleton(ectx)
+        for _, fctx, _ in faces:
+            f = fctx.face.id
+            uG[self.curl_faceblock_map[f][:, None],
+               self.grad_face_map[f][None, :]] = fctx.uG_face
             uC[self.div_face_map[f][:, None], self.curl_face_map[f][None, :]] \
-                = face_ctx[f].curl_mat
-        if Gkm.dim:
-            uC[self.div_G_cell] = Gkm.coords_in(vb, gram) @ cm
-        if Gck.dim:
-            uC[self.div_Gc_cell] = Gck.coords_in(vb, gram) @ cm
-        self.uC = uC
+                = fctx.curl_mat
+        uG[self.curl_R_cell] = Rkm.coords_in(vb, gram) @ self.grad_mat
+        uG[self.curl_Rc_cell] = Rcd.coords_in(vb, gram) @ self.grad_mat
+        uC[self.div_G_cell] = Gkm.coords_in(vb, gram) @ cm
+        uC[self.div_Gc_cell] = Gck.coords_in(vb, gram) @ cm
+        self.uG, self.uC = uG, uC
         self.convective_curl = self.pot_div @ uC   # C_h = P_div o uC, cellwise
 
         # evaluation caches kept small: scalar P^k basis at cell points
@@ -548,89 +527,54 @@ class CellContext(_EntityContext):
                                     optimize=True)
 
     # -- stabilised products ---------------------------------------------------
-    def _edge_skeleton(self, ectx: EdgeContext) -> np.ndarray:
-        """Matrix sending cell-local GRAD DoFs to P^{k+1}(E) coefficients."""
-        return ectx.skeleton_map(self.grad_vert_pos,
-                                 self.grad_edge_map[ectx.edge.id], self.n_grad)
-
-    def _stab_grad_ops(self, edge_ctx, face_ctx):
-        """Per-face and per-edge sampled difference operators for s_GRAD."""
-        k = self.k
-        bs = self.sca[k + 1]
-        ops = []
-        for f in self.face_ids:
-            fctx = face_ctx[f]
-            A = bs.eval(fctx.rule.points) @ self.pot_grad
-            A[:, self.grad_face_map[f]] -= (
-                fctx.sca[k + 1].eval(fctx.rule.points) @ fctx.trace_mat)
-            ops.append((fctx.face.diameter, fctx.rule.weights, A))
-        for e in self.edge_ids:
-            ectx = edge_ctx[e]
-            A = bs.eval(ectx.rule.points) @ self.pot_grad
-            A -= ectx.basis_values(k + 1) @ self._edge_skeleton(ectx)
-            ops.append((ectx.edge.length**2, ectx.rule.weights, A))
-        return ops
-
-    def curl_diffs(self, edge_ctx, face_ctx):
-        """Sampled trace differences of the curl potential.
+    def _trace_diffs(self, kind, faces, edges):
+        """Sampled differences between the kind potential and the kind
+        traces of the table (faces, edges) from :meth:`traces`.
 
         Returns (where, h_weight, quad_weights, operator) with the operator
-        mapping local CURL DoFs to sampled differences: (npts, 2, nloc) on
-        faces (tangent-frame components), (npts, nloc) on edges.  The
-        h-weights are h_F and h_E^2 as in the stabilisation.
+        mapping local DoFs to sampled differences: (npts, 2, nloc) for the
+        CURL tangential components on faces, (npts, nloc) otherwise.  The
+        h-weights are h_F and h_E^2 as in the stabilisation; DIV has no
+        edge terms.
         """
+        pot = getattr(self, f"pot_{kind.value}")
+        # the trace of a P^k field is its normal component on a face (DIV),
+        # its tangential components on a face (CURL) and along an edge
+        pieces = [("face", fctx.face.diameter, fctx, tr,
+                   fctx.geom.axes if kind is SpaceKind.CURL else fctx.face.normal)
+                  for _, fctx, tr in faces]
+        pieces += [("edge", ectx.edge.length**2, ectx, tr, ectx.edge.tangent)
+                   for _, ectx, tr in edges if kind in tr]
         out = []
-        for f in self.face_ids:
-            fctx = face_ctx[f]
-            vals3 = self.vb.eval(fctx.rule.points)           # (p, nb, 3)
-            tang = np.einsum("pbx,cx->pbc", vals3, fctx.geom.axes)
-            A = np.einsum("pbc,bn->pcn", tang, self.pot_curl)
-            A[:, :, self.curl_face_map[f]] -= np.einsum(
-                "pbc,bn->pcn", fctx.vb.eval(fctx.rule.points), fctx.ttrace_mat)
-            out.append(("face", fctx.face.diameter, fctx.rule.weights, A))
-        for e in self.edge_ids:
-            ectx = edge_ctx[e]
-            vals3 = self.vb.eval(ectx.rule.points)
-            vt = np.einsum("pbx,x->pb", vals3, ectx.edge.tangent)
-            A = vt @ self.pot_curl
-            A[:, self.curl_edge_map[e]] -= ectx.basis_values(self.k)
-            out.append(("edge", ectx.edge.length**2, ectx.rule.weights, A))
+        for where, hw, ctx, tr, frame in pieces:
+            pts = ctx.rule.points
+            if kind is SpaceKind.GRAD:
+                A = self.sca[self.k + 1].eval(pts) @ pot
+            else:
+                # (p, b) along a vector, (p, c, b) along the rows of a frame
+                A = np.moveaxis(self.vb.eval(pts) @ frame.T, 1, -1) @ pot
+            vals, cols = tr[kind]
+            A[..., cols] -= vals
+            out.append((where, hw, ctx.rule.weights, A))
         return out
 
-    def _stab_div_ops(self, face_ctx):
-        k = self.k
-        ops = []
-        for f in self.face_ids:
-            fctx = face_ctx[f]
-            vals3 = self.vb.eval(fctx.rule.points)
-            wn = np.einsum("pbx,x->pb", vals3, fctx.face.normal)
-            A = wn @ self.pot_div
-            A[:, self.div_face_map[f]] -= fctx.sca[k].eval(fctx.rule.points)
-            ops.append((fctx.face.diameter, fctx.rule.weights, A))
-        return ops
+    def curl_diffs(self, faces, edges):
+        """Sampled trace differences of the curl potential on the trace table
+        (faces, edges) from :meth:`traces`; see :meth:`_trace_diffs`."""
+        return self._trace_diffs(SpaceKind.CURL, faces, edges)
 
-    def _products(self, edge_ctx, face_ctx):
+    def _products(self, faces, edges):
         """Cell products P^T P + s_T.  The stabilisation s_T vanishes on the
         interpolates of polynomials, so it needs no projection onto their
         complement."""
-        def stabilised(pot, ops):
+        for kind in SpaceKind:
+            pot = getattr(self, f"pot_{kind.value}")
             n = pot.shape[1]
-            S = np.zeros((n, n))
-            for hw, w, A in ops:
-                # the rows of A are points, or (point, component) pairs that
-                # share the point's weight
-                A = A.reshape(-1, n)
-                w = np.repeat(w, len(A) // len(w))
-                S += hw * A.T @ (w[:, None] * A)
-            return pot.T @ pot + S
-
-        self.product_grad = stabilised(
-            self.pot_grad, self._stab_grad_ops(edge_ctx, face_ctx))
-        self.product_curl = stabilised(
-            self.pot_curl,
-            [op[1:] for op in self.curl_diffs(edge_ctx, face_ctx)])
-        self.product_div = stabilised(self.pot_div,
-                                      self._stab_div_ops(face_ctx))
+            # s_T = sum_b h_b int_b A_b . A_b over the trace differences A_b
+            S = _boundary_term(n, n, [
+                (hw, w, A, A, slice(None))
+                for _, hw, w, A in self._trace_diffs(kind, faces, edges)])
+            setattr(self, f"product_{kind.value}", pot.T @ pot + S)
 
 
 # ---------------------------------------------------------------------------
@@ -722,30 +666,23 @@ class DdrComplex:
         return self.layouts[SpaceKind(kind)]
 
     # -- interpolators ------------------------------------------------------
+    # Each loop runs only when its DoF block is not empty, so fun is never
+    # evaluated at points whose values would be discarded.
     def interpolate_grad(self, fun) -> DofVector:
         """I_grad: vertex values and P^{k-1}/P^{ell} moments of a scalar field.
 
         fun maps an (n, 3) array of points to (n,) values.
         """
-        k = self.k
         lay = self.layouts[SpaceKind.GRAD]
         out = DofVector.zeros(lay)
         out.values[:self.mesh.n_vertices] = fun(self.mesh.vertex_coords)
-        for e, ectx in enumerate(self.edges):
-            if lay.edge_block:
-                vals = fun(ectx.rule.points)
-                phi = ectx.basis_values(k - 1)
-                out.values[lay.edge_dofs(e)] = phi.T @ (ectx.rule.weights * vals)
-        for f, fctx in enumerate(self.faces):
-            if lay.face_block:
-                vals = fun(fctx.rule.points)
-                phi = fctx.sca[fctx.ell].eval(fctx.rule.points)
-                out.values[lay.face_dofs(f)] = phi.T @ (fctx.rule.weights * vals)
-        for c, cctx in enumerate(self.cells):
-            if lay.cell_block:
-                vals = fun(cctx.rule.points)
-                phi = cctx.sca[cctx.ell].eval(cctx.rule.points)
-                out.values[lay.cell_dofs(c)] = phi.T @ (cctx.rule.weights * vals)
+        # edges, faces and cells alike: moments against P^{k-1} = P^{ell}
+        for ctxs, block, dofs in ((self.edges, lay.edge_block, lay.edge_dofs),
+                                  (self.faces, lay.face_block, lay.face_dofs),
+                                  (self.cells, lay.cell_block, lay.cell_dofs)):
+            for i, ctx in enumerate(ctxs if block else []):
+                out.values[dofs(i)] = ps.project_scalar(
+                    ctx.sca[self.k - 1], ctx.rule, fun(ctx.rule.points))
         return out
 
     def interpolate_curl(self, fun) -> DofVector:
@@ -755,25 +692,18 @@ class DdrComplex:
         lay = self.layouts[SpaceKind.CURL]
         out = DofVector.zeros(lay)
         for e, ectx in enumerate(self.edges):
-            vals = fun(ectx.rule.points) @ ectx.edge.tangent
-            phi = ectx.basis_values(k)
-            out.values[lay.edge_dofs(e)] = phi.T @ (ectx.rule.weights * vals)
-        for f, fctx in enumerate(self.faces):
-            vals = fun(fctx.rule.points) @ fctx.geom.axes.T   # tangential comps
-            for which, sub in ((0, fctx.sub["R", k - 1]),
-                               (1, fctx.sub["Rc", fctx.ell + 1])):
-                if sub.dim:
-                    psi = sub.eval(fctx.rule.points)
-                    out.values[lay.face_subblock(f, which)] = np.einsum(
-                        "pbc,pc->b", psi * fctx.rule.weights[:, None, None], vals)
-        for c, cctx in enumerate(self.cells):
-            vals = fun(cctx.rule.points)
-            for which, sub in ((0, cctx.sub["R", k - 1]),
-                               (1, cctx.sub["Rc", cctx.ell + 1])):
-                if sub.dim:
-                    psi = sub.eval(cctx.rule.points)
-                    out.values[lay.cell_subblock(c, which)] = np.einsum(
-                        "pbc,pc->b", psi * cctx.rule.weights[:, None, None], vals)
+            out.values[lay.edge_dofs(e)] = ps.project_scalar(
+                ectx.sca[k], ectx.rule, fun(ectx.rule.points) @ ectx.edge.tangent)
+        for ctxs, block, subblock in ((self.faces, lay.face_block,
+                                       lay.face_subblock),
+                                      (self.cells, lay.cell_block,
+                                       lay.cell_subblock)):
+            for i, ctx in enumerate(ctxs if block else []):
+                # frame components: tangential on a face, all three on a cell
+                vals = fun(ctx.rule.points) @ ctx.geom.axes.T
+                for which, key in enumerate((("R", k - 1), ("Rc", ctx.ell + 1))):
+                    out.values[subblock(i, which)] = ps.project_vector(
+                        ctx.sub[key], ctx.rule, vals)
         return out
 
     def interpolate_div(self, fun) -> DofVector:
@@ -782,53 +712,27 @@ class DdrComplex:
         lay = self.layouts[SpaceKind.DIV]
         out = DofVector.zeros(lay)
         for f, fctx in enumerate(self.faces):
-            vals = fun(fctx.rule.points) @ fctx.face.normal
-            phi = fctx.sca[k].eval(fctx.rule.points)
-            out.values[lay.face_dofs(f)] = phi.T @ (fctx.rule.weights * vals)
-        for c, cctx in enumerate(self.cells):
+            out.values[lay.face_dofs(f)] = ps.project_scalar(
+                fctx.sca[k], fctx.rule, fun(fctx.rule.points) @ fctx.face.normal)
+        for c, cctx in enumerate(self.cells if lay.cell_block else []):
             vals = fun(cctx.rule.points)
-            for which, sub in ((0, cctx.sub["G", k - 1]),
-                               (1, cctx.sub["Gc", k])):
-                if sub.dim:
-                    psi = sub.eval(cctx.rule.points)
-                    out.values[lay.cell_subblock(c, which)] = np.einsum(
-                        "pbc,pc->b", psi * cctx.rule.weights[:, None, None], vals)
+            for which, key in enumerate((("G", k - 1), ("Gc", k))):
+                out.values[lay.cell_subblock(c, which)] = ps.project_vector(
+                    cctx.sub[key], cctx.rule, vals)
         return out
 
     # -- global differential operators ---------------------------------------
     def global_gradient(self, q: DofVector) -> DofVector:
-        gl = self.layouts[SpaceKind.GRAD]
-        cl = self.layouts[SpaceKind.CURL]
-        out = DofVector.zeros(cl)
-        for e, ectx in enumerate(self.edges):
-            out.values[cl.edge_dofs(e)] = ectx.deriv @ ectx.skeleton @ \
-                q.values[gl.edge_indices(e)]
-        for f, fctx in enumerate(self.faces):
-            if fctx.uG_face.shape[0]:
-                out.values[cl.face_dofs(f)] = fctx.uG_face @ \
-                    q.values[gl.face_indices(f)]
-        for c, cctx in enumerate(self.cells):
-            if cl.cell_block:
-                loc = q.values[gl.cell_indices(c)]
-                out.values[cl.cell_dofs(c)] = cctx.uG[-cl.cell_block:] @ loc
-        return out
+        return DofVector(self.layouts[SpaceKind.CURL],
+                         self.gradient_matrix() @ q.values)
 
     def global_curl(self, v: DofVector) -> DofVector:
-        cl = self.layouts[SpaceKind.CURL]
-        dl = self.layouts[SpaceKind.DIV]
-        out = DofVector.zeros(dl)
-        for f, fctx in enumerate(self.faces):
-            out.values[dl.face_dofs(f)] = fctx.curl_mat @ \
-                v.values[cl.face_indices(f)]
-        for c, cctx in enumerate(self.cells):
-            if dl.cell_block:
-                loc = v.values[cl.cell_indices(c)]
-                out.values[dl.cell_dofs(c)] = cctx.uC[-dl.cell_block:] @ loc
-        return out
+        return DofVector(self.layouts[SpaceKind.DIV],
+                         self.curl_matrix() @ v.values)
 
-    def _matrix_from(self, rows_fn, nrows, ncols) -> sp.csr_matrix:
+    def _matrix_from(self, blocks, nrows, ncols) -> sp.csr_matrix:
         data, ri, ci = [], [], []
-        for rows, cols, block in rows_fn():
+        for rows, cols, block in blocks:
             if block.size == 0:
                 continue
             rr, cc = np.meshgrid(rows, cols, indexing="ij")
@@ -843,69 +747,54 @@ class DdrComplex:
 
     def gradient_matrix(self) -> sp.csr_matrix:
         """Sparse matrix of the global discrete gradient."""
-        if "uG" in self._op_cache:
-            return self._op_cache["uG"]
-        gl = self.layouts[SpaceKind.GRAD]
-        cl = self.layouts[SpaceKind.CURL]
+        if "uG" not in self._op_cache:
+            gl = self.layouts[SpaceKind.GRAD]
+            cl = self.layouts[SpaceKind.CURL]
 
-        def blocks():
-            for e, ectx in enumerate(self.edges):
-                yield cl.edge_dofs(e), gl.edge_indices(e), ectx.deriv @ ectx.skeleton
-            for f, fctx in enumerate(self.faces):
-                yield cl.face_dofs(f), gl.face_indices(f), fctx.uG_face
-            for c, cctx in enumerate(self.cells):
-                if cl.cell_block:
-                    yield cl.cell_dofs(c), gl.cell_indices(c), \
-                        cctx.uG[-cl.cell_block:]
-        m = self._matrix_from(blocks, cl.total_dim, gl.total_dim)
-        self._op_cache["uG"] = m
-        return m
+            def blocks():
+                for e, ectx in enumerate(self.edges):
+                    yield (cl.edge_dofs(e), gl.edge_indices(e),
+                           ectx.deriv @ ectx.skeleton)
+                for f, fctx in enumerate(self.faces):
+                    yield cl.face_dofs(f), gl.face_indices(f), fctx.uG_face
+                for c, cctx in enumerate(self.cells):
+                    yield (cl.cell_dofs(c), gl.cell_indices(c),
+                           cctx.uG[cctx.n_curl - cl.cell_block:])
+            self._op_cache["uG"] = self._matrix_from(
+                blocks(), cl.total_dim, gl.total_dim)
+        return self._op_cache["uG"]
 
     def curl_matrix(self) -> sp.csr_matrix:
-        if "uC" in self._op_cache:
-            return self._op_cache["uC"]
-        cl = self.layouts[SpaceKind.CURL]
-        dl = self.layouts[SpaceKind.DIV]
+        """Sparse matrix of the global discrete curl."""
+        if "uC" not in self._op_cache:
+            cl = self.layouts[SpaceKind.CURL]
+            dl = self.layouts[SpaceKind.DIV]
 
-        def blocks():
-            for f, fctx in enumerate(self.faces):
-                yield dl.face_dofs(f), cl.face_indices(f), fctx.curl_mat
-            for c, cctx in enumerate(self.cells):
-                if dl.cell_block:
-                    yield dl.cell_dofs(c), cl.cell_indices(c), \
-                        cctx.uC[-dl.cell_block:]
-        m = self._matrix_from(blocks, dl.total_dim, cl.total_dim)
-        self._op_cache["uC"] = m
-        return m
+            def blocks():
+                for f, fctx in enumerate(self.faces):
+                    yield dl.face_dofs(f), cl.face_indices(f), fctx.curl_mat
+                for c, cctx in enumerate(self.cells):
+                    yield (dl.cell_dofs(c), cl.cell_indices(c),
+                           cctx.uC[cctx.n_div - dl.cell_block:])
+            self._op_cache["uC"] = self._matrix_from(
+                blocks(), dl.total_dim, cl.total_dim)
+        return self._op_cache["uC"]
 
     # -- discrete L2 products and norms ---------------------------------------
-    def _cell_product(self, cctx, kind: SpaceKind) -> np.ndarray:
-        return {SpaceKind.GRAD: cctx.product_grad,
-                SpaceKind.CURL: cctx.product_curl,
-                SpaceKind.DIV: cctx.product_div}[kind]
-
     def l2_product(self, kind, x: DofVector, y: DofVector) -> float:
-        kind = SpaceKind(kind)
-        lay = self.layouts[kind]
-        acc = 0.0
-        for c, cctx in enumerate(self.cells):
-            idx = lay.cell_indices(c)
-            acc += x.values[idx] @ self._cell_product(cctx, kind) @ y.values[idx]
-        return float(acc)
+        return float(x.values @ (self.gram_matrix(kind) @ y.values))
 
     def gram_matrix(self, kind) -> sp.csr_matrix:
+        """Sparse matrix of the stabilised L2 product of a space."""
         kind = SpaceKind(kind)
-        if kind in self._gram_cache:
-            return self._gram_cache[kind]
-        lay = self.layouts[kind]
-
-        def blocks():
-            for c, cctx in enumerate(self.cells):
-                idx = lay.cell_indices(c)
-                yield idx, idx, self._cell_product(cctx, kind)
-        m = self._matrix_from(blocks, lay.total_dim, lay.total_dim)
-        self._gram_cache[kind] = m
-        return m
+        if kind not in self._gram_cache:
+            lay = self.layouts[kind]
+            self._gram_cache[kind] = self._matrix_from(
+                ((lay.cell_indices(c), lay.cell_indices(c),
+                  getattr(cctx, f"product_{kind.value}"))
+                 for c, cctx in enumerate(self.cells)),
+                lay.total_dim, lay.total_dim)
+        return self._gram_cache[kind]
 
     def norm(self, kind, x: DofVector) -> float:
         return float(np.sqrt(max(self.l2_product(kind, x, x), 0.0)))
@@ -937,7 +826,8 @@ class DdrComplex:
     def cell_curl_diffs(self, c: int):
         """Sampled trace differences of the curl potential on cell c; see
         :meth:`CellContext.curl_diffs`."""
-        return self.cells[c].curl_diffs(self.edges, self.faces)
+        cctx = self.cells[c]
+        return cctx.curl_diffs(*cctx.traces(self.edges, self.faces))
 
     def ls_curl_norm(self, s: float, v: DofVector) -> float:
         """L^s-like norm on the curl space: cellwise potential plus h-weighted
@@ -948,12 +838,8 @@ class DdrComplex:
             loc = v.values[lay.cell_indices(c)]
             pv = self.curl_potential_values(c, loc)
             total += _lsnorm(cctx.rule.weights, pv, s) ** s
-            for where, hw, w, A in self.cell_curl_diffs(c):
-                if where == "face":
-                    diff = np.einsum("pcn,n->pc", A, loc)
-                else:
-                    diff = A @ loc
-                total += hw * _lsnorm(w, diff, s) ** s
+            for _, hw, w, A in self.cell_curl_diffs(c):
+                total += hw * _lsnorm(w, A @ loc, s) ** s
         return total ** (1.0 / s)
 
     # -- Appendix-style local component and potential norms ---------------------
@@ -962,29 +848,18 @@ class DdrComplex:
         the cell, its faces and its edges of h^{(3-d')/s}-weighted component
         L^s norms."""
         cctx = self.cells[c]
-        k = self.k
-        lay = self.layouts[SpaceKind.CURL]
-        total = 0.0
-        comp = np.zeros((len(cctx.rule.points), 3))
-        for sub, sl in ((cctx.sub["R", k - 1], cctx.curl_R_cell),
-                        (cctx.sub["Rc", cctx.ell + 1], cctx.curl_Rc_cell)):
-            if sub.dim:
-                comp += np.einsum("pbx,b->px", sub.eval3d(cctx.rule.points),
-                                  v_local[sl])
-        total += _lsnorm(cctx.rule.weights, comp, s)
+        comp = _rot_components(cctx, v_local,
+                               (cctx.curl_R_cell, cctx.curl_Rc_cell))
+        total = _lsnorm(cctx.rule.weights, comp, s)
         for f in cctx.face_ids:
             fctx = self.faces[f]
-            comp = np.zeros((len(fctx.rule.points), 2))
-            for sub, sl in ((fctx.sub["R", k - 1], fctx.curl_R_slice),
-                            (fctx.sub["Rc", fctx.ell + 1], fctx.curl_Rc_slice)):
-                if sub.dim:
-                    comp += np.einsum("pbc,b->pc", sub.eval(fctx.rule.points),
-                                      v_local[cctx.curl_face_map[f][sl]])
+            comp = _rot_components(fctx, v_local[cctx.curl_face_map[f]],
+                                   (fctx.curl_R_slice, fctx.curl_Rc_slice))
             total += fctx.face.diameter ** (1.0 / s) * _lsnorm(
                 fctx.rule.weights, comp, s)
         for e in cctx.edge_ids:
             ectx = self.edges[e]
-            vals = ectx.basis_values(k) @ v_local[cctx.curl_edge_map[e]]
+            vals = ectx.basis_values(self.k) @ v_local[cctx.curl_edge_map[e]]
             total += ectx.edge.length ** (2.0 / s) * _lsnorm(
                 ectx.rule.weights, vals, s)
         return float(total)
@@ -994,35 +869,25 @@ class DdrComplex:
         cctx = self.cells[c]
         pv = self.curl_potential_values(c, v_local)
         total = _lsnorm(cctx.rule.weights, pv, s)
-        for where, hw, w, A in self.cell_curl_diffs(c):
-            if where == "face":
-                diff = np.einsum("pcn,n->pc", A, v_local)
-                total += hw ** (1.0 / s) * _lsnorm(w, diff, s)
-            else:
-                # hw is h_E^2; the component weight is h_E^{2/s}
-                total += hw ** (1.0 / s) * _lsnorm(w, A @ v_local, s)
+        for _, hw, w, A in self.cell_curl_diffs(c):
+            # hw is h_F or h_E^2; the component weight is hw^{1/s}
+            total += hw ** (1.0 / s) * _lsnorm(w, A @ v_local, s)
         return float(total)
 
     def component_norm_face(self, s: float, f: int, v_face: np.ndarray) -> float:
         fctx = self.faces[f]
-        k = self.k
-        comp = np.zeros((len(fctx.rule.points), 2))
-        for sub, sl in ((fctx.sub["R", k - 1], fctx.curl_R_slice),
-                        (fctx.sub["Rc", fctx.ell + 1], fctx.curl_Rc_slice)):
-            if sub.dim:
-                comp += np.einsum("pbc,b->pc", sub.eval(fctx.rule.points),
-                                  v_face[sl])
+        comp = _rot_components(fctx, v_face,
+                               (fctx.curl_R_slice, fctx.curl_Rc_slice))
         total = _lsnorm(fctx.rule.weights, comp, s)
         for e in fctx.edge_ids:
             ectx = self.edges[e]
-            vals = ectx.basis_values(k) @ v_face[fctx.curl_edge_slices[e]]
+            vals = ectx.basis_values(self.k) @ v_face[fctx.curl_edge_slices[e]]
             total += ectx.edge.length ** (1.0 / s) * _lsnorm(
                 ectx.rule.weights, vals, s)
         return float(total)
 
     def potential_norm_face(self, s: float, f: int, v_face: np.ndarray) -> float:
         fctx = self.faces[f]
-        k = self.k
         gt = fctx.ttrace_mat @ v_face
         vals = np.einsum("pbc,b->pc", fctx.vb.eval(fctx.rule.points), gt)
         total = _lsnorm(fctx.rule.weights, vals, s)
@@ -1030,26 +895,22 @@ class DdrComplex:
             ectx = self.edges[e]
             t2 = fctx.geom.axes @ ectx.edge.tangent
             gt_t = np.einsum("pbc,b,c->p", fctx.vb.eval(ectx.rule.points), gt, t2)
-            ve = ectx.basis_values(k) @ v_face[fctx.curl_edge_slices[e]]
+            ve = ectx.basis_values(self.k) @ v_face[fctx.curl_edge_slices[e]]
             total += ectx.edge.length ** (1.0 / s) * _lsnorm(
                 ectx.rule.weights, gt_t - ve, s)
         return float(total)
 
-    def component_norm(self, s: float, v: DofVector) -> float:
-        """Global component L^s norm on the curl space: the cellwise local
-        norms raised to s, summed over cells and rooted."""
+    def _sum_cells(self, cell_norm, s: float, v: DofVector) -> float:
+        """The local norms cell_norm(s, c, v_c) raised to s, summed over
+        cells and rooted."""
         lay = self.layouts[SpaceKind.CURL]
-        total = 0.0
-        for c in range(self.mesh.n_cells):
-            total += self.component_norm_cell(
-                s, c, v.values[lay.cell_indices(c)]) ** s
-        return total ** (1.0 / s)
+        return sum(cell_norm(s, c, v.values[lay.cell_indices(c)]) ** s
+                   for c in range(self.mesh.n_cells)) ** (1.0 / s)
+
+    def component_norm(self, s: float, v: DofVector) -> float:
+        """Global component L^s norm on the curl space."""
+        return self._sum_cells(self.component_norm_cell, s, v)
 
     def potential_norm(self, s: float, v: DofVector) -> float:
         """Global potential-based L^s norm on the curl space."""
-        lay = self.layouts[SpaceKind.CURL]
-        total = 0.0
-        for c in range(self.mesh.n_cells):
-            total += self.potential_norm_cell(
-                s, c, v.values[lay.cell_indices(c)]) ** s
-        return total ** (1.0 / s)
+        return self._sum_cells(self.potential_norm_cell, s, v)

@@ -54,6 +54,13 @@ def test_config_errors(tmp_path):
                     "--out", str(tmp_path)]) == 4
 
 
+def test_out_of_range_input_is_config_error(tmp_path):
+    base = ["--cmd", "convergence", "--out", str(tmp_path)]
+    assert run_cli(base + ["--levels", "0,1"]) == 4
+    assert run_cli(base + ["--levels", "1", "--tol", "-1"]) == 4
+    assert run_cli(base + ["--levels", "1", "--tol", "0"]) == 4
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cmd = properties\nmesh = cubic\nlevels = 1\nk = 0\n"
@@ -101,6 +108,12 @@ def test_parallel_levels_matches_sequential(tmp_path):
     assert run_cli(base + ["--out", str(b), "--parallel-levels"]) == 0
     assert (a / "convergence_cubic_k0.csv").read_bytes() \
         == (b / "convergence_cubic_k0.csv").read_bytes()
+
+    def level_lines(out):
+        return [line for line in (out / "run_convergence.log").read_text()
+                .splitlines() if "level n=" in line]
+    assert len(level_lines(a)) == 2
+    assert level_lines(a) == level_lines(b)
 
 
 def test_tet_family_smoke(tmp_path):

@@ -395,20 +395,29 @@ def test_complex_property_random(family, n, k):
         assert cx.norm(SpaceKind.DIV, z) <= 1e-12 * max(scale, 1.0)
 
 
-def test_matrix_matches_matvec():
-    cx = get_complex("cubic", 2, 1)
-    rng = np.random.default_rng(3)
-    gl = cx.layouts[SpaceKind.GRAD]
-    cl = cx.layouts[SpaceKind.CURL]
-    G = cx.gradient_matrix()
-    C = cx.curl_matrix()
-    for _ in range(5):
-        q = rng.standard_normal(gl.total_dim)
-        assert np.abs(G @ q - cx.global_gradient(
-            DofVector(gl, q)).values).max() < 1e-12
-        v = rng.standard_normal(cl.total_dim)
-        assert np.abs(C @ v - cx.global_curl(
-            DofVector(cl, v)).values).max() < 1e-12
+def test_interpolators_skip_empty_blocks():
+    """At k=0 the GRAD space has vertex values only, CURL edge moments only
+    and DIV face moments only, so each interpolator evaluates its field at
+    those points and nowhere else."""
+    cx = get_complex("cubic", 2, 0)
+    seen = []
+
+    def counted(fun):
+        def wrapped(pts):
+            seen.append(pts)
+            return fun(pts)
+        return wrapped
+
+    cases = [(cx.interpolate_grad, lambda pts: pts[:, 0],
+              [cx.mesh.vertex_coords]),
+             (cx.interpolate_curl, lambda pts: pts,
+              [e.rule.points for e in cx.edges]),
+             (cx.interpolate_div, lambda pts: pts,
+              [f.rule.points for f in cx.faces])]
+    for interpolate, fun, expected in cases:
+        seen.clear()
+        interpolate(counted(fun))
+        assert np.array_equal(np.vstack(seen), np.vstack(expected))
 
 
 def test_serendipity_moment_consistency(hex_cx):
