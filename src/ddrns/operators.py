@@ -199,10 +199,12 @@ class _EntityContext:
         self.vb = ps.tensor_vector_basis(self.sca[k], g.dim)
         parent = ps.tensor_vector_basis(
             ps.build_scalar_basis(g, k + 2, self.rule), g.dim)
-        self.sub = {}
-        for sel, l in [("R", k - 1), ("Rc", ell + 1), ("R", k), ("Rc", k),
-                       ("Rc", k + 2), *extra]:
-            self.sub[sel, l] = ps.build_subspace(g, sel, l, parent, self.gram)
+        # Rc^{ell+1} is Rc^k in DDR mode (ell = k - 1): each key is built once
+        self.sub = {
+            (sel, l): ps.build_subspace(g, sel, l, parent, self.gram)
+            for sel, l in dict.fromkeys([("R", k - 1), ("Rc", ell + 1),
+                                         ("R", k), ("Rc", k), ("Rc", k + 2),
+                                         *extra])}
 
     def _flux(self, pieces, kind, n_rows, test):
         """sum_b omega_b int_b test(b) . (kind trace on b) over the boundary

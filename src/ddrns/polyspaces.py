@@ -212,8 +212,9 @@ class VectorBasis:
     def eval(self, points: np.ndarray) -> np.ndarray:
         xi = self.geom.local_coords(points)
         exps = monomial_exponents(self.geom.dim, self.degree)
-        mono = mono_eval(exps, xi)
-        return np.einsum("pm,bmc->pbc", mono, self.coeff)
+        nb, nm, nc = self.coeff.shape
+        flat = self.coeff.transpose(1, 0, 2).reshape(nm, nb * nc)
+        return (mono_eval(exps, xi) @ flat).reshape(len(xi), nb, nc)
 
     def eval3d(self, points: np.ndarray) -> np.ndarray:
         vals = self.eval(points)

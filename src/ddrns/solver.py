@@ -11,7 +11,14 @@ The zero-mean pressure condition enters through a single Lagrange multiplier
 row/column against the interpolate of 1 (dropped whenever essential pressure
 conditions pin the pressure instead).  Each Newton step statically condenses
 all cell-attached DoF blocks by per-cell Schur complements before the sparse
-direct solve; convergence is measured on the full uncondensed residual.
+solve; convergence is measured on the full uncondensed residual.
+
+Cells with the same local sizes form a group whose blocks are stacked, so
+the residual, the convective form, the cell Jacobians and the condensation
+run as a few batched array operations per group.  The sparsity pattern of
+the condensed system is built once per solver.  Within one solve() call the
+last sparse LU preconditions GMRES for later steps and is refactored only
+when that fails; it is released when the call returns.
 """
 
 from __future__ import annotations
@@ -112,6 +119,16 @@ def pressflux_bc() -> list[BCRegion]:
 # tenfold shift.
 PTC_LAMBDA0 = 1.0
 MAX_DAMPING = 6
+# inexact Newton (Knoll & Keyes, JCP 2004): within one solve() call, a step
+# after the first is solved by GMRES preconditioned with the last sparse LU,
+# for one cycle of at most GMRES_RESTART iterations.  GMRES stops on its
+# left-preconditioned residual, so it aims at GMRES_RTOL, below the
+# KRYLOV_RTOL |b| that the true residual must meet for the solution to be
+# accepted; otherwise the old factor is dropped and the step's matrix
+# factored.
+KRYLOV_RTOL = 1e-12
+GMRES_RTOL = 1e-14
+GMRES_RESTART = 30
 
 
 @dataclass
@@ -128,6 +145,9 @@ class NewtonDiagnostics:
     converged: bool = False
     dim_condensed: int = 0
     dim_full: int = 0
+    factorizations: int = 0
+    # GMRES iterations of each step solved with a reused factor
+    krylov_iterations: list = field(default_factory=list)
 
 
 @dataclass
@@ -136,6 +156,76 @@ class Solution:
     p: DofVector
     multiplier: float
     diagnostics: NewtonDiagnostics
+
+
+@dataclass
+class _CellGroup:
+    """Cells with the same local sizes, whose blocks are stacked along a
+    leading cell axis so that each kernel runs once per group."""
+    cells: np.ndarray     # cell ids
+    blocks: dict          # name -> (cells, ...) stacked cell blocks
+    gx: np.ndarray        # (cells, nloc) global indices of the local unknowns
+    loc_int: np.ndarray   # local unknowns condensed out
+    loc_ret: np.ndarray   # local unknowns kept in the condensed system
+    slot: np.ndarray = None   # condensed-matrix entry of each kept block entry
+
+
+def _stack(arrays):
+    """Stack per-cell arrays; translates share one array, which is then
+    viewed once per cell instead of copied."""
+    first = arrays[0]
+    if all(a is first for a in arrays):
+        return np.broadcast_to(first, (len(arrays),) + first.shape)
+    return np.stack(arrays)
+
+
+def _mv(A, x):
+    """Batched matrix-vector product: (G, m, n), (G, n) -> (G, m)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _crossmat(v):
+    """(..., 3) -> (..., 3, 3) with [..., e, c] = (v x e_e)_c."""
+    return np.cross(v[..., None, :], np.eye(3))
+
+
+def _moment_matrix(S, N):
+    """sum_i S[g, i, j, l] N[g, i, e, c] as (G, 3nb, 3nb) with rows (l, c)
+    and columns (j, e): the test side on the rows."""
+    G, nb = S.shape[:2]
+    T = S.reshape(G, nb, nb * nb).transpose(0, 2, 1) @ N.reshape(G, nb, 9)
+    return (T.reshape(G, nb, nb, 3, 3).transpose(0, 2, 4, 1, 3)
+            .reshape(G, 3 * nb, 3 * nb))
+
+
+class _FactorReuse:
+    """Condensed linear solves of one solve() call: the first system is
+    factored, later ones are solved by GMRES preconditioned with the last
+    factor, falling back to a fresh factorisation."""
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iterations = []
+
+    def solve(self, A, b):
+        if self.lu is not None:
+            its = []
+            x, _ = spla.gmres(A, b, M=spla.LinearOperator(A.shape,
+                                                          self.lu.solve),
+                              rtol=GMRES_RTOL, restart=GMRES_RESTART,
+                              maxiter=1, callback=its.append,
+                              callback_type="pr_norm")
+            if np.linalg.norm(A @ x - b) <= KRYLOV_RTOL * np.linalg.norm(b):
+                self.krylov_iterations.append(len(its))
+                return x
+            self.lu = None     # released before splu allocates the next
+        try:
+            self.lu = spla.splu(A)
+        except RuntimeError as exc:
+            raise SolverError(f"singular condensed matrix: {exc}") from exc
+        self.factorizations += 1
+        return self.lu.solve(b)
 
 
 class NavierStokesSolver:
@@ -155,10 +245,15 @@ class NavierStokesSolver:
         self._classify(mesh)
         self.use_multiplier = len(self.classification.essential_faces) == 0
         self.n_x = self.n_u + self.n_p + (1 if self.use_multiplier else 0)
+        self.free = np.ones(self.n_x, dtype=bool)
+        self.free[:self.n_u][self.fixed_u] = False
+        self.free[self.n_u:self.n_u + self.n_p][self.fixed_p] = False
 
         self._interpolate_data()
         self._cell_blocks()
         self._boundary_terms()
+        self._condensed_pattern()
+        self._linear = None   # the _FactorReuse of a running solve()
 
     # -- setup ---------------------------------------------------------------
     def _classify(self, mesh):
@@ -217,30 +312,50 @@ class NavierStokesSolver:
         self.rhs_mom = cx.gram_matrix(SpaceKind.CURL) @ self.i_f.values
 
     def _cell_blocks(self):
+        """Group the cells by local sizes and stack each group's blocks;
+        self.cells[c] holds cell c's views into its group's stacks."""
         cx = self.cx
         nu = self.spec.nu
-        self.cells = []
-        for c, cctx in enumerate(cx.cells):
-            idxu = self.ul.cell_indices(c)
-            idxp = self.pl.cell_indices(c)
-            visc = nu * cctx.uC.T @ cctx.product_div @ cctx.uC
-            B = cctx.product_curl @ cctx.uG
-            self.cells.append({
-                "idxu": idxu, "idxp": idxp, "visc": visc, "B": B,
-                "Mc": cctx.product_curl,
-                "CH": cctx.convective_curl, "P": cctx.pot_curl,
-                "S": cctx.tri_tensor,
-                "int_u": cctx.interior[SpaceKind.CURL],
-                "int_p": cctx.interior[SpaceKind.GRAD],
-            })
+        ones = None
         if self.use_multiplier:
-            ones = cx.interpolate_grad(lambda pts: np.ones(len(pts)))
-            self.c_vec = cx.gram_matrix(SpaceKind.GRAD) @ ones.values
-            for c, cell in enumerate(self.cells):
-                cctx = cx.cells[c]
-                cell["c_loc"] = cctx.product_grad @ ones.values[cell["idxp"]]
+            ones = cx.interpolate_grad(lambda pts: np.ones(len(pts))).values
+            self.c_vec = cx.gram_matrix(SpaceKind.GRAD) @ ones
         else:
             self.c_vec = None
+        by_size = {}
+        for c, cctx in enumerate(cx.cells):
+            by_size.setdefault((cctx.n_curl, cctx.n_grad), []).append(c)
+        nmu = 1 if self.use_multiplier else 0
+        self.groups = []
+        self.cells = [None] * len(cx.cells)
+        for (nu_loc, np_loc), ids in by_size.items():
+            ctxs = [cx.cells[c] for c in ids]
+            idxu = np.stack([self.ul.cell_indices(c) for c in ids])
+            idxp = np.stack([self.pl.cell_indices(c) for c in ids])
+            blocks = {
+                "idxu": idxu, "idxp": idxp,
+                "visc": np.stack([nu * x.uC.T @ x.product_div @ x.uC
+                                  for x in ctxs]),
+                "B": np.stack([x.product_curl @ x.uG for x in ctxs]),
+                "Mc": _stack([x.product_curl for x in ctxs]),
+                "CH": _stack([x.convective_curl for x in ctxs]),
+                "P": _stack([x.pot_curl for x in ctxs]),
+                "S": _stack([x.tri_tensor for x in ctxs]),
+            }
+            if nmu:
+                blocks["c_loc"] = np.stack([x.product_grad @ ones[ip]
+                                            for x, ip in zip(ctxs, idxp)])
+            gx = np.hstack([idxu, self.n_u + idxp,
+                            np.full((len(ids), nmu), self.n_x - 1)])
+            interior = ctxs[0].interior
+            loc_int = (np.concatenate([interior[SpaceKind.CURL],
+                                       nu_loc + interior[SpaceKind.GRAD]])
+                       if self.opts.condense else np.zeros(0, dtype=int))
+            loc_ret = np.setdiff1d(np.arange(gx.shape[1]), loc_int)
+            self.groups.append(_CellGroup(np.array(ids), blocks, gx,
+                                          loc_int, loc_ret))
+            for i, c in enumerate(ids):
+                self.cells[c] = {name: a[i] for name, a in blocks.items()}
 
     def _boundary_terms(self):
         """Natural flux data: mass-row load sum_F int_F g gamma_F q."""
@@ -256,6 +371,45 @@ class NavierStokesSolver:
             row = (fctx.rule.weights * g) @ phi @ fctx.trace_mat
             np.add.at(self.flux_vec, self.pl.face_indices(fid), row)
 
+    def _condensed_pattern(self):
+        """Unknowns and CSC sparsity of the condensed system, fixed for the
+        solver: the free unknowns that are not condensed out, and for each
+        group the entry of the condensed matrix that each entry of its
+        Schur complements adds into (one past the last entry for a row or
+        column that is fixed)."""
+        interior = np.zeros(self.n_x, dtype=bool)
+        for grp in self.groups:
+            interior[grp.gx[:, grp.loc_int]] = True
+        self.cond_dofs = np.flatnonzero(self.free & ~interior)
+        self.dim_condensed = nc = len(self.cond_dofs)
+        pos = np.full(self.n_x, -1, dtype=np.int64)
+        pos[self.cond_dofs] = np.arange(nc)
+        dropped = nc * nc
+        keys = []
+        for grp in self.groups:
+            r = pos[grp.gx[:, grp.loc_ret]]
+            key = r[:, None, :] * nc + r[:, :, None]    # column-major order
+            key[(r[:, None, :] < 0) | (r[:, :, None] < 0)] = dropped
+            keys.append(key.ravel())
+        sizes = [len(k) for k in keys]
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        slot = np.empty(len(keys), dtype=np.int32)
+        slot[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order
+        keys = keys[first]
+        keys = keys[keys != dropped]
+        self._nnz = len(keys)
+        self._indices = (keys % nc).astype(np.int32)
+        self._indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // nc, minlength=nc))])
+        for grp, part in zip(self.groups, np.split(slot, np.cumsum(sizes)[:-1])):
+            grp.slot = part
+
     # -- state vector helpers -------------------------------------------------
     def initial_state(self) -> np.ndarray:
         x = np.zeros(self.n_x)
@@ -269,186 +423,177 @@ class NavierStokesSolver:
         mu = x[-1] if self.use_multiplier else 0.0
         return u, p, mu
 
-    def _free_mask(self) -> np.ndarray:
-        free = np.ones(self.n_x, dtype=bool)
-        free[:self.n_u][self.fixed_u] = False
-        free[self.n_u:self.n_u + self.n_p][self.fixed_p] = False
-        return free
+    # -- batched cell kernels ------------------------------------------------------
+    @staticmethod
+    def _convection(blk, ua, ub):
+        """Per cell, the P^k moments g[l, c] = int phi_l (C_h a x P b)_c of
+        the convective field: (G, nb, 3)."""
+        S = blk["S"]
+        G, nb = S.shape[:2]
+        a = _mv(blk["CH"], ua).reshape(G, nb, 1, 3)
+        b = _mv(blk["P"], ub).reshape(G, 1, nb, 3)
+        cr = np.cross(a, b).reshape(G, nb * nb, 3)
+        return S.reshape(G, nb * nb, nb).transpose(0, 2, 1) @ cr
+
+    @staticmethod
+    def _jacobian(blk, U, with_convection: bool):
+        """Linearisation of the cell momentum rows: the exact derivative
+        t(delta;u,v) + t(u;delta,v) of the convective form, (G, n, n)."""
+        J = blk["visc"]
+        if with_convection:
+            S, P, CH = blk["S"], blk["P"], blk["CH"]
+            G, nb = S.shape[:2]
+            a = _mv(CH, U).reshape(G, nb, 3)
+            b = _mv(P, U).reshape(G, nb, 3)
+            # derivative in the second argument: sum_i S_ijl (a_i x db_j)
+            Da = _moment_matrix(S, _crossmat(a))
+            # in the first: sum_j S_ijl (da_i x b_j), summed over S's j
+            Db = _moment_matrix(S.transpose(0, 2, 1, 3), -_crossmat(b))
+            J = J + P.transpose(0, 2, 1) @ (Da @ P + Db @ CH)
+        return J
+
+    def _cell_jacobian(self, cell, ul, with_convection: bool):
+        """The Jacobian kernel on one cell's blocks (a batch of one)."""
+        blk = {name: a[None] for name, a in cell.items()}
+        return self._jacobian(blk, ul[None], with_convection)[0]
 
     # -- residual ---------------------------------------------------------------
-    def convective_row(self, cell, ul) -> np.ndarray:
-        a = (cell["CH"] @ ul).reshape(-1, 3)
-        b = (cell["P"] @ ul).reshape(-1, 3)
-        cr = np.cross(a[:, None, :], b[None, :, :])
-        g = np.einsum("ijl,ijc->lc", cell["S"], cr, optimize=True)
-        return cell["P"].T @ g.reshape(-1)
-
     def trilinear(self, ua: np.ndarray, ub: np.ndarray, v: np.ndarray) -> float:
         """t(a; b, v) over global CURL coefficient arrays."""
         acc = 0.0
-        for cell in self.cells:
-            idx = cell["idxu"]
-            a = (cell["CH"] @ ua[idx]).reshape(-1, 3)
-            b = (cell["P"] @ ub[idx]).reshape(-1, 3)
-            w = (cell["P"] @ v[idx]).reshape(-1, 3)
-            cr = np.cross(a[:, None, :], b[None, :, :])
-            acc += np.einsum("ijl,ijc,lc->", cell["S"], cr, w, optimize=True)
+        for grp in self.groups:
+            blk = grp.blocks
+            idx = blk["idxu"]
+            w = _mv(blk["P"], v[idx])
+            g = self._convection(blk, ua[idx], ub[idx])
+            acc += np.sum(g.reshape(w.shape) * w)
         return float(acc)
 
     def residual(self, x: np.ndarray, with_convection: bool = True) -> np.ndarray:
         u, p, mu = self.split(x)
         R = np.zeros(self.n_x)
-        Rm = np.zeros(self.n_u)
-        Rq = np.zeros(self.n_p)
-        for cell in self.cells:
-            iu, ip = cell["idxu"], cell["idxp"]
-            ul, plc = u[iu], p[ip]
-            row = cell["visc"] @ ul + cell["B"] @ plc
+        Rm = R[:self.n_u]
+        Rq = R[self.n_u:self.n_u + self.n_p]
+        for grp in self.groups:
+            blk = grp.blocks
+            iu, ip = blk["idxu"], blk["idxp"]
+            U = u[iu]
+            row = _mv(blk["visc"], U) + _mv(blk["B"], p[ip])
             if with_convection:
-                row = row + self.convective_row(cell, ul)
-            np.add.at(Rm, iu, row)
-            np.add.at(Rq, ip, -(cell["B"].T @ ul))
+                g = self._convection(blk, U, U).reshape(len(U), -1)
+                row += _mv(blk["P"].transpose(0, 2, 1), g)
+            Rm += np.bincount(iu.ravel(), row.ravel(), minlength=self.n_u)
+            Rq -= np.bincount(ip.ravel(), _mv(blk["B"].transpose(0, 2, 1),
+                                              U).ravel(), minlength=self.n_p)
         Rm -= self.rhs_mom
         Rq += self.flux_vec
         if self.use_multiplier:
             Rq += mu * self.c_vec
             R[-1] = self.c_vec @ p
-        R[:self.n_u] = Rm
-        R[self.n_u:self.n_u + self.n_p] = Rq
         return R
 
     def residual_norm(self, R: np.ndarray) -> float:
-        return float(np.linalg.norm(R[self._free_mask()]))
+        return float(np.linalg.norm(R[self.free]))
 
     # -- Newton step with static condensation ------------------------------------
-    def _cell_jacobian(self, cell, ul, with_convection: bool):
-        """Linearisation of the cell momentum rows: the exact derivative
-        t(delta;u,v) + t(u;delta,v) of the convective form."""
-        J = cell["visc"]
-        if with_convection:
-            a = (cell["CH"] @ ul).reshape(-1, 3)
-            b = (cell["P"] @ ul).reshape(-1, 3)
-            nb = a.shape[0]
-            Na = np.cross(a[:, None, :], np.eye(3)[None, :, :])   # (i, b, c)
-            T2 = np.einsum("ijl,ibc->jblc", cell["S"], Na,
-                           optimize=True).reshape(3 * nb, 3 * nb)
-            # rows are the test side
-            J = J + cell["P"].T @ (T2.T @ cell["P"])
-            Mb = np.cross(np.eye(3)[None, :, :], b[:, None, :])  # (j, a, c)
-            T1 = np.einsum("ijl,jac->ialc", cell["S"], Mb,
-                           optimize=True).reshape(3 * nb, 3 * nb)
-            J = J + cell["P"].T @ (T1.T @ cell["CH"])
-        return J
+    def _cell_matrices(self, grp, u, with_convection, shift):
+        """Local Newton matrices of a group's cells: (G, nloc, nloc) over
+        (u, p, multiplier) unknowns."""
+        blk = grp.blocks
+        G, nloc = grp.gx.shape
+        nu_loc = blk["idxu"].shape[1]
+        p_loc = slice(nu_loc, nu_loc + blk["idxp"].shape[1])
+        K = np.zeros((G, nloc, nloc))
+        K[:, :nu_loc, :nu_loc] = self._jacobian(blk, u[blk["idxu"]],
+                                                with_convection)
+        if shift:
+            K[:, :nu_loc, :nu_loc] += shift * blk["Mc"]
+        K[:, :nu_loc, p_loc] = blk["B"]
+        K[:, p_loc, :nu_loc] = -blk["B"].transpose(0, 2, 1)
+        if self.use_multiplier:
+            K[:, p_loc, -1] = blk["c_loc"]
+            K[:, -1, p_loc] = blk["c_loc"]
+        return K
+
+    def _condense(self, x, R, with_convection, shift):
+        """Eliminate each cell's interior unknowns by its Schur complement.
+
+        Returns the condensed matrix on the fixed pattern, its right-hand
+        side, and per group the interior solution operator
+        X = KII^{-1} [KIG | rI] that the back-substitution needs.  The
+        stacked local matrices die here, before the factorisation."""
+        u = x[:self.n_u]
+        rhs = np.where(self.free, -R, 0.0)
+        data = np.zeros(self._nnz + 1)
+        back = []
+        for grp in self.groups:
+            K = self._cell_matrices(grp, u, with_convection, shift)
+            li, lr = grp.loc_int, grp.loc_ret
+            if len(li):
+                KII = K[:, li[:, None], li]
+                KIx = np.concatenate([K[:, li[:, None], lr],
+                                      rhs[grp.gx[:, li]][..., None]], axis=2)
+                try:
+                    X = np.linalg.solve(KII, KIx)
+                except np.linalg.LinAlgError as exc:
+                    bad = grp.cells[np.argmin(np.linalg.matrix_rank(KII))]
+                    raise SolverError(
+                        f"singular cell-interior block of cell {bad} during "
+                        "static condensation") from exc
+                KGI = K[:, lr[:, None], li]
+                K = K[:, lr[:, None], lr] - KGI @ X[..., :-1]
+                rhs -= np.bincount(grp.gx[:, lr].ravel(),
+                                   _mv(KGI, X[..., -1]).ravel(),
+                                   minlength=self.n_x)
+                back.append((grp, X))
+            data += np.bincount(grp.slot, K.ravel(), minlength=self._nnz + 1)
+        A = sp.csc_matrix((data[:-1], self._indices, self._indptr),
+                          shape=(self.dim_condensed, self.dim_condensed))
+        return A, rhs[self.cond_dofs], back
 
     def newton_step(self, x: np.ndarray, R: np.ndarray,
                     with_convection: bool = True,
                     shift: float = 0.0) -> np.ndarray:
         """Solve (J + shift M_curl) delta = -R with per-cell elimination of
         the cell-attached blocks (Schur complements, back-substituted)."""
-        u, p, mu = self.split(x)
-        free = self._free_mask()
-        nmu = 1 if self.use_multiplier else 0
-        condense = self.opts.condense
-
-        # retained = all non-interior dofs (+ multiplier); interior = cell blocks
-        interior = np.zeros(self.n_x, dtype=bool)
-        if condense:
-            for cell in self.cells:
-                interior[cell["idxu"][cell["int_u"]]] = True
-                interior[self.n_u + cell["idxp"][cell["int_p"]]] = True
-        retained = ~interior
-        ret_index = -np.ones(self.n_x, dtype=int)
-        ret_index[retained] = np.arange(retained.sum())
-        nret = int(retained.sum())
-
-        data, rows, cols = [], [], []
-        rhs = np.where(free, -R, 0.0)
-        rhs_ret = rhs[retained].copy()
-        back = []
-
-        for c, cell in enumerate(self.cells):
-            iu, ip = cell["idxu"], cell["idxp"]
-            nu_loc, np_loc = len(iu), len(ip)
-            nloc = nu_loc + np_loc + nmu
-            K = np.zeros((nloc, nloc))
-            Juu = self._cell_jacobian(cell, u[iu], with_convection)
-            if shift:
-                Juu = Juu + shift * cell["Mc"]
-            K[:nu_loc, :nu_loc] = Juu
-            K[:nu_loc, nu_loc:nu_loc + np_loc] = cell["B"]
-            K[nu_loc:nu_loc + np_loc, :nu_loc] = -cell["B"].T
-            gx = np.concatenate([iu, self.n_u + ip,
-                                 [self.n_x - 1] if nmu else []]).astype(int)
-            if nmu:
-                cloc = cell["c_loc"]
-                K[nu_loc:nu_loc + np_loc, -1] = cloc
-                K[-1, nu_loc:nu_loc + np_loc] = cloc
-
-            loc_int = np.concatenate([cell["int_u"],
-                                      nu_loc + cell["int_p"]]).astype(int)
-            loc_ret = np.setdiff1d(np.arange(nloc), loc_int)
-            if condense and len(loc_int):
-                KII = K[np.ix_(loc_int, loc_int)]
-                KIG = K[np.ix_(loc_int, loc_ret)]
-                KGI = K[np.ix_(loc_ret, loc_int)]
-                KGG = K[np.ix_(loc_ret, loc_ret)]
-                try:
-                    KII_inv_KIG = np.linalg.solve(KII, KIG)
-                    rI = rhs[gx[loc_int]]
-                    KII_inv_rI = np.linalg.solve(KII, rI)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError(f"singular cell-interior block of cell "
-                                      f"{c} during static condensation") from exc
-                Sgg = KGG - KGI @ KII_inv_KIG
-                g_ret = gx[loc_ret]
-                np.subtract.at(rhs_ret, ret_index[g_ret], KGI @ KII_inv_rI)
-                back.append((gx[loc_int], g_ret, KII, KIG, rI))
-                blk, bidx = Sgg, ret_index[g_ret]
-            else:
-                back.append(None)
-                blk, bidx = K, ret_index[gx]
-            rr, cc = np.meshgrid(bidx, bidx, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            data.append(blk.ravel())
-
-        A = sp.csr_matrix((np.concatenate(data),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(nret, nret))
-        free_ret = free[retained]
-        sub = np.where(free_ret)[0]
-        A_ff = A[sub][:, sub].tocsc()
-        try:
-            lu = spla.splu(A_ff)
-        except RuntimeError as exc:
-            raise SolverError(f"singular condensed matrix: {exc}") from exc
-        d_ret = np.zeros(nret)
-        d_ret[sub] = lu.solve(rhs_ret[sub])
-
+        A, b, back = self._condense(x, R, with_convection, shift)
         delta = np.zeros(self.n_x)
-        delta[retained] = d_ret
-        for cell, info in zip(self.cells, back):
-            if info is None:
-                continue
-            g_int, g_ret, KII, KIG, rI = info
-            delta[g_int] = np.linalg.solve(KII, rI - KIG @ delta[g_ret])
-        self._last_dim_condensed = len(sub)
+        delta[self.cond_dofs] = (self._linear or _FactorReuse()).solve(A, b)
+        for grp, X in back:
+            d_ret = delta[grp.gx[:, grp.loc_ret]]
+            delta[grp.gx[:, grp.loc_int]] = X[..., -1] - _mv(X[..., :-1], d_ret)
         return delta
 
     # -- driver ---------------------------------------------------------------
     def solve(self) -> Solution:
+        """Damped Newton from the Stokes solution.  The sparse factor of one
+        call is reused across its steps and released when it returns."""
         opts = self.opts
-        diag = NewtonDiagnostics(dim_full=int(self._free_mask().sum()))
+        diag = NewtonDiagnostics(dim_full=int(self.free.sum()),
+                                 dim_condensed=self.dim_condensed)
         scale = max(np.linalg.norm(self.rhs_mom), np.linalg.norm(self.flux_vec),
                     np.linalg.norm(self.u_fix) + np.linalg.norm(self.p_fix))
         if scale == 0.0:
             scale = 1.0
 
+        self._linear = linear = _FactorReuse()
+        try:
+            x = self._newton(diag, scale)
+        finally:
+            self._linear = linear.lu = None
+            diag.factorizations = linear.factorizations
+            diag.krylov_iterations = linear.krylov_iterations
+
+        u, p, mu = self.split(x)
+        return Solution(DofVector(self.ul, u.copy()),
+                        DofVector(self.pl, p.copy()), float(mu), diag)
+
+    def _newton(self, diag, scale):
+        opts = self.opts
         x = self.initial_state()
         # Stokes solve as the initial guess (exact for the linear part)
         R = self.residual(x, with_convection=False)
         x = x + self.newton_step(x, R, with_convection=False)
-        diag.dim_condensed = self._last_dim_condensed
 
         R = self.residual(x)
         rnorm = self.residual_norm(R)
@@ -477,10 +622,7 @@ class NavierStokesSolver:
             x, R, rnorm = accepted
             diag.residuals.append(rnorm)
         diag.converged = True
-
-        u, p, mu = self.split(x)
-        return Solution(DofVector(self.ul, u.copy()),
-                        DofVector(self.pl, p.copy()), float(mu), diag)
+        return x
 
 
 def load_config(path) -> dict:

@@ -98,6 +98,19 @@ def pentagon_prism_mesh(seed: int = 3):
     return msh.build_mesh(pts, faces, [list(range(7))])
 
 
+def cube_pyramid_mesh():
+    """The unit cube with a pyramid on its top face: two cells whose local
+    sizes differ."""
+    pts = np.array([
+        [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+        [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1], [0.5, 0.5, 1.6],
+    ], dtype=float)
+    faces = [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [1, 2, 6, 5],
+             [2, 3, 7, 6], [3, 0, 4, 7],
+             [4, 5, 8], [5, 6, 8], [6, 7, 8], [7, 4, 8]]
+    return msh.build_mesh(pts, faces, [[0, 1, 2, 3, 4, 5], [1, 6, 7, 8, 9]])
+
+
 @pytest.fixture(scope="session")
 def cube1():
     return get_mesh("cubic", 1)

@@ -4,13 +4,17 @@ Everything here deliberately avoids the library's quadrature and basis
 machinery: monomial integrals over simplices are closed-form (barycentric
 multinomial expansion plus the Dirichlet formula), entities are decomposed
 by fans anchored at a vertex rather than at the library's anchor points,
-and projections are recomputed by raw monomial normal equations.
+and projections are recomputed by raw monomial normal equations.  The
+Newton kernels at the end are the cell-by-cell loops that the solver's
+batched kernels are checked against.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+
+from ddrns.spaces import SpaceKind
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -119,3 +123,147 @@ def projection_normal_equations(points, weights, values, design):
     G = design.T @ (weights[:, None] * design)
     rhs = design.T @ (weights * values)
     return np.linalg.solve(G, rhs)
+
+
+# -- per-cell reference of the Newton kernels ----------------------------------
+# `s` is a NavierStokesSolver; its per-cell dicts `s.cells` hold the blocks.
+
+def convective_row(s, cell, ul):
+    """Cell momentum rows of t(u; u, v) for local CURL coefficients ul."""
+    a = (cell["CH"] @ ul).reshape(-1, 3)
+    b = (cell["P"] @ ul).reshape(-1, 3)
+    cr = np.cross(a[:, None, :], b[None, :, :])
+    g = np.einsum("ijl,ijc->lc", cell["S"], cr)
+    return cell["P"].T @ g.reshape(-1)
+
+
+def trilinear(s, ua, ub, v):
+    """t(a; b, v) over global CURL coefficient arrays."""
+    acc = 0.0
+    for cell in s.cells:
+        idx = cell["idxu"]
+        a = (cell["CH"] @ ua[idx]).reshape(-1, 3)
+        b = (cell["P"] @ ub[idx]).reshape(-1, 3)
+        w = (cell["P"] @ v[idx]).reshape(-1, 3)
+        cr = np.cross(a[:, None, :], b[None, :, :])
+        acc += np.einsum("ijl,ijc,lc->", cell["S"], cr, w)
+    return float(acc)
+
+
+def residual(s, x, with_convection=True):
+    u, p, mu = s.split(x)
+    R = np.zeros(s.n_x)
+    Rm = np.zeros(s.n_u)
+    Rq = np.zeros(s.n_p)
+    for cell in s.cells:
+        iu, ip = cell["idxu"], cell["idxp"]
+        ul, plc = u[iu], p[ip]
+        row = cell["visc"] @ ul + cell["B"] @ plc
+        if with_convection:
+            row = row + convective_row(s, cell, ul)
+        np.add.at(Rm, iu, row)
+        np.add.at(Rq, ip, -(cell["B"].T @ ul))
+    Rm -= s.rhs_mom
+    Rq += s.flux_vec
+    if s.use_multiplier:
+        Rq += mu * s.c_vec
+        R[-1] = s.c_vec @ p
+    R[:s.n_u] = Rm
+    R[s.n_u:s.n_u + s.n_p] = Rq
+    return R
+
+
+def cell_jacobian(s, cell, ul, with_convection):
+    """Linearisation of the cell momentum rows: the exact derivative
+    t(delta;u,v) + t(u;delta,v) of the convective form."""
+    J = cell["visc"]
+    if with_convection:
+        a = (cell["CH"] @ ul).reshape(-1, 3)
+        b = (cell["P"] @ ul).reshape(-1, 3)
+        nb = a.shape[0]
+        Na = np.cross(a[:, None, :], np.eye(3)[None, :, :])   # (i, b, c)
+        T2 = np.einsum("ijl,ibc->jblc", cell["S"], Na).reshape(3 * nb, 3 * nb)
+        # rows are the test side
+        J = J + cell["P"].T @ (T2.T @ cell["P"])
+        Mb = np.cross(np.eye(3)[None, :, :], b[:, None, :])  # (j, a, c)
+        T1 = np.einsum("ijl,jac->ialc", cell["S"], Mb).reshape(3 * nb, 3 * nb)
+        J = J + cell["P"].T @ (T1.T @ cell["CH"])
+    return J
+
+
+def newton_step(s, x, R, with_convection=True, shift=0.0):
+    """Solve (J + shift M_curl) delta = -R cell by cell: each cell's interior
+    block is eliminated by its Schur complement, the condensed system is
+    factored afresh, and the interior values are back-substituted."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    u, p, mu = s.split(x)
+    free = s.free
+    nmu = 1 if s.use_multiplier else 0
+    condense = s.opts.condense
+    interior = np.zeros(s.n_x, dtype=bool)
+    int_loc = []
+    for c, cell in enumerate(s.cells):
+        ctx = s.cx.cells[c]
+        int_u = ctx.interior[SpaceKind.CURL]
+        int_p = ctx.interior[SpaceKind.GRAD]
+        int_loc.append(np.concatenate([int_u, len(cell["idxu"]) + int_p]))
+        if condense:
+            interior[cell["idxu"][int_u]] = True
+            interior[s.n_u + cell["idxp"][int_p]] = True
+    retained = ~interior
+    ret_index = -np.ones(s.n_x, dtype=int)
+    ret_index[retained] = np.arange(retained.sum())
+    nret = int(retained.sum())
+
+    data, rows, cols = [], [], []
+    rhs = np.where(free, -R, 0.0)
+    rhs_ret = rhs[retained].copy()
+    back = []
+    for cell, loc_int in zip(s.cells, int_loc):
+        iu, ip = cell["idxu"], cell["idxp"]
+        nu_loc, np_loc = len(iu), len(ip)
+        nloc = nu_loc + np_loc + nmu
+        K = np.zeros((nloc, nloc))
+        Juu = cell_jacobian(s, cell, u[iu], with_convection)
+        if shift:
+            Juu = Juu + shift * cell["Mc"]
+        K[:nu_loc, :nu_loc] = Juu
+        K[:nu_loc, nu_loc:nu_loc + np_loc] = cell["B"]
+        K[nu_loc:nu_loc + np_loc, :nu_loc] = -cell["B"].T
+        gx = np.concatenate([iu, s.n_u + ip,
+                             [s.n_x - 1] if nmu else []]).astype(int)
+        if nmu:
+            K[nu_loc:nu_loc + np_loc, -1] = cell["c_loc"]
+            K[-1, nu_loc:nu_loc + np_loc] = cell["c_loc"]
+        loc_ret = np.setdiff1d(np.arange(nloc), loc_int)
+        if condense and len(loc_int):
+            KII = K[np.ix_(loc_int, loc_int)]
+            KIG = K[np.ix_(loc_int, loc_ret)]
+            KGI = K[np.ix_(loc_ret, loc_int)]
+            KGG = K[np.ix_(loc_ret, loc_ret)]
+            rI = rhs[gx[loc_int]]
+            g_ret = gx[loc_ret]
+            np.subtract.at(rhs_ret, ret_index[g_ret],
+                           KGI @ np.linalg.solve(KII, rI))
+            back.append((gx[loc_int], g_ret, KII, KIG, rI))
+            blk, bidx = KGG - KGI @ np.linalg.solve(KII, KIG), ret_index[g_ret]
+        else:
+            blk, bidx = K, ret_index[gx]
+        rr, cc = np.meshgrid(bidx, bidx, indexing="ij")
+        rows.append(rr.ravel())
+        cols.append(cc.ravel())
+        data.append(blk.ravel())
+
+    A = sp.csr_matrix((np.concatenate(data),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(nret, nret))
+    sub = np.where(free[retained])[0]
+    d_ret = np.zeros(nret)
+    d_ret[sub] = spla.splu(A[sub][:, sub].tocsc()).solve(rhs_ret[sub])
+    delta = np.zeros(s.n_x)
+    delta[retained] = d_ret
+    for g_int, g_ret, KII, KIG, rI in back:
+        delta[g_int] = np.linalg.solve(KII, rI - KIG @ delta[g_ret])
+    return delta

@@ -1,0 +1,153 @@
+"""The batched Newton kernels against the per-cell reference in oracles.py,
+and the lifetime of the sparse factor reused within one solve() call."""
+
+import weakref
+from functools import partial
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+import oracles
+from conftest import (cube_pyramid_mesh, get_complex, get_mesh,
+                      pentagon_prism_mesh, random_hex_mesh)
+from ddrns import solver as solver_mod
+from ddrns.operators import DdrComplex
+from ddrns.solutions import TrigSolution
+from ddrns.solver import (NavierStokesSolver, ProblemSpec, SolverOptions,
+                          natural_bc, pressflux_bc)
+
+MESHES = {"pentagon_prism": pentagon_prism_mesh, "random_hex": random_hex_mesh,
+          "kuhn1": lambda: get_mesh("tet", 1),
+          "cube_pyramid": cube_pyramid_mesh}
+ZERO_F = lambda pts: np.zeros((len(pts), 3))
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def trig_solver(cx, condense=True):
+    sol = TrigSolution()
+    spec = ProblemSpec(nu=1.0, forcing=sol.forcing, regions=natural_bc())
+    return sol, NavierStokesSolver(cx, spec, SolverOptions(condense=condense))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mesh", list(MESHES))
+def test_kernels_match_per_cell_reference(mesh, k):
+    cx = DdrComplex(MESHES[mesh](), k)
+    if mesh == "cube_pyramid":
+        assert len(trig_solver(cx)[1].groups) == 2
+    rng = np.random.default_rng(k)
+    for condense in (True, False):
+        sol, s = trig_solver(cx, condense)
+        x = rng.standard_normal(s.n_x)
+        for conv in (True, False):
+            assert rel(s.residual(x, conv),
+                       oracles.residual(s, x, conv)) <= 1e-12
+        ua, ub, v = (rng.standard_normal(s.n_u) for _ in range(3))
+        ref = oracles.trilinear(s, ua, ub, v)
+        assert abs(s.trilinear(ua, ub, v) - ref) <= 1e-12 * abs(ref)
+        u = x[:s.n_u]
+        for cell in s.cells:
+            ul = u[cell["idxu"]]
+            assert rel(s._cell_jacobian(cell, ul, True),
+                       oracles.cell_jacobian(s, cell, ul, True)) <= 1e-12
+        # one Newton step at the interpolate of the exact solution
+        x = s.initial_state()
+        x[:s.n_u] = cx.interpolate_curl(sol.velocity).values
+        x[s.n_u:s.n_u + s.n_p] = cx.interpolate_grad(sol.pressure).values
+        R = s.residual(x)
+        for shift in (0.0, 0.5):
+            # a step is a linear solve: rounding in the summation order of
+            # its matrix is amplified by the condition number
+            A = s._condense(x, R, True, shift)[0].toarray()
+            tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(A))
+            assert rel(s.newton_step(x, R, shift=shift),
+                       oracles.newton_step(s, x, R, shift=shift)) <= tol
+
+
+def test_trig_solve_matches_factoring_every_step():
+    cx = get_complex("cubic", 4, 0)
+    _, s = trig_solver(cx)
+    _, ref = trig_solver(cx)
+    ref.newton_step = partial(oracles.newton_step, ref)
+    got, want = s.solve(), ref.solve()
+    assert got.diagnostics.krylov_iterations       # the reuse path ran
+    assert got.diagnostics.iterations == want.diagnostics.iterations
+    assert rel(got.u.values, want.u.values) <= 1e-10
+    assert rel(got.p.values, want.p.values) <= 1e-10
+
+
+class _Factor:
+    """A sparse LU that can be watched by weak reference."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Weak references to every factor made; each factorisation first
+    checks that no earlier factor is still alive."""
+    made = []
+    splu = spla.splu
+
+    def watched_splu(A):
+        assert all(f() is None for f in made), "old factor alive during splu"
+        f = _Factor(splu(A))
+        made.append(weakref.ref(f))
+        return f
+    monkeypatch.setattr(spla, "splu", watched_splu)
+    return made
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    calls = []
+    step = NavierStokesSolver.newton_step
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return step(self, *args, **kwargs)
+    monkeypatch.setattr(NavierStokesSolver, "newton_step", counted)
+    return calls
+
+
+def test_factor_reused_within_and_released_after_solve(factors, steps):
+    _, s = trig_solver(get_complex("cubic", 4, 0))
+    counts = []
+    for _ in range(2):
+        before, n_steps = len(factors), len(steps)
+        diag = s.solve().diagnostics
+        counts.append(len(factors) - before)
+        assert diag.factorizations == counts[-1]
+        assert counts[-1] < len(steps) - n_steps
+        assert len(diag.krylov_iterations) == len(steps) - n_steps - counts[-1]
+        assert s._linear is None
+        assert all(f() is None for f in factors)
+    assert counts[0] == counts[1]
+
+
+def test_pressflux_takes_refactor_path(factors):
+    # Re=100 on cubic n=4, k=0: a reused factor fails GMRES at least once
+    cx = get_complex("cubic", 4, 0)
+    spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=pressflux_bc())
+    diag = NavierStokesSolver(cx, spec).solve().diagnostics
+    assert diag.factorizations >= 2
+    assert abs(diag.iterations - 9) <= 1   # 9 when every step was factored
+    assert all(f() is None for f in factors)
+
+
+def test_factor_released_when_newton_fails(factors):
+    _, s = trig_solver(get_complex("cubic", 4, 0))
+    s.opts.max_iter = 0
+    with pytest.raises(solver_mod.NonConvergenceError) as err:
+        s.solve()
+    assert err.value.diagnostics.factorizations == 1
+    assert s._linear is None
+    assert all(f() is None for f in factors)
