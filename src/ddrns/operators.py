@@ -39,10 +39,11 @@ def _inner_scalar(gram, A, B):
     return A @ gram[:A.shape[1], :B.shape[1]] @ B.T
 
 
-def _inner_vector(gram, A, B):
-    """<a_i, b_j> for vector polynomials (rows, monomials, components)."""
-    return np.einsum("imc,mn,jnc->ij", A, gram[:A.shape[1], :B.shape[1]], B,
-                     optimize=True)
+def _triple_moments(weights, phi):
+    """int phi_i phi_j phi_l from samples phi (npts, n) -> (n, n, n)."""
+    n = phi.shape[1]
+    pairs = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), n * n)
+    return ((weights[:, None] * phi).T @ pairs).reshape(n, n, n)
 
 
 def _grad_coeffs(C, dim, h):
@@ -130,11 +131,9 @@ class EdgeContext:
 
         # skeleton reconstruction: [q(v_a), q(v_b), moments vs P^{k-1}] ->
         # coefficients in the P^{k+1}(E) orthonormal basis
-        pa = mesh.vertex_coords[e.vertices[0]][None, :]
-        pb = mesh.vertex_coords[e.vertices[1]][None, :]
         bkp1 = self.sca[k + 1]
         A = np.vstack([
-            bkp1.eval(pa), bkp1.eval(pb),
+            bkp1.eval(mesh.vertex_coords[list(e.vertices)]),
             _inner_scalar(self.gram, self.sca[k - 1].coeff, bkp1.coeff),
         ])
         self.skeleton = np.linalg.solve(A, np.eye(k + 2))
@@ -142,10 +141,17 @@ class EdgeContext:
         # derivative along t_E: P^{k+1} coefficients -> P^k coefficients
         dmono = bkp1.coeff @ ps.deriv_matrix(1, k + 1, 0).T / self.h
         self.deriv = _inner_scalar(self.gram, self.sca[k].coeff, dmono)
+        self._mono = None
 
     def basis_values(self, l: int, pts=None) -> np.ndarray:
-        pts = self.rule.points if pts is None else pts
-        return self.sca[l].eval(pts)
+        """P^l basis at pts; at the edge's own rule points by default, where
+        the edge samples its monomials once."""
+        if pts is not None:
+            return self.sca[l].eval(pts)
+        if self._mono is None:
+            self._mono = ps.sample_monomials(self.geom, self.k + 1,
+                                             self.rule.points)
+        return self.sca[l].values(self._mono)
 
     def skeleton_map(self, vert_pos, moment_idx, n_grad: int) -> np.ndarray:
         """Matrix sending n_grad entity-local GRAD DoFs to P^{k+1}(E)
@@ -286,10 +292,24 @@ class FaceContext(_EntityContext):
         return ectx.skeleton_map(self.grad_vert_pos,
                                  self.grad_edge_slices[eid], self.n_grad)
 
+    def trace_values(self) -> dict:
+        """Traces of the face DoFs at the face's rule points: the GRAD trace
+        (npts, n_grad), the CURL tangential trace in frame components
+        (npts, 2, n_curl) and the P^k basis (npts, dim) that the DIV normal
+        components are written in."""
+        k, rule = self.k, self.rule
+        sample = ps.Sampler(self.geom, k + 1)
+        return {
+            SpaceKind.GRAD: sample(self.sca[k + 1], rule) @ self.trace_mat,
+            SpaceKind.CURL: sample(self.vb, rule).transpose(0, 2, 1)
+                            @ self.ttrace_mat,
+            SpaceKind.DIV: sample(self.sca[k], rule)}
+
     def _assemble(self, edge_ctx):
         k, g, gram, vb = self.k, self.geom, self.gram, self.vb
         Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
         Rcd = self.sub["Rc", self.ell + 1]
+        sample = ps.Sampler(g, k + 2)
         edges = [(self.edge_sign[e], edge_ctx[e], edge_ctx[e].traces(
                       self.edge_skeleton_map(e, edge_ctx[e]),
                       self.curl_edge_slices[e]))
@@ -299,16 +319,15 @@ class FaceContext(_EntityContext):
         def normal_flux(sub):
             # n_FE in frame components
             return self._flux(edges, SpaceKind.GRAD, sub.dim, lambda ectx: (
-                sub.eval(ectx.rule.points)
-                @ (g.axes @ self.edge_nfe[ectx.edge.id])))
+                sample(sub, ectx.rule) @ (g.axes @ self.edge_nfe[ectx.edge.id])))
         self.serendipity_grad, self.grad_mat, self.trace_mat = self._gradient(
             normal_flux, self.grad_face_slice)
 
         # --- face curl --------------------------------------------------------
         cm = -self._flux(edges, SpaceKind.CURL, self.sca[k].dim,
-                         lambda ectx: self.sca[k].eval(ectx.rule.points))
+                         lambda ectx: sample(self.sca[k], ectx.rule))
         if Rkm.dim:
-            cm[:, self.curl_R_slice] += _inner_vector(
+            cm[:, self.curl_R_slice] += ps.vector_inner(
                 gram, _rot2_of_scalar(self.sca[k].coeff, g.scale), Rkm.coeff)
         self.curl_mat = cm
 
@@ -318,16 +337,15 @@ class FaceContext(_EntityContext):
         self.serendipity_curl = sc
 
         # --- tangential trace -------------------------------------------------
-        exps = ps.monomial_exponents(2, k + 1)
-        mono_test = np.eye(len(exps))[1:]              # non-constant monomials
+        nm = ps.dim_poly(2, k + 1)
+        mono_test = np.eye(nm)[1:]                     # non-constant monomials
         rot_test = _rot2_of_scalar(mono_test, g.scale)
         M = np.vstack([ps.coords_in_vector_basis(vb, rot_test, gram),
                        Rck.coords_in(vb, gram)])
         rhs = np.vstack([
             _inner_scalar(gram, mono_test, self.sca[k].coeff) @ cm
             + self._flux(edges, SpaceKind.CURL, len(mono_test),
-                         lambda ectx: ps.mono_eval(
-                             exps, g.local_coords(ectx.rule.points))[:, 1:]),
+                         lambda ectx: sample.monomials(ectx.rule)[:, 1:nm]),
             sc])
         self.ttrace_mat = np.linalg.solve(M, rhs)
 
@@ -344,8 +362,9 @@ class CellContext(_EntityContext):
         self._place(mesh, cid, rule_degree, layouts)
         self._bases([("G", k - 1), ("Gc", k), ("Gc", k + 1)])
         faces, edges = self.traces(edge_ctx, face_ctx)
-        self._assemble(faces, edges)
-        self._products(faces, edges)
+        sample = ps.Sampler(self.geom, k + 2)
+        self._assemble(faces, edges, sample)
+        self._products(faces, edges, sample)
 
     def placed_at(self, mesh: Mesh, cid: int, layouts):
         new = super().placed_at(mesh, cid, layouts)
@@ -422,25 +441,20 @@ class CellContext(_EntityContext):
         (npts, 2, ncols) and the DIV normal component; on an edge, the GRAD
         skeleton and the CURL tangential component.
         """
-        k = self.k
         faces = []
         for f in self.face_ids:
-            fctx = face_ctx[f]
-            pts = fctx.rule.points
-            faces.append((self.face_sign[f], fctx, {
-                SpaceKind.GRAD: (fctx.sca[k + 1].eval(pts) @ fctx.trace_mat,
-                                 self.grad_face_map[f]),
-                SpaceKind.CURL: (np.einsum("pbc,bn->pcn", fctx.vb.eval(pts),
-                                           fctx.ttrace_mat),
-                                 self.curl_face_map[f]),
-                SpaceKind.DIV: (fctx.sca[k].eval(pts), self.div_face_map[f])}))
+            vals = face_ctx[f].trace_values()
+            faces.append((self.face_sign[f], face_ctx[f], {
+                SpaceKind.GRAD: (vals[SpaceKind.GRAD], self.grad_face_map[f]),
+                SpaceKind.CURL: (vals[SpaceKind.CURL], self.curl_face_map[f]),
+                SpaceKind.DIV: (vals[SpaceKind.DIV], self.div_face_map[f])}))
         edges = [(1.0, edge_ctx[e], edge_ctx[e].traces(
                       self._edge_skeleton(edge_ctx[e]), self.curl_edge_map[e]))
                  for e in self.edge_ids]
         return faces, edges
 
     # -- operator assembly ----------------------------------------------------
-    def _assemble(self, faces, edges):
+    def _assemble(self, faces, edges, sample):
         k, g, gram, vb = self.k, self.geom, self.gram, self.vb
         Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
         Rcd = self.sub["Rc", self.ell + 1]
@@ -450,20 +464,22 @@ class CellContext(_EntityContext):
         # --- element gradient, serendipity moments and gradient potential ----
         def normal_flux(sub):
             return self._flux(faces, SpaceKind.GRAD, sub.dim, lambda fctx: (
-                sub.eval(fctx.rule.points) @ fctx.face.normal))
+                sample(sub, fctx.rule) @ fctx.face.normal))
         self.serendipity_grad, self.grad_mat, self.pot_grad = self._gradient(
             normal_flux, self.grad_cell)
 
         # --- element curl -------------------------------------------------------
+        # int_F (w x n_F) . gamma_t, with w x n_F in frame components:
+        # (w x n) . a = w . (n x a) for each frame axis a
+        nxa = {fctx.face.id: np.cross(fctx.face.normal, fctx.geom.axes).T
+               for _, fctx, _ in faces}
+
         def cross_flux(w):
-            # int_F (w x n_F) . gamma_t, with w x n_F in frame components
             return self._flux(faces, SpaceKind.CURL, w.dim, lambda fctx: (
-                np.einsum("pbx,cx->pcb", np.cross(
-                    w.eval(fctx.rule.points), fctx.face.normal),
-                    fctx.geom.axes)))
+                (sample(w, fctx.rule) @ nxa[fctx.face.id]).transpose(0, 2, 1)))
         cm = cross_flux(vb)
         if Rkm.dim:
-            cm[:, self.curl_R_cell] += _inner_vector(
+            cm[:, self.curl_R_cell] += ps.vector_inner(
                 gram, _curl3_coeffs(vb.coeff, g.scale), Rkm.coeff)
         self.curl_op = cm
 
@@ -477,27 +493,27 @@ class CellContext(_EntityContext):
         M = np.vstack([ps.coords_in_vector_basis(vb, curlw, gram),
                        Rck.coords_in(vb, gram)])
         rhs = np.vstack([
-            _inner_vector(gram, cGk1.coeff, vb.coeff) @ cm - cross_flux(cGk1),
+            ps.vector_inner(gram, cGk1.coeff, vb.coeff) @ cm - cross_flux(cGk1),
             sc])
         self.pot_curl = np.linalg.solve(M, rhs)
 
         # --- divergence and its potential ----------------------------------------
         dm = self._flux(faces, SpaceKind.DIV, self.sca[k].dim,
-                        lambda fctx: self.sca[k].eval(fctx.rule.points))
+                        lambda fctx: sample(self.sca[k], fctx.rule))
         if Gkm.dim:
-            dm[:, self.div_G_cell] -= _inner_vector(
+            dm[:, self.div_G_cell] -= ps.vector_inner(
                 gram, _grad_coeffs(self.sca[k].coeff, 3, g.scale), Gkm.coeff)
         self.div_op = dm
 
-        exps = ps.monomial_exponents(3, k + 1)
-        mono_test = np.eye(len(exps))[1:]
+        nm = ps.dim_poly(3, k + 1)
+        mono_test = np.eye(nm)[1:]
         grad_test = _grad_coeffs(mono_test, 3, g.scale)
         M = np.vstack([ps.coords_in_vector_basis(vb, grad_test, gram),
                        Gck.coords_in(vb, gram)])
         rhs = np.zeros((vb.dim, self.n_div))
         rhs[:len(mono_test)] = self._flux(
-            faces, SpaceKind.DIV, len(mono_test), lambda fctx:
-            ps.mono_eval(exps, g.local_coords(fctx.rule.points))[:, 1:]
+            faces, SpaceKind.DIV, len(mono_test),
+            lambda fctx: sample.monomials(fctx.rule)[:, 1:nm]
         ) - _inner_scalar(gram, mono_test, self.sca[k].coeff) @ dm
         rhs[len(mono_test):, self.div_Gc_cell] = np.eye(Gck.dim)
         self.pot_div = np.linalg.solve(M, rhs)
@@ -524,14 +540,13 @@ class CellContext(_EntityContext):
         # evaluation caches kept small: scalar P^k basis at cell points
         self.phi_k = self.sca[k].eval(self.rule.points)
         # moment tensor int phi_i phi_j phi_l for the convective term
-        self.tri_tensor = np.einsum("p,pi,pj,pl->ijl", self.rule.weights,
-                                    self.phi_k, self.phi_k, self.phi_k,
-                                    optimize=True)
+        self.tri_tensor = _triple_moments(self.rule.weights, self.phi_k)
 
     # -- stabilised products ---------------------------------------------------
-    def _trace_diffs(self, kind, faces, edges):
+    def _trace_diffs(self, kind, faces, edges, sample):
         """Sampled differences between the kind potential and the kind
-        traces of the table (faces, edges) from :meth:`traces`.
+        traces of the table (faces, edges) from :meth:`traces`; sample is
+        a :class:`~ddrns.polyspaces.Sampler` of the cell.
 
         Returns (where, h_weight, quad_weights, operator) with the operator
         mapping local DoFs to sampled differences: (npts, 2, nloc) for the
@@ -549,12 +564,11 @@ class CellContext(_EntityContext):
                    for _, ectx, tr in edges if kind in tr]
         out = []
         for where, hw, ctx, tr, frame in pieces:
-            pts = ctx.rule.points
             if kind is SpaceKind.GRAD:
-                A = self.sca[self.k + 1].eval(pts) @ pot
+                A = sample(self.sca[self.k + 1], ctx.rule) @ pot
             else:
                 # (p, b) along a vector, (p, c, b) along the rows of a frame
-                A = np.moveaxis(self.vb.eval(pts) @ frame.T, 1, -1) @ pot
+                A = np.swapaxes(sample(self.vb, ctx.rule) @ frame.T, 1, -1) @ pot
             vals, cols = tr[kind]
             A[..., cols] -= vals
             out.append((where, hw, ctx.rule.weights, A))
@@ -563,9 +577,10 @@ class CellContext(_EntityContext):
     def curl_diffs(self, faces, edges):
         """Sampled trace differences of the curl potential on the trace table
         (faces, edges) from :meth:`traces`; see :meth:`_trace_diffs`."""
-        return self._trace_diffs(SpaceKind.CURL, faces, edges)
+        return self._trace_diffs(SpaceKind.CURL, faces, edges,
+                                 ps.Sampler(self.geom, self.k + 2))
 
-    def _products(self, faces, edges):
+    def _products(self, faces, edges, sample):
         """Cell products P^T P + s_T.  The stabilisation s_T vanishes on the
         interpolates of polynomials, so it needs no projection onto their
         complement."""
@@ -575,7 +590,8 @@ class CellContext(_EntityContext):
             # s_T = sum_b h_b int_b A_b . A_b over the trace differences A_b
             S = _boundary_term(n, n, [
                 (hw, w, A, A, slice(None))
-                for _, hw, w, A in self._trace_diffs(kind, faces, edges)])
+                for _, hw, w, A in self._trace_diffs(kind, faces, edges,
+                                                     sample)])
             setattr(self, f"product_{kind.value}", pot.T @ pot + S)
 
 
@@ -619,6 +635,30 @@ def _cell_key(mesh: Mesh, cid: int, face_class) -> tuple:
                              [mesh.faces[f].vertex_loop for f in faces],
                              c.edge_ids),
             tuple((face_class[f], sign[f]) for f in faces))
+
+
+# ---------------------------------------------------------------------------
+# interpolation
+
+
+def _at_rule_points(fun, ctxs) -> list:
+    """fun at the rule points of every context, in one call, split per
+    context."""
+    if not ctxs:
+        return []
+    vals = fun(np.concatenate([ctx.rule.points for ctx in ctxs]))
+    ends = np.cumsum([ctx.rule.n_points for ctx in ctxs])
+    return list(zip(ctxs, np.split(vals, ends[:-1])))
+
+
+def _sub_moments(ctx, vals, keys):
+    """Moments of frame-component values (npts, ncomp) at the rule points of
+    a face or cell context against its subspaces ctx.sub[key], key by key,
+    concatenated.  The monomials are sampled once for all keys."""
+    sample = ps.Sampler(ctx.geom, ctx.k + 2)
+    return np.concatenate([
+        ps.project_vector(ctx.sub[key], ctx.rule, vals,
+                          sample(ctx.sub[key], ctx.rule)) for key in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -668,23 +708,29 @@ class DdrComplex:
         return self.layouts[SpaceKind(kind)]
 
     # -- interpolators ------------------------------------------------------
-    # Each loop runs only when its DoF block is not empty, so fun is never
-    # evaluated at points whose values would be discarded.
+    # fun is called once per entity kind, on the rule points of all its
+    # entities, and only when the kind's DoF block is not empty, so it is
+    # never evaluated at points whose values would be discarded.
     def interpolate_grad(self, fun) -> DofVector:
         """I_grad: vertex values and P^{k-1}/P^{ell} moments of a scalar field.
 
         fun maps an (n, 3) array of points to (n,) values.
         """
+        k = self.k
         lay = self.layouts[SpaceKind.GRAD]
         out = DofVector.zeros(lay)
         out.values[:self.mesh.n_vertices] = fun(self.mesh.vertex_coords)
-        # edges, faces and cells alike: moments against P^{k-1} = P^{ell}
-        for ctxs, block, dofs in ((self.edges, lay.edge_block, lay.edge_dofs),
-                                  (self.faces, lay.face_block, lay.face_dofs),
+        if lay.edge_block:
+            for e, (ectx, vals) in enumerate(_at_rule_points(fun, self.edges)):
+                out.values[lay.edge_dofs(e)] = ps.project_scalar(
+                    ectx.sca[k - 1], ectx.rule, vals, ectx.basis_values(k - 1))
+        # faces and cells alike: moments against P^{k-1} = P^{ell}
+        for ctxs, block, dofs in ((self.faces, lay.face_block, lay.face_dofs),
                                   (self.cells, lay.cell_block, lay.cell_dofs)):
-            for i, ctx in enumerate(ctxs if block else []):
+            for i, (ctx, vals) in enumerate(
+                    _at_rule_points(fun, ctxs) if block else []):
                 out.values[dofs(i)] = ps.project_scalar(
-                    ctx.sca[self.k - 1], ctx.rule, fun(ctx.rule.points))
+                    ctx.sca[k - 1], ctx.rule, vals)
         return out
 
     def interpolate_curl(self, fun) -> DofVector:
@@ -693,19 +739,18 @@ class DdrComplex:
         k = self.k
         lay = self.layouts[SpaceKind.CURL]
         out = DofVector.zeros(lay)
-        for e, ectx in enumerate(self.edges):
+        for e, (ectx, vals) in enumerate(_at_rule_points(fun, self.edges)):
             out.values[lay.edge_dofs(e)] = ps.project_scalar(
-                ectx.sca[k], ectx.rule, fun(ectx.rule.points) @ ectx.edge.tangent)
-        for ctxs, block, subblock in ((self.faces, lay.face_block,
-                                       lay.face_subblock),
-                                      (self.cells, lay.cell_block,
-                                       lay.cell_subblock)):
-            for i, ctx in enumerate(ctxs if block else []):
+                ectx.sca[k], ectx.rule, vals @ ectx.edge.tangent,
+                ectx.basis_values(k))
+        for ctxs, block, dofs in ((self.faces, lay.face_block, lay.face_dofs),
+                                  (self.cells, lay.cell_block, lay.cell_dofs)):
+            for i, (ctx, vals) in enumerate(
+                    _at_rule_points(fun, ctxs) if block else []):
                 # frame components: tangential on a face, all three on a cell
-                vals = fun(ctx.rule.points) @ ctx.geom.axes.T
-                for which, key in enumerate((("R", k - 1), ("Rc", ctx.ell + 1))):
-                    out.values[subblock(i, which)] = ps.project_vector(
-                        ctx.sub[key], ctx.rule, vals)
+                out.values[dofs(i)] = _sub_moments(
+                    ctx, vals @ ctx.geom.axes.T,
+                    (("R", k - 1), ("Rc", ctx.ell + 1)))
         return out
 
     def interpolate_div(self, fun) -> DofVector:
@@ -713,14 +758,13 @@ class DdrComplex:
         k = self.k
         lay = self.layouts[SpaceKind.DIV]
         out = DofVector.zeros(lay)
-        for f, fctx in enumerate(self.faces):
+        for f, (fctx, vals) in enumerate(_at_rule_points(fun, self.faces)):
             out.values[lay.face_dofs(f)] = ps.project_scalar(
-                fctx.sca[k], fctx.rule, fun(fctx.rule.points) @ fctx.face.normal)
-        for c, cctx in enumerate(self.cells if lay.cell_block else []):
-            vals = fun(cctx.rule.points)
-            for which, key in enumerate((("G", k - 1), ("Gc", k))):
-                out.values[lay.cell_subblock(c, which)] = ps.project_vector(
-                    cctx.sub[key], cctx.rule, vals)
+                fctx.sca[k], fctx.rule, vals @ fctx.face.normal)
+        for c, (cctx, vals) in enumerate(
+                _at_rule_points(fun, self.cells) if lay.cell_block else []):
+            out.values[lay.cell_dofs(c)] = _sub_moments(
+                cctx, vals, (("G", k - 1), ("Gc", k)))
         return out
 
     # -- global differential operators ---------------------------------------

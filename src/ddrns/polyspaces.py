@@ -11,6 +11,37 @@ with G/R the images of grad/rot (faces) or grad/curl (cells) and Gc/Rc the
 complements generated by contraction with ``x - x_Y``.  The splits are direct,
 not orthogonal; each factor gets its own orthonormal basis, extracted from
 the generating family by SVD with a relative singular-value cutoff.
+
+Set-up cost.  On meshes without congruent entities every face and cell
+builds its bases and local operators itself, so the per-entity kernels
+here set the cost of ``DdrComplex``:
+
+- Inner products of vector polynomials are two reshaped matmuls
+  (:func:`vector_inner`), with no einsum path search per call.
+- A generating family depends on the chart only through its scale, and
+  its entries are 0 or integers, so the unit-scale family is cached per
+  (dim, selector, degree) and scaled by 1/h or h, bit for bit.
+- A :class:`Sampler` samples an entity's monomials once per point set at a
+  top degree; the exponent tables are graded, so each basis reads its
+  values off the leading columns.
+
+On 384 jittered Kuhn tets at k=1 (2-CPU machine, traced) these took the
+face builds from 6.6 to 3.1 s, the cell builds from 9.9 to 4.9 s and the
+bases within them from 5.8 to 2.9 s.
+
+The SVD input of :func:`build_subspace` is the one exception to the
+matmul kernels, and its contraction order is pinned.  The singular values
+of a generating family's coordinates are often equal (R^0 on a cell has
+three equal ones), and then the singular vectors of equal values are
+fixed only up to a rotation that the last bits of the input decide.  A
+contraction in another order moves those bits and turns the extracted
+basis, which rewrites the operators in other DoF coordinates (``pot_curl``
+and ``uC`` of jittered tets moved by 2.0 relative in such a trial).  So
+the coordinates are computed along the same contraction path as
+``np.einsum(..., optimize=True)``, and :func:`scalar_monomial_gram` and
+:func:`build_scalar_basis` keep their arithmetic.  A canonical basis of
+each subspace that does not come from an SVD of geometry-dependent input
+would lift this constraint (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -190,9 +221,11 @@ class ScalarBasis:
         return self.coeff.shape[0]
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        xi = self.geom.local_coords(points)
-        exps = monomial_exponents(self.geom.dim, self.degree)
-        return mono_eval(exps, xi) @ self.coeff.T
+        return self.values(sample_monomials(self.geom, self.degree, points))
+
+    def values(self, mono: np.ndarray) -> np.ndarray:
+        """Values from monomials (npts, >= nm) sampled in this chart."""
+        return mono[:, :self.coeff.shape[1]] @ self.coeff.T
 
 
 @dataclass
@@ -210,11 +243,14 @@ class VectorBasis:
         return self.coeff.shape[0]
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        xi = self.geom.local_coords(points)
-        exps = monomial_exponents(self.geom.dim, self.degree)
+        return self.values(sample_monomials(self.geom, self.degree, points))
+
+    def values(self, mono: np.ndarray) -> np.ndarray:
+        """Values (npts, nb, ncomp) from monomials (npts, >= nm) sampled in
+        this chart."""
         nb, nm, nc = self.coeff.shape
         flat = self.coeff.transpose(1, 0, 2).reshape(nm, nb * nc)
-        return (mono_eval(exps, xi) @ flat).reshape(len(xi), nb, nc)
+        return (mono[:, :nm] @ flat).reshape(len(mono), nb, nc)
 
     def eval3d(self, points: np.ndarray) -> np.ndarray:
         vals = self.eval(points)
@@ -270,6 +306,40 @@ def tensor_vector_basis(sb: ScalarBasis, ncomp: int) -> VectorBasis:
     return VectorBasis(sb.geom, sb.degree, ncomp, coeff)
 
 
+def sample_monomials(geom: EntityGeometry, degree: int,
+                     points: np.ndarray) -> np.ndarray:
+    """Scaled monomials of degree <= degree of the chart at points."""
+    return mono_eval(monomial_exponents(geom.dim, degree),
+                     geom.local_coords(points))
+
+
+class Sampler:
+    """Values of one entity's bases at the rule points of itself or of its
+    boundary pieces.
+
+    The monomials of the chart are sampled once per rule, at a top degree;
+    the exponent tables are graded, so every basis up to that degree reads
+    its monomials off the leading columns.  A sampler lives as long as the
+    assembly that uses it.
+    """
+
+    def __init__(self, geom: EntityGeometry, degree: int):
+        self.geom = geom
+        self.degree = degree
+        self._mono = {}   # id(rule) -> (rule, samples); the rule pins the id
+
+    def monomials(self, rule: QuadratureRule) -> np.ndarray:
+        hit = self._mono.get(id(rule))
+        if hit is None:
+            hit = self._mono[id(rule)] = (rule, sample_monomials(
+                self.geom, self.degree, rule.points))
+        return hit[1]
+
+    def __call__(self, basis, rule: QuadratureRule) -> np.ndarray:
+        """basis (scalar or vector, of degree <= the top) at rule's points."""
+        return basis.values(self.monomials(rule))
+
+
 def scalar_monomial_gram(geom: EntityGeometry, degree: int,
                          rule: QuadratureRule) -> np.ndarray:
     exps = monomial_exponents(geom.dim, degree)
@@ -277,12 +347,22 @@ def scalar_monomial_gram(geom: EntityGeometry, degree: int,
     return mono.T @ (rule.weights[:, None] * mono)
 
 
+def vector_inner(gram: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<a_i, b_j> for vector polynomials A (na, ma, ncomp) and B (nb, mb,
+    ncomp), rows of monomial coefficients, against the monomial Gram:
+    ``einsum("imc,mn,jnc->ij", A, G, B)`` as two matmuls."""
+    na, ma, nc = A.shape
+    nb, mb, _ = B.shape
+    GA = gram[:ma, :mb].T @ A.transpose(1, 0, 2).reshape(ma, na * nc)
+    GA = GA.reshape(mb, na, nc).transpose(1, 2, 0).reshape(na, nc * mb)
+    return GA @ B.transpose(2, 1, 0).reshape(nc * mb, nb)
+
+
 def coords_in_vector_basis(vb: VectorBasis, coeff: np.ndarray,
                            gram: np.ndarray) -> np.ndarray:
     """Inner products of vector polynomials (nf, nm, ncomp) against an
     orthonormal vector basis of the same entity -> (nf, nb)."""
-    G = gram[:coeff.shape[1], :vb.coeff.shape[1]]
-    return np.einsum("fmc,mn,bnc->fb", coeff, G, vb.coeff, optimize=True)
+    return vector_inner(gram, coeff, vb.coeff)
 
 
 @lru_cache(maxsize=None)
@@ -298,10 +378,22 @@ def _deg_of(space_dim: int, nm: int) -> int:
 # split subspaces
 
 def _generating_family(geom: EntityGeometry, selector: str, degree: int):
-    """Monomial coefficients (nf, nm, ncomp) of the defining generating set."""
-    d = geom.dim
+    """Monomial coefficients (nf, nm, ncomp) of the defining generating set.
+
+    The family of a unit chart scaled by 1/h (gradients and rotors of
+    monomials) or by h (the x - x_Y complements): every entry of the unit
+    family is 0 or an integer, so the scaled family is the one computed
+    at scale h, bit for bit."""
+    unit = _unit_family(geom.dim, selector, degree)
+    if selector in ("G", "R"):
+        return unit / geom.scale
+    return unit * geom.scale
+
+
+@lru_cache(maxsize=None)
+def _unit_family(d: int, selector: str, degree: int) -> np.ndarray:
+    """The generating family on a chart of scale h = 1 (read-only)."""
     l = degree
-    h = geom.scale
     if d == 2:
         ncomp = 2
     elif d == 3:
@@ -313,7 +405,7 @@ def _generating_family(geom: EntityGeometry, selector: str, degree: int):
     if selector == "G" or (selector == "R" and d == 2):
         exps_src = monomial_exponents(d, l + 1)
         nm_out = len(monomial_exponents(d, max(l, 0)))
-        D = [deriv_matrix(d, l + 1, a) / h for a in range(d)]
+        D = [deriv_matrix(d, l + 1, a) for a in range(d)]
         for i in range(len(exps_src)):
             if exps_src[i].sum() == 0:
                 continue
@@ -327,7 +419,7 @@ def _generating_family(geom: EntityGeometry, selector: str, degree: int):
     elif selector == "R" and d == 3:
         exps_src = monomial_exponents(3, l + 1)
         nm_out = len(monomial_exponents(3, max(l, 0)))
-        D = [deriv_matrix(3, l + 1, a) / h for a in range(3)]
+        D = [deriv_matrix(3, l + 1, a) for a in range(3)]
         for i in range(len(exps_src)):
             if exps_src[i].sum() == 0:
                 continue
@@ -349,22 +441,45 @@ def _generating_family(geom: EntityGeometry, selector: str, degree: int):
                 e[i] = 1.0
                 xi_m = [np.pad(Ra @ e, (0, pad)) for Ra in R]  # xi_a * m
                 if d == 2:
-                    if selector == "Rc":    # (x - x_F) m
-                        members.append(h * np.stack([xi_m[0], xi_m[1]], axis=-1))
-                    else:                   # (x - x_F)^perp m = h (xi2, -xi1) m
-                        members.append(h * np.stack([xi_m[1], -xi_m[0]], axis=-1))
+                    if selector == "Rc":    # (x - x_F) m / h
+                        members.append(np.stack([xi_m[0], xi_m[1]], axis=-1))
+                    else:                   # (x - x_F)^perp m / h = (xi2, -xi1) m
+                        members.append(np.stack([xi_m[1], -xi_m[0]], axis=-1))
                 else:
                     zero = np.zeros_like(xi_m[0])
                     if selector == "Rc":
-                        members.append(h * np.stack(xi_m, axis=-1))
-                    else:  # (x - x_T) x (m e_a) for a = x, y, z
-                        members.append(h * np.stack([zero, xi_m[2], -xi_m[1]], axis=-1))
-                        members.append(h * np.stack([-xi_m[2], zero, xi_m[0]], axis=-1))
-                        members.append(h * np.stack([xi_m[1], -xi_m[0], zero], axis=-1))
+                        members.append(np.stack(xi_m, axis=-1))
+                    else:  # (x - x_T) x (m e_a) / h for a = x, y, z
+                        members.append(np.stack([zero, xi_m[2], -xi_m[1]], axis=-1))
+                        members.append(np.stack([-xi_m[2], zero, xi_m[0]], axis=-1))
+                        members.append(np.stack([xi_m[1], -xi_m[0], zero], axis=-1))
     if not members:
         nm = len(monomial_exponents(d, max(l, 0)))
-        return np.zeros((0, nm, ncomp))
-    return np.array(members)
+        members = np.zeros((0, nm, ncomp))
+    family = np.array(members)
+    family.flags.writeable = False
+    return family
+
+
+_SVD_INPUT = "fmc,mn,bnc->fb"
+
+
+@lru_cache(maxsize=None)
+def _svd_input_path(*shapes):
+    return tuple(np.einsum_path(_SVD_INPUT, *(np.empty(s) for s in shapes),
+                                optimize=True)[0])
+
+
+def _svd_input(family, gram, parent_coeff):
+    """Coordinates of the family in the parent basis, computed as
+    ``np.einsum(..., optimize=True)`` computes them: along the contraction
+    path that numpy's search picks for these shapes, searched once per
+    shape.  The paths differ between shapes, and so do their roundings; the
+    SVD of these coordinates picks the subspace basis (see the module
+    docstring)."""
+    G = gram[:family.shape[1], :parent_coeff.shape[1]]
+    path = _svd_input_path(family.shape, G.shape, parent_coeff.shape)
+    return np.einsum(_SVD_INPUT, family, G, parent_coeff, optimize=path)
 
 
 def build_subspace(geom: EntityGeometry, selector: str, degree: int,
@@ -386,7 +501,7 @@ def build_subspace(geom: EntityGeometry, selector: str, degree: int,
         return VectorBasis(geom, parent.degree, parent.ncomp,
                            np.zeros((0, nm_parent, parent.ncomp)), selector,
                            np.zeros((0, parent.dim)))
-    coords = coords_in_vector_basis(parent, family, gram)
+    coords = _svd_input(family, gram, parent.coeff)
     _, sv, vt = np.linalg.svd(coords, full_matrices=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0]))
     if rank != expected:
@@ -401,14 +516,18 @@ def build_subspace(geom: EntityGeometry, selector: str, degree: int,
 # quadrature-based projections
 
 def project_scalar(sb: ScalarBasis, rule: QuadratureRule,
-                   values: np.ndarray) -> np.ndarray:
-    """L2-orthogonal projection coefficients of sampled values."""
-    phi = sb.eval(rule.points)
+                   values: np.ndarray, phi: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """L2-orthogonal projection coefficients of sampled values; phi is the
+    basis at the rule points, when the caller has sampled it."""
+    phi = sb.eval(rule.points) if phi is None else phi
     return phi.T @ (rule.weights * values)
 
 
 def project_vector(vb: VectorBasis, rule: QuadratureRule,
-                   values: np.ndarray) -> np.ndarray:
-    """values: (npts, ncomp) in the entity frame -> coefficients (nb,)."""
-    phi = vb.eval(rule.points)
+                   values: np.ndarray, phi: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """values: (npts, ncomp) in the entity frame -> coefficients (nb,); phi
+    as in :func:`project_scalar`."""
+    phi = vb.eval(rule.points) if phi is None else phi
     return np.einsum("pbc,pc->b", phi, rule.weights[:, None] * values)

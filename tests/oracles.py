@@ -5,8 +5,10 @@ machinery: monomial integrals over simplices are closed-form (barycentric
 multinomial expansion plus the Dirichlet formula), entities are decomposed
 by fans anchored at a vertex rather than at the library's anchor points,
 and projections are recomputed by raw monomial normal equations.  The
-Newton kernels at the end are the cell-by-cell loops that the solver's
-batched kernels are checked against.
+Newton kernels are the cell-by-cell loops that the solver's batched kernels
+are checked against.  The set-up references at the end are the
+``np.einsum`` contractions, generating families and per-entity
+interpolators that the set-up kernels of ddrns are checked against.
 """
 
 import math
@@ -14,7 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from ddrns.spaces import SpaceKind
+from ddrns import polyspaces as ps
+from ddrns.spaces import DofVector, SpaceKind
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -267,3 +270,106 @@ def newton_step(s, x, R, with_convection=True, shift=0.0):
     for g_int, g_ret, KII, KIG, rI in back:
         delta[g_int] = np.linalg.solve(KII, rI - KIG @ delta[g_ret])
     return delta
+
+
+# ---------------------------------------------------------------------------
+# set-up references
+
+def einsum_vector_inner(gram, A, B):
+    """<a_i, b_j> of vector polynomials by one optimised einsum."""
+    return np.einsum("imc,mn,jnc->ij", A, gram[:A.shape[1], :B.shape[1]], B,
+                     optimize=True)
+
+
+def einsum_triple_moments(weights, phi):
+    return np.einsum("p,pi,pj,pl->ijl", weights, phi, phi, phi, optimize=True)
+
+
+def svd_input(family, gram, parent_coeff):
+    """Coordinates of a generating family in its parent basis, as the
+    optimised einsum computes them."""
+    G = gram[:family.shape[1], :parent_coeff.shape[1]]
+    return np.einsum("fmc,mn,bnc->fb", family, G, parent_coeff, optimize=True)
+
+
+def generating_family(geom, selector, degree):
+    """The generating family of G/Gc/R/Rc^degree built at the chart's own
+    scale h, member by member: gradients (faces: also rotors) or curls of the
+    non-constant monomials of degree + 1, or (x - x_Y) times, crossed with
+    or turned by, the monomials of degree - 1."""
+    d, l, h = geom.dim, degree, geom.scale
+    members = []
+    if selector in ("G", "R"):
+        nm_src = len(ps.monomial_exponents(d, l + 1))
+        nm_out = len(ps.monomial_exponents(d, max(l, 0)))
+        D = [ps.deriv_matrix(d, l + 1, a) / h for a in range(d)]
+        for i in range(1, nm_src):
+            g = [Da[:, i] for Da in D]
+            zero = np.zeros_like(g[0])
+            if selector == "G":
+                members.append(np.stack(g, axis=-1)[:nm_out])
+            elif d == 2:
+                members.append(np.stack([g[1], -g[0]], axis=-1)[:nm_out])
+            else:
+                members += [np.stack(c, axis=-1)[:nm_out] for c in (
+                    [zero, g[2], -g[1]], [-g[2], zero, g[0]],
+                    [g[1], -g[0], zero])]
+    elif l >= 1:
+        nm_out = len(ps.monomial_exponents(d, l))
+        R = [ps.raise_matrix(d, l - 1, a) for a in range(d)]
+        for i in range(R[0].shape[1]):
+            x = [np.pad(Ra[:, i], (0, nm_out - len(Ra))) for Ra in R]
+            zero = np.zeros_like(x[0])
+            if selector == "Rc":
+                members.append(h * np.stack(x, axis=-1))
+            elif d == 2:
+                members.append(h * np.stack([x[1], -x[0]], axis=-1))
+            else:
+                members += [h * np.stack(c, axis=-1) for c in (
+                    [zero, x[2], -x[1]], [-x[2], zero, x[0]],
+                    [x[1], -x[0], zero])]
+    if not members:
+        return np.zeros((0, len(ps.monomial_exponents(d, max(l, 0))), d))
+    return np.array(members)
+
+
+def interpolate_per_entity(cx, kind, fun):
+    """I_grad, I_curl or I_div of fun with one call of fun and one basis
+    evaluation per entity and subspace."""
+    k, lay = cx.k, cx.layouts[kind]
+    out = DofVector.zeros(lay)
+
+    def scalar(ctx, sb, vals):
+        return ps.project_scalar(sb, ctx.rule, vals)
+
+    def vector(ctx, keys, vals):
+        return np.concatenate([ps.project_vector(ctx.sub[key], ctx.rule, vals)
+                               for key in keys])
+
+    if kind is SpaceKind.GRAD:
+        out.values[:cx.mesh.n_vertices] = fun(cx.mesh.vertex_coords)
+        blocks = [(ctxs, block, dofs,
+                   lambda ctx, v: scalar(ctx, ctx.sca[k - 1], v))
+                  for ctxs, block, dofs in (
+                      (cx.edges, lay.edge_block, lay.edge_dofs),
+                      (cx.faces, lay.face_block, lay.face_dofs),
+                      (cx.cells, lay.cell_block, lay.cell_dofs))]
+    elif kind is SpaceKind.CURL:
+        blocks = [
+            (cx.edges, lay.edge_block, lay.edge_dofs, lambda ctx, v:
+             scalar(ctx, ctx.sca[k], v @ ctx.edge.tangent)),
+            *[(ctxs, block, dofs, lambda ctx, v: vector(
+                ctx, (("R", k - 1), ("Rc", ctx.ell + 1)), v @ ctx.geom.axes.T))
+              for ctxs, block, dofs in (
+                  (cx.faces, lay.face_block, lay.face_dofs),
+                  (cx.cells, lay.cell_block, lay.cell_dofs))]]
+    else:
+        blocks = [
+            (cx.faces, lay.face_block, lay.face_dofs, lambda ctx, v:
+             scalar(ctx, ctx.sca[k], v @ ctx.face.normal)),
+            (cx.cells, lay.cell_block, lay.cell_dofs, lambda ctx, v:
+             vector(ctx, (("G", k - 1), ("Gc", k)), v))]
+    for ctxs, block, dofs, moments in blocks:
+        for i, ctx in enumerate(ctxs if block else []):
+            out.values[dofs(i)] = moments(ctx, fun(ctx.rule.points))
+    return out

@@ -1,0 +1,142 @@
+"""The set-up kernels of DdrComplex against their references in oracles.py.
+
+The inner products and moment tensors are reshaped matmuls; they must
+agree with one optimised ``np.einsum`` to rounding, also on blocks with no
+rows (empty subspaces at k = 0).  The coordinates that the SVD of
+``build_subspace`` reads must equal, bit for bit, those of the optimised
+einsum on the uncached generating family: where singular values are equal,
+a change in the last bit of that input turns the extracted basis.  The
+interpolators call the field once per entity kind and must agree with the
+per-entity loops.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import get_mesh, pentagon_prism_mesh, random_tet_mesh
+from ddrns import polyspaces as ps
+from ddrns.operators import DdrComplex, _triple_moments
+from ddrns.solutions import TrigSolution
+from ddrns.spaces import SpaceKind
+
+RNG_SEED = 20261018
+
+
+def assert_close(a, b, rtol=1e-13):
+    assert a.shape == b.shape
+    if b.size:
+        assert np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("ncomp", [2, 3])
+def test_vector_inner_matches_einsum(ncomp):
+    rng = np.random.default_rng(RNG_SEED + ncomp)
+    for _ in range(40):
+        na, nb = rng.integers(0, 8, size=2)
+        ma, mb = rng.integers(1, 12, size=2)
+        M = rng.standard_normal((12, 12))
+        gram = M @ M.T
+        A = rng.standard_normal((na, ma, ncomp))
+        B = rng.standard_normal((nb, mb, ncomp))
+        ref = oracles.einsum_vector_inner(gram, A, B)
+        assert_close(ps.vector_inner(gram, A, B), ref)
+        vb = ps.VectorBasis(None, 0, ncomp, B)
+        assert_close(ps.coords_in_vector_basis(vb, A, gram), ref)
+
+
+def test_vector_inner_on_empty_blocks():
+    rng = np.random.default_rng(RNG_SEED)
+    gram = np.eye(10)
+    for A, B in [(np.zeros((0, 6, 2)), rng.standard_normal((4, 10, 2))),
+                 (rng.standard_normal((3, 6, 3)), np.zeros((0, 10, 3))),
+                 (np.zeros((0, 1, 3)), np.zeros((0, 4, 3)))]:
+        out = ps.vector_inner(gram, A, B)
+        assert out.shape == (len(A), len(B))
+        assert not out.any()
+
+
+def test_triple_moments_match_einsum():
+    rng = np.random.default_rng(RNG_SEED)
+    for npts, n in [(1, 1), (7, 4), (40, 10), (5, 0), (960, 4)]:
+        phi = rng.standard_normal((npts, n))
+        w = rng.uniform(0.1, 1.0, npts)
+        assert_close(_triple_moments(w, phi),
+                     oracles.einsum_triple_moments(w, phi))
+
+
+def test_sampler_matches_eval():
+    mesh = pentagon_prism_mesh()
+    cx = DdrComplex(mesh, 2)
+    cctx = cx.cells[0]
+    sample = ps.Sampler(cctx.geom, 4)
+    for fctx in cx.faces:
+        for basis in (cctx.sca[1], cctx.sca[3], cctx.vb, cctx.sub["R", 2]):
+            assert_close(sample(basis, fctx.rule),
+                         basis.eval(fctx.rule.points), 1e-14)
+    assert sample.monomials(cx.faces[0].rule) is sample.monomials(
+        cx.faces[0].rule)
+
+
+SVD_MESHES = {"cubic1": lambda: get_mesh("cubic", 1),
+              "kuhn1": lambda: get_mesh("tet", 1),
+              "pentagon_prism": pentagon_prism_mesh,
+              "random_tet": random_tet_mesh}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mesh", list(SVD_MESHES))
+def test_svd_input_is_the_einsum_contraction(mesh, k, monkeypatch):
+    """Every subspace: the cached family equals the one built at scale h, the
+    SVD reads exactly the optimised einsum of it, and the kept rows are
+    those of the SVD of that einsum."""
+    calls, svd_inputs = [], []
+    build, svd = ps.build_subspace, np.linalg.svd
+
+    def recording_build(geom, selector, degree, parent, gram):
+        before = len(svd_inputs)
+        sub = build(geom, selector, degree, parent, gram)
+        calls.append((geom, selector, degree, parent, gram, sub,
+                      svd_inputs[before] if len(svd_inputs) > before else None))
+        return sub
+
+    def recording_svd(a, *args, **kwargs):
+        svd_inputs.append(np.array(a, copy=True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(ps, "build_subspace", recording_build)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    DdrComplex(SVD_MESHES[mesh](), k)
+    monkeypatch.undo()
+
+    assert calls
+    for geom, selector, degree, parent, gram, sub, seen in calls:
+        family = oracles.generating_family(geom, selector, degree)
+        assert np.array_equal(ps._generating_family(geom, selector, degree),
+                              family), (selector, degree)
+        if sub.dim == 0:
+            assert seen is None
+            continue
+        ref = oracles.svd_input(family, gram, parent.coeff)
+        assert np.array_equal(seen, ref), (geom.kind, selector, degree)
+        _, _, vt = svd(ref, full_matrices=False)
+        assert np.array_equal(sub.parent_coords, vt[:sub.dim])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_interpolators_call_fun_once_per_kind(k):
+    cx = DdrComplex(get_mesh("tet", 1), k)
+    sol = TrigSolution(nu=1.0, lam=3.0)
+    for kind, fun in ((SpaceKind.GRAD, sol.pressure),
+                      (SpaceKind.CURL, sol.forcing),
+                      (SpaceKind.DIV, sol.velocity)):
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return fun(pts)
+
+        got = getattr(cx, f"interpolate_{kind.value}")(counted)
+        ref = oracles.interpolate_per_entity(cx, kind, fun)
+        assert len(calls) <= 4      # vertices, edges, faces, cells
+        assert_close(got.values, ref.values, 1e-15)
