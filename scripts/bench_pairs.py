@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, written to BENCH_<tag>.json.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload robust-cubic-k0 --seeds 801-810 --tag pr8 \\
+        --claim "median setup_s on robust-cubic-k0 at least 35% below the parent's"
+
+For each seed, `bench/run.py` of both checkouts runs the workload once
+untraced (``--trace 0``), each from its own directory; which side runs
+first alternates from seed to seed.  Then each side runs seed 1 once
+traced (``--trace 1``).  Per workload the file records the seeds, the side
+that ran first, every run's end-to-end metrics, their medians, the
+parent's interquartile range, the number of pairs the change wins, and the
+traced per-layer figures.  Workloads already in an existing
+BENCH_<tag>.json are kept, so several invocations fill one file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'801-810' or '801,805,809' (ranges and lists may be mixed)."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One bench/run.py invocation; its last output line as a dict."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+           str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(len(p.read_text().splitlines())
+               for p in (checkout / "src" / "ddrns").glob("*.py"))
+
+
+def summarise(metric: dict, better: str) -> dict:
+    """Medians, parent IQR and change wins of one metric's paired runs."""
+    p, c = metric["parent_runs"], metric["change_runs"]
+    pm, cm = statistics.median(p), statistics.median(c)
+    wins = sum((ci < pi) if better == "lower" else (ci > pi) for pi, ci in zip(p, c))
+    return {"parent_median": round(pm, 4), "change_median": round(cm, 4),
+            "relative_change": round((cm - pm) / pm, 4), "change_wins": wins,
+            "parent_iqr": round(float(np.percentile(p, 75) - np.percentile(p, 25)), 4),
+            "parent_runs": p, "change_runs": c}
+
+
+def measure(checkouts: dict, workload: str, seeds: list[int], seconds: float,
+            spec: dict) -> dict:
+    metrics = {m["name"]: {"parent_runs": [], "change_runs": []}
+               for m in spec["end_to_end"]}
+    first, correct, failed = {}, True, dict.fromkeys(SIDES, 0)
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first[str(seed)] = order[0]
+        for side in order:
+            rec = run(checkouts[side], workload, seed, seconds, trace=0)
+            correct &= bool(rec["correct"])
+            failed[side] += rec["failed"]
+            for name, runs in metrics.items():
+                runs[f"{side}_runs"].append(round(rec["metrics"][name]["value"], 4))
+            print(f"{workload} seed {seed} {side}: " + ", ".join(
+                f"{n}={rec['metrics'][n]['value']:.4g}" for n in metrics),
+                file=sys.stderr, flush=True)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    traced = {}
+    for side in SIDES:
+        rec = run(checkouts[side], workload, 1, seconds, trace=1)
+        traced[side] = {n: round(v["value"], 4) for n, v in rec["metrics"].items()}
+    return {"seeds": seeds, "first": first, "all_correct": correct,
+            "failed": failed,
+            "metrics": {n: summarise(m, better[n]) for n, m in metrics.items()},
+            "traced_seed1": traced}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--seeds", type=parse_seeds, required=True)
+    p.add_argument("--tag", required=True)
+    p.add_argument("--claim", default="")
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--out", type=Path, default=Path("."))
+    args = p.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    path = args.out / f"BENCH_{args.tag}.json"
+    record = json.loads(path.read_text()) if path.is_file() else {}
+    record.update({
+        "tag": args.tag,
+        "claim": args.claim or record.get("claim", ""),
+        "machine": (f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
+                    f"Python {platform.python_version()}, numpy {np.__version__}, "
+                    f"scipy {scipy.__version__}"),
+        "command": ("python3 bench/run.py --workload <w> --seed <n> "
+                    f"--seconds {args.seconds:g} --trace <t>"),
+        "src_lines": {side: src_lines(c) for side, c in checkouts.items()},
+    })
+    workloads = record.setdefault("workloads", {})
+    for workload in args.workload:
+        workloads[workload] = measure(checkouts, workload, args.seeds,
+                                      args.seconds, spec)
+        path.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

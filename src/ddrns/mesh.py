@@ -11,6 +11,20 @@ orientations are stored as signs:
   where ``n_FE = n_F x t_E`` completes ``(t_E, n_FE, n_F)`` to a right-handed
   triple.
 
+:func:`build_mesh` checks the tables before any geometry: coordinate shape,
+id ranges, loops of at least three distinct vertices, distinct faces in each
+cell.  The geometry is then computed in array passes: one over all edges,
+one per loop length over the faces, and one over all cell-face incidences
+for cell volumes, centroids and diameters.  Sums that accumulate over the
+triangles or faces of an entity are added in the entity's own order
+(:func:`_ordered_sums`), and dot products run the kernel of ``np.dot``, so
+each stored float is the one a computation of that entity alone gives, bit
+for bit (the per-entity construction in ``tests/oracles.py`` is the
+reference).  Only the orientation walk over each cell's face graph is a
+Python loop, over ints.  :func:`_validate` runs each check as one pass over
+all edges, faces or cells; the winding-number tests of a cell (its anchor
+and one point per face) take one kernel call.
+
 Meshes are immutable after construction and safe for concurrent reads.
 """
 
@@ -132,77 +146,84 @@ class Mesh:
 
 
 # ---------------------------------------------------------------------------
-# geometry helpers
+# batched geometry kernels
 
 
-def _newell_normal(pts: np.ndarray) -> np.ndarray:
-    nxt = np.roll(pts, -1, axis=0)
-    n = np.sum(np.cross(pts, nxt), axis=0)
-    nrm = np.linalg.norm(n)
-    if nrm == 0.0:
-        raise MeshError("degenerate face loop (zero Newell normal)")
-    return n / nrm
+def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis: the products and differences of
+    np.cross, so the same bits, without its per-call axis handling."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0],
+                    axis=-1)
 
 
-def _polygon_area_centroid(pts: np.ndarray, normal: np.ndarray):
-    p0 = pts[0]
-    area = 0.0
-    centroid = np.zeros(3)
-    for i in range(1, len(pts) - 1):
-        a = 0.5 * np.dot(np.cross(pts[i] - p0, pts[i + 1] - p0), normal)
-        area += a
-        centroid += a * (p0 + pts[i] + pts[i + 1]) / 3.0
-    if area <= 0.0:
-        raise MeshError("non-positive face area (loop orientation inconsistent)")
-    return area, centroid / area
+def _norm(v: np.ndarray) -> np.ndarray:
+    # np.vecdot runs the kernel of np.dot, so each row's norm carries the
+    # bits of np.linalg.norm applied to that row alone
+    return np.sqrt(np.vecdot(v, v))
 
 
-def _point_in_polygon(point: np.ndarray, loop_pts: np.ndarray, frame: np.ndarray,
-                      anchor: np.ndarray) -> bool:
-    # crossing-number test in the in-plane frame
-    q = (loop_pts - anchor) @ frame.T
-    p = (point - anchor) @ frame.T
-    inside = False
-    n = len(q)
-    for i in range(n):
-        a, b = q[i], q[(i + 1) % n]
-        if (a[1] > p[1]) != (b[1] > p[1]):
-            x_cross = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
-            if x_cross > p[0]:
-                inside = not inside
-    return inside
+def _pair_diameters(pts: np.ndarray) -> np.ndarray:
+    """Largest vertex distance of each (m, n, 3) point set."""
+    i, j = np.triu_indices(pts.shape[1], 1)
+    return _norm(pts[:, i] - pts[:, j]).max(axis=1)
 
 
-def _winding_number(point: np.ndarray, tri_list: np.ndarray) -> float:
-    # sum of signed solid angles over oriented boundary triangles, / 4*pi
-    a = tri_list[:, 0] - point
-    b = tri_list[:, 1] - point
-    c = tri_list[:, 2] - point
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
-    lc = np.linalg.norm(c, axis=1)
-    num = np.einsum("ij,ij->i", a, np.cross(b, c))
-    den = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
-           + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", a, c) * lb)
-    return float(np.sum(2.0 * np.arctan2(num, den))) / (4.0 * np.pi)
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges [start, start + count)."""
+    first = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) - np.repeat(first - starts, counts)
 
 
-def _cell_boundary_triangles(mesh_faces, cell: Cell, vcoords) -> np.ndarray:
-    tris = []
-    for fid, sgn in zip(cell.faces, cell.face_signs):
-        f = mesh_faces[fid]
-        pts = vcoords[f.vertex_loop]
-        for i in range(len(pts)):
-            tri = [f.anchor, pts[i], pts[(i + 1) % len(pts)]]
-            tris.append(tri if sgn > 0 else tri[::-1])
-    return np.array(tris)
+def _ordered_sums(terms: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the terms of each owner, added left to right in the given
+    order (owners contiguous), as a loop over one owner's terms adds them."""
+    counts = np.bincount(owner, minlength=n)
+    pos = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.zeros((n, max(counts.max(initial=0), 1)) + terms.shape[1:])
+    table[owner, pos] = terms
+    return np.cumsum(table, axis=1)[:, -1]
+
+
+def loop_segments(loops) -> tuple[list[int], list[int]]:
+    """First and second vertex of every segment of the given vertex loops,
+    loop by loop: segment i of a loop runs from its vertex i to vertex i+1."""
+    cur = [v for loop in loops for v in loop]
+    nxt = [v for loop in loops for v in (*loop[1:], loop[0])]
+    return cur, nxt
+
+
+def _boundary_triangles(mesh: Mesh, fids, signs) -> np.ndarray:
+    """The oriented boundary of faces `fids` with signs `signs` as the fan
+    triangles (x_F, v_i, v_i+1), reversed on faces of negative sign."""
+    loops = [mesh.faces[f].vertex_loop for f in fids]
+    cur, nxt = loop_segments(loops)
+    seg_face = np.repeat(np.arange(len(loops)), [len(loop) for loop in loops])
+    flip = np.asarray(signs)[seg_face] < 0
+    tris = np.empty((len(cur), 3, 3))
+    tris[:, 0] = np.array([mesh.faces[f].anchor for f in fids])[seg_face]
+    tris[:, 1] = mesh.vertex_coords[np.where(flip, nxt, cur)]
+    tris[:, 2] = mesh.vertex_coords[np.where(flip, cur, nxt)]
+    return tris
+
+
+def _winding_number(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Winding number of each point about the closed triangulated surface:
+    the sum of the signed solid angles of its triangles, over 4 pi."""
+    a, b, c = (tris[None, :, i] - points[:, None] for i in range(3))
+    la, lb, lc = _norm(a), _norm(b), _norm(c)
+    num = np.vecdot(a, cross3(b, c))
+    den = (la * lb * lc + np.vecdot(a, b) * lc + np.vecdot(b, c) * la
+           + np.vecdot(a, c) * lb)
+    return np.sum(2.0 * np.arctan2(num, den), axis=1) / (4.0 * np.pi)
 
 
 def point_in_cell(mesh: Mesh, cell_id: int, point: np.ndarray) -> bool:
     """Point-in-polyhedron by winding number over the oriented boundary."""
-    tris = _cell_boundary_triangles(mesh.faces, mesh.cells[cell_id],
-                                    mesh.vertex_coords)
-    return _winding_number(np.asarray(point, dtype=float), tris) > 0.5
+    c = mesh.cells[cell_id]
+    tris = _boundary_triangles(mesh, c.faces, c.face_signs)
+    return bool(_winding_number(np.asarray(point, dtype=float)[None], tris)[0] > 0.5)
 
 
 def orientation_sign(mesh: Mesh, cell_id: int, face_id: int) -> int:
@@ -217,8 +238,9 @@ def orientation_sign(mesh: Mesh, cell_id: int, face_id: int) -> int:
     stored = cell.face_signs[cell.faces.index(face_id)]
     f = mesh.faces[face_id]
     eps = 1e-6 * cell.diameter
-    inside = point_in_cell(mesh, cell_id, f.anchor - eps * stored * f.normal)
-    outside = point_in_cell(mesh, cell_id, f.anchor + eps * stored * f.normal)
+    pts = f.anchor + np.outer([-eps * stored, eps * stored], f.normal)
+    inside, outside = _winding_number(
+        pts, _boundary_triangles(mesh, cell.faces, cell.face_signs)) > 0.5
     if not inside or outside:
         raise MeshError(
             f"orientation ambiguity: point test disagrees with closure-validated "
@@ -230,6 +252,29 @@ def orientation_sign(mesh: Mesh, cell_id: int, face_id: int) -> int:
 # construction
 
 
+def _id_table(rows, owner: str, what: str, bound: int):
+    """Ids of a ragged table as one flat int array plus row offsets, after
+    checking that every id is in [0, bound) and none repeats in its row."""
+    lens = np.array([len(r) for r in rows], dtype=np.int64)
+    flat = np.array([x for r in rows for x in r])
+    if flat.size and flat.dtype.kind not in "iu":
+        raise MeshError(f"{what} ids must be integers, got {flat.dtype}")
+    flat = flat.astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    row = np.repeat(np.arange(len(rows)), lens)
+    bad = np.flatnonzero((flat < 0) | (flat >= bound))
+    if bad.size:
+        i = bad[0]
+        raise MeshError(f"{owner} {row[i]}: {what} id {flat[i]} out of range "
+                        f"[0, {bound})")
+    pair = np.sort(row * bound + flat)
+    dup = np.flatnonzero(pair[1:] == pair[:-1])
+    if dup.size:
+        r, x = divmod(int(pair[dup[0]]), bound)
+        raise MeshError(f"{owner} {r}: {what} {x} repeated")
+    return flat, lens, offsets
+
+
 def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> Mesh:
     """Assemble and validate a mesh from raw vertex/face/cell tables.
 
@@ -239,68 +284,101 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
     face_loops : list of vertex-id lists, counter-clockwise seen from the
         side the face normal points to
     cell_faces : list of face-id lists
+
+    The tables are checked before any geometry: coordinate shape, id
+    ranges, loops of at least 3 distinct vertices, faces distinct in each
+    cell.  Geometry is then computed in array passes over all edges, over
+    the faces of each loop length and over all cells.
     """
-    vcoords = np.asarray(vertex_coords, dtype=float)
+    vcoords = np.array(vertex_coords, dtype=float)
+    if vcoords.ndim != 2 or vcoords.shape[1] != 3:
+        raise MeshError(f"vertex coordinates must have shape (nV, 3), "
+                        f"got {vcoords.shape}")
     if not np.all(np.isfinite(vcoords)):
         raise MeshError("non-finite vertex coordinates")
-    vertices = [Vertex(i, vcoords[i]) for i in range(len(vcoords))]
-
-    # edges from face loops, identified by sorted vertex pair
-    edge_index: dict[tuple[int, int], int] = {}
-    edges: list[Edge] = []
-    for loop in face_loops:
-        n = len(loop)
-        for i in range(n):
-            a, b = loop[i], loop[(i + 1) % n]
-            key = (min(a, b), max(a, b))
-            if key not in edge_index:
-                eid = len(edges)
-                edge_index[key] = eid
-                vec = vcoords[key[1]] - vcoords[key[0]]
-                length = float(np.linalg.norm(vec))
-                if length == 0.0:
-                    raise MeshError(f"zero-length edge between vertices {key}")
-                edges.append(Edge(eid, key, vec / length, length,
-                                  0.5 * (vcoords[key[0]] + vcoords[key[1]])))
-
-    faces: list[Face] = []
+    nv, nf = len(vcoords), len(face_loops)
     for fid, loop in enumerate(face_loops):
-        pts = vcoords[list(loop)]
-        normal = _newell_normal(pts)
-        area, centroid = _polygon_area_centroid(pts, normal)
-        diam = max(float(np.linalg.norm(p - q)) for i, p in enumerate(pts)
-                   for q in pts[i + 1:])
+        if len(loop) < 3:
+            raise MeshError(f"face {fid}: fewer than 3 vertices")
+    seg_v, loop_len, loop_off = _id_table(face_loops, "face", "vertex", nv)
+    for cid, fids in enumerate(cell_faces):
+        if len(fids) == 0:
+            raise MeshError(f"cell {cid}: no faces")
+    _id_table(cell_faces, "cell", "face", nf)
+
+    # loop segments (face by face) and the edges they run along, numbered
+    # by first appearance and stored as sorted vertex pairs
+    seg_face = np.repeat(np.arange(nf), loop_len)
+    nxt = np.arange(len(seg_v)) + 1
+    nxt[loop_off[1:] - 1] = loop_off[:-1]
+    seg_w = seg_v[nxt]
+    lo, hi = np.minimum(seg_v, seg_w), np.maximum(seg_v, seg_w)
+    _, first, inv = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    seg_edge = rank[inv.ravel()]
+    ev = np.stack([lo, hi], axis=1)[np.sort(first)]
+
+    vec = vcoords[ev[:, 1]] - vcoords[ev[:, 0]]
+    length = _norm(vec)
+    zero = np.flatnonzero(length == 0.0)
+    if zero.size:
+        raise MeshError(f"zero-length edge between vertices {tuple(ev[zero[0]].tolist())}")
+    tangent = vec / length[:, None]
+    midpoint = 0.5 * (vcoords[ev[:, 0]] + vcoords[ev[:, 1]])
+    # omega_FE = -1 where the loop runs along t_E: omega_FE n_FE points out of F
+    seg_sign = np.where(seg_v == ev[seg_edge, 0], -1, 1)
+
+    normal, anchor = np.empty((nf, 3)), np.empty((nf, 3))
+    area, diam, frame = np.empty(nf), np.empty(nf), np.empty((nf, 2, 3))
+    for n in np.unique(loop_len):
+        fids = np.flatnonzero(loop_len == n)
+        pts = vcoords[seg_v[loop_off[fids, None] + np.arange(n)]]
+        nrm = np.sum(cross3(pts, np.roll(pts, -1, axis=1)), axis=1)
+        size = _norm(nrm)
+        if np.any(size == 0.0):
+            raise MeshError(f"face {fids[np.argmax(size == 0.0)]}: degenerate face "
+                            "loop (zero Newell normal)")
+        nrm = nrm / size[:, None]
+        # fan from the first vertex, triangle by triangle
+        p0, a_sum, c_sum = pts[:, 0], 0.0, 0.0
+        for i in range(1, n - 1):
+            a = 0.5 * np.vecdot(cross3(pts[:, i] - p0, pts[:, i + 1] - p0), nrm)
+            a_sum = a_sum + a
+            c_sum = c_sum + a[:, None] * (p0 + pts[:, i] + pts[:, i + 1]) / 3.0
+        if np.any(a_sum <= 0.0):
+            raise MeshError(f"face {fids[np.argmax(a_sum <= 0.0)]}: non-positive face "
+                            "area (loop orientation inconsistent)")
+        centroid = c_sum / a_sum[:, None]
+        d = _pair_diameters(pts)
         if validate:
-            offs = (pts - centroid) @ normal
-            if np.max(np.abs(offs)) > PLANARITY_RTOL * diam + 1e-14:
-                raise MeshError(f"face {fid}: vertex loop not coplanar "
-                                f"(max offset {np.max(np.abs(offs)):.3e})")
-        e1 = pts[1] - pts[0]
-        e1 = e1 - np.dot(e1, normal) * normal
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
-        frame = np.vstack([e1, e2])
+            offs = np.max(np.abs(np.vecdot(pts - centroid[:, None], nrm[:, None])),
+                          axis=1)
+            bad = np.flatnonzero(offs > PLANARITY_RTOL * d + 1e-14)
+            if bad.size:
+                raise MeshError(f"face {fids[bad[0]]}: vertex loop not coplanar "
+                                f"(max offset {offs[bad[0]]:.3e})")
+        e1 = pts[:, 1] - pts[:, 0]
+        e1 = e1 - np.vecdot(e1, nrm)[:, None] * nrm
+        e1 /= _norm(e1)[:, None]
+        normal[fids], anchor[fids], area[fids], diam[fids] = nrm, centroid, a_sum, d
+        frame[fids] = np.stack([e1, cross3(nrm, e1)], axis=1)
+    seg_nfe = cross3(normal[seg_face], tangent[seg_edge])
 
-        face_edges, signs, enormals = [], [], []
-        n = len(loop)
-        for i in range(n):
-            a, b = loop[i], loop[(i + 1) % n]
-            eid = edge_index[(min(a, b), max(a, b))]
-            t = edges[eid].tangent
-            n_fe = np.cross(normal, t)
-            # loop traversal sign: +1 when the loop runs along t_E
-            tau = 1 if a == edges[eid].vertices[0] else -1
-            face_edges.append(eid)
-            signs.append(-tau)         # omega_FE * n_FE points out of F
-            enormals.append(n_fe)
-        faces.append(Face(fid, list(loop), face_edges, signs, enormals,
-                          normal, centroid, diam, area, frame))
+    vertices = [Vertex(i, vcoords[i]) for i in range(nv)]
+    edges = [Edge(i, (a, b), tangent[i], float(length[i]), midpoint[i])
+             for i, (a, b) in enumerate(ev.tolist())]
+    seg_edge_l, seg_sign_l = seg_edge.tolist(), seg_sign.tolist()
+    faces = []
+    for fid, (s, t) in enumerate(zip(loop_off[:-1].tolist(), loop_off[1:].tolist())):
+        faces.append(Face(fid, seg_v[s:t].tolist(), seg_edge_l[s:t], seg_sign_l[s:t],
+                          list(seg_nfe[s:t]), normal[fid], anchor[fid],
+                          float(diam[fid]), area[fid], frame[fid]))
 
-    cells = _build_cells(faces, edges, vcoords, cell_faces)
-
-    for cid, c in enumerate(cells):
+    cells = _build_cells(faces, vcoords, cell_faces)
+    for c in cells:
         for fid in c.faces:
-            faces[fid].cells.append(cid)
+            faces[fid].cells.append(c.id)
     for f in faces:
         if len(f.cells) == 0:
             raise MeshError(f"face {f.id} not on the boundary of any cell")
@@ -314,126 +392,192 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
     return mesh
 
 
-def _build_cells(faces, edges, vcoords, cell_faces) -> list[Cell]:
-    cells = []
+def _orient(cid: int, fids, faces) -> list[int]:
+    """Signs of the faces of cell `cid` making its boundary one oriented
+    surface: faces sharing an edge must traverse it oppositely.  A walk over
+    the face adjacency graph from the first face, which gets +1."""
+    edge_use: dict[int, list[int]] = {}
+    loop_sign = {}
+    for fid in fids:
+        f = faces[fid]
+        loop_sign[fid] = dict(zip(f.edges, f.edge_signs))
+        for e in f.edges:
+            edge_use.setdefault(e, []).append(fid)
+    for e, use in edge_use.items():
+        if len(use) != 2:
+            raise MeshError(f"cell {cid}: edge {e} on {len(use)} faces "
+                            "(boundary not closed)")
+    sigma = {fids[0]: 1}
+    stack = [fids[0]]
+    while stack:
+        fid = stack.pop()
+        for e in faces[fid].edges:
+            other = use[0] if (use := edge_use[e])[0] != fid else use[1]
+            want = -sigma[fid] * loop_sign[fid][e] * loop_sign[other][e]
+            if other in sigma:
+                if sigma[other] != want:
+                    raise MeshError(f"cell {cid}: inconsistent face "
+                                    "orientations (non-orientable boundary)")
+            else:
+                sigma[other] = want
+                stack.append(other)
+    if len(sigma) != len(fids):
+        raise MeshError(f"cell {cid}: boundary not connected")
+    return [sigma[fid] for fid in fids]
+
+
+def _build_cells(faces, vcoords, cell_faces) -> list[Cell]:
+    nc = len(cell_faces)
+    signs = [_orient(cid, list(fids), faces) for cid, fids in enumerate(cell_faces)]
+    # cell-face incidences, cell by cell in each cell's face order
+    inc_cell = np.repeat(np.arange(nc), [len(fids) for fids in cell_faces])
+    inc_face = np.array([f for fids in cell_faces for f in fids], dtype=np.int64)
+    inc_sign = np.array([s for ss in signs for s in ss])
+
+    normal = np.array([f.normal for f in faces])
+    anchor = np.array([f.anchor for f in faces])
+    area = np.array([f.area for f in faces])
+    flux = np.vecdot(anchor, normal) * area  # x_F . n_F |F|
+    vol3 = _ordered_sums(inc_sign * flux[inc_face], inc_cell, nc)
+    flip = vol3 < 0
+    inc_sign[flip[inc_cell]] *= -1
+    volume = np.abs(vol3) / 3.0
+    if np.any(volume <= 0.0):
+        raise MeshError(f"cell {np.argmax(volume <= 0.0)}: non-positive volume")
+
+    # centroid by the divergence theorem: c_j = (1/2V) sum_F s_F int_F x_j^2 n_j,
+    # each face fanned from its first vertex, int_tri x_j^2 n_j by the
+    # degree-2 midpoint rule
+    loop_len = np.array([len(f.vertex_loop) for f in faces])
+    tri_off = np.concatenate([[0], np.cumsum(loop_len - 2)])
+    tri_terms = np.empty((tri_off[-1], 3))
+    for n in np.unique(loop_len):
+        fids = np.flatnonzero(loop_len == n)
+        pts = vcoords[np.array([faces[f].vertex_loop for f in fids])]
+        for i in range(1, n - 1):
+            tri = np.stack([pts[:, 0], pts[:, i], pts[:, i + 1]], axis=1)
+            a2 = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            mids = 0.5 * (tri + np.roll(tri, -1, axis=1))
+            tri_terms[tri_off[fids] + i - 1] = 0.5 * (a2 / 2.0) * np.mean(mids**2, axis=1)
+    count = loop_len[inc_face] - 2
+    term = _ranges(tri_off[inc_face], count)
+    centroid = _ordered_sums(np.repeat(inc_sign, count)[:, None] * tri_terms[term],
+                             np.repeat(inc_cell, count), nc)
+    centroid /= volume[:, None]
+
+    verts = [sorted({v for f in fids for v in faces[f].vertex_loop})
+             for fids in cell_faces]
+    diam = np.empty(nc)
+    nverts = np.array([len(v) for v in verts])
+    for n in np.unique(nverts):
+        cids = np.flatnonzero(nverts == n)
+        diam[cids] = _pair_diameters(vcoords[np.array([verts[c] for c in cids])])
+
+    inc_sign = inc_sign.tolist()
+    cells, s = [], 0
     for cid, fids in enumerate(cell_faces):
-        # propagate a consistent surface orientation over the face adjacency
-        # graph: two faces sharing an edge must traverse it oppositely
-        loop_sign = {}
-        for fid in fids:
-            loop_sign[fid] = {e: -s for e, s in zip(faces[fid].edges,
-                                                    faces[fid].edge_signs)}
-        edge_use: dict[int, list[int]] = {}
-        for fid in fids:
-            for e in faces[fid].edges:
-                edge_use.setdefault(e, []).append(fid)
-        for e, use in edge_use.items():
-            if len(use) != 2:
-                raise MeshError(f"cell {cid}: edge {e} on {len(use)} faces "
-                                "(boundary not closed)")
-        sigma = {fids[0]: 1}
-        stack = [fids[0]]
-        while stack:
-            fid = stack.pop()
-            for e in faces[fid].edges:
-                other = use[0] if (use := edge_use[e])[0] != fid else use[1]
-                want = -sigma[fid] * loop_sign[fid][e] * loop_sign[other][e]
-                if other in sigma:
-                    if sigma[other] != want:
-                        raise MeshError(f"cell {cid}: inconsistent face "
-                                        "orientations (non-orientable boundary)")
-                else:
-                    sigma[other] = want
-                    stack.append(other)
-        if len(sigma) != len(fids):
-            raise MeshError(f"cell {cid}: boundary not connected")
-
-        vol3 = sum(sigma[fid] * np.dot(faces[fid].anchor, faces[fid].normal)
-                   * faces[fid].area for fid in fids)
-        if vol3 < 0:
-            sigma = {fid: -s for fid, s in sigma.items()}
-            vol3 = -vol3
-        volume = vol3 / 3.0
-        if volume <= 0.0:
-            raise MeshError(f"cell {cid}: non-positive volume")
-
-        # centroid by the divergence theorem: c_j = (1/2V) sum_F s_F int_F x_j^2 n_j
-        centroid = np.zeros(3)
-        for fid in fids:
-            f = faces[fid]
-            pts = vcoords[f.vertex_loop]
-            for i in range(1, len(pts) - 1):
-                tri = np.array([pts[0], pts[i], pts[i + 1]])
-                a2 = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-                mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
-                # int_tri x_j^2 n_j by the degree-2 midpoint rule
-                centroid += sigma[fid] * 0.5 * (a2 / 2.0) * np.mean(mids**2, axis=0)
-        centroid /= volume
-
-        verts = sorted({v for fid in fids for v in faces[fid].vertex_loop})
-        cell_edges = sorted({e for fid in fids for e in faces[fid].edges})
-        pts = vcoords[verts]
-        diam = max(float(np.linalg.norm(p - q)) for i, p in enumerate(pts)
-                   for q in pts[i + 1:])
-        cells.append(Cell(cid, list(fids), [sigma[fid] for fid in fids],
-                          centroid, diam, volume, cell_edges, verts))
+        t = s + len(fids)
+        cell_edges = sorted({e for f in fids for e in faces[f].edges})
+        cells.append(Cell(cid, list(fids), inc_sign[s:t], centroid[cid],
+                          float(diam[cid]), volume[cid], cell_edges, verts[cid]))
+        s = t
     return cells
 
 
+def _first(mask) -> int | None:
+    hit = np.flatnonzero(mask)
+    return int(hit[0]) if hit.size else None
+
+
 def _validate(mesh: Mesh) -> None:
-    for e in mesh.edges:
-        if abs(np.linalg.norm(e.tangent) - 1.0) > UNIT_TOL:
-            raise MeshError(f"edge {e.id}: tangent not unit")
-    for f in mesh.faces:
-        loop_pts = mesh.vertex_coords[f.vertex_loop]
-        if not _point_in_polygon(f.anchor, loop_pts, f.frame, f.anchor):
-            raise MeshError(f"face {f.id}: anchor not strictly inside")
-        # 2D divergence closure: sum_E omega_FE int_E (x - x_F).n_FE = 2|F|
-        acc = 0.0
-        for eid, sgn, nfe in zip(f.edges, f.edge_signs, f.edge_normals):
-            e = mesh.edges[eid]
-            acc += sgn * np.dot(e.midpoint - f.anchor, nfe) * e.length
-        if abs(acc - 2.0 * f.area) > CLOSURE_RTOL * 2.0 * f.area:
-            raise MeshError(f"face {f.id}: 2D divergence closure failed "
-                            f"({acc:.15g} vs {2 * f.area:.15g})")
-        for eid in f.edges:
-            if mesh.edges[eid].length > f.diameter * (1 + 1e-12):
-                raise MeshError(f"face {f.id}: edge {eid} longer than face diameter")
-    for c in mesh.cells:
-        acc = 0.0
-        for fid, sgn in zip(c.faces, c.face_signs):
-            f = mesh.faces[fid]
-            acc += sgn * np.dot(f.anchor, f.normal) * f.area
-        if abs(acc - 3.0 * c.volume) > CLOSURE_RTOL * 3.0 * c.volume:
-            raise MeshError(f"cell {c.id}: divergence closure failed "
-                            f"({acc:.15g} vs {3 * c.volume:.15g})")
-        # oriented boundary is a 2-cycle: each edge traversed once per direction
-        per_edge: dict[int, int] = {}
-        for fid, sgn in zip(c.faces, c.face_signs):
-            f = mesh.faces[fid]
-            for eid, esgn in zip(f.edges, f.edge_signs):
-                per_edge[eid] = per_edge.get(eid, 0) + sgn * (-esgn)
-        if any(v != 0 for v in per_edge.values()):
-            raise MeshError(f"cell {c.id}: boundary orientation is not a "
-                            "2-cycle (inconsistent omega_TF)")
-        if not point_in_cell(mesh, c.id, c.anchor):
+    """Check the stored geometry and orientations, one array pass per check
+    over all edges, faces or cells."""
+    V, faces, cells = mesh.vertex_coords, mesh.faces, mesh.cells
+    tangent = np.array([e.tangent for e in mesh.edges])
+    length = np.array([e.length for e in mesh.edges])
+    midpoint = np.array([e.midpoint for e in mesh.edges])
+    if (e := _first(np.abs(_norm(tangent) - 1.0) > UNIT_TOL)) is not None:
+        raise MeshError(f"edge {e}: tangent not unit")
+
+    normal = np.array([f.normal for f in faces])
+    anchor = np.array([f.anchor for f in faces])
+    area = np.array([f.area for f in faces])
+    fdiam = np.array([f.diameter for f in faces])
+    frame = np.array([f.frame for f in faces])
+    loop_len = np.array([len(f.vertex_loop) for f in faces])
+    seg_face = np.repeat(np.arange(len(faces)), loop_len)
+    seg_edge = np.array([e for f in faces for e in f.edges])
+    seg_sign = np.array([s for f in faces for s in f.edge_signs])
+    seg_nfe = np.array([n for f in faces for n in f.edge_normals])
+
+    # crossing-number test of each face anchor in the face's own frame
+    outside = np.zeros(len(faces), dtype=bool)
+    for n in np.unique(loop_len):
+        fids = np.flatnonzero(loop_len == n)
+        loops = np.array([faces[f].vertex_loop for f in fids])
+        q = np.matmul(V[loops] - anchor[fids, None], frame[fids].transpose(0, 2, 1))
+        a, b = q, np.roll(q, -1, axis=1)
+        cross = (a[..., 1] > 0.0) != (b[..., 1] > 0.0)
+        dy = np.where(cross, b[..., 1] - a[..., 1], 1.0)
+        x_cross = a[..., 0] + (0.0 - a[..., 1]) / dy * (b[..., 0] - a[..., 0])
+        outside[fids] = np.sum(cross & (x_cross > 0.0), axis=1) % 2 == 0
+    if (f := _first(outside)) is not None:
+        raise MeshError(f"face {f}: anchor not strictly inside")
+    # 2D divergence closure: sum_E omega_FE int_E (x - x_F).n_FE = 2|F|
+    acc = np.bincount(seg_face, minlength=len(faces), weights=seg_sign * np.vecdot(
+        midpoint[seg_edge] - anchor[seg_face], seg_nfe) * length[seg_edge])
+    if (f := _first(np.abs(acc - 2.0 * area) > CLOSURE_RTOL * 2.0 * area)) is not None:
+        raise MeshError(f"face {f}: 2D divergence closure failed "
+                        f"({acc[f]:.15g} vs {2 * area[f]:.15g})")
+    if (s := _first(length[seg_edge] > fdiam[seg_face] * (1 + 1e-12))) is not None:
+        raise MeshError(f"face {seg_face[s]}: edge {seg_edge[s]} longer than "
+                        "face diameter")
+
+    nc = len(cells)
+    inc_cell = np.repeat(np.arange(nc), [len(c.faces) for c in cells])
+    inc_face = np.array([f for c in cells for f in c.faces])
+    inc_sign = np.array([s for c in cells for s in c.face_signs])
+    volume = np.array([c.volume for c in cells])
+    cdiam = np.array([c.diameter for c in cells])
+    acc = np.bincount(inc_cell, minlength=nc, weights=inc_sign * np.vecdot(
+        anchor[inc_face], normal[inc_face]) * area[inc_face])
+    if (c := _first(np.abs(acc - 3.0 * volume) > CLOSURE_RTOL * 3.0 * volume)) is not None:
+        raise MeshError(f"cell {c}: divergence closure failed "
+                        f"({acc[c]:.15g} vs {3 * volume[c]:.15g})")
+    # oriented boundary is a 2-cycle: each edge traversed once per direction
+    seg_off = np.concatenate([[0], np.cumsum(loop_len)])
+    count = loop_len[inc_face]
+    seg = _ranges(seg_off[inc_face], count)
+    owner = np.repeat(inc_cell, count)
+    _, pair = np.unique(owner * len(mesh.edges) + seg_edge[seg], return_inverse=True)
+    net = np.bincount(pair.ravel(), weights=-np.repeat(inc_sign, count) * seg_sign[seg])
+    if (p := _first(net != 0)) is not None:
+        raise MeshError(f"cell {owner[np.argmax(pair.ravel() == p)]}: boundary "
+                        "orientation is not a 2-cycle (inconsistent omega_TF)")
+    # winding-number tests: the anchor, and each face anchor moved inward by
+    # 1e-6 h_T, must lie inside; one kernel call per cell for all its points
+    tris = _boundary_triangles(mesh, inc_face, inc_sign)
+    tri_off = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=nc))])
+    eps = 1e-6 * cdiam[inc_cell] * inc_sign
+    probes = anchor[inc_face] - eps[:, None] * normal[inc_face]
+    inc_off = np.concatenate([[0], np.cumsum(np.bincount(inc_cell, minlength=nc))])
+    for c in cells:
+        s, t = inc_off[c.id], inc_off[c.id + 1]
+        pts = np.vstack([c.anchor[None], probes[s:t]])
+        inside = _winding_number(pts, tris[tri_off[c.id]:tri_off[c.id + 1]]) > 0.5
+        if not inside[0]:
             raise MeshError(f"cell {c.id}: anchor not strictly inside")
-        eps = 1e-6 * c.diameter
-        for fid, sgn in zip(c.faces, c.face_signs):
-            f = mesh.faces[fid]
-            if not point_in_cell(mesh, c.id, f.anchor - eps * sgn * f.normal):
-                raise MeshError(f"cell {c.id}, face {fid}: omega_TF point test failed")
-        for fid in c.faces:
-            if mesh.faces[fid].diameter > c.diameter * (1 + 1e-12):
-                raise MeshError(f"cell {c.id}: face {fid} diameter exceeds h_T")
-    for f in mesh.faces:
-        if len(f.cells) == 2:
-            c0, c1 = (mesh.cells[c] for c in f.cells)
-            s0 = c0.face_signs[c0.faces.index(f.id)]
-            s1 = c1.face_signs[c1.faces.index(f.id)]
-            if s0 + s1 != 0:
-                raise MeshError(f"interior face {f.id}: incident cells do not "
-                                "carry opposite omega_TF")
+        if (i := _first(~inside[1:])) is not None:
+            raise MeshError(f"cell {c.id}, face {c.faces[i]}: omega_TF point "
+                            "test failed")
+    if (i := _first(fdiam[inc_face] > cdiam[inc_cell] * (1 + 1e-12))) is not None:
+        raise MeshError(f"cell {inc_cell[i]}: face {inc_face[i]} diameter "
+                        "exceeds h_T")
+    on_two = np.array([len(f.cells) == 2 for f in faces])
+    parity = np.bincount(inc_face, weights=inc_sign, minlength=len(faces))
+    if (f := _first(on_two & (parity != 0))) is not None:
+        raise MeshError(f"interior face {f}: incident cells do not "
+                        "carry opposite omega_TF")
 
 
 # ---------------------------------------------------------------------------

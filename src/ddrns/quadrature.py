@@ -4,6 +4,13 @@ Edges use Gauss-Legendre.  Polygonal faces are fan-triangulated from the face
 anchor and each triangle carries a collapsed (Duffy) tensor Gauss rule; cells
 are split into tetrahedra by coning the face triangles to the cell anchor.
 All rules are exact for polynomials up to the requested total degree.
+
+Each entity rule is one array pass: the corners of the fan or cone come
+from index arrays, and :func:`triangle_rule` / :func:`tet_rule` place the
+reference Duffy points on the whole stack of simplices at once.  Points come
+out simplex by simplex, in Duffy order inside each, with the bits of placing
+each simplex on its own.  A zero-measure simplex raises
+:class:`DegenerateSimplexError` naming the face or cell and the segment.
 """
 
 from __future__ import annotations
@@ -14,11 +21,17 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import Mesh
+from .mesh import Mesh, cross3, loop_segments
 
 
 class DegenerateSimplexError(Exception):
-    """Zero-measure simplex encountered while decomposing an entity."""
+    """Zero-measure simplex encountered while decomposing an entity, or a
+    decomposition that does not recover the entity's measure.  Raised on a
+    stack of simplices, it carries the index of the first degenerate one."""
+
+    def __init__(self, message: str, simplex: int | None = None):
+        super().__init__(message)
+        self.simplex = simplex
 
 
 @dataclass(frozen=True)
@@ -71,14 +84,26 @@ def _duffy_triangle(degree: int):
     return xi, eta, W.ravel()
 
 
+def _check_measure(measure: np.ndarray, what: str):
+    if np.any(measure <= 0.0):
+        i = int(np.flatnonzero(measure <= 0.0)[0])
+        raise DegenerateSimplexError(f"zero-{what} (simplex {i})", simplex=i)
+
+
 def triangle_rule(verts: np.ndarray, degree: int):
-    a, b, c = verts
-    area2 = np.linalg.norm(np.cross(b - a, c - a))
-    if area2 <= 0.0:
-        raise DegenerateSimplexError("zero-area triangle in face decomposition")
+    """Duffy rule on each triangle of a (m, 3, 3) stack (or one (3, 3)
+    triangle): points (m*n, 3) and weights (m*n,), triangle by triangle."""
+    v = np.asarray(verts, dtype=float).reshape(-1, 3, 3)
+    a, ab, ac = v[:, 0], v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    cr = cross3(ab, ac)
+    # np.vecdot runs the kernel of np.dot, so each triangle's area carries
+    # the bits of the one-at-a-time np.linalg.norm
+    area2 = np.sqrt(np.vecdot(cr, cr))
+    _check_measure(area2, "area triangle")
     xi, eta, w = _duffy_triangle(max(degree, 0))
-    pts = a[None, :] + np.outer(xi, b - a) + np.outer(eta, c - a)
-    return pts, w * area2
+    pts = (a[:, None, :] + xi[None, :, None] * ab[:, None, :]
+           + eta[None, :, None] * ac[:, None, :])
+    return pts.reshape(-1, 3), (w[None, :] * area2[:, None]).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -99,48 +124,64 @@ def _duffy_tet(degree: int):
 
 
 def tet_rule(verts: np.ndarray, degree: int):
-    a, b, c, d = verts
-    vol6 = abs(np.dot(np.cross(b - a, c - a), d - a))
-    if vol6 <= 0.0:
-        raise DegenerateSimplexError("zero-volume tetrahedron in cell decomposition")
+    """Duffy rule on each tetrahedron of a (m, 4, 3) stack (or one (4, 3)
+    tetrahedron): points (m*n, 3) and weights (m*n,), tet by tet."""
+    v = np.asarray(verts, dtype=float).reshape(-1, 4, 3)
+    a = v[:, 0]
+    ab, ac, ad = v[:, 1] - a, v[:, 2] - a, v[:, 3] - a
+    vol6 = np.abs(np.vecdot(cross3(ab, ac), ad))
+    _check_measure(vol6, "volume tetrahedron")
     x1, x2, x3, w = _duffy_tet(max(degree, 0))
-    pts = (a[None, :] + np.outer(x1, b - a) + np.outer(x2, c - a)
-           + np.outer(x3, d - a))
-    return pts, w * vol6
+    pts = (a[:, None, :] + x1[None, :, None] * ab[:, None, :]
+           + x2[None, :, None] * ac[:, None, :] + x3[None, :, None] * ad[:, None, :])
+    return pts.reshape(-1, 3), (w[None, :] * vol6[:, None]).ravel()
 
 
 def face_rule(mesh: Mesh, face_id: int, degree: int) -> QuadratureRule:
+    """The fan of triangles (x_F, v_i, v_i+1) of the face, one rule each."""
     f = mesh.faces[face_id]
-    loop = mesh.vertex_coords[f.vertex_loop]
-    pts_list, w_list = [], []
-    for i in range(len(loop)):
-        tri = np.array([f.anchor, loop[i], loop[(i + 1) % len(loop)]])
-        p, w = triangle_rule(tri, degree)
-        pts_list.append(p)
-        w_list.append(w)
-    weights = np.concatenate(w_list)
+    cur, nxt = loop_segments([f.vertex_loop])
+    tris = np.empty((len(cur), 3, 3))
+    tris[:, 0] = f.anchor
+    tris[:, 1] = mesh.vertex_coords[cur]
+    tris[:, 2] = mesh.vertex_coords[nxt]
+    try:
+        pts, weights = triangle_rule(tris, degree)
+    except DegenerateSimplexError as err:
+        raise DegenerateSimplexError(
+            f"face {face_id}: zero-area triangle (segment {err.simplex})") from None
     if abs(weights.sum() - f.area) > 1e-12 * f.area:
         raise DegenerateSimplexError(
             f"face {face_id}: fan decomposition does not recover the area")
-    return QuadratureRule(np.concatenate(pts_list), weights, degree)
+    return QuadratureRule(pts, weights, degree)
 
 
 def cell_rule(mesh: Mesh, cell_id: int, degree: int) -> QuadratureRule:
+    """The cone from x_T of each face's fan: tetrahedra (x_T, x_F, v_i,
+    v_i+1), face by face in the cell's order, one rule each."""
     c = mesh.cells[cell_id]
-    pts_list, w_list = [], []
-    for fid in c.faces:
-        f = mesh.faces[fid]
-        loop = mesh.vertex_coords[f.vertex_loop]
-        for i in range(len(loop)):
-            tet = np.array([c.anchor, f.anchor, loop[i], loop[(i + 1) % len(loop)]])
-            p, w = tet_rule(tet, degree)
-            pts_list.append(p)
-            w_list.append(w)
-    weights = np.concatenate(w_list)
+    faces = [mesh.faces[fid] for fid in c.faces]
+    loops = [f.vertex_loop for f in faces]
+    cur, nxt = loop_segments(loops)
+    seg_face = np.repeat(np.arange(len(faces)), [len(loop) for loop in loops])
+    tets = np.empty((len(cur), 4, 3))
+    tets[:, 0] = c.anchor
+    tets[:, 1] = np.array([f.anchor for f in faces])[seg_face]
+    tets[:, 2] = mesh.vertex_coords[cur]
+    tets[:, 3] = mesh.vertex_coords[nxt]
+    try:
+        pts, weights = tet_rule(tets, degree)
+    except DegenerateSimplexError as err:
+        i = err.simplex
+        j = int(seg_face[i])
+        segment = i - int(np.searchsorted(seg_face, j))
+        raise DegenerateSimplexError(
+            f"cell {cell_id}: zero-volume tetrahedron "
+            f"(face {c.faces[j]}, segment {segment})") from None
     if abs(weights.sum() - c.volume) > 1e-12 * c.volume:
         raise DegenerateSimplexError(
             f"cell {cell_id}: cone decomposition does not recover the volume")
-    return QuadratureRule(np.concatenate(pts_list), weights, degree)
+    return QuadratureRule(pts, weights, degree)
 
 
 def rule_for(mesh: Mesh, kind: str, index: int, degree: int) -> QuadratureRule:

@@ -98,6 +98,18 @@ def pentagon_prism_mesh(seed: int = 3):
     return msh.build_mesh(pts, faces, [list(range(7))])
 
 
+def jittered_kuhn_mesh(n=2, seed=5):
+    """Kuhn tets with every coordinate strictly inside (0, 1) moved by up to
+    0.15 / n, so no two faces or cells are translates."""
+    base = msh.generate_tet_mesh(n)
+    rng = np.random.default_rng(seed)
+    coords = base.vertex_coords.copy()
+    free = (coords > 1e-12) & (coords < 1 - 1e-12)
+    coords[free] += rng.uniform(-0.15 / n, 0.15 / n, size=int(free.sum()))
+    return msh.build_mesh(coords, [f.vertex_loop for f in base.faces],
+                      [c.faces for c in base.cells])
+
+
 def cube_pyramid_mesh():
     """The unit cube with a pyramid on its top face: two cells whose local
     sizes differ."""

@@ -8,7 +8,9 @@ and projections are recomputed by raw monomial normal equations.  The
 Newton kernels are the cell-by-cell loops that the solver's batched kernels
 are checked against.  The set-up references at the end are the
 ``np.einsum`` contractions, generating families and per-entity
-interpolators that the set-up kernels of ddrns are checked against.
+interpolators that the set-up kernels of ddrns are checked against.  The
+geometry references build mesh entities one at a time and quadrature rules
+one simplex at a time, as the batched passes of ddrns did before them.
 """
 
 import math
@@ -16,7 +18,9 @@ from itertools import product
 
 import numpy as np
 
+from ddrns import mesh as msh
 from ddrns import polyspaces as ps
+from ddrns import quadrature as quad
 from ddrns.spaces import DofVector, SpaceKind
 
 
@@ -373,3 +377,142 @@ def interpolate_per_entity(cx, kind, fun):
         for i, ctx in enumerate(ctxs if block else []):
             out.values[dofs(i)] = moments(ctx, fun(ctx.rule.points))
     return out
+
+
+# ---------------------------------------------------------------------------
+# geometry references: the per-entity mesh geometry and per-simplex
+# quadrature rules that the batched passes of ddrns.mesh and ddrns.quadrature
+# are checked against
+
+def reference_geometry(vertex_coords, face_loops, cell_faces):
+    """Edges, faces and cells of the tables, built one entity and one
+    3-vector at a time, without validation."""
+    vcoords = np.asarray(vertex_coords, dtype=float)
+    edge_index, edges = {}, []
+    for loop in face_loops:
+        n = len(loop)
+        for i in range(n):
+            a, b = loop[i], loop[(i + 1) % n]
+            key = (min(a, b), max(a, b))
+            if key not in edge_index:
+                edge_index[key] = len(edges)
+                vec = vcoords[key[1]] - vcoords[key[0]]
+                length = float(np.linalg.norm(vec))
+                edges.append(msh.Edge(len(edges), key, vec / length, length,
+                                      0.5 * (vcoords[key[0]] + vcoords[key[1]])))
+
+    faces = []
+    for fid, loop in enumerate(face_loops):
+        pts = vcoords[list(loop)]
+        normal = np.sum(np.cross(pts, np.roll(pts, -1, axis=0)), axis=0)
+        normal = normal / np.linalg.norm(normal)
+        p0, area, centroid = pts[0], 0.0, np.zeros(3)
+        for i in range(1, len(pts) - 1):
+            a = 0.5 * np.dot(np.cross(pts[i] - p0, pts[i + 1] - p0), normal)
+            area += a
+            centroid += a * (p0 + pts[i] + pts[i + 1]) / 3.0
+        centroid = centroid / area
+        diam = max(float(np.linalg.norm(p - q)) for i, p in enumerate(pts)
+                   for q in pts[i + 1:])
+        e1 = pts[1] - pts[0]
+        e1 = e1 - np.dot(e1, normal) * normal
+        e1 /= np.linalg.norm(e1)
+        frame = np.vstack([e1, np.cross(normal, e1)])
+        face_edges, signs, enormals = [], [], []
+        n = len(loop)
+        for i in range(n):
+            a, b = loop[i], loop[(i + 1) % n]
+            eid = edge_index[(min(a, b), max(a, b))]
+            face_edges.append(eid)
+            signs.append(-1 if a == edges[eid].vertices[0] else 1)
+            enormals.append(np.cross(normal, edges[eid].tangent))
+        faces.append(msh.Face(fid, list(loop), face_edges, signs, enormals,
+                              normal, centroid, diam, area, frame))
+
+    cells = []
+    for cid, fids in enumerate(cell_faces):
+        # orientation by a walk over the face adjacency graph
+        edge_use = {}
+        for fid in fids:
+            for e in faces[fid].edges:
+                edge_use.setdefault(e, []).append(fid)
+        loop_sign = {fid: dict(zip(faces[fid].edges, faces[fid].edge_signs))
+                     for fid in fids}
+        sigma, stack = {fids[0]: 1}, [fids[0]]
+        while stack:
+            fid = stack.pop()
+            for e in faces[fid].edges:
+                use = edge_use[e]
+                other = use[0] if use[0] != fid else use[1]
+                if other not in sigma:
+                    sigma[other] = (-sigma[fid] * loop_sign[fid][e]
+                                    * loop_sign[other][e])
+                    stack.append(other)
+        vol3 = sum(sigma[fid] * np.dot(faces[fid].anchor, faces[fid].normal)
+                   * faces[fid].area for fid in fids)
+        if vol3 < 0:
+            sigma = {fid: -s for fid, s in sigma.items()}
+            vol3 = -vol3
+        volume = vol3 / 3.0
+        centroid = np.zeros(3)
+        for fid in fids:
+            pts = vcoords[faces[fid].vertex_loop]
+            for i in range(1, len(pts) - 1):
+                tri = np.array([pts[0], pts[i], pts[i + 1]])
+                a2 = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+                mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
+                centroid += sigma[fid] * 0.5 * (a2 / 2.0) * np.mean(mids**2, axis=0)
+        centroid /= volume
+        verts = sorted({v for fid in fids for v in faces[fid].vertex_loop})
+        cell_edges = sorted({e for fid in fids for e in faces[fid].edges})
+        pts = vcoords[verts]
+        diam = max(float(np.linalg.norm(p - q)) for i, p in enumerate(pts)
+                   for q in pts[i + 1:])
+        cells.append(msh.Cell(cid, list(fids), [sigma[fid] for fid in fids],
+                              centroid, diam, volume, cell_edges, verts))
+    for c in cells:
+        for fid in c.faces:
+            faces[fid].cells.append(c.id)
+    for f in faces:
+        f.on_boundary = len(f.cells) == 1
+    return edges, faces, cells
+
+
+def reference_triangle_rule(verts, degree):
+    a, b, c = verts
+    area2 = np.linalg.norm(np.cross(b - a, c - a))
+    xi, eta, w = quad._duffy_triangle(max(degree, 0))
+    return a[None, :] + np.outer(xi, b - a) + np.outer(eta, c - a), w * area2
+
+
+def reference_tet_rule(verts, degree):
+    a, b, c, d = verts
+    vol6 = abs(np.dot(np.cross(b - a, c - a), d - a))
+    x1, x2, x3, w = quad._duffy_tet(max(degree, 0))
+    pts = (a[None, :] + np.outer(x1, b - a) + np.outer(x2, c - a)
+           + np.outer(x3, d - a))
+    return pts, w * vol6
+
+
+def reference_rule(mesh, kind, index, degree):
+    """Points and weights of a face or cell rule, one simplex at a time:
+    the fan of a face from its anchor, the cone of each face's fan from the
+    cell anchor."""
+    V = mesh.vertex_coords
+    if kind == "face":
+        f = mesh.faces[index]
+        loop = V[f.vertex_loop]
+        parts = [reference_triangle_rule(
+            np.array([f.anchor, loop[i], loop[(i + 1) % len(loop)]]), degree)
+            for i in range(len(loop))]
+    else:
+        c = mesh.cells[index]
+        parts = []
+        for fid in c.faces:
+            f = mesh.faces[fid]
+            loop = V[f.vertex_loop]
+            parts += [reference_tet_rule(
+                np.array([c.anchor, f.anchor, loop[i], loop[(i + 1) % len(loop)]]),
+                degree) for i in range(len(loop))]
+    return (np.concatenate([p for p, _ in parts]),
+            np.concatenate([w for _, w in parts]))

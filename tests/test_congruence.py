@@ -15,7 +15,8 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import pentagon_prism_mesh, prism_mesh, random_hex_mesh
+from conftest import (jittered_kuhn_mesh, pentagon_prism_mesh, prism_mesh,
+                      random_hex_mesh)
 from ddrns import operators, verify
 from ddrns.mesh import build_mesh, generate_cubic_mesh, generate_tet_mesh
 from ddrns.operators import CellContext, DdrComplex, FaceContext
@@ -43,18 +44,6 @@ def from_scratch(cx: DdrComplex) -> DdrComplex:
 def n_built(contexts, attr):
     """Number of contexts built from scratch: distinct shared arrays."""
     return len({id(getattr(ctx, attr)) for ctx in contexts})
-
-
-def jittered_kuhn_mesh(n=2, seed=5):
-    """Kuhn tets with every coordinate strictly inside (0, 1) moved by up to
-    0.15 / n, so no two faces or cells are translates."""
-    base = generate_tet_mesh(n)
-    rng = np.random.default_rng(seed)
-    coords = base.vertex_coords.copy()
-    free = (coords > 1e-12) & (coords < 1 - 1e-12)
-    coords[free] += rng.uniform(-0.15 / n, 0.15 / n, size=int(free.sum()))
-    return build_mesh(coords, [f.vertex_loop for f in base.faces],
-                      [c.faces for c in base.cells])
 
 
 def scalar_field(pts):
