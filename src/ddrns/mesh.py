@@ -227,10 +227,14 @@ def point_in_cell(mesh: Mesh, cell_id: int, point: np.ndarray) -> bool:
 
 
 def orientation_sign(mesh: Mesh, cell_id: int, face_id: int) -> int:
-    """omega_TF, re-derived by the eps-displacement point test.
+    """The stored omega_TF, after an eps-displacement point test.
 
-    Raises if the point test disagrees with the stored (divergence-closure
-    validated) sign.
+    The face anchor is moved by 1e-6 h_T against and along omega_TF n_F;
+    the winding number of the cell boundary, oriented by the stored signs,
+    must put the first point inside and the second outside.  Raises when it
+    does not, as on a cell thinner than the displacement.  A wrong stored
+    sign flips the face's own triangles too, so the test agrees with it:
+    the closure and 2-cycle checks of `_validate` catch that instead.
     """
     cell = mesh.cells[cell_id]
     if face_id not in cell.faces:

@@ -16,9 +16,15 @@ solve; convergence is measured on the full uncondensed residual.
 Cells with the same local sizes form a group whose blocks are stacked, so
 the residual, the convective form, the cell Jacobians and the condensation
 run as a few batched array operations per group.  The sparsity pattern of
-the condensed system is built once per solver.  Within one solve() call the
-last sparse LU preconditions GMRES for later steps and is refactored only
-when that fails; it is released when the call returns.
+the condensed system is built once per solver.
+
+Newton is inexact: iteration k solves its step only to a linear residual of
+eta_k |R_k|, with Eisenstat-Walker forcing terms eta_k.  Within one solve()
+call the last sparse LU preconditions GMRES for later steps, and a step is
+refactored only when GMRES cannot meet its forcing term; the factor is
+released when the call returns.  The Stokes start and the solve with a
+fresh factor are direct.  NewtonDiagnostics.linear_solves records each
+linear solve.
 """
 
 from __future__ import annotations
@@ -119,16 +125,38 @@ def pressflux_bc() -> list[BCRegion]:
 # tenfold shift.
 PTC_LAMBDA0 = 1.0
 MAX_DAMPING = 6
-# inexact Newton (Knoll & Keyes, JCP 2004): within one solve() call, a step
-# after the first is solved by GMRES preconditioned with the last sparse LU,
-# for one cycle of at most GMRES_RESTART iterations.  GMRES stops on its
-# left-preconditioned residual, so it aims at GMRES_RTOL, below the
-# KRYLOV_RTOL |b| that the true residual must meet for the solution to be
-# accepted; otherwise the old factor is dropped and the step's matrix
-# factored.
-KRYLOV_RTOL = 1e-12
-GMRES_RTOL = 1e-14
+# inexact Newton (Knoll & Keyes, JCP 2004) with Eisenstat-Walker forcing
+# terms (SIAM J. Sci. Comput. 17, 1996): Newton iteration k only needs a
+# step whose linear residual meets |J delta + R_k| <= eta_k |R_k|.  Choice 2
+# of Eisenstat and Walker, from eta_0 = ETA_MAX on:
+#     eta_k = min(ETA_MAX, max(FORCING_GAMMA (|R_k| / |R_{k-1}|)^2,
+#                              OVERSOLVE_FLOOR tol scale / |R_k|)).
+# The floor is Kelley's safeguard against oversolving: a step need not
+# solve below half the Newton tolerance.  Eisenstat and Walker's safeguard
+# max(eta_k, FORCING_GAMMA eta_{k-1}^2), taken when that term exceeds 0.1,
+# cannot apply under ETA_MAX = 0.1 and is left out.
+ETA_MAX = 0.1
+FORCING_GAMMA = 0.9
+OVERSOLVE_FLOOR = 0.5
+# Within one solve() call, a step after the first runs one cycle of at most
+# GMRES_RESTART iterations of GMRES right-preconditioned with the last
+# sparse LU, so that its residual is the true one.  The step is accepted
+# when the true condensed residual meets |A x - b| <= eta_k |R_k|; static
+# condensation solves the interior rows exactly, so that residual is
+# |J delta + R_k|.  GMRES aims GMRES_AIM times lower and stops there, or at
+# the end of its cycle: stopping at the bound itself left the converged
+# solution of the pressure/flux problem up to 1e-9 away from the exactly
+# solved one, where aiming lower keeps it within 1e-10 (see README).  A
+# cycle that cannot reach the bound is dropped early: from HOPELESS_AFTER
+# iterations on, when even the fastest rate it has kept over
+# HOPELESS_WINDOW iterations would leave its residual above the bound after
+# GMRES_RESTART.  Early rates understate later ones, and a false drop costs
+# a factorisation, several times the iterations it saves.  A dropped or
+# missed step has its matrix factored.
 GMRES_RESTART = 30
+GMRES_AIM = 0.01
+HOPELESS_AFTER = 10
+HOPELESS_WINDOW = 3
 
 
 @dataclass
@@ -145,9 +173,15 @@ class NewtonDiagnostics:
     converged: bool = False
     dim_condensed: int = 0
     dim_full: int = 0
+    tolerance: float = 0.0    # the Newton tolerance tol * scale on |R|
     factorizations: int = 0
     # GMRES iterations of each step solved with a reused factor
     krylov_iterations: list = field(default_factory=list)
+    # one dict per newton_step call, Stokes start and damping retries
+    # included: its forcing term "eta" (0 asks for an exact solve), the
+    # "gmres_iterations" it ran (those of a dropped cycle included),
+    # whether it "factored", and the "residual" |A x - b| / |R| it reached
+    linear_solves: list = field(default_factory=list)
 
 
 @dataclass
@@ -198,34 +232,88 @@ def _moment_matrix(S, N):
             .reshape(G, 3 * nb, 3 * nb))
 
 
+def _forcing_term(rnorm: float, rprev: float | None, tol: float) -> float:
+    """The forcing term of a Newton iteration at residual norm rnorm after
+    rprev (None on the first), for the Newton tolerance tol on |R|."""
+    eta = ETA_MAX if rprev is None else FORCING_GAMMA * (rnorm / rprev) ** 2
+    return min(ETA_MAX, max(eta, OVERSOLVE_FLOOR * tol / rnorm))
+
+
+def _gmres(A, b, psolve, bound):
+    """One cycle of GMRES from zero, right-preconditioned by psolve, toward
+    |b - A x| <= GMRES_AIM bound.  Returns x and the iterations run; x is
+    None when the cycle ends above bound or is dropped as hopeless."""
+    m = GMRES_RESTART
+    beta = np.linalg.norm(b)
+    if beta <= GMRES_AIM * bound:
+        return np.zeros_like(b), 0
+    V = np.empty((m + 1, len(b)))
+    Z = np.empty((m, len(b)))      # preconditioned Krylov vectors
+    H = np.zeros((m + 1, m))
+    V[0] = b / beta
+    res = [beta]
+    for j in range(m):
+        Z[j] = psolve(V[j])
+        w = A @ Z[j]
+        for _ in range(2):         # Gram-Schmidt, repeated once
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            H[:j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        V[j + 1] = w / H[j + 1, j] if H[j + 1, j] > 0 else 0.0
+        # the least-squares residual of |beta e_1 - H y| is beta |Q[0, -1]|
+        Q, T = np.linalg.qr(H[:j + 2, :j + 1], mode="complete")
+        res.append(beta * abs(Q[0, -1]))
+        if res[-1] <= GMRES_AIM * bound:
+            break
+        if j + 1 >= HOPELESS_AFTER:
+            r, n = np.array(res), HOPELESS_WINDOW
+            rate = np.min(r[n:] / r[:-n]) ** (1 / n)
+            if res[-1] * rate ** (m - j - 1) > bound:
+                return None, j + 1
+    if res[-1] > bound:
+        return None, j + 1
+    y = np.linalg.solve(T[:j + 1], beta * Q[0, :j + 1])
+    return y @ Z[:j + 1], j + 1
+
+
 class _FactorReuse:
     """Condensed linear solves of one solve() call: the first system is
-    factored, later ones are solved by GMRES preconditioned with the last
-    factor, falling back to a fresh factorisation."""
+    factored; a later one is solved by GMRES preconditioned with the last
+    factor as far as its forcing term asks, else factored afresh."""
 
     def __init__(self):
         self.lu = None
         self.factorizations = 0
         self.krylov_iterations = []
+        self.records = []
 
-    def solve(self, A, b):
-        if self.lu is not None:
-            its = []
-            x, _ = spla.gmres(A, b, M=spla.LinearOperator(A.shape,
-                                                          self.lu.solve),
-                              rtol=GMRES_RTOL, restart=GMRES_RESTART,
-                              maxiter=1, callback=its.append,
-                              callback_type="pr_norm")
-            if np.linalg.norm(A @ x - b) <= KRYLOV_RTOL * np.linalg.norm(b):
-                self.krylov_iterations.append(len(its))
-                return x
+    def solve(self, A, b, eta, rnorm):
+        """x with |A x - b| <= eta rnorm by GMRES on the last factor, else
+        the direct solve of a fresh factor; each call is recorded."""
+        bound = eta * rnorm
+        x, its = (None, 0) if self.lu is None else \
+            _gmres(A, b, self.lu.solve, bound)
+        if x is not None:
+            achieved = np.linalg.norm(A @ x - b)    # the true residual
+            if achieved > bound:
+                x = None
+        factored = x is None
+        if factored:
             self.lu = None     # released before splu allocates the next
-        try:
-            self.lu = spla.splu(A)
-        except RuntimeError as exc:
-            raise SolverError(f"singular condensed matrix: {exc}") from exc
-        self.factorizations += 1
-        return self.lu.solve(b)
+            try:
+                self.lu = spla.splu(A)
+            except RuntimeError as exc:
+                raise SolverError(f"singular condensed matrix: {exc}") from exc
+            self.factorizations += 1
+            x = self.lu.solve(b)
+            achieved = np.linalg.norm(A @ x - b)
+        else:
+            self.krylov_iterations.append(its)
+        self.records.append({
+            "eta": float(eta), "gmres_iterations": its, "factored": factored,
+            "residual": float(achieved / rnorm) if rnorm else 0.0})
+        return x
 
 
 class NavierStokesSolver:
@@ -553,12 +641,14 @@ class NavierStokesSolver:
 
     def newton_step(self, x: np.ndarray, R: np.ndarray,
                     with_convection: bool = True,
-                    shift: float = 0.0) -> np.ndarray:
+                    shift: float = 0.0, eta: float = 0.0) -> np.ndarray:
         """Solve (J + shift M_curl) delta = -R with per-cell elimination of
-        the cell-attached blocks (Schur complements, back-substituted)."""
+        the cell-attached blocks (Schur complements, back-substituted), to
+        a linear residual of at most eta |R| when a factor is reused."""
         A, b, back = self._condense(x, R, with_convection, shift)
         delta = np.zeros(self.n_x)
-        delta[self.cond_dofs] = (self._linear or _FactorReuse()).solve(A, b)
+        delta[self.cond_dofs] = (self._linear or _FactorReuse()).solve(
+            A, b, eta, self.residual_norm(R))
         for grp, X in back:
             d_ret = delta[grp.gx[:, grp.loc_ret]]
             delta[grp.gx[:, grp.loc_int]] = X[..., -1] - _mv(X[..., :-1], d_ret)
@@ -568,28 +658,29 @@ class NavierStokesSolver:
     def solve(self) -> Solution:
         """Damped Newton from the Stokes solution.  The sparse factor of one
         call is reused across its steps and released when it returns."""
-        opts = self.opts
-        diag = NewtonDiagnostics(dim_full=int(self.free.sum()),
-                                 dim_condensed=self.dim_condensed)
         scale = max(np.linalg.norm(self.rhs_mom), np.linalg.norm(self.flux_vec),
                     np.linalg.norm(self.u_fix) + np.linalg.norm(self.p_fix))
         if scale == 0.0:
             scale = 1.0
+        diag = NewtonDiagnostics(dim_full=int(self.free.sum()),
+                                 dim_condensed=self.dim_condensed,
+                                 tolerance=self.opts.tol * scale)
 
         self._linear = linear = _FactorReuse()
         try:
-            x = self._newton(diag, scale)
+            x = self._newton(diag)
         finally:
             self._linear = linear.lu = None
             diag.factorizations = linear.factorizations
             diag.krylov_iterations = linear.krylov_iterations
+            diag.linear_solves = linear.records
 
         u, p, mu = self.split(x)
         return Solution(DofVector(self.ul, u.copy()),
                         DofVector(self.pl, p.copy()), float(mu), diag)
 
-    def _newton(self, diag, scale):
-        opts = self.opts
+    def _newton(self, diag):
+        tol = diag.tolerance
         x = self.initial_state()
         # Stokes solve as the initial guess (exact for the linear part)
         R = self.residual(x, with_convection=False)
@@ -599,14 +690,16 @@ class NavierStokesSolver:
         rnorm = self.residual_norm(R)
         r0 = max(rnorm, 1e-300)
         diag.residuals.append(rnorm)
-        while rnorm > opts.tol * scale:
-            if diag.iterations >= opts.max_iter:
+        rprev = None
+        while rnorm > tol:
+            if diag.iterations >= self.opts.max_iter:
                 diag.converged = False
                 raise NonConvergenceError(diag)
+            eta = _forcing_term(rnorm, rprev, tol)
             lam = PTC_LAMBDA0 * rnorm / r0
             accepted = None
             for _ in range(MAX_DAMPING + 1):
-                delta = self.newton_step(x, R, shift=lam)
+                delta = self.newton_step(x, R, shift=lam, eta=eta)
                 cand = x + delta
                 cand_R = self.residual(cand)
                 cand_norm = self.residual_norm(cand_R)
@@ -619,6 +712,7 @@ class NavierStokesSolver:
             if accepted[2] >= rnorm:
                 diag.converged = False
                 raise NonConvergenceError(diag)
+            rprev = rnorm
             x, R, rnorm = accepted
             diag.residuals.append(rnorm)
         diag.converged = True

@@ -198,10 +198,11 @@ def cell_jacobian(s, cell, ul, with_convection):
     return J
 
 
-def newton_step(s, x, R, with_convection=True, shift=0.0):
+def newton_step(s, x, R, with_convection=True, shift=0.0, eta=0.0):
     """Solve (J + shift M_curl) delta = -R cell by cell: each cell's interior
     block is eliminated by its Schur complement, the condensed system is
-    factored afresh, and the interior values are back-substituted."""
+    factored afresh, and the interior values are back-substituted.  Every
+    step is solved exactly, whatever its forcing term eta."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 

@@ -1,6 +1,7 @@
 """The batched Newton kernels against the per-cell reference in oracles.py,
 and the lifetime of the sparse factor reused within one solve() call."""
 
+import json
 import weakref
 from functools import partial
 
@@ -81,12 +82,16 @@ def test_trig_solve_matches_factoring_every_step():
 
 
 class _Factor:
-    """A sparse LU that can be watched by weak reference."""
+    """A sparse LU that can be watched by weak reference, and that notes
+    each solve in `log` when one is given."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, log=None):
         self.lu = lu
+        self.log = log
 
     def solve(self, b):
+        if self.log is not None:
+            self.log.append("solve")
         return self.lu.solve(b)
 
 
@@ -151,3 +156,120 @@ def test_factor_released_when_newton_fails(factors):
     assert err.value.diagnostics.factorizations == 1
     assert s._linear is None
     assert all(f() is None for f in factors)
+
+
+def pressflux_solver(k):
+    cx = get_complex("cubic", 4, k)
+    spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=pressflux_bc())
+    return NavierStokesSolver(cx, spec)
+
+
+@pytest.fixture
+def events(monkeypatch):
+    """In call order: "step" at each newton_step call, "splu" at each
+    factorisation and "solve" at each solve with a factor."""
+    log = []
+    splu, step = spla.splu, NavierStokesSolver.newton_step
+
+    def logged_splu(A):
+        log.append("splu")
+        return _Factor(splu(A), log)
+
+    def logged_step(self, *args, **kwargs):
+        log.append("step")
+        return step(self, *args, **kwargs)
+    monkeypatch.setattr(spla, "splu", logged_splu)
+    monkeypatch.setattr(NavierStokesSolver, "newton_step", logged_step)
+    return log
+
+
+def test_hopeless_cycle_dropped_before_its_restart(events):
+    # Re=100 on cubic n=4, k=0: one reused factor cannot reach its bound;
+    # the cycle is dropped before it has run GMRES_RESTART iterations
+    diag = pressflux_solver(0).solve().diagnostics
+    steps = []
+    for event in events:
+        if event == "step":
+            steps.append([])
+        else:
+            steps[-1].append(event)
+    assert len(steps) == len(diag.linear_solves)
+    refactored = [(step.index("splu"), rec)
+                  for step, rec in zip(steps[1:], diag.linear_solves[1:])
+                  if "splu" in step]
+    assert refactored                    # the refactor path ran
+    for attempt, rec in refactored:
+        # each GMRES iteration solves once with the old factor
+        assert 0 < attempt < solver_mod.GMRES_RESTART
+        assert rec["factored"] and rec["gmres_iterations"] == attempt
+
+
+def test_linear_solve_records():
+    """One record per newton_step call; a reused factor's step meets its
+    forcing term by its true residual, and the forcing terms follow
+    Eisenstat-Walker choice 2 with the oversolving floor."""
+    s = pressflux_solver(0)
+    rnorms = []
+    step = s.newton_step
+
+    def noted(x, R, *args, **kwargs):
+        rnorms.append(s.residual_norm(R))
+        return step(x, R, *args, **kwargs)
+    s.newton_step = noted
+    diag = s.solve().diagnostics
+    recs = diag.linear_solves
+    json.dumps(recs)
+    assert len(recs) == len(rnorms)
+    assert sum(r["factored"] for r in recs) == diag.factorizations
+    assert [r["gmres_iterations"] for r in recs if not r["factored"]] \
+        == diag.krylov_iterations
+    # the Stokes start is solved exactly, by the first factor
+    assert (recs[0]["eta"], recs[0]["gmres_iterations"],
+            recs[0]["factored"]) == (0.0, 0, True)
+    for r in recs:
+        assert r["residual"] <= (1e-10 if r["factored"] else r["eta"])
+    # each Newton step's forcing term from the residual history
+    res, tol = diag.residuals, diag.tolerance
+    floored = set()
+    for r, rnorm in zip(recs[1:], rnorms[1:]):
+        k = res.index(rnorm)
+        ew = 0.1 if k == 0 else 0.9 * (rnorm / res[k - 1]) ** 2
+        floor = 0.5 * tol / rnorm
+        assert r["eta"] == pytest.approx(min(0.1, max(ew, floor)), rel=1e-12)
+        floored.add(floor > ew and floor < 0.1)
+    assert floored == {True, False}   # the floor set some steps, not all
+    assert diag.residuals[-1] <= tol
+
+
+def test_step_missing_its_bound_is_refactored(monkeypatch):
+    # whatever GMRES returns, a step is accepted by its true residual only
+    gmres = solver_mod._gmres
+
+    def off(*args):
+        x, its = gmres(*args)
+        return (None if x is None else 2.0 * x), its
+    monkeypatch.setattr(solver_mod, "_gmres", off)
+    _, s = trig_solver(get_complex("cubic", 4, 0))
+    _, ref = trig_solver(get_complex("cubic", 4, 0))
+    ref.newton_step = partial(oracles.newton_step, ref)
+    got, want = s.solve(), ref.solve()
+    recs = got.diagnostics.linear_solves
+    assert all(r["factored"] for r in recs)
+    assert all(r["gmres_iterations"] > 0 for r in recs[1:])
+    assert got.diagnostics.krylov_iterations == []
+    assert got.diagnostics.iterations == want.diagnostics.iterations
+    assert rel(got.u.values, want.u.values) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_pressflux_forcing_terms_match_factoring_every_step(k):
+    s, ref = pressflux_solver(k), pressflux_solver(k)
+    ref.newton_step = partial(oracles.newton_step, ref)
+    got, want = s.solve(), ref.solve()
+    g, w = got.diagnostics, want.diagnostics
+    assert g.linear_solves and not all(r["factored"] for r in g.linear_solves)
+    assert abs(g.iterations - w.iterations) <= 1
+    assert g.residuals[-1] <= g.tolerance and w.residuals[-1] <= w.tolerance
+    bar = 1e-10 if g.iterations == w.iterations else 1e-8
+    assert rel(got.u.values, want.u.values) <= bar
+    assert rel(got.p.values, want.p.values) <= bar

@@ -289,6 +289,16 @@ def test_interior_face_sign_parity_rejected():
         msh.build_mesh(coords, loops, cells * 2)
 
 
+def test_flipped_stored_sign_rejected_by_validation():
+    # the point test of orientation_sign builds the boundary from the stored
+    # signs, so it agrees with a flipped one; the validator must not
+    m = built(cube_tables())
+    m.cells[0].face_signs[3] *= -1
+    assert msh.orientation_sign(m, 0, 3) == m.cells[0].face_signs[3]
+    with pytest.raises(msh.MeshError, match="cell 0: "):
+        msh._validate(m)
+
+
 def test_orientation_sign_disagreement_rejected():
     # the slab of the point test above, re-derived one face at a time
     m = built(prism_tables([(0, 0), (1, 0), (1, 1), (0, 1)], height=1e-8))
