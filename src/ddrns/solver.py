@@ -284,8 +284,6 @@ class _FactorReuse:
 
     def __init__(self):
         self.lu = None
-        self.factorizations = 0
-        self.krylov_iterations = []
         self.records = []
 
     def solve(self, A, b, eta, rnorm):
@@ -305,11 +303,8 @@ class _FactorReuse:
                 self.lu = spla.splu(A)
             except RuntimeError as exc:
                 raise SolverError(f"singular condensed matrix: {exc}") from exc
-            self.factorizations += 1
             x = self.lu.solve(b)
             achieved = np.linalg.norm(A @ x - b)
-        else:
-            self.krylov_iterations.append(its)
         self.records.append({
             "eta": float(eta), "gmres_iterations": its, "factored": factored,
             "residual": float(achieved / rnorm) if rnorm else 0.0})
@@ -671,9 +666,10 @@ class NavierStokesSolver:
             x = self._newton(diag)
         finally:
             self._linear = linear.lu = None
-            diag.factorizations = linear.factorizations
-            diag.krylov_iterations = linear.krylov_iterations
-            diag.linear_solves = linear.records
+            diag.linear_solves = recs = linear.records
+            diag.factorizations = sum(r["factored"] for r in recs)
+            diag.krylov_iterations = [r["gmres_iterations"] for r in recs
+                                      if not r["factored"]]
 
         u, p, mu = self.split(x)
         return Solution(DofVector(self.ul, u.copy()),

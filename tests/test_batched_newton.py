@@ -1,5 +1,6 @@
 """The batched Newton kernels against the per-cell reference in oracles.py,
-and the lifetime of the sparse factor reused within one solve() call."""
+the lifetime of the sparse factor reused within one solve() call, and the
+forcing terms that set how far each reused-factor step is solved."""
 
 import json
 import weakref
@@ -259,6 +260,7 @@ def test_step_missing_its_bound_is_refactored(monkeypatch):
     assert got.diagnostics.krylov_iterations == []
     assert got.diagnostics.iterations == want.diagnostics.iterations
     assert rel(got.u.values, want.u.values) <= 1e-10
+    assert rel(got.p.values, want.p.values) <= 1e-10
 
 
 @pytest.mark.parametrize("k", [0, 2])
