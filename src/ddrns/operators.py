@@ -203,11 +203,9 @@ class _EntityContext:
         self.sca = {l: ps.build_scalar_basis(g, l, self.rule)
                     for l in {k - 1, k, k + 1, ell}}
         self.vb = ps.tensor_vector_basis(self.sca[k], g.dim)
-        parent = ps.tensor_vector_basis(
-            ps.build_scalar_basis(g, k + 2, self.rule), g.dim)
         # Rc^{ell+1} is Rc^k in DDR mode (ell = k - 1): each key is built once
         self.sub = {
-            (sel, l): ps.build_subspace(g, sel, l, parent, self.gram)
+            (sel, l): ps.build_subspace(g, sel, l, self.gram)
             for sel, l in dict.fromkeys([("R", k - 1), ("Rc", ell + 1),
                                          ("R", k), ("Rc", k), ("Rc", k + 2),
                                          *extra])}
@@ -624,17 +622,16 @@ def _face_key(mesh: Mesh, fid: int) -> tuple:
                             [f.vertex_loop], sorted(f.edges))
 
 
-def _cell_key(mesh: Mesh, cid: int, face_class) -> tuple:
-    """Cell key; face_class[f] names the translation class of face f, whose
-    basis the face DoFs of the cell are expressed in.  omega_TF follows from
-    the geometry of a valid mesh and is kept in the key as a guard."""
+def _cell_key(mesh: Mesh, cid: int) -> tuple:
+    """Cell key; omega_TF follows from the geometry of a valid mesh and is
+    kept in the key as a guard."""
     c = mesh.cells[cid]
     faces = sorted(c.faces)
     sign = dict(zip(c.faces, c.face_signs))
     return (_translation_key(mesh, c.vertex_ids, c.anchor, c.diameter,
                              [mesh.faces[f].vertex_loop for f in faces],
                              c.edge_ids),
-            tuple((face_class[f], sign[f]) for f in faces))
+            tuple(sign[f] for f in faces))
 
 
 # ---------------------------------------------------------------------------
@@ -685,17 +682,16 @@ class DdrComplex:
                       for e in range(mesh.n_edges)]
         # each translation class of faces and cells is built once, from its
         # first member, and placed on the others
-        face_reps, cell_reps, face_class = {}, {}, []
+        face_reps, cell_reps = {}, {}
         self.faces = []
         for f in range(mesh.n_faces):
             rep = face_reps.setdefault(_face_key(mesh, f), f)
-            face_class.append(rep)
             self.faces.append(
                 FaceContext(mesh, f, k, ell, deg_bilin, self.edges)
                 if rep == f else self.faces[rep].placed_at(mesh, f))
         self.cells = []
         for c in range(mesh.n_cells):
-            rep = cell_reps.setdefault(_cell_key(mesh, c, face_class), c)
+            rep = cell_reps.setdefault(_cell_key(mesh, c), c)
             self.cells.append(
                 CellContext(mesh, c, k, ell, self.cell_degree,
                             self.edges, self.faces, self.layouts)

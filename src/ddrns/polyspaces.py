@@ -9,8 +9,18 @@ L2 product.  On faces and cells the full vector-valued space splits two ways,
 
 with G/R the images of grad/rot (faces) or grad/curl (cells) and Gc/Rc the
 complements generated by contraction with ``x - x_Y``.  The splits are direct,
-not orthogonal; each factor gets its own orthonormal basis, extracted from
-the generating family by SVD with a relative singular-value cutoff.
+not orthogonal; each factor gets its own orthonormal basis.
+
+Every basis comes from one orthonormalisation: a fixed family of monomial
+coefficient rows, orthonormalised against the entity's monomial Gram by the
+inverse of its Cholesky factor (:func:`_orthonormalise_gram`).  For P^l the
+family is the monomials themselves.  For G/Gc/R/Rc^l it is built once per
+(dim, selector, degree) on the unit chart: the generating family of the
+defining formula has integer entries, and its SVD gives orthonormal rows
+that span it, checked there against the analytic dimension.  Any
+L2-orthonormal basis of the subspace gives the same discrete problem; this
+one depends on the geometry only through the Gram, so translated entities
+get the same basis to rounding.
 
 Set-up cost.  On meshes without congruent entities every face and cell
 builds its bases and local operators itself, so the per-entity kernels
@@ -18,30 +28,9 @@ here set the cost of ``DdrComplex``:
 
 - Inner products of vector polynomials are two reshaped matmuls
   (:func:`vector_inner`), with no einsum path search per call.
-- A generating family depends on the chart only through its scale, and
-  its entries are 0 or integers, so the unit-scale family is cached per
-  (dim, selector, degree) and scaled by 1/h or h, bit for bit.
 - A :class:`Sampler` samples an entity's monomials once per point set at a
   top degree; the exponent tables are graded, so each basis reads its
   values off the leading columns.
-
-On 384 jittered Kuhn tets at k=1 (2-CPU machine, traced) these took the
-face builds from 6.6 to 3.1 s, the cell builds from 9.9 to 4.9 s and the
-bases within them from 5.8 to 2.9 s.
-
-The SVD input of :func:`build_subspace` is the one exception to the
-matmul kernels, and its contraction order is pinned.  The singular values
-of a generating family's coordinates are often equal (R^0 on a cell has
-three equal ones), and then the singular vectors of equal values are
-fixed only up to a rotation that the last bits of the input decide.  A
-contraction in another order moves those bits and turns the extracted
-basis, which rewrites the operators in other DoF coordinates (``pot_curl``
-and ``uC`` of jittered tets moved by 2.0 relative in such a trial).  So
-the coordinates are computed along the same contraction path as
-``np.einsum(..., optimize=True)``, and :func:`scalar_monomial_gram` and
-:func:`build_scalar_basis` keep their arithmetic.  A canonical basis of
-each subspace that does not come from an SVD of geometry-dependent input
-would lift this constraint (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -179,7 +168,6 @@ class EntityGeometry:
     scale: float         # h_Y
     axes: np.ndarray     # (d, 3) orthonormal rows
     measure: float
-    kind: str            # edge | face | cell
 
     @property
     def dim(self) -> int:
@@ -192,19 +180,19 @@ class EntityGeometry:
 def edge_geometry(mesh: Mesh, e: Edge | int) -> EntityGeometry:
     if isinstance(e, int):
         e = mesh.edges[e]
-    return EntityGeometry(e.midpoint, e.length, e.tangent[None, :], e.length, "edge")
+    return EntityGeometry(e.midpoint, e.length, e.tangent[None, :], e.length)
 
 
 def face_geometry(mesh: Mesh, f: Face | int) -> EntityGeometry:
     if isinstance(f, int):
         f = mesh.faces[f]
-    return EntityGeometry(f.anchor, f.diameter, f.frame, f.area, "face")
+    return EntityGeometry(f.anchor, f.diameter, f.frame, f.area)
 
 
 def cell_geometry(mesh: Mesh, c: Cell | int) -> EntityGeometry:
     if isinstance(c, int):
         c = mesh.cells[c]
-    return EntityGeometry(c.anchor, c.diameter, np.eye(3), c.volume, "cell")
+    return EntityGeometry(c.anchor, c.diameter, np.eye(3), c.volume)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +223,6 @@ class VectorBasis:
     degree: int
     ncomp: int
     coeff: np.ndarray  # (nb, nm, ncomp)
-    selector: str | None = None
-    parent_coords: np.ndarray | None = None  # rows: coords in the parent basis
 
     @property
     def dim(self) -> int:
@@ -290,9 +276,7 @@ def build_scalar_basis(geom: EntityGeometry, degree: int,
     """L2-orthonormal scalar basis of P^degree(Y); degree -1 gives {0}."""
     if degree < 0:
         return ScalarBasis(geom, 0, np.zeros((0, 1)))
-    exps = monomial_exponents(geom.dim, degree)
-    mono = mono_eval(exps, geom.local_coords(rule.points))
-    gram = mono.T @ (rule.weights[:, None] * mono)
+    gram = scalar_monomial_gram(geom, degree, rule)
     return ScalarBasis(geom, degree, _orthonormalise_gram(gram))
 
 
@@ -377,22 +361,11 @@ def _deg_of(space_dim: int, nm: int) -> int:
 # ---------------------------------------------------------------------------
 # split subspaces
 
-def _generating_family(geom: EntityGeometry, selector: str, degree: int):
-    """Monomial coefficients (nf, nm, ncomp) of the defining generating set.
-
-    The family of a unit chart scaled by 1/h (gradients and rotors of
-    monomials) or by h (the x - x_Y complements): every entry of the unit
-    family is 0 or an integer, so the scaled family is the one computed
-    at scale h, bit for bit."""
-    unit = _unit_family(geom.dim, selector, degree)
-    if selector in ("G", "R"):
-        return unit / geom.scale
-    return unit * geom.scale
-
-
-@lru_cache(maxsize=None)
 def _unit_family(d: int, selector: str, degree: int) -> np.ndarray:
-    """The generating family on a chart of scale h = 1 (read-only)."""
+    """The generating family from the defining formula on a chart of scale
+    h = 1: gradients (faces: also rotors) or curls of the non-constant
+    monomials of degree + 1, or x times, crossed with or turned by, the
+    monomials of degree - 1.  Every entry is 0 or an integer."""
     l = degree
     if d == 2:
         ncomp = 2
@@ -456,60 +429,48 @@ def _unit_family(d: int, selector: str, degree: int) -> np.ndarray:
     if not members:
         nm = len(monomial_exponents(d, max(l, 0)))
         members = np.zeros((0, nm, ncomp))
-    family = np.array(members)
-    family.flags.writeable = False
-    return family
-
-
-_SVD_INPUT = "fmc,mn,bnc->fb"
+    return np.array(members)
 
 
 @lru_cache(maxsize=None)
-def _svd_input_path(*shapes):
-    return tuple(np.einsum_path(_SVD_INPUT, *(np.empty(s) for s in shapes),
-                                optimize=True)[0])
+def _spanning_family(d: int, selector: str, degree: int) -> np.ndarray:
+    """Orthonormal rows, in monomial coefficient space, that span the unit
+    family of G/Gc/R/Rc^degree on a d-dimensional chart (read-only).
 
-
-def _svd_input(family, gram, parent_coeff):
-    """Coordinates of the family in the parent basis, computed as
-    ``np.einsum(..., optimize=True)`` computes them: along the contraction
-    path that numpy's search picks for these shapes, searched once per
-    shape.  The paths differ between shapes, and so do their roundings; the
-    SVD of these coordinates picks the subspace basis (see the module
-    docstring)."""
-    G = gram[:family.shape[1], :parent_coeff.shape[1]]
-    path = _svd_input_path(family.shape, G.shape, parent_coeff.shape)
-    return np.einsum(_SVD_INPUT, family, G, parent_coeff, optimize=path)
+    The unit family has integer entries and may have more members than the
+    subspace dimension (the curls of R on a cell); its SVD keeps the rows of
+    singular values above RANK_RTOL times the largest, and their number
+    must match the analytic dimension.
+    """
+    unit = _unit_family(d, selector, degree)
+    nf, nm, nc = unit.shape
+    rows = np.zeros((0, nm * nc))
+    if nf:
+        _, sv, vt = np.linalg.svd(unit.reshape(nf, nm * nc),
+                                  full_matrices=False)
+        rows = vt[:int(np.sum(sv > RANK_RTOL * sv[0]))]
+    expected = subspace_dim(d, selector, degree)
+    if len(rows) != expected:
+        raise BasisError(f"{selector}^{degree} on dim {d}: family rank "
+                         f"{len(rows)} != expected {expected}")
+    rows = rows.reshape(len(rows), nm, nc)
+    rows.flags.writeable = False
+    return rows
 
 
 def build_subspace(geom: EntityGeometry, selector: str, degree: int,
-                   parent: VectorBasis, gram: np.ndarray) -> VectorBasis:
-    """Orthonormal basis of G/Gc/R/Rc^degree inside the parent full space.
+                   gram: np.ndarray) -> VectorBasis:
+    """L2-orthonormal basis of G/Gc/R/Rc^degree(Y), of degree max(degree, 0).
 
-    The generating family from the defining formula is reduced by SVD in the
-    parent-orthonormal coordinates; singular values below RANK_RTOL times the
-    largest are discarded and the extracted rank must match the analytic
-    dimension.
+    The spanning family of the unit chart is orthonormalised against the
+    entity's monomial Gram (at a degree covering degree), so the basis
+    depends on the geometry only through that Gram.
     """
-    expected = subspace_dim(geom.dim, selector, degree)
-    family = _generating_family(geom, selector, degree)
-    if expected == 0 or family.shape[0] == 0:
-        if expected != 0:
-            raise BasisError(f"{selector}^{degree}: empty family, expected "
-                             f"dimension {expected}")
-        nm_parent = parent.coeff.shape[1]
-        return VectorBasis(geom, parent.degree, parent.ncomp,
-                           np.zeros((0, nm_parent, parent.ncomp)), selector,
-                           np.zeros((0, parent.dim)))
-    coords = _svd_input(family, gram, parent.coeff)
-    _, sv, vt = np.linalg.svd(coords, full_matrices=False)
-    rank = int(np.sum(sv > RANK_RTOL * sv[0]))
-    if rank != expected:
-        raise BasisError(f"{selector}^{degree} on {geom.kind}: extracted rank "
-                         f"{rank} != expected {expected}")
-    keep = vt[:rank]  # orthonormal rows in parent coordinates
-    coeff = np.einsum("rp,pmc->rmc", keep, parent.coeff)
-    return VectorBasis(geom, parent.degree, parent.ncomp, coeff, selector, keep)
+    family = _spanning_family(geom.dim, selector, degree)
+    nf, nm, nc = family.shape
+    C = _orthonormalise_gram(vector_inner(gram, family, family))
+    coeff = (C @ family.reshape(nf, nm * nc)).reshape(nf, nm, nc)
+    return VectorBasis(geom, max(degree, 0), nc, coeff)
 
 
 # ---------------------------------------------------------------------------

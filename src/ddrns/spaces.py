@@ -147,7 +147,10 @@ class DofLayout:
         return {
             "kind": self.kind.value,
             "k": self.k,
-            "eta": [2, 2],      # DDR mode; kept so saved hashes still match
+            "eta": [2, 2],      # DDR mode: eta_Y on faces and cells
+            # the face and cell bases the coefficients are in: Cholesky
+            # orthonormalisations of fixed unit-chart families
+            "basis": "unit-family-cholesky",
             "counts": [self.mesh.n_vertices, self.mesh.n_edges,
                        self.mesh.n_faces, self.mesh.n_cells],
             "blocks": [self.vertex_block, self.edge_block,

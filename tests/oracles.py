@@ -290,54 +290,6 @@ def einsum_triple_moments(weights, phi):
     return np.einsum("p,pi,pj,pl->ijl", weights, phi, phi, phi, optimize=True)
 
 
-def svd_input(family, gram, parent_coeff):
-    """Coordinates of a generating family in its parent basis, as the
-    optimised einsum computes them."""
-    G = gram[:family.shape[1], :parent_coeff.shape[1]]
-    return np.einsum("fmc,mn,bnc->fb", family, G, parent_coeff, optimize=True)
-
-
-def generating_family(geom, selector, degree):
-    """The generating family of G/Gc/R/Rc^degree built at the chart's own
-    scale h, member by member: gradients (faces: also rotors) or curls of the
-    non-constant monomials of degree + 1, or (x - x_Y) times, crossed with
-    or turned by, the monomials of degree - 1."""
-    d, l, h = geom.dim, degree, geom.scale
-    members = []
-    if selector in ("G", "R"):
-        nm_src = len(ps.monomial_exponents(d, l + 1))
-        nm_out = len(ps.monomial_exponents(d, max(l, 0)))
-        D = [ps.deriv_matrix(d, l + 1, a) / h for a in range(d)]
-        for i in range(1, nm_src):
-            g = [Da[:, i] for Da in D]
-            zero = np.zeros_like(g[0])
-            if selector == "G":
-                members.append(np.stack(g, axis=-1)[:nm_out])
-            elif d == 2:
-                members.append(np.stack([g[1], -g[0]], axis=-1)[:nm_out])
-            else:
-                members += [np.stack(c, axis=-1)[:nm_out] for c in (
-                    [zero, g[2], -g[1]], [-g[2], zero, g[0]],
-                    [g[1], -g[0], zero])]
-    elif l >= 1:
-        nm_out = len(ps.monomial_exponents(d, l))
-        R = [ps.raise_matrix(d, l - 1, a) for a in range(d)]
-        for i in range(R[0].shape[1]):
-            x = [np.pad(Ra[:, i], (0, nm_out - len(Ra))) for Ra in R]
-            zero = np.zeros_like(x[0])
-            if selector == "Rc":
-                members.append(h * np.stack(x, axis=-1))
-            elif d == 2:
-                members.append(h * np.stack([x[1], -x[0]], axis=-1))
-            else:
-                members += [h * np.stack(c, axis=-1) for c in (
-                    [zero, x[2], -x[1]], [-x[2], zero, x[0]],
-                    [x[1], -x[0], zero])]
-    if not members:
-        return np.zeros((0, len(ps.monomial_exponents(d, max(l, 0))), d))
-    return np.array(members)
-
-
 def interpolate_per_entity(cx, kind, fun):
     """I_grad, I_curl or I_div of fun with one call of fun and one basis
     evaluation per entity and subspace."""

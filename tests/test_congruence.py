@@ -3,11 +3,11 @@
 Faces and cells that are translates of each other, with the same local
 numbering and orientations, share the operators and basis coefficients of
 one context built from scratch.  A complex built that way must agree with
-one whose every context is built from scratch.  At k >= 1 the DoFs are
-coefficients in SVD-chosen bases, which differ between the two builds, so
-the comparison reads quantities that do not depend on the basis: norms,
-potentials at quadrature points and the errors of a solve.  At k = 0 every
-basis is fixed and the operator arrays themselves must match.
+one whose every context is built from scratch.  Every basis depends on
+the geometry only through the entity's monomial Gram, and translates have
+the same Gram to rounding, so the operator arrays themselves must match.
+Quantities that do not depend on the basis are compared as well: norms,
+potentials at quadrature points and the errors of a solve.
 """
 
 import copy
@@ -123,16 +123,23 @@ CELL_OPS = ("pot_grad", "pot_curl", "pot_div", "uG", "uC", "convective_curl",
             "tri_tensor")
 
 
-def test_k0_operator_arrays_match_from_scratch():
-    # at k = 0 every DoF basis is a Cholesky one, the same in both builds
-    cx = DdrComplex(generate_cubic_mesh(3), 0)
+@pytest.mark.parametrize("family,n,k", [
+    ("cubic", 3, 0), ("cubic", 3, 1), ("cubic", 3, 2),
+    ("tet", 2, 0), ("tet", 2, 1), ("tet", 2, 2)])
+def test_operator_arrays_match_from_scratch(family, n, k):
+    # every DoF basis is a Cholesky one of a fixed family, the same in both
+    # builds to rounding
+    mesh = generate_cubic_mesh(n) if family == "cubic" else generate_tet_mesh(n)
+    cx = DdrComplex(mesh, k)
     ref = from_scratch(cx)
+    assert n_built(cx.cells, "pot_curl") < mesh.n_cells
+    rtol = 1e-13 if k == 0 else 1e-12
     for got, want in zip(cx.faces, ref.faces):
         for name in FACE_OPS:
-            assert_close(getattr(got, name), getattr(want, name), 1e-13)
+            assert_close(getattr(got, name), getattr(want, name), rtol)
     for got, want in zip(cx.cells, ref.cells):
         for name in CELL_OPS:
-            assert_close(getattr(got, name), getattr(want, name), 1e-13)
+            assert_close(getattr(got, name), getattr(want, name), rtol)
         np.testing.assert_array_equal(got.rule.points, want.rule.points)
 
 
@@ -167,17 +174,19 @@ def test_cells_listing_faces_in_another_order():
         assert_close(got[name], want[name])
 
 
-def test_cells_on_faces_of_split_classes_stay_apart(monkeypatch):
-    # rounding can put two translated faces in different classes, whose
-    # bases differ at k >= 2; cells on them must then not share operators.
-    # Here the faces above z = 1/2 get classes of their own, so the cells
-    # of the top layer differ from the others in the classes of their
-    # faces only.
+def test_cells_on_faces_of_split_classes_still_share(monkeypatch):
+    # rounding can put two translated faces in different classes; their
+    # bases agree to rounding, so cells on them may share operators.  Here
+    # the faces above z = 1/2 get classes of their own, and the cells of
+    # the top layer, which differ from the others only in the classes of
+    # their faces, are still placed from one built cell.
     face_key = operators._face_key
     monkeypatch.setattr(operators, "_face_key", lambda mesh, f: (
         face_key(mesh, f), mesh.faces[f].anchor[2] > 0.5))
     cx = DdrComplex(generate_cubic_mesh(3), 2)
     assert n_built(cx.cells, "pot_curl") < cx.mesh.n_cells
+    lower = [c for c in cx.cells if c.cell.anchor[2] < 2 / 3]
+    assert n_built(cx.cells, "pot_curl") == n_built(lower, "pot_curl")
     got, want = basis_free_values(cx), basis_free_values(from_scratch(cx))
     for name in want:
         assert_close(got[name], want[name])

@@ -53,22 +53,20 @@ def test_degree_minus_one_empty(cube_cell):
 def test_subspace_dims(cube_cell, square_face):
     _, geom, rule = cube_cell
     _, fgeom, frule, _ = square_face
-    parent_f = ps.tensor_vector_basis(ps.build_scalar_basis(fgeom, 4, frule), 2)
     gram_f = ps.scalar_monomial_gram(fgeom, 4, frule)
-    parent_c = ps.tensor_vector_basis(ps.build_scalar_basis(geom, 4, rule), 3)
     gram_c = ps.scalar_monomial_gram(geom, 4, rule)
 
-    assert ps.build_subspace(fgeom, "R", -1, parent_f, gram_f).dim == 0
-    rc1 = ps.build_subspace(geom, "Rc", 1, parent_c, gram_c)
+    assert ps.build_subspace(fgeom, "R", -1, gram_f).dim == 0
+    rc1 = ps.build_subspace(geom, "Rc", 1, gram_c)
     assert rc1.dim == 1  # (x - x_T) P^0(T): numeric rank of the family
-    g0 = ps.build_subspace(geom, "G", 0, parent_c, gram_c)
+    g0 = ps.build_subspace(geom, "G", 0, gram_c)
     assert g0.dim == 3   # gradients of linears
 
     for sel in ("G", "Gc", "R", "Rc"):
         for l in range(-1, 4):
-            assert ps.build_subspace(geom, sel, l, parent_c, gram_c).dim \
+            assert ps.build_subspace(geom, sel, l, gram_c).dim \
                 == ps.subspace_dim(3, sel, l)
-            assert ps.build_subspace(fgeom, sel, l, parent_f, gram_f).dim \
+            assert ps.build_subspace(fgeom, sel, l, gram_f).dim \
                 == ps.subspace_dim(2, sel, l)
 
 
@@ -81,23 +79,24 @@ def test_direct_decomposition_ranks(cube_cell, square_face):
     gram_c = ps.scalar_monomial_gram(geom, 4, rule)
     for l in range(0, 5):
         for im, co in (("G", "Gc"), ("R", "Rc")):
-            a = ps.build_subspace(geom, im, l, parent_c, gram_c)
-            b = ps.build_subspace(geom, co, l, parent_c, gram_c)
-            stack = np.vstack([a.parent_coords, b.parent_coords])
+            a = ps.build_subspace(geom, im, l, gram_c)
+            b = ps.build_subspace(geom, co, l, gram_c)
+            stack = np.vstack([a.coords_in(parent_c, gram_c),
+                               b.coords_in(parent_c, gram_c)])
             assert np.linalg.matrix_rank(stack, tol=1e-10) == 3 * ps.dim_poly(3, l)
             if l <= 4 - 1:
-                a2 = ps.build_subspace(fgeom, im, l, parent_f, gram_f)
-                b2 = ps.build_subspace(fgeom, co, l, parent_f, gram_f)
-                stack = np.vstack([a2.parent_coords, b2.parent_coords])
+                a2 = ps.build_subspace(fgeom, im, l, gram_f)
+                b2 = ps.build_subspace(fgeom, co, l, gram_f)
+                stack = np.vstack([a2.coords_in(parent_f, gram_f),
+                                   b2.coords_in(parent_f, gram_f)])
                 assert np.linalg.matrix_rank(stack, tol=1e-10) \
                     == 2 * ps.dim_poly(2, l)
 
 
 def test_rot_basis_tangency(square_face):
     m, fgeom, frule, f = square_face
-    parent = ps.tensor_vector_basis(ps.build_scalar_basis(fgeom, 3, frule), 2)
     gram = ps.scalar_monomial_gram(fgeom, 3, frule)
-    rb = ps.build_subspace(fgeom, "R", 2, parent, gram)
+    rb = ps.build_subspace(fgeom, "R", 2, gram)
     vals3 = rb.eval3d(frule.points)
     assert np.abs(vals3 @ f.normal).max() < 1e-12
 
@@ -107,10 +106,9 @@ def test_pentagon_face_subspaces():
     f = next(f for f in m.faces if len(f.vertex_loop) == 5)
     geom = ps.face_geometry(m, f)
     rule = quad.face_rule(m, f.id, 8)
-    parent = ps.tensor_vector_basis(ps.build_scalar_basis(geom, 3, rule), 2)
     gram = ps.scalar_monomial_gram(geom, 3, rule)
     for sel in ("G", "Gc", "R", "Rc"):
-        sub = ps.build_subspace(geom, sel, 2, parent, gram)
+        sub = ps.build_subspace(geom, sel, 2, gram)
         assert sub.dim == ps.subspace_dim(2, sel, 2)
         vals = sub.eval(rule.points)
         g = np.einsum("pbc,pdc->bd", vals * rule.weights[:, None, None], vals)
@@ -127,9 +125,8 @@ def test_projection_constant_and_idempotence(cube_cell):
 
 def test_projection_roly_identity(square_face):
     _, fgeom, frule, _ = square_face
-    parent = ps.tensor_vector_basis(ps.build_scalar_basis(fgeom, 2, frule), 2)
     gram = ps.scalar_monomial_gram(fgeom, 2, frule)
-    rk = ps.build_subspace(fgeom, "R", 2, parent, gram)
+    rk = ps.build_subspace(fgeom, "R", 2, gram)
     rng = np.random.default_rng(0)
     coefs = rng.standard_normal(rk.dim)
     vals = np.einsum("pbc,b->pc", rk.eval(frule.points), coefs)

@@ -2,19 +2,17 @@
 
 The inner products and moment tensors are reshaped matmuls; they must
 agree with one optimised ``np.einsum`` to rounding, also on blocks with no
-rows (empty subspaces at k = 0).  The coordinates that the SVD of
-``build_subspace`` reads must equal, bit for bit, those of the optimised
-einsum on the uncached generating family: where singular values are equal,
-a change in the last bit of that input turns the extracted basis.  The
-interpolators call the field once per entity kind and must agree with the
-per-entity loops.
+rows (empty subspaces at k = 0).  Every subspace basis must be
+L2-orthonormal and span its generating family.  The interpolators call
+the field once per entity kind and must agree with the per-entity loops.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import get_mesh, pentagon_prism_mesh, random_tet_mesh
+from conftest import (get_mesh, jittered_kuhn_mesh, pentagon_prism_mesh,
+                      random_tet_mesh)
 from ddrns import polyspaces as ps
 from ddrns.operators import DdrComplex, _triple_moments
 from ddrns.solutions import TrigSolution
@@ -78,49 +76,56 @@ def test_sampler_matches_eval():
         cx.faces[0].rule)
 
 
-SVD_MESHES = {"cubic1": lambda: get_mesh("cubic", 1),
-              "kuhn1": lambda: get_mesh("tet", 1),
-              "pentagon_prism": pentagon_prism_mesh,
-              "random_tet": random_tet_mesh}
+SUBSPACE_MESHES = {"cubic1": lambda: get_mesh("cubic", 1),
+                   "kuhn1": lambda: get_mesh("tet", 1),
+                   "pentagon_prism": pentagon_prism_mesh,
+                   "random_tet": random_tet_mesh}
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("mesh", list(SVD_MESHES))
-def test_svd_input_is_the_einsum_contraction(mesh, k, monkeypatch):
-    """Every subspace: the cached family equals the one built at scale h, the
-    SVD reads exactly the optimised einsum of it, and the kept rows are
-    those of the SVD of that einsum."""
-    calls, svd_inputs = [], []
-    build, svd = ps.build_subspace, np.linalg.svd
+@pytest.mark.parametrize("mesh", list(SUBSPACE_MESHES))
+def test_subspace_bases_are_orthonormal_and_span_their_family(mesh, k):
+    """Every subspace basis of every face and cell, sampled at the entity's
+    rule points: L2-orthonormal, and its L2 projection reproduces each
+    member of the unit generating family."""
+    cx = DdrComplex(SUBSPACE_MESHES[mesh](), k)
+    for ctx in (*cx.faces, *cx.cells):
+        w = ctx.rule.weights
+        mono = ps.Sampler(ctx.geom, k + 2).monomials(ctx.rule)
+        for (selector, degree), sub in ctx.sub.items():
+            unit = ps._unit_family(ctx.geom.dim, selector, degree)
+            assert sub.dim == ps.subspace_dim(ctx.geom.dim, selector, degree)
+            if not len(unit):
+                assert sub.dim == 0
+                continue
+            phi = sub.values(mono)
+            gram = np.einsum("p,pbc,pdc->bd", w, phi, phi)
+            assert np.abs(gram - np.eye(sub.dim)).max() <= 1e-10
+            fam = ps.VectorBasis(ctx.geom, max(degree, 0), ctx.geom.dim,
+                                 unit).values(mono)
+            coords = np.einsum("p,pfc,pbc->fb", w, fam, phi)
+            resid = fam - np.einsum("fb,pbc->pfc", coords, phi)
+            # squared L2 norms: the residual is at most 1e-10 of the member
+            assert np.all(np.einsum("p,pfc,pfc->f", w, resid, resid)
+                          <= 1e-20 * np.einsum("p,pfc,pfc->f", w, fam, fam))
 
-    def recording_build(geom, selector, degree, parent, gram):
-        before = len(svd_inputs)
-        sub = build(geom, selector, degree, parent, gram)
-        calls.append((geom, selector, degree, parent, gram, sub,
-                      svd_inputs[before] if len(svd_inputs) > before else None))
-        return sub
 
-    def recording_svd(a, *args, **kwargs):
-        svd_inputs.append(np.array(a, copy=True))
-        return svd(a, *args, **kwargs)
+def test_no_gram_takes_the_eigen_fallback_at_k3(monkeypatch):
+    """Every basis of the jittered tets at k = 3 is orthonormalised by a
+    Cholesky factor: no Gram is past GRAM_COND_LIMIT, where the
+    eigen-whitening fallback (the only np.linalg.eigh call) takes over."""
+    calls, eigh = [], np.linalg.eigh
 
-    monkeypatch.setattr(ps, "build_subspace", recording_build)
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    DdrComplex(SVD_MESHES[mesh](), k)
-    monkeypatch.undo()
+    def recording_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
 
-    assert calls
-    for geom, selector, degree, parent, gram, sub, seen in calls:
-        family = oracles.generating_family(geom, selector, degree)
-        assert np.array_equal(ps._generating_family(geom, selector, degree),
-                              family), (selector, degree)
-        if sub.dim == 0:
-            assert seen is None
-            continue
-        ref = oracles.svd_input(family, gram, parent.coeff)
-        assert np.array_equal(seen, ref), (geom.kind, selector, degree)
-        _, _, vt = svd(ref, full_matrices=False)
-        assert np.array_equal(sub.parent_coords, vt[:sub.dim])
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    ps._orthonormalise_gram(np.diag([1.0, 1e-13]))
+    assert calls == [(2, 2)]
+    calls.clear()
+    DdrComplex(jittered_kuhn_mesh(), 3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,21 @@ def test_serialisation_roundtrip(tmp_path, cube1):
     other = DofLayout(cube1, SpaceKind.CURL, 2)
     with pytest.raises(ValueError, match="hash"):
         load_dofvector(other, path)
+
+
+def test_vector_saved_in_svd_bases_is_refused(tmp_path, cube1):
+    # the hash of this layout before its descriptor carried a basis tag,
+    # when face and cell DoFs were coefficients in per-entity SVD bases
+    svd_hash = "a306f12c94bcc6c8b6a20e69d8e7235e1a4a0f83d81797a345e9a2c4917af6b1"
+    lay = DofLayout(cube1, SpaceKind.CURL, 1)
+    path = tmp_path / "vec.bin"
+    save_dofvector(DofVector.zeros(lay), path)
+    sidecar = path.with_suffix(".bin.json")
+    meta = json.loads(sidecar.read_text())
+    meta["layout_hash"] = svd_hash
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="hash"):
+        load_dofvector(lay, path)
 
 
 def test_boundary_masks_cube(cube1):
