@@ -13,6 +13,10 @@ that ran first, every run's end-to-end metrics, their medians, the
 parent's interquartile range, the number of pairs the change wins, and the
 traced per-layer figures.  Workloads already in an existing
 BENCH_<tag>.json are kept, so several invocations fill one file.
+
+The ``machine`` block names the platform and times two fixed calibration
+kernels before and after the pairs (:func:`calibrate`), so that files made
+in different sessions can be put on one scale.
 """
 
 from __future__ import annotations
@@ -24,10 +28,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 SIDES = ("parent", "change")
 
@@ -49,6 +56,27 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
                          text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def calibrate(repeats: int = 5) -> dict:
+    """Best-of-repeats seconds of two fixed kernels: a dense 600 x 600
+    matmul, and the splu of the 7-point Laplacian on a 20^3 grid (8000
+    unknowns), the kind of factorisation the Newton steps make."""
+    A = np.random.default_rng(0).standard_normal((600, 600))
+    L1 = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(20, 20))
+    eye = sp.identity(20)
+    lap = (sp.kron(sp.kron(L1, eye), eye) + sp.kron(sp.kron(eye, L1), eye)
+           + sp.kron(sp.kron(eye, eye), L1)).tocsc()
+
+    def best(kernel):
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            kernel()
+            times.append(time.perf_counter() - t0)
+        return round(min(times), 5)
+    return {"matmul_600_s": best(lambda: A @ A),
+            "splu_laplace3d_20_s": best(lambda: spla.splu(lap))}
 
 
 def src_lines(checkout: Path) -> int:
@@ -112,21 +140,32 @@ def main(argv=None) -> int:
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     path = args.out / f"BENCH_{args.tag}.json"
     record = json.loads(path.read_text()) if path.is_file() else {}
+    machine = record.get("machine")
     record.update({
         "tag": args.tag,
         "claim": args.claim or record.get("claim", ""),
-        "machine": (f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
-                    f"Python {platform.python_version()}, numpy {np.__version__}, "
-                    f"scipy {scipy.__version__}"),
+        "machine": {
+            "platform": (f"{os.cpu_count()}-CPU {platform.system()} "
+                         f"{platform.machine()}, Python "
+                         f"{platform.python_version()}, numpy {np.__version__}, "
+                         f"scipy {scipy.__version__}"),
+            # calibration of each invocation, before and after its pairs
+            "calibration": (machine.get("calibration", [])
+                            if isinstance(machine, dict) else []),
+        },
         "command": ("python3 bench/run.py --workload <w> --seed <n> "
                     f"--seconds {args.seconds:g} --trace <t>"),
         "src_lines": {side: src_lines(c) for side, c in checkouts.items()},
     })
+    calibration = {"workloads": args.workload, "before": calibrate()}
+    record["machine"]["calibration"].append(calibration)
     workloads = record.setdefault("workloads", {})
     for workload in args.workload:
         workloads[workload] = measure(checkouts, workload, args.seeds,
                                       args.seconds, spec)
         path.write_text(json.dumps(record, indent=1) + "\n")
+    calibration["after"] = calibrate()
+    path.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

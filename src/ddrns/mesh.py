@@ -210,13 +210,16 @@ def _boundary_triangles(mesh: Mesh, fids, signs) -> np.ndarray:
 
 def _winding_number(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Winding number of each point about the closed triangulated surface:
-    the sum of the signed solid angles of its triangles, over 4 pi."""
-    a, b, c = (tris[None, :, i] - points[:, None] for i in range(3))
+    the sum of the signed solid angles of its triangles, over 4 pi.  points
+    (..., npts, 3) and tris (..., ntri, 3, 3) may carry a leading stack axis
+    of surfaces, each with its own points -> (..., npts)."""
+    a, b, c = (tris[..., None, :, i, :] - points[..., :, None, :]
+               for i in range(3))
     la, lb, lc = _norm(a), _norm(b), _norm(c)
     num = np.vecdot(a, cross3(b, c))
     den = (la * lb * lc + np.vecdot(a, b) * lc + np.vecdot(b, c) * la
            + np.vecdot(a, c) * lb)
-    return np.sum(2.0 * np.arctan2(num, den), axis=1) / (4.0 * np.pi)
+    return np.sum(2.0 * np.arctan2(num, den), axis=-1) / (4.0 * np.pi)
 
 
 def point_in_cell(mesh: Mesh, cell_id: int, point: np.ndarray) -> bool:
@@ -559,21 +562,31 @@ def _validate(mesh: Mesh) -> None:
         raise MeshError(f"cell {owner[np.argmax(pair.ravel() == p)]}: boundary "
                         "orientation is not a 2-cycle (inconsistent omega_TF)")
     # winding-number tests: the anchor, and each face anchor moved inward by
-    # 1e-6 h_T, must lie inside; one kernel call per cell for all its points
+    # 1e-6 h_T, must lie inside; one kernel call per group of cells with
+    # equal triangle and face counts and per point, so that one point of
+    # each cell meets the cell's triangles at a time
     tris = _boundary_triangles(mesh, inc_face, inc_sign)
-    tri_off = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=nc))])
+    n_tri = np.bincount(owner, minlength=nc)
+    tri_off = np.concatenate([[0], np.cumsum(n_tri)])
     eps = 1e-6 * cdiam[inc_cell] * inc_sign
     probes = anchor[inc_face] - eps[:, None] * normal[inc_face]
-    inc_off = np.concatenate([[0], np.cumsum(np.bincount(inc_cell, minlength=nc))])
-    for c in cells:
-        s, t = inc_off[c.id], inc_off[c.id + 1]
-        pts = np.vstack([c.anchor[None], probes[s:t]])
-        inside = _winding_number(pts, tris[tri_off[c.id]:tri_off[c.id + 1]]) > 0.5
-        if not inside[0]:
-            raise MeshError(f"cell {c.id}: anchor not strictly inside")
-        if (i := _first(~inside[1:])) is not None:
-            raise MeshError(f"cell {c.id}, face {c.faces[i]}: omega_TF point "
-                            "test failed")
+    n_inc = np.bincount(inc_cell, minlength=nc)
+    inc_off = np.concatenate([[0], np.cumsum(n_inc)])
+    # inside[c, 0] is the anchor of cell c, inside[c, 1 + i] its i-th probe
+    inside = np.ones((nc, 1 + n_inc.max(initial=0)), dtype=bool)
+    for nt, ni in set(zip(n_tri.tolist(), n_inc.tolist())):
+        cids = np.flatnonzero((n_tri == nt) & (n_inc == ni))
+        pts = np.concatenate([np.array([cells[c].anchor for c in cids])[:, None],
+                              probes[inc_off[cids, None] + np.arange(ni)]], axis=1)
+        ctris = tris[tri_off[cids, None] + np.arange(nt)]
+        for j in range(1 + ni):
+            inside[cids, j] = _winding_number(pts[:, j:j + 1], ctris)[:, 0] > 0.5
+    if (c := _first(~inside.all(axis=1))) is not None:
+        if not inside[c, 0]:
+            raise MeshError(f"cell {c}: anchor not strictly inside")
+        i = _first(~inside[c, 1:])
+        raise MeshError(f"cell {c}, face {cells[c].faces[i]}: omega_TF point "
+                        "test failed")
     if (i := _first(fdiam[inc_face] > cdiam[inc_cell] * (1 + 1e-12))) is not None:
         raise MeshError(f"cell {inc_cell[i]}: face {inc_face[i]} diameter "
                         "exceeds h_T")

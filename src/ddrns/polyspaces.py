@@ -14,22 +14,29 @@ not orthogonal; each factor gets its own orthonormal basis.
 Every basis comes from one orthonormalisation: a fixed family of monomial
 coefficient rows, orthonormalised against the entity's monomial Gram by the
 inverse of its Cholesky factor (:func:`_orthonormalise_gram`).  For P^l the
-family is the monomials themselves.  For G/Gc/R/Rc^l it is built once per
-(dim, selector, degree) on the unit chart: the generating family of the
-defining formula has integer entries, and its SVD gives orthonormal rows
-that span it, checked there against the analytic dimension.  Any
-L2-orthonormal basis of the subspace gives the same discrete problem; this
-one depends on the geometry only through the Gram, so translated entities
-get the same basis to rounding.
+family is the monomials themselves, so each scalar basis orthonormalises a
+leading block of the Gram at the entity's top degree.  For G/Gc/R/Rc^l the
+family is built once per (dim, selector, degree) on the unit chart: the
+generating family of the defining formula has integer entries, and its SVD
+gives orthonormal rows that span it, checked there against the analytic
+dimension.  Any L2-orthonormal basis of the subspace gives the same
+discrete problem; this one depends on the geometry only through the Gram,
+so translated entities get the same basis to rounding.
 
-Set-up cost.  On meshes without congruent entities every face and cell
-builds its bases and local operators itself, so the per-entity kernels
-here set the cost of ``DdrComplex``:
+Set-up cost.  ``DdrComplex`` builds its edges, faces and cells by groups of
+alike entities, so the kernels here take a stack of entities along a
+leading axis:
 
+- A basis may hold a stack of bases, one per entity; ``basis[i]`` is the
+  i-th entity's, a view into the stack.
+- :func:`build_scalar_basis` and :func:`build_subspace` orthonormalise a
+  stack of Grams with one batched Cholesky factor and one forward
+  substitution.  The factor bounds each Gram's condition number, and only
+  the Grams past GRAM_COND_LIMIT take the eigen fallback.
 - Inner products of vector polynomials are two reshaped matmuls
   (:func:`vector_inner`), with no einsum path search per call.
-- A :class:`Sampler` samples an entity's monomials once per point set at a
-  top degree; the exponent tables are graded, so each basis reads its
+- A :class:`Sampler` samples one entity's monomials once per point set at
+  a top degree; the exponent tables are graded, so each basis reads its
   values off the leading columns.
 """
 
@@ -48,7 +55,12 @@ GRAM_COND_LIMIT = 1e12
 
 
 class BasisError(Exception):
-    """Gram conditioning failure or subspace rank mismatch."""
+    """Gram conditioning failure or subspace rank mismatch.  Raised on a
+    stack of Grams, it carries the index of the first failing one."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +128,16 @@ def _mono_index(space_dim: int, degree: int):
 
 
 def mono_eval(exps: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate monomials xi^alpha; xi has shape (npts, d) -> (npts, nm)."""
-    npts = xi.shape[0]
-    vals = np.ones((npts, len(exps)))
-    for a in range(xi.shape[1]):
-        col = xi[:, a]
+    """Evaluate monomials xi^alpha; xi has shape (..., npts, d) ->
+    (..., npts, nm)."""
+    vals = np.ones(xi.shape[:-1] + (len(exps),))
+    for a in range(xi.shape[-1]):
+        col = xi[..., a]
         maxp = int(exps[:, a].max(initial=0))
-        powers = np.ones((npts, maxp + 1))
+        powers = np.ones(col.shape + (maxp + 1,))
         for p in range(1, maxp + 1):
-            powers[:, p] = powers[:, p - 1] * col
-        vals *= powers[:, exps[:, a]]
+            powers[..., p] = powers[..., p - 1] * col
+        vals *= powers[..., exps[:, a]]
     return vals
 
 
@@ -197,23 +209,35 @@ def cell_geometry(mesh: Mesh, c: Cell | int) -> EntityGeometry:
 
 # ---------------------------------------------------------------------------
 # bases
+#
+# A basis may hold a stack of G bases, one per entity of a group: its geom
+# is then a tuple of G geometries, its coeff has a leading axis of length G,
+# and basis[i] is the basis of the i-th entity, a view into the stack.
+
+def _space_dim(geom) -> int:
+    return (geom[0] if isinstance(geom, tuple) else geom).dim
+
 
 @dataclass
 class ScalarBasis:
     geom: EntityGeometry
     degree: int
-    coeff: np.ndarray  # (nb, nm) over monomial_exponents(geom.dim, degree)
+    coeff: np.ndarray  # ([G,] nb, nm) over monomial_exponents(dim, degree)
 
     @property
     def dim(self) -> int:
-        return self.coeff.shape[0]
+        return self.coeff.shape[-2]
+
+    def __getitem__(self, i) -> "ScalarBasis":
+        return ScalarBasis(self.geom[i], self.degree, self.coeff[i])
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.values(sample_monomials(self.geom, self.degree, points))
 
     def values(self, mono: np.ndarray) -> np.ndarray:
-        """Values from monomials (npts, >= nm) sampled in this chart."""
-        return mono[:, :self.coeff.shape[1]] @ self.coeff.T
+        """Values ([G,] npts, nb) from monomials ([G,] npts, >= nm) sampled
+        in this chart."""
+        return mono[..., :self.coeff.shape[-1]] @ np.swapaxes(self.coeff, -1, -2)
 
 
 @dataclass
@@ -222,21 +246,25 @@ class VectorBasis:
     geom: EntityGeometry
     degree: int
     ncomp: int
-    coeff: np.ndarray  # (nb, nm, ncomp)
+    coeff: np.ndarray  # ([G,] nb, nm, ncomp)
 
     @property
     def dim(self) -> int:
-        return self.coeff.shape[0]
+        return self.coeff.shape[-3]
+
+    def __getitem__(self, i) -> "VectorBasis":
+        return VectorBasis(self.geom[i], self.degree, self.ncomp, self.coeff[i])
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.values(sample_monomials(self.geom, self.degree, points))
 
     def values(self, mono: np.ndarray) -> np.ndarray:
-        """Values (npts, nb, ncomp) from monomials (npts, >= nm) sampled in
-        this chart."""
-        nb, nm, nc = self.coeff.shape
-        flat = self.coeff.transpose(1, 0, 2).reshape(nm, nb * nc)
-        return (mono[:, :nm] @ flat).reshape(len(mono), nb, nc)
+        """Values ([G,] npts, nb, ncomp) from monomials ([G,] npts, >= nm)
+        sampled in this chart."""
+        *lead, nb, nm, nc = self.coeff.shape
+        flat = np.moveaxis(self.coeff, -2, -3).reshape(*lead, nm, nb * nc)
+        vals = mono[..., :nm] @ flat
+        return vals.reshape(vals.shape[:-1] + (nb, nc))
 
     def eval3d(self, points: np.ndarray) -> np.ndarray:
         vals = self.eval(points)
@@ -254,40 +282,81 @@ class VectorBasis:
         return coords_in_vector_basis(target, self.coeff, gram)
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack (G, n, n) of lower-triangular factors, by forward
+    substitution: row i of X solves L[i, :i+1] X[:i+1] = e_i."""
+    X = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        X[:, i, i] = 1.0
+        if i:
+            X[:, i, :i] = -(L[:, i:i + 1, :i] @ X[:, :i, :i])[:, 0]
+        X[:, i, :i + 1] /= L[:, i, i, None]
+    return X
+
+
 def _orthonormalise_gram(gram: np.ndarray) -> np.ndarray:
-    """Coefficients of an orthonormal basis from a Gram matrix (rows in terms
-    of the original family). Cholesky, with an eigen-whitening fallback."""
-    if gram.shape[0] == 0:
-        return np.zeros((0, 0))
-    ev = np.linalg.eigvalsh(gram)
-    if ev[0] <= 0 or ev[-1] / ev[0] > GRAM_COND_LIMIT:
-        w, Q = np.linalg.eigh(gram)
+    """Coefficients C of orthonormal bases from Gram matrices, C G C^T = I
+    (rows in terms of the original family); gram is (n, n) or a stack
+    (G, n, n), and C has its shape.
+
+    One batched Cholesky factor G = L L^T and C = L^{-1} by forward
+    substitution.  ||L||_F^2 ||L^{-1}||_F^2 bounds cond_2(G) from above;
+    only the Grams whose bound passes GRAM_COND_LIMIT, or that have no
+    factor, are whitened by their eigenvectors instead.  A numerically
+    singular Gram raises :class:`BasisError` carrying its stack index.
+    """
+    g = np.asarray(gram, dtype=float)
+    n = g.shape[-1]
+    if n == 0:
+        return np.zeros(g.shape)
+    stack = g.reshape(-1, n, n)
+    ok = np.ones(len(stack), dtype=bool)
+    try:
+        L = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        # factor one Gram at a time to find the ones without a factor
+        L = np.empty_like(stack)
+        for i, gi in enumerate(stack):
+            try:
+                L[i] = np.linalg.cholesky(gi)
+            except np.linalg.LinAlgError:
+                L[i], ok[i] = np.eye(n), False
+    C = _lower_inverse(L)
+    bound = np.sum(L * L, axis=(1, 2)) * np.sum(C * C, axis=(1, 2))
+    ok &= bound <= GRAM_COND_LIMIT
+    for i in np.flatnonzero(~ok):
+        w, Q = np.linalg.eigh(stack[i])
         if w[0] <= 1e-30 * w[-1]:
             raise BasisError(
                 f"Gram matrix numerically singular (eigen range {w[0]:.3e}.."
-                f"{w[-1]:.3e})")
-        return (Q / np.sqrt(w)).T
-    L = np.linalg.cholesky(gram)
-    return np.linalg.inv(L)
+                f"{w[-1]:.3e})", index=i)
+        C[i] = (Q / np.sqrt(w)).T
+    return C.reshape(g.shape)
 
 
-def build_scalar_basis(geom: EntityGeometry, degree: int,
-                       rule: QuadratureRule) -> ScalarBasis:
-    """L2-orthonormal scalar basis of P^degree(Y); degree -1 gives {0}."""
+def build_scalar_basis(geom: EntityGeometry, degree: int, gram) -> ScalarBasis:
+    """L2-orthonormal scalar basis of P^degree(Y); degree -1 gives {0}.
+
+    gram is the monomial Gram of Y at a degree >= degree, whose leading
+    block is orthonormalised, or a quadrature rule of Y to form it from.  A
+    stack of G Grams, with a tuple of G geometries, gives a stack of bases.
+    """
+    if isinstance(gram, QuadratureRule):
+        gram = scalar_monomial_gram(geom, degree, gram)
     if degree < 0:
-        return ScalarBasis(geom, 0, np.zeros((0, 1)))
-    gram = scalar_monomial_gram(geom, degree, rule)
-    return ScalarBasis(geom, degree, _orthonormalise_gram(gram))
+        return ScalarBasis(geom, 0, np.zeros(gram.shape[:-2] + (0, 1)))
+    n = dim_poly(_space_dim(geom), degree)
+    return ScalarBasis(geom, degree, _orthonormalise_gram(gram[..., :n, :n]))
 
 
 def tensor_vector_basis(sb: ScalarBasis, ncomp: int) -> VectorBasis:
     """Orthonormal basis of P^l(Y)^ncomp from a scalar one (component-minor)."""
-    nb, nm = sb.coeff.shape
-    coeff = np.zeros((nb * ncomp, nm, ncomp))
-    for i in range(nb):
-        for a in range(ncomp):
-            coeff[i * ncomp + a, :, a] = sb.coeff[i]
-    return VectorBasis(sb.geom, sb.degree, ncomp, coeff)
+    *lead, nb, nm = sb.coeff.shape
+    coeff = np.zeros((*lead, nb, ncomp, nm, ncomp))
+    for a in range(ncomp):
+        coeff[..., a, :, a] = sb.coeff
+    return VectorBasis(sb.geom, sb.degree, ncomp,
+                       coeff.reshape(*lead, nb * ncomp, nm, ncomp))
 
 
 def sample_monomials(geom: EntityGeometry, degree: int,
@@ -324,28 +393,36 @@ class Sampler:
         return basis.values(self.monomials(rule))
 
 
+def monomial_gram(mono: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gram matrices ([G,] nm, nm) of monomials ([G,] npts, nm) sampled at
+    rule points with weights ([G,] npts)."""
+    return np.swapaxes(mono, -1, -2) @ (weights[..., None] * mono)
+
+
 def scalar_monomial_gram(geom: EntityGeometry, degree: int,
                          rule: QuadratureRule) -> np.ndarray:
-    exps = monomial_exponents(geom.dim, degree)
-    mono = mono_eval(exps, geom.local_coords(rule.points))
-    return mono.T @ (rule.weights[:, None] * mono)
+    return monomial_gram(sample_monomials(geom, degree, rule.points),
+                         rule.weights)
 
 
 def vector_inner(gram: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """<a_i, b_j> for vector polynomials A (na, ma, ncomp) and B (nb, mb,
-    ncomp), rows of monomial coefficients, against the monomial Gram:
-    ``einsum("imc,mn,jnc->ij", A, G, B)`` as two matmuls."""
-    na, ma, nc = A.shape
-    nb, mb, _ = B.shape
-    GA = gram[:ma, :mb].T @ A.transpose(1, 0, 2).reshape(ma, na * nc)
-    GA = GA.reshape(mb, na, nc).transpose(1, 2, 0).reshape(na, nc * mb)
-    return GA @ B.transpose(2, 1, 0).reshape(nc * mb, nb)
+    """<a_i, b_j> for vector polynomials A ([G,] na, ma, ncomp) and B ([G,]
+    nb, mb, ncomp), rows of monomial coefficients, against the monomial
+    Gram ([G,] M, M): ``einsum("imc,mn,jnc->ij", A, G, B)`` as two matmuls.
+    A leading stack axis on any operand broadcasts."""
+    *la, na, ma, nc = A.shape
+    *lb, nb, mb, _ = B.shape
+    GA = np.swapaxes(gram[..., :ma, :mb], -1, -2) @ np.moveaxis(
+        A, -2, -3).reshape(*la, ma, na * nc)
+    GA = np.moveaxis(GA.reshape(GA.shape[:-2] + (mb, na, nc)), -3, -1)
+    GA = GA.reshape(GA.shape[:-3] + (na, nc * mb))
+    return GA @ np.swapaxes(B, -3, -1).reshape(*lb, nc * mb, nb)
 
 
 def coords_in_vector_basis(vb: VectorBasis, coeff: np.ndarray,
                            gram: np.ndarray) -> np.ndarray:
-    """Inner products of vector polynomials (nf, nm, ncomp) against an
-    orthonormal vector basis of the same entity -> (nf, nb)."""
+    """Inner products of vector polynomials ([G,] nf, nm, ncomp) against an
+    orthonormal vector basis of the same entity -> ([G,] nf, nb)."""
     return vector_inner(gram, coeff, vb.coeff)
 
 
@@ -464,12 +541,13 @@ def build_subspace(geom: EntityGeometry, selector: str, degree: int,
 
     The spanning family of the unit chart is orthonormalised against the
     entity's monomial Gram (at a degree covering degree), so the basis
-    depends on the geometry only through that Gram.
+    depends on the geometry only through that Gram.  A stack of Grams, with
+    a tuple of geometries, gives a stack of bases.
     """
-    family = _spanning_family(geom.dim, selector, degree)
+    family = _spanning_family(_space_dim(geom), selector, degree)
     nf, nm, nc = family.shape
     C = _orthonormalise_gram(vector_inner(gram, family, family))
-    coeff = (C @ family.reshape(nf, nm * nc)).reshape(nf, nm, nc)
+    coeff = (C @ family.reshape(nf, nm * nc)).reshape(C.shape[:-1] + (nm, nc))
     return VectorBasis(geom, max(degree, 0), nc, coeff)
 
 

@@ -204,13 +204,15 @@ class _CellGroup:
     slot: np.ndarray = None   # condensed-matrix entry of each kept block entry
 
 
-def _stack(arrays):
-    """Stack per-cell arrays; translates share one array, which is then
-    viewed once per cell instead of copied."""
-    first = arrays[0]
-    if all(a is first for a in arrays):
-        return np.broadcast_to(first, (len(arrays),) + first.shape)
-    return np.stack(arrays)
+def _take(stack, pos):
+    """The blocks at stack positions pos, one per cell: the stack itself
+    when it is taken whole and in order, one broadcast view when every cell
+    shares one block, a gathered copy otherwise."""
+    if np.array_equal(pos, np.arange(len(stack))):
+        return stack
+    if np.all(pos == pos[0]):
+        return np.broadcast_to(stack[pos[0]], (len(pos),) + stack.shape[1:])
+    return stack[pos]
 
 
 def _mv(A, x):
@@ -395,8 +397,10 @@ class NavierStokesSolver:
         self.rhs_mom = cx.gram_matrix(SpaceKind.CURL) @ self.i_f.values
 
     def _cell_blocks(self):
-        """Group the cells by local sizes and stack each group's blocks;
-        self.cells[c] holds cell c's views into its group's stacks."""
+        """Take the blocks of the cells from the stacks of their groups in
+        the complex; self.cells[c] holds cell c's views into them.  A
+        group's stacks hold one block per built cell (cctx.stacks and
+        cctx.slot locate it), shared by its translates."""
         cx = self.cx
         nu = self.spec.nu
         ones = None
@@ -405,34 +409,34 @@ class NavierStokesSolver:
             self.c_vec = cx.gram_matrix(SpaceKind.GRAD) @ ones
         else:
             self.c_vec = None
-        by_size = {}
+        by_group = {}
         for c, cctx in enumerate(cx.cells):
-            by_size.setdefault((cctx.n_curl, cctx.n_grad), []).append(c)
+            by_group.setdefault(id(cctx.stacks), (cctx.stacks, []))[1].append(c)
         nmu = 1 if self.use_multiplier else 0
         self.groups = []
         self.cells = [None] * len(cx.cells)
-        for (nu_loc, np_loc), ids in by_size.items():
-            ctxs = [cx.cells[c] for c in ids]
+        for grp, ids in by_group.values():
+            ctx0 = cx.cells[ids[0]]
+            pos = np.array([cx.cells[c].slot for c in ids])
             idxu = np.stack([self.ul.cell_indices(c) for c in ids])
             idxp = np.stack([self.pl.cell_indices(c) for c in ids])
             blocks = {
                 "idxu": idxu, "idxp": idxp,
-                "visc": np.stack([nu * x.uC.T @ x.product_div @ x.uC
-                                  for x in ctxs]),
-                "B": np.stack([x.product_curl @ x.uG for x in ctxs]),
-                "Mc": _stack([x.product_curl for x in ctxs]),
-                "CH": _stack([x.convective_curl for x in ctxs]),
-                "P": _stack([x.pot_curl for x in ctxs]),
-                "S": _stack([x.tri_tensor for x in ctxs]),
+                "visc": _take(nu * np.swapaxes(grp.uC, 1, 2) @ grp.product_div
+                              @ grp.uC, pos),
+                "B": _take(grp.product_curl @ grp.uG, pos),
+                "Mc": _take(grp.product_curl, pos),
+                "CH": _take(grp.convective_curl, pos),
+                "P": _take(grp.pot_curl, pos),
+                "S": _take(grp.tri_tensor, pos),
             }
             if nmu:
-                blocks["c_loc"] = np.stack([x.product_grad @ ones[ip]
-                                            for x, ip in zip(ctxs, idxp)])
+                blocks["c_loc"] = _mv(_take(grp.product_grad, pos), ones[idxp])
             gx = np.hstack([idxu, self.n_u + idxp,
                             np.full((len(ids), nmu), self.n_x - 1)])
-            interior = ctxs[0].interior
+            interior = ctx0.interior
             loc_int = (np.concatenate([interior[SpaceKind.CURL],
-                                       nu_loc + interior[SpaceKind.GRAD]])
+                                       ctx0.n_curl + interior[SpaceKind.GRAD]])
                        if self.opts.condense else np.zeros(0, dtype=int))
             loc_ret = np.setdiff1d(np.arange(gx.shape[1]), loc_int)
             self.groups.append(_CellGroup(np.array(ids), blocks, gx,

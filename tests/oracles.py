@@ -10,17 +10,23 @@ are checked against.  The set-up references at the end are the
 ``np.einsum`` contractions, generating families and per-entity
 interpolators that the set-up kernels of ddrns are checked against.  The
 geometry references build mesh entities one at a time and quadrature rules
-one simplex at a time, as the batched passes of ddrns did before them.
+one simplex at a time, as the batched passes of ddrns did before them.  The
+per-entity contexts at the end assemble the local operators of one face or
+cell at a time, as DdrComplex did before it built them by stacked groups.
 """
 
+import copy
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
 from ddrns import mesh as msh
 from ddrns import polyspaces as ps
 from ddrns import quadrature as quad
+from ddrns.operators import _triple_moments
+from ddrns.quadrature import cell_rule, face_rule
 from ddrns.spaces import DofVector, SpaceKind
 
 
@@ -469,3 +475,525 @@ def reference_rule(mesh, kind, index, degree):
                 degree) for i in range(len(loop))]
     return (np.concatenate([p for p, _ in parts]),
             np.concatenate([w for _, w in parts]))
+
+
+# ---------------------------------------------------------------------------
+# per-entity assembly: the local operators of one face or cell at a time,
+# each with its own bases, boundary terms and moment systems.  DdrComplex
+# builds them by groups of alike entities, stacked; the per-entity contexts
+# here are the reference those stacks are checked against.
+
+# the stacked cell blocks that NavierStokesSolver reads from a cell's group
+SOLVER_BLOCKS = ("uG", "uC", "convective_curl", "pot_curl", "tri_tensor",
+                 "product_grad", "product_curl", "product_div")
+
+
+def _inner_scalar(gram, A, B):
+    """<a_i, b_j> for scalar polynomials given by monomial coefficient rows."""
+    return A @ gram[:A.shape[1], :B.shape[1]] @ B.T
+
+
+def _grad_coeffs(C, dim, h):
+    """Physical gradient of scalar coefficient rows; same exponent table."""
+    deg = ps._deg_of(dim, C.shape[1])
+    return np.stack([C @ ps.deriv_matrix(dim, deg, a).T / h
+                     for a in range(dim)], axis=-1)
+
+
+def _div_coeffs(V, dim, h):
+    deg = ps._deg_of(dim, V.shape[1])
+    return sum(V[:, :, a] @ ps.deriv_matrix(dim, deg, a).T / h
+               for a in range(dim))
+
+
+def _rot2_of_scalar(C, h):
+    """Vector rot on a face: (d2 m, -d1 m) in frame components."""
+    deg = ps._deg_of(2, C.shape[1])
+    d1 = C @ ps.deriv_matrix(2, deg, 0).T / h
+    d2 = C @ ps.deriv_matrix(2, deg, 1).T / h
+    return np.stack([d2, -d1], axis=-1)
+
+
+def _curl3_coeffs(V, h):
+    deg = ps._deg_of(3, V.shape[1])
+    D = [ps.deriv_matrix(3, deg, a).T / h for a in range(3)]
+    cx = V[:, :, 2] @ D[1] - V[:, :, 1] @ D[2]
+    cy = V[:, :, 0] @ D[2] - V[:, :, 2] @ D[0]
+    cz = V[:, :, 1] @ D[0] - V[:, :, 0] @ D[1]
+    return np.stack([cx, cy, cz], axis=-1)
+
+
+def _boundary_term(n_rows, n_loc, pieces):
+    """sum_b omega_b int_b test . trial over boundary pieces b.
+
+    Each piece is (omega_b, quadrature weights, test, trial, cols): test is
+    (npts[, ncomp], n_rows) and trial (npts[, ncomp], ncols), both sampled
+    at the rule points of b, and cols are the n_loc local columns the trial
+    acts on.
+    """
+    out = np.zeros((n_rows, n_loc))
+    for sign, w, test, trial, cols in pieces:
+        # the rows are points, or (point, component) pairs that share the
+        # point's weight
+        trial = trial.reshape(-1, trial.shape[-1])
+        test = test.reshape(len(trial), n_rows)
+        w = np.repeat(w, len(trial) // len(w))
+        out[:, cols] += sign * (test * w[:, None]).T @ trial
+    return out
+
+
+class ReferenceEdge:
+    """One edge's bases, skeleton reconstruction and derivative, built on
+    its own; every scalar basis is a leading block of its Gram."""
+
+    def __init__(self, mesh, eid, k, rule_degree):
+        self.k = k
+        e = mesh.edges[eid]
+        self.edge = e
+        self.h = e.length
+        self.geom = ps.edge_geometry(mesh, e)
+        self.rule = quad.edge_rule(mesh, eid, rule_degree)
+        self.gram = ps.scalar_monomial_gram(self.geom, k + 1, self.rule)
+        self.sca = {l: ps.build_scalar_basis(self.geom, l, self.gram)
+                    for l in (k - 1, k, k + 1)}
+        bkp1 = self.sca[k + 1]
+        A = np.vstack([
+            bkp1.eval(mesh.vertex_coords[list(e.vertices)]),
+            _inner_scalar(self.gram, self.sca[k - 1].coeff, bkp1.coeff),
+        ])
+        self.skeleton = np.linalg.solve(A, np.eye(k + 2))
+        dmono = bkp1.coeff @ ps.deriv_matrix(1, k + 1, 0).T / self.h
+        self.deriv = _inner_scalar(self.gram, self.sca[k].coeff, dmono)
+
+
+def _edge_traces(ectx, skeleton, curl_cols) -> dict:
+    """GRAD and CURL traces of an entity's local DoFs at the rule points of
+    edge context ectx, as {kind: (values, local columns)}: skeleton maps the
+    local GRAD DoFs to P^{k+1}(E) coefficients, and curl_cols are the local
+    columns of the edge's CURL DoFs."""
+    return {SpaceKind.GRAD: (ectx.basis_values(ectx.k + 1) @ skeleton,
+                             slice(None)),
+            SpaceKind.CURL: (ectx.basis_values(ectx.k), curl_cols)}
+
+
+class _ReferenceEntity:
+    """What faces and cells share: their bases and their gradient."""
+
+    def _bases(self, extra=(), parts=1):
+        """Monomial Gram, scalar bases, P^k vector basis and the split
+        subspaces R^{k-1}, Rc^{ell+1}, R^k, Rc^k, Rc^{k+2} and extra.  The
+        Gram sums the rule over parts equal blocks of points (the simplices
+        of a cell rule), in the order DdrComplex sums them; every scalar
+        basis is a leading block of it."""
+        k, ell, g = self.k, self.ell, self.geom
+        self.gram = sum(
+            ps.monomial_gram(ps.sample_monomials(g, k + 2, p), w)
+            for p, w in zip(np.split(self.rule.points, parts),
+                            np.split(self.rule.weights, parts)))
+        self.sca = {l: ps.build_scalar_basis(g, l, self.gram)
+                    for l in {k - 1, k, k + 1, ell}}
+        self.vb = ps.tensor_vector_basis(self.sca[k], g.dim)
+        # Rc^{ell+1} is Rc^k in DDR mode (ell = k - 1): each key is built once
+        self.sub = {
+            (sel, l): ps.build_subspace(g, sel, l, self.gram)
+            for sel, l in dict.fromkeys([("R", k - 1), ("Rc", ell + 1),
+                                         ("R", k), ("Rc", k), ("Rc", k + 2),
+                                         *extra])}
+
+    def _flux(self, pieces, kind, n_rows, test):
+        """sum_b omega_b int_b test(b) . (kind trace on b) over the boundary
+        pieces (omega_b, context of b, traces of b), in local columns."""
+        n_loc = getattr(self, f"n_{kind.value}")
+        return _boundary_term(n_rows, n_loc, [
+            (sign, ctx.rule.weights, test(ctx), *tr[kind])
+            for sign, ctx, tr in pieces])
+
+    def _gradient(self, grad_flux, own_cols):
+        """Serendipity moments, gradient and P^{k+1} potential of the local
+        GRAD DoFs.
+
+        grad_flux(sub) is the boundary term sum_b omega_b int_b (w . n_b) q_b
+        for w in the basis sub, against the boundary traces q_b; own_cols are
+        the columns of the entity's own P^ell moments q_Y.
+        """
+        k, g, gram, vb = self.k, self.geom, self.gram, self.vb
+        Rk, Rck = self.sub["R", k], self.sub["Rc", k]
+        cRk2 = self.sub["Rc", k + 2]
+        # int G q . tau = -int q_Y div tau + boundary term, tau in Rc^k
+        sg = grad_flux(Rck)
+        if Rck.dim:
+            sg[:, own_cols] -= _inner_scalar(
+                gram, _div_coeffs(Rck.coeff, g.dim, g.scale),
+                self.sca[self.ell].coeff)
+        M = np.vstack([Rk.coords_in(vb, gram), Rck.coords_in(vb, gram)])
+        grad = np.linalg.solve(M, np.vstack([grad_flux(Rk), sg]))
+        # int P q div w = -int G q . w + boundary term, w in Rc^{k+2}
+        D = _inner_scalar(gram, _div_coeffs(cRk2.coeff, g.dim, g.scale),
+                          self.sca[k + 1].coeff)
+        rhs = (grad_flux(cRk2)
+               - ps.coords_in_vector_basis(vb, cRk2.coeff, gram) @ grad)
+        return sg, grad, np.linalg.solve(D, rhs)
+
+
+class ReferenceFace(_ReferenceEntity):
+    def __init__(self, mesh, fid: int, k: int, ell: int, rule_degree: int,
+                 edge_ctx):
+        self.k = k
+        self.ell = ell
+        self._place(mesh, fid, rule_degree)
+        self._bases()
+
+        nv, ne = len(self.verts), len(self.edge_ids)
+        dRm, dRc = self.sub["R", k - 1].dim, self.sub["Rc", ell + 1].dim
+        dPl = self.sca[ell].dim
+        self.n_grad = nv + ne * k + dPl
+        self.n_curl = ne * (k + 1) + dRm + dRc
+        self.grad_face_slice = slice(nv + ne * k, self.n_grad)
+        self.curl_R_slice = slice(ne * (k + 1), ne * (k + 1) + dRm)
+        self.curl_Rc_slice = slice(ne * (k + 1) + dRm, self.n_curl)
+
+        self._assemble(edge_ctx)
+
+    def _place(self, mesh, fid, rule_degree):
+        k = self.k
+        f = mesh.faces[fid]
+        self.face = f
+        self.h = f.diameter
+        self.geom = ps.face_geometry(mesh, f)
+        self.rule = face_rule(mesh, fid, rule_degree)
+        self.edge_ids = sorted(f.edges)
+        self.edge_sign = dict(zip(f.edges, f.edge_signs))
+        self.edge_nfe = dict(zip(f.edges, f.edge_normals))
+
+        # local orders (match DofLayout.face_indices)
+        self.verts = sorted(f.vertex_loop)
+        nv = len(self.verts)
+        self.grad_edge_slices = {e: slice(nv + i * k, nv + (i + 1) * k)
+                                 for i, e in enumerate(self.edge_ids)}
+        self.grad_vert_pos = {v: i for i, v in enumerate(self.verts)}
+        self.curl_edge_slices = {e: slice(i * (k + 1), (i + 1) * (k + 1))
+                                 for i, e in enumerate(self.edge_ids)}
+
+    # -- helpers ------------------------------------------------------------
+    def edge_skeleton_map(self, eid: int, ectx) -> np.ndarray:
+        """Matrix sending face-local GRAD DoFs to P^{k+1}(E) coefficients."""
+        return ectx.skeleton_map(self.grad_vert_pos,
+                                 self.grad_edge_slices[eid], self.n_grad)
+
+    def trace_values(self) -> dict:
+        """Traces of the face DoFs at the face's rule points: the GRAD trace
+        (npts, n_grad), the CURL tangential trace in frame components
+        (npts, 2, n_curl) and the P^k basis (npts, dim) that the DIV normal
+        components are written in."""
+        k, rule = self.k, self.rule
+        sample = ps.Sampler(self.geom, k + 1)
+        return {
+            SpaceKind.GRAD: sample(self.sca[k + 1], rule) @ self.trace_mat,
+            SpaceKind.CURL: sample(self.vb, rule).transpose(0, 2, 1)
+                            @ self.ttrace_mat,
+            SpaceKind.DIV: sample(self.sca[k], rule)}
+
+    def _assemble(self, edge_ctx):
+        k, g, gram, vb = self.k, self.geom, self.gram, self.vb
+        Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
+        Rcd = self.sub["Rc", self.ell + 1]
+        sample = ps.Sampler(g, k + 2)
+        edges = [(self.edge_sign[e], edge_ctx[e], _edge_traces(
+                      edge_ctx[e], self.edge_skeleton_map(e, edge_ctx[e]),
+                      self.curl_edge_slices[e]))
+                 for e in self.edge_ids]
+
+        # --- gradient, serendipity gradient moments and scalar trace --------
+        def normal_flux(sub):
+            # n_FE in frame components
+            return self._flux(edges, SpaceKind.GRAD, sub.dim, lambda ectx: (
+                sample(sub, ectx.rule) @ (g.axes @ self.edge_nfe[ectx.edge.id])))
+        self.serendipity_grad, self.grad_mat, self.trace_mat = self._gradient(
+            normal_flux, self.grad_face_slice)
+
+        # --- face curl --------------------------------------------------------
+        cm = -self._flux(edges, SpaceKind.CURL, self.sca[k].dim,
+                         lambda ectx: sample(self.sca[k], ectx.rule))
+        if Rkm.dim:
+            cm[:, self.curl_R_slice] += ps.vector_inner(
+                gram, _rot2_of_scalar(self.sca[k].coeff, g.scale), Rkm.coeff)
+        self.curl_mat = cm
+
+        # --- serendipity curl moments: directly the Rc component -------------
+        sc = np.zeros((Rck.dim, self.n_curl))
+        sc[:, self.curl_Rc_slice] = np.eye(Rck.dim)
+        self.serendipity_curl = sc
+
+        # --- tangential trace -------------------------------------------------
+        nm = ps.dim_poly(2, k + 1)
+        mono_test = np.eye(nm)[1:]                     # non-constant monomials
+        rot_test = _rot2_of_scalar(mono_test, g.scale)
+        M = np.vstack([ps.coords_in_vector_basis(vb, rot_test, gram),
+                       Rck.coords_in(vb, gram)])
+        rhs = np.vstack([
+            _inner_scalar(gram, mono_test, self.sca[k].coeff) @ cm
+            + self._flux(edges, SpaceKind.CURL, len(mono_test),
+                         lambda ectx: sample.monomials(ectx.rule)[:, 1:nm]),
+            sc])
+        self.ttrace_mat = np.linalg.solve(M, rhs)
+
+        # --- face blocks of the global gradient ------------------------------
+        self.uG_face = np.vstack([Rkm.coords_in(vb, gram) @ self.grad_mat,
+                                  Rcd.coords_in(vb, gram) @ self.grad_mat])
+
+
+class ReferenceCell(_ReferenceEntity):
+    def __init__(self, mesh, cid: int, k: int, ell: int, rule_degree: int,
+                 edge_ctx, face_ctx, layouts):
+        self.k = k
+        self.ell = ell
+        self._place(mesh, cid, rule_degree, layouts)
+        # the cell rule runs tetrahedron by tetrahedron, one per face segment
+        self._bases([("G", k - 1), ("Gc", k), ("Gc", k + 1)], parts=sum(
+            len(mesh.faces[f].vertex_loop) for f in self.face_ids))
+        faces, edges = self.traces(edge_ctx, face_ctx)
+        sample = ps.Sampler(self.geom, k + 2)
+        self._assemble(faces, edges, sample)
+        self._products(faces, edges, sample)
+        self.stacks = SimpleNamespace(**{
+            name: getattr(self, name)[None] for name in SOLVER_BLOCKS})
+        self.slot = 0
+
+    def _place(self, mesh, cid, rule_degree, layouts):
+        c = mesh.cells[cid]
+        self.cell = c
+        self.h = c.diameter
+        self.geom = ps.cell_geometry(mesh, c)
+        self.rule = cell_rule(mesh, cid, rule_degree)
+        self.face_ids = sorted(c.faces)
+        self.face_sign = dict(zip(c.faces, c.face_signs))
+        self.edge_ids = c.edge_ids
+        self.vert_ids = c.vertex_ids
+        self._index_maps(layouts)
+
+    # -- local index bookkeeping --------------------------------------------
+    def _index_maps(self, layouts):
+        cid = self.cell.id
+        self.glob = {kind: layouts[kind].cell_indices(cid) for kind in SpaceKind}
+        self.n_grad = len(self.glob[SpaceKind.GRAD])
+        self.n_curl = len(self.glob[SpaceKind.CURL])
+        self.n_div = len(self.glob[SpaceKind.DIV])
+
+        def local_of(kind, glob_idx):
+            return np.searchsorted(self.glob[kind], glob_idx)
+
+        gl = layouts[SpaceKind.GRAD]
+        cl = layouts[SpaceKind.CURL]
+        dl = layouts[SpaceKind.DIV]
+        self.grad_face_map = {f: local_of(SpaceKind.GRAD, gl.face_indices(f))
+                              for f in self.face_ids}
+        self.curl_face_map = {f: local_of(SpaceKind.CURL, cl.face_indices(f))
+                              for f in self.face_ids}
+        self.curl_faceblock_map = {f: local_of(SpaceKind.CURL, cl.face_dofs(f))
+                                   for f in self.face_ids}
+        self.grad_edge_map = {e: local_of(SpaceKind.GRAD, gl.edge_dofs(e))
+                              for e in self.edge_ids}
+        self.grad_vert_pos = {v: i for i, v in enumerate(self.vert_ids)}
+        self.curl_edge_map = {e: local_of(SpaceKind.CURL, cl.edge_dofs(e))
+                              for e in self.edge_ids}
+        self.div_face_map = {f: local_of(SpaceKind.DIV, dl.face_dofs(f))
+                             for f in self.face_ids}
+        # trailing cell blocks
+        self.grad_cell = slice(self.n_grad - gl.cell_block, self.n_grad)
+        ccb = cl.cell_subsizes
+        self.curl_R_cell = slice(self.n_curl - sum(ccb), self.n_curl - ccb[1])
+        self.curl_Rc_cell = slice(self.n_curl - ccb[1], self.n_curl)
+        dcb = dl.cell_subsizes
+        self.div_G_cell = slice(self.n_div - sum(dcb), self.n_div - dcb[1])
+        self.div_Gc_cell = slice(self.n_div - dcb[1], self.n_div)
+        self.interior = {
+            SpaceKind.GRAD: np.arange(self.n_grad)[self.grad_cell],
+            SpaceKind.CURL: np.arange(self.n_curl)[self.n_curl - sum(ccb):],
+            SpaceKind.DIV: np.arange(self.n_div)[self.n_div - sum(dcb):],
+        }
+
+    def _edge_skeleton(self, ectx) -> np.ndarray:
+        """Matrix sending cell-local GRAD DoFs to P^{k+1}(E) coefficients."""
+        return ectx.skeleton_map(self.grad_vert_pos,
+                                 self.grad_edge_map[ectx.edge.id], self.n_grad)
+
+    def traces(self, edge_ctx, face_ctx):
+        """Boundary traces of the cell-local DoFs, sampled at the rule points
+        of each face and edge of the cell.
+
+        Returns (faces, edges).  faces lists (omega_TF, face context,
+        traces) and edges lists (1, edge context, traces); traces maps each
+        space to (values, cell-local columns).  On a face the values are
+        the GRAD trace, the CURL tangential trace in frame components
+        (npts, 2, ncols) and the DIV normal component; on an edge, the GRAD
+        skeleton and the CURL tangential component.
+        """
+        faces = []
+        for f in self.face_ids:
+            vals = face_ctx[f].trace_values()
+            faces.append((self.face_sign[f], face_ctx[f], {
+                SpaceKind.GRAD: (vals[SpaceKind.GRAD], self.grad_face_map[f]),
+                SpaceKind.CURL: (vals[SpaceKind.CURL], self.curl_face_map[f]),
+                SpaceKind.DIV: (vals[SpaceKind.DIV], self.div_face_map[f])}))
+        edges = [(1.0, edge_ctx[e], _edge_traces(
+                      edge_ctx[e], self._edge_skeleton(edge_ctx[e]),
+                      self.curl_edge_map[e]))
+                 for e in self.edge_ids]
+        return faces, edges
+
+    # -- operator assembly ----------------------------------------------------
+    def _assemble(self, faces, edges, sample):
+        k, g, gram, vb = self.k, self.geom, self.gram, self.vb
+        Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
+        Rcd = self.sub["Rc", self.ell + 1]
+        Gkm, Gck = self.sub["G", k - 1], self.sub["Gc", k]
+        cGk1 = self.sub["Gc", k + 1]
+
+        # --- element gradient, serendipity moments and gradient potential ----
+        def normal_flux(sub):
+            return self._flux(faces, SpaceKind.GRAD, sub.dim, lambda fctx: (
+                sample(sub, fctx.rule) @ fctx.face.normal))
+        self.serendipity_grad, self.grad_mat, self.pot_grad = self._gradient(
+            normal_flux, self.grad_cell)
+
+        # --- element curl -------------------------------------------------------
+        # int_F (w x n_F) . gamma_t, with w x n_F in frame components:
+        # (w x n) . a = w . (n x a) for each frame axis a
+        nxa = {fctx.face.id: np.cross(fctx.face.normal, fctx.geom.axes).T
+               for _, fctx, _ in faces}
+
+        def cross_flux(w):
+            return self._flux(faces, SpaceKind.CURL, w.dim, lambda fctx: (
+                (sample(w, fctx.rule) @ nxa[fctx.face.id]).transpose(0, 2, 1)))
+        cm = cross_flux(vb)
+        if Rkm.dim:
+            cm[:, self.curl_R_cell] += ps.vector_inner(
+                gram, _curl3_coeffs(vb.coeff, g.scale), Rkm.coeff)
+        self.curl_op = cm
+
+        # --- serendipity curl moments -------------------------------------------
+        sc = np.zeros((Rck.dim, self.n_curl))
+        sc[:, self.curl_Rc_cell] = np.eye(Rck.dim)
+        self.serendipity_curl = sc
+
+        # --- curl potential ------------------------------------------------------
+        curlw = _curl3_coeffs(cGk1.coeff, g.scale)
+        M = np.vstack([ps.coords_in_vector_basis(vb, curlw, gram),
+                       Rck.coords_in(vb, gram)])
+        rhs = np.vstack([
+            ps.vector_inner(gram, cGk1.coeff, vb.coeff) @ cm - cross_flux(cGk1),
+            sc])
+        self.pot_curl = np.linalg.solve(M, rhs)
+
+        # --- divergence and its potential ----------------------------------------
+        dm = self._flux(faces, SpaceKind.DIV, self.sca[k].dim,
+                        lambda fctx: sample(self.sca[k], fctx.rule))
+        if Gkm.dim:
+            dm[:, self.div_G_cell] -= ps.vector_inner(
+                gram, _grad_coeffs(self.sca[k].coeff, 3, g.scale), Gkm.coeff)
+        self.div_op = dm
+
+        nm = ps.dim_poly(3, k + 1)
+        mono_test = np.eye(nm)[1:]
+        grad_test = _grad_coeffs(mono_test, 3, g.scale)
+        M = np.vstack([ps.coords_in_vector_basis(vb, grad_test, gram),
+                       Gck.coords_in(vb, gram)])
+        rhs = np.zeros((vb.dim, self.n_div))
+        rhs[:len(mono_test)] = self._flux(
+            faces, SpaceKind.DIV, len(mono_test),
+            lambda fctx: sample.monomials(fctx.rule)[:, 1:nm]
+        ) - _inner_scalar(gram, mono_test, self.sca[k].coeff) @ dm
+        rhs[len(mono_test):, self.div_Gc_cell] = np.eye(Gck.dim)
+        self.pot_div = np.linalg.solve(M, rhs)
+
+        # --- cell blocks of the global operators -----------------------------
+        uG = np.zeros((self.n_curl, self.n_grad))
+        uC = np.zeros((self.n_div, self.n_curl))
+        for _, ectx, _ in edges:
+            uG[self.curl_edge_map[ectx.edge.id]] = \
+                ectx.deriv @ self._edge_skeleton(ectx)
+        for _, fctx, _ in faces:
+            f = fctx.face.id
+            uG[self.curl_faceblock_map[f][:, None],
+               self.grad_face_map[f][None, :]] = fctx.uG_face
+            uC[self.div_face_map[f][:, None], self.curl_face_map[f][None, :]] \
+                = fctx.curl_mat
+        uG[self.curl_R_cell] = Rkm.coords_in(vb, gram) @ self.grad_mat
+        uG[self.curl_Rc_cell] = Rcd.coords_in(vb, gram) @ self.grad_mat
+        uC[self.div_G_cell] = Gkm.coords_in(vb, gram) @ cm
+        uC[self.div_Gc_cell] = Gck.coords_in(vb, gram) @ cm
+        self.uG, self.uC = uG, uC
+        self.convective_curl = self.pot_div @ uC   # C_h = P_div o uC, cellwise
+
+        # evaluation caches kept small: scalar P^k basis at cell points
+        self.phi_k = self.sca[k].eval(self.rule.points)
+        # moment tensor int phi_i phi_j phi_l for the convective term
+        self.tri_tensor = _triple_moments(self.rule.weights, self.phi_k)
+
+    # -- stabilised products ---------------------------------------------------
+    def _trace_diffs(self, kind, faces, edges, sample):
+        """Sampled differences between the kind potential and the kind
+        traces of the table (faces, edges) from :meth:`traces`; sample is
+        a :class:`~ddrns.polyspaces.Sampler` of the cell.
+
+        Returns (where, h_weight, quad_weights, operator) with the operator
+        mapping local DoFs to sampled differences: (npts, 2, nloc) for the
+        CURL tangential components on faces, (npts, nloc) otherwise.  The
+        h-weights are h_F and h_E^2 as in the stabilisation; DIV has no
+        edge terms.
+        """
+        pot = getattr(self, f"pot_{kind.value}")
+        # the trace of a P^k field is its normal component on a face (DIV),
+        # its tangential components on a face (CURL) and along an edge
+        pieces = [("face", fctx.face.diameter, fctx, tr,
+                   fctx.geom.axes if kind is SpaceKind.CURL else fctx.face.normal)
+                  for _, fctx, tr in faces]
+        pieces += [("edge", ectx.edge.length**2, ectx, tr, ectx.edge.tangent)
+                   for _, ectx, tr in edges if kind in tr]
+        out = []
+        for where, hw, ctx, tr, frame in pieces:
+            if kind is SpaceKind.GRAD:
+                A = sample(self.sca[self.k + 1], ctx.rule) @ pot
+            else:
+                # (p, b) along a vector, (p, c, b) along the rows of a frame
+                A = np.swapaxes(sample(self.vb, ctx.rule) @ frame.T, 1, -1) @ pot
+            vals, cols = tr[kind]
+            A[..., cols] -= vals
+            out.append((where, hw, ctx.rule.weights, A))
+        return out
+
+    def curl_diffs(self, faces, edges):
+        """Sampled trace differences of the curl potential on the trace table
+        (faces, edges) from :meth:`traces`; see :meth:`_trace_diffs`."""
+        return self._trace_diffs(SpaceKind.CURL, faces, edges,
+                                 ps.Sampler(self.geom, self.k + 2))
+
+    def _products(self, faces, edges, sample):
+        """Cell products P^T P + s_T.  The stabilisation s_T vanishes on the
+        interpolates of polynomials, so it needs no projection onto their
+        complement."""
+        for kind in SpaceKind:
+            pot = getattr(self, f"pot_{kind.value}")
+            n = pot.shape[1]
+            # s_T = sum_b h_b int_b A_b . A_b over the trace differences A_b
+            S = _boundary_term(n, n, [
+                (hw, w, A, A, slice(None))
+                for _, hw, w, A in self._trace_diffs(kind, faces, edges,
+                                                     sample)])
+            setattr(self, f"product_{kind.value}", pot.T @ pot + S)
+
+
+
+def per_entity_complex(cx):
+    """A copy of cx whose face and cell contexts are all built from scratch,
+    one entity at a time; each cell is a group of one for the solver."""
+    mesh, k = cx.mesh, cx.k
+    ref = copy.copy(cx)
+    face_degree = cx.faces[0].rule.exactness_degree
+    ref.faces = [ReferenceFace(mesh, f, k, k - 1, face_degree, cx.edges)
+                 for f in range(mesh.n_faces)]
+    ref.cells = [ReferenceCell(mesh, c, k, k - 1, cx.cell_degree, cx.edges,
+                               ref.faces, cx.layouts)
+                 for c in range(mesh.n_cells)]
+    ref._gram_cache, ref._op_cache = {}, {}
+    return ref

@@ -7,19 +7,19 @@ one whose every context is built from scratch.  Every basis depends on
 the geometry only through the entity's monomial Gram, and translates have
 the same Gram to rounding, so the operator arrays themselves must match.
 Quantities that do not depend on the basis are compared as well: norms,
-potentials at quadrature points and the errors of a solve.
+potentials at quadrature points and the errors of a solve.  The
+from-scratch complex is the per-entity reference assembly of oracles.py.
 """
-
-import copy
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import (jittered_kuhn_mesh, pentagon_prism_mesh, prism_mesh,
                       random_hex_mesh)
 from ddrns import operators, verify
 from ddrns.mesh import build_mesh, generate_cubic_mesh, generate_tet_mesh
-from ddrns.operators import CellContext, DdrComplex, FaceContext
+from ddrns.operators import DdrComplex
 from ddrns.solutions import TrigSolution
 from ddrns.solver import NavierStokesSolver, ProblemSpec, natural_bc
 from ddrns.spaces import SpaceKind
@@ -28,17 +28,9 @@ RTOL = 1e-12
 
 
 def from_scratch(cx: DdrComplex) -> DdrComplex:
-    """A copy of cx whose face and cell contexts are all built from scratch."""
-    mesh, k = cx.mesh, cx.k
-    ref = copy.copy(cx)
-    face_degree = cx.faces[0].rule.exactness_degree
-    ref.faces = [FaceContext(mesh, f, k, cx.faces[f].ell, face_degree, cx.edges)
-                 for f in range(mesh.n_faces)]
-    ref.cells = [CellContext(mesh, c, k, cx.cells[c].ell, cx.cell_degree,
-                             cx.edges, ref.faces, cx.layouts)
-                 for c in range(mesh.n_cells)]
-    ref._gram_cache, ref._op_cache = {}, {}
-    return ref
+    """A copy of cx whose face and cell contexts are all built from scratch,
+    one entity at a time, by the per-entity reference assembly."""
+    return oracles.per_entity_complex(cx)
 
 
 def n_built(contexts, attr):

@@ -1,0 +1,155 @@
+"""Stacked set-up of DdrComplex against the per-entity reference assembly.
+
+Faces and cells are built by groups of alike entities, each array a stack
+along a leading entity axis.  Every operator array of every face and cell
+built in a group must agree with the per-entity assembly of oracles.py to
+1e-13 relative; translates placed from a built entity are compared in
+test_congruence.py.  The stacked orthonormalisation sends only the Grams
+that fail its conditioning check to the eigen fallback, and a singular
+Gram names its entity.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import (cube_pyramid_mesh, get_mesh, jittered_kuhn_mesh,
+                      pentagon_prism_mesh)
+from ddrns import operators
+from ddrns import polyspaces as ps
+from ddrns.operators import DdrComplex
+
+FACE_OPS = ("grad_mat", "trace_mat", "curl_mat", "ttrace_mat", "uG_face",
+            "serendipity_grad", "serendipity_curl", "gram")
+CELL_OPS = ("grad_mat", "pot_grad", "curl_op", "pot_curl", "div_op",
+            "pot_div", "uG", "uC", "convective_curl", "product_grad",
+            "product_curl", "product_div", "phi_k", "tri_tensor",
+            "serendipity_grad", "serendipity_curl", "gram")
+
+MESHES = {"cubic": lambda: get_mesh("cubic", 2),
+          "kuhn": lambda: get_mesh("tet", 1),
+          "jittered_kuhn": jittered_kuhn_mesh,
+          "pentagon_prism": pentagon_prism_mesh,
+          "cube_pyramid": cube_pyramid_mesh}
+
+
+def assert_close(a, b, rtol=1e-13):
+    assert a.shape == b.shape
+    if b.size:
+        assert np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(b)), 1e-300)
+
+
+def built(ctxs):
+    """The contexts built in a group, not placed from another one."""
+    return [(i, ctx) for i, ctx in enumerate(ctxs)
+            if ctx.stacks.ids[ctx.slot] == i]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mesh", list(MESHES))
+def test_stacked_operators_match_per_entity_assembly(mesh, k):
+    cx = DdrComplex(MESHES[mesh](), k)
+    ref = oracles.per_entity_complex(cx)
+    for ctxs, refs, names in ((cx.faces, ref.faces, FACE_OPS),
+                              (cx.cells, ref.cells, CELL_OPS)):
+        for i, ctx in built(ctxs):
+            for name in names:
+                assert_close(getattr(ctx, name), getattr(refs[i], name))
+            for l, basis in ctx.sca.items():
+                assert_close(basis.coeff, refs[i].sca[l].coeff)
+            for key, basis in ctx.sub.items():
+                assert_close(basis.coeff, refs[i].sub[key].coeff)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mesh", ["kuhn", "pentagon_prism"])
+def test_stacked_edges_match_per_edge_build(mesh, k):
+    cx = DdrComplex(MESHES[mesh](), k)
+    for e, ectx in enumerate(cx.edges):
+        ref = oracles.ReferenceEdge(cx.mesh, e, k, ectx.rule.exactness_degree)
+        for name in ("gram", "skeleton", "deriv"):
+            assert_close(getattr(ectx, name), getattr(ref, name))
+        for l, basis in ectx.sca.items():
+            assert_close(basis.coeff, ref.sca[l].coeff)
+
+
+def test_jittered_tets_build_one_group_each():
+    cx = DdrComplex(jittered_kuhn_mesh(), 1)
+    assert len({id(e.stacks) for e in cx.edges}) == 1
+    assert len({id(f.stacks) for f in cx.faces}) == 1
+    assert len({id(c.stacks) for c in cx.cells}) == 1
+    assert [c.slot for c in cx.cells] == list(range(cx.mesh.n_cells))
+
+
+def test_cell_groups_follow_face_loop_lengths():
+    cx = DdrComplex(cube_pyramid_mesh(), 1)
+    assert len({id(f.stacks) for f in cx.faces}) == 2     # quads, triangles
+    assert cx.cells[0].stacks is not cx.cells[1].stacks
+
+
+def _grams(n=5, size=4, seed=3):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        A = rng.standard_normal((size, size))
+        out.append(A @ A.T + size * np.eye(size))
+    return np.array(out)
+
+
+def test_only_the_ill_conditioned_gram_takes_the_fallback(monkeypatch):
+    calls, eigh = [], np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append(a.copy())
+        return eigh(a, *args, **kwargs)
+
+    grams = _grams()
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    grams[2] = q @ np.diag([1.0, 1e-3, 1e-6, 4e-13]) @ q.T
+    grams[2] = 0.5 * (grams[2] + grams[2].T)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    C = ps._orthonormalise_gram(grams)
+    assert len(calls) == 1 and np.array_equal(calls[0], grams[2])
+    for i, g in enumerate(grams):
+        tol = 1e-2 if i == 2 else 1e-13
+        assert np.abs(C[i] @ g @ C[i].T - np.eye(4)).max() < tol
+        if i != 2:
+            # the others keep their Cholesky basis, as when alone
+            np.testing.assert_allclose(C[i], ps._orthonormalise_gram(g),
+                                       rtol=0, atol=1e-14)
+
+
+def test_a_gram_without_a_factor_takes_the_fallback_alone(monkeypatch):
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: (
+        calls.append(a.shape), eigh(a, *args, **kwargs))[1])
+    grams = _grams()
+    grams[1] = np.diag([1.0, 1.0, 1.0, -1e-14])      # no Cholesky factor
+    with pytest.raises(ps.BasisError) as err:
+        ps._orthonormalise_gram(grams)
+    assert err.value.index == 1
+    assert calls == [(4, 4)]
+
+
+def test_singular_gram_names_its_entity(monkeypatch):
+    # a singular Gram in a group of faces raises with the face's id
+    build = ps.build_subspace
+
+    def failing(geom, selector, degree, gram):
+        if selector == "Rc" and isinstance(geom, tuple) and len(geom) > 3:
+            gram = gram.copy()
+            gram[3] = 0.0
+        return build(geom, selector, degree, gram)
+
+    monkeypatch.setattr(operators.ps, "build_subspace", failing)
+    mesh = jittered_kuhn_mesh()
+    with pytest.raises(ps.BasisError, match=r"^face 3: Gram matrix"):
+        DdrComplex(mesh, 1)
+
+
+def test_cell_gram_summed_by_simplex_matches_one_product():
+    # a group sums each cell's Gram tetrahedron by tetrahedron, so that the
+    # monomials of one tetrahedron per cell are held at a time
+    cx = DdrComplex(jittered_kuhn_mesh(), 2)
+    for c in cx.cells:
+        assert_close(c.gram, ps.scalar_monomial_gram(c.geom, 4, c.rule), 1e-14)
