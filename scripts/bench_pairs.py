@@ -11,7 +11,8 @@ first alternates from seed to seed.  Then each side runs seed 1 once
 traced (``--trace 1``).  Per workload the file records the seeds, the side
 that ran first, every run's end-to-end metrics, their medians, the
 parent's interquartile range, the number of pairs the change wins, and the
-traced per-layer figures.  Workloads already in an existing
+traced per-layer figures.  It also records the line counts of ``src/`` and
+``tests/`` on both sides.  Workloads already in an existing
 BENCH_<tag>.json are kept, so several invocations fill one file.
 
 The ``machine`` block names the platform and times two fixed calibration
@@ -79,9 +80,9 @@ def calibrate(repeats: int = 5) -> dict:
             "splu_laplace3d_20_s": best(lambda: spla.splu(lap))}
 
 
-def src_lines(checkout: Path) -> int:
-    return sum(len(p.read_text().splitlines())
-               for p in (checkout / "src" / "ddrns").glob("*.py"))
+def line_count(checkout: Path, pattern: str) -> int:
+    """Lines of the files of a checkout that match a glob pattern."""
+    return sum(len(p.read_text().splitlines()) for p in checkout.glob(pattern))
 
 
 def summarise(metric: dict, better: str) -> dict:
@@ -155,7 +156,11 @@ def main(argv=None) -> int:
         },
         "command": ("python3 bench/run.py --workload <w> --seed <n> "
                     f"--seconds {args.seconds:g} --trace <t>"),
-        "src_lines": {side: src_lines(c) for side, c in checkouts.items()},
+        # tests_lines shows code moved into tests/ rather than deleted
+        "src_lines": {side: line_count(c, "src/ddrns/*.py")
+                      for side, c in checkouts.items()},
+        "tests_lines": {side: line_count(c, "tests/*.py")
+                        for side, c in checkouts.items()},
     })
     calibration = {"workloads": args.workload, "before": calibrate()}
     record["machine"]["calibration"].append(calibration)

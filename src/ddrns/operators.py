@@ -5,15 +5,17 @@ The local operators are dense matrices acting on entity-local DoF vectors
 orthonormal bases.  Edges, faces and cells are built by groups of alike
 entities: all edges in one group, faces by loop length, cells by the loop
 lengths of their faces.  A group (:class:`EdgeContext`,
-:class:`FaceContext`, :class:`CellContext`) samples its monomials once at
-the stacked rule points of its entities and forms their Grams, bases,
-boundary terms, moment systems, potentials and products as stacked arrays,
-each with one batched matmul, Cholesky factor or solve.  A group holds one
-member of each class of faces or cells that are translates of one another;
-the other members of a class share its arrays.  ``cx.edges[e]``,
-``cx.faces[f]`` and ``cx.cells[c]`` are per-entity views
-(:class:`EdgeView`, :class:`FaceView`, :class:`CellView`) whose arrays are
-views into the stacks of their group.
+:class:`FaceContext`, :class:`CellContext`) owns every member: the ids, the
+quadrature rule and chart of each, and ``row``, the stack row of each.
+Faces or cells that are translates of one another, with the same local
+numbering, share a row.  A group samples its monomials once at the stacked
+rule points of one member per row and forms their Grams, bases, boundary
+terms, moment systems, potentials and products as stacked arrays, each with
+one batched matmul, Cholesky factor or solve.  The interpolators, the global
+matrices and the solver read the groups.  ``cx.edges[e]``, ``cx.faces[f]``
+and ``cx.cells[c]`` are thin read-only views (:class:`EntityView`): an
+operator of a view is its row of the group's stack, and its bases are that
+row bound to its own chart.
 
 Every face and cell operator comes from integration by parts against the
 traces on the entity's boundary, and the stabilisation penalises the gap
@@ -33,7 +35,6 @@ components for the curl space.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from contextlib import contextmanager
 from dataclasses import replace
@@ -44,7 +45,7 @@ import scipy.sparse as sp
 
 from . import polyspaces as ps
 from .mesh import Mesh
-from .quadrature import cell_rule, edge_rule, face_rule
+from .quadrature import QuadratureRule, cell_rule, edge_rule, face_rule
 from .spaces import DofLayout, DofVector, SpaceKind
 
 
@@ -110,8 +111,8 @@ def _lsnorm(weights, vals, s):
 
 
 def _rot_components(ctx, v, slices):
-    """Frame components, at the rule points of a face or cell context, of
-    the R^{k-1} (+) Rc^{ell+1} field whose two coefficient blocks are
+    """Frame components, at the rule points of a face or cell view, of the
+    R^{k-1} (+) Rc^{ell+1} field whose two coefficient blocks are
     v[slices[0]] and v[slices[1]]."""
     comp = np.zeros((ctx.rule.n_points, ctx.geom.dim))
     for key, sl in zip((("R", ctx.k - 1), ("Rc", ctx.ell + 1)), slices):
@@ -136,6 +137,22 @@ def _set_block(out, rows, cols, B):
     """out[g][rows[g], cols[g]] = B[g] for each entity g of a stack."""
     out[np.arange(len(out))[:, None, None], rows[:, :, None],
         cols[:, None, :]] = B
+
+
+def _positions(table, idx):
+    """Positions of the entries of idx (N, ...) in the rows of table (N,
+    n), each row sorted: the local columns of global DoFs in the local
+    numberings of N entities."""
+    n = len(table)
+    shift = np.arange(n)[:, None] * (int(table.max(initial=0)) + 1)
+    pos = np.searchsorted((table + shift).ravel(), idx.reshape(n, -1) + shift)
+    return (pos - np.arange(n)[:, None] * table.shape[1]).reshape(idx.shape)
+
+
+def _tail(n, sizes) -> list:
+    """Slices of consecutive blocks of sizes that end n local DoFs."""
+    ends = n - sum(sizes) + np.cumsum([0, *sizes])
+    return [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _flatten_points(vals, w):
@@ -165,8 +182,9 @@ def _add_flux(out, slot, kind, test):
 def _trace_diff(kind, pot, basis, slot):
     """The h-weight and the sampled difference between the kind potential
     pot (G, nb, nloc) of a group of cells and the kind trace on one of
-    their boundary slots; basis is the P^{k+1} scalar basis for GRAD and
-    the P^k vector basis otherwise.
+    their boundary slots; basis is the scalar P^{k+1} basis for GRAD and
+    the scalar P^k basis otherwise, whose products with the unit vectors
+    (component-minor) are the P^k vector basis of the potential.
 
     The difference maps local DoFs to (G, npts, 2, nloc) CURL tangential
     components on a face and (G, npts, nloc) values otherwise.  The
@@ -175,15 +193,20 @@ def _trace_diff(kind, pot, basis, slot):
     # the trace of a P^k field is its normal component on a face (DIV),
     # its tangential components on a face (CURL) and along an edge
     on_face = hasattr(slot, "normal")
+    phi = basis.values(slot.mono)
     if kind is SpaceKind.GRAD:
-        A = basis.values(slot.mono) @ pot
-    elif kind is SpaceKind.CURL and on_face:
-        # (p, c, b) along the rows of the face frame
-        A = (slot.axes[:, None] @ np.swapaxes(basis.values(slot.mono), -1, -2)
-             @ pot[:, None])
+        A = phi @ pot
     else:
-        frame = slot.normal if on_face else slot.tangent
-        A = (basis.values(slot.mono) @ frame[:, None, :, None])[..., 0] @ pot
+        # the components of the potential along the frame vectors first:
+        # (G, nb, m, nloc) for m frame vectors, then the scalar values
+        curl_face = on_face and kind is SpaceKind.CURL
+        frame = (slot.axes if curl_face else
+                 (slot.normal if on_face else slot.tangent)[:, None])
+        G, nb = phi.shape[0], phi.shape[-1]
+        Q = frame[:, None] @ pot.reshape(G, nb, 3, -1)
+        A = phi @ Q.reshape(G, nb, -1)
+        A = A.reshape(A.shape[:2] + ((len(frame[0]), -1) if curl_face
+                                     else (-1,)))
     vals, cols = slot.traces[kind]
     _add_cols(A, cols, -vals)
     return (slot.h if on_face else slot.h ** 2), A
@@ -200,6 +223,9 @@ class _Chart:
         self.axes = np.array([g.axes for g in geoms])
         self.dim = self.axes.shape[1]
 
+    def __getitem__(self, sel) -> "_Chart":
+        return _Chart([self.geoms[i] for i in np.arange(len(self.geoms))[sel]])
+
     def monomials(self, points, degree):
         """Scaled monomials of degree <= degree of each chart at its own
         points (G, npts, 3) -> (G, npts, nm)."""
@@ -209,122 +235,97 @@ class _Chart:
 
     def gram(self, blocks, degree):
         """Monomial Grams (G, nm, nm) summed over the blocks of rule points
-        from :func:`_rule_blocks`."""
+        from :meth:`_Group._rule_blocks`."""
         return sum(ps.monomial_gram(self.monomials(p, degree), w)
                    for _, p, w in blocks)
 
 
-def _rule_blocks(views, parts):
-    """The rule points and weights of a group's entities in parts equal
-    blocks (the simplices of a cell rule), stacked block by block so that
-    one block only is held at a time: (slice of the rule, points (G, m,
-    3), weights (G, m))."""
-    m = views[0].rule.n_points // parts
-    for i in range(parts):
-        sl = slice(i * m, (i + 1) * m)
-        yield (sl, np.array([v.rule.points[sl] for v in views]),
-               np.array([v.rule.weights[sl] for v in views]))
+def _cell_tables(mesh, layouts, cids):
+    """The local numbering of cells cids of one group: the global indices
+    of their local DoFs for each space (rows of DofLayout.cell_table), their
+    faces ordered by loop length and then id, with the loop lengths and
+    omega_TF, and their edges."""
+    cells = [mesh.cells[c] for c in cids]
+    faces = np.array([c.faces for c in cells])
+    loops = np.array([[len(mesh.faces[f].vertex_loop) for f in c.faces]
+                      for c in cells])
+    order = np.lexsort((faces, loops), axis=1)
+    return SimpleNamespace(
+        layouts=layouts,
+        glob={kind: layouts[kind].cell_table(cids) for kind in SpaceKind},
+        faces=np.take_along_axis(faces, order, 1),
+        loops=np.take_along_axis(loops, order, 1),
+        sign=np.take_along_axis(np.array([c.face_signs for c in cells],
+                                         float), order, 1),
+        edges=np.array([c.edge_ids for c in cells]))
 
 
-def _edge_ends(views, mesh, eids):
-    """Local GRAD positions (G, 2) of the two vertices of edge eids[g] in
-    view g."""
-    return np.array([[v.grad_vert_pos[x] for x in mesh.edges[e].vertices]
-                     for v, e in zip(views, eids)])
+def _face_slots(t, face_groups, chart, degree):
+    """The faces of a group of cells with the local numbering t (see
+    :func:`_cell_tables`), one slot at a time: slot j holds the j-th face of
+    each cell, all of one loop length and so of one face group
+    (face_groups[loop length]); see :func:`_face_slot`."""
+    for j in range(t.faces.shape[1]):
+        yield _face_slot(t, j, face_groups[t.loops[0, j]], chart, degree)
 
 
-def _face_edge_slots(views, mesh, edges, chart, degree):
-    """The edges of a group of faces, slot i holding edge_ids[i] of each:
-    omega_FE, n_FE in frame components, the rule weights, the face
-    monomials at the edge rule points, and the GRAD and CURL traces in
-    face-local columns.  edges is the EdgeContext of all edges, whose
-    stacks are indexed by edge id."""
-    k, nv = views[0].k, len(views[0].verts)
-    E = np.array([v.edge_ids for v in views])
-    G, ne = E.shape
-    slots = []
-    for i in range(ne):
-        e = E[:, i]
-        nfe = np.array([v.edge_nfe[x] for v, x in zip(views, e)])
-        moments = np.broadcast_to(nv + i * k + np.arange(k), (G, k))
-        slots.append(SimpleNamespace(
-            sign=np.array([v.edge_sign[x] for v, x in zip(views, e)], float),
-            w=edges.weights[e], mono=chart.monomials(edges.points[e], degree),
-            nfe=(chart.axes @ nfe[..., None])[..., 0],
-            traces={SpaceKind.GRAD: (edges.trace_grad[e], np.hstack(
-                        [_edge_ends(views, mesh, e), moments])),
-                    SpaceKind.CURL: (edges.phi_k[e], np.broadcast_to(
-                        i * (k + 1) + np.arange(k + 1), (G, k + 1)))}))
-    return slots
-
-
-def _face_slots(views, faces, chart, degree):
-    """The faces of a group of cells, one slot at a time; each cell's faces
-    are ordered by loop length and then id, so that slot j holds faces of
-    one loop length.  See :func:`_face_slot`."""
-    order = np.array([sorted(v.face_ids, key=lambda f: (
-        len(faces[f].face.vertex_loop), f)) for v in views])
-    for fids in order.T:
-        yield _face_slot(views, [faces[f] for f in fids], fids, chart, degree)
-
-
-def _face_slot(views, fv, fids, chart, degree):
-    """The face fids[g] of each cell views[g], whose view is fv[g]: omega_TF,
-    the face rule weights, normals, frames and diameters, the cell
+def _face_slot(t, j, fg, chart, degree):
+    """Face slot j of a group of cells, its faces in the face group fg:
+    omega_TF, the face rule weights, normals, frames and diameters, the cell
     monomials at the face rule points, the face traces in cell-local
     columns (GRAD trace, CURL tangential trace in frame components and the
     P^k basis of the DIV normal component), and the face blocks of the
     global gradient and curl with their cell-local rows."""
-    k = views[0].k
-    pts = np.array([x.rule.points for x in fv])
-    fmono = _Chart([x.geom for x in fv]).monomials(pts, k + 1)
+    gl, cl, dl = (t.layouts[kind] for kind in SpaceKind)
 
-    def stack(name):
-        return np.array([getattr(x, name) for x in fv])
+    def cols(kind, idx):
+        return _positions(t.glob[kind], idx)
 
-    def cols(name):
-        return np.array([getattr(v, name)[f] for v, f in zip(views, fids)])
-
-    sca = {l: ps.ScalarBasis(None, l, np.array([x.sca[l].coeff for x in fv]))
-           for l in (k, k + 1)}
-    vb = ps.VectorBasis(None, k, 2, np.array([x.vb.coeff for x in fv]))
+    fids = t.faces[:, j]
+    m = np.searchsorted(fg.ids, fids)
+    r = fg.row[m]
+    k = fg.k
+    pts = fg.points[m]
+    fmono = fg.chart[m].monomials(pts, k + 1)
+    sca = {l: ps.ScalarBasis(None, l, fg.sca[l].coeff[r]) for l in (k, k + 1)}
+    vb = ps.VectorBasis(None, k, 2, fg.vb.coeff[r])
     return SimpleNamespace(
-        sign=np.array([v.face_sign[f] for v, f in zip(views, fids)], float),
-        w=np.array([x.rule.weights for x in fv]),
-        mono=chart.monomials(pts, degree),
-        normal=np.array([x.face.normal for x in fv]),
-        axes=np.array([x.geom.axes for x in fv]),
-        h=np.array([x.face.diameter for x in fv]),
+        sign=t.sign[:, j], w=fg.weights[m], mono=chart.monomials(pts, degree),
+        normal=fg.normal[m], axes=fg.chart.axes[m], h=fg.chart.scale[m],
         traces={
-            SpaceKind.GRAD: (sca[k + 1].values(fmono) @ stack("trace_mat"),
-                             cols("grad_face_map")),
+            SpaceKind.GRAD: (sca[k + 1].values(fmono) @ fg.trace_mat[r],
+                             cols(SpaceKind.GRAD, gl.face_table(fids))),
             SpaceKind.CURL: (np.swapaxes(vb.values(fmono), -1, -2)
-                             @ stack("ttrace_mat")[:, None],
-                             cols("curl_face_map")),
-            SpaceKind.DIV: (sca[k].values(fmono), cols("div_face_map"))},
-        faceblock=cols("curl_faceblock_map"), uG_face=stack("uG_face"),
-        curl_mat=stack("curl_mat"))
+                             @ fg.ttrace_mat[r][:, None],
+                             cols(SpaceKind.CURL, cl.face_table(fids))),
+            SpaceKind.DIV: (sca[k].values(fmono),
+                            cols(SpaceKind.DIV, dl.dofs(2, fids)))},
+        faceblock=cols(SpaceKind.CURL, cl.dofs(2, fids)),
+        uG_face=fg.uG_face[r], curl_mat=fg.curl_mat[r])
 
 
-def _cell_edge_slots(views, mesh, edges, chart, degree):
-    """The edges of a group of cells, slot i holding edge_ids[i] of each:
-    the rule weights, tangents and lengths, the cell monomials at the edge
-    rule points, the GRAD skeleton and CURL tangential traces in
-    cell-local columns, and the derivative of the skeleton.  edges is the
-    EdgeContext of all edges, whose stacks are indexed by edge id."""
-    E = np.array([v.edge_ids for v in views])
+def _edge_slots(E, glob, layouts, edges, chart, degree):
+    """The edges E (G, ne) of a group of faces or cells whose local DoFs
+    are glob[kind] (G, nloc), slot i holding edge E[:, i] of each: the rule
+    weights, tangents and lengths, the entity monomials at the edge rule
+    points, the GRAD skeleton and CURL tangential traces in local columns,
+    and the derivative of the skeleton.  edges is the EdgeContext of all
+    edges, whose stacks are indexed by edge id."""
+    gl, cl = layouts[SpaceKind.GRAD], layouts[SpaceKind.CURL]
     slots = []
     for e in E.T:
-        grad_cols = np.hstack([_edge_ends(views, mesh, e), np.array(
-            [v.grad_edge_map[x] for v, x in zip(views, e)]).reshape(len(e), -1)])
-        curl_cols = np.array([v.curl_edge_map[x] for v, x in zip(views, e)])
+        # the GRAD skeleton reads the two vertex values and the k moments
+        grad = np.hstack([gl.dofs(0, edges.vertices[e])[..., 0],
+                          gl.dofs(1, e)])
         slots.append(SimpleNamespace(
             sign=np.ones(len(e)), w=edges.weights[e],
             mono=chart.monomials(edges.points[e], degree),
-            tangent=edges.tangent[e], h=edges.length[e],
+            tangent=edges.tangent[e], h=edges.chart.scale[e],
             deriv=edges.deriv_skeleton[e],
-            traces={SpaceKind.GRAD: (edges.trace_grad[e], grad_cols),
-                    SpaceKind.CURL: (edges.phi_k[e], curl_cols)}))
+            traces={SpaceKind.GRAD: (edges.trace_grad[e],
+                                     _positions(glob[SpaceKind.GRAD], grad)),
+                    SpaceKind.CURL: (edges.phi_k[e], _positions(
+                        glob[SpaceKind.CURL], cl.dofs(1, e)))}))
     return slots
 
 
@@ -333,14 +334,39 @@ def _cell_edge_slots(views, mesh, edges, chart, degree):
 
 
 class _Group:
-    """What groups share: the hand-out of the stacks to the per-entity
-    views, the naming of a failing entity and, for faces and cells, the
-    stacked bases and the gradient.
+    """What groups share: their members, the naming of a failing entity
+    and, for faces and cells, the stacked bases and the gradient.
 
-    The local operators of an entity depend only on its shape, local
-    numbering and orientations; within a group every entity has the same
-    local sizes, so each array is one stack with a leading entity axis.
+    A group owns every member: ids (N,), the chart of each (``chart``), the
+    rule points (N, npts, 3) and weights (N, npts), and row (N,), the stack
+    row of each member.  Translates share a row; rep lists the member
+    built for each row.  The local operators of an entity depend only on
+    its shape, local numbering and orientations; within a group every
+    entity has the same local sizes, so each operator is one stack with a
+    leading row axis.  A view reads the STACKED names at its row, the
+    MEMBERS ones at its own index and the SHARED ones as they are.
     """
+
+    STACKED, MEMBERS, SHARED = (), (), ("k",)
+
+    def _members(self, mesh, ids, row, geoms, rules):
+        self.mesh = mesh
+        self.ids, self.row = np.asarray(ids), np.asarray(row)
+        self.rep = np.unique(self.row, return_index=True)[1]
+        self.chart = _Chart(geoms)
+        self.points = np.array([r.points for r in rules])
+        self.weights = np.array([r.weights for r in rules])
+        self.rule_degree = rules[0].exactness_degree
+
+    def _rule_blocks(self, parts):
+        """The rule points and weights of the built members in parts equal
+        blocks (the simplices of a cell rule), stacked block by block so
+        that one block only is held at a time: (slice of the rule, points
+        (G, m, 3), weights (G, m))."""
+        m = self.points.shape[1] // parts
+        for i in range(parts):
+            sl = slice(i * m, (i + 1) * m)
+            yield sl, self.points[self.rep, sl], self.weights[self.rep, sl]
 
     @contextmanager
     def _naming_errors(self):
@@ -350,14 +376,16 @@ class _Group:
         except ps.BasisError as err:
             if err.index is None:
                 raise
-            raise ps.BasisError(f"{self.kind} {self.ids[err.index]}: {err}",
-                                index=err.index) from None
+            raise ps.BasisError(
+                f"{self.kind} {self.ids[self.rep[err.index]]}: {err}",
+                index=err.index) from None
 
-    def _bases(self, gram, extra=()):
+    def _bases(self, chart, gram, extra=()):
         """Monomial Grams, scalar bases, P^k vector bases and the split
-        subspaces R^{k-1}, Rc^{ell+1}, R^k, Rc^k, Rc^{k+2} and extra; every
-        scalar basis is a leading block of the Gram at degree k + 2."""
-        k, ell, geoms = self.k, self.ell, self.chart.geoms
+        subspaces R^{k-1}, Rc^{ell+1}, R^k, Rc^k, Rc^{k+2} and extra of the
+        built members, whose charts are chart; every scalar basis is a
+        leading block of the Gram at degree k + 2."""
+        k, ell, geoms = self.k, self.ell, chart.geoms
         self.gram = gram
         with self._naming_errors():
             self.sca = {l: ps.build_scalar_basis(geoms, l, gram)
@@ -369,9 +397,9 @@ class _Group:
                 for sel, l in dict.fromkeys([("R", k - 1), ("Rc", ell + 1),
                                              ("R", k), ("Rc", k),
                                              ("Rc", k + 2), *extra])}
-        self.vb = ps.tensor_vector_basis(self.sca[k], self.chart.dim)
+        self.vb = ps.tensor_vector_basis(self.sca[k], chart.dim)
 
-    def _gradient(self, flux, own_cols):
+    def _gradient(self, chart, flux, own_cols):
         """Serendipity moments, gradient and P^{k+1} potential of the local
         GRAD DoFs.
 
@@ -381,7 +409,7 @@ class _Group:
         entity's own P^ell moments q_Y.
         """
         k, gram, vb = self.k, self.gram, self.vb
-        d, h = self.chart.dim, self.chart.scale
+        d, h = chart.dim, chart.scale
         Rk, Rck = self.sub["R", k], self.sub["Rc", k]
         cRk2 = self.sub["Rc", k + 2]
         # int G q . tau = -int q_Y div tau + boundary term, tau in Rc^k
@@ -398,41 +426,30 @@ class _Group:
         rhs = flux["Rc", k + 2] - cRk2.coords_in(vb, gram) @ grad
         return sg, grad, np.linalg.solve(D, rhs)
 
-    def _share(self, names):
-        """Hand each view its slices of the stacks names (arrays, stacked
-        bases or dicts of them), and the stacks themselves as view.stacks,
-        where the view's entry is view.slot.  The views hold no reference to
-        the group, so that no cycle keeps a dropped complex alive."""
-        self.stacks = SimpleNamespace(
-            ids=self.ids, **{name: getattr(self, name) for name in names})
-        for i, v in enumerate(self.views):
-            v.stacks, v.slot = self.stacks, i
-            for name in names:
-                val = getattr(self, name)
-                setattr(v, name, {key: b[i] for key, b in val.items()}
-                        if isinstance(val, dict) else val[i])
-
 
 class EdgeContext(_Group):
-    """The local operators of edges ids, as stacks along a leading edge
-    axis; views[i] is the :class:`EdgeView` of edge ids[i].
+    """The local operators of edges eids, as stacks along a leading edge
+    axis; every edge is built, so rows are members.
 
     Every edge rule has the same size, so a mesh builds its edges in one
     group.  Besides the bases, the skeleton reconstruction and the
     derivative, the group keeps stacked what faces and cells read off their
     edges: the rule points and weights, the GRAD skeleton trace (the
     P^{k+1} basis times the skeleton reconstruction) and the P^k basis at
-    the rule points, the derivative of the skeleton, tangents and lengths.
+    the rule points, the derivative of the skeleton, the tangents and the
+    vertices.
     """
 
     kind = "edge"
+    STACKED = ("gram", "sca", "skeleton", "deriv")
 
     def __init__(self, mesh: Mesh, eids, k: int, rule_degree: int):
-        self.k, self.ids = k, list(eids)
-        self.views = [EdgeView(mesh, e, k, rule_degree) for e in eids]
-        chart = _Chart([v.geom for v in self.views])
-        self.points = np.array([v.rule.points for v in self.views])
-        self.weights = np.array([v.rule.weights for v in self.views])
+        self.k = k
+        edges = [mesh.edges[e] for e in eids]
+        self._members(mesh, eids, np.arange(len(edges)),
+                      [ps.edge_geometry(mesh, e) for e in edges],
+                      [edge_rule(mesh, e, rule_degree) for e in eids])
+        chart = self.chart
         mono = chart.monomials(self.points, k + 1)
         # every scalar basis orthonormalises a leading block of one Gram
         self.gram = ps.monomial_gram(mono, self.weights)
@@ -443,9 +460,10 @@ class EdgeContext(_Group):
         # skeleton reconstruction: [q(v_a), q(v_b), moments vs P^{k-1}] ->
         # coefficients in the P^{k+1}(E) orthonormal basis
         bkp1 = self.sca[k + 1]
-        ends = mesh.vertex_coords[[v.edge.vertices for v in self.views]]
+        self.vertices = np.array([e.vertices for e in edges])
         A = np.concatenate([
-            bkp1.values(chart.monomials(ends, k + 1)),
+            bkp1.values(chart.monomials(mesh.vertex_coords[self.vertices],
+                                        k + 1)),
             _inner_scalar(self.gram, self.sca[k - 1].coeff, bkp1.coeff),
         ], axis=-2)
         self.skeleton = np.linalg.solve(A, np.eye(k + 2))
@@ -458,42 +476,68 @@ class EdgeContext(_Group):
         self.trace_grad = bkp1.values(mono) @ self.skeleton
         self.phi_k = self.sca[k].values(mono)
         self.deriv_skeleton = self.deriv @ self.skeleton
-        self.tangent = np.array([v.edge.tangent for v in self.views])
-        self.length = chart.scale
-        self._share(("gram", "sca", "skeleton", "deriv"))
+        self.tangent = np.array([e.tangent for e in edges])
 
 
 class FaceContext(_Group):
-    """The local operators of a group of faces with one loop length, faces
-    ids, as stacks along a leading face axis; views[i] is the
-    :class:`FaceView` of face ids[i]."""
+    """The local operators of a group of faces fids (ascending) with one
+    loop length, as stacks along a leading row axis; row[i] is the stack
+    row of face fids[i]."""
 
     kind = "face"
+    STACKED = ("gram", "sca", "vb", "sub", "serendipity_grad", "grad_mat",
+               "trace_mat", "curl_mat", "serendipity_curl", "ttrace_mat",
+               "uG_face")
+    SHARED = ("k", "ell", "n_grad", "n_curl", "grad_face_slice",
+              "curl_R_slice", "curl_Rc_slice")
 
-    def __init__(self, mesh: Mesh, fids, k: int, ell: int, rule_degree: int,
-                 edge_group: EdgeContext):
-        self.k, self.ell, self.ids = k, ell, list(fids)
-        self.views = [FaceView(mesh, f, k, ell, rule_degree) for f in fids]
-        v0 = self.views[0]
-        for name in ("n_grad", "n_curl", "grad_face_slice", "curl_R_slice",
-                     "curl_Rc_slice"):
-            setattr(self, name, getattr(v0, name))
-        self.chart = _Chart([v.geom for v in self.views])
-        self._bases(self.chart.gram(_rule_blocks(self.views, 1), k + 2))
-        self._assemble(_face_edge_slots(self.views, mesh, edge_group,
-                                        self.chart, k + 2))
-        self._share(("gram", "sca", "vb", "sub", "serendipity_grad",
-                     "grad_mat", "trace_mat", "curl_mat", "serendipity_curl",
-                     "ttrace_mat", "uG_face"))
+    def __init__(self, mesh: Mesh, fids, row, k: int, ell: int,
+                 rule_degree: int, edge_group: EdgeContext, layouts):
+        self.k, self.ell = k, ell
+        faces = [mesh.faces[f] for f in fids]
+        self._members(mesh, fids, row,
+                      [ps.face_geometry(mesh, f) for f in faces],
+                      [face_rule(mesh, f, rule_degree) for f in fids])
+        self.normal = np.array([f.normal for f in faces])
+        self.loop_length = len(faces[0].vertex_loop)
+        glob = {kind: layouts[kind].face_table(self.ids[self.rep])
+                for kind in (SpaceKind.GRAD, SpaceKind.CURL)}
+        self.n_grad, self.n_curl = (g.shape[1] for g in glob.values())
+        self.grad_face_slice, = _tail(self.n_grad,
+                                      layouts[SpaceKind.GRAD].face_subsizes)
+        self.curl_R_slice, self.curl_Rc_slice = _tail(
+            self.n_curl, layouts[SpaceKind.CURL].face_subsizes)
+        chart = self.chart[self.rep]
+        self._bases(chart, chart.gram(self._rule_blocks(1), k + 2))
+        self._assemble(chart, self._face_edges(mesh, edge_group, layouts,
+                                               glob, chart))
 
-    def _assemble(self, edges):
-        k, gram, vb, h = self.k, self.gram, self.vb, self.chart.scale
+    def _face_edges(self, mesh, edges, layouts, glob, chart):
+        """The edges by id of the built faces, whose local DoFs are glob
+        (see :func:`_edge_slots`), each slot with omega_FE and n_FE in
+        frame components."""
+        faces = [mesh.faces[f] for f in self.ids[self.rep]]
+        loop = np.array([f.edges for f in faces])
+        order = np.argsort(loop, axis=1)
+        sign = np.take_along_axis(
+            np.array([f.edge_signs for f in faces], float), order, 1)
+        nfe = np.take_along_axis(np.array([f.edge_normals for f in faces]),
+                                 order[..., None], 1)
+        slots = _edge_slots(np.take_along_axis(loop, order, 1), glob,
+                            layouts, edges, chart, self.k + 2)
+        for i, s in enumerate(slots):
+            s.sign = sign[:, i]
+            s.nfe = (chart.axes @ nfe[:, i, :, None])[..., 0]
+        return slots
+
+    def _assemble(self, chart, edges):
+        k, gram, vb, h = self.k, self.gram, self.vb, chart.scale
         Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
         Rcd = self.sub["Rc", self.ell + 1]
         pk = self.sca[k]
 
         nm = ps.dim_poly(2, k + 1)
-        G = len(self.ids)
+        G = len(self.rep)
         # boundary terms against the edge traces: the normal fluxes of
         # R^k, Rc^k and Rc^{k+2}, and the P^k and monomial tangential ones
         flux = {key: np.zeros((G, self.sub[key].dim, self.n_grad))
@@ -510,7 +554,7 @@ class FaceContext(_Group):
 
         # --- gradient, serendipity gradient moments and scalar trace --------
         self.serendipity_grad, self.grad_mat, self.trace_mat = self._gradient(
-            flux, self.grad_face_slice)
+            chart, flux, self.grad_face_slice)
 
         # --- face curl --------------------------------------------------------
         cm = -tflux
@@ -540,51 +584,69 @@ class FaceContext(_Group):
 
 
 class CellContext(_Group):
-    """The local operators of a group of cells whose faces have the same
-    loop lengths, cells ids, as stacks along a leading cell axis; views[i]
-    is the :class:`CellView` of cell ids[i]."""
+    """The local operators of a group of cells cids whose faces have the
+    same loop lengths, as stacks along a leading row axis; row[i] is the
+    stack row of cell cids[i].  phi_k, the P^k basis at the rule points, is
+    kept for every member, since a translate may list its rule points in
+    another order."""
 
     kind = "cell"
+    STACKED = ("gram", "sca", "vb", "sub", "serendipity_grad", "grad_mat",
+               "pot_grad", "curl_op", "serendipity_curl", "pot_curl",
+               "div_op", "pot_div", "uG", "uC", "convective_curl",
+               "tri_tensor", "product_grad", "product_curl", "product_div")
+    SHARED = ("k", "ell", "n_grad", "n_curl", "n_div", "grad_cell",
+              "curl_R_cell", "curl_Rc_cell", "div_G_cell", "div_Gc_cell",
+              "interior")
+    MEMBERS = ("phi_k",)
 
-    def __init__(self, mesh: Mesh, cids, k: int, ell: int, rule_degree: int,
-                 edge_group: EdgeContext, faces, layouts):
-        self.k, self.ell, self.ids = k, ell, list(cids)
-        self.views = [CellView(mesh, c, k, ell, rule_degree, layouts)
-                      for c in cids]
-        v0 = self.views[0]
-        for name in ("n_grad", "n_curl", "n_div", "grad_cell", "curl_R_cell",
-                     "curl_Rc_cell", "div_G_cell", "div_Gc_cell"):
-            setattr(self, name, getattr(v0, name))
-        self.chart = _Chart([v.geom for v in self.views])
+    def __init__(self, mesh: Mesh, cids, row, k: int, ell: int,
+                 rule_degree: int, edge_group: EdgeContext, face_groups,
+                 layouts):
+        self.k, self.ell = k, ell
+        self._members(mesh, cids, row,
+                      [ps.cell_geometry(mesh, mesh.cells[c]) for c in cids],
+                      [cell_rule(mesh, c, rule_degree) for c in cids])
+        t = _cell_tables(mesh, layouts, self.ids[self.rep])
+        self._sizes(layouts, t.glob)
+        chart = self.chart[self.rep]
         # the cell rule runs tetrahedron by tetrahedron, one per face
         # segment, and is summed and sampled one tetrahedron at a time
-        n_tets = sum(len(mesh.faces[f].vertex_loop) for f in v0.face_ids)
-        self._bases(self.chart.gram(_rule_blocks(self.views, n_tets), k + 2),
+        n_tets = int(t.loops[0].sum())
+        self._bases(chart, chart.gram(self._rule_blocks(n_tets), k + 2),
                     [("G", k - 1), ("Gc", k), ("Gc", k + 1)])
-        # evaluation caches kept small: scalar P^k basis at cell points, and
-        # the moment tensor int phi_i phi_j phi_l for the convective term
+        # evaluation caches kept small: scalar P^k basis at the rule points
+        # of every member, each in the basis of its row, and the moment
+        # tensor int phi_i phi_j phi_l of each row for the convective term
         pk = self.sca[k]
-        self.phi_k = np.empty((len(self.ids), v0.rule.n_points, pk.dim))
-        self.tri_tensor = np.zeros((len(self.ids),) + (pk.dim,) * 3)
-        for sl, p, w in _rule_blocks(self.views, n_tets):
-            self.phi_k[:, sl] = pk.values(self.chart.monomials(p, k))
-            self.tri_tensor += _triple_moments(w, self.phi_k[:, sl])
+        members = ps.ScalarBasis(None, k, pk.coeff[self.row])
+        self.phi_k = np.empty(self.weights.shape + (pk.dim,))
+        self.tri_tensor = np.zeros((len(self.rep),) + (pk.dim,) * 3)
+        for sl, _, w in self._rule_blocks(n_tets):
+            phi = self.phi_k[:, sl] = members.values(
+                self.chart.monomials(self.points[:, sl], k))
+            self.tri_tensor += _triple_moments(w, phi[self.rep])
         # face slots are built one at a time, once for the boundary terms
         # and once for the stabilisation
-        face_slots = lambda: _face_slots(self.views, faces, self.chart, k + 2)
-        edges = _cell_edge_slots(self.views, mesh, edge_group, self.chart,
-                                 k + 2)
-        self._assemble(face_slots(), edges)
+        face_slots = lambda: _face_slots(t, face_groups, chart, k + 2)
+        edges = _edge_slots(t.edges, t.glob, layouts, edge_group, chart,
+                            k + 2)
+        self._assemble(chart, face_slots(), edges)
         self._products(itertools.chain(edges, face_slots()))
-        self._share(("gram", "sca", "vb", "sub", "serendipity_grad",
-                     "grad_mat", "pot_grad", "curl_op", "serendipity_curl",
-                     "pot_curl", "div_op", "pot_div", "uG", "uC",
-                     "convective_curl", "phi_k", "tri_tensor", "product_grad",
-                     "product_curl", "product_div"))
 
-    def _assemble(self, faces, edges):
-        k, gram, vb, h = self.k, self.gram, self.vb, self.chart.scale
-        G = len(self.ids)
+    def _sizes(self, layouts, glob):
+        """Local sizes, the trailing cell blocks and the interior DoFs."""
+        n = {kind: g.shape[1] for kind, g in glob.items()}
+        self.n_grad, self.n_curl, self.n_div = n.values()
+        (self.grad_cell,), (self.curl_R_cell, self.curl_Rc_cell), \
+            (self.div_G_cell, self.div_Gc_cell) = (
+                _tail(n[kind], layouts[kind].cell_subsizes) for kind in n)
+        self.interior = {kind: np.arange(n[kind] - layouts[kind].cell_block,
+                                         n[kind]) for kind in n}
+
+    def _assemble(self, chart, faces, edges):
+        k, gram, vb, h = self.k, self.gram, self.vb, chart.scale
+        G = len(self.rep)
         Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
         Rcd = self.sub["Rc", self.ell + 1]
         Gkm, Gck = self.sub["G", k - 1], self.sub["Gc", k]
@@ -599,7 +661,8 @@ class CellContext(_Group):
         # a; and the P^k and monomial moments of the DIV normal traces
         flux = {key: np.zeros((G, self.sub[key].dim, self.n_grad))
                 for key in (("R", k), ("Rc", k), ("Rc", k + 2))}
-        cross = {id(w): np.zeros((G, w.dim, self.n_curl)) for w in (vb, cGk1)}
+        cross_vb = np.zeros((G, vb.dim, self.n_curl))
+        cross_g = np.zeros((G, cGk1.dim, self.n_curl))
         dm = np.zeros((G, pk.dim, self.n_div))
         mflux = np.zeros((G, nm - 1, self.n_div))
         uG = np.zeros((G, self.n_curl, self.n_grad))
@@ -609,26 +672,31 @@ class CellContext(_Group):
             for key, out in flux.items():
                 _add_flux(out, s, SpaceKind.GRAD,
                           (self.sub[key].values(s.mono) @ n_f)[..., 0])
-            nxa = np.cross(s.normal[:, None, :], s.axes)[:, None]
-            for w in (vb, cGk1):
-                _add_flux(cross[id(w)], s, SpaceKind.CURL,
-                          nxa @ np.swapaxes(w.values(s.mono), -1, -2))
-            _add_flux(dm, s, SpaceKind.DIV, pk.values(s.mono))
+            nxa = np.cross(s.normal[:, None, :], s.axes)
+            phi = pk.values(s.mono)
+            # vb is P^k times the unit vectors (component-minor), so its
+            # n x a components are the scalar values times those of n x a
+            _add_flux(cross_vb, s, SpaceKind.CURL,
+                      (nxa[:, None, :, None] * phi[:, :, None, :, None]
+                       ).reshape(phi.shape[:2] + (2, vb.dim)))
+            _add_flux(cross_g, s, SpaceKind.CURL,
+                      nxa[:, None] @ np.swapaxes(cGk1.values(s.mono), -1, -2))
+            _add_flux(dm, s, SpaceKind.DIV, phi)
             _add_flux(mflux, s, SpaceKind.DIV, s.mono[..., 1:nm])
             _set_block(uG, s.faceblock, s.traces[SpaceKind.GRAD][1], s.uG_face)
             _set_block(uC, s.traces[SpaceKind.DIV][1],
                        s.traces[SpaceKind.CURL][1], s.curl_mat)
-            del s       # before the next slot is built
+            del s, phi  # before the next slot is built
         for s in edges:
             _set_block(uG, s.traces[SpaceKind.CURL][1],
                        s.traces[SpaceKind.GRAD][1], s.deriv)
 
         # --- element gradient, serendipity moments and gradient potential ----
         self.serendipity_grad, self.grad_mat, self.pot_grad = self._gradient(
-            flux, self.grad_cell)
+            chart, flux, self.grad_cell)
 
         # --- element curl -------------------------------------------------------
-        cm = cross[id(vb)]
+        cm = cross_vb
         if Rkm.dim:
             cm[..., self.curl_R_cell] += ps.vector_inner(
                 gram, _curl3_coeffs(vb.coeff, h), Rkm.coeff)
@@ -644,8 +712,8 @@ class CellContext(_Group):
         M = np.concatenate([ps.coords_in_vector_basis(vb, curlw, gram),
                             Rck.coords_in(vb, gram)], axis=-2)
         rhs = np.concatenate([
-            ps.vector_inner(gram, cGk1.coeff, vb.coeff) @ cm - cross[id(cGk1)],
-            sc], axis=-2)
+            ps.vector_inner(gram, cGk1.coeff, vb.coeff) @ cm - cross_g, sc],
+            axis=-2)
         self.pot_curl = np.linalg.solve(M, rhs)
 
         # --- divergence and its potential ----------------------------------------
@@ -681,8 +749,8 @@ class CellContext(_Group):
         S = {kind: np.swapaxes(pot, 1, 2) @ pot for kind, pot in pots.items()}
         for s in slots:
             for kind in s.traces:
-                basis = (self.sca[self.k + 1] if kind is SpaceKind.GRAD
-                         else self.vb)
+                basis = self.sca[self.k + 1 if kind is SpaceKind.GRAD
+                                 else self.k]
                 # s_T = sum_b h_b int_b A_b . A_b over the differences A_b
                 hw, A = _trace_diff(kind, pots[kind], basis, s)
                 A, w = _flatten_points(A, s.w)
@@ -698,172 +766,71 @@ class CellContext(_Group):
 # per-entity views
 
 
-class _View:
-    """What face and cell views share: their placement on a translate.
+class EntityView:
+    """One member of a group, read-only: its id, mesh entity (``edge``,
+    ``face`` or ``cell``), chart, rule and diameter ``h``; the group's row
+    of each STACKED operator, its own entry of each MEMBERS stack, the
+    SHARED values of the group; and its bases, the row's coefficients bound
+    to its own chart.  Each read hands out a fresh slice, rule or basis."""
 
-    A placed view shares the operator arrays and the basis coefficients of
-    the one it is placed from; ``_place`` rebuilds what depends on
-    position: the entity, its anchor and quadrature rule, and the maps
-    keyed by global ids.
-    """
+    __slots__ = ("group", "index")
 
-    def placed_at(self, mesh: Mesh, index: int, *place_args):
-        new = copy.copy(self)
-        new._place(mesh, index, self.rule.exactness_degree, *place_args)
-        new.sca = {l: replace(b, geom=new.geom) for l, b in self.sca.items()}
-        new.vb = replace(self.vb, geom=new.geom)
-        new.sub = {key: replace(b, geom=new.geom)
-                   for key, b in self.sub.items()}
-        return new
+    def __init__(self, group: _Group, index: int):
+        self.group, self.index = group, index
 
+    @property
+    def row(self) -> int:
+        return int(self.group.row[self.index])
 
-class EdgeView:
-    """One edge: its rule and chart, and, once its group is built, its
-    bases, skeleton reconstruction and derivative as views into the group's
-    stacks (``stacks`` and ``slot`` locate them)."""
+    @property
+    def id(self) -> int:
+        return int(self.group.ids[self.index])
 
-    def __init__(self, mesh: Mesh, eid: int, k: int, rule_degree: int):
-        self.k = k
-        self.edge = mesh.edges[eid]
-        self.h = self.edge.length
-        self.geom = ps.edge_geometry(mesh, self.edge)
-        self.rule = edge_rule(mesh, eid, rule_degree)
-        self._mono = None
+    @property
+    def geom(self) -> ps.EntityGeometry:
+        return self.group.chart.geoms[self.index]
+
+    @property
+    def h(self) -> float:
+        return self.geom.scale
+
+    @property
+    def rule(self) -> QuadratureRule:
+        g, i = self.group, self.index
+        return QuadratureRule(g.points[i], g.weights[i], g.rule_degree)
+
+    def __getattr__(self, name):
+        if name in EntityView.__slots__:
+            raise AttributeError(name)
+        g = self.group
+        if name == g.kind:
+            return getattr(g.mesh, name + "s")[self.id]
+        if name in g.STACKED:
+            val = getattr(g, name)
+            if isinstance(val, dict):
+                return {key: self._bound(b) for key, b in val.items()}
+            return self._bound(val) if hasattr(val, "coeff") else val[self.row]
+        if name in g.MEMBERS:
+            return getattr(g, name)[self.index]
+        if name in g.SHARED:
+            return getattr(g, name)
+        raise AttributeError(f"{g.kind} view has no attribute {name!r}")
+
+    def _bound(self, basis):
+        return replace(basis, geom=self.geom, coeff=basis.coeff[self.row])
 
     def basis_values(self, l: int, pts=None) -> np.ndarray:
-        """P^l basis at pts; at the edge's own rule points by default, where
-        the edge samples its monomials once."""
-        if pts is not None:
-            return self.sca[l].eval(pts)
-        if self._mono is None:
-            self._mono = ps.sample_monomials(self.geom, self.k + 1,
-                                             self.rule.points)
-        return self.sca[l].values(self._mono)
-
-    def skeleton_map(self, vert_pos, moment_idx, n_grad: int) -> np.ndarray:
-        """Matrix sending n_grad entity-local GRAD DoFs to P^{k+1}(E)
-        coefficients; vert_pos maps vertex ids to local positions and
-        moment_idx selects the k edge moments."""
-        cols = np.zeros((2 + self.k, n_grad))
-        va, vb = self.edge.vertices
-        cols[0, vert_pos[va]] = 1.0
-        cols[1, vert_pos[vb]] = 1.0
-        cols[2:, moment_idx] = np.eye(self.k)
-        return self.skeleton @ cols
+        """P^l basis at pts; at the entity's own rule points by default."""
+        return self.sca[l].eval(self.rule.points if pts is None else pts)
 
 
-class FaceView(_View):
-    """One face: its placement and local numbering, and, once its group is
-    built, its bases and operator arrays as views into the group's stacks
-    (``stacks`` and ``slot`` locate them)."""
-
-    def __init__(self, mesh: Mesh, fid: int, k: int, ell: int,
-                 rule_degree: int):
-        self.k = k
-        self.ell = ell
-        self._place(mesh, fid, rule_degree)
-        nv, ne = len(self.verts), len(self.edge_ids)
-        dRm, dRc = ps.subspace_dim(2, "R", k - 1), ps.subspace_dim(2, "Rc", ell + 1)
-        self.n_grad = nv + ne * k + ps.dim_poly(2, ell)
-        self.n_curl = ne * (k + 1) + dRm + dRc
-        self.grad_face_slice = slice(nv + ne * k, self.n_grad)
-        self.curl_R_slice = slice(ne * (k + 1), ne * (k + 1) + dRm)
-        self.curl_Rc_slice = slice(ne * (k + 1) + dRm, self.n_curl)
-
-    def _place(self, mesh, fid, rule_degree):
-        k = self.k
-        f = mesh.faces[fid]
-        self.face = f
-        self.h = f.diameter
-        self.geom = ps.face_geometry(mesh, f)
-        self.rule = face_rule(mesh, fid, rule_degree)
-        self.edge_ids = sorted(f.edges)
-        self.edge_sign = dict(zip(f.edges, f.edge_signs))
-        self.edge_nfe = dict(zip(f.edges, f.edge_normals))
-
-        # local orders (match DofLayout.face_indices)
-        self.verts = sorted(f.vertex_loop)
-        nv = len(self.verts)
-        self.grad_edge_slices = {e: slice(nv + i * k, nv + (i + 1) * k)
-                                 for i, e in enumerate(self.edge_ids)}
-        self.grad_vert_pos = {v: i for i, v in enumerate(self.verts)}
-        self.curl_edge_slices = {e: slice(i * (k + 1), (i + 1) * (k + 1))
-                                 for i, e in enumerate(self.edge_ids)}
-
-    def edge_skeleton_map(self, eid: int, ectx: EdgeView) -> np.ndarray:
-        """Matrix sending face-local GRAD DoFs to P^{k+1}(E) coefficients."""
-        return ectx.skeleton_map(self.grad_vert_pos,
-                                 self.grad_edge_slices[eid], self.n_grad)
-
-
-class CellView(_View):
-    """One cell: its placement and local index maps, and, once its group is
-    built, its bases and operator arrays as views into the group's stacks
-    (``stacks`` and ``slot`` locate them)."""
-
-    def __init__(self, mesh: Mesh, cid: int, k: int, ell: int,
-                 rule_degree: int, layouts):
-        self.k = k
-        self.ell = ell
-        self._place(mesh, cid, rule_degree, layouts)
-
-    def placed_at(self, mesh: Mesh, cid: int, layouts):
-        new = super().placed_at(mesh, cid, layouts)
-        # the rule of a translate may list its points in another order
-        new.phi_k = new.sca[new.k].eval(new.rule.points)
-        return new
-
-    def _place(self, mesh, cid, rule_degree, layouts):
-        c = mesh.cells[cid]
-        self.cell = c
-        self.h = c.diameter
-        self.geom = ps.cell_geometry(mesh, c)
-        self.rule = cell_rule(mesh, cid, rule_degree)
-        self.face_ids = sorted(c.faces)
-        self.face_sign = dict(zip(c.faces, c.face_signs))
-        self.edge_ids = c.edge_ids
-        self.vert_ids = c.vertex_ids
-        self._index_maps(layouts)
-
-    def _index_maps(self, layouts):
-        cid = self.cell.id
-        self.glob = {kind: layouts[kind].cell_indices(cid) for kind in SpaceKind}
-        self.n_grad = len(self.glob[SpaceKind.GRAD])
-        self.n_curl = len(self.glob[SpaceKind.CURL])
-        self.n_div = len(self.glob[SpaceKind.DIV])
-
-        def local_of(kind, glob_idx):
-            return np.searchsorted(self.glob[kind], glob_idx)
-
-        gl = layouts[SpaceKind.GRAD]
-        cl = layouts[SpaceKind.CURL]
-        dl = layouts[SpaceKind.DIV]
-        self.grad_face_map = {f: local_of(SpaceKind.GRAD, gl.face_indices(f))
-                              for f in self.face_ids}
-        self.curl_face_map = {f: local_of(SpaceKind.CURL, cl.face_indices(f))
-                              for f in self.face_ids}
-        self.curl_faceblock_map = {f: local_of(SpaceKind.CURL, cl.face_dofs(f))
-                                   for f in self.face_ids}
-        self.grad_edge_map = {e: local_of(SpaceKind.GRAD, gl.edge_dofs(e))
-                              for e in self.edge_ids}
-        self.grad_vert_pos = {v: i for i, v in enumerate(self.vert_ids)}
-        self.curl_edge_map = {e: local_of(SpaceKind.CURL, cl.edge_dofs(e))
-                              for e in self.edge_ids}
-        self.div_face_map = {f: local_of(SpaceKind.DIV, dl.face_dofs(f))
-                             for f in self.face_ids}
-        # trailing cell blocks
-        self.grad_cell = slice(self.n_grad - gl.cell_block, self.n_grad)
-        ccb = cl.cell_subsizes
-        self.curl_R_cell = slice(self.n_curl - sum(ccb), self.n_curl - ccb[1])
-        self.curl_Rc_cell = slice(self.n_curl - ccb[1], self.n_curl)
-        dcb = dl.cell_subsizes
-        self.div_G_cell = slice(self.n_div - sum(dcb), self.n_div - dcb[1])
-        self.div_Gc_cell = slice(self.n_div - dcb[1], self.n_div)
-        self.interior = {
-            SpaceKind.GRAD: np.arange(self.n_grad)[self.grad_cell],
-            SpaceKind.CURL: np.arange(self.n_curl)[self.n_curl - sum(ccb):],
-            SpaceKind.DIV: np.arange(self.n_div)[self.n_div - sum(dcb):],
-        }
+def _views(n, groups) -> list:
+    """The views of n entities, each of the member of its group."""
+    views = [None] * n
+    for g in groups:
+        for i, e in enumerate(g.ids.tolist()):
+            views[e] = EntityView(g, i)
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -907,55 +874,48 @@ def _cell_key(mesh: Mesh, cid: int) -> tuple:
             tuple(sign[f] for f in faces))
 
 
+def _classes(n, key, group_key) -> list:
+    """Groups of n entities by group_key, as (ids, row): row maps each
+    member to the row of its translation class (key) in the group, rows
+    numbered in the order of their first members."""
+    groups = {}
+    for i in range(n):
+        ids, row, rows = groups.setdefault(group_key(i), ([], [], {}))
+        ids.append(i)
+        row.append(rows.setdefault(key(i), len(rows)))
+    return [(ids, row) for ids, row, _ in groups.values()]
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 
 
-def _moments(ctxs, points, vals, frame, bases) -> np.ndarray:
-    """Moments of a field against the bases of each context, by groups of
-    contexts with equal rule sizes.
+def _moments(group, vals, frame, bases) -> np.ndarray:
+    """Moments (N, nmom) of a field against the bases of each of the N
+    members of a group, concatenated in the order of bases.
 
-    points and vals hold the rule points of the contexts, one context after
-    another, and the field there as (npts, ncomp) rows; frame(ctx) is the
-    (ncomp, nc) matrix taking the values to the nc components that the bases
-    of ctx are written in, or None when they are written in the ncomp given;
-    bases(ctx) lists those bases, scalar when nc is 1.  Returns the moments
-    (len(ctxs), nmom), concatenated in the order of bases(ctx).
-
-    A group samples its monomials and bases for len // nb contexts at a
-    time, nb the largest basis size, so that they take no more room than
-    the field values.  Each context's moments are those of its own basis
-    values contracted with its own weighted values.
+    vals holds the field at the rule points of the members, one member
+    after another, as (npts, ncomp) rows; frame is None when the bases are
+    written in those ncomp components, else (N, ncomp, nc) taking the
+    values to the nc components of the bases; bases are stacks by row,
+    scalar when nc is 1.  The monomials and bases are sampled for N // nb
+    members at a time, nb the largest basis size, so that they take no more
+    room than the field values.
     """
-    npts = np.array([ctx.rule.n_points for ctx in ctxs])
-    start = np.cumsum(npts) - npts
-    out = None
-    for n in np.unique(npts):
-        idx = np.flatnonzero(npts == n)
-        sub = [ctxs[i] for i in idx]
-        blist = [bases(ctx) for ctx in sub]
-        coeffs = [np.array([b[q].coeff for b in blist])
-                  for q in range(len(blist[0]))]
-        frames = (None if frame(sub[0]) is None
-                  else np.array([frame(ctx) for ctx in sub]))
-        weights = np.array([ctx.rule.weights for ctx in sub])
-        degree = max(b.degree for b in blist[0])
-        rows = start[idx, None] + np.arange(n)
-        mom = np.empty((len(sub), sum(C.shape[1] for C in coeffs)))
-        step = max(1, len(sub) // max(C.shape[1] for C in coeffs))
-        for i in range(0, len(sub), step):
-            sl = slice(i, i + step)
-            wv = vals[rows[sl]] if frames is None else vals[rows[sl]] @ frames[sl]
-            wv *= weights[sl, :, None]
-            mono = _Chart([ctx.geom for ctx in sub[sl]]).monomials(
-                points[rows[sl]], degree)
-            mom[sl] = np.concatenate(
-                [_project(b0, C[sl], mono, wv)
-                 for b0, C in zip(blist[0], coeffs)], axis=1)
-        if out is None:
-            out = np.empty((len(ctxs), mom.shape[1]))
-        out[idx] = mom
-    return out
+    N, npts = group.weights.shape
+    vals = vals.reshape(N, npts, -1)
+    coeffs = [b.coeff[group.row] for b in bases]
+    degree = max(b.degree for b in bases)
+    mom = np.empty((N, sum(C.shape[1] for C in coeffs)))
+    step = max(1, N // max(C.shape[1] for C in coeffs))
+    for i in range(0, N, step):
+        sl = slice(i, i + step)
+        wv = vals[sl] if frame is None else vals[sl] @ frame[sl]
+        wv = wv * group.weights[sl, :, None]
+        mono = group.chart[sl].monomials(group.points[sl], degree)
+        mom[sl] = np.concatenate([_project(b, C[sl], mono, wv)
+                                  for b, C in zip(bases, coeffs)], axis=1)
+    return mom
 
 
 def _project(basis, coeff, mono, wv) -> np.ndarray:
@@ -981,11 +941,11 @@ def _loop_lengths(mesh: Mesh, c: int) -> tuple:
 class DdrComplex:
     """All discrete operators of one (mesh, degree) pair.
 
-    Construction builds, by groups of alike entities, the local operators
-    of every edge and of one member of each translation class of faces and
-    cells; the object is immutable afterwards and safe to share between
-    threads.  Views of one class share their operator arrays and basis
-    coefficients.
+    Construction builds the groups of edges (``edge_groups``), faces
+    (``face_groups``) and cells (``cell_groups``), each row of a group
+    once; the object is immutable afterwards and safe to share between
+    threads.  ``edges``, ``faces`` and ``cells`` list the views of the
+    entities by id.
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -996,41 +956,26 @@ class DdrComplex:
         self.cell_degree = max(2 * k + 4, 3 * k + 3)
         ell = k - 1     # DDR-mode face and cell moment degree
         # one group of all edges: the stacks are indexed by edge id
-        self._edge_group = EdgeContext(mesh, range(mesh.n_edges), k, deg_bilin)
-        self.edges = self._edge_group.views
-        self.faces = self._build(
-            mesh.n_faces, lambda f: _face_key(mesh, f),
-            lambda f: len(mesh.faces[f].vertex_loop),
-            lambda ids: FaceContext(mesh, ids, k, ell, deg_bilin,
-                                    self._edge_group),
-            lambda view, f: view.placed_at(mesh, f))
-        self.cells = self._build(
-            mesh.n_cells, lambda c: _cell_key(mesh, c),
-            lambda c: _loop_lengths(mesh, c),
-            lambda ids: CellContext(mesh, ids, k, ell, self.cell_degree,
-                                    self._edge_group, self.faces, self.layouts),
-            lambda view, c: view.placed_at(mesh, c, self.layouts))
+        edges = EdgeContext(mesh, range(mesh.n_edges), k, deg_bilin)
+        self.edge_groups = [edges]
+        self.face_groups = [
+            FaceContext(mesh, ids, row, k, ell, deg_bilin, edges,
+                        self.layouts)
+            for ids, row in _classes(
+                mesh.n_faces, lambda f: _face_key(mesh, f),
+                lambda f: len(mesh.faces[f].vertex_loop))]
+        self._faces_by_length = {g.loop_length: g for g in self.face_groups}
+        self.cell_groups = [
+            CellContext(mesh, ids, row, k, ell, self.cell_degree, edges,
+                        self._faces_by_length, self.layouts)
+            for ids, row in _classes(
+                mesh.n_cells, lambda c: _cell_key(mesh, c),
+                lambda c: _loop_lengths(mesh, c))]
+        self.edges = _views(mesh.n_edges, self.edge_groups)
+        self.faces = _views(mesh.n_faces, self.face_groups)
+        self.cells = _views(mesh.n_cells, self.cell_groups)
         self._gram_cache = {}
         self._op_cache = {}
-
-    @staticmethod
-    def _build(n, key, group_key, build, place) -> list:
-        """Views of n entities: the first member of each translation class
-        (key) is built in the group (build) of its group_key, and placed on
-        the other members."""
-        reps, groups, rep_of = {}, {}, []
-        for i in range(n):
-            rep_of.append(reps.setdefault(key(i), i))
-            if rep_of[i] == i:
-                groups.setdefault(group_key(i), []).append(i)
-        views = [None] * n
-        for ids in groups.values():
-            for i, view in zip(ids, build(ids).views):
-                views[i] = view
-        for i, r in enumerate(rep_of):
-            if r != i:
-                views[i] = place(views[r], i)
-        return views
 
     def layout(self, kind) -> DofLayout:
         return self.layouts[SpaceKind(kind)]
@@ -1040,14 +985,22 @@ class DdrComplex:
     # entities, and only when the kind's DoF block is not empty, so it is
     # never evaluated at points whose values would be discarded.
     def _interpolate(self, out, fun, entities):
-        """Fill out with the moments of fun on each (contexts, block size,
-        offset, frame, bases) of entities; see :func:`_moments`."""
-        for ctxs, block, offset, frame, bases in entities:
+        """Fill out with the moments of fun on each (groups, block size,
+        offset, frame, bases) of entities, group by group; see
+        :func:`_moments`."""
+        for groups, block, offset, frame, bases in entities:
             if block:
-                points = np.concatenate([ctx.rule.points for ctx in ctxs])
+                points = np.concatenate([g.points.reshape(-1, 3)
+                                         for g in groups])
                 vals = fun(points).reshape(len(points), -1)
-                out.values[offset:offset + len(ctxs) * block] = _moments(
-                    ctxs, points, vals, frame, bases).ravel()
+                n = sum(len(g.ids) for g in groups)
+                dofs = out.values[offset:offset + n * block].reshape(n, block)
+                start = 0
+                for g in groups:
+                    stop = start + g.weights.size
+                    dofs[g.ids] = _moments(g, vals[start:stop], frame(g),
+                                           bases(g))
+                    start = stop
         return out
 
     def interpolate_grad(self, fun) -> DofVector:
@@ -1061,37 +1014,36 @@ class DdrComplex:
         out.values[:self.mesh.n_vertices] = fun(self.mesh.vertex_coords)
         # edges, faces and cells alike: moments against P^{k-1} = P^{ell}
         return self._interpolate(out, fun, [
-            (ctxs, block, offset, lambda ctx: np.ones((1, 1)),
-             lambda ctx: [ctx.sca[k - 1]])
-            for ctxs, block, offset in (
-                (self.edges, lay.edge_block, lay.edge_offset),
-                (self.faces, lay.face_block, lay.face_offset),
-                (self.cells, lay.cell_block, lay.cell_offset))])
+            (groups, block, offset, lambda g: None, lambda g: [g.sca[k - 1]])
+            for groups, block, offset in (
+                (self.edge_groups, lay.edge_block, lay.edge_offset),
+                (self.face_groups, lay.face_block, lay.face_offset),
+                (self.cell_groups, lay.cell_block, lay.cell_offset))])
 
     def interpolate_curl(self, fun) -> DofVector:
         """I_curl of a vector field: edge tangential moments, face tangential
         R/Rc moments, cell R/Rc moments.  fun: (n, 3) points -> (n, 3)."""
         k = self.k
         lay = self.layouts[SpaceKind.CURL]
-        rot = lambda ctx: [ctx.sub["R", k - 1], ctx.sub["Rc", ctx.ell + 1]]
+        rot = lambda g: [g.sub["R", k - 1], g.sub["Rc", g.ell + 1]]
         # frame components: tangential on a face, all three on a cell
         return self._interpolate(DofVector.zeros(lay), fun, [
-            (self.edges, lay.edge_block, lay.edge_offset,
-             lambda ctx: ctx.edge.tangent[:, None], lambda ctx: [ctx.sca[k]]),
-            (self.faces, lay.face_block, lay.face_offset,
-             lambda ctx: ctx.geom.axes.T, rot),
-            (self.cells, lay.cell_block, lay.cell_offset,
-             lambda ctx: None, rot)])
+            (self.edge_groups, lay.edge_block, lay.edge_offset,
+             lambda g: g.tangent[:, :, None], lambda g: [g.sca[k]]),
+            (self.face_groups, lay.face_block, lay.face_offset,
+             lambda g: np.swapaxes(g.chart.axes, 1, 2), rot),
+            (self.cell_groups, lay.cell_block, lay.cell_offset,
+             lambda g: None, rot)])
 
     def interpolate_div(self, fun) -> DofVector:
         """I_div of a vector field: face normal moments, cell G/Gc moments."""
         k = self.k
         lay = self.layouts[SpaceKind.DIV]
         return self._interpolate(DofVector.zeros(lay), fun, [
-            (self.faces, lay.face_block, lay.face_offset,
-             lambda ctx: ctx.face.normal[:, None], lambda ctx: [ctx.sca[k]]),
-            (self.cells, lay.cell_block, lay.cell_offset, lambda ctx: None,
-             lambda ctx: [ctx.sub["G", k - 1], ctx.sub["Gc", k]])])
+            (self.face_groups, lay.face_block, lay.face_offset,
+             lambda g: g.normal[:, :, None], lambda g: [g.sca[k]]),
+            (self.cell_groups, lay.cell_block, lay.cell_offset,
+             lambda g: None, lambda g: [g.sub["G", k - 1], g.sub["Gc", k]])])
 
     # -- global differential operators ---------------------------------------
     def global_gradient(self, q: DofVector) -> DofVector:
@@ -1102,17 +1054,15 @@ class DdrComplex:
         return DofVector(self.layouts[SpaceKind.DIV],
                          self.curl_matrix() @ v.values)
 
-    def _matrix_from(self, blocks, nrows, ncols) -> sp.csr_matrix:
+    @staticmethod
+    def _matrix_from(blocks, nrows, ncols) -> sp.csr_matrix:
+        """Sparse matrix of stacked blocks (rows (N, m), cols (N, n),
+        B (N, m, n)): B[g] at rows[g] x cols[g], summed where they meet."""
         data, ri, ci = [], [], []
-        for rows, cols, block in blocks:
-            if block.size == 0:
-                continue
-            rr, cc = np.meshgrid(rows, cols, indexing="ij")
-            ri.append(rr.ravel())
-            ci.append(cc.ravel())
-            data.append(block.ravel())
-        if not data:
-            return sp.csr_matrix((nrows, ncols))
+        for rows, cols, B in blocks:
+            ri.append(np.broadcast_to(rows[:, :, None], B.shape).ravel())
+            ci.append(np.broadcast_to(cols[:, None, :], B.shape).ravel())
+            data.append(B.ravel())
         return sp.csr_matrix((np.concatenate(data),
                               (np.concatenate(ri), np.concatenate(ci))),
                              shape=(nrows, ncols))
@@ -1124,14 +1074,15 @@ class DdrComplex:
             cl = self.layouts[SpaceKind.CURL]
 
             def blocks():
-                for e, ectx in enumerate(self.edges):
-                    yield (cl.edge_dofs(e), gl.edge_indices(e),
-                           ectx.deriv @ ectx.skeleton)
-                for f, fctx in enumerate(self.faces):
-                    yield cl.face_dofs(f), gl.face_indices(f), fctx.uG_face
-                for c, cctx in enumerate(self.cells):
-                    yield (cl.cell_dofs(c), gl.cell_indices(c),
-                           cctx.uG[cctx.n_curl - cl.cell_block:])
+                for g in self.edge_groups:
+                    yield (cl.dofs(1, g.ids), gl.edge_table(g.ids),
+                           g.deriv_skeleton[g.row])
+                for g in self.face_groups:
+                    yield cl.dofs(2, g.ids), gl.face_table(g.ids), \
+                        g.uG_face[g.row]
+                for g in self.cell_groups:
+                    yield (cl.dofs(3, g.ids), gl.cell_table(g.ids),
+                           g.uG[g.row, g.n_curl - cl.cell_block:])
             self._op_cache["uG"] = self._matrix_from(
                 blocks(), cl.total_dim, gl.total_dim)
         return self._op_cache["uG"]
@@ -1143,11 +1094,12 @@ class DdrComplex:
             dl = self.layouts[SpaceKind.DIV]
 
             def blocks():
-                for f, fctx in enumerate(self.faces):
-                    yield dl.face_dofs(f), cl.face_indices(f), fctx.curl_mat
-                for c, cctx in enumerate(self.cells):
-                    yield (dl.cell_dofs(c), cl.cell_indices(c),
-                           cctx.uC[cctx.n_div - dl.cell_block:])
+                for g in self.face_groups:
+                    yield dl.dofs(2, g.ids), cl.face_table(g.ids), \
+                        g.curl_mat[g.row]
+                for g in self.cell_groups:
+                    yield (dl.dofs(3, g.ids), cl.cell_table(g.ids),
+                           g.uC[g.row, g.n_div - dl.cell_block:])
             self._op_cache["uC"] = self._matrix_from(
                 blocks(), dl.total_dim, cl.total_dim)
         return self._op_cache["uC"]
@@ -1161,11 +1113,13 @@ class DdrComplex:
         kind = SpaceKind(kind)
         if kind not in self._gram_cache:
             lay = self.layouts[kind]
+
+            def blocks():
+                for g in self.cell_groups:
+                    idx = lay.cell_table(g.ids)
+                    yield idx, idx, getattr(g, f"product_{kind.value}")[g.row]
             self._gram_cache[kind] = self._matrix_from(
-                ((lay.cell_indices(c), lay.cell_indices(c),
-                  getattr(cctx, f"product_{kind.value}"))
-                 for c, cctx in enumerate(self.cells)),
-                lay.total_dim, lay.total_dim)
+                blocks(), lay.total_dim, lay.total_dim)
         return self._gram_cache[kind]
 
     def norm(self, kind, x: DofVector) -> float:
@@ -1202,13 +1156,15 @@ class DdrComplex:
         of the difference, (npts, 2, nloc) on a face and (npts, nloc) on an
         edge."""
         cctx = self.cells[c]
-        chart = _Chart([cctx.geom])
-        vb = ps.VectorBasis(None, self.k, 3, cctx.vb.coeff[None])
+        g, sel = cctx.group, [cctx.index]
+        t = _cell_tables(self.mesh, self.layouts, g.ids[sel])
+        chart = g.chart[sel]
+        pk = ps.ScalarBasis(None, self.k, g.sca[self.k].coeff[g.row[sel]])
         out = []
-        for s in [*_face_slots([cctx], self.faces, chart, self.k + 2),
-                  *_cell_edge_slots([cctx], self.mesh, self._edge_group, chart,
-                                    self.k + 2)]:
-            hw, A = _trace_diff(SpaceKind.CURL, cctx.pot_curl[None], vb, s)
+        for s in [*_face_slots(t, self._faces_by_length, chart, self.k + 2),
+                  *_edge_slots(t.edges, t.glob, self.layouts,
+                               self.edge_groups[0], chart, self.k + 2)]:
+            hw, A = _trace_diff(SpaceKind.CURL, cctx.pot_curl[None], pk, s)
             out.append(("face" if hasattr(s, "normal") else "edge", hw[0],
                         s.w[0], A[0]))
         return out
@@ -1231,19 +1187,23 @@ class DdrComplex:
         """Component L^s norm of a local CURL vector on cell c: the sum over
         the cell, its faces and its edges of h^{(3-d')/s}-weighted component
         L^s norms."""
-        cctx = self.cells[c]
+        cctx, cell = self.cells[c], self.mesh.cells[c]
+        cl = self.layouts[SpaceKind.CURL]
+        glob = cl.cell_indices(c)
         comp = _rot_components(cctx, v_local,
                                (cctx.curl_R_cell, cctx.curl_Rc_cell))
         total = _lsnorm(cctx.rule.weights, comp, s)
-        for f in cctx.face_ids:
+        for f in sorted(cell.faces):
             fctx = self.faces[f]
-            comp = _rot_components(fctx, v_local[cctx.curl_face_map[f]],
+            loc = np.searchsorted(glob, cl.face_indices(f))
+            comp = _rot_components(fctx, v_local[loc],
                                    (fctx.curl_R_slice, fctx.curl_Rc_slice))
             total += fctx.face.diameter ** (1.0 / s) * _lsnorm(
                 fctx.rule.weights, comp, s)
-        for e in cctx.edge_ids:
+        for e in cell.edge_ids:
             ectx = self.edges[e]
-            vals = ectx.basis_values(self.k) @ v_local[cctx.curl_edge_map[e]]
+            loc = np.searchsorted(glob, cl.edge_dofs(e))
+            vals = ectx.basis_values(self.k) @ v_local[loc]
             total += ectx.edge.length ** (2.0 / s) * _lsnorm(
                 ectx.rule.weights, vals, s)
         return float(total)
@@ -1263,9 +1223,11 @@ class DdrComplex:
         comp = _rot_components(fctx, v_face,
                                (fctx.curl_R_slice, fctx.curl_Rc_slice))
         total = _lsnorm(fctx.rule.weights, comp, s)
-        for e in fctx.edge_ids:
+        # the k + 1 CURL DoFs of each edge by id lead the face-local ones
+        for i, e in enumerate(sorted(fctx.face.edges)):
             ectx = self.edges[e]
-            vals = ectx.basis_values(self.k) @ v_face[fctx.curl_edge_slices[e]]
+            vals = ectx.basis_values(self.k) @ v_face[i * (self.k + 1):
+                                                      (i + 1) * (self.k + 1)]
             total += ectx.edge.length ** (1.0 / s) * _lsnorm(
                 ectx.rule.weights, vals, s)
         return float(total)
@@ -1273,13 +1235,15 @@ class DdrComplex:
     def potential_norm_face(self, s: float, f: int, v_face: np.ndarray) -> float:
         fctx = self.faces[f]
         gt = fctx.ttrace_mat @ v_face
-        vals = np.einsum("pbc,b->pc", fctx.vb.eval(fctx.rule.points), gt)
+        vb = fctx.vb
+        vals = np.einsum("pbc,b->pc", vb.eval(fctx.rule.points), gt)
         total = _lsnorm(fctx.rule.weights, vals, s)
-        for e in fctx.edge_ids:
+        for i, e in enumerate(sorted(fctx.face.edges)):
             ectx = self.edges[e]
             t2 = fctx.geom.axes @ ectx.edge.tangent
-            gt_t = np.einsum("pbc,b,c->p", fctx.vb.eval(ectx.rule.points), gt, t2)
-            ve = ectx.basis_values(self.k) @ v_face[fctx.curl_edge_slices[e]]
+            gt_t = np.einsum("pbc,b,c->p", vb.eval(ectx.rule.points), gt, t2)
+            ve = ectx.basis_values(self.k) @ v_face[i * (self.k + 1):
+                                                    (i + 1) * (self.k + 1)]
             total += ectx.edge.length ** (1.0 / s) * _lsnorm(
                 ectx.rule.weights, gt_t - ve, s)
         return float(total)

@@ -27,17 +27,17 @@ Set-up cost.  ``DdrComplex`` builds its edges, faces and cells by groups of
 alike entities, so the kernels here take a stack of entities along a
 leading axis:
 
-- A basis may hold a stack of bases, one per entity; ``basis[i]`` is the
-  i-th entity's, a view into the stack.
+- A basis may hold a stack of bases, one per entity, along a leading axis
+  of its coefficients.
 - :func:`build_scalar_basis` and :func:`build_subspace` orthonormalise a
   stack of Grams with one batched Cholesky factor and one forward
   substitution.  The factor bounds each Gram's condition number, and only
   the Grams past GRAM_COND_LIMIT take the eigen fallback.
 - Inner products of vector polynomials are two reshaped matmuls
   (:func:`vector_inner`), with no einsum path search per call.
-- A :class:`Sampler` samples one entity's monomials once per point set at
-  a top degree; the exponent tables are graded, so each basis reads its
-  values off the leading columns.
+- The exponent tables are graded, so monomials sampled once at a top
+  degree give every basis of lower degree its values from their leading
+  columns (:meth:`ScalarBasis.values`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import Cell, Edge, Face, Mesh
-from .quadrature import QuadratureRule
 
 RANK_RTOL = 1e-10
 GRAM_COND_LIMIT = 1e12
@@ -211,8 +210,8 @@ def cell_geometry(mesh: Mesh, c: Cell | int) -> EntityGeometry:
 # bases
 #
 # A basis may hold a stack of G bases, one per entity of a group: its geom
-# is then a tuple of G geometries, its coeff has a leading axis of length G,
-# and basis[i] is the basis of the i-th entity, a view into the stack.
+# is then a tuple of G geometries and its coeff has a leading axis of
+# length G.
 
 def _space_dim(geom) -> int:
     return (geom[0] if isinstance(geom, tuple) else geom).dim
@@ -227,9 +226,6 @@ class ScalarBasis:
     @property
     def dim(self) -> int:
         return self.coeff.shape[-2]
-
-    def __getitem__(self, i) -> "ScalarBasis":
-        return ScalarBasis(self.geom[i], self.degree, self.coeff[i])
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.values(sample_monomials(self.geom, self.degree, points))
@@ -252,9 +248,6 @@ class VectorBasis:
     def dim(self) -> int:
         return self.coeff.shape[-3]
 
-    def __getitem__(self, i) -> "VectorBasis":
-        return VectorBasis(self.geom[i], self.degree, self.ncomp, self.coeff[i])
-
     def eval(self, points: np.ndarray) -> np.ndarray:
         return self.values(sample_monomials(self.geom, self.degree, points))
 
@@ -265,12 +258,6 @@ class VectorBasis:
         flat = np.moveaxis(self.coeff, -2, -3).reshape(*lead, nm, nb * nc)
         vals = mono[..., :nm] @ flat
         return vals.reshape(vals.shape[:-1] + (nb, nc))
-
-    def eval3d(self, points: np.ndarray) -> np.ndarray:
-        vals = self.eval(points)
-        if self.ncomp == 3:
-            return vals
-        return np.einsum("pbc,cx->pbx", vals, self.geom.axes)
 
     def coords_in(self, target: "VectorBasis", gram: np.ndarray) -> np.ndarray:
         """Inner products of this basis against an orthonormal target basis.
@@ -338,11 +325,9 @@ def build_scalar_basis(geom: EntityGeometry, degree: int, gram) -> ScalarBasis:
     """L2-orthonormal scalar basis of P^degree(Y); degree -1 gives {0}.
 
     gram is the monomial Gram of Y at a degree >= degree, whose leading
-    block is orthonormalised, or a quadrature rule of Y to form it from.  A
-    stack of G Grams, with a tuple of G geometries, gives a stack of bases.
+    block is orthonormalised.  A stack of G Grams, with a tuple of G
+    geometries, gives a stack of bases.
     """
-    if isinstance(gram, QuadratureRule):
-        gram = scalar_monomial_gram(geom, degree, gram)
     if degree < 0:
         return ScalarBasis(geom, 0, np.zeros(gram.shape[:-2] + (0, 1)))
     n = dim_poly(_space_dim(geom), degree)
@@ -366,43 +351,10 @@ def sample_monomials(geom: EntityGeometry, degree: int,
                      geom.local_coords(points))
 
 
-class Sampler:
-    """Values of one entity's bases at the rule points of itself or of its
-    boundary pieces.
-
-    The monomials of the chart are sampled once per rule, at a top degree;
-    the exponent tables are graded, so every basis up to that degree reads
-    its monomials off the leading columns.  A sampler lives as long as the
-    assembly that uses it.
-    """
-
-    def __init__(self, geom: EntityGeometry, degree: int):
-        self.geom = geom
-        self.degree = degree
-        self._mono = {}   # id(rule) -> (rule, samples); the rule pins the id
-
-    def monomials(self, rule: QuadratureRule) -> np.ndarray:
-        hit = self._mono.get(id(rule))
-        if hit is None:
-            hit = self._mono[id(rule)] = (rule, sample_monomials(
-                self.geom, self.degree, rule.points))
-        return hit[1]
-
-    def __call__(self, basis, rule: QuadratureRule) -> np.ndarray:
-        """basis (scalar or vector, of degree <= the top) at rule's points."""
-        return basis.values(self.monomials(rule))
-
-
 def monomial_gram(mono: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gram matrices ([G,] nm, nm) of monomials ([G,] npts, nm) sampled at
     rule points with weights ([G,] npts)."""
     return np.swapaxes(mono, -1, -2) @ (weights[..., None] * mono)
-
-
-def scalar_monomial_gram(geom: EntityGeometry, degree: int,
-                         rule: QuadratureRule) -> np.ndarray:
-    return monomial_gram(sample_monomials(geom, degree, rule.points),
-                         rule.weights)
 
 
 def vector_inner(gram: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -549,24 +501,3 @@ def build_subspace(geom: EntityGeometry, selector: str, degree: int,
     C = _orthonormalise_gram(vector_inner(gram, family, family))
     coeff = (C @ family.reshape(nf, nm * nc)).reshape(C.shape[:-1] + (nm, nc))
     return VectorBasis(geom, max(degree, 0), nc, coeff)
-
-
-# ---------------------------------------------------------------------------
-# quadrature-based projections
-
-def project_scalar(sb: ScalarBasis, rule: QuadratureRule,
-                   values: np.ndarray, phi: np.ndarray | None = None
-                   ) -> np.ndarray:
-    """L2-orthogonal projection coefficients of sampled values; phi is the
-    basis at the rule points, when the caller has sampled it."""
-    phi = sb.eval(rule.points) if phi is None else phi
-    return phi.T @ (rule.weights * values)
-
-
-def project_vector(vb: VectorBasis, rule: QuadratureRule,
-                   values: np.ndarray, phi: np.ndarray | None = None
-                   ) -> np.ndarray:
-    """values: (npts, ncomp) in the entity frame -> coefficients (nb,); phi
-    as in :func:`project_scalar`."""
-    phi = vb.eval(rule.points) if phi is None else phi
-    return np.einsum("pbc,pc->b", phi, rule.weights[:, None] * values)

@@ -13,10 +13,11 @@ conditions pin the pressure instead).  Each Newton step statically condenses
 all cell-attached DoF blocks by per-cell Schur complements before the sparse
 solve; convergence is measured on the full uncondensed residual.
 
-Cells with the same local sizes form a group whose blocks are stacked, so
-the residual, the convective form, the cell Jacobians and the condensation
-run as a few batched array operations per group.  The sparsity pattern of
-the condensed system is built once per solver.
+The cells are taken in the cell groups of the complex: a group's blocks
+are its stacks read at the row of each cell (``group.ids``, ``group.row``),
+so the residual, the convective form, the cell Jacobians and the
+condensation run as a few batched array operations per group.  The
+sparsity pattern of the condensed system is built once per solver.
 
 Newton is inexact: iteration k solves its step only to a linear residual of
 eta_k |R_k|, with Eisenstat-Walker forcing terms eta_k.  Within one solve()
@@ -397,10 +398,10 @@ class NavierStokesSolver:
         self.rhs_mom = cx.gram_matrix(SpaceKind.CURL) @ self.i_f.values
 
     def _cell_blocks(self):
-        """Take the blocks of the cells from the stacks of their groups in
-        the complex; self.cells[c] holds cell c's views into them.  A
-        group's stacks hold one block per built cell (cctx.stacks and
-        cctx.slot locate it), shared by its translates."""
+        """Take the blocks of the cells from the stacks of the cell groups
+        of the complex; self.cells[c] holds cell c's views into them.  A
+        group's stacks hold one block per row, and group.row gives the row
+        of each of its cells."""
         cx = self.cx
         nu = self.spec.nu
         ones = None
@@ -409,17 +410,13 @@ class NavierStokesSolver:
             self.c_vec = cx.gram_matrix(SpaceKind.GRAD) @ ones
         else:
             self.c_vec = None
-        by_group = {}
-        for c, cctx in enumerate(cx.cells):
-            by_group.setdefault(id(cctx.stacks), (cctx.stacks, []))[1].append(c)
         nmu = 1 if self.use_multiplier else 0
         self.groups = []
-        self.cells = [None] * len(cx.cells)
-        for grp, ids in by_group.values():
-            ctx0 = cx.cells[ids[0]]
-            pos = np.array([cx.cells[c].slot for c in ids])
-            idxu = np.stack([self.ul.cell_indices(c) for c in ids])
-            idxp = np.stack([self.pl.cell_indices(c) for c in ids])
+        self.cells = [None] * cx.mesh.n_cells
+        for grp in cx.cell_groups:
+            ids, pos = grp.ids, grp.row
+            idxu = self.ul.cell_table(ids)
+            idxp = self.pl.cell_table(ids)
             blocks = {
                 "idxu": idxu, "idxp": idxp,
                 "visc": _take(nu * np.swapaxes(grp.uC, 1, 2) @ grp.product_div
@@ -434,12 +431,12 @@ class NavierStokesSolver:
                 blocks["c_loc"] = _mv(_take(grp.product_grad, pos), ones[idxp])
             gx = np.hstack([idxu, self.n_u + idxp,
                             np.full((len(ids), nmu), self.n_x - 1)])
-            interior = ctx0.interior
+            interior = grp.interior
             loc_int = (np.concatenate([interior[SpaceKind.CURL],
-                                       ctx0.n_curl + interior[SpaceKind.GRAD]])
+                                       grp.n_curl + interior[SpaceKind.GRAD]])
                        if self.opts.condense else np.zeros(0, dtype=int))
             loc_ret = np.setdiff1d(np.arange(gx.shape[1]), loc_int)
-            self.groups.append(_CellGroup(np.array(ids), blocks, gx,
+            self.groups.append(_CellGroup(ids, blocks, gx,
                                           loc_int, loc_ret))
             for i, c in enumerate(ids):
                 self.cells[c] = {name: a[i] for name, a in blocks.items()}

@@ -75,23 +75,27 @@ class DofLayout:
         self.cell_offset = self.face_offset + nf * self.face_block
         self.total_dim = self.cell_offset + nc * self.cell_block
 
-    # -- per-entity global index ranges ------------------------------------
+    # -- global index ranges -----------------------------------------------
+    def dofs(self, dim: int, ids) -> np.ndarray:
+        """Global DoFs of the entities ids (an integer array) of one
+        dimension, 0 for vertices up to 3 for cells: ids.shape + (block,)."""
+        block = (self.vertex_block, self.edge_block, self.face_block,
+                 self.cell_block)[dim]
+        offset = (self.vertex_offset, self.edge_offset, self.face_offset,
+                  self.cell_offset)[dim]
+        return offset + np.asarray(ids)[..., None] * block + np.arange(block)
+
     def vertex_dofs(self, v: int) -> np.ndarray:
-        if self.vertex_block == 0:
-            return np.zeros(0, dtype=int)
-        return np.array([self.vertex_offset + v])
+        return self.dofs(0, v)
 
     def edge_dofs(self, e: int) -> np.ndarray:
-        b = self.edge_block
-        return np.arange(self.edge_offset + e * b, self.edge_offset + (e + 1) * b)
+        return self.dofs(1, e)
 
     def face_dofs(self, f: int) -> np.ndarray:
-        b = self.face_block
-        return np.arange(self.face_offset + f * b, self.face_offset + (f + 1) * b)
+        return self.dofs(2, f)
 
     def cell_dofs(self, c: int) -> np.ndarray:
-        b = self.cell_block
-        return np.arange(self.cell_offset + c * b, self.cell_offset + (c + 1) * b)
+        return self.dofs(3, c)
 
     def face_subblock(self, f: int, which: int) -> np.ndarray:
         start = self.face_offset + f * self.face_block + sum(self.face_subsizes[:which])
@@ -102,46 +106,45 @@ class DofLayout:
         return np.arange(start, start + self.cell_subsizes[which])
 
     # -- local (restriction) index maps ------------------------------------
+    def _table(self, parts) -> np.ndarray:
+        """Rows of global indices from parts [(dim, ids (N, m))]: each row
+        holds the DoFs of its ids, dimension after dimension."""
+        return np.concatenate([self.dofs(dim, ids).reshape(len(ids), -1)
+                               for dim, ids in parts], axis=1)
+
+    def cell_table(self, cids) -> np.ndarray:
+        """cell_indices of the cells cids, which have alike faces, one row
+        each."""
+        cells = [self.mesh.cells[c] for c in cids]
+        return self._table([(0, [c.vertex_ids for c in cells]),
+                            (1, [c.edge_ids for c in cells]),
+                            (2, [sorted(c.faces) for c in cells]),
+                            (3, np.asarray(cids)[:, None])])
+
+    def face_table(self, fids) -> np.ndarray:
+        """face_indices of the faces fids, which have one loop length, one
+        row each."""
+        faces = [self.mesh.faces[f] for f in fids]
+        return self._table([(0, [sorted(f.vertex_loop) for f in faces]),
+                            (1, [sorted(f.edges) for f in faces]),
+                            (2, np.asarray(fids)[:, None])])
+
+    def edge_table(self, eids) -> np.ndarray:
+        """edge_indices of the edges eids, one row each."""
+        return self._table([(0, [sorted(self.mesh.edges[e].vertices)
+                                 for e in eids]),
+                            (1, np.asarray(eids)[:, None])])
+
     def cell_indices(self, c: int) -> np.ndarray:
         """Global indices of the cell-local DoFs, deterministic local order:
         vertices, edges, faces (each ascending by id), then the cell block."""
-        cell = self.mesh.cells[c]
-        parts = []
-        if self.vertex_block:
-            parts.extend(self.vertex_dofs(v) for v in cell.vertex_ids)
-        if self.edge_block:
-            parts.extend(self.edge_dofs(e) for e in cell.edge_ids)
-        if self.face_block:
-            parts.extend(self.face_dofs(f) for f in sorted(cell.faces))
-        if self.cell_block:
-            parts.append(self.cell_dofs(c))
-        if not parts:
-            return np.zeros(0, dtype=int)
-        return np.concatenate(parts)
+        return self.cell_table([c])[0]
 
     def face_indices(self, f: int) -> np.ndarray:
-        face = self.mesh.faces[f]
-        parts = []
-        if self.vertex_block:
-            parts.extend(self.vertex_dofs(v) for v in sorted(face.vertex_loop))
-        if self.edge_block:
-            parts.extend(self.edge_dofs(e) for e in sorted(face.edges))
-        if self.face_block:
-            parts.append(self.face_dofs(f))
-        if not parts:
-            return np.zeros(0, dtype=int)
-        return np.concatenate(parts)
+        return self.face_table([f])[0]
 
     def edge_indices(self, e: int) -> np.ndarray:
-        edge = self.mesh.edges[e]
-        parts = []
-        if self.vertex_block:
-            parts.extend(self.vertex_dofs(v) for v in sorted(edge.vertices))
-        if self.edge_block:
-            parts.append(self.edge_dofs(e))
-        if not parts:
-            return np.zeros(0, dtype=int)
-        return np.concatenate(parts)
+        return self.edge_table([e])[0]
 
     def descriptor(self) -> dict:
         return {

@@ -8,11 +8,13 @@ and projections are recomputed by raw monomial normal equations.  The
 Newton kernels are the cell-by-cell loops that the solver's batched kernels
 are checked against.  The set-up references at the end are the
 ``np.einsum`` contractions, generating families and per-entity
-interpolators that the set-up kernels of ddrns are checked against.  The
+interpolators that the set-up kernels of ddrns are checked against, with
+the per-entity sampling, Gram and projection helpers they use.  The
 geometry references build mesh entities one at a time and quadrature rules
 one simplex at a time, as the batched passes of ddrns did before them.  The
 per-entity contexts at the end assemble the local operators of one face or
-cell at a time, as DdrComplex did before it built them by stacked groups.
+cell at a time, as DdrComplex did before it built them by stacked groups;
+per_entity_complex presents them as groups of one.
 """
 
 import copy
@@ -25,7 +27,7 @@ import numpy as np
 from ddrns import mesh as msh
 from ddrns import polyspaces as ps
 from ddrns import quadrature as quad
-from ddrns.operators import _triple_moments
+from ddrns.operators import _Chart, _triple_moments
 from ddrns.quadrature import cell_rule, face_rule
 from ddrns.spaces import DofVector, SpaceKind
 
@@ -296,6 +298,67 @@ def einsum_triple_moments(weights, phi):
     return np.einsum("p,pi,pj,pl->ijl", weights, phi, phi, phi, optimize=True)
 
 
+def scalar_monomial_gram(geom, degree, rule):
+    """Monomial Gram of one entity at degree, from its quadrature rule."""
+    return ps.monomial_gram(ps.sample_monomials(geom, degree, rule.points),
+                            rule.weights)
+
+
+def scalar_basis(geom, degree, rule):
+    """L2-orthonormal basis of P^degree of one entity, from its rule."""
+    return ps.build_scalar_basis(geom, degree,
+                                 scalar_monomial_gram(geom, degree, rule))
+
+
+def eval3d(basis, points):
+    """Values of a vector basis at points in ambient components."""
+    vals = basis.eval(points)
+    if basis.ncomp == 3:
+        return vals
+    return np.einsum("pbc,cx->pbx", vals, basis.geom.axes)
+
+
+def project_scalar(sb, rule, values, phi=None):
+    """L2-orthogonal projection coefficients of sampled values; phi is the
+    basis at the rule points, when the caller has sampled it."""
+    phi = sb.eval(rule.points) if phi is None else phi
+    return phi.T @ (rule.weights * values)
+
+
+def project_vector(vb, rule, values, phi=None):
+    """values: (npts, ncomp) in the entity frame -> coefficients (nb,); phi
+    as in project_scalar."""
+    phi = vb.eval(rule.points) if phi is None else phi
+    return np.einsum("pbc,pc->b", phi, rule.weights[:, None] * values)
+
+
+class Sampler:
+    """Values of one entity's bases at the rule points of itself or of its
+    boundary pieces.
+
+    The monomials of the chart are sampled once per rule, at a top degree;
+    the exponent tables are graded, so every basis up to that degree reads
+    its monomials off the leading columns.  A sampler lives as long as the
+    assembly that uses it.
+    """
+
+    def __init__(self, geom, degree: int):
+        self.geom = geom
+        self.degree = degree
+        self._mono = {}   # id(rule) -> (rule, samples); the rule pins the id
+
+    def monomials(self, rule):
+        hit = self._mono.get(id(rule))
+        if hit is None:
+            hit = self._mono[id(rule)] = (rule, ps.sample_monomials(
+                self.geom, self.degree, rule.points))
+        return hit[1]
+
+    def __call__(self, basis, rule):
+        """basis (scalar or vector, of degree <= the top) at rule's points."""
+        return basis.values(self.monomials(rule))
+
+
 def interpolate_per_entity(cx, kind, fun):
     """I_grad, I_curl or I_div of fun with one call of fun and one basis
     evaluation per entity and subspace."""
@@ -303,10 +366,10 @@ def interpolate_per_entity(cx, kind, fun):
     out = DofVector.zeros(lay)
 
     def scalar(ctx, sb, vals):
-        return ps.project_scalar(sb, ctx.rule, vals)
+        return project_scalar(sb, ctx.rule, vals)
 
     def vector(ctx, keys, vals):
-        return np.concatenate([ps.project_vector(ctx.sub[key], ctx.rule, vals)
+        return np.concatenate([project_vector(ctx.sub[key], ctx.rule, vals)
                                for key in keys])
 
     if kind is SpaceKind.GRAD:
@@ -483,11 +546,6 @@ def reference_rule(mesh, kind, index, degree):
 # builds them by groups of alike entities, stacked; the per-entity contexts
 # here are the reference those stacks are checked against.
 
-# the stacked cell blocks that NavierStokesSolver reads from a cell's group
-SOLVER_BLOCKS = ("uG", "uC", "convective_curl", "pot_curl", "tri_tensor",
-                 "product_grad", "product_curl", "product_div")
-
-
 def _inner_scalar(gram, A, B):
     """<a_i, b_j> for scalar polynomials given by monomial coefficient rows."""
     return A @ gram[:A.shape[1], :B.shape[1]] @ B.T
@@ -542,6 +600,80 @@ def _boundary_term(n_rows, n_loc, pieces):
     return out
 
 
+def skeleton_map(ectx, vert_pos, moment_idx, n_grad: int) -> np.ndarray:
+    """Matrix sending n_grad entity-local GRAD DoFs to the P^{k+1}(E)
+    coefficients of the skeleton of edge context ectx; vert_pos maps vertex
+    ids to local positions and moment_idx selects the k edge moments."""
+    k = ectx.k
+    cols = np.zeros((2 + k, n_grad))
+    va, vb = ectx.edge.vertices
+    cols[0, vert_pos[va]] = 1.0
+    cols[1, vert_pos[vb]] = 1.0
+    cols[2:, moment_idx] = np.eye(k)
+    return ectx.skeleton @ cols
+
+
+def face_numbering(mesh, fid: int, k: int) -> SimpleNamespace:
+    """The local numbering of face fid, keyed by global ids (match
+    DofLayout.face_indices): omega_FE, n_FE, the vertex positions and the
+    GRAD and CURL slices of each edge."""
+    f = mesh.faces[fid]
+    verts, edge_ids = sorted(f.vertex_loop), sorted(f.edges)
+    nv = len(verts)
+    return SimpleNamespace(
+        edge_ids=edge_ids, verts=verts,
+        edge_sign=dict(zip(f.edges, f.edge_signs)),
+        edge_nfe=dict(zip(f.edges, f.edge_normals)),
+        grad_vert_pos={v: i for i, v in enumerate(verts)},
+        grad_edge_slices={e: slice(nv + i * k, nv + (i + 1) * k)
+                          for i, e in enumerate(edge_ids)},
+        curl_edge_slices={e: slice(i * (k + 1), (i + 1) * (k + 1))
+                          for i, e in enumerate(edge_ids)})
+
+
+def cell_numbering(layouts, cid: int) -> SimpleNamespace:
+    """The local numbering of cell cid, keyed by global ids: omega_TF, the
+    cell-local columns of each face, edge and vertex in each space, and the
+    trailing cell blocks."""
+    c = layouts[SpaceKind.GRAD].mesh.cells[cid]
+    glob = {kind: layouts[kind].cell_indices(cid) for kind in SpaceKind}
+    n_grad, n_curl, n_div = (len(glob[kind]) for kind in SpaceKind)
+
+    def local_of(kind, glob_idx):
+        return np.searchsorted(glob[kind], glob_idx)
+
+    gl, cl, dl = (layouts[kind] for kind in SpaceKind)
+    face_ids = sorted(c.faces)
+    ccb, dcb = cl.cell_subsizes, dl.cell_subsizes
+    grad_cell = slice(n_grad - gl.cell_block, n_grad)
+    return SimpleNamespace(
+        face_ids=face_ids, edge_ids=c.edge_ids, vert_ids=c.vertex_ids,
+        face_sign=dict(zip(c.faces, c.face_signs)), glob=glob,
+        n_grad=n_grad, n_curl=n_curl, n_div=n_div,
+        grad_face_map={f: local_of(SpaceKind.GRAD, gl.face_indices(f))
+                       for f in face_ids},
+        curl_face_map={f: local_of(SpaceKind.CURL, cl.face_indices(f))
+                       for f in face_ids},
+        curl_faceblock_map={f: local_of(SpaceKind.CURL, cl.face_dofs(f))
+                            for f in face_ids},
+        grad_edge_map={e: local_of(SpaceKind.GRAD, gl.edge_dofs(e))
+                       for e in c.edge_ids},
+        grad_vert_pos={v: i for i, v in enumerate(c.vertex_ids)},
+        curl_edge_map={e: local_of(SpaceKind.CURL, cl.edge_dofs(e))
+                       for e in c.edge_ids},
+        div_face_map={f: local_of(SpaceKind.DIV, dl.face_dofs(f))
+                      for f in face_ids},
+        # trailing cell blocks
+        grad_cell=grad_cell,
+        curl_R_cell=slice(n_curl - sum(ccb), n_curl - ccb[1]),
+        curl_Rc_cell=slice(n_curl - ccb[1], n_curl),
+        div_G_cell=slice(n_div - sum(dcb), n_div - dcb[1]),
+        div_Gc_cell=slice(n_div - dcb[1], n_div),
+        interior={SpaceKind.GRAD: np.arange(n_grad)[grad_cell],
+                  SpaceKind.CURL: np.arange(n_curl)[n_curl - sum(ccb):],
+                  SpaceKind.DIV: np.arange(n_div)[n_div - sum(dcb):]})
+
+
 class ReferenceEdge:
     """One edge's bases, skeleton reconstruction and derivative, built on
     its own; every scalar basis is a leading block of its Gram."""
@@ -553,7 +685,7 @@ class ReferenceEdge:
         self.h = e.length
         self.geom = ps.edge_geometry(mesh, e)
         self.rule = quad.edge_rule(mesh, eid, rule_degree)
-        self.gram = ps.scalar_monomial_gram(self.geom, k + 1, self.rule)
+        self.gram = scalar_monomial_gram(self.geom, k + 1, self.rule)
         self.sca = {l: ps.build_scalar_basis(self.geom, l, self.gram)
                     for l in (k - 1, k, k + 1)}
         bkp1 = self.sca[k + 1]
@@ -655,30 +787,18 @@ class ReferenceFace(_ReferenceEntity):
         self._assemble(edge_ctx)
 
     def _place(self, mesh, fid, rule_degree):
-        k = self.k
         f = mesh.faces[fid]
         self.face = f
         self.h = f.diameter
         self.geom = ps.face_geometry(mesh, f)
         self.rule = face_rule(mesh, fid, rule_degree)
-        self.edge_ids = sorted(f.edges)
-        self.edge_sign = dict(zip(f.edges, f.edge_signs))
-        self.edge_nfe = dict(zip(f.edges, f.edge_normals))
-
-        # local orders (match DofLayout.face_indices)
-        self.verts = sorted(f.vertex_loop)
-        nv = len(self.verts)
-        self.grad_edge_slices = {e: slice(nv + i * k, nv + (i + 1) * k)
-                                 for i, e in enumerate(self.edge_ids)}
-        self.grad_vert_pos = {v: i for i, v in enumerate(self.verts)}
-        self.curl_edge_slices = {e: slice(i * (k + 1), (i + 1) * (k + 1))
-                                 for i, e in enumerate(self.edge_ids)}
+        vars(self).update(vars(face_numbering(mesh, fid, self.k)))
 
     # -- helpers ------------------------------------------------------------
     def edge_skeleton_map(self, eid: int, ectx) -> np.ndarray:
         """Matrix sending face-local GRAD DoFs to P^{k+1}(E) coefficients."""
-        return ectx.skeleton_map(self.grad_vert_pos,
-                                 self.grad_edge_slices[eid], self.n_grad)
+        return skeleton_map(ectx, self.grad_vert_pos,
+                            self.grad_edge_slices[eid], self.n_grad)
 
     def trace_values(self) -> dict:
         """Traces of the face DoFs at the face's rule points: the GRAD trace
@@ -686,7 +806,7 @@ class ReferenceFace(_ReferenceEntity):
         (npts, 2, n_curl) and the P^k basis (npts, dim) that the DIV normal
         components are written in."""
         k, rule = self.k, self.rule
-        sample = ps.Sampler(self.geom, k + 1)
+        sample = Sampler(self.geom, k + 1)
         return {
             SpaceKind.GRAD: sample(self.sca[k + 1], rule) @ self.trace_mat,
             SpaceKind.CURL: sample(self.vb, rule).transpose(0, 2, 1)
@@ -697,7 +817,7 @@ class ReferenceFace(_ReferenceEntity):
         k, g, gram, vb = self.k, self.geom, self.gram, self.vb
         Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
         Rcd = self.sub["Rc", self.ell + 1]
-        sample = ps.Sampler(g, k + 2)
+        sample = Sampler(g, k + 2)
         edges = [(self.edge_sign[e], edge_ctx[e], _edge_traces(
                       edge_ctx[e], self.edge_skeleton_map(e, edge_ctx[e]),
                       self.curl_edge_slices[e]))
@@ -752,12 +872,9 @@ class ReferenceCell(_ReferenceEntity):
         self._bases([("G", k - 1), ("Gc", k), ("Gc", k + 1)], parts=sum(
             len(mesh.faces[f].vertex_loop) for f in self.face_ids))
         faces, edges = self.traces(edge_ctx, face_ctx)
-        sample = ps.Sampler(self.geom, k + 2)
+        sample = Sampler(self.geom, k + 2)
         self._assemble(faces, edges, sample)
         self._products(faces, edges, sample)
-        self.stacks = SimpleNamespace(**{
-            name: getattr(self, name)[None] for name in SOLVER_BLOCKS})
-        self.slot = 0
 
     def _place(self, mesh, cid, rule_degree, layouts):
         c = mesh.cells[cid]
@@ -765,57 +882,12 @@ class ReferenceCell(_ReferenceEntity):
         self.h = c.diameter
         self.geom = ps.cell_geometry(mesh, c)
         self.rule = cell_rule(mesh, cid, rule_degree)
-        self.face_ids = sorted(c.faces)
-        self.face_sign = dict(zip(c.faces, c.face_signs))
-        self.edge_ids = c.edge_ids
-        self.vert_ids = c.vertex_ids
-        self._index_maps(layouts)
-
-    # -- local index bookkeeping --------------------------------------------
-    def _index_maps(self, layouts):
-        cid = self.cell.id
-        self.glob = {kind: layouts[kind].cell_indices(cid) for kind in SpaceKind}
-        self.n_grad = len(self.glob[SpaceKind.GRAD])
-        self.n_curl = len(self.glob[SpaceKind.CURL])
-        self.n_div = len(self.glob[SpaceKind.DIV])
-
-        def local_of(kind, glob_idx):
-            return np.searchsorted(self.glob[kind], glob_idx)
-
-        gl = layouts[SpaceKind.GRAD]
-        cl = layouts[SpaceKind.CURL]
-        dl = layouts[SpaceKind.DIV]
-        self.grad_face_map = {f: local_of(SpaceKind.GRAD, gl.face_indices(f))
-                              for f in self.face_ids}
-        self.curl_face_map = {f: local_of(SpaceKind.CURL, cl.face_indices(f))
-                              for f in self.face_ids}
-        self.curl_faceblock_map = {f: local_of(SpaceKind.CURL, cl.face_dofs(f))
-                                   for f in self.face_ids}
-        self.grad_edge_map = {e: local_of(SpaceKind.GRAD, gl.edge_dofs(e))
-                              for e in self.edge_ids}
-        self.grad_vert_pos = {v: i for i, v in enumerate(self.vert_ids)}
-        self.curl_edge_map = {e: local_of(SpaceKind.CURL, cl.edge_dofs(e))
-                              for e in self.edge_ids}
-        self.div_face_map = {f: local_of(SpaceKind.DIV, dl.face_dofs(f))
-                             for f in self.face_ids}
-        # trailing cell blocks
-        self.grad_cell = slice(self.n_grad - gl.cell_block, self.n_grad)
-        ccb = cl.cell_subsizes
-        self.curl_R_cell = slice(self.n_curl - sum(ccb), self.n_curl - ccb[1])
-        self.curl_Rc_cell = slice(self.n_curl - ccb[1], self.n_curl)
-        dcb = dl.cell_subsizes
-        self.div_G_cell = slice(self.n_div - sum(dcb), self.n_div - dcb[1])
-        self.div_Gc_cell = slice(self.n_div - dcb[1], self.n_div)
-        self.interior = {
-            SpaceKind.GRAD: np.arange(self.n_grad)[self.grad_cell],
-            SpaceKind.CURL: np.arange(self.n_curl)[self.n_curl - sum(ccb):],
-            SpaceKind.DIV: np.arange(self.n_div)[self.n_div - sum(dcb):],
-        }
+        vars(self).update(vars(cell_numbering(layouts, cid)))
 
     def _edge_skeleton(self, ectx) -> np.ndarray:
         """Matrix sending cell-local GRAD DoFs to P^{k+1}(E) coefficients."""
-        return ectx.skeleton_map(self.grad_vert_pos,
-                                 self.grad_edge_map[ectx.edge.id], self.n_grad)
+        return skeleton_map(ectx, self.grad_vert_pos,
+                            self.grad_edge_map[ectx.edge.id], self.n_grad)
 
     def traces(self, edge_ctx, face_ctx):
         """Boundary traces of the cell-local DoFs, sampled at the rule points
@@ -966,7 +1038,7 @@ class ReferenceCell(_ReferenceEntity):
         """Sampled trace differences of the curl potential on the trace table
         (faces, edges) from :meth:`traces`; see :meth:`_trace_diffs`."""
         return self._trace_diffs(SpaceKind.CURL, faces, edges,
-                                 ps.Sampler(self.geom, self.k + 2))
+                                 Sampler(self.geom, self.k + 2))
 
     def _products(self, faces, edges, sample):
         """Cell products P^T P + s_T.  The stabilisation s_T vanishes on the
@@ -983,10 +1055,38 @@ class ReferenceCell(_ReferenceEntity):
             setattr(self, f"product_{kind.value}", pot.T @ pot + S)
 
 
+class GroupOfOne:
+    """A reference face or cell presented as a group of one member, the
+    way the interpolators, the global matrices and the solver read the
+    groups of DdrComplex: its arrays and bases with a leading axis of
+    length 1, its rule points and chart, and row 0."""
+
+    def __init__(self, ctx, ident: int):
+        self.ctx = ctx
+        self.ids, self.row, self.rep = np.array([ident]), np.zeros(1, int), \
+            np.zeros(1, int)
+        self.chart = _Chart([ctx.geom])
+        self.points, self.weights = ctx.rule.points[None], ctx.rule.weights[None]
+        geoms = (ctx.geom,)
+        self.sca = {l: ps.ScalarBasis(geoms, b.degree, b.coeff[None])
+                    for l, b in ctx.sca.items()}
+        self.sub = {key: ps.VectorBasis(geoms, b.degree, b.ncomp, b.coeff[None])
+                    for key, b in ctx.sub.items()}
+        if hasattr(ctx, "face"):
+            self.normal = ctx.face.normal[None]
+        # a view of a group of DdrComplex names its group and row
+        ctx.group, ctx.row = self, 0
+
+    def __getattr__(self, name):
+        if name == "ctx":
+            raise AttributeError(name)
+        val = getattr(self.ctx, name)
+        return val[None] if isinstance(val, np.ndarray) else val
+
 
 def per_entity_complex(cx):
     """A copy of cx whose face and cell contexts are all built from scratch,
-    one entity at a time; each cell is a group of one for the solver."""
+    one entity at a time, each in a group of one."""
     mesh, k = cx.mesh, cx.k
     ref = copy.copy(cx)
     face_degree = cx.faces[0].rule.exactness_degree
@@ -995,5 +1095,7 @@ def per_entity_complex(cx):
     ref.cells = [ReferenceCell(mesh, c, k, k - 1, cx.cell_degree, cx.edges,
                                ref.faces, cx.layouts)
                  for c in range(mesh.n_cells)]
+    ref.face_groups = [GroupOfOne(f, i) for i, f in enumerate(ref.faces)]
+    ref.cell_groups = [GroupOfOne(c, i) for i, c in enumerate(ref.cells)]
     ref._gram_cache, ref._op_cache = {}, {}
     return ref

@@ -34,8 +34,11 @@ def from_scratch(cx: DdrComplex) -> DdrComplex:
 
 
 def n_built(contexts, attr):
-    """Number of contexts built from scratch: distinct shared arrays."""
-    return len({id(getattr(ctx, attr)) for ctx in contexts})
+    """Number of contexts built from scratch: distinct (group, row) pairs
+    of the contexts whose attr is a stacked array (a view hands out a
+    fresh slice of its row on each read, so array ids do not tell)."""
+    assert all(isinstance(getattr(ctx, attr), np.ndarray) for ctx in contexts)
+    return len({(id(ctx.group), ctx.row) for ctx in contexts})
 
 
 def scalar_field(pts):
@@ -152,6 +155,21 @@ def test_placed_context_binds_its_own_geometry():
                 assert basis.geom is ctx.geom
 
 
+def test_translates_read_the_row_of_their_class():
+    # a translate holds no copy: its arrays are its class's row of the
+    # group's stacks, the one its first member reads
+    cx = DdrComplex(generate_cubic_mesh(2), 1)
+    translates = 0
+    for ctxs, name in ((cx.faces, "grad_mat"), (cx.cells, "pot_curl")):
+        for ctx in ctxs:
+            first = ctxs[ctx.group.ids[ctx.group.rep[ctx.row]]]
+            translates += first is not ctx
+            assert np.shares_memory(getattr(ctx, name), getattr(first, name))
+            assert np.shares_memory(getattr(ctx, name),
+                                    getattr(ctx.group, name)[ctx.row])
+    assert translates > 0
+
+
 def test_cells_listing_faces_in_another_order():
     # a translate whose face list is permuted orders its quadrature points
     # differently; the placed context must evaluate on its own rule
@@ -201,7 +219,7 @@ def test_prism_mesh_shares_only_translated_faces():
     assert n_built(cx.cells, "pot_curl") == 2
     owners = {}
     for f, fctx in enumerate(cx.faces):
-        owners.setdefault(id(fctx.grad_mat), []).append(f)
+        owners.setdefault((id(fctx.group), fctx.row), []).append(f)
     shared = sorted(fs for fs in owners.values() if len(fs) > 1)
     assert shared == [[1, 2], [5, 6]]
     got, want = basis_free_values(cx), basis_free_values(from_scratch(cx))

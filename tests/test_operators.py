@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ddrns import polyspaces as ps
 from ddrns.operators import DdrComplex
 from ddrns.spaces import DofVector, SpaceKind
@@ -171,6 +172,7 @@ def _oracle_face_gradient(cx, fid, qloc):
     """Re-assemble the face gradient in a plain monomial basis."""
     k = cx.k
     fctx = cx.faces[fid]
+    num = oracles.face_numbering(cx.mesh, fid, k)
     g = fctx.geom
     rule = fctx.rule
     xi = g.local_coords(rule.points)
@@ -215,9 +217,9 @@ def _oracle_face_gradient(cx, fid, qloc):
         V = np.stack([s ** j for j in range(k + 2)], axis=-1)
         for i in range(k):
             A_rows.append(phi_km1[:, i] @ (er.weights[:, None] * V))
-        sl = fctx.grad_edge_slices[eid]
-        dofs = np.concatenate([[qloc[fctx.grad_vert_pos[e.vertices[0]]],
-                                qloc[fctx.grad_vert_pos[e.vertices[1]]]],
+        sl = num.grad_edge_slices[eid]
+        dofs = np.concatenate([[qloc[num.grad_vert_pos[e.vertices[0]]],
+                                qloc[num.grad_vert_pos[e.vertices[1]]]],
                                qloc[sl]])
         coef = np.linalg.solve(np.array(A_rows), dofs)
         return lambda pts: np.stack(
@@ -232,18 +234,18 @@ def _oracle_face_gradient(cx, fid, qloc):
         for a in range(2):
             M[j, a * nm:(a + 1) * nm] = mono.T @ (rule.weights * wv[:, a])
         is_tau = j >= len(rot)
-        for eid in fctx.edge_ids:
+        for eid in num.edge_ids:
             ectx = cx.edges[eid]
             er = ectx.rule
             xi_e = g.local_coords(er.points)
             we = np.einsum("pm,mc->pc", ps.mono_eval(exps_k, xi_e), w)
-            wn = we @ (g.axes @ fctx.edge_nfe[eid])
+            wn = we @ (g.axes @ num.edge_nfe[eid])
             if is_tau:
                 phi_km1 = ectx.basis_values(k - 1, er.points)
-                qe = phi_km1 @ qloc[fctx.grad_edge_slices[eid]]
+                qe = phi_km1 @ qloc[num.grad_edge_slices[eid]]
             else:
                 qe = skeleton(eid)(er.points)
-            rhs[j] += fctx.edge_sign[eid] * np.sum(er.weights * qe * wn)
+            rhs[j] += num.edge_sign[eid] * np.sum(er.weights * qe * wn)
         if is_tau:
             dco = sum(ps.deriv_matrix(2, k, a) @ w[:, a] / g.scale
                       for a in range(2))
@@ -270,6 +272,7 @@ def test_scalar_trace_vs_independent_basis_oracle(pentagon_cx):
     k = cx.k
     fid = next(f.id for f in cx.mesh.faces if len(f.vertex_loop) == 5)
     fctx = cx.faces[fid]
+    num = oracles.face_numbering(cx.mesh, fid, k)
     g = fctx.geom
     rule = fctx.rule
     rng = np.random.default_rng(9)
@@ -295,16 +298,18 @@ def test_scalar_trace_vs_independent_basis_oracle(pentagon_cx):
         wv = np.einsum("pm,mc->pc",
                        ps.mono_eval(ps.monomial_exponents(2, k + 2), xi), w)
         rhs[j] = -np.sum(rule.weights * np.sum(grad_vals * wv, axis=1))
-        for eid in fctx.edge_ids:
+        for eid in num.edge_ids:
             ectx = cx.edges[eid]
             er = ectx.rule
             xi_e = g.local_coords(er.points)
             we = np.einsum("pm,mc->pc",
                            ps.mono_eval(ps.monomial_exponents(2, k + 2), xi_e), w)
-            wn = we @ (g.axes @ fctx.edge_nfe[eid])
-            sk = fctx.edge_skeleton_map(eid, ectx) @ qloc
+            wn = we @ (g.axes @ num.edge_nfe[eid])
+            sk = oracles.skeleton_map(ectx, num.grad_vert_pos,
+                                      num.grad_edge_slices[eid],
+                                      fctx.n_grad) @ qloc
             qe = ectx.basis_values(k + 1, er.points) @ sk
-            rhs[j] += fctx.edge_sign[eid] * np.sum(er.weights * qe * wn)
+            rhs[j] += num.edge_sign[eid] * np.sum(er.weights * qe * wn)
     coef = np.linalg.solve(M, rhs)
     oracle = mono1 @ coef
     mine = fctx.sca[k + 1].eval(rule.points) @ (fctx.trace_mat @ qloc)
@@ -316,6 +321,7 @@ def test_element_gradient_vs_monomial_oracle(hex_cx):
     cx = hex_cx
     k = cx.k
     cctx = cx.cells[0]
+    num = oracles.cell_numbering(cx.layouts, 0)
     g = cctx.geom
     rule = cctx.rule
     rng = np.random.default_rng(10)
@@ -359,15 +365,15 @@ def test_element_gradient_vs_monomial_oracle(hex_cx):
         for a in range(3):
             M[j, a * nm:(a + 1) * nm] = mono.T @ (rule.weights * wv[:, a])
         is_tau = j >= len(rk)
-        for fid in cctx.face_ids:
+        for fid in num.face_ids:
             fctx = cx.faces[fid]
             fr = fctx.rule
             xi_f = g.local_coords(fr.points)
             wf = np.einsum("pm,mc->pc", ps.mono_eval(exps_k, xi_f), w)
             wn = wf @ cx.mesh.faces[fid].normal
             tr = fctx.sca[k + 1].eval(fr.points) @ (
-                fctx.trace_mat @ qloc[cctx.grad_face_map[fid]])
-            rhs[j] += cctx.face_sign[fid] * np.sum(fr.weights * tr * wn)
+                fctx.trace_mat @ qloc[num.grad_face_map[fid]])
+            rhs[j] += num.face_sign[fid] * np.sum(fr.weights * tr * wn)
         if is_tau:
             dco = sum(ps.deriv_matrix(3, k, a) @ w[:, a] / g.scale
                       for a in range(3))

@@ -18,6 +18,7 @@ from conftest import (cube_pyramid_mesh, get_mesh, jittered_kuhn_mesh,
 from ddrns import operators
 from ddrns import polyspaces as ps
 from ddrns.operators import DdrComplex
+from ddrns.spaces import SpaceKind
 
 FACE_OPS = ("grad_mat", "trace_mat", "curl_mat", "ttrace_mat", "uG_face",
             "serendipity_grad", "serendipity_curl", "gram")
@@ -40,9 +41,10 @@ def assert_close(a, b, rtol=1e-13):
 
 
 def built(ctxs):
-    """The contexts built in a group, not placed from another one."""
+    """The contexts built in a group: the first member of each (group,
+    row) pair, which the row's stacks were built from."""
     return [(i, ctx) for i, ctx in enumerate(ctxs)
-            if ctx.stacks.ids[ctx.slot] == i]
+            if ctx.group.ids[ctx.group.rep[ctx.row]] == i]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -62,6 +64,24 @@ def test_stacked_operators_match_per_entity_assembly(mesh, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mesh", ["cubic", "kuhn", "pentagon_prism",
+                                  "cube_pyramid"])
+def test_global_matrices_match_per_entity_assembly(mesh, k):
+    # each matrix scatters one stacked block per group; the reference
+    # complex scatters one block per entity, each a group of one
+    cx = DdrComplex(MESHES[mesh](), k)
+    ref = oracles.per_entity_complex(cx)
+    for build in (DdrComplex.gradient_matrix, DdrComplex.curl_matrix,
+                  *[lambda c, kind=kind: c.gram_matrix(kind)
+                    for kind in SpaceKind]):
+        got, want = build(cx).tocsr(), build(ref).tocsr()
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert_close(got.data, want.data, 1e-14)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("mesh", ["kuhn", "pentagon_prism"])
 def test_stacked_edges_match_per_edge_build(mesh, k):
     cx = DdrComplex(MESHES[mesh](), k)
@@ -75,16 +95,16 @@ def test_stacked_edges_match_per_edge_build(mesh, k):
 
 def test_jittered_tets_build_one_group_each():
     cx = DdrComplex(jittered_kuhn_mesh(), 1)
-    assert len({id(e.stacks) for e in cx.edges}) == 1
-    assert len({id(f.stacks) for f in cx.faces}) == 1
-    assert len({id(c.stacks) for c in cx.cells}) == 1
-    assert [c.slot for c in cx.cells] == list(range(cx.mesh.n_cells))
+    assert len({id(e.group) for e in cx.edges}) == 1
+    assert len({id(f.group) for f in cx.faces}) == 1
+    assert len({id(c.group) for c in cx.cells}) == 1
+    assert [c.row for c in cx.cells] == list(range(cx.mesh.n_cells))
 
 
 def test_cell_groups_follow_face_loop_lengths():
     cx = DdrComplex(cube_pyramid_mesh(), 1)
-    assert len({id(f.stacks) for f in cx.faces}) == 2     # quads, triangles
-    assert cx.cells[0].stacks is not cx.cells[1].stacks
+    assert len({id(f.group) for f in cx.faces}) == 2     # quads, triangles
+    assert cx.cells[0].group is not cx.cells[1].group
 
 
 def _grams(n=5, size=4, seed=3):
@@ -152,4 +172,5 @@ def test_cell_gram_summed_by_simplex_matches_one_product():
     # monomials of one tetrahedron per cell are held at a time
     cx = DdrComplex(jittered_kuhn_mesh(), 2)
     for c in cx.cells:
-        assert_close(c.gram, ps.scalar_monomial_gram(c.geom, 4, c.rule), 1e-14)
+        assert_close(c.gram, oracles.scalar_monomial_gram(c.geom, 4, c.rule),
+                     1e-14)
