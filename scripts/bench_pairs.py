@@ -10,10 +10,12 @@ untraced (``--trace 0``), each from its own directory; which side runs
 first alternates from seed to seed.  Then each side runs seed 1 once
 traced (``--trace 1``).  Per workload the file records the seeds, the side
 that ran first, every run's end-to-end metrics, their medians, the
-parent's interquartile range, the number of pairs the change wins, and the
-traced per-layer figures.  It also records the line counts of ``src/`` and
-``tests/`` on both sides.  Workloads already in an existing
-BENCH_<tag>.json are kept, so several invocations fill one file.
+parent's interquartile range, the number of pairs the change wins, the
+metric's bound from BENCHMARK.json with the no-regression reading against
+it (:func:`summarise`), and the traced per-layer figures.  It also records
+the line counts of ``src/`` and ``tests/`` on both sides.  Workloads
+already in an existing BENCH_<tag>.json are kept, so several invocations
+fill one file.
 
 The ``machine`` block names the platform and times two fixed calibration
 kernels before and after the pairs (:func:`calibrate`), so that files made
@@ -85,14 +87,28 @@ def line_count(checkout: Path, pattern: str) -> int:
     return sum(len(p.read_text().splitlines()) for p in checkout.glob(pattern))
 
 
-def summarise(metric: dict, better: str) -> dict:
-    """Medians, parent IQR and change wins of one metric's paired runs."""
+def summarise(metric: dict, better: str, bound: float) -> dict:
+    """Medians, parent IQR and change wins of one metric's paired runs, and
+    the no-regression reading against the metric's relative bound.
+
+    within_bound: the change's median is no worse than the parent's by
+    more than the bound.  resolved: the parent's IQR over its median is
+    within the bound, or every change run beats every parent run; a
+    metric whose runs spread wider than its bound cannot show that it did
+    not get worse.
+    """
     p, c = metric["parent_runs"], metric["change_runs"]
     pm, cm = statistics.median(p), statistics.median(c)
-    wins = sum((ci < pi) if better == "lower" else (ci > pi) for pi, ci in zip(p, c))
+    # the metrics signed so that lower is better
+    sign = 1 if better == "lower" else -1
+    sp, sc = [sign * x for x in p], [sign * x for x in c]
+    wins = sum(ci < pi for pi, ci in zip(sp, sc))
+    iqr = float(np.percentile(p, 75) - np.percentile(p, 25))
     return {"parent_median": round(pm, 4), "change_median": round(cm, 4),
             "relative_change": round((cm - pm) / pm, 4), "change_wins": wins,
-            "parent_iqr": round(float(np.percentile(p, 75) - np.percentile(p, 25)), 4),
+            "parent_iqr": round(iqr, 4), "bound": bound,
+            "within_bound": bool(sign * (cm - pm) <= bound * abs(pm)),
+            "resolved": bool(iqr <= bound * abs(pm) or max(sc) < min(sp)),
             "parent_runs": p, "change_runs": c}
 
 
@@ -113,14 +129,15 @@ def measure(checkouts: dict, workload: str, seeds: list[int], seconds: float,
             print(f"{workload} seed {seed} {side}: " + ", ".join(
                 f"{n}={rec['metrics'][n]['value']:.4g}" for n in metrics),
                 file=sys.stderr, flush=True)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     traced = {}
     for side in SIDES:
         rec = run(checkouts[side], workload, 1, seconds, trace=1)
         traced[side] = {n: round(v["value"], 4) for n, v in rec["metrics"].items()}
     return {"seeds": seeds, "first": first, "all_correct": correct,
             "failed": failed,
-            "metrics": {n: summarise(m, better[n]) for n, m in metrics.items()},
+            "metrics": {n: summarise(m, *rules[n])
+                        for n, m in metrics.items()},
             "traced_seed1": traced}
 
 

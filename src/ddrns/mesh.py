@@ -222,13 +222,6 @@ def _winding_number(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return np.sum(2.0 * np.arctan2(num, den), axis=-1) / (4.0 * np.pi)
 
 
-def point_in_cell(mesh: Mesh, cell_id: int, point: np.ndarray) -> bool:
-    """Point-in-polyhedron by winding number over the oriented boundary."""
-    c = mesh.cells[cell_id]
-    tris = _boundary_triangles(mesh, c.faces, c.face_signs)
-    return bool(_winding_number(np.asarray(point, dtype=float)[None], tris)[0] > 0.5)
-
-
 def orientation_sign(mesh: Mesh, cell_id: int, face_id: int) -> int:
     """The stored omega_TF, after an eps-displacement point test.
 

@@ -21,10 +21,13 @@ Every face and cell operator comes from integration by parts against the
 traces on the entity's boundary, and the stabilisation penalises the gap
 between the cell potentials and those same traces: one trace table per
 boundary slot of a group feeds both its moment systems and its
-stabilisation.  The module exposes a :class:`DdrComplex` tying together one
-mesh and one polynomial degree: interpolators onto the three spaces, the
-global discrete gradient and curl, the stabilised L2 products of the three
-spaces and the derived norms.
+stabilisation and the trace mismatches of the Appendix norms.  One kernel
+samples the potentials on selected members of a cell group, and of a
+global vector chunk by chunk (:meth:`DdrComplex.potential_chunks`).  The
+module exposes a :class:`DdrComplex` tying together one mesh and one
+polynomial degree: interpolators onto the three spaces, the global
+discrete gradient and curl, the stabilised L2 products of the three spaces
+and the derived norms.
 
 The serendipity reduction runs in "DDR mode" only (eta_Y = 2, so
 ell_Y = k - 1): the complement-space moments that close the gradient and
@@ -48,6 +51,9 @@ from .mesh import Mesh
 from .quadrature import QuadratureRule, cell_rule, edge_rule, face_rule
 from .spaces import DofLayout, DofVector, SpaceKind
 
+# rule points per chunk of cells of the global potential kernel and norms,
+# so that their samples stay a few MiB on any mesh
+CHUNK_POINTS = 16384
 
 # ---------------------------------------------------------------------------
 # coefficient algebra; every helper takes an optional leading stack axis
@@ -102,24 +108,6 @@ def _curl3_coeffs(V, h):
     cy = V[..., 0] @ D[2] - V[..., 2] @ D[0]
     cz = V[..., 1] @ D[0] - V[..., 0] @ D[1]
     return np.stack([cx, cy, cz], axis=-1)
-
-
-def _lsnorm(weights, vals, s):
-    """L^s norm of sampled scalar/vector values (vector: Euclidean pointwise)."""
-    mag = np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=-1)
-    return float(np.sum(weights * mag**s)) ** (1.0 / s)
-
-
-def _rot_components(ctx, v, slices):
-    """Frame components, at the rule points of a face or cell view, of the
-    R^{k-1} (+) Rc^{ell+1} field whose two coefficient blocks are
-    v[slices[0]] and v[slices[1]]."""
-    comp = np.zeros((ctx.rule.n_points, ctx.geom.dim))
-    for key, sl in zip((("R", ctx.k - 1), ("Rc", ctx.ell + 1)), slices):
-        if ctx.sub[key].dim:
-            comp += np.einsum("pbc,b->pc", ctx.sub[key].eval(ctx.rule.points),
-                              v[sl])
-    return comp
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +169,16 @@ def _add_flux(out, slot, kind, test):
 
 def _trace_diff(kind, pot, basis, slot):
     """The h-weight and the sampled difference between the kind potential
-    pot (G, nb, nloc) of a group of cells and the kind trace on one of
-    their boundary slots; basis is the scalar P^{k+1} basis for GRAD and
-    the scalar P^k basis otherwise, whose products with the unit vectors
-    (component-minor) are the P^k vector basis of the potential.
+    pot (G, nb, nloc) of a group of cells, or the CURL tangential trace of
+    a group of faces, and the kind trace on one of their boundary slots;
+    basis is the scalar P^{k+1} basis for GRAD and the scalar P^k basis
+    otherwise, whose products with the unit vectors (component-minor) are
+    the P^k vector basis of the potential.
 
     The difference maps local DoFs to (G, npts, 2, nloc) CURL tangential
     components on a face and (G, npts, nloc) values otherwise.  The
-    h-weights are h_F and h_E^2 as in the stabilisation.
+    h-weight is h^codim of the slot: h_F and h_E^2 on cells, as in the
+    stabilisation, and h_E on faces.
     """
     # the trace of a P^k field is its normal component on a face (DIV),
     # its tangential components on a face (CURL) and along an edge
@@ -203,13 +193,55 @@ def _trace_diff(kind, pot, basis, slot):
         frame = (slot.axes if curl_face else
                  (slot.normal if on_face else slot.tangent)[:, None])
         G, nb = phi.shape[0], phi.shape[-1]
-        Q = frame[:, None] @ pot.reshape(G, nb, 3, -1)
+        Q = frame[:, None] @ pot.reshape(G, nb, frame.shape[-1], -1)
         A = phi @ Q.reshape(G, nb, -1)
         A = A.reshape(A.shape[:2] + ((len(frame[0]), -1) if curl_face
                                      else (-1,)))
     vals, cols = slot.traces[kind]
     _add_cols(A, cols, -vals)
-    return (slot.h if on_face else slot.h ** 2), A
+    return slot.hw, A
+
+
+def _at_points(g, members, basis):
+    """Values of a stacked basis of a group, at the rows and rule points of
+    its members: (m, npts, nb[, ncomp])."""
+    return replace(basis, coeff=basis.coeff[g.row[members]]).values(
+        g.chart[members].monomials(g.points[members], basis.degree))
+
+
+def _sampled(phi, pot, x):
+    """Values of fields with coefficients pot @ x in bases whose values are
+    phi (m, npts, nb), for m stacked members: pot (m, nb * d, nloc) maps
+    the local DoFs x (m, nloc, ...) to coefficients, of scalars when d is 1
+    and of d-vectors (component-minor) otherwise -> (m, npts[, d], ...)."""
+    m, npts, nb = phi.shape
+    coef = pot @ x.reshape(m, x.shape[1], -1)
+    d = coef.shape[1] // nb
+    vals = phi @ coef.reshape(m, nb, -1)
+    return vals.reshape((m, npts) + (d,) * (d > 1) + x.shape[2:])
+
+
+def _own_fields(g, members):
+    """The R^{k-1} (+) Rc^{ell+1} fields of the own CURL DoFs, the trailing
+    block, of members of a face or cell group, in frame components at their
+    rule points: (m, npts, d, nown)."""
+    subs = (g.sub["R", g.k - 1], g.sub["Rc", g.ell + 1])
+    return np.concatenate([np.swapaxes(_at_points(g, members, b), -1, -2)
+                           for b in subs], axis=-1)
+
+
+def _piece_norms(pieces, s, x) -> np.ndarray:
+    """The norms hw^{1/s} |A x|_{L^s(w)} (m, npieces) of m members at local
+    DoFs x (m, nloc) over pieces (h-weights hw (m,), rule weights w (m,
+    npts), operator A (m, npts[, d], nloc)), vectors measured pointwise in
+    the Euclidean norm; an Appendix norm sums them, hw = h^codim."""
+    out = []
+    for hw, w, A in pieces:
+        vals = (A.reshape(len(A), -1, A.shape[-1]) @ x[:, :, None]).reshape(
+            A.shape[:-1])
+        mag = np.abs(vals) if vals.ndim == 2 else np.linalg.norm(vals, axis=-1)
+        out.append((hw * np.sum(w * mag ** s, axis=1)) ** (1.0 / s))
+    return np.stack(out, axis=1)
 
 
 class _Chart:
@@ -274,8 +306,9 @@ def _face_slot(t, j, fg, chart, degree):
     omega_TF, the face rule weights, normals, frames and diameters, the cell
     monomials at the face rule points, the face traces in cell-local
     columns (GRAD trace, CURL tangential trace in frame components and the
-    P^k basis of the DIV normal component), and the face blocks of the
-    global gradient and curl with their cell-local rows."""
+    P^k basis of the DIV normal component), the face blocks of the global
+    gradient and curl with their cell-local rows, and face: fg and the
+    faces' indices in it."""
     gl, cl, dl = (t.layouts[kind] for kind in SpaceKind)
 
     def cols(kind, idx):
@@ -291,7 +324,7 @@ def _face_slot(t, j, fg, chart, degree):
     vb = ps.VectorBasis(None, k, 2, fg.vb.coeff[r])
     return SimpleNamespace(
         sign=t.sign[:, j], w=fg.weights[m], mono=chart.monomials(pts, degree),
-        normal=fg.normal[m], axes=fg.chart.axes[m], h=fg.chart.scale[m],
+        normal=fg.normal[m], axes=fg.chart.axes[m], hw=fg.chart.scale[m],
         traces={
             SpaceKind.GRAD: (sca[k + 1].values(fmono) @ fg.trace_mat[r],
                              cols(SpaceKind.GRAD, gl.face_table(fids))),
@@ -301,16 +334,17 @@ def _face_slot(t, j, fg, chart, degree):
             SpaceKind.DIV: (sca[k].values(fmono),
                             cols(SpaceKind.DIV, dl.dofs(2, fids)))},
         faceblock=cols(SpaceKind.CURL, cl.dofs(2, fids)),
+        face=(fg, m),
         uG_face=fg.uG_face[r], curl_mat=fg.curl_mat[r])
 
 
 def _edge_slots(E, glob, layouts, edges, chart, degree):
     """The edges E (G, ne) of a group of faces or cells whose local DoFs
     are glob[kind] (G, nloc), slot i holding edge E[:, i] of each: the rule
-    weights, tangents and lengths, the entity monomials at the edge rule
-    points, the GRAD skeleton and CURL tangential traces in local columns,
-    and the derivative of the skeleton.  edges is the EdgeContext of all
-    edges, whose stacks are indexed by edge id."""
+    weights, tangents and h-weights h_E^codim, the entity monomials at the
+    edge rule points, the GRAD skeleton and CURL tangential traces in local
+    columns, and the derivative of the skeleton.  edges is the EdgeContext
+    of all edges, whose stacks are indexed by edge id."""
     gl, cl = layouts[SpaceKind.GRAD], layouts[SpaceKind.CURL]
     slots = []
     for e in E.T:
@@ -320,12 +354,34 @@ def _edge_slots(E, glob, layouts, edges, chart, degree):
         slots.append(SimpleNamespace(
             sign=np.ones(len(e)), w=edges.weights[e],
             mono=chart.monomials(edges.points[e], degree),
-            tangent=edges.tangent[e], h=edges.chart.scale[e],
+            tangent=edges.tangent[e],
+            hw=edges.chart.scale[e] ** (chart.dim - 1),
             deriv=edges.deriv_skeleton[e],
             traces={SpaceKind.GRAD: (edges.trace_grad[e],
                                      _positions(glob[SpaceKind.GRAD], grad)),
                     SpaceKind.CURL: (edges.phi_k[e], _positions(
                         glob[SpaceKind.CURL], cl.dofs(1, e)))}))
+    return slots
+
+
+def _face_edges(mesh, fids, layouts, edges, chart, degree):
+    """The edges by id of the faces fids (see :func:`_edge_slots`), each
+    slot with omega_FE, and n_FE and the tangent in frame components."""
+    glob = {kind: layouts[kind].face_table(fids)
+            for kind in (SpaceKind.GRAD, SpaceKind.CURL)}
+    faces = [mesh.faces[f] for f in fids]
+    loop = np.array([f.edges for f in faces])
+    order = np.argsort(loop, axis=1)
+    sign = np.take_along_axis(
+        np.array([f.edge_signs for f in faces], float), order, 1)
+    nfe = np.take_along_axis(np.array([f.edge_normals for f in faces]),
+                             order[..., None], 1)
+    slots = _edge_slots(np.take_along_axis(loop, order, 1), glob, layouts,
+                        edges, chart, degree)
+    for i, s in enumerate(slots):
+        s.sign = sign[:, i]
+        s.nfe, s.tangent = ((chart.axes @ a[..., None])[..., 0]
+                            for a in (nfe[:, i], s.tangent))
     return slots
 
 
@@ -500,35 +556,17 @@ class FaceContext(_Group):
                       [face_rule(mesh, f, rule_degree) for f in fids])
         self.normal = np.array([f.normal for f in faces])
         self.loop_length = len(faces[0].vertex_loop)
-        glob = {kind: layouts[kind].face_table(self.ids[self.rep])
-                for kind in (SpaceKind.GRAD, SpaceKind.CURL)}
-        self.n_grad, self.n_curl = (g.shape[1] for g in glob.values())
+        self.n_grad, self.n_curl = (
+            layouts[kind].face_table(self.ids[:1]).shape[1]
+            for kind in (SpaceKind.GRAD, SpaceKind.CURL))
         self.grad_face_slice, = _tail(self.n_grad,
                                       layouts[SpaceKind.GRAD].face_subsizes)
         self.curl_R_slice, self.curl_Rc_slice = _tail(
             self.n_curl, layouts[SpaceKind.CURL].face_subsizes)
         chart = self.chart[self.rep]
         self._bases(chart, chart.gram(self._rule_blocks(1), k + 2))
-        self._assemble(chart, self._face_edges(mesh, edge_group, layouts,
-                                               glob, chart))
-
-    def _face_edges(self, mesh, edges, layouts, glob, chart):
-        """The edges by id of the built faces, whose local DoFs are glob
-        (see :func:`_edge_slots`), each slot with omega_FE and n_FE in
-        frame components."""
-        faces = [mesh.faces[f] for f in self.ids[self.rep]]
-        loop = np.array([f.edges for f in faces])
-        order = np.argsort(loop, axis=1)
-        sign = np.take_along_axis(
-            np.array([f.edge_signs for f in faces], float), order, 1)
-        nfe = np.take_along_axis(np.array([f.edge_normals for f in faces]),
-                                 order[..., None], 1)
-        slots = _edge_slots(np.take_along_axis(loop, order, 1), glob,
-                            layouts, edges, chart, self.k + 2)
-        for i, s in enumerate(slots):
-            s.sign = sign[:, i]
-            s.nfe = (chart.axes @ nfe[:, i, :, None])[..., 0]
-        return slots
+        self._assemble(chart, _face_edges(mesh, self.ids[self.rep], layouts,
+                                          edge_group, chart, k + 2))
 
     def _assemble(self, chart, edges):
         k, gram, vb, h = self.k, self.gram, self.vb, chart.scale
@@ -819,10 +857,6 @@ class EntityView:
     def _bound(self, basis):
         return replace(basis, geom=self.geom, coeff=basis.coeff[self.row])
 
-    def basis_values(self, l: int, pts=None) -> np.ndarray:
-        """P^l basis at pts; at the entity's own rule points by default."""
-        return self.sca[l].eval(self.rule.points if pts is None else pts)
-
 
 def _views(n, groups) -> list:
     """The views of n entities, each of the member of its group."""
@@ -922,10 +956,9 @@ def _project(basis, coeff, mono, wv) -> np.ndarray:
     """Moments (N, nb) of weighted values wv (N, npts, nc) against a stack
     of N bases like basis with coefficients coeff, whose monomials at the
     points are mono."""
+    phi = replace(basis, coeff=coeff).values(mono)
     if coeff.ndim == 3:
-        phi = ps.ScalarBasis(None, basis.degree, coeff).values(mono)
         return (np.swapaxes(phi, 1, 2) @ wv)[..., 0]
-    phi = ps.VectorBasis(None, basis.degree, basis.ncomp, coeff).values(mono)
     return np.einsum("npbc,npc->nb", phi, wv)
 
 
@@ -976,9 +1009,6 @@ class DdrComplex:
         self.cells = _views(mesh.n_cells, self.cell_groups)
         self._gram_cache = {}
         self._op_cache = {}
-
-    def layout(self, kind) -> DofLayout:
-        return self.layouts[SpaceKind(kind)]
 
     # -- interpolators ------------------------------------------------------
     # fun is called once per entity kind, on the rule points of all its
@@ -1132,133 +1162,126 @@ class DdrComplex:
                              + max(self.l2_product(SpaceKind.DIV, cv, cv), 0.0)))
 
     # -- potentials at quadrature points ---------------------------------------
+    def potential_values(self, kind, group, members, x) -> np.ndarray:
+        """Values of the kind potential of local DoFs x (m, nloc, ...) at the
+        rule points of members (indices) of a cell group: (m, npts, ...) by
+        the rows' P^{k+1} bases for GRAD, else (m, npts, 3, ...) by phi_k."""
+        kind, rows = SpaceKind(kind), group.row[members]
+        phi = (_at_points(group, members, group.sca[self.k + 1])
+               if kind is SpaceKind.GRAD else group.phi_k[members])
+        return _sampled(phi, getattr(group, f"pot_{kind.value}")[rows], x)
+
+    def _cell_chunks(self):
+        """(group, members) for chunks of members of each cell group of at
+        most CHUNK_POINTS rule points, or of one member that has more."""
+        for g in self.cell_groups:
+            n, npts = g.weights.shape
+            step = max(1, CHUNK_POINTS // npts)
+            for start in range(0, n, step):
+                yield g, np.arange(start, min(start + step, n))
+
+    def potential_chunks(self, kind, x):
+        """(group, members, values) of the kind potential of the DoFs x
+        (total_dim, ...) on each chunk of cells; see potential_values."""
+        lay = self.layouts[SpaceKind(kind)]
+        for g, members in self._cell_chunks():
+            yield g, members, self.potential_values(
+                kind, g, members, x[lay.cell_table(g.ids[members])])
+
     def curl_potential_values(self, c: int, v_local: np.ndarray) -> np.ndarray:
         """Values (npts, 3) of the curl-space vector potential on cell c."""
-        cctx = self.cells[c]
-        coef = (cctx.pot_curl @ v_local).reshape(-1, 3)
-        return cctx.phi_k @ coef
+        view = self.cells[c]
+        return self.potential_values(SpaceKind.CURL, view.group, [view.index],
+                                     v_local[None])[0]
 
-    def div_potential_values(self, c: int, w_local: np.ndarray) -> np.ndarray:
-        cctx = self.cells[c]
-        coef = (cctx.pot_div @ w_local).reshape(-1, 3)
-        return cctx.phi_k @ coef
+    # -- Appendix-style norms: sums over pieces, see _piece_norms -------------
+    def _slots(self, g, members):
+        """The boundary slots of members of a face or cell group, with their
+        traces in the members' local columns: the faces and edges of cells
+        and the edges of faces."""
+        k, chart, ids = self.k, g.chart[members], g.ids[members]
+        if g.kind == "face":
+            return _face_edges(self.mesh, ids, self.layouts,
+                               self.edge_groups[0], chart, k + 2)
+        t = _cell_tables(self.mesh, self.layouts, ids)
+        return [*_face_slots(t, self._faces_by_length, chart, k + 2),
+                *_edge_slots(t.edges, t.glob, self.layouts,
+                             self.edge_groups[0], chart, k + 2)]
 
-    def grad_potential_values(self, c: int, q_local: np.ndarray) -> np.ndarray:
-        cctx = self.cells[c]
-        phi = cctx.sca[self.k + 1].eval(cctx.rule.points)
-        return phi @ (cctx.pot_grad @ q_local)
+    def _potential_pieces(self, g, members):
+        """The CURL potential of members of a cell group, or the tangential
+        trace of members of a face group, at their rule points, and its
+        mismatch with the trace on each boundary slot."""
+        rows, n, cell = g.row[members], g.n_curl, g.kind == "cell"
+        pk = replace(g.sca[self.k], coeff=g.sca[self.k].coeff[rows])
+        pot = (g.pot_curl if cell else g.ttrace_mat)[rows]
+        phi = g.phi_k[members] if cell else _at_points(g, members,
+                                                        g.sca[self.k])
+        pieces = [(np.ones(len(rows)), g.weights[members], _sampled(
+            phi, pot, np.broadcast_to(np.eye(n), (len(rows), n, n))))]
+        for s in self._slots(g, members):
+            hw, A = _trace_diff(SpaceKind.CURL, pot, pk, s)
+            pieces.append((hw, s.w, A))
+        return pieces
 
-    # -- Ls-type norms ----------------------------------------------------------
-    def cell_curl_diffs(self, c: int):
-        """Sampled trace differences of the curl potential on cell c, as
-        (where, h_weight, quad_weights, operator) per face and edge; the
-        operator maps the cell-local CURL DoFs to the tangential components
-        of the difference, (npts, 2, nloc) on a face and (npts, nloc) on an
-        edge."""
-        cctx = self.cells[c]
-        g, sel = cctx.group, [cctx.index]
-        t = _cell_tables(self.mesh, self.layouts, g.ids[sel])
-        chart = g.chart[sel]
-        pk = ps.ScalarBasis(None, self.k, g.sca[self.k].coeff[g.row[sel]])
-        out = []
-        for s in [*_face_slots(t, self._faces_by_length, chart, self.k + 2),
-                  *_edge_slots(t.edges, t.glob, self.layouts,
-                               self.edge_groups[0], chart, self.k + 2)]:
-            hw, A = _trace_diff(SpaceKind.CURL, cctx.pot_curl[None], pk, s)
-            out.append(("face" if hasattr(s, "normal") else "edge", hw[0],
-                        s.w[0], A[0]))
-        return out
+    def _component_pieces(self, g, members):
+        """The fields of the own CURL DoFs (see :func:`_own_fields`) of
+        members of a face or cell group and of each face of a cell, and the
+        tangential values of the DoFs of each edge, at their rule points."""
+        F = _own_fields(g, members)
+        A = np.zeros(F.shape[:-1] + (g.n_curl,))
+        A[..., g.n_curl - F.shape[-1]:] = F
+        pieces = [(np.ones(len(members)), g.weights[members], A)]
+        for s in self._slots(g, members):
+            vals, cols = s.traces[SpaceKind.CURL]
+            if hasattr(s, "normal"):
+                vals, cols = _own_fields(*s.face), s.faceblock
+            A = np.zeros(vals.shape[:-1] + (g.n_curl,))
+            _add_cols(A, cols, vals)
+            pieces.append((s.hw, s.w, A))
+        return pieces
 
-    def ls_curl_norm(self, s: float, v: DofVector) -> float:
-        """L^s-like norm on the curl space: cellwise potential plus h-weighted
-        trace mismatches, all to the power s, summed and rooted."""
-        lay = self.layouts[SpaceKind.CURL]
-        total = 0.0
-        for c, cctx in enumerate(self.cells):
-            loc = v.values[lay.cell_indices(c)]
-            pv = self.curl_potential_values(c, loc)
-            total += _lsnorm(cctx.rule.weights, pv, s) ** s
-            for _, hw, w, A in self.cell_curl_diffs(c):
-                total += hw * _lsnorm(w, A @ loc, s) ** s
-        return total ** (1.0 / s)
+    def _norm(self, pieces, view, s: float, v: np.ndarray) -> float:
+        """Sum of the piece norms of a face or cell view at local DoFs v."""
+        return float(np.sum(_piece_norms(pieces(view.group, [view.index]), s,
+                                         v[None])))
 
-    # -- Appendix-style local component and potential norms ---------------------
     def component_norm_cell(self, s: float, c: int, v_local: np.ndarray) -> float:
         """Component L^s norm of a local CURL vector on cell c: the sum over
         the cell, its faces and its edges of h^{(3-d')/s}-weighted component
         L^s norms."""
-        cctx, cell = self.cells[c], self.mesh.cells[c]
-        cl = self.layouts[SpaceKind.CURL]
-        glob = cl.cell_indices(c)
-        comp = _rot_components(cctx, v_local,
-                               (cctx.curl_R_cell, cctx.curl_Rc_cell))
-        total = _lsnorm(cctx.rule.weights, comp, s)
-        for f in sorted(cell.faces):
-            fctx = self.faces[f]
-            loc = np.searchsorted(glob, cl.face_indices(f))
-            comp = _rot_components(fctx, v_local[loc],
-                                   (fctx.curl_R_slice, fctx.curl_Rc_slice))
-            total += fctx.face.diameter ** (1.0 / s) * _lsnorm(
-                fctx.rule.weights, comp, s)
-        for e in cell.edge_ids:
-            ectx = self.edges[e]
-            loc = np.searchsorted(glob, cl.edge_dofs(e))
-            vals = ectx.basis_values(self.k) @ v_local[loc]
-            total += ectx.edge.length ** (2.0 / s) * _lsnorm(
-                ectx.rule.weights, vals, s)
-        return float(total)
+        return self._norm(self._component_pieces, self.cells[c], s, v_local)
 
     def potential_norm_cell(self, s: float, c: int, v_local: np.ndarray) -> float:
         """Potential-based L^s norm of a local CURL vector on cell c."""
-        cctx = self.cells[c]
-        pv = self.curl_potential_values(c, v_local)
-        total = _lsnorm(cctx.rule.weights, pv, s)
-        for _, hw, w, A in self.cell_curl_diffs(c):
-            # hw is h_F or h_E^2; the component weight is hw^{1/s}
-            total += hw ** (1.0 / s) * _lsnorm(w, A @ v_local, s)
-        return float(total)
+        return self._norm(self._potential_pieces, self.cells[c], s, v_local)
 
     def component_norm_face(self, s: float, f: int, v_face: np.ndarray) -> float:
-        fctx = self.faces[f]
-        comp = _rot_components(fctx, v_face,
-                               (fctx.curl_R_slice, fctx.curl_Rc_slice))
-        total = _lsnorm(fctx.rule.weights, comp, s)
-        # the k + 1 CURL DoFs of each edge by id lead the face-local ones
-        for i, e in enumerate(sorted(fctx.face.edges)):
-            ectx = self.edges[e]
-            vals = ectx.basis_values(self.k) @ v_face[i * (self.k + 1):
-                                                      (i + 1) * (self.k + 1)]
-            total += ectx.edge.length ** (1.0 / s) * _lsnorm(
-                ectx.rule.weights, vals, s)
-        return float(total)
+        return self._norm(self._component_pieces, self.faces[f], s, v_face)
 
     def potential_norm_face(self, s: float, f: int, v_face: np.ndarray) -> float:
-        fctx = self.faces[f]
-        gt = fctx.ttrace_mat @ v_face
-        vb = fctx.vb
-        vals = np.einsum("pbc,b->pc", vb.eval(fctx.rule.points), gt)
-        total = _lsnorm(fctx.rule.weights, vals, s)
-        for i, e in enumerate(sorted(fctx.face.edges)):
-            ectx = self.edges[e]
-            t2 = fctx.geom.axes @ ectx.edge.tangent
-            gt_t = np.einsum("pbc,b,c->p", vb.eval(ectx.rule.points), gt, t2)
-            ve = ectx.basis_values(self.k) @ v_face[i * (self.k + 1):
-                                                    (i + 1) * (self.k + 1)]
-            total += ectx.edge.length ** (1.0 / s) * _lsnorm(
-                ectx.rule.weights, gt_t - ve, s)
-        return float(total)
+        return self._norm(self._potential_pieces, self.faces[f], s, v_face)
 
-    def _sum_cells(self, cell_norm, s: float, v: DofVector) -> float:
-        """The local norms cell_norm(s, c, v_c) raised to s, summed over
-        cells and rooted."""
-        lay = self.layouts[SpaceKind.CURL]
-        return sum(cell_norm(s, c, v.values[lay.cell_indices(c)]) ** s
-                   for c in range(self.mesh.n_cells)) ** (1.0 / s)
+    def _cells_norm(self, pieces, s: float, v: DofVector, power) -> float:
+        """(The sum over the chunks of cells of power(their piece norms (m,
+        npieces)) at the DoFs of a CURL vector v)^{1/s}."""
+        cl = self.layouts[SpaceKind.CURL]
+        return float(sum(power(_piece_norms(
+            pieces(g, m), s, v.values[cl.cell_table(g.ids[m])]))
+            for g, m in self._cell_chunks()) ** (1.0 / s))
+
+    def ls_curl_norm(self, s: float, v: DofVector) -> float:
+        """L^s-like norm on the curl space: cellwise potential plus h-weighted
+        trace mismatches, all to the power s, summed and rooted."""
+        return self._cells_norm(self._potential_pieces, s, v,
+                                lambda n: np.sum(n ** s))
 
     def component_norm(self, s: float, v: DofVector) -> float:
         """Global component L^s norm on the curl space."""
-        return self._sum_cells(self.component_norm_cell, s, v)
+        return self._cells_norm(self._component_pieces, s, v,
+                                lambda n: np.sum(np.sum(n, axis=1) ** s))
 
     def potential_norm(self, s: float, v: DofVector) -> float:
         """Global potential-based L^s norm on the curl space."""
-        return self._sum_cells(self.potential_norm_cell, s, v)
+        return self._cells_norm(self._potential_pieces, s, v,
+                                lambda n: np.sum(np.sum(n, axis=1) ** s))

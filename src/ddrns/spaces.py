@@ -97,14 +97,6 @@ class DofLayout:
     def cell_dofs(self, c: int) -> np.ndarray:
         return self.dofs(3, c)
 
-    def face_subblock(self, f: int, which: int) -> np.ndarray:
-        start = self.face_offset + f * self.face_block + sum(self.face_subsizes[:which])
-        return np.arange(start, start + self.face_subsizes[which])
-
-    def cell_subblock(self, c: int, which: int) -> np.ndarray:
-        start = self.cell_offset + c * self.cell_block + sum(self.cell_subsizes[:which])
-        return np.arange(start, start + self.cell_subsizes[which])
-
     # -- local (restriction) index maps ------------------------------------
     def _table(self, parts) -> np.ndarray:
         """Rows of global indices from parts [(dim, ids (N, m))]: each row
@@ -130,7 +122,8 @@ class DofLayout:
                             (2, np.asarray(fids)[:, None])])
 
     def edge_table(self, eids) -> np.ndarray:
-        """edge_indices of the edges eids, one row each."""
+        """Global indices of the edge-local DoFs of the edges eids, one row
+        each: the two vertices, ascending by id, then the edge block."""
         return self._table([(0, [sorted(self.mesh.edges[e].vertices)
                                  for e in eids]),
                             (1, np.asarray(eids)[:, None])])
@@ -142,9 +135,6 @@ class DofLayout:
 
     def face_indices(self, f: int) -> np.ndarray:
         return self.face_table([f])[0]
-
-    def edge_indices(self, e: int) -> np.ndarray:
-        return self.edge_table([e])[0]
 
     def descriptor(self) -> dict:
         return {

@@ -3,7 +3,9 @@
 Errors mirror the scheme's analysis: discrete errors measured in the graph
 norm of the curl space (velocity) and the CURL norm of the discrete pressure
 gradient; potential-based errors by cellwise quadrature of reconstructed
-fields against the exact ones.  The constants estimators use dense
+fields against the exact ones, read chunk by chunk of cells from the
+potential kernel of :class:`DdrComplex`, each field once per chunk.  The
+constants estimators use dense
 eigen/rank computations and refuse, rather than approximate, above a
 dimension cap.
 """
@@ -84,21 +86,23 @@ def compute_errors(cx: DdrComplex, u: DofVector, p: DofVector, exact) -> ErrorRe
     e_du = cx.graph_norm(eu)
     e_dp = cx.norm(SpaceKind.CURL, cx.global_gradient(ep))
 
-    uc = cx.global_curl(u)
-    ugp = cx.global_gradient(p)
-    cl = cx.layouts[SpaceKind.CURL]
-    dl = cx.layouts[SpaceKind.DIV]
-    acc_u = acc_c = acc_p = 0.0
-    for c, cctx in enumerate(cx.cells):
-        w, pts = cctx.rule.weights, cctx.rule.points
-        pv = cx.curl_potential_values(c, u.values[cl.cell_indices(c)])
-        acc_u += np.sum(w * np.sum((pv - exact.velocity(pts))**2, axis=1))
-        dv = cx.div_potential_values(c, uc.values[dl.cell_indices(c)])
-        acc_c += np.sum(w * np.sum((dv - exact.curl_velocity(pts))**2, axis=1))
-        gv = cx.curl_potential_values(c, ugp.values[cl.cell_indices(c)])
-        acc_p += np.sum(w * np.sum((gv - exact.grad_pressure(pts))**2, axis=1))
-    return ErrorReport(cx.mesh.h, e_du, e_dp,
-                       float(np.sqrt(acc_u + acc_c)), float(np.sqrt(acc_p)))
+    sq = [sum(np.sum(w * np.sum((v - ref) ** 2, axis=-1))
+              for w, v, ref in _against(cx, kind, x, fun))
+          for kind, x, fun in ((SpaceKind.CURL, u, exact.velocity),
+                               (SpaceKind.DIV, cx.global_curl(u),
+                                exact.curl_velocity),
+                               (SpaceKind.CURL, cx.global_gradient(p),
+                                exact.grad_pressure))]
+    return ErrorReport(cx.mesh.h, e_du, e_dp, float(np.sqrt(sq[0] + sq[1])),
+                       float(np.sqrt(sq[2])))
+
+
+def _against(cx: DdrComplex, kind, x: DofVector, fun):
+    """(rule weights, potential values, fun values) of the kind potential of
+    x on each chunk of cells, with a leading member axis."""
+    for g, members, vals in cx.potential_chunks(kind, x.values):
+        ref = fun(g.points[members].reshape(-1, 3))
+        yield g.weights[members], vals, ref.reshape(vals.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +160,13 @@ def _continuity_constant(cx: DdrComplex, kind: SpaceKind) -> float:
     n = lay.total_dim
     Q = np.zeros((n, n))
     M = _dense(cx.gram_matrix(kind))
-    for c, cctx in enumerate(cx.cells):
-        idx = lay.cell_indices(c)
-        pot = cctx.pot_curl if kind == SpaceKind.CURL else cctx.pot_div
-        Q[np.ix_(idx, idx)] += pot.T @ pot
+    for g in cx.cell_groups:
+        # the potentials of the local unit vectors, integrated by the rules
+        idx = lay.cell_table(g.ids)
+        E = cx.potential_values(kind, g, np.arange(len(idx)), np.broadcast_to(
+            np.eye(idx.shape[1]), idx.shape + idx.shape[1:]))
+        np.add.at(Q, (idx[:, :, None], idx[:, None, :]), np.einsum(
+            "mp,mpxi,mpxj->mij", g.weights, E, E))
     ev = sla.eigh(Q, M, eigvals_only=True)
     return float(np.sqrt(max(ev[-1], 0.0)))
 
@@ -183,24 +190,19 @@ def estimate_sobolev_lower_bound(cx: DdrComplex, samples: int = 12,
     Md = _dense(cx.gram_matrix(SpaceKind.DIV))
     C = _dense(cx.curl_matrix())
     B = Z.T @ (C.T @ Md @ C) @ Z
-    cl = cx.layouts[SpaceKind.CURL]
 
-    # assemble the L4 functional pieces once: per cell, potential evaluation
-    cell_ops = []
-    for c, cctx in enumerate(cx.cells):
-        gather = cl.cell_indices(c)
-        W = (cctx.pot_curl @ Z[gather]).reshape(cctx.phi_k.shape[1], 3, -1)
-        E = np.einsum("pi,ixn->pxn", cctx.phi_k, W)
-        cell_ops.append((cctx.rule.weights, E))
+    # the L4 functional's pieces, once: the potentials of the columns of Z
+    cell_ops = [(g.weights[members], E) for g, members, E
+                in cx.potential_chunks(SpaceKind.CURL, Z)]
 
     def num_and_grad(y):
         acc = 0.0
         grad = np.zeros_like(y)
         for w, E in cell_ops:
-            vals = np.einsum("pxn,n->px", E, y)
-            m2 = np.sum(vals**2, axis=1)
+            vals = E @ y
+            m2 = np.sum(vals**2, axis=-1)
             acc += np.sum(w * m2**2)
-            grad += 4.0 * np.einsum("p,px,pxn->n", w * m2, vals, E)
+            grad += 4.0 * np.einsum("mp,mpx,mpxn->n", w * m2, vals, E)
         num = acc ** 0.25
         return num, grad / max(4.0 * num**3, 1e-300)
 
@@ -337,14 +339,10 @@ def run_property_suite(cases, seed: int = 0, n_random: int = 100):
             t4 = cx.component_norm_cell(4.0, 0, v)
             ratios_eq.append(p2 / t2)
             ratios_leb.append(t2 / (cctx.h ** (3 * (1/2 - 1/4)) * t4))
-            pv = cx.curl_potential_values(0, v)
-            pl2 = float(np.sqrt(np.sum(cctx.rule.weights
-                                       * np.sum(pv**2, axis=1))))
-            ratios_bp.append(pl2 / t2)
-            cval = cctx.phi_k @ (cctx.curl_op @ v).reshape(-1, 3)
-            cl2 = float(np.sqrt(np.sum(cctx.rule.weights
-                                       * np.sum(cval**2, axis=1))))
-            ratios_bd.append(cctx.h * cl2 / t2)
+            # the L2 norm of a P^k field is that of its coefficients in the
+            # orthonormal basis of the cell
+            ratios_bp.append(np.linalg.norm(cctx.pot_curl @ v) / t2)
+            ratios_bd.append(cctx.h * np.linalg.norm(cctx.curl_op @ v) / t2)
         record(f"norm equivalence bracket {tag}",
                max(ratios_eq) / min(ratios_eq) < 1e3,
                f"[{min(ratios_eq):.3f}, {max(ratios_eq):.3f}]")
@@ -399,19 +397,20 @@ def run_property_suite(cases, seed: int = 0, n_random: int = 100):
 def _consistency_error(cx: DdrComplex) -> float:
     from . import polyspaces as ps
     k = cx.k
+
+    def misfit(kind, x, fun):
+        """Largest max |P x - fun| / (max |fun| + 1) over the cells."""
+        cellwise = lambda a: np.abs(a).reshape(len(a), -1).max(axis=1)
+        return max(np.max(cellwise(v - ref) / (cellwise(ref) + 1))
+                   for _, v, ref in _against(cx, kind, x, fun))
+
     worst = 0.0
-    gl, cl, dl = (cx.layouts[s] for s in (SpaceKind.GRAD, SpaceKind.CURL,
-                                          SpaceKind.DIV))
     exps = ps.monomial_exponents(3, k + 1)
     for i in range(len(exps)):
         co = np.zeros(len(exps))
         co[i] = 1.0
         q = lambda pts: ps.mono_eval(exps, pts) @ co
-        iq = cx.interpolate_grad(q)
-        for c, cctx in enumerate(cx.cells):
-            pv = cx.grad_potential_values(c, iq.values[gl.cell_indices(c)])
-            ref = q(cctx.rule.points)
-            worst = max(worst, np.abs(pv - ref).max() / (np.abs(ref).max() + 1))
+        worst = max(worst, misfit(SpaceKind.GRAD, cx.interpolate_grad(q), q))
     expsk = ps.monomial_exponents(3, k)
     for i in range(len(expsk)):
         for a in range(3):
@@ -419,15 +418,9 @@ def _consistency_error(cx: DdrComplex) -> float:
             co[a, i] = 1.0
             v = lambda pts: np.stack([ps.mono_eval(expsk, pts) @ co[b]
                                       for b in range(3)], axis=-1)
-            iv = cx.interpolate_curl(v)
-            iw = cx.interpolate_div(v)
-            for c, cctx in enumerate(cx.cells):
-                ref = v(cctx.rule.points)
-                scale = np.abs(ref).max() + 1
-                pv = cx.curl_potential_values(c, iv.values[cl.cell_indices(c)])
-                worst = max(worst, np.abs(pv - ref).max() / scale)
-                dv = cx.div_potential_values(c, iw.values[dl.cell_indices(c)])
-                worst = max(worst, np.abs(dv - ref).max() / scale)
+            worst = max(worst, misfit(SpaceKind.CURL, cx.interpolate_curl(v),
+                                      v),
+                        misfit(SpaceKind.DIV, cx.interpolate_div(v), v))
     return worst
 
 

@@ -14,7 +14,9 @@ geometry references build mesh entities one at a time and quadrature rules
 one simplex at a time, as the batched passes of ddrns did before them.  The
 per-entity contexts at the end assemble the local operators of one face or
 cell at a time, as DdrComplex did before it built them by stacked groups;
-per_entity_complex presents them as groups of one.
+per_entity_complex presents them as groups of one.  The Appendix norms at
+the very end are computed entity by entity on such a complex, face by face
+and edge by edge, as DdrComplex did before it summed group pieces.
 """
 
 import copy
@@ -703,9 +705,10 @@ def _edge_traces(ectx, skeleton, curl_cols) -> dict:
     edge context ectx, as {kind: (values, local columns)}: skeleton maps the
     local GRAD DoFs to P^{k+1}(E) coefficients, and curl_cols are the local
     columns of the edge's CURL DoFs."""
-    return {SpaceKind.GRAD: (ectx.basis_values(ectx.k + 1) @ skeleton,
+    pts = ectx.rule.points
+    return {SpaceKind.GRAD: (ectx.sca[ectx.k + 1].eval(pts) @ skeleton,
                              slice(None)),
-            SpaceKind.CURL: (ectx.basis_values(ectx.k), curl_cols)}
+            SpaceKind.CURL: (ectx.sca[ectx.k].eval(pts), curl_cols)}
 
 
 class _ReferenceEntity:
@@ -1074,8 +1077,8 @@ class GroupOfOne:
                     for key, b in ctx.sub.items()}
         if hasattr(ctx, "face"):
             self.normal = ctx.face.normal[None]
-        # a view of a group of DdrComplex names its group and row
-        ctx.group, ctx.row = self, 0
+        # a view of a group of DdrComplex names its group, row and index
+        ctx.group, ctx.row, ctx.index = self, 0, 0
 
     def __getattr__(self, name):
         if name == "ctx":
@@ -1099,3 +1102,85 @@ def per_entity_complex(cx):
     ref.cell_groups = [GroupOfOne(c, i) for i, c in enumerate(ref.cells)]
     ref._gram_cache, ref._op_cache = {}, {}
     return ref
+
+
+# ---------------------------------------------------------------------------
+# Appendix norms of the per-entity reference, entity by entity
+
+
+def lsnorm(weights, vals, s):
+    """L^s norm of sampled scalar or vector (pointwise Euclidean) values."""
+    mag = np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=-1)
+    return float(np.sum(weights * mag**s)) ** (1.0 / s)
+
+
+def _own_field(ctx, v, slices):
+    """The R^{k-1} (+) Rc^{ell+1} field, at the rule points of a reference
+    face or cell, whose two coefficient blocks are v[slices[0]] and
+    v[slices[1]]."""
+    comp = np.zeros((ctx.rule.n_points, ctx.geom.dim))
+    for key, sl in zip((("R", ctx.k - 1), ("Rc", ctx.ell + 1)), slices):
+        if ctx.sub[key].dim:
+            comp += np.einsum("pbc,b->pc", ctx.sub[key].eval(ctx.rule.points),
+                              v[sl])
+    return comp
+
+
+def _edge_values(ectx, v_edge):
+    return ectx.sca[ectx.k].eval(ectx.rule.points) @ v_edge
+
+
+def component_norm_cell(ref, s, c, v):
+    """Component L^s norm of the local CURL DoFs v of cell c of the
+    per-entity complex ref, face by face and edge by edge."""
+    cell = ref.cells[c]
+    total = lsnorm(cell.rule.weights, _own_field(
+        cell, v, (cell.curl_R_cell, cell.curl_Rc_cell)), s)
+    for f in cell.face_ids:
+        fctx, vf = ref.faces[f], v[cell.curl_face_map[f]]
+        total += fctx.h ** (1 / s) * lsnorm(fctx.rule.weights, _own_field(
+            fctx, vf, (fctx.curl_R_slice, fctx.curl_Rc_slice)), s)
+    for e in cell.edge_ids:
+        ectx = ref.edges[e]
+        total += ectx.h ** (2 / s) * lsnorm(
+            ectx.rule.weights, _edge_values(ectx, v[cell.curl_edge_map[e]]), s)
+    return total
+
+
+def component_norm_face(ref, s, f, v):
+    fctx = ref.faces[f]
+    total = lsnorm(fctx.rule.weights, _own_field(
+        fctx, v, (fctx.curl_R_slice, fctx.curl_Rc_slice)), s)
+    for e in fctx.edge_ids:
+        ectx = ref.edges[e]
+        total += ectx.h ** (1 / s) * lsnorm(ectx.rule.weights, _edge_values(
+            ectx, v[fctx.curl_edge_slices[e]]), s)
+    return total
+
+
+def potential_norm_cell(ref, s, c, v):
+    """Potential L^s norm of the local CURL DoFs v of cell c of the
+    per-entity complex ref: the potential and its trace differences."""
+    cell = ref.cells[c]
+    total = lsnorm(cell.rule.weights,
+                   cell.phi_k @ (cell.pot_curl @ v).reshape(-1, 3), s)
+    for _, hw, w, A in cell.curl_diffs(*cell.traces(ref.edges, ref.faces)):
+        total += hw ** (1 / s) * lsnorm(w, A @ v, s)
+    return total
+
+
+def potential_norm_face(ref, s, f, v):
+    """Potential L^s norm of the local CURL DoFs v of face f: its
+    tangential trace, and the gap between the trace's component along each
+    edge and the edge's tangential value."""
+    fctx = ref.faces[f]
+    gt = fctx.ttrace_mat @ v
+    total = lsnorm(fctx.rule.weights, np.einsum(
+        "pbc,b->pc", fctx.vb.eval(fctx.rule.points), gt), s)
+    for e in fctx.edge_ids:
+        ectx = ref.edges[e]
+        t2 = fctx.geom.axes @ ectx.edge.tangent
+        gt_t = np.einsum("pbc,b,c->p", fctx.vb.eval(ectx.rule.points), gt, t2)
+        ve = _edge_values(ectx, v[fctx.curl_edge_slices[e]])
+        total += ectx.h ** (1 / s) * lsnorm(ectx.rule.weights, gt_t - ve, s)
+    return total

@@ -1,0 +1,54 @@
+"""The no-regression reading of scripts/bench_pairs.py on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).parents[1] / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def summary(parent, change, better="lower", bound=0.1):
+    return bench_pairs.summarise(
+        {"parent_runs": parent, "change_runs": change}, better, bound)
+
+
+def test_steady_runs_within_their_bound_are_resolved():
+    s = summary([1.0, 1.01, 0.99, 1.0, 1.02], [1.05, 1.06, 1.04, 1.05, 1.07])
+    assert s["bound"] == 0.1
+    assert s["parent_median"] == 1.0 and s["change_median"] == 1.05
+    assert s["change_wins"] == 0
+    assert s["within_bound"] and s["resolved"]
+
+
+def test_a_median_worse_by_more_than_the_bound_is_out_of_bound():
+    s = summary([1.0, 1.01, 0.99, 1.0, 1.02], [1.12, 1.11, 1.13, 1.12, 1.1])
+    assert not s["within_bound"] and s["resolved"]
+
+
+def test_higher_is_better_reads_the_other_way():
+    s = summary([1.0, 1.01, 0.99, 1.0, 1.02], [0.88, 0.89, 0.87, 0.88, 0.9],
+                better="higher")
+    assert not s["within_bound"]
+    s = summary([1.0, 1.01, 0.99, 1.0, 1.02], [1.2, 1.21, 1.19, 1.2, 1.22],
+                better="higher")
+    assert s["within_bound"] and s["resolved"] and s["change_wins"] == 5
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_parent_spread_wider_than_the_bound_is_unresolved(better):
+    # parent IQR 0.4 over median 1.0 against a bound of 0.1
+    parent = [0.6, 0.8, 1.0, 1.2, 1.4]
+    s = summary(parent, [1.0, 0.9, 1.1, 1.0, 1.05], better=better)
+    assert s["parent_iqr"] == pytest.approx(0.4)
+    assert s["within_bound"] and not s["resolved"]
+
+
+def test_a_change_beating_every_parent_run_is_resolved_despite_spread():
+    parent = [0.6, 0.8, 1.0, 1.2, 1.4]
+    assert summary(parent, [0.5, 0.55, 0.52, 0.58, 0.5])["resolved"]
+    assert summary(parent, [1.5, 1.6, 1.55, 1.7, 1.5],
+                   better="higher")["resolved"]

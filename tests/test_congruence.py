@@ -78,8 +78,9 @@ def basis_free_values(cx: DdrComplex) -> dict:
             cx.curl_potential_values(c, vc.values[cl.cell_indices(c)])
             for c in range(n)]),
         "div_potential": np.concatenate([
-            cx.div_potential_values(c, wd.values[dl.cell_indices(c)])
-            for c in range(n)]),
+            cx.potential_values(SpaceKind.DIV, view.group, [view.index],
+                                wd.values[dl.cell_indices(c)][None])[0]
+            for c, view in enumerate(cx.cells)]),
     }
 
 

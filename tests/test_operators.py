@@ -53,8 +53,10 @@ def test_potentials_reproduce_polynomials(k):
     q, _ = _poly_scalar(k + 1, seed=k)
     iq = cx.interpolate_grad(q)
     gl = cx.layouts[SpaceKind.GRAD]
-    pv = cx.grad_potential_values(0, iq.values[gl.cell_indices(0)])
-    ref = q(cx.cells[0].rule.points)
+    view = cx.cells[0]
+    pv = cx.potential_values(SpaceKind.GRAD, view.group, [view.index],
+                             iq.values[gl.cell_indices(0)][None])[0]
+    ref = q(view.rule.points)
     assert np.abs(pv - ref).max() < 1e-10 * (np.abs(ref).max() + 1)
 
     v, _ = _poly_vector(k, seed=k + 5)
@@ -66,7 +68,8 @@ def test_potentials_reproduce_polynomials(k):
 
     iw = cx.interpolate_div(v)
     dl = cx.layouts[SpaceKind.DIV]
-    pv = cx.div_potential_values(0, iw.values[dl.cell_indices(0)])
+    pv = cx.potential_values(SpaceKind.DIV, view.group, [view.index],
+                             iw.values[dl.cell_indices(0)][None])[0]
     assert np.abs(pv - ref).max() < 1e-10 * (np.abs(ref).max() + 1)
 
 
@@ -213,7 +216,7 @@ def _oracle_face_gradient(cx, fid, qloc):
                   np.array([ectx.geom.local_coords(b[None])[0, 0] ** j
                             for j in range(k + 2)])]
         rhs = [None, None]
-        phi_km1 = ectx.basis_values(k - 1, er.points)
+        phi_km1 = ectx.sca[k - 1].eval(er.points)
         V = np.stack([s ** j for j in range(k + 2)], axis=-1)
         for i in range(k):
             A_rows.append(phi_km1[:, i] @ (er.weights[:, None] * V))
@@ -241,7 +244,7 @@ def _oracle_face_gradient(cx, fid, qloc):
             we = np.einsum("pm,mc->pc", ps.mono_eval(exps_k, xi_e), w)
             wn = we @ (g.axes @ num.edge_nfe[eid])
             if is_tau:
-                phi_km1 = ectx.basis_values(k - 1, er.points)
+                phi_km1 = ectx.sca[k - 1].eval(er.points)
                 qe = phi_km1 @ qloc[num.grad_edge_slices[eid]]
             else:
                 qe = skeleton(eid)(er.points)
@@ -308,7 +311,7 @@ def test_scalar_trace_vs_independent_basis_oracle(pentagon_cx):
             sk = oracles.skeleton_map(ectx, num.grad_vert_pos,
                                       num.grad_edge_slices[eid],
                                       fctx.n_grad) @ qloc
-            qe = ectx.basis_values(k + 1, er.points) @ sk
+            qe = ectx.sca[k + 1].eval(er.points) @ sk
             rhs[j] += num.edge_sign[eid] * np.sum(er.weights * qe * wn)
     coef = np.linalg.solve(M, rhs)
     oracle = mono1 @ coef
@@ -532,6 +535,25 @@ def test_potential_norm_constant_cell():
     val = cx.potential_norm_cell(2.0, 0, loc)
     assert val == pytest.approx(2.0 * np.sqrt(1.0), rel=1e-10)  # |c| sqrt|T|
     assert cx.component_norm_cell(2.0, 0, np.zeros_like(loc)) == 0.0
+
+
+@pytest.mark.parametrize("s", [2.0, 4.0])
+@pytest.mark.parametrize("family", ["cubic", "tet"])
+def test_constant_field_potential_norms_are_closed_form(family, s):
+    # the trace mismatches of a constant field vanish, on faces as on
+    # cells, so only the potential itself is left: |c_t| |F|^{1/s} on a
+    # face (a square or a Kuhn triangle) and |c| |T|^{1/s} on a cell
+    cx = get_complex(family, 1, 1)
+    cvec = np.array([0.3, -1.2, 0.7])
+    iv = cx.interpolate_curl(lambda pts: np.tile(cvec, (len(pts), 1)))
+    cl = cx.layouts[SpaceKind.CURL]
+    face = cx.mesh.faces[0]
+    c_t = cvec - (cvec @ face.normal) * face.normal
+    assert cx.potential_norm_face(s, 0, iv.values[cl.face_indices(0)]) == \
+        pytest.approx(np.linalg.norm(c_t) * face.area ** (1 / s), rel=1e-12)
+    assert cx.potential_norm_cell(s, 0, iv.values[cl.cell_indices(0)]) == \
+        pytest.approx(np.linalg.norm(cvec) * cx.mesh.cells[0].volume
+                      ** (1 / s), rel=1e-12)
 
 
 def test_norm_ratio_brackets_random():

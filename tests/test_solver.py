@@ -49,7 +49,8 @@ def test_trilinear_single_cube_quadrature_oracle():
     rng = np.random.default_rng(2)
     ua, ub, uv = (rng.standard_normal(s.n_u) for _ in range(3))
     cctx = cx.cells[0]
-    a = cx.div_potential_values(0, cctx.uC @ ua)
+    a = cx.potential_values(SpaceKind.DIV, cctx.group, [cctx.index],
+                            (cctx.uC @ ua)[None])[0]
     b = cx.curl_potential_values(0, ub)
     v = cx.curl_potential_values(0, uv)
     ref = np.sum(cctx.rule.weights * np.einsum("pc,pc->p", np.cross(a, b), v))

@@ -162,7 +162,7 @@ def test_interpolate_constant_grad():
     # moment blocks carry the projections of 1: reconstructing on an edge
     ectx = cx.edges[0]
     lay = cx.layouts[SpaceKind.GRAD]
-    vals = ectx.basis_values(0) @ iq.values[lay.edge_dofs(0)]
+    vals = ectx.sca[0].eval(ectx.rule.points) @ iq.values[lay.edge_dofs(0)]
     assert np.allclose(vals, 1.0)
 
 
@@ -200,7 +200,7 @@ def test_interpolate_curl_constant(cube1):
     iv = cx.interpolate_curl(lambda pts: np.tile(cvec, (len(pts), 1)))
     lay = cx.layouts[SpaceKind.CURL]
     for e, ectx in enumerate(cx.edges):
-        vals = ectx.basis_values(0) @ iv.values[lay.edge_dofs(e)]
+        vals = ectx.sca[0].eval(ectx.rule.points) @ iv.values[lay.edge_dofs(e)]
         np.testing.assert_allclose(vals, cvec @ ectx.edge.tangent, atol=1e-14)
 
 

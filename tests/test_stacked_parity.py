@@ -81,6 +81,59 @@ def test_global_matrices_match_per_entity_assembly(mesh, k):
         assert_close(got.data, want.data, 1e-14)
 
 
+def potentials_by_cell(cx, kind, x):
+    """The kind potential of the global DoFs x on each cell, by cell id,
+    from the chunks of the global kernel, and the number of chunks."""
+    out, chunks = [None] * cx.mesh.n_cells, 0
+    for g, members, vals in cx.potential_chunks(kind, x):
+        chunks += 1
+        for c, v in zip(g.ids[members], vals):
+            out[c] = v
+    return out, chunks
+
+
+@pytest.mark.parametrize("mesh,k", [
+    *[(mesh, k) for mesh in MESHES for k in (0, 1, 2)],
+    # 64 cells of 864 rule points: one group spans several chunks
+    ("cubic4", 0)])
+def test_potential_kernel_matches_per_entity_assembly(mesh, k):
+    cx = DdrComplex(get_mesh("cubic", 4) if mesh == "cubic4"
+                    else MESHES[mesh](), k)
+    ref = oracles.per_entity_complex(cx)
+    rng = np.random.default_rng(k)
+    for kind in SpaceKind:
+        lay = cx.layouts[kind]
+        x = rng.standard_normal(lay.total_dim)
+        (got, chunks), (want, _) = (potentials_by_cell(c, kind, x)
+                                    for c in (cx, ref))
+        if mesh == "cubic4":
+            assert chunks > len(cx.cell_groups)
+        for c in range(cx.mesh.n_cells):
+            assert_close(got[c], want[c])
+            if kind is SpaceKind.CURL:
+                assert_close(cx.curl_potential_values(
+                    c, x[lay.cell_indices(c)]), got[c])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mesh", ["cubic", "jittered_kuhn", "pentagon_prism",
+                                  "cube_pyramid"])
+def test_appendix_norms_match_per_entity_reference(mesh, k):
+    # the group pieces of every face and cell against the hand-written
+    # per-entity norms, at random local vectors
+    cx = DdrComplex(MESHES[mesh](), k)
+    ref = oracles.per_entity_complex(cx)
+    rng = np.random.default_rng(k)
+    for entities, kind in ((cx.faces, "face"), (cx.cells, "cell")):
+        for i, view in enumerate(entities):
+            v = rng.standard_normal(view.n_curl)
+            for s in (2.0, 4.0):
+                for norm in ("component", "potential"):
+                    name = f"{norm}_norm_{kind}"
+                    assert getattr(cx, name)(s, i, v) == pytest.approx(
+                        getattr(oracles, name)(ref, s, i, v), rel=1e-12)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("mesh", ["kuhn", "pentagon_prism"])
 def test_stacked_edges_match_per_edge_build(mesh, k):

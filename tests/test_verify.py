@@ -30,6 +30,30 @@ class PolyExact:
         return out
 
 
+def test_errors_sample_each_field_once_per_chunk_of_cells():
+    # 64 cells of 864 rule points: the fields are sampled chunk by chunk
+    sol = TrigSolution()
+    cx = get_complex("cubic", 4, 0)
+    u = cx.interpolate_curl(sol.velocity)
+    p = cx.interpolate_grad(sol.pressure)
+    calls = dict.fromkeys(("velocity", "pressure", "curl_velocity",
+                           "grad_pressure"), 0)
+
+    class Counting:
+        def __getattr__(self, name):
+            def field(pts):
+                calls[name] += 1
+                return getattr(sol, name)(pts)
+            return field
+
+    rep = verify.compute_errors(cx, u, p, Counting())
+    for name in ("velocity", "curl_velocity", "grad_pressure"):
+        assert 0 < calls[name] < cx.mesh.n_cells, calls
+    ref = verify.compute_errors(cx, u, p, sol)
+    assert (rep.err_u_potential, rep.err_p_potential) == (
+        ref.err_u_potential, ref.err_p_potential)
+
+
 def test_errors_vanish_at_interpolates():
     sol = TrigSolution()
     cx = get_complex("cubic", 2, 0)
