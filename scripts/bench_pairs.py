@@ -12,7 +12,10 @@ traced (``--trace 1``).  Per workload the file records the seeds, the side
 that ran first, every run's end-to-end metrics, their medians, the
 parent's interquartile range, the number of pairs the change wins, the
 metric's bound from BENCHMARK.json with the no-regression reading against
-it (:func:`summarise`), and the traced per-layer figures.  It also records
+it (:func:`summarise`), and the traced per-layer figures.  A run that
+exits with an error is listed under ``crashed`` by seed and counted in
+``failed`` for its side; its pair is left out of the metrics, and the
+other pairs are measured as usual.  It also records
 the line counts of ``src/`` and ``tests/`` on both sides.  Workloads
 already in an existing BENCH_<tag>.json are kept, so several invocations
 fill one file.
@@ -51,13 +54,19 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One bench/run.py invocation; its last output line as a dict."""
+def run(checkout: Path, workload: str, seed: int, seconds: float,
+        trace: int) -> dict | None:
+    """One bench/run.py invocation; its last output line as a dict, or
+    None when it exits with an error (its standard error goes to ours)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed",
            str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
-                         text=True, check=True)
+                         text=True)
+    if out.returncode:
+        print(f"{checkout}: {' '.join(cmd[1:])} exited {out.returncode}\n"
+              f"{out.stderr}", file=sys.stderr, flush=True)
+        return None
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -117,27 +126,39 @@ def measure(checkouts: dict, workload: str, seeds: list[int], seconds: float,
     metrics = {m["name"]: {"parent_runs": [], "change_runs": []}
                for m in spec["end_to_end"]}
     first, correct, failed = {}, True, dict.fromkeys(SIDES, 0)
+    crashed = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first[str(seed)] = order[0]
-        for side in order:
-            rec = run(checkouts[side], workload, seed, seconds, trace=0)
+        recs = {side: run(checkouts[side], workload, seed, seconds, trace=0)
+                for side in order}
+        for side, rec in recs.items():
+            if rec is None:
+                # a crashed run counts as a failed one; its pair is dropped
+                crashed[side].append(seed)
+                failed[side] += 1
+                continue
             correct &= bool(rec["correct"])
             failed[side] += rec["failed"]
-            for name, runs in metrics.items():
-                runs[f"{side}_runs"].append(round(rec["metrics"][name]["value"], 4))
             print(f"{workload} seed {seed} {side}: " + ", ".join(
                 f"{n}={rec['metrics'][n]['value']:.4g}" for n in metrics),
                 file=sys.stderr, flush=True)
+        if None in recs.values():
+            continue
+        for side, rec in recs.items():
+            for name, runs in metrics.items():
+                value = rec["metrics"][name]["value"]
+                runs[f"{side}_runs"].append(round(value, 4))
     rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     traced = {}
     for side in SIDES:
         rec = run(checkouts[side], workload, 1, seconds, trace=1)
-        traced[side] = {n: round(v["value"], 4) for n, v in rec["metrics"].items()}
+        traced[side] = rec and {n: round(v["value"], 4)
+                                for n, v in rec["metrics"].items()}
     return {"seeds": seeds, "first": first, "all_correct": correct,
-            "failed": failed,
+            "failed": failed, "crashed": crashed,
             "metrics": {n: summarise(m, *rules[n])
-                        for n, m in metrics.items()},
+                        for n, m in metrics.items() if m["parent_runs"]},
             "traced_seed1": traced}
 
 

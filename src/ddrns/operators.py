@@ -6,12 +6,15 @@ orthonormal bases.  Edges, faces and cells are built by groups of alike
 entities: all edges in one group, faces by loop length, cells by the loop
 lengths of their faces.  A group (:class:`EdgeContext`,
 :class:`FaceContext`, :class:`CellContext`) owns every member: the ids, the
-quadrature rule and chart of each, and ``row``, the stack row of each.
-Faces or cells that are translates of one another, with the same local
-numbering, share a row.  A group samples its monomials once at the stacked
-rule points of one member per row and forms their Grams, bases, boundary
-terms, moment systems, potentials and products as stacked arrays, each with
-one batched matmul, Cholesky factor or solve.  The interpolators, the global
+chart of each, the stack of their quadrature rules, placed by one call of
+the rule function, and ``row``, the stack row of each.  Faces or cells that
+are translates of one another, with the same local numbering, share a row:
+each candidate group writes its members' translation keys as the rows of
+one integer array, and ``np.unique`` over those rows gives ``row``.  A
+group samples its monomials once at the stacked rule points of one member
+per row and forms their Grams, bases, boundary terms, moment systems,
+potentials and products as stacked arrays, each with one batched matmul,
+Cholesky factor or solve.  The interpolators, the global
 matrices and the solver read the groups.  ``cx.edges[e]``, ``cx.faces[f]``
 and ``cx.cells[c]`` are thin read-only views (:class:`EntityView`): an
 operator of a view is its row of the group's stack, and its bases are that
@@ -41,6 +44,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -246,17 +250,22 @@ def _piece_norms(pieces, s, x) -> np.ndarray:
 
 class _Chart:
     """The local charts of a group's entities, stacked: origins (G, 3),
-    scales (G,) and frames (G, d, 3)."""
+    scales (G,), frames (G, d, 3) and measures (G,)."""
 
-    def __init__(self, geoms):
-        self.geoms = tuple(geoms)
-        self.origin = np.array([g.origin for g in geoms])
-        self.scale = np.array([g.scale for g in geoms])
-        self.axes = np.array([g.axes for g in geoms])
-        self.dim = self.axes.shape[1]
+    def __init__(self, origin, scale, axes, measure):
+        self.origin, self.scale, self.axes, self.measure = (
+            origin, scale, axes, measure)
+        self.dim = axes.shape[1]
 
     def __getitem__(self, sel) -> "_Chart":
-        return _Chart([self.geoms[i] for i in np.arange(len(self.geoms))[sel]])
+        return _Chart(self.origin[sel], self.scale[sel], self.axes[sel],
+                      self.measure[sel])
+
+    @cached_property
+    def geoms(self) -> tuple:
+        """The chart of each entity, built on first use."""
+        return tuple(ps.EntityGeometry(o, float(h), a, float(m)) for o, h, a, m
+                     in zip(self.origin, self.scale, self.axes, self.measure))
 
     def monomials(self, points, degree):
         """Scaled monomials of degree <= degree of each chart at its own
@@ -292,48 +301,55 @@ def _cell_tables(mesh, layouts, cids):
         edges=np.array([c.edge_ids for c in cells]))
 
 
-def _face_slots(t, face_groups, chart, degree):
+def _face_slots(t, face_groups, chart, degree, kinds=tuple(SpaceKind)):
     """The faces of a group of cells with the local numbering t (see
     :func:`_cell_tables`), one slot at a time: slot j holds the j-th face of
     each cell, all of one loop length and so of one face group
     (face_groups[loop length]); see :func:`_face_slot`."""
     for j in range(t.faces.shape[1]):
-        yield _face_slot(t, j, face_groups[t.loops[0, j]], chart, degree)
+        yield _face_slot(t, j, face_groups[t.loops[0, j]], chart, degree,
+                         kinds)
 
 
-def _face_slot(t, j, fg, chart, degree):
+def _face_slot(t, j, fg, chart, degree, kinds):
     """Face slot j of a group of cells, its faces in the face group fg:
     omega_TF, the face rule weights, normals, frames and diameters, the cell
-    monomials at the face rule points, the face traces in cell-local
-    columns (GRAD trace, CURL tangential trace in frame components and the
-    P^k basis of the DIV normal component), the face blocks of the global
-    gradient and curl with their cell-local rows, and face: fg and the
-    faces' indices in it."""
-    gl, cl, dl = (t.layouts[kind] for kind in SpaceKind)
-
-    def cols(kind, idx):
-        return _positions(t.glob[kind], idx)
-
+    monomials of the given degree at the face rule points (None for no
+    degree), the face traces of the given kinds in cell-local columns (GRAD
+    trace, CURL tangential trace in frame components and the P^k basis of
+    the DIV normal component), the face blocks of the global gradient and
+    curl with their cell-local rows, and face: fg and the faces' indices in
+    it."""
     fids = t.faces[:, j]
     m = np.searchsorted(fg.ids, fids)
     r = fg.row[m]
     k = fg.k
     pts = fg.points[m]
-    fmono = fg.chart[m].monomials(pts, k + 1)
-    sca = {l: ps.ScalarBasis(None, l, fg.sca[l].coeff[r]) for l in (k, k + 1)}
-    vb = ps.VectorBasis(None, k, 2, fg.vb.coeff[r])
+    fmono = (fg.chart[m].monomials(pts, k + 1 if SpaceKind.GRAD in kinds
+                                   else k) if kinds else None)
+
+    def trace(kind):
+        """The trace values at the face rule points and their columns."""
+        lay = t.layouts[kind]
+        if kind is SpaceKind.GRAD:
+            sca = ps.ScalarBasis(None, k + 1, fg.sca[k + 1].coeff[r])
+            vals = sca.values(fmono) @ fg.trace_mat[r]
+        elif kind is SpaceKind.CURL:
+            vb = ps.VectorBasis(None, k, 2, fg.vb.coeff[r])
+            vals = (np.swapaxes(vb.values(fmono), -1, -2)
+                    @ fg.ttrace_mat[r][:, None])
+        else:
+            return (ps.ScalarBasis(None, k, fg.sca[k].coeff[r]).values(fmono),
+                    _positions(t.glob[kind], lay.dofs(2, fids)))
+        return vals, _positions(t.glob[kind], lay.face_table(fids))
+
     return SimpleNamespace(
-        sign=t.sign[:, j], w=fg.weights[m], mono=chart.monomials(pts, degree),
+        sign=t.sign[:, j], w=fg.weights[m],
+        mono=None if degree is None else chart.monomials(pts, degree),
         normal=fg.normal[m], axes=fg.chart.axes[m], hw=fg.chart.scale[m],
-        traces={
-            SpaceKind.GRAD: (sca[k + 1].values(fmono) @ fg.trace_mat[r],
-                             cols(SpaceKind.GRAD, gl.face_table(fids))),
-            SpaceKind.CURL: (np.swapaxes(vb.values(fmono), -1, -2)
-                             @ fg.ttrace_mat[r][:, None],
-                             cols(SpaceKind.CURL, cl.face_table(fids))),
-            SpaceKind.DIV: (sca[k].values(fmono),
-                            cols(SpaceKind.DIV, dl.dofs(2, fids)))},
-        faceblock=cols(SpaceKind.CURL, cl.dofs(2, fids)),
+        traces={kind: trace(kind) for kind in kinds},
+        faceblock=_positions(t.glob[SpaceKind.CURL], t.layouts[
+            SpaceKind.CURL].dofs(2, fids)),
         face=(fg, m),
         uG_face=fg.uG_face[r], curl_mat=fg.curl_mat[r])
 
@@ -353,7 +369,8 @@ def _edge_slots(E, glob, layouts, edges, chart, degree):
                           gl.dofs(1, e)])
         slots.append(SimpleNamespace(
             sign=np.ones(len(e)), w=edges.weights[e],
-            mono=chart.monomials(edges.points[e], degree),
+            mono=(None if degree is None
+                  else chart.monomials(edges.points[e], degree)),
             tangent=edges.tangent[e],
             hw=edges.chart.scale[e] ** (chart.dim - 1),
             deriv=edges.deriv_skeleton[e],
@@ -394,25 +411,24 @@ class _Group:
     and, for faces and cells, the stacked bases and the gradient.
 
     A group owns every member: ids (N,), the chart of each (``chart``), the
-    rule points (N, npts, 3) and weights (N, npts), and row (N,), the stack
-    row of each member.  Translates share a row; rep lists the member
-    built for each row.  The local operators of an entity depend only on
-    its shape, local numbering and orientations; within a group every
-    entity has the same local sizes, so each operator is one stack with a
-    leading row axis.  A view reads the STACKED names at its row, the
+    stack of their rules (``rule``, one call of the rule function per
+    group) with its points (N, npts, 3) and weights (N, npts), and row
+    (N,), the stack row of each member.  Translates share a row; rep lists
+    the member built for each row.  The local operators of an entity depend
+    only on its shape, local numbering and orientations; within a group
+    every entity has the same local sizes, so each operator is one stack
+    with a leading row axis.  A view reads the STACKED names at its row, the
     MEMBERS ones at its own index and the SHARED ones as they are.
     """
 
     STACKED, MEMBERS, SHARED = (), (), ("k",)
 
-    def _members(self, mesh, ids, row, geoms, rules):
+    def _members(self, mesh, ids, row, chart, rule):
         self.mesh = mesh
         self.ids, self.row = np.asarray(ids), np.asarray(row)
         self.rep = np.unique(self.row, return_index=True)[1]
-        self.chart = _Chart(geoms)
-        self.points = np.array([r.points for r in rules])
-        self.weights = np.array([r.weights for r in rules])
-        self.rule_degree = rules[0].exactness_degree
+        self.chart = chart
+        self.rule, self.points, self.weights = rule, rule.points, rule.weights
 
     def _rule_blocks(self, parts):
         """The rule points and weights of the built members in parts equal
@@ -502,9 +518,12 @@ class EdgeContext(_Group):
     def __init__(self, mesh: Mesh, eids, k: int, rule_degree: int):
         self.k = k
         edges = [mesh.edges[e] for e in eids]
+        self.tangent = np.array([e.tangent for e in edges])
+        length = np.array([e.length for e in edges])
         self._members(mesh, eids, np.arange(len(edges)),
-                      [ps.edge_geometry(mesh, e) for e in edges],
-                      [edge_rule(mesh, e, rule_degree) for e in eids])
+                      _Chart(np.array([e.midpoint for e in edges]), length,
+                             self.tangent[:, None], length),
+                      edge_rule(mesh, eids, rule_degree))
         chart = self.chart
         mono = chart.monomials(self.points, k + 1)
         # every scalar basis orthonormalises a leading block of one Gram
@@ -532,7 +551,6 @@ class EdgeContext(_Group):
         self.trace_grad = bkp1.values(mono) @ self.skeleton
         self.phi_k = self.sca[k].values(mono)
         self.deriv_skeleton = self.deriv @ self.skeleton
-        self.tangent = np.array([e.tangent for e in edges])
 
 
 class FaceContext(_Group):
@@ -551,9 +569,10 @@ class FaceContext(_Group):
                  rule_degree: int, edge_group: EdgeContext, layouts):
         self.k, self.ell = k, ell
         faces = [mesh.faces[f] for f in fids]
-        self._members(mesh, fids, row,
-                      [ps.face_geometry(mesh, f) for f in faces],
-                      [face_rule(mesh, f, rule_degree) for f in fids])
+        self._members(mesh, fids, row, _Chart(*(
+            np.array([getattr(f, name) for f in faces])
+            for name in ("anchor", "diameter", "frame", "area"))),
+                      face_rule(mesh, fids, rule_degree))
         self.normal = np.array([f.normal for f in faces])
         self.loop_length = len(faces[0].vertex_loop)
         self.n_grad, self.n_curl = (
@@ -642,9 +661,13 @@ class CellContext(_Group):
                  rule_degree: int, edge_group: EdgeContext, face_groups,
                  layouts):
         self.k, self.ell = k, ell
-        self._members(mesh, cids, row,
-                      [ps.cell_geometry(mesh, mesh.cells[c]) for c in cids],
-                      [cell_rule(mesh, c, rule_degree) for c in cids])
+        cells = [mesh.cells[c] for c in cids]
+        self._members(mesh, cids, row, _Chart(
+            np.array([c.anchor for c in cells]),
+            np.array([c.diameter for c in cells]),
+            np.broadcast_to(np.eye(3), (len(cells), 3, 3)),
+            np.array([c.volume for c in cells])),
+                      cell_rule(mesh, cids, rule_degree))
         t = _cell_tables(mesh, layouts, self.ids[self.rep])
         self._sizes(layouts, t.glob)
         chart = self.chart[self.rep]
@@ -834,8 +857,7 @@ class EntityView:
 
     @property
     def rule(self) -> QuadratureRule:
-        g, i = self.group, self.index
-        return QuadratureRule(g.points[i], g.weights[i], g.rule_degree)
+        return self.group.rule[self.index]
 
     def __getattr__(self, name):
         if name in EntityView.__slots__:
@@ -875,49 +897,76 @@ def _views(n, groups) -> list:
 KEY_RTOL = 1e-12
 
 
-def _translation_key(mesh: Mesh, verts, anchor, h, loops, edges) -> tuple:
-    """Hashable description of an entity up to translation.
+def _translation_keys(mesh: Mesh, verts, anchor, h, loops,
+                      edges) -> np.ndarray:
+    """Descriptions of N entities up to translation, one int64 row each;
+    two entities of a group are translates with the same local numbering
+    when their rows are equal.
 
-    verts are the vertex ids in local DoF order; the key holds their
-    coordinates relative to the anchor, rounded at KEY_RTOL * h, the face
-    loops and the edge directions written in local vertex indices.
+    verts (N, nv) are the vertex ids in local DoF order, each row sorted;
+    the row holds their coordinates relative to the anchors (N, 3), rounded
+    at KEY_RTOL * h (N,), then the face loops (N, nl) and the vertices of
+    the edges (N, ne, 2) written in local vertex indices.
     """
-    pos = {v: i for i, v in enumerate(verts)}
-    rel = np.rint((mesh.vertex_coords[verts] - anchor) / (KEY_RTOL * h))
-    return (rel.astype(np.int64).tobytes(),
-            tuple(tuple(pos[v] for v in loop) for loop in loops),
-            tuple(tuple(pos[v] for v in mesh.edges[e].vertices)
-                  for e in edges))
+    rel = np.rint((mesh.vertex_coords[verts] - anchor[:, None])
+                  / (KEY_RTOL * h)[:, None, None])
+    return np.hstack([rel.astype(np.int64).reshape(len(verts), -1),
+                      _positions(verts, loops),
+                      _positions(verts, edges).reshape(len(verts), -1)])
 
 
-def _face_key(mesh: Mesh, fid: int) -> tuple:
-    f = mesh.faces[fid]
-    return _translation_key(mesh, sorted(f.vertex_loop), f.anchor, f.diameter,
-                            [f.vertex_loop], sorted(f.edges))
+def _face_keys(mesh: Mesh, fids, edge_vertices) -> np.ndarray:
+    """Translation keys of faces fids of one loop length; edge_vertices
+    (n_edges, 2) are the vertex ids of every edge."""
+    faces = [mesh.faces[f] for f in fids]
+    loops = np.array([f.vertex_loop for f in faces])
+    return _translation_keys(
+        mesh, np.sort(loops, axis=1), np.array([f.anchor for f in faces]),
+        np.array([f.diameter for f in faces]), loops,
+        edge_vertices[np.sort([f.edges for f in faces], axis=1)])
 
 
-def _cell_key(mesh: Mesh, cid: int) -> tuple:
-    """Cell key; omega_TF follows from the geometry of a valid mesh and is
-    kept in the key as a guard."""
-    c = mesh.cells[cid]
-    faces = sorted(c.faces)
-    sign = dict(zip(c.faces, c.face_signs))
-    return (_translation_key(mesh, c.vertex_ids, c.anchor, c.diameter,
-                             [mesh.faces[f].vertex_loop for f in faces],
-                             c.edge_ids),
-            tuple(sign[f] for f in faces))
+def _cell_keys(mesh: Mesh, cids, edge_vertices) -> np.ndarray:
+    """Translation keys of cells cids with the same face loop lengths: the
+    loops of their faces in id order, with the loop lengths and omega_TF,
+    which follows from the geometry of a valid mesh and is kept as a
+    guard."""
+    cells = [mesh.cells[c] for c in cids]
+    faces = np.array([c.faces for c in cells])
+    order = np.argsort(faces, axis=1)
+    faces = np.take_along_axis(faces, order, 1).tolist()
+    loops = [[mesh.faces[f].vertex_loop for f in row] for row in faces]
+    # a cell of another genus, with fewer vertices, repeats its last one;
+    # its loops never name the repeats, so its row differs from the others
+    nv = max(len(c.vertex_ids) for c in cells)
+    verts = np.array([c.vertex_ids + c.vertex_ids[-1:]
+                      * (nv - len(c.vertex_ids)) for c in cells])
+    keys = _translation_keys(
+        mesh, verts, np.array([c.anchor for c in cells]),
+        np.array([c.diameter for c in cells]),
+        np.array([[v for loop in row for v in loop] for row in loops]),
+        edge_vertices[np.array([c.edge_ids for c in cells])])
+    signs = np.array([c.face_signs for c in cells])
+    return np.hstack([keys, [[len(loop) for loop in row] for row in loops],
+                      np.take_along_axis(signs, order, 1)])
 
 
-def _classes(n, key, group_key) -> list:
-    """Groups of n entities by group_key, as (ids, row): row maps each
-    member to the row of its translation class (key) in the group, rows
-    numbered in the order of their first members."""
+def _classes(group_keys, keys) -> list:
+    """Groups of entities by their group_keys (one per entity), as (ids,
+    row): row maps each member to the row of its translation class in the
+    group, the distinct rows of keys(ids), numbered in the order of their
+    first members."""
     groups = {}
-    for i in range(n):
-        ids, row, rows = groups.setdefault(group_key(i), ([], [], {}))
-        ids.append(i)
-        row.append(rows.setdefault(key(i), len(rows)))
-    return [(ids, row) for ids, row, _ in groups.values()]
+    for i, key in enumerate(group_keys):
+        groups.setdefault(key, []).append(i)
+    out = []
+    for ids in groups.values():
+        _, first, inv = np.unique(keys(ids), axis=0, return_index=True,
+                                  return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        out.append((ids, rank[inv.ravel()]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -995,15 +1044,15 @@ class DdrComplex:
             FaceContext(mesh, ids, row, k, ell, deg_bilin, edges,
                         self.layouts)
             for ids, row in _classes(
-                mesh.n_faces, lambda f: _face_key(mesh, f),
-                lambda f: len(mesh.faces[f].vertex_loop))]
+                [len(f.vertex_loop) for f in mesh.faces],
+                lambda fids: _face_keys(mesh, fids, edges.vertices))]
         self._faces_by_length = {g.loop_length: g for g in self.face_groups}
         self.cell_groups = [
             CellContext(mesh, ids, row, k, ell, self.cell_degree, edges,
                         self._faces_by_length, self.layouts)
             for ids, row in _classes(
-                mesh.n_cells, lambda c: _cell_key(mesh, c),
-                lambda c: _loop_lengths(mesh, c))]
+                [_loop_lengths(mesh, c) for c in range(mesh.n_cells)],
+                lambda cids: _cell_keys(mesh, cids, edges.vertices))]
         self.edges = _views(mesh.n_edges, self.edge_groups)
         self.faces = _views(mesh.n_faces, self.face_groups)
         self.cells = _views(mesh.n_cells, self.cell_groups)
@@ -1195,18 +1244,19 @@ class DdrComplex:
                                      v_local[None])[0]
 
     # -- Appendix-style norms: sums over pieces, see _piece_norms -------------
-    def _slots(self, g, members):
-        """The boundary slots of members of a face or cell group, with their
-        traces in the members' local columns: the faces and edges of cells
-        and the edges of faces."""
-        k, chart, ids = self.k, g.chart[members], g.ids[members]
+    def _slots(self, g, members, degree, kinds):
+        """The boundary slots of members of a face or cell group: the faces
+        and edges of cells and the edges of faces, with the members'
+        monomials of the given degree (None for none) and the face traces
+        of the given kinds in the members' local columns."""
+        chart, ids = g.chart[members], g.ids[members]
         if g.kind == "face":
             return _face_edges(self.mesh, ids, self.layouts,
-                               self.edge_groups[0], chart, k + 2)
+                               self.edge_groups[0], chart, degree)
         t = _cell_tables(self.mesh, self.layouts, ids)
-        return [*_face_slots(t, self._faces_by_length, chart, k + 2),
+        return [*_face_slots(t, self._faces_by_length, chart, degree, kinds),
                 *_edge_slots(t.edges, t.glob, self.layouts,
-                             self.edge_groups[0], chart, k + 2)]
+                             self.edge_groups[0], chart, degree)]
 
     def _potential_pieces(self, g, members):
         """The CURL potential of members of a cell group, or the tangential
@@ -1219,7 +1269,7 @@ class DdrComplex:
                                                         g.sca[self.k])
         pieces = [(np.ones(len(rows)), g.weights[members], _sampled(
             phi, pot, np.broadcast_to(np.eye(n), (len(rows), n, n))))]
-        for s in self._slots(g, members):
+        for s in self._slots(g, members, self.k, (SpaceKind.CURL,)):
             hw, A = _trace_diff(SpaceKind.CURL, pot, pk, s)
             pieces.append((hw, s.w, A))
         return pieces
@@ -1232,10 +1282,11 @@ class DdrComplex:
         A = np.zeros(F.shape[:-1] + (g.n_curl,))
         A[..., g.n_curl - F.shape[-1]:] = F
         pieces = [(np.ones(len(members)), g.weights[members], A)]
-        for s in self._slots(g, members):
-            vals, cols = s.traces[SpaceKind.CURL]
+        for s in self._slots(g, members, None, ()):
             if hasattr(s, "normal"):
                 vals, cols = _own_fields(*s.face), s.faceblock
+            else:
+                vals, cols = s.traces[SpaceKind.CURL]
             A = np.zeros(vals.shape[:-1] + (g.n_curl,))
             _add_cols(A, cols, vals)
             pieces.append((s.hw, s.w, A))

@@ -5,12 +5,19 @@ anchor and each triangle carries a collapsed (Duffy) tensor Gauss rule; cells
 are split into tetrahedra by coning the face triangles to the cell anchor.
 All rules are exact for polynomials up to the requested total degree.
 
-Each entity rule is one array pass: the corners of the fan or cone come
-from index arrays, and :func:`triangle_rule` / :func:`tet_rule` place the
-reference Duffy points on the whole stack of simplices at once.  Points come
-out simplex by simplex, in Duffy order inside each, with the bits of placing
-each simplex on its own.  A zero-measure simplex raises
-:class:`DegenerateSimplexError` naming the face or cell and the segment.
+Rules take a stack of the entities of one group: :func:`edge_rule`,
+:func:`face_rule` and :func:`cell_rule` take a sequence of ids whose
+members have the same number of simplices (faces of one loop length, cells
+with the same face loop lengths) and return one :class:`QuadratureRule`
+holding a stack, whose ``rule[i]`` is the rule of member i.  One id gives
+its own rule, as a one-member stack.  Each stack is one array pass: the
+corners of every member's fan or cone come from index arrays, and
+:func:`triangle_rule` / :func:`tet_rule` place the reference Duffy points on
+all the simplices at once.  A member's points come out simplex by simplex,
+in its own fan or cone order and in Duffy order inside each simplex, with
+the bits of placing each simplex on its own.  A zero-measure simplex raises
+:class:`DegenerateSimplexError` naming the first face or cell at fault and
+the segment, and so does a member whose weights miss its area or volume.
 """
 
 from __future__ import annotations
@@ -36,16 +43,23 @@ class DegenerateSimplexError(Exception):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    points: np.ndarray   # (n, 3)
-    weights: np.ndarray  # (n,)
+    """The rule of one entity, points (n, 3) and weights (n,), or a stack
+    of the rules of N entities, points (N, n, 3) and weights (N, n)."""
+    points: np.ndarray
+    weights: np.ndarray
     exactness_degree: int
 
     @property
     def n_points(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[-1]
+
+    def __getitem__(self, i) -> "QuadratureRule":
+        """The rule of member i of a stack."""
+        return QuadratureRule(self.points[i], self.weights[i],
+                              self.exactness_degree)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Contract sampled values (n, ...) against the weights."""
+        """Contract sampled values (n, ...) against the weights of one rule."""
         return np.tensordot(self.weights, values, axes=(0, 0))
 
 
@@ -59,15 +73,47 @@ def edge_rule_points(degree: int) -> int:
     return (degree + 2) // 2  # ceil((degree+1)/2)
 
 
-def edge_rule(mesh: Mesh, edge_id: int, degree: int) -> QuadratureRule:
-    e = mesh.edges[edge_id]
-    if e.length <= 0.0:
-        raise DegenerateSimplexError(f"edge {edge_id} has zero length")
+def _group(ids) -> np.ndarray:
+    """The ids of a group as an array; one id is a one-member group."""
+    return np.atleast_1d(np.asarray(ids, dtype=np.int64))
+
+
+def _one_or_stack(ids, rule: QuadratureRule) -> QuadratureRule:
+    """The stack of a group's rules, or the rule of one id."""
+    return rule[0] if np.ndim(ids) == 0 else rule
+
+
+def _per_member(counts, kind: str) -> int:
+    """The simplex count shared by the members of a group."""
+    if len(set(counts)) != 1:
+        raise ValueError(f"{kind} rule: the members of one group must have "
+                         "the same number of simplices")
+    return counts[0]
+
+
+def _check_recovered(kind: str, ids, weights, measure, what: str):
+    """Raise naming the first member whose weights (N, n) miss its measure
+    (N,): the decomposition of that member overlaps or leaves a gap."""
+    bad = np.abs(weights.sum(axis=1) - measure) > 1e-12 * measure
+    if np.any(bad):
+        raise DegenerateSimplexError(f"{kind} {ids[np.argmax(bad)]}: {what}")
+
+
+def edge_rule(mesh: Mesh, edge_ids, degree: int) -> QuadratureRule:
+    """Gauss-Legendre rule on each edge; edge_ids is one edge or a
+    sequence of edges (see the module docstring)."""
+    ids = _group(edge_ids)
+    edges = [mesh.edges[e] for e in ids.tolist()]
+    length = np.array([e.length for e in edges])
+    if np.any(length <= 0.0):
+        raise DegenerateSimplexError(
+            f"edge {ids[np.argmax(length <= 0.0)]} has zero length")
     x, w = _gl01(edge_rule_points(max(degree, 0)))
-    a = mesh.vertex_coords[e.vertices[0]]
-    b = mesh.vertex_coords[e.vertices[1]]
-    pts = a[None, :] + x[:, None] * (b - a)[None, :]
-    return QuadratureRule(pts, w * e.length, degree)
+    ends = mesh.vertex_coords[np.array([e.vertices for e in edges])]
+    a, b = ends[:, 0], ends[:, 1]
+    pts = a[:, None, :] + x[None, :, None] * (b - a)[:, None, :]
+    return _one_or_stack(edge_ids, QuadratureRule(
+        pts, w[None, :] * length[:, None], degree))
 
 
 @lru_cache(maxsize=None)
@@ -137,51 +183,63 @@ def tet_rule(verts: np.ndarray, degree: int):
     return pts.reshape(-1, 3), (w[None, :] * vol6[:, None]).ravel()
 
 
-def face_rule(mesh: Mesh, face_id: int, degree: int) -> QuadratureRule:
-    """The fan of triangles (x_F, v_i, v_i+1) of the face, one rule each."""
-    f = mesh.faces[face_id]
-    cur, nxt = loop_segments([f.vertex_loop])
-    tris = np.empty((len(cur), 3, 3))
-    tris[:, 0] = f.anchor
-    tris[:, 1] = mesh.vertex_coords[cur]
-    tris[:, 2] = mesh.vertex_coords[nxt]
+def face_rule(mesh: Mesh, face_ids, degree: int) -> QuadratureRule:
+    """The fan of triangles (x_F, v_i, v_i+1) of each face, one rule each;
+    face_ids is one face or a sequence of faces of one loop length."""
+    ids = _group(face_ids)
+    faces = [mesh.faces[f] for f in ids.tolist()]
+    n = _per_member([len(f.vertex_loop) for f in faces], "face")
+    loops = np.array([f.vertex_loop for f in faces])
+    tris = np.empty((len(ids), n, 3, 3))
+    tris[:, :, 0] = np.array([f.anchor for f in faces])[:, None]
+    tris[:, :, 1] = mesh.vertex_coords[loops]
+    tris[:, :, 2] = mesh.vertex_coords[np.roll(loops, -1, axis=1)]
     try:
         pts, weights = triangle_rule(tris, degree)
     except DegenerateSimplexError as err:
+        member, segment = divmod(err.simplex, n)
         raise DegenerateSimplexError(
-            f"face {face_id}: zero-area triangle (segment {err.simplex})") from None
-    if abs(weights.sum() - f.area) > 1e-12 * f.area:
-        raise DegenerateSimplexError(
-            f"face {face_id}: fan decomposition does not recover the area")
-    return QuadratureRule(pts, weights, degree)
+            f"face {ids[member]}: zero-area triangle (segment {segment})") from None
+    weights = weights.reshape(len(ids), -1)
+    _check_recovered("face", ids, weights, np.array([f.area for f in faces]),
+                     "fan decomposition does not recover the area")
+    return _one_or_stack(face_ids, QuadratureRule(
+        pts.reshape(weights.shape + (3,)), weights, degree))
 
 
-def cell_rule(mesh: Mesh, cell_id: int, degree: int) -> QuadratureRule:
+def cell_rule(mesh: Mesh, cell_ids, degree: int) -> QuadratureRule:
     """The cone from x_T of each face's fan: tetrahedra (x_T, x_F, v_i,
-    v_i+1), face by face in the cell's order, one rule each."""
-    c = mesh.cells[cell_id]
-    faces = [mesh.faces[fid] for fid in c.faces]
-    loops = [f.vertex_loop for f in faces]
+    v_i+1), face by face in the cell's own order, one rule each; cell_ids
+    is one cell or a sequence of cells with the same number of face
+    segments."""
+    ids = _group(cell_ids)
+    cells = [mesh.cells[c] for c in ids.tolist()]
+    # the face incidences of the members, cell by cell, each in c.faces order
+    inc = [f for c in cells for f in c.faces]
+    loops = [mesh.faces[f].vertex_loop for f in inc]
+    n = _per_member([sum(len(mesh.faces[f].vertex_loop) for f in c.faces)
+                     for c in cells], "cell")
     cur, nxt = loop_segments(loops)
-    seg_face = np.repeat(np.arange(len(faces)), [len(loop) for loop in loops])
+    seg_inc = np.repeat(np.arange(len(inc)), [len(loop) for loop in loops])
     tets = np.empty((len(cur), 4, 3))
-    tets[:, 0] = c.anchor
-    tets[:, 1] = np.array([f.anchor for f in faces])[seg_face]
+    tets[:, 0] = np.repeat(np.array([c.anchor for c in cells]), n, axis=0)
+    tets[:, 1] = np.array([mesh.faces[f].anchor for f in inc])[seg_inc]
     tets[:, 2] = mesh.vertex_coords[cur]
     tets[:, 3] = mesh.vertex_coords[nxt]
     try:
         pts, weights = tet_rule(tets, degree)
     except DegenerateSimplexError as err:
         i = err.simplex
-        j = int(seg_face[i])
-        segment = i - int(np.searchsorted(seg_face, j))
+        j = int(seg_inc[i])
+        segment = i - int(np.searchsorted(seg_inc, j))
         raise DegenerateSimplexError(
-            f"cell {cell_id}: zero-volume tetrahedron "
-            f"(face {c.faces[j]}, segment {segment})") from None
-    if abs(weights.sum() - c.volume) > 1e-12 * c.volume:
-        raise DegenerateSimplexError(
-            f"cell {cell_id}: cone decomposition does not recover the volume")
-    return QuadratureRule(pts, weights, degree)
+            f"cell {ids[i // n]}: zero-volume tetrahedron "
+            f"(face {inc[j]}, segment {segment})") from None
+    weights = weights.reshape(len(ids), -1)
+    _check_recovered("cell", ids, weights, np.array([c.volume for c in cells]),
+                     "cone decomposition does not recover the volume")
+    return _one_or_stack(cell_ids, QuadratureRule(
+        pts.reshape(weights.shape + (3,)), weights, degree))
 
 
 def rule_for(mesh: Mesh, kind: str, index: int, degree: int) -> QuadratureRule:

@@ -161,12 +161,12 @@ def _continuity_constant(cx: DdrComplex, kind: SpaceKind) -> float:
     Q = np.zeros((n, n))
     M = _dense(cx.gram_matrix(kind))
     for g in cx.cell_groups:
-        # the potentials of the local unit vectors, integrated by the rules
+        # the potential maps local DoFs to coefficients in an orthonormal
+        # P^k basis, so pot^T pot is its L2 Gram
         idx = lay.cell_table(g.ids)
-        E = cx.potential_values(kind, g, np.arange(len(idx)), np.broadcast_to(
-            np.eye(idx.shape[1]), idx.shape + idx.shape[1:]))
-        np.add.at(Q, (idx[:, :, None], idx[:, None, :]), np.einsum(
-            "mp,mpxi,mpxj->mij", g.weights, E, E))
+        pot = getattr(g, f"pot_{kind.value}")
+        np.add.at(Q, (idx[:, :, None], idx[:, None, :]),
+                  (np.swapaxes(pot, 1, 2) @ pot)[g.row])
     ev = sla.eigh(Q, M, eigvals_only=True)
     return float(np.sqrt(max(ev[-1], 0.0)))
 

@@ -1068,7 +1068,9 @@ class GroupOfOne:
         self.ctx = ctx
         self.ids, self.row, self.rep = np.array([ident]), np.zeros(1, int), \
             np.zeros(1, int)
-        self.chart = _Chart([ctx.geom])
+        g = ctx.geom
+        self.chart = _Chart(g.origin[None], np.array([g.scale]), g.axes[None],
+                            np.array([g.measure]))
         self.points, self.weights = ctx.rule.points[None], ctx.rule.weights[None]
         geoms = (ctx.geom,)
         self.sca = {l: ps.ScalarBasis(geoms, b.degree, b.coeff[None])

@@ -52,3 +52,31 @@ def test_a_change_beating_every_parent_run_is_resolved_despite_spread():
     assert summary(parent, [0.5, 0.55, 0.52, 0.58, 0.5])["resolved"]
     assert summary(parent, [1.5, 1.6, 1.55, 1.7, 1.5],
                    better="higher")["resolved"]
+
+
+STUB_RUN = """import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if {crash} and args["--seed"] == "2":
+    sys.exit(1)
+print(json.dumps({{"correct": True, "failed": 0,
+                  "metrics": {{"wall_s": {{"value": float(args["--seed"])}}}}}}))
+"""
+
+
+def stub_checkout(path, crash):
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(STUB_RUN.format(crash=crash))
+    return path
+
+
+def test_a_crashed_run_is_recorded_and_the_other_pairs_are_kept(tmp_path):
+    checkouts = {"parent": stub_checkout(tmp_path / "parent", False),
+                 "change": stub_checkout(tmp_path / "change", True)}
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower",
+                            "bound": 0.25}]}
+    out = bench_pairs.measure(checkouts, "w", [1, 2, 3], 1.0, spec)
+    assert out["crashed"] == {"parent": [], "change": [2]}
+    assert out["failed"] == {"parent": 0, "change": 1}
+    wall = out["metrics"]["wall_s"]
+    assert wall["parent_runs"] == wall["change_runs"] == [1.0, 3.0]
+    assert out["traced_seed1"]["change"] == {"wall_s": 1.0}

@@ -191,9 +191,10 @@ def test_cells_on_faces_of_split_classes_still_share(monkeypatch):
     # the faces above z = 1/2 get classes of their own, and the cells of
     # the top layer, which differ from the others only in the classes of
     # their faces, are still placed from one built cell.
-    face_key = operators._face_key
-    monkeypatch.setattr(operators, "_face_key", lambda mesh, f: (
-        face_key(mesh, f), mesh.faces[f].anchor[2] > 0.5))
+    face_keys = operators._face_keys
+    monkeypatch.setattr(operators, "_face_keys", lambda mesh, fids, ev: (
+        np.column_stack([face_keys(mesh, fids, ev),
+                         [mesh.faces[f].anchor[2] > 0.5 for f in fids]])))
     cx = DdrComplex(generate_cubic_mesh(3), 2)
     assert n_built(cx.cells, "pot_curl") < cx.mesh.n_cells
     lower = [c for c in cx.cells if c.cell.anchor[2] < 2 / 3]

@@ -349,3 +349,55 @@ def test_degenerate_tetrahedron_names_cell_face_and_segment():
     with pytest.raises(quad.DegenerateSimplexError,
                        match=rf"^cell 0: zero-volume tetrahedron \(face {c.faces[2]}, segment 0\)$"):
         quad.cell_rule(m, 0, 2)
+
+
+# a group of two entities whose second member is at fault: the stacked rule
+# names that member, in the messages pinned above
+
+
+def test_edge_group_names_its_zero_length_member():
+    m = built(cube_tables())
+    m.edges[2].length = 0.0
+    with pytest.raises(quad.DegenerateSimplexError, match="^edge 2 has zero length$"):
+        quad.edge_rule(m, [1, 2], 2)
+
+
+def test_face_group_names_its_degenerate_member_and_segment():
+    m = built(cube_tables())
+    f = m.faces[3]
+    f.anchor = m.vertex_coords[f.vertex_loop[2]].copy()
+    with pytest.raises(quad.DegenerateSimplexError,
+                       match=r"^face 3: zero-area triangle \(segment 1\)$"):
+        quad.face_rule(m, [2, 3], 2)
+
+
+def test_face_group_checks_the_area_of_every_member():
+    m = built(cube_tables())
+    m.faces[3].area = 2.0
+    with pytest.raises(quad.DegenerateSimplexError,
+                       match="^face 3: fan decomposition does not recover the area$"):
+        quad.face_rule(m, [2, 3], 2)
+
+
+def test_cell_group_names_its_degenerate_member_face_and_segment():
+    m = msh.generate_cubic_mesh(2)
+    c = m.cells[1]
+    c.anchor = m.faces[c.faces[2]].anchor.copy()
+    with pytest.raises(quad.DegenerateSimplexError,
+                       match=rf"^cell 1: zero-volume tetrahedron \(face {c.faces[2]}, segment 0\)$"):
+        quad.cell_rule(m, [0, 1], 2)
+
+
+def test_cell_group_checks_the_volume_of_every_member():
+    m = msh.generate_cubic_mesh(2)
+    m.cells[1].volume *= 2.0
+    with pytest.raises(quad.DegenerateSimplexError,
+                       match="^cell 1: cone decomposition does not recover the volume$"):
+        quad.cell_rule(m, [0, 1], 2)
+
+
+def test_a_group_of_unlike_entities_is_rejected():
+    # an L cap (6 segments) and a side quad cannot share one stack
+    m = built(prism_tables(L_OUTLINE))
+    with pytest.raises(ValueError, match="same number of simplices"):
+        quad.face_rule(m, [0, 2], 2)

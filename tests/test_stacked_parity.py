@@ -17,6 +17,7 @@ from conftest import (cube_pyramid_mesh, get_mesh, jittered_kuhn_mesh,
                       pentagon_prism_mesh)
 from ddrns import operators
 from ddrns import polyspaces as ps
+from ddrns import quadrature as quad
 from ddrns.operators import DdrComplex
 from ddrns.spaces import SpaceKind
 
@@ -144,6 +145,31 @@ def test_stacked_edges_match_per_edge_build(mesh, k):
             assert_close(getattr(ectx, name), getattr(ref, name))
         for l, basis in ectx.sca.items():
             assert_close(basis.coeff, ref.sca[l].coeff)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mesh", list(MESHES))
+def test_rule_stacks_match_one_id_rules(mesh, k):
+    cx = DdrComplex(MESHES[mesh](), k)
+    for kind in ("edge", "face", "cell"):
+        for g in getattr(cx, f"{kind}_groups"):
+            for i, e in enumerate(g.ids.tolist()):
+                one = quad.rule_for(cx.mesh, kind, e, g.rule.exactness_degree)
+                assert np.array_equal(g.points[i], one.points), (kind, e)
+                assert np.array_equal(g.weights[i], one.weights), (kind, e)
+
+
+@pytest.mark.parametrize("family, n, k", [("cubic", 4, 0), ("tet", 2, 1)])
+def test_each_rule_function_is_called_once_per_group(monkeypatch, family,
+                                                     n, k):
+    calls = dict.fromkeys(("edge", "face", "cell"), 0)
+    for kind in calls:
+        def counted(*args, kind=kind, rule=getattr(operators, f"{kind}_rule")):
+            calls[kind] += 1
+            return rule(*args)
+        monkeypatch.setattr(operators, f"{kind}_rule", counted)
+    cx = DdrComplex(get_mesh(family, n), k)
+    assert calls == {kind: len(getattr(cx, f"{kind}_groups")) for kind in calls}
 
 
 def test_jittered_tets_build_one_group_each():
