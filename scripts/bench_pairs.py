@@ -12,7 +12,8 @@ traced (``--trace 1``).  Per workload the file records the seeds, the side
 that ran first, every run's end-to-end metrics, their medians, the
 parent's interquartile range, the number of pairs the change wins, the
 metric's bound from BENCHMARK.json with the no-regression reading against
-it (:func:`summarise`), and the traced per-layer figures.  A run that
+it, whether a gain is shown (:func:`summarise`), and the traced per-layer
+figures.  A run that
 exits with an error is listed under ``crashed`` by seed and counted in
 ``failed`` for its side; its pair is left out of the metrics, and the
 other pairs are measured as usual.  It also records
@@ -97,14 +98,17 @@ def line_count(checkout: Path, pattern: str) -> int:
 
 
 def summarise(metric: dict, better: str, bound: float) -> dict:
-    """Medians, parent IQR and change wins of one metric's paired runs, and
-    the no-regression reading against the metric's relative bound.
+    """Medians, parent IQR and change wins of one metric's paired runs, the
+    no-regression reading against the metric's relative bound, and the
+    claim reading.
 
     within_bound: the change's median is no worse than the parent's by
     more than the bound.  resolved: the parent's IQR over its median is
     within the bound, or every change run beats every parent run; a
     metric whose runs spread wider than its bound cannot show that it did
-    not get worse.
+    not get worse.  gain_shown: the change wins at least nine tenths of
+    the pairs, ties counting for neither side, and its median is better
+    than the parent's by more than the parent's IQR.
     """
     p, c = metric["parent_runs"], metric["change_runs"]
     pm, cm = statistics.median(p), statistics.median(c)
@@ -118,6 +122,7 @@ def summarise(metric: dict, better: str, bound: float) -> dict:
             "parent_iqr": round(iqr, 4), "bound": bound,
             "within_bound": bool(sign * (cm - pm) <= bound * abs(pm)),
             "resolved": bool(iqr <= bound * abs(pm) or max(sc) < min(sp)),
+            "gain_shown": bool(wins >= 0.9 * len(p) and sign * (pm - cm) > iqr),
             "parent_runs": p, "change_runs": c}
 
 

@@ -430,11 +430,11 @@ class _Group:
         self.chart = chart
         self.rule, self.points, self.weights = rule, rule.points, rule.weights
 
-    def _rule_blocks(self, parts):
-        """The rule points and weights of the built members in parts equal
-        blocks (the simplices of a cell rule), stacked block by block so
-        that one block only is held at a time: (slice of the rule, points
-        (G, m, 3), weights (G, m))."""
+    def _rule_blocks(self):
+        """The rule points and weights of the built members simplex by
+        simplex of their rule, so that one block only is held at a time:
+        (slice of the rule, points (G, m, 3), weights (G, m))."""
+        parts = self.rule.n_simplices
         m = self.points.shape[1] // parts
         for i in range(parts):
             sl = slice(i * m, (i + 1) * m)
@@ -457,15 +457,15 @@ class _Group:
         subspaces R^{k-1}, Rc^{ell+1}, R^k, Rc^k, Rc^{k+2} and extra of the
         built members, whose charts are chart; every scalar basis is a
         leading block of the Gram at degree k + 2."""
-        k, ell, geoms = self.k, self.ell, chart.geoms
+        k, ell, dim = self.k, self.ell, chart.dim
         self.gram = gram
         with self._naming_errors():
-            self.sca = {l: ps.build_scalar_basis(geoms, l, gram)
+            self.sca = {l: ps.build_scalar_basis(dim, l, gram)
                         for l in {k - 1, k, k + 1, ell}}
             # Rc^{ell+1} is Rc^k in DDR mode (ell = k - 1): each key is
             # built once
             self.sub = {
-                (sel, l): ps.build_subspace(geoms, sel, l, gram)
+                (sel, l): ps.build_subspace(dim, sel, l, gram)
                 for sel, l in dict.fromkeys([("R", k - 1), ("Rc", ell + 1),
                                              ("R", k), ("Rc", k),
                                              ("Rc", k + 2), *extra])}
@@ -529,7 +529,7 @@ class EdgeContext(_Group):
         # every scalar basis orthonormalises a leading block of one Gram
         self.gram = ps.monomial_gram(mono, self.weights)
         with self._naming_errors():
-            self.sca = {l: ps.build_scalar_basis(chart.geoms, l, self.gram)
+            self.sca = {l: ps.build_scalar_basis(chart.dim, l, self.gram)
                         for l in (k - 1, k, k + 1)}
 
         # skeleton reconstruction: [q(v_a), q(v_b), moments vs P^{k-1}] ->
@@ -583,7 +583,7 @@ class FaceContext(_Group):
         self.curl_R_slice, self.curl_Rc_slice = _tail(
             self.n_curl, layouts[SpaceKind.CURL].face_subsizes)
         chart = self.chart[self.rep]
-        self._bases(chart, chart.gram(self._rule_blocks(1), k + 2))
+        self._bases(chart, chart.gram(self._rule_blocks(), k + 2))
         self._assemble(chart, _face_edges(mesh, self.ids[self.rep], layouts,
                                           edge_group, chart, k + 2))
 
@@ -671,10 +671,8 @@ class CellContext(_Group):
         t = _cell_tables(mesh, layouts, self.ids[self.rep])
         self._sizes(layouts, t.glob)
         chart = self.chart[self.rep]
-        # the cell rule runs tetrahedron by tetrahedron, one per face
-        # segment, and is summed and sampled one tetrahedron at a time
-        n_tets = int(t.loops[0].sum())
-        self._bases(chart, chart.gram(self._rule_blocks(n_tets), k + 2),
+        # the cell rule is summed and sampled one tetrahedron at a time
+        self._bases(chart, chart.gram(self._rule_blocks(), k + 2),
                     [("G", k - 1), ("Gc", k), ("Gc", k + 1)])
         # evaluation caches kept small: scalar P^k basis at the rule points
         # of every member, each in the basis of its row, and the moment
@@ -683,7 +681,7 @@ class CellContext(_Group):
         members = ps.ScalarBasis(None, k, pk.coeff[self.row])
         self.phi_k = np.empty(self.weights.shape + (pk.dim,))
         self.tri_tensor = np.zeros((len(self.rep),) + (pk.dim,) * 3)
-        for sl, _, w in self._rule_blocks(n_tets):
+        for sl, _, w in self._rule_blocks():
             phi = self.phi_k[:, sl] = members.values(
                 self.chart.monomials(self.points[:, sl], k))
             self.tri_tensor += _triple_moments(w, phi[self.rep])

@@ -209,12 +209,17 @@ def cell_geometry(mesh: Mesh, c: Cell | int) -> EntityGeometry:
 # ---------------------------------------------------------------------------
 # bases
 #
-# A basis may hold a stack of G bases, one per entity of a group: its geom
-# is then a tuple of G geometries and its coeff has a leading axis of
-# length G.
+# A basis may hold a stack of G bases, one per entity of a group: its coeff
+# then has a leading axis of length G and its geom is None, and the
+# builders take the dimension of the group's charts in place of a geometry.
 
-def _space_dim(geom) -> int:
-    return (geom[0] if isinstance(geom, tuple) else geom).dim
+def _space_dim(geom: EntityGeometry | int) -> int:
+    return geom if isinstance(geom, int) else geom.dim
+
+
+def _own_chart(geom: EntityGeometry | int) -> EntityGeometry | None:
+    """The chart a built basis keeps: none for a stack."""
+    return None if isinstance(geom, int) else geom
 
 
 @dataclass
@@ -321,17 +326,19 @@ def _orthonormalise_gram(gram: np.ndarray) -> np.ndarray:
     return C.reshape(g.shape)
 
 
-def build_scalar_basis(geom: EntityGeometry, degree: int, gram) -> ScalarBasis:
+def build_scalar_basis(geom: EntityGeometry | int, degree: int,
+                       gram) -> ScalarBasis:
     """L2-orthonormal scalar basis of P^degree(Y); degree -1 gives {0}.
 
     gram is the monomial Gram of Y at a degree >= degree, whose leading
-    block is orthonormalised.  A stack of G Grams, with a tuple of G
-    geometries, gives a stack of bases.
+    block is orthonormalised.  A stack of G Grams, with the dimension of
+    their charts for geom, gives a stack of bases.
     """
+    chart = _own_chart(geom)
     if degree < 0:
-        return ScalarBasis(geom, 0, np.zeros(gram.shape[:-2] + (0, 1)))
+        return ScalarBasis(chart, 0, np.zeros(gram.shape[:-2] + (0, 1)))
     n = dim_poly(_space_dim(geom), degree)
-    return ScalarBasis(geom, degree, _orthonormalise_gram(gram[..., :n, :n]))
+    return ScalarBasis(chart, degree, _orthonormalise_gram(gram[..., :n, :n]))
 
 
 def tensor_vector_basis(sb: ScalarBasis, ncomp: int) -> VectorBasis:
@@ -487,17 +494,17 @@ def _spanning_family(d: int, selector: str, degree: int) -> np.ndarray:
     return rows
 
 
-def build_subspace(geom: EntityGeometry, selector: str, degree: int,
+def build_subspace(geom: EntityGeometry | int, selector: str, degree: int,
                    gram: np.ndarray) -> VectorBasis:
     """L2-orthonormal basis of G/Gc/R/Rc^degree(Y), of degree max(degree, 0).
 
     The spanning family of the unit chart is orthonormalised against the
     entity's monomial Gram (at a degree covering degree), so the basis
     depends on the geometry only through that Gram.  A stack of Grams, with
-    a tuple of geometries, gives a stack of bases.
+    the dimension of their charts for geom, gives a stack of bases.
     """
     family = _spanning_family(_space_dim(geom), selector, degree)
     nf, nm, nc = family.shape
     C = _orthonormalise_gram(vector_inner(gram, family, family))
     coeff = (C @ family.reshape(nf, nm * nc)).reshape(C.shape[:-1] + (nm, nc))
-    return VectorBasis(geom, max(degree, 0), nc, coeff)
+    return VectorBasis(_own_chart(geom), max(degree, 0), nc, coeff)

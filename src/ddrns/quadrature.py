@@ -1,9 +1,18 @@
 """Exactness-degree-driven quadrature on mesh edges, faces and cells.
 
-Edges use Gauss-Legendre.  Polygonal faces are fan-triangulated from the face
-anchor and each triangle carries a collapsed (Duffy) tensor Gauss rule; cells
-are split into tetrahedra by coning the face triangles to the cell anchor.
-All rules are exact for polynomials up to the requested total degree.
+Edges use Gauss-Legendre.  Faces and cells are split into simplices, and
+each simplex carries a collapsed (Duffy) tensor rule: Gauss-Jacobi points
+in the collapsed directions, whose weights (1 - u)^1 and (1 - u)^2 absorb
+the collapse Jacobian, and Gauss-Legendre in the last one, (d + 2) // 2
+points per direction for degree d (Stroud 1971; Karniadakis & Sherwin
+2005, sec. 4.1).  :func:`face_triangles` triangulates every face once, for
+face and cell rules alike: a triangle is itself, a polygon the fan from
+its anchor.  A cell is the cone from its anchor over the triangles of its
+faces, except a tetrahedron, which is its own single simplex; so a
+simplicial mesh has one simplex per face and per cell.  All rules are
+exact for polynomials up to the requested total degree, and each carries
+its number of simplices per member (``n_simplices``), its points coming
+simplex by simplex.
 
 Rules take a stack of the entities of one group: :func:`edge_rule`,
 :func:`face_rule` and :func:`cell_rule` take a sequence of ids whose
@@ -11,10 +20,10 @@ members have the same number of simplices (faces of one loop length, cells
 with the same face loop lengths) and return one :class:`QuadratureRule`
 holding a stack, whose ``rule[i]`` is the rule of member i.  One id gives
 its own rule, as a one-member stack.  Each stack is one array pass: the
-corners of every member's fan or cone come from index arrays, and
+corners of every member's simplices come from index arrays, and
 :func:`triangle_rule` / :func:`tet_rule` place the reference Duffy points on
 all the simplices at once.  A member's points come out simplex by simplex,
-in its own fan or cone order and in Duffy order inside each simplex, with
+in its own decomposition order and in Duffy order inside each simplex, with
 the bits of placing each simplex on its own.  A zero-measure simplex raises
 :class:`DegenerateSimplexError` naming the first face or cell at fault and
 the segment, and so does a member whose weights miss its area or volume.
@@ -27,8 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
 
-from .mesh import Mesh, cross3, loop_segments
+from .mesh import Mesh, cross3
 
 
 class DegenerateSimplexError(Exception):
@@ -44,10 +54,13 @@ class DegenerateSimplexError(Exception):
 @dataclass(frozen=True)
 class QuadratureRule:
     """The rule of one entity, points (n, 3) and weights (n,), or a stack
-    of the rules of N entities, points (N, n, 3) and weights (N, n)."""
+    of the rules of N entities, points (N, n, 3) and weights (N, n); the
+    points of each member come in n_simplices equal blocks, one per
+    simplex of its decomposition."""
     points: np.ndarray
     weights: np.ndarray
     exactness_degree: int
+    n_simplices: int = 1
 
     @property
     def n_points(self) -> int:
@@ -56,7 +69,7 @@ class QuadratureRule:
     def __getitem__(self, i) -> "QuadratureRule":
         """The rule of member i of a stack."""
         return QuadratureRule(self.points[i], self.weights[i],
-                              self.exactness_degree)
+                              self.exactness_degree, self.n_simplices)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Contract sampled values (n, ...) against the weights of one rule."""
@@ -69,8 +82,16 @@ def _gl01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@lru_cache(maxsize=None)
+def _gj01(n: int, alpha: int):
+    """Gauss-Jacobi rule on [0, 1] for the weight (1 - u)^alpha."""
+    x, w = roots_jacobi(n, alpha, 0.0)
+    return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
+
+
 def edge_rule_points(degree: int) -> int:
-    return (degree + 2) // 2  # ceil((degree+1)/2)
+    """Points per direction of a rule exact to degree: ceil((degree+1)/2)."""
+    return (degree + 2) // 2
 
 
 def _group(ids) -> np.ndarray:
@@ -118,16 +139,15 @@ def edge_rule(mesh: Mesh, edge_ids, degree: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _duffy_triangle(degree: int):
-    # reference triangle {xi, eta >= 0, xi + eta <= 1}; map xi=u, eta=v(1-u)
-    nu = (degree + 3) // 2
-    nv = (degree + 2) // 2
-    xu, wu = _gl01(nu)
-    xv, wv = _gl01(nv)
+    # reference triangle {xi, eta >= 0, xi + eta <= 1}; map xi=u, eta=v(1-u),
+    # whose Jacobian (1 - u) is the Gauss-Jacobi weight in u
+    n = edge_rule_points(degree)
+    xu, wu = _gj01(n, 1)
+    xv, wv = _gl01(n)
     U, V = np.meshgrid(xu, xv, indexing="ij")
-    W = np.outer(wu, wv) * (1.0 - U)
     xi = U.ravel()
     eta = (V * (1.0 - U)).ravel()
-    return xi, eta, W.ravel()
+    return xi, eta, np.outer(wu, wv).ravel()
 
 
 def _check_measure(measure: np.ndarray, what: str):
@@ -154,15 +174,14 @@ def triangle_rule(verts: np.ndarray, degree: int):
 
 @lru_cache(maxsize=None)
 def _duffy_tet(degree: int):
-    nu = (degree + 4) // 2
-    nv = (degree + 3) // 2
-    nw = (degree + 2) // 2
-    xu, wu = _gl01(nu)
-    xv, wv = _gl01(nv)
-    xw, ww = _gl01(nw)
+    # the Jacobian (1 - u)^2 (1 - v) of the collapse is the Gauss-Jacobi
+    # weight in u and v
+    n = edge_rule_points(degree)
+    xu, wu = _gj01(n, 2)
+    xv, wv = _gj01(n, 1)
+    xw, ww = _gl01(n)
     U, V, W = np.meshgrid(xu, xv, xw, indexing="ij")
-    wt = (wu[:, None, None] * wv[None, :, None] * ww[None, None, :]
-          * (1.0 - U) ** 2 * (1.0 - V))
+    wt = wu[:, None, None] * wv[None, :, None] * ww[None, None, :]
     xi1 = U.ravel()
     xi2 = (V * (1.0 - U)).ravel()
     xi3 = (W * (1.0 - U) * (1.0 - V)).ravel()
@@ -183,63 +202,82 @@ def tet_rule(verts: np.ndarray, degree: int):
     return pts.reshape(-1, 3), (w[None, :] * vol6[:, None]).ravel()
 
 
+def face_triangles(mesh: Mesh, face_ids):
+    """The triangles of faces face_ids, face by face: a triangle is itself
+    (v_0, v_1, v_2), a polygon the fan (x_F, v_i, v_i+1) of its segments.
+    Returns the corners (T, 3, 3) and, for each triangle, the position of
+    its face in face_ids and its segment (0 for a triangle)."""
+    faces = [mesh.faces[f] for f in face_ids]
+    n = np.array([len(f.vertex_loop) for f in faces])
+    count = np.where(n == 3, 1, n)
+    face = np.repeat(np.arange(len(faces)), count)
+    segment = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+    start = np.cumsum(n) - n
+    loops = np.concatenate([f.vertex_loop for f in faces])
+    vertex = lambda j: mesh.vertex_coords[loops[start[face] + j % n[face]]]
+    tri = (n[face] == 3).astype(int)
+    corners = np.empty((len(face), 3, 3))
+    corners[:, 0] = np.where(tri[:, None], vertex(segment),
+                             np.array([f.anchor for f in faces])[face])
+    corners[:, 1] = vertex(segment + tri)
+    corners[:, 2] = vertex(segment + tri + 1)
+    return corners, face, segment
+
+
 def face_rule(mesh: Mesh, face_ids, degree: int) -> QuadratureRule:
-    """The fan of triangles (x_F, v_i, v_i+1) of each face, one rule each;
-    face_ids is one face or a sequence of faces of one loop length."""
+    """The rule of each face on its :func:`face_triangles`; face_ids is one
+    face or a sequence of faces of one loop length."""
     ids = _group(face_ids)
     faces = [mesh.faces[f] for f in ids.tolist()]
-    n = _per_member([len(f.vertex_loop) for f in faces], "face")
-    loops = np.array([f.vertex_loop for f in faces])
-    tris = np.empty((len(ids), n, 3, 3))
-    tris[:, :, 0] = np.array([f.anchor for f in faces])[:, None]
-    tris[:, :, 1] = mesh.vertex_coords[loops]
-    tris[:, :, 2] = mesh.vertex_coords[np.roll(loops, -1, axis=1)]
+    _per_member([len(f.vertex_loop) for f in faces], "face")
+    tris, face, segment = face_triangles(mesh, ids.tolist())
     try:
         pts, weights = triangle_rule(tris, degree)
     except DegenerateSimplexError as err:
-        member, segment = divmod(err.simplex, n)
+        i = err.simplex
         raise DegenerateSimplexError(
-            f"face {ids[member]}: zero-area triangle (segment {segment})") from None
+            f"face {ids[face[i]]}: zero-area triangle (segment {segment[i]})"
+        ) from None
     weights = weights.reshape(len(ids), -1)
     _check_recovered("face", ids, weights, np.array([f.area for f in faces]),
                      "fan decomposition does not recover the area")
     return _one_or_stack(face_ids, QuadratureRule(
-        pts.reshape(weights.shape + (3,)), weights, degree))
+        pts.reshape(weights.shape + (3,)), weights, degree,
+        len(face) // len(ids)))
 
 
 def cell_rule(mesh: Mesh, cell_ids, degree: int) -> QuadratureRule:
-    """The cone from x_T of each face's fan: tetrahedra (x_T, x_F, v_i,
-    v_i+1), face by face in the cell's own order, one rule each; cell_ids
-    is one cell or a sequence of cells with the same number of face
-    segments."""
+    """The rule of each cell on its tetrahedra: a tetrahedron is itself,
+    the cone from its vertex opposite its first face; any other cell is the
+    cone from x_T over the :func:`face_triangles` of its faces, face by face
+    in the cell's own order.  cell_ids is one cell or a sequence of cells
+    with the same number of tetrahedra."""
     ids = _group(cell_ids)
     cells = [mesh.cells[c] for c in ids.tolist()]
-    # the face incidences of the members, cell by cell, each in c.faces order
-    inc = [f for c in cells for f in c.faces]
-    loops = [mesh.faces[f].vertex_loop for f in inc]
-    n = _per_member([sum(len(mesh.faces[f].vertex_loop) for f in c.faces)
-                     for c in cells], "cell")
-    cur, nxt = loop_segments(loops)
-    seg_inc = np.repeat(np.arange(len(inc)), [len(loop) for loop in loops])
-    tets = np.empty((len(cur), 4, 3))
-    tets[:, 0] = np.repeat(np.array([c.anchor for c in cells]), n, axis=0)
-    tets[:, 1] = np.array([mesh.faces[f].anchor for f in inc])[seg_inc]
-    tets[:, 2] = mesh.vertex_coords[cur]
-    tets[:, 3] = mesh.vertex_coords[nxt]
+    tet = [len(c.vertex_ids) == 4 for c in cells]
+    # the faces each member is coned over, member by member
+    cones = [c.faces[:1] if t else c.faces for c, t in zip(cells, tet)]
+    inc = [f for fs in cones for f in fs]
+    tris, face, segment = face_triangles(mesh, inc)
+    member = np.repeat(np.arange(len(ids)), [len(fs) for fs in cones])[face]
+    n = _per_member(np.bincount(member, minlength=len(ids)).tolist(), "cell")
+    apex = np.array([
+        mesh.vertex_coords[next(v for v in c.vertex_ids if v not in
+                                mesh.faces[c.faces[0]].vertex_loop)]
+        if t else c.anchor for c, t in zip(cells, tet)])
+    tets = np.concatenate([apex[member][:, None], tris], axis=1)
     try:
         pts, weights = tet_rule(tets, degree)
     except DegenerateSimplexError as err:
         i = err.simplex
-        j = int(seg_inc[i])
-        segment = i - int(np.searchsorted(seg_inc, j))
         raise DegenerateSimplexError(
-            f"cell {ids[i // n]}: zero-volume tetrahedron "
-            f"(face {inc[j]}, segment {segment})") from None
+            f"cell {ids[member[i]]}: zero-volume tetrahedron "
+            f"(face {inc[face[i]]}, segment {segment[i]})") from None
     weights = weights.reshape(len(ids), -1)
     _check_recovered("cell", ids, weights, np.array([c.volume for c in cells]),
                      "cone decomposition does not recover the volume")
     return _one_or_stack(cell_ids, QuadratureRule(
-        pts.reshape(weights.shape + (3,)), weights, degree))
+        pts.reshape(weights.shape + (3,)), weights, degree, n))
 
 
 def rule_for(mesh: Mesh, kind: str, index: int, degree: int) -> QuadratureRule:

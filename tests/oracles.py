@@ -34,26 +34,15 @@ from ddrns.quadrature import cell_rule, face_rule
 from ddrns.spaces import DofVector, SpaceKind
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
+def simplex_moments(verts: np.ndarray, degree: int) -> np.ndarray:
+    """Exact integrals of every monomial x^p, |p| <= degree, over the
+    simplex with the given vertices ((d+1, 3) array), as an array m with
+    m[p] = int_S x^p ((degree + 1,) * 3, zero where |p| > degree).
 
-
-def _poly_pow(a: dict, n: int, nvar: int) -> dict:
-    out = {tuple([0] * nvar): 1.0}
-    for _ in range(n):
-        out = _poly_mul(out, a)
-    return out
-
-
-def monomial_over_simplex(verts: np.ndarray, powers) -> float:
-    """Exact integral of prod_j x_j^powers[j] over the simplex with the given
-    vertices ((d+1, 3) array), via barycentric expansion and
-    int_simplex prod lambda_i^{b_i} = d! |S| prod b_i! / (sum b_i + d)!."""
+    With int_S prod lambda_i^{b_i} = d! |S| prod b_i! / (sum b_i + d)!, the
+    barycentric expansion of x^p sums to
+    int_S x^p = d! |S| p! / (|p| + d)! [s^p] prod_i 1 / (1 - v_i . s),
+    and the power series of the product is formed one vertex at a time."""
     verts = np.asarray(verts, dtype=float)
     d = len(verts) - 1
     if d == 1:
@@ -63,69 +52,69 @@ def monomial_over_simplex(verts: np.ndarray, powers) -> float:
                                              verts[2] - verts[0]))
     else:
         meas = abs(np.linalg.det(verts[1:] - verts[0])) / 6.0
-    nvar = d + 1
-    poly = {tuple([0] * nvar): 1.0}
-    for j, p in enumerate(powers):
-        coord = {}
-        for i in range(nvar):
-            e = [0] * nvar
-            e[i] = 1
-            coord[tuple(e)] = verts[i][j]
-        poly = _poly_mul(poly, _poly_pow(coord, int(p), nvar))
-    total = 0.0
-    fact_d = math.factorial(d)
-    for e, c in poly.items():
-        num = 1.0
-        for b in e:
-            num *= math.factorial(b)
-        total += c * fact_d * num / math.factorial(sum(e) + d)
-    return float(total * meas)
+    n = degree + 1
+    series = np.zeros((n, n, n))
+    series[0, 0, 0] = 1.0
+    for v in verts:
+        # series / (1 - v . s) = sum_t (v . s)^t series, up to the degree
+        term, acc = series, series.copy()
+        for _ in range(degree):
+            nxt = np.zeros_like(term)
+            nxt[1:] += v[0] * term[:-1]
+            nxt[:, 1:] += v[1] * term[:, :-1]
+            nxt[:, :, 1:] += v[2] * term[:, :, :-1]
+            term = nxt
+            acc += term
+        series = acc
+    p = np.indices(series.shape)
+    total = p.sum(axis=0)
+    fact = np.array([math.factorial(t) for t in range(3 * n + d)], float)
+    scale = (math.factorial(d) * meas * np.prod(fact[p], axis=0)
+             / fact[total + d])
+    return np.where(total <= degree, scale * series, 0.0)
 
 
-def signed_monomial_over_cone(apex, tri, powers) -> float:
-    """Signed version for cell integration by coning oriented triangles."""
-    verts = np.vstack([apex, tri])
-    sign = np.sign(np.linalg.det(np.asarray(tri) - np.asarray(apex)))
-    return sign * monomial_over_simplex(verts, powers)
+def monomial_over_simplex(verts: np.ndarray, powers) -> float:
+    """Exact integral of prod_j x_j^powers[j] over the simplex with the given
+    vertices ((d+1, 3) array), by :func:`simplex_moments`."""
+    return float(simplex_moments(verts, int(sum(powers)))[tuple(powers)])
 
 
-def integrate_monomial_edge(mesh, eid, powers) -> float:
-    e = mesh.edges[eid]
-    verts = mesh.vertex_coords[list(e.vertices)]
-    return monomial_over_simplex(verts, powers)
+def _edge_simplices(mesh, eid):
+    yield 1.0, mesh.vertex_coords[list(mesh.edges[eid].vertices)]
 
 
-def integrate_monomial_face(mesh, fid, powers) -> float:
+def _face_simplices(mesh, fid):
     """Fan from the first loop vertex (not the library's anchor)."""
-    f = mesh.faces[fid]
-    pts = mesh.vertex_coords[f.vertex_loop]
-    total = 0.0
+    pts = mesh.vertex_coords[mesh.faces[fid].vertex_loop]
     for i in range(1, len(pts) - 1):
-        total += monomial_over_simplex(np.array([pts[0], pts[i], pts[i + 1]]),
-                                       powers)
-    return total
+        yield 1.0, np.array([pts[0], pts[i], pts[i + 1]])
 
 
-def integrate_monomial_cell(mesh, cid, powers) -> float:
+def _cell_simplices(mesh, cid):
     """Signed cones from the first cell vertex over oriented face fans."""
     c = mesh.cells[cid]
     apex = mesh.vertex_coords[c.vertex_ids[0]]
-    total = 0.0
     for fid, sgn in zip(c.faces, c.face_signs):
-        f = mesh.faces[fid]
-        pts = mesh.vertex_coords[f.vertex_loop]
+        pts = mesh.vertex_coords[mesh.faces[fid].vertex_loop]
         loop = pts if sgn > 0 else pts[::-1]
         for i in range(1, len(loop) - 1):
             tri = np.array([loop[0], loop[i], loop[i + 1]])
-            d = np.linalg.det(tri - apex)
-            total += np.sign(d) * monomial_over_simplex(np.vstack([apex, tri]),
-                                                        powers)
-    return total
+            yield np.sign(np.linalg.det(tri - apex)), np.vstack([apex, tri])
+
+
+def monomial_moments(mesh, kind, idx, degree) -> np.ndarray:
+    """int_Y x^p for every |p| <= degree on one edge, face or cell Y, as
+    :func:`simplex_moments` lays them out, summed over the simplices of Y."""
+    simplices = {"edge": _edge_simplices, "face": _face_simplices,
+                 "cell": _cell_simplices}[kind](mesh, idx)
+    return sum(sign * simplex_moments(verts, degree)
+               for sign, verts in simplices)
 
 
 def integrate_monomial(mesh, kind, idx, powers) -> float:
-    return {"edge": integrate_monomial_edge, "face": integrate_monomial_face,
-            "cell": integrate_monomial_cell}[kind](mesh, idx, powers)
+    return float(monomial_moments(mesh, kind, idx, int(sum(powers)))[
+        tuple(powers)])
 
 
 def all_powers(total_degree: int):
@@ -518,26 +507,35 @@ def reference_tet_rule(verts, degree):
     return pts, w * vol6
 
 
+def reference_triangles(mesh, fid):
+    """The triangles of a face: itself, or the fan from its anchor."""
+    f = mesh.faces[fid]
+    loop = mesh.vertex_coords[f.vertex_loop]
+    if len(loop) == 3:
+        return [loop]
+    return [np.array([f.anchor, loop[i], loop[(i + 1) % len(loop)]])
+            for i in range(len(loop))]
+
+
 def reference_rule(mesh, kind, index, degree):
     """Points and weights of a face or cell rule, one simplex at a time:
-    the fan of a face from its anchor, the cone of each face's fan from the
-    cell anchor."""
-    V = mesh.vertex_coords
+    the triangles of a face; a tetrahedron coned from its vertex opposite
+    its first face over that face, and any other cell coned from its anchor
+    over the triangles of each face."""
     if kind == "face":
-        f = mesh.faces[index]
-        loop = V[f.vertex_loop]
-        parts = [reference_triangle_rule(
-            np.array([f.anchor, loop[i], loop[(i + 1) % len(loop)]]), degree)
-            for i in range(len(loop))]
+        parts = [reference_triangle_rule(t, degree)
+                 for t in reference_triangles(mesh, index)]
     else:
         c = mesh.cells[index]
-        parts = []
-        for fid in c.faces:
-            f = mesh.faces[fid]
-            loop = V[f.vertex_loop]
-            parts += [reference_tet_rule(
-                np.array([c.anchor, f.anchor, loop[i], loop[(i + 1) % len(loop)]]),
-                degree) for i in range(len(loop))]
+        if len(c.vertex_ids) == 4:
+            loop = mesh.faces[c.faces[0]].vertex_loop
+            apex = mesh.vertex_coords[[v for v in c.vertex_ids
+                                       if v not in loop][0]]
+            cones = [(apex, c.faces[0])]
+        else:
+            cones = [(c.anchor, fid) for fid in c.faces]
+        parts = [reference_tet_rule(np.vstack([apex, t]), degree)
+                 for apex, fid in cones for t in reference_triangles(mesh, fid)]
     return (np.concatenate([p for p, _ in parts]),
             np.concatenate([w for _, w in parts]))
 
@@ -714,13 +712,13 @@ def _edge_traces(ectx, skeleton, curl_cols) -> dict:
 class _ReferenceEntity:
     """What faces and cells share: their bases and their gradient."""
 
-    def _bases(self, extra=(), parts=1):
+    def _bases(self, extra=()):
         """Monomial Gram, scalar bases, P^k vector basis and the split
         subspaces R^{k-1}, Rc^{ell+1}, R^k, Rc^k, Rc^{k+2} and extra.  The
-        Gram sums the rule over parts equal blocks of points (the simplices
-        of a cell rule), in the order DdrComplex sums them; every scalar
-        basis is a leading block of it."""
+        Gram sums the rule simplex by simplex, in the order DdrComplex sums
+        it; every scalar basis is a leading block of it."""
         k, ell, g = self.k, self.ell, self.geom
+        parts = self.rule.n_simplices
         self.gram = sum(
             ps.monomial_gram(ps.sample_monomials(g, k + 2, p), w)
             for p, w in zip(np.split(self.rule.points, parts),
@@ -871,9 +869,7 @@ class ReferenceCell(_ReferenceEntity):
         self.k = k
         self.ell = ell
         self._place(mesh, cid, rule_degree, layouts)
-        # the cell rule runs tetrahedron by tetrahedron, one per face segment
-        self._bases([("G", k - 1), ("Gc", k), ("Gc", k + 1)], parts=sum(
-            len(mesh.faces[f].vertex_loop) for f in self.face_ids))
+        self._bases([("G", k - 1), ("Gc", k), ("Gc", k + 1)])
         faces, edges = self.traces(edge_ctx, face_ctx)
         sample = Sampler(self.geom, k + 2)
         self._assemble(faces, edges, sample)
@@ -1072,10 +1068,9 @@ class GroupOfOne:
         self.chart = _Chart(g.origin[None], np.array([g.scale]), g.axes[None],
                             np.array([g.measure]))
         self.points, self.weights = ctx.rule.points[None], ctx.rule.weights[None]
-        geoms = (ctx.geom,)
-        self.sca = {l: ps.ScalarBasis(geoms, b.degree, b.coeff[None])
+        self.sca = {l: ps.ScalarBasis(None, b.degree, b.coeff[None])
                     for l, b in ctx.sca.items()}
-        self.sub = {key: ps.VectorBasis(geoms, b.degree, b.ncomp, b.coeff[None])
+        self.sub = {key: ps.VectorBasis(None, b.degree, b.ncomp, b.coeff[None])
                     for key, b in ctx.sub.items()}
         if hasattr(ctx, "face"):
             self.normal = ctx.face.normal[None]

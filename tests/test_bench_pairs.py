@@ -54,6 +54,34 @@ def test_a_change_beating_every_parent_run_is_resolved_despite_spread():
                    better="higher")["resolved"]
 
 
+# ten pairs: the claim rule needs 9 wins and a median gain beyond the
+# parent's IQR
+STEADY = [1.0, 1.01, 0.99, 1.0, 1.02, 1.0, 0.98, 1.01, 1.0, 0.99]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_gain_won_in_nine_pairs_beyond_the_iqr_is_shown(better):
+    faster = [0.5] * 9 + [1.5]
+    change = faster if better == "lower" else [2 - x for x in faster]
+    s = summary(STEADY, change, better=better)
+    assert s["change_wins"] == 9 and s["gain_shown"]
+
+
+def test_a_gain_won_in_eight_pairs_is_not_shown():
+    s = summary(STEADY, [0.5] * 8 + [1.5, 1.5])
+    assert s["change_wins"] == 8
+    assert s["parent_median"] - s["change_median"] > s["parent_iqr"]
+    assert not s["gain_shown"]
+
+
+def test_a_gain_within_the_parent_iqr_is_not_shown():
+    parent = [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4]
+    s = summary(parent, [x - 0.05 for x in parent])
+    assert s["change_wins"] == 10
+    assert s["parent_median"] - s["change_median"] < s["parent_iqr"]
+    assert not s["gain_shown"]
+
+
 STUB_RUN = """import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 if {crash} and args["--seed"] == "2":

@@ -28,7 +28,7 @@ def test_divergence_closure_oracle_n4():
     # direct volume integration oracle: sum_F w_TF int_F x.n = 3|T|
     m = msh.generate_cubic_mesh(4)
     for c in m.cells:
-        vol = oracles.integrate_monomial_cell(m, c.id, (0, 0, 0))
+        vol = oracles.integrate_monomial(m, "cell", c.id, (0, 0, 0))
         acc = sum(s * np.dot(m.faces[f].anchor, m.faces[f].normal)
                   * m.faces[f].area for f, s in zip(c.faces, c.face_signs))
         assert acc == pytest.approx(3.0 * vol, rel=1e-12)
@@ -69,7 +69,7 @@ def test_kuhn_tet_closure_oracle(tet1):
     for c in tet1.cells:
         acc = sum(s * np.dot(tet1.faces[f].anchor, tet1.faces[f].normal)
                   * tet1.faces[f].area for f, s in zip(c.faces, c.face_signs))
-        vol = oracles.integrate_monomial_cell(tet1, c.id, (0, 0, 0))
+        vol = oracles.integrate_monomial(tet1, "cell", c.id, (0, 0, 0))
         assert acc == pytest.approx(3 * vol, rel=1e-12)
 
 

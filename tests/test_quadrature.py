@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddrns import quadrature as quad
-from conftest import get_mesh, prism_mesh, random_hex_mesh
+from conftest import (get_mesh, jittered_kuhn_mesh, pentagon_prism_mesh,
+                      prism_mesh, random_hex_mesh)
 
 import oracles
 
@@ -47,23 +48,48 @@ def test_weights_sum_to_measure(cube2, tet1):
             assert r.weights.sum() == pytest.approx(c.volume, rel=1e-12)
 
 
-@pytest.mark.parametrize("family,n", [("cubic", 2), ("tet", 1)])
-@pytest.mark.parametrize("degree", [0, 1, 3, 5, 7, 9])
+# family -> mesh of size n; the prisms are single meshes (n = 1)
+EXACTNESS_MESHES = {
+    "cubic": lambda n: get_mesh("cubic", n),
+    "tet": lambda n: get_mesh("tet", n),
+    "jittered_kuhn": lambda n: jittered_kuhn_mesh(n),
+    "prism": lambda n: prism_mesh(),
+    "pentagon_prism": lambda n: pentagon_prism_mesh(),
+}
+
+
+@pytest.mark.parametrize("family,n", [("cubic", 2), ("tet", 1),
+                                      ("jittered_kuhn", 2), ("prism", 1),
+                                      ("pentagon_prism", 1)])
+@pytest.mark.parametrize("degree", [0, 1, 3, 5, 7, 9, 11, 12])
 def test_monomial_exactness_vs_oracle(family, n, degree):
     # invariant: every monomial up to the requested degree integrates to the
-    # closed-form simplex-decomposition value, on every entity
-    m = get_mesh(family, n)
-    rng = np.random.default_rng(degree)
-    kinds = [("edge", rng.integers(0, m.n_edges)),
-             ("face", rng.integers(0, m.n_faces)),
-             ("cell", rng.integers(0, m.n_cells))]
-    for kind, idx in kinds:
-        r = quad.rule_for(m, kind, int(idx), degree)
-        for p in oracles.all_powers(degree):
-            val = r.integrate(r.points[:, 0]**p[0] * r.points[:, 1]**p[1]
-                              * r.points[:, 2]**p[2])
-            ref = oracles.integrate_monomial(m, kind, int(idx), p)
-            assert val == pytest.approx(ref, rel=1e-12, abs=1e-13)
+    # closed-form simplex-decomposition value, on every entity; degree 12 is
+    # the cell rule degree at k=3
+    m = EXACTNESS_MESHES[family](n)
+    powers = np.array(list(oracles.all_powers(degree)))
+    for kind, count in (("edge", m.n_edges), ("face", m.n_faces),
+                        ("cell", m.n_cells)):
+        for idx in range(count):
+            r = quad.rule_for(m, kind, idx, degree)
+            val = r.integrate(np.prod(r.points[:, None, :] ** powers, axis=2))
+            ref = oracles.monomial_moments(m, kind, idx, degree)[
+                tuple(powers.T)]
+            assert val == pytest.approx(ref, rel=1e-12, abs=1e-13), (kind, idx)
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_rules_take_the_fewest_points(degree):
+    # (degree + 2) // 2 points per direction of each simplex; a triangle and
+    # a tetrahedron are their own simplex, a square is fanned into 4
+    # triangles and a cube coned into 24 tetrahedra, a prism into 14
+    n = (degree + 2) // 2
+    tet, cube, prism = get_mesh("tet", 1), get_mesh("cubic", 1), prism_mesh()
+    for mesh, cells, faces in ((tet, 1, 1), (cube, 24, 4), (prism, 14, 1)):
+        cell = quad.cell_rule(mesh, 0, degree)
+        face = quad.face_rule(mesh, 1, degree)
+        assert (cell.n_simplices, cell.n_points) == (cells, cells * n ** 3)
+        assert (face.n_simplices, face.n_points) == (faces, faces * n ** 2)
 
 
 def test_high_degree_prism_and_hex():

@@ -129,6 +129,21 @@ def test_no_gram_takes_the_eigen_fallback_at_k3(monkeypatch):
     assert calls == []
 
 
+def test_a_build_makes_no_per_entity_chart(monkeypatch):
+    """Stacked bases take the dimension of their charts: DdrComplex makes
+    no EntityGeometry until a view asks for its chart."""
+    made, init = [], ps.EntityGeometry.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ps.EntityGeometry, "__init__", counted)
+    cx = DdrComplex(get_mesh("cubic", 2), 1)
+    assert made == []
+    assert cx.cells[0].geom.dim == 3 and made
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_interpolators_call_fun_once_per_kind(k):
     cx = DdrComplex(get_mesh("tet", 1), k)
