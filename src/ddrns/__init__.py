@@ -3,7 +3,7 @@
 from .mesh import (Mesh, MeshError, Poly3ParseError, generate_cubic_mesh,
                    generate_tet_mesh, read_mesh, write_poly3)
 from .operators import DdrComplex
-from .quadrature import QuadratureRule, rule_for
+from .quadrature import QuadratureRule
 from .solutions import TrigSolution
 from .solver import (BCRegion, NavierStokesSolver, ProblemSpec, SolverOptions,
                      essential_bc, natural_bc, pressflux_bc)
@@ -13,7 +13,7 @@ from .spaces import (DofLayout, DofVector, SpaceKind, boundary_subspace_mask,
 __all__ = [
     "Mesh", "MeshError", "Poly3ParseError", "generate_cubic_mesh",
     "generate_tet_mesh", "read_mesh", "write_poly3", "DdrComplex",
-    "QuadratureRule", "rule_for", "TrigSolution", "BCRegion",
+    "QuadratureRule", "TrigSolution", "BCRegion",
     "NavierStokesSolver", "ProblemSpec", "SolverOptions", "essential_bc",
     "natural_bc", "pressflux_bc", "DofLayout", "DofVector", "SpaceKind",
     "boundary_subspace_mask", "classify_boundary", "load_dofvector",

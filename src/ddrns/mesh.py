@@ -222,32 +222,6 @@ def _winding_number(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return np.sum(2.0 * np.arctan2(num, den), axis=-1) / (4.0 * np.pi)
 
 
-def orientation_sign(mesh: Mesh, cell_id: int, face_id: int) -> int:
-    """The stored omega_TF, after an eps-displacement point test.
-
-    The face anchor is moved by 1e-6 h_T against and along omega_TF n_F;
-    the winding number of the cell boundary, oriented by the stored signs,
-    must put the first point inside and the second outside.  Raises when it
-    does not, as on a cell thinner than the displacement.  A wrong stored
-    sign flips the face's own triangles too, so the test agrees with it:
-    the closure and 2-cycle checks of `_validate` catch that instead.
-    """
-    cell = mesh.cells[cell_id]
-    if face_id not in cell.faces:
-        raise MeshError(f"face {face_id} not on boundary of cell {cell_id}")
-    stored = cell.face_signs[cell.faces.index(face_id)]
-    f = mesh.faces[face_id]
-    eps = 1e-6 * cell.diameter
-    pts = f.anchor + np.outer([-eps * stored, eps * stored], f.normal)
-    inside, outside = _winding_number(
-        pts, _boundary_triangles(mesh, cell.faces, cell.face_signs)) > 0.5
-    if not inside or outside:
-        raise MeshError(
-            f"orientation ambiguity: point test disagrees with closure-validated "
-            f"omega for cell {cell_id}, face {face_id}")
-    return stored
-
-
 # ---------------------------------------------------------------------------
 # construction
 

@@ -15,10 +15,10 @@ group samples its monomials once at the stacked rule points of one member
 per row and forms their Grams, bases, boundary terms, moment systems,
 potentials and products as stacked arrays, each with one batched matmul,
 Cholesky factor or solve.  The interpolators, the global
-matrices and the solver read the groups.  ``cx.edges[e]``, ``cx.faces[f]``
-and ``cx.cells[c]`` are thin read-only views (:class:`EntityView`): an
-operator of a view is its row of the group's stack, and its bases are that
-row bound to its own chart.
+matrices, the solver and the Appendix norms read the groups, and so does
+every caller: an operator of an entity is its row of its group's stack.
+``cx.cells[c]`` only names the group, member index, row and rule of cell c
+(:class:`EntityView`).
 
 Every face and cell operator comes from integration by parts against the
 traces on the entity's boundary, and the stabilisation penalises the gap
@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -261,12 +260,6 @@ class _Chart:
         return _Chart(self.origin[sel], self.scale[sel], self.axes[sel],
                       self.measure[sel])
 
-    @cached_property
-    def geoms(self) -> tuple:
-        """The chart of each entity, built on first use."""
-        return tuple(ps.EntityGeometry(o, float(h), a, float(m)) for o, h, a, m
-                     in zip(self.origin, self.scale, self.axes, self.measure))
-
     def monomials(self, points, degree):
         """Scaled monomials of degree <= degree of each chart at its own
         points (G, npts, 3) -> (G, npts, nm)."""
@@ -332,14 +325,14 @@ def _face_slot(t, j, fg, chart, degree, kinds):
         """The trace values at the face rule points and their columns."""
         lay = t.layouts[kind]
         if kind is SpaceKind.GRAD:
-            sca = ps.ScalarBasis(None, k + 1, fg.sca[k + 1].coeff[r])
+            sca = ps.ScalarBasis(k + 1, fg.sca[k + 1].coeff[r])
             vals = sca.values(fmono) @ fg.trace_mat[r]
         elif kind is SpaceKind.CURL:
-            vb = ps.VectorBasis(None, k, 2, fg.vb.coeff[r])
+            vb = ps.VectorBasis(k, 2, fg.vb.coeff[r])
             vals = (np.swapaxes(vb.values(fmono), -1, -2)
                     @ fg.ttrace_mat[r][:, None])
         else:
-            return (ps.ScalarBasis(None, k, fg.sca[k].coeff[r]).values(fmono),
+            return (ps.ScalarBasis(k, fg.sca[k].coeff[r]).values(fmono),
                     _positions(t.glob[kind], lay.dofs(2, fids)))
         return vals, _positions(t.glob[kind], lay.face_table(fids))
 
@@ -417,14 +410,10 @@ class _Group:
     the member built for each row.  The local operators of an entity depend
     only on its shape, local numbering and orientations; within a group
     every entity has the same local sizes, so each operator is one stack
-    with a leading row axis.  A view reads the STACKED names at its row, the
-    MEMBERS ones at its own index and the SHARED ones as they are.
+    with a leading row axis.
     """
 
-    STACKED, MEMBERS, SHARED = (), (), ("k",)
-
-    def _members(self, mesh, ids, row, chart, rule):
-        self.mesh = mesh
+    def _members(self, ids, row, chart, rule):
         self.ids, self.row = np.asarray(ids), np.asarray(row)
         self.rep = np.unique(self.row, return_index=True)[1]
         self.chart = chart
@@ -513,14 +502,13 @@ class EdgeContext(_Group):
     """
 
     kind = "edge"
-    STACKED = ("gram", "sca", "skeleton", "deriv")
 
     def __init__(self, mesh: Mesh, eids, k: int, rule_degree: int):
         self.k = k
         edges = [mesh.edges[e] for e in eids]
         self.tangent = np.array([e.tangent for e in edges])
         length = np.array([e.length for e in edges])
-        self._members(mesh, eids, np.arange(len(edges)),
+        self._members(eids, np.arange(len(edges)),
                       _Chart(np.array([e.midpoint for e in edges]), length,
                              self.tangent[:, None], length),
                       edge_rule(mesh, eids, rule_degree))
@@ -559,17 +547,12 @@ class FaceContext(_Group):
     row of face fids[i]."""
 
     kind = "face"
-    STACKED = ("gram", "sca", "vb", "sub", "serendipity_grad", "grad_mat",
-               "trace_mat", "curl_mat", "serendipity_curl", "ttrace_mat",
-               "uG_face")
-    SHARED = ("k", "ell", "n_grad", "n_curl", "grad_face_slice",
-              "curl_R_slice", "curl_Rc_slice")
 
     def __init__(self, mesh: Mesh, fids, row, k: int, ell: int,
                  rule_degree: int, edge_group: EdgeContext, layouts):
         self.k, self.ell = k, ell
         faces = [mesh.faces[f] for f in fids]
-        self._members(mesh, fids, row, _Chart(*(
+        self._members(fids, row, _Chart(*(
             np.array([getattr(f, name) for f in faces])
             for name in ("anchor", "diameter", "frame", "area"))),
                       face_rule(mesh, fids, rule_degree))
@@ -648,21 +631,13 @@ class CellContext(_Group):
     another order."""
 
     kind = "cell"
-    STACKED = ("gram", "sca", "vb", "sub", "serendipity_grad", "grad_mat",
-               "pot_grad", "curl_op", "serendipity_curl", "pot_curl",
-               "div_op", "pot_div", "uG", "uC", "convective_curl",
-               "tri_tensor", "product_grad", "product_curl", "product_div")
-    SHARED = ("k", "ell", "n_grad", "n_curl", "n_div", "grad_cell",
-              "curl_R_cell", "curl_Rc_cell", "div_G_cell", "div_Gc_cell",
-              "interior")
-    MEMBERS = ("phi_k",)
 
     def __init__(self, mesh: Mesh, cids, row, k: int, ell: int,
                  rule_degree: int, edge_group: EdgeContext, face_groups,
                  layouts):
         self.k, self.ell = k, ell
         cells = [mesh.cells[c] for c in cids]
-        self._members(mesh, cids, row, _Chart(
+        self._members(cids, row, _Chart(
             np.array([c.anchor for c in cells]),
             np.array([c.diameter for c in cells]),
             np.broadcast_to(np.eye(3), (len(cells), 3, 3)),
@@ -678,7 +653,7 @@ class CellContext(_Group):
         # of every member, each in the basis of its row, and the moment
         # tensor int phi_i phi_j phi_l of each row for the convective term
         pk = self.sca[k]
-        members = ps.ScalarBasis(None, k, pk.coeff[self.row])
+        members = ps.ScalarBasis(k, pk.coeff[self.row])
         self.phi_k = np.empty(self.weights.shape + (pk.dim,))
         self.tri_tensor = np.zeros((len(self.rep),) + (pk.dim,) * 3)
         for sl, _, w in self._rule_blocks():
@@ -822,15 +797,12 @@ class CellContext(_Group):
 
 
 # ---------------------------------------------------------------------------
-# per-entity views
+# views
 
 
 class EntityView:
-    """One member of a group, read-only: its id, mesh entity (``edge``,
-    ``face`` or ``cell``), chart, rule and diameter ``h``; the group's row
-    of each STACKED operator, its own entry of each MEMBERS stack, the
-    SHARED values of the group; and its bases, the row's coefficients bound
-    to its own chart.  Each read hands out a fresh slice, rule or basis."""
+    """One member of a group: the group, the member's index in it, its id,
+    its stack row and its rule."""
 
     __slots__ = ("group", "index")
 
@@ -846,36 +818,8 @@ class EntityView:
         return int(self.group.ids[self.index])
 
     @property
-    def geom(self) -> ps.EntityGeometry:
-        return self.group.chart.geoms[self.index]
-
-    @property
-    def h(self) -> float:
-        return self.geom.scale
-
-    @property
     def rule(self) -> QuadratureRule:
         return self.group.rule[self.index]
-
-    def __getattr__(self, name):
-        if name in EntityView.__slots__:
-            raise AttributeError(name)
-        g = self.group
-        if name == g.kind:
-            return getattr(g.mesh, name + "s")[self.id]
-        if name in g.STACKED:
-            val = getattr(g, name)
-            if isinstance(val, dict):
-                return {key: self._bound(b) for key, b in val.items()}
-            return self._bound(val) if hasattr(val, "coeff") else val[self.row]
-        if name in g.MEMBERS:
-            return getattr(g, name)[self.index]
-        if name in g.SHARED:
-            return getattr(g, name)
-        raise AttributeError(f"{g.kind} view has no attribute {name!r}")
-
-    def _bound(self, basis):
-        return replace(basis, geom=self.geom, coeff=basis.coeff[self.row])
 
 
 def _views(n, groups) -> list:
@@ -1024,8 +968,7 @@ class DdrComplex:
     Construction builds the groups of edges (``edge_groups``), faces
     (``face_groups``) and cells (``cell_groups``), each row of a group
     once; the object is immutable afterwards and safe to share between
-    threads.  ``edges``, ``faces`` and ``cells`` list the views of the
-    entities by id.
+    threads.  ``cells`` lists the :class:`EntityView` of each cell by id.
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -1051,8 +994,6 @@ class DdrComplex:
             for ids, row in _classes(
                 [_loop_lengths(mesh, c) for c in range(mesh.n_cells)],
                 lambda cids: _cell_keys(mesh, cids, edges.vertices))]
-        self.edges = _views(mesh.n_edges, self.edge_groups)
-        self.faces = _views(mesh.n_faces, self.face_groups)
         self.cells = _views(mesh.n_cells, self.cell_groups)
         self._gram_cache = {}
         self._op_cache = {}
@@ -1290,26 +1231,31 @@ class DdrComplex:
             pieces.append((s.hw, s.w, A))
         return pieces
 
-    def _norm(self, pieces, view, s: float, v: np.ndarray) -> float:
-        """Sum of the piece norms of a face or cell view at local DoFs v."""
-        return float(np.sum(_piece_norms(pieces(view.group, [view.index]), s,
-                                         v[None])))
+    def _member_norms(self, pieces, s, group, members, x) -> np.ndarray:
+        """Sums (m,) of the piece norms of members (m indices, repeats
+        allowed) of a face or cell group at local DoFs x (m, nloc), for
+        at most CHUNK_POINTS rule points of members at a time."""
+        step = max(1, CHUNK_POINTS // group.weights.shape[1])
+        members = np.asarray(members)
+        return np.concatenate([np.zeros(0)] + [
+            np.sum(_piece_norms(pieces(group, members[i:i + step]), s,
+                                x[i:i + step]), axis=1)
+            for i in range(0, len(members), step)])
 
-    def component_norm_cell(self, s: float, c: int, v_local: np.ndarray) -> float:
-        """Component L^s norm of a local CURL vector on cell c: the sum over
-        the cell, its faces and its edges of h^{(3-d')/s}-weighted component
-        L^s norms."""
-        return self._norm(self._component_pieces, self.cells[c], s, v_local)
+    def component_norms(self, s: float, group, members, x) -> np.ndarray:
+        """Component L^s norms (m,) of local CURL DoFs x (m, n_curl) on
+        members of a face or cell group: the sum over the entity, its faces
+        and its edges of the h^{(d-d')/s}-weighted component L^s norms."""
+        return self._member_norms(self._component_pieces, s, group, members,
+                                  x)
 
-    def potential_norm_cell(self, s: float, c: int, v_local: np.ndarray) -> float:
-        """Potential-based L^s norm of a local CURL vector on cell c."""
-        return self._norm(self._potential_pieces, self.cells[c], s, v_local)
-
-    def component_norm_face(self, s: float, f: int, v_face: np.ndarray) -> float:
-        return self._norm(self._component_pieces, self.faces[f], s, v_face)
-
-    def potential_norm_face(self, s: float, f: int, v_face: np.ndarray) -> float:
-        return self._norm(self._potential_pieces, self.faces[f], s, v_face)
+    def potential_norms(self, s: float, group, members, x) -> np.ndarray:
+        """Potential-based L^s norms (m,) of local CURL DoFs x (m, n_curl)
+        on members of a face or cell group: the CURL potential of a cell,
+        or the tangential trace of a face, and its h-weighted mismatches
+        with the traces on the boundary."""
+        return self._member_norms(self._potential_pieces, s, group, members,
+                                  x)
 
     def _cells_norm(self, pieces, s: float, v: DofVector, power) -> float:
         """(The sum over the chunks of cells of power(their piece norms (m,

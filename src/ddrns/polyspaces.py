@@ -47,8 +47,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import Cell, Edge, Face, Mesh
-
 RANK_RTOL = 1e-10
 GRAM_COND_LIMIT = 1e12
 
@@ -170,70 +168,20 @@ def raise_matrix(space_dim: int, degree: int, axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# entity geometry
-
-@dataclass(frozen=True)
-class EntityGeometry:
-    """Local scaled coordinate chart of a mesh entity."""
-    origin: np.ndarray   # x_Y
-    scale: float         # h_Y
-    axes: np.ndarray     # (d, 3) orthonormal rows
-    measure: float
-
-    @property
-    def dim(self) -> int:
-        return self.axes.shape[0]
-
-    def local_coords(self, points: np.ndarray) -> np.ndarray:
-        return (points - self.origin) @ self.axes.T / self.scale
-
-
-def edge_geometry(mesh: Mesh, e: Edge | int) -> EntityGeometry:
-    if isinstance(e, int):
-        e = mesh.edges[e]
-    return EntityGeometry(e.midpoint, e.length, e.tangent[None, :], e.length)
-
-
-def face_geometry(mesh: Mesh, f: Face | int) -> EntityGeometry:
-    if isinstance(f, int):
-        f = mesh.faces[f]
-    return EntityGeometry(f.anchor, f.diameter, f.frame, f.area)
-
-
-def cell_geometry(mesh: Mesh, c: Cell | int) -> EntityGeometry:
-    if isinstance(c, int):
-        c = mesh.cells[c]
-    return EntityGeometry(c.anchor, c.diameter, np.eye(3), c.volume)
-
-
-# ---------------------------------------------------------------------------
 # bases
 #
 # A basis may hold a stack of G bases, one per entity of a group: its coeff
-# then has a leading axis of length G and its geom is None, and the
-# builders take the dimension of the group's charts in place of a geometry.
-
-def _space_dim(geom: EntityGeometry | int) -> int:
-    return geom if isinstance(geom, int) else geom.dim
-
-
-def _own_chart(geom: EntityGeometry | int) -> EntityGeometry | None:
-    """The chart a built basis keeps: none for a stack."""
-    return None if isinstance(geom, int) else geom
-
+# then has a leading axis of length G.  The builders take the dimension of
+# the entities' charts, and a basis is sampled from monomials of its chart.
 
 @dataclass
 class ScalarBasis:
-    geom: EntityGeometry
     degree: int
     coeff: np.ndarray  # ([G,] nb, nm) over monomial_exponents(dim, degree)
 
     @property
     def dim(self) -> int:
         return self.coeff.shape[-2]
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        return self.values(sample_monomials(self.geom, self.degree, points))
 
     def values(self, mono: np.ndarray) -> np.ndarray:
         """Values ([G,] npts, nb) from monomials ([G,] npts, >= nm) sampled
@@ -244,7 +192,6 @@ class ScalarBasis:
 @dataclass
 class VectorBasis:
     """Vector-valued basis; components are in the entity frame (2 on faces)."""
-    geom: EntityGeometry
     degree: int
     ncomp: int
     coeff: np.ndarray  # ([G,] nb, nm, ncomp)
@@ -252,9 +199,6 @@ class VectorBasis:
     @property
     def dim(self) -> int:
         return self.coeff.shape[-3]
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        return self.values(sample_monomials(self.geom, self.degree, points))
 
     def values(self, mono: np.ndarray) -> np.ndarray:
         """Values ([G,] npts, nb, ncomp) from monomials ([G,] npts, >= nm)
@@ -326,19 +270,17 @@ def _orthonormalise_gram(gram: np.ndarray) -> np.ndarray:
     return C.reshape(g.shape)
 
 
-def build_scalar_basis(geom: EntityGeometry | int, degree: int,
-                       gram) -> ScalarBasis:
-    """L2-orthonormal scalar basis of P^degree(Y); degree -1 gives {0}.
+def build_scalar_basis(dim: int, degree: int, gram) -> ScalarBasis:
+    """L2-orthonormal scalar basis of P^degree(Y) on a chart of dimension
+    dim; degree -1 gives {0}.
 
     gram is the monomial Gram of Y at a degree >= degree, whose leading
-    block is orthonormalised.  A stack of G Grams, with the dimension of
-    their charts for geom, gives a stack of bases.
+    block is orthonormalised.  A stack of G Grams gives a stack of bases.
     """
-    chart = _own_chart(geom)
     if degree < 0:
-        return ScalarBasis(chart, 0, np.zeros(gram.shape[:-2] + (0, 1)))
-    n = dim_poly(_space_dim(geom), degree)
-    return ScalarBasis(chart, degree, _orthonormalise_gram(gram[..., :n, :n]))
+        return ScalarBasis(0, np.zeros(gram.shape[:-2] + (0, 1)))
+    n = dim_poly(dim, degree)
+    return ScalarBasis(degree, _orthonormalise_gram(gram[..., :n, :n]))
 
 
 def tensor_vector_basis(sb: ScalarBasis, ncomp: int) -> VectorBasis:
@@ -347,15 +289,8 @@ def tensor_vector_basis(sb: ScalarBasis, ncomp: int) -> VectorBasis:
     coeff = np.zeros((*lead, nb, ncomp, nm, ncomp))
     for a in range(ncomp):
         coeff[..., a, :, a] = sb.coeff
-    return VectorBasis(sb.geom, sb.degree, ncomp,
+    return VectorBasis(sb.degree, ncomp,
                        coeff.reshape(*lead, nb * ncomp, nm, ncomp))
-
-
-def sample_monomials(geom: EntityGeometry, degree: int,
-                     points: np.ndarray) -> np.ndarray:
-    """Scaled monomials of degree <= degree of the chart at points."""
-    return mono_eval(monomial_exponents(geom.dim, degree),
-                     geom.local_coords(points))
 
 
 def monomial_gram(mono: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -494,17 +429,18 @@ def _spanning_family(d: int, selector: str, degree: int) -> np.ndarray:
     return rows
 
 
-def build_subspace(geom: EntityGeometry | int, selector: str, degree: int,
+def build_subspace(dim: int, selector: str, degree: int,
                    gram: np.ndarray) -> VectorBasis:
-    """L2-orthonormal basis of G/Gc/R/Rc^degree(Y), of degree max(degree, 0).
+    """L2-orthonormal basis of G/Gc/R/Rc^degree(Y), of degree max(degree,
+    0), on a chart of dimension dim.
 
     The spanning family of the unit chart is orthonormalised against the
     entity's monomial Gram (at a degree covering degree), so the basis
-    depends on the geometry only through that Gram.  A stack of Grams, with
-    the dimension of their charts for geom, gives a stack of bases.
+    depends on the geometry only through that Gram.  A stack of Grams gives
+    a stack of bases.
     """
-    family = _spanning_family(_space_dim(geom), selector, degree)
+    family = _spanning_family(dim, selector, degree)
     nf, nm, nc = family.shape
     C = _orthonormalise_gram(vector_inner(gram, family, family))
     coeff = (C @ family.reshape(nf, nm * nc)).reshape(C.shape[:-1] + (nm, nc))
-    return VectorBasis(_own_chart(geom), max(degree, 0), nc, coeff)
+    return VectorBasis(max(degree, 0), nc, coeff)

@@ -71,10 +71,6 @@ class QuadratureRule:
         return QuadratureRule(self.points[i], self.weights[i],
                               self.exactness_degree, self.n_simplices)
 
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Contract sampled values (n, ...) against the weights of one rule."""
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
 
 @lru_cache(maxsize=None)
 def _gl01(n: int):
@@ -279,15 +275,3 @@ def cell_rule(mesh: Mesh, cell_ids, degree: int) -> QuadratureRule:
     return _one_or_stack(cell_ids, QuadratureRule(
         pts.reshape(weights.shape + (3,)), weights, degree, n))
 
-
-def rule_for(mesh: Mesh, kind: str, index: int, degree: int) -> QuadratureRule:
-    """Quadrature rule on one mesh entity, exact to the given total degree."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if kind == "edge":
-        return edge_rule(mesh, index, degree)
-    if kind == "face":
-        return face_rule(mesh, index, degree)
-    if kind == "cell":
-        return cell_rule(mesh, index, degree)
-    raise ValueError(f"unknown entity kind {kind!r}")

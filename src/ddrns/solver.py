@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import DdrComplex
+from .operators import DdrComplex, _at_points
 from .spaces import (DofVector, SpaceKind, boundary_subspace_mask,
                      classify_boundary)
 
@@ -378,30 +378,27 @@ class NavierStokesSolver:
         for r in ess:
             uv = cx.interpolate_curl(r.velocity).values
             pv = cx.interpolate_grad(r.pressure).values
-            faces = [f for f in self.classification.essential_faces
+            faces = [cx.mesh.faces[f] for f in
+                     self.classification.essential_faces
                      if self.region_of_face[f] is r]
-            edges, verts = set(), set()
-            for f in faces:
-                edges.update(cx.mesh.faces[f].edges)
-                verts.update(cx.mesh.faces[f].vertex_loop)
-                idx = self.ul.face_dofs(f)
-                self.u_fix[idx] = uv[idx]
-                idx = self.pl.face_dofs(f)
-                self.p_fix[idx] = pv[idx]
-            for e in sorted(edges):
-                self.u_fix[self.ul.edge_dofs(e)] = uv[self.ul.edge_dofs(e)]
-                self.p_fix[self.pl.edge_dofs(e)] = pv[self.pl.edge_dofs(e)]
-            for v in sorted(verts):
-                self.p_fix[self.pl.vertex_dofs(v)] = pv[self.pl.vertex_dofs(v)]
+            # the entities of the region's faces, by dimension; CURL has no
+            # vertex DoFs
+            ids = [np.unique([v for f in faces for v in f.vertex_loop]),
+                   np.unique([e for f in faces for e in f.edges]),
+                   [f.id for f in faces]]
+            for fix, lay, vals in ((self.u_fix, self.ul, uv),
+                                   (self.p_fix, self.pl, pv)):
+                for dim, ent in enumerate(ids):
+                    idx = lay.dofs(dim, ent)
+                    fix[idx] = vals[idx]
 
         self.i_f = cx.interpolate_curl(self.spec.forcing)
         self.rhs_mom = cx.gram_matrix(SpaceKind.CURL) @ self.i_f.values
 
     def _cell_blocks(self):
         """Take the blocks of the cells from the stacks of the cell groups
-        of the complex; self.cells[c] holds cell c's views into them.  A
-        group's stacks hold one block per row, and group.row gives the row
-        of each of its cells."""
+        of the complex.  A group's stacks hold one block per row, and
+        group.row gives the row of each of its cells."""
         cx = self.cx
         nu = self.spec.nu
         ones = None
@@ -412,7 +409,6 @@ class NavierStokesSolver:
             self.c_vec = None
         nmu = 1 if self.use_multiplier else 0
         self.groups = []
-        self.cells = [None] * cx.mesh.n_cells
         for grp in cx.cell_groups:
             ids, pos = grp.ids, grp.row
             idxu = self.ul.cell_table(ids)
@@ -438,22 +434,26 @@ class NavierStokesSolver:
             loc_ret = np.setdiff1d(np.arange(gx.shape[1]), loc_int)
             self.groups.append(_CellGroup(ids, blocks, gx,
                                           loc_int, loc_ret))
-            for i, c in enumerate(ids):
-                self.cells[c] = {name: a[i] for name, a in blocks.items()}
 
     def _boundary_terms(self):
-        """Natural flux data: mass-row load sum_F int_F g gamma_F q."""
-        cx = self.cx
+        """Natural flux data: mass-row load sum_F int_F g gamma_F q, with one
+        call of a region's flux per face group."""
+        k = self.cx.k
         self.flux_vec = np.zeros(self.n_p)
-        for fid in self.classification.natural_faces:
-            r = self.region_of_face[fid]
+        for r in self.spec.regions:
             if r.flux is None:
                 continue
-            fctx = cx.faces[fid]
-            g = r.flux(fctx.rule.points)
-            phi = fctx.sca[self.cx.k + 1].eval(fctx.rule.points)
-            row = (fctx.rule.weights * g) @ phi @ fctx.trace_mat
-            np.add.at(self.flux_vec, self.pl.face_indices(fid), row)
+            fids = [f for f in self.classification.natural_faces
+                    if self.region_of_face[f] is r]
+            for g in self.cx.face_groups:
+                m = np.flatnonzero(np.isin(g.ids, fids))
+                if not len(m):
+                    continue
+                w = g.weights[m] * r.flux(g.points[m].reshape(-1, 3)).reshape(
+                    len(m), -1)
+                load = (w[:, None] @ _at_points(g, m, g.sca[k + 1])
+                        @ g.trace_mat[g.row[m]])[:, 0]
+                np.add.at(self.flux_vec, self.pl.face_table(g.ids[m]), load)
 
     def _condensed_pattern(self):
         """Unknowns and CSC sparsity of the condensed system, fixed for the
@@ -535,11 +535,6 @@ class NavierStokesSolver:
             Db = _moment_matrix(S.transpose(0, 2, 1, 3), -_crossmat(b))
             J = J + P.transpose(0, 2, 1) @ (Da @ P + Db @ CH)
         return J
-
-    def _cell_jacobian(self, cell, ul, with_convection: bool):
-        """The Jacobian kernel on one cell's blocks (a batch of one)."""
-        blk = {name: a[None] for name, a in cell.items()}
-        return self._jacobian(blk, ul[None], with_convection)[0]
 
     # -- residual ---------------------------------------------------------------
     def trilinear(self, ua: np.ndarray, ub: np.ndarray, v: np.ndarray) -> float:

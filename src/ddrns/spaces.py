@@ -77,25 +77,15 @@ class DofLayout:
 
     # -- global index ranges -----------------------------------------------
     def dofs(self, dim: int, ids) -> np.ndarray:
-        """Global DoFs of the entities ids (an integer array) of one
-        dimension, 0 for vertices up to 3 for cells: ids.shape + (block,)."""
+        """Global DoFs of the entities ids (integers, or an empty list) of
+        one dimension, 0 for vertices up to 3 for cells: ids.shape +
+        (block,)."""
         block = (self.vertex_block, self.edge_block, self.face_block,
                  self.cell_block)[dim]
         offset = (self.vertex_offset, self.edge_offset, self.face_offset,
                   self.cell_offset)[dim]
-        return offset + np.asarray(ids)[..., None] * block + np.arange(block)
-
-    def vertex_dofs(self, v: int) -> np.ndarray:
-        return self.dofs(0, v)
-
-    def edge_dofs(self, e: int) -> np.ndarray:
-        return self.dofs(1, e)
-
-    def face_dofs(self, f: int) -> np.ndarray:
-        return self.dofs(2, f)
-
-    def cell_dofs(self, c: int) -> np.ndarray:
-        return self.dofs(3, c)
+        return (offset + np.asarray(ids, dtype=np.int64)[..., None] * block
+                + np.arange(block))
 
     # -- local (restriction) index maps ------------------------------------
     def _table(self, parts) -> np.ndarray:
@@ -114,8 +104,9 @@ class DofLayout:
                             (3, np.asarray(cids)[:, None])])
 
     def face_table(self, fids) -> np.ndarray:
-        """face_indices of the faces fids, which have one loop length, one
-        row each."""
+        """Global indices of the face-local DoFs of the faces fids, which
+        have one loop length, one row each: vertices and edges, each
+        ascending by id, then the face block."""
         faces = [self.mesh.faces[f] for f in fids]
         return self._table([(0, [sorted(f.vertex_loop) for f in faces]),
                             (1, [sorted(f.edges) for f in faces]),
@@ -132,9 +123,6 @@ class DofLayout:
         """Global indices of the cell-local DoFs, deterministic local order:
         vertices, edges, faces (each ascending by id), then the cell block."""
         return self.cell_table([c])[0]
-
-    def face_indices(self, f: int) -> np.ndarray:
-        return self.face_table([f])[0]
 
     def descriptor(self) -> dict:
         return {
@@ -172,9 +160,6 @@ class DofVector:
 
     def copy(self) -> "DofVector":
         return DofVector(self.layout, self.values.copy())
-
-    def restrict_cell(self, c: int) -> np.ndarray:
-        return self.values[self.layout.cell_indices(c)]
 
 
 def save_dofvector(vec: DofVector, path) -> None:
@@ -251,13 +236,10 @@ def boundary_subspace_mask(layout: DofLayout,
     face and edge DoFs; DIV has no essential DoFs in this scheme.
     """
     mask = np.zeros(layout.total_dim, dtype=bool)
-    if layout.kind == SpaceKind.DIV:
-        return mask
-    for f in classification.essential_faces:
-        mask[layout.face_dofs(f)] = True
-    for e in classification.essential_edges:
-        mask[layout.edge_dofs(e)] = True
-    if layout.kind == SpaceKind.GRAD:
-        for v in classification.essential_vertices:
-            mask[layout.vertex_dofs(v)] = True
+    if layout.kind != SpaceKind.DIV:
+        # the CURL vertex block is empty
+        c = classification
+        for dim, ids in enumerate((c.essential_vertices, c.essential_edges,
+                                   c.essential_faces)):
+            mask[layout.dofs(dim, ids)] = True
     return mask

@@ -329,20 +329,21 @@ def run_property_suite(cases, seed: int = 0, n_random: int = 100):
         record(f"product symmetry {tag}", sym < 1e-13 * max(pos, 1), f"{sym:.2e}")
         record(f"product positivity {tag}", pos > 0, f"{pos:.3e}")
 
-        # Appendix-style norm ratios on random local vectors (cell 0)
-        ratios_eq, ratios_leb, ratios_bp, ratios_bd = [], [], [], []
-        cctx = cx.cells[0]
-        for _ in range(n_random):
-            v = rng.standard_normal(cctx.n_curl)
-            t2 = cx.component_norm_cell(2.0, 0, v)
-            p2 = cx.potential_norm_cell(2.0, 0, v)
-            t4 = cx.component_norm_cell(4.0, 0, v)
-            ratios_eq.append(p2 / t2)
-            ratios_leb.append(t2 / (cctx.h ** (3 * (1/2 - 1/4)) * t4))
-            # the L2 norm of a P^k field is that of its coefficients in the
-            # orthonormal basis of the cell
-            ratios_bp.append(np.linalg.norm(cctx.pot_curl @ v) / t2)
-            ratios_bd.append(cctx.h * np.linalg.norm(cctx.curl_op @ v) / t2)
+        # Appendix-style norm ratios on random local vectors of cell 0, the
+        # first member of the first group, one group call per norm
+        g = cx.cell_groups[0]
+        V = rng.standard_normal((n_random, g.n_curl))
+        members = np.zeros(n_random, dtype=int)
+        t2 = cx.component_norms(2.0, g, members, V)
+        p2 = cx.potential_norms(2.0, g, members, V)
+        t4 = cx.component_norms(4.0, g, members, V)
+        h = g.chart.scale[0]
+        ratios_eq = p2 / t2
+        ratios_leb = t2 / (h ** (3 * (1/2 - 1/4)) * t4)
+        # the L2 norm of a P^k field is that of its coefficients in the
+        # orthonormal basis of the cell
+        ratios_bp = np.linalg.norm(V @ g.pot_curl[g.row[0]].T, axis=1) / t2
+        ratios_bd = h * np.linalg.norm(V @ g.curl_op[g.row[0]].T, axis=1) / t2
         record(f"norm equivalence bracket {tag}",
                max(ratios_eq) / min(ratios_eq) < 1e3,
                f"[{min(ratios_eq):.3f}, {max(ratios_eq):.3f}]")

@@ -17,10 +17,17 @@ cell at a time, as DdrComplex did before it built them by stacked groups;
 per_entity_complex presents them as groups of one.  The Appendix norms at
 the very end are computed entity by entity on such a complex, face by face
 and edge by edge, as DdrComplex did before it summed group pieces.
+
+The per-entity API that ddrns itself no longer needs, since every kernel
+reads groups, lives here for the tests: entity charts and bases bound to
+them, views of one entity read through its group's stacks (:func:`views`),
+the one-entity rule and its integral, the orientation point test, and the
+per-cell blocks of a solver.
 """
 
 import copy
 import math
+from dataclasses import dataclass, replace
 from itertools import product
 from types import SimpleNamespace
 
@@ -29,7 +36,7 @@ import numpy as np
 from ddrns import mesh as msh
 from ddrns import polyspaces as ps
 from ddrns import quadrature as quad
-from ddrns.operators import _Chart, _triple_moments
+from ddrns.operators import EntityView, _Chart, _triple_moments
 from ddrns.quadrature import cell_rule, face_rule
 from ddrns.spaces import DofVector, SpaceKind
 
@@ -131,8 +138,227 @@ def projection_normal_equations(points, weights, values, design):
     return np.linalg.solve(G, rhs)
 
 
+# ---------------------------------------------------------------------------
+# per-entity API: charts, bound bases, views, one-entity rules and the
+# orientation point test
+
+
+@dataclass(frozen=True)
+class EntityGeometry:
+    """Local scaled coordinate chart of a mesh entity."""
+    origin: np.ndarray   # x_Y
+    scale: float         # h_Y
+    axes: np.ndarray     # (d, 3) orthonormal rows
+    measure: float
+
+    @property
+    def dim(self) -> int:
+        return self.axes.shape[0]
+
+    def local_coords(self, points: np.ndarray) -> np.ndarray:
+        return (points - self.origin) @ self.axes.T / self.scale
+
+
+def edge_geometry(mesh, e) -> EntityGeometry:
+    if isinstance(e, int):
+        e = mesh.edges[e]
+    return EntityGeometry(e.midpoint, e.length, e.tangent[None, :], e.length)
+
+
+def face_geometry(mesh, f) -> EntityGeometry:
+    if isinstance(f, int):
+        f = mesh.faces[f]
+    return EntityGeometry(f.anchor, f.diameter, f.frame, f.area)
+
+
+def cell_geometry(mesh, c) -> EntityGeometry:
+    if isinstance(c, int):
+        c = mesh.cells[c]
+    return EntityGeometry(c.anchor, c.diameter, np.eye(3), c.volume)
+
+
+def sample_monomials(geom, degree: int, points: np.ndarray) -> np.ndarray:
+    """Scaled monomials of degree <= degree of the chart at points."""
+    return ps.mono_eval(ps.monomial_exponents(geom.dim, degree),
+                        geom.local_coords(points))
+
+
+class ChartBasis:
+    """A basis of one entity bound to its chart ``geom``: it reads as the
+    basis, and ``eval`` samples it at points."""
+
+    __slots__ = ("basis", "geom")
+
+    def __init__(self, basis, geom: EntityGeometry):
+        self.basis, self.geom = basis, geom
+
+    def __getattr__(self, name):
+        if name in ChartBasis.__slots__:
+            raise AttributeError(name)
+        return getattr(self.basis, name)
+
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        return self.basis.values(sample_monomials(self.geom,
+                                                  self.basis.degree, points))
+
+
+def subspace(geom, selector: str, degree: int, gram) -> ChartBasis:
+    """The G/Gc/R/Rc^degree basis of one entity, bound to its chart."""
+    return ChartBasis(ps.build_subspace(geom.dim, selector, degree, gram),
+                      geom)
+
+
+# the names a view reads: the STACKED ones at its row, the MEMBERS ones at
+# its own index and the SHARED ones as its group holds them
+STACKED = {
+    "edge": ("gram", "sca", "skeleton", "deriv"),
+    "face": ("gram", "sca", "vb", "sub", "serendipity_grad", "grad_mat",
+             "trace_mat", "curl_mat", "serendipity_curl", "ttrace_mat",
+             "uG_face"),
+    "cell": ("gram", "sca", "vb", "sub", "serendipity_grad", "grad_mat",
+             "pot_grad", "curl_op", "serendipity_curl", "pot_curl",
+             "div_op", "pot_div", "uG", "uC", "convective_curl",
+             "tri_tensor", "product_grad", "product_curl", "product_div")}
+MEMBERS = {"edge": (), "face": (), "cell": ("phi_k",)}
+SHARED = {
+    "edge": ("k",),
+    "face": ("k", "ell", "n_grad", "n_curl", "grad_face_slice",
+             "curl_R_slice", "curl_Rc_slice"),
+    "cell": ("k", "ell", "n_grad", "n_curl", "n_div", "grad_cell",
+             "curl_R_cell", "curl_Rc_cell", "div_G_cell", "div_Gc_cell",
+             "interior")}
+
+
+class View(EntityView):
+    """One member of a group of DdrComplex, read-only: its id, mesh entity
+    (``edge``, ``face`` or ``cell``), chart ``geom``, rule and diameter
+    ``h``; the group's row of each STACKED operator, its own entry of each
+    MEMBERS stack, the SHARED values of the group; and its bases, the row's
+    coefficients bound to its own chart.  Each read hands out a fresh
+    slice, rule or basis."""
+
+    __slots__ = ("entity", "geom")
+
+    def __init__(self, group, index: int, entity, geom: EntityGeometry):
+        super().__init__(group, index)
+        self.entity, self.geom = entity, geom
+
+    @property
+    def h(self) -> float:
+        return self.geom.scale
+
+    def __getattr__(self, name):
+        if name in ("group", "index", *View.__slots__):
+            raise AttributeError(name)
+        g = self.group
+        if name == g.kind:
+            return self.entity
+        if name in STACKED[g.kind]:
+            val = getattr(g, name)
+            if isinstance(val, dict):
+                return {key: self._bound(b) for key, b in val.items()}
+            return self._bound(val) if hasattr(val, "coeff") else val[self.row]
+        if name in MEMBERS[g.kind]:
+            return getattr(g, name)[self.index]
+        if name in SHARED[g.kind]:
+            return getattr(g, name)
+        raise AttributeError(f"{g.kind} view has no attribute {name!r}")
+
+    def _bound(self, basis):
+        return ChartBasis(replace(basis, coeff=basis.coeff[self.row]),
+                          self.geom)
+
+
+def views(cx):
+    """The :class:`View` of every edge, face and cell of the complex cx, by
+    id, as ``edges``, ``faces`` and ``cells``."""
+    def of(groups, entities):
+        out = [None] * len(entities)
+        for g in groups:
+            c = g.chart
+            for i, e in enumerate(g.ids.tolist()):
+                out[e] = View(g, i, entities[e], EntityGeometry(
+                    c.origin[i], float(c.scale[i]), c.axes[i],
+                    float(c.measure[i])))
+        return out
+    m = cx.mesh
+    return SimpleNamespace(edges=of(cx.edge_groups, m.edges),
+                           faces=of(cx.face_groups, m.faces),
+                           cells=of(cx.cell_groups, m.cells))
+
+
+def member_norm(norms, view, s, v) -> float:
+    """The Appendix norm of the local CURL DoFs v on one face or cell, by
+    the group call norms (``cx.component_norms`` or
+    ``cx.potential_norms``) on its one member."""
+    return float(norms(s, view.group, [view.index], v[None])[0])
+
+
+def rule_for(mesh, kind: str, index: int, degree: int):
+    """Quadrature rule on one mesh entity, exact to the given total degree."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if kind == "edge":
+        return quad.edge_rule(mesh, index, degree)
+    if kind == "face":
+        return quad.face_rule(mesh, index, degree)
+    if kind == "cell":
+        return quad.cell_rule(mesh, index, degree)
+    raise ValueError(f"unknown entity kind {kind!r}")
+
+
+def integrate(rule, values: np.ndarray) -> np.ndarray:
+    """Contract sampled values (n, ...) against the weights of one rule."""
+    return np.tensordot(rule.weights, values, axes=(0, 0))
+
+
+def orientation_sign(mesh, cell_id: int, face_id: int) -> int:
+    """The stored omega_TF, after an eps-displacement point test.
+
+    The face anchor is moved by 1e-6 h_T against and along omega_TF n_F;
+    the winding number of the cell boundary, oriented by the stored signs,
+    must put the first point inside and the second outside.  Raises when it
+    does not, as on a cell thinner than the displacement.  A wrong stored
+    sign flips the face's own triangles too, so the test agrees with it:
+    the closure and 2-cycle checks of the mesh validation catch that
+    instead.
+    """
+    cell = mesh.cells[cell_id]
+    if face_id not in cell.faces:
+        raise msh.MeshError(f"face {face_id} not on boundary of cell "
+                            f"{cell_id}")
+    stored = cell.face_signs[cell.faces.index(face_id)]
+    f = mesh.faces[face_id]
+    eps = 1e-6 * cell.diameter
+    pts = f.anchor + np.outer([-eps * stored, eps * stored], f.normal)
+    inside, outside = msh._winding_number(
+        pts, msh._boundary_triangles(mesh, cell.faces, cell.face_signs)) > 0.5
+    if not inside or outside:
+        raise msh.MeshError(
+            f"orientation ambiguity: point test disagrees with closure-validated "
+            f"omega for cell {cell_id}, face {face_id}")
+    return stored
+
+
 # -- per-cell reference of the Newton kernels ----------------------------------
-# `s` is a NavierStokesSolver; its per-cell dicts `s.cells` hold the blocks.
+# `s` is a NavierStokesSolver; solver_cells(s) holds the blocks of each cell.
+
+def solver_cells(s) -> list:
+    """The blocks of each cell of the solver s, by cell id: dicts of views
+    into the stacks of its cell groups."""
+    cells = [None] * s.cx.mesh.n_cells
+    for grp in s.groups:
+        for i, c in enumerate(grp.cells):
+            cells[c] = {name: a[i] for name, a in grp.blocks.items()}
+    return cells
+
+
+def kernel_jacobian(s, cell, ul, with_convection):
+    """The solver's batched Jacobian kernel on one cell's blocks (a batch
+    of one)."""
+    blk = {name: a[None] for name, a in cell.items()}
+    return s._jacobian(blk, ul[None], with_convection)[0]
+
 
 def convective_row(s, cell, ul):
     """Cell momentum rows of t(u; u, v) for local CURL coefficients ul."""
@@ -146,7 +372,7 @@ def convective_row(s, cell, ul):
 def trilinear(s, ua, ub, v):
     """t(a; b, v) over global CURL coefficient arrays."""
     acc = 0.0
-    for cell in s.cells:
+    for cell in solver_cells(s):
         idx = cell["idxu"]
         a = (cell["CH"] @ ua[idx]).reshape(-1, 3)
         b = (cell["P"] @ ub[idx]).reshape(-1, 3)
@@ -161,7 +387,7 @@ def residual(s, x, with_convection=True):
     R = np.zeros(s.n_x)
     Rm = np.zeros(s.n_u)
     Rq = np.zeros(s.n_p)
-    for cell in s.cells:
+    for cell in solver_cells(s):
         iu, ip = cell["idxu"], cell["idxp"]
         ul, plc = u[iu], p[ip]
         row = cell["visc"] @ ul + cell["B"] @ plc
@@ -211,10 +437,10 @@ def newton_step(s, x, R, with_convection=True, shift=0.0, eta=0.0):
     condense = s.opts.condense
     interior = np.zeros(s.n_x, dtype=bool)
     int_loc = []
-    for c, cell in enumerate(s.cells):
-        ctx = s.cx.cells[c]
-        int_u = ctx.interior[SpaceKind.CURL]
-        int_p = ctx.interior[SpaceKind.GRAD]
+    cells = solver_cells(s)
+    for cell, view in zip(cells, s.cx.cells):
+        int_u = view.group.interior[SpaceKind.CURL]
+        int_p = view.group.interior[SpaceKind.GRAD]
         int_loc.append(np.concatenate([int_u, len(cell["idxu"]) + int_p]))
         if condense:
             interior[cell["idxu"][int_u]] = True
@@ -228,7 +454,7 @@ def newton_step(s, x, R, with_convection=True, shift=0.0, eta=0.0):
     rhs = np.where(free, -R, 0.0)
     rhs_ret = rhs[retained].copy()
     back = []
-    for cell, loc_int in zip(s.cells, int_loc):
+    for cell, loc_int in zip(cells, int_loc):
         iu, ip = cell["idxu"], cell["idxp"]
         nu_loc, np_loc = len(iu), len(ip)
         nloc = nu_loc + np_loc + nmu
@@ -291,14 +517,15 @@ def einsum_triple_moments(weights, phi):
 
 def scalar_monomial_gram(geom, degree, rule):
     """Monomial Gram of one entity at degree, from its quadrature rule."""
-    return ps.monomial_gram(ps.sample_monomials(geom, degree, rule.points),
+    return ps.monomial_gram(sample_monomials(geom, degree, rule.points),
                             rule.weights)
 
 
 def scalar_basis(geom, degree, rule):
-    """L2-orthonormal basis of P^degree of one entity, from its rule."""
-    return ps.build_scalar_basis(geom, degree,
-                                 scalar_monomial_gram(geom, degree, rule))
+    """L2-orthonormal basis of P^degree of one entity, from its rule, bound
+    to its chart."""
+    return ChartBasis(ps.build_scalar_basis(
+        geom.dim, degree, scalar_monomial_gram(geom, degree, rule)), geom)
 
 
 def eval3d(basis, points):
@@ -341,7 +568,7 @@ class Sampler:
     def monomials(self, rule):
         hit = self._mono.get(id(rule))
         if hit is None:
-            hit = self._mono[id(rule)] = (rule, ps.sample_monomials(
+            hit = self._mono[id(rule)] = (rule, sample_monomials(
                 self.geom, self.degree, rule.points))
         return hit[1]
 
@@ -353,8 +580,9 @@ class Sampler:
 def interpolate_per_entity(cx, kind, fun):
     """I_grad, I_curl or I_div of fun with one call of fun and one basis
     evaluation per entity and subspace."""
-    k, lay = cx.k, cx.layouts[kind]
+    k, lay, v = cx.k, cx.layouts[kind], views(cx)
     out = DofVector.zeros(lay)
+    dofs = lambda dim: lambda i: lay.dofs(dim, i)
 
     def scalar(ctx, sb, vals):
         return project_scalar(sb, ctx.rule, vals)
@@ -368,27 +596,27 @@ def interpolate_per_entity(cx, kind, fun):
         blocks = [(ctxs, block, dofs,
                    lambda ctx, v: scalar(ctx, ctx.sca[k - 1], v))
                   for ctxs, block, dofs in (
-                      (cx.edges, lay.edge_block, lay.edge_dofs),
-                      (cx.faces, lay.face_block, lay.face_dofs),
-                      (cx.cells, lay.cell_block, lay.cell_dofs))]
+                      (v.edges, lay.edge_block, dofs(1)),
+                      (v.faces, lay.face_block, dofs(2)),
+                      (v.cells, lay.cell_block, dofs(3)))]
     elif kind is SpaceKind.CURL:
         blocks = [
-            (cx.edges, lay.edge_block, lay.edge_dofs, lambda ctx, v:
-             scalar(ctx, ctx.sca[k], v @ ctx.edge.tangent)),
-            *[(ctxs, block, dofs, lambda ctx, v: vector(
-                ctx, (("R", k - 1), ("Rc", ctx.ell + 1)), v @ ctx.geom.axes.T))
-              for ctxs, block, dofs in (
-                  (cx.faces, lay.face_block, lay.face_dofs),
-                  (cx.cells, lay.cell_block, lay.cell_dofs))]]
+            (v.edges, lay.edge_block, dofs(1), lambda ctx, x:
+             scalar(ctx, ctx.sca[k], x @ ctx.edge.tangent)),
+            *[(ctxs, block, at, lambda ctx, x: vector(
+                ctx, (("R", k - 1), ("Rc", ctx.ell + 1)), x @ ctx.geom.axes.T))
+              for ctxs, block, at in (
+                  (v.faces, lay.face_block, dofs(2)),
+                  (v.cells, lay.cell_block, dofs(3)))]]
     else:
         blocks = [
-            (cx.faces, lay.face_block, lay.face_dofs, lambda ctx, v:
-             scalar(ctx, ctx.sca[k], v @ ctx.face.normal)),
-            (cx.cells, lay.cell_block, lay.cell_dofs, lambda ctx, v:
-             vector(ctx, (("G", k - 1), ("Gc", k)), v))]
-    for ctxs, block, dofs, moments in blocks:
+            (v.faces, lay.face_block, dofs(2), lambda ctx, x:
+             scalar(ctx, ctx.sca[k], x @ ctx.face.normal)),
+            (v.cells, lay.cell_block, dofs(3), lambda ctx, x:
+             vector(ctx, (("G", k - 1), ("Gc", k)), x))]
+    for ctxs, block, at, moments in blocks:
         for i, ctx in enumerate(ctxs if block else []):
-            out.values[dofs(i)] = moments(ctx, fun(ctx.rule.points))
+            out.values[at(i)] = moments(ctx, fun(ctx.rule.points))
     return out
 
 
@@ -615,7 +843,7 @@ def skeleton_map(ectx, vert_pos, moment_idx, n_grad: int) -> np.ndarray:
 
 def face_numbering(mesh, fid: int, k: int) -> SimpleNamespace:
     """The local numbering of face fid, keyed by global ids (match
-    DofLayout.face_indices): omega_FE, n_FE, the vertex positions and the
+    DofLayout.face_table): omega_FE, n_FE, the vertex positions and the
     GRAD and CURL slices of each edge."""
     f = mesh.faces[fid]
     verts, edge_ids = sorted(f.vertex_loop), sorted(f.edges)
@@ -643,6 +871,7 @@ def cell_numbering(layouts, cid: int) -> SimpleNamespace:
         return np.searchsorted(glob[kind], glob_idx)
 
     gl, cl, dl = (layouts[kind] for kind in SpaceKind)
+    face_table = lambda lay, f: lay.face_table([f])[0]
     face_ids = sorted(c.faces)
     ccb, dcb = cl.cell_subsizes, dl.cell_subsizes
     grad_cell = slice(n_grad - gl.cell_block, n_grad)
@@ -650,18 +879,18 @@ def cell_numbering(layouts, cid: int) -> SimpleNamespace:
         face_ids=face_ids, edge_ids=c.edge_ids, vert_ids=c.vertex_ids,
         face_sign=dict(zip(c.faces, c.face_signs)), glob=glob,
         n_grad=n_grad, n_curl=n_curl, n_div=n_div,
-        grad_face_map={f: local_of(SpaceKind.GRAD, gl.face_indices(f))
+        grad_face_map={f: local_of(SpaceKind.GRAD, face_table(gl, f))
                        for f in face_ids},
-        curl_face_map={f: local_of(SpaceKind.CURL, cl.face_indices(f))
+        curl_face_map={f: local_of(SpaceKind.CURL, face_table(cl, f))
                        for f in face_ids},
-        curl_faceblock_map={f: local_of(SpaceKind.CURL, cl.face_dofs(f))
+        curl_faceblock_map={f: local_of(SpaceKind.CURL, cl.dofs(2, f))
                             for f in face_ids},
-        grad_edge_map={e: local_of(SpaceKind.GRAD, gl.edge_dofs(e))
+        grad_edge_map={e: local_of(SpaceKind.GRAD, gl.dofs(1, e))
                        for e in c.edge_ids},
         grad_vert_pos={v: i for i, v in enumerate(c.vertex_ids)},
-        curl_edge_map={e: local_of(SpaceKind.CURL, cl.edge_dofs(e))
+        curl_edge_map={e: local_of(SpaceKind.CURL, cl.dofs(1, e))
                        for e in c.edge_ids},
-        div_face_map={f: local_of(SpaceKind.DIV, dl.face_dofs(f))
+        div_face_map={f: local_of(SpaceKind.DIV, dl.dofs(2, f))
                       for f in face_ids},
         # trailing cell blocks
         grad_cell=grad_cell,
@@ -683,10 +912,11 @@ class ReferenceEdge:
         e = mesh.edges[eid]
         self.edge = e
         self.h = e.length
-        self.geom = ps.edge_geometry(mesh, e)
+        self.geom = edge_geometry(mesh, e)
         self.rule = quad.edge_rule(mesh, eid, rule_degree)
         self.gram = scalar_monomial_gram(self.geom, k + 1, self.rule)
-        self.sca = {l: ps.build_scalar_basis(self.geom, l, self.gram)
+        self.sca = {l: ChartBasis(ps.build_scalar_basis(1, l, self.gram),
+                                  self.geom)
                     for l in (k - 1, k, k + 1)}
         bkp1 = self.sca[k + 1]
         A = np.vstack([
@@ -720,15 +950,17 @@ class _ReferenceEntity:
         k, ell, g = self.k, self.ell, self.geom
         parts = self.rule.n_simplices
         self.gram = sum(
-            ps.monomial_gram(ps.sample_monomials(g, k + 2, p), w)
+            ps.monomial_gram(sample_monomials(g, k + 2, p), w)
             for p, w in zip(np.split(self.rule.points, parts),
                             np.split(self.rule.weights, parts)))
-        self.sca = {l: ps.build_scalar_basis(g, l, self.gram)
+        self.sca = {l: ChartBasis(ps.build_scalar_basis(g.dim, l, self.gram),
+                                  g)
                     for l in {k - 1, k, k + 1, ell}}
-        self.vb = ps.tensor_vector_basis(self.sca[k], g.dim)
+        self.vb = ChartBasis(ps.tensor_vector_basis(self.sca[k].basis, g.dim),
+                             g)
         # Rc^{ell+1} is Rc^k in DDR mode (ell = k - 1): each key is built once
         self.sub = {
-            (sel, l): ps.build_subspace(g, sel, l, self.gram)
+            (sel, l): subspace(g, sel, l, self.gram)
             for sel, l in dict.fromkeys([("R", k - 1), ("Rc", ell + 1),
                                          ("R", k), ("Rc", k), ("Rc", k + 2),
                                          *extra])}
@@ -791,7 +1023,7 @@ class ReferenceFace(_ReferenceEntity):
         f = mesh.faces[fid]
         self.face = f
         self.h = f.diameter
-        self.geom = ps.face_geometry(mesh, f)
+        self.geom = face_geometry(mesh, f)
         self.rule = face_rule(mesh, fid, rule_degree)
         vars(self).update(vars(face_numbering(mesh, fid, self.k)))
 
@@ -879,7 +1111,7 @@ class ReferenceCell(_ReferenceEntity):
         c = mesh.cells[cid]
         self.cell = c
         self.h = c.diameter
-        self.geom = ps.cell_geometry(mesh, c)
+        self.geom = cell_geometry(mesh, c)
         self.rule = cell_rule(mesh, cid, rule_degree)
         vars(self).update(vars(cell_numbering(layouts, cid)))
 
@@ -1068,9 +1300,9 @@ class GroupOfOne:
         self.chart = _Chart(g.origin[None], np.array([g.scale]), g.axes[None],
                             np.array([g.measure]))
         self.points, self.weights = ctx.rule.points[None], ctx.rule.weights[None]
-        self.sca = {l: ps.ScalarBasis(None, b.degree, b.coeff[None])
+        self.sca = {l: ps.ScalarBasis(b.degree, b.coeff[None])
                     for l, b in ctx.sca.items()}
-        self.sub = {key: ps.VectorBasis(None, b.degree, b.ncomp, b.coeff[None])
+        self.sub = {key: ps.VectorBasis(b.degree, b.ncomp, b.coeff[None])
                     for key, b in ctx.sub.items()}
         if hasattr(ctx, "face"):
             self.normal = ctx.face.normal[None]
@@ -1089,10 +1321,11 @@ def per_entity_complex(cx):
     one entity at a time, each in a group of one."""
     mesh, k = cx.mesh, cx.k
     ref = copy.copy(cx)
-    face_degree = cx.faces[0].rule.exactness_degree
-    ref.faces = [ReferenceFace(mesh, f, k, k - 1, face_degree, cx.edges)
+    ref.edges = views(cx).edges
+    face_degree = cx.face_groups[0].rule.exactness_degree
+    ref.faces = [ReferenceFace(mesh, f, k, k - 1, face_degree, ref.edges)
                  for f in range(mesh.n_faces)]
-    ref.cells = [ReferenceCell(mesh, c, k, k - 1, cx.cell_degree, cx.edges,
+    ref.cells = [ReferenceCell(mesh, c, k, k - 1, cx.cell_degree, ref.edges,
                                ref.faces, cx.layouts)
                  for c in range(mesh.n_cells)]
     ref.face_groups = [GroupOfOne(f, i) for i, f in enumerate(ref.faces)]

@@ -45,6 +45,8 @@ from ddrns.solver import (NavierStokesSolver, ProblemSpec, natural_bc,
 from ddrns.spaces import DofVector, SpaceKind
 from conftest import get_complex, random_hex_mesh, random_tet_mesh
 
+import oracles
+
 MESH_SET = [("cubic", 1), ("cubic", 2), ("tet", 1)]
 DEGREES = [0, 1, 2]
 
@@ -94,8 +96,8 @@ def test_criterion_2_polynomial_consistency(shape, k):
         co[i] = 1.0
         q = lambda pts: ps.mono_eval(exps, pts) @ co
         iq = cx.interpolate_grad(q)
-        for f, fctx in enumerate(cx.faces):
-            loc = iq.values[gl.face_indices(f)]
+        for f, fctx in enumerate(oracles.views(cx).faces):
+            loc = iq.values[gl.face_table([f])[0]]
             vals = fctx.sca[k + 1].eval(fctx.rule.points) @ (fctx.trace_mat @ loc)
             ref = q(fctx.rule.points)
             err = max(err, np.abs(vals - ref).max() / (np.abs(ref).max() + 1))
@@ -249,24 +251,22 @@ def test_criterion_9_norm_brackets(k):
     for n in (2, 4):
         cx = get_complex("cubic", n, k)
         rng = np.random.default_rng(900 + k)
-        eq, leb, bp, bd = [], [], [], []
-        ncells = cx.mesh.n_cells
-        for i in range(100):
-            c = i % ncells
-            cctx = cx.cells[c]
-            v = rng.standard_normal(cctx.n_curl)
-            t2 = cx.component_norm_cell(2.0, c, v)
-            t4 = cx.component_norm_cell(4.0, c, v)
-            p2 = cx.potential_norm_cell(2.0, c, v)
-            h = cctx.h
-            eq.append(p2 / t2)
-            leb.append(t2 / (h ** (3 * (1 / 2 - 1 / 4)) * t4))
-            pv = cx.curl_potential_values(c, v)
-            bp.append(np.sqrt(np.sum(cctx.rule.weights
-                                     * np.sum(pv**2, axis=1))) / t2)
-            cv = cctx.phi_k @ (cctx.curl_op @ v).reshape(-1, 3)
-            bd.append(h * np.sqrt(np.sum(cctx.rule.weights
-                                         * np.sum(cv**2, axis=1))) / t2)
+        # the cubes are one group whose member c is cell c: vector i sits
+        # on cell i % n_cells, one group call per norm
+        g, = cx.cell_groups
+        c = np.arange(100) % cx.mesh.n_cells
+        V = rng.standard_normal((100, g.n_curl))
+        t2 = cx.component_norms(2.0, g, c, V)
+        t4 = cx.component_norms(4.0, g, c, V)
+        p2 = cx.potential_norms(2.0, g, c, V)
+        h, w = g.chart.scale[c], g.weights[c]
+        eq = p2 / t2
+        leb = t2 / (h ** (3 * (1 / 2 - 1 / 4)) * t4)
+        pv = cx.potential_values(SpaceKind.CURL, g, c, V)
+        bp = np.sqrt(np.sum(w * np.sum(pv**2, axis=-1), axis=1)) / t2
+        cv = g.phi_k[c] @ (g.curl_op[g.row[c]] @ V[..., None]).reshape(
+            100, -1, 3)
+        bd = h * np.sqrt(np.sum(w * np.sum(cv**2, axis=-1), axis=1)) / t2
         brackets[n] = ((min(eq), max(eq)), (min(leb), max(leb)))
         caps[n] = (max(bp), max(bd))
     ok = True
@@ -327,9 +327,9 @@ def test_criterion_11_jacobian_fd():
     d = rng.standard_normal(s.n_x)
     u = x[:s.n_u]
     J = np.zeros((s.n_x, s.n_x))
-    for cell in s.cells:
+    for cell in oracles.solver_cells(s):
         iu, ip = cell["idxu"], cell["idxp"]
-        J[np.ix_(iu, iu)] += s._cell_jacobian(cell, u[iu], True)
+        J[np.ix_(iu, iu)] += oracles.kernel_jacobian(s, cell, u[iu], True)
         J[np.ix_(iu, s.n_u + ip)] += cell["B"]
         J[np.ix_(s.n_u + ip, iu)] += -cell["B"].T
         if s.use_multiplier:

@@ -36,7 +36,8 @@ def from_scratch(cx: DdrComplex) -> DdrComplex:
 def n_built(contexts, attr):
     """Number of contexts built from scratch: distinct (group, row) pairs
     of the contexts whose attr is a stacked array (a view hands out a
-    fresh slice of its row on each read, so array ids do not tell)."""
+    fresh slice of its row on each read, so array ids do not tell).  The
+    contexts of DdrComplex are read through their views."""
     assert all(isinstance(getattr(ctx, attr), np.ndarray) for ctx in contexts)
     return len({(id(ctx.group), ctx.row) for ctx in contexts})
 
@@ -99,7 +100,7 @@ def test_shared_complex_matches_from_scratch(family, n, k):
     mesh = generate_cubic_mesh(n) if family == "cubic" else generate_tet_mesh(n)
     cx = DdrComplex(mesh, k)
     ref = from_scratch(cx)
-    assert n_built(cx.cells, "pot_curl") < mesh.n_cells
+    assert n_built(oracles.views(cx).cells, "pot_curl") < mesh.n_cells
     assert n_built(ref.cells, "pot_curl") == mesh.n_cells
 
     got, want = basis_free_values(cx), basis_free_values(ref)
@@ -128,12 +129,13 @@ def test_operator_arrays_match_from_scratch(family, n, k):
     mesh = generate_cubic_mesh(n) if family == "cubic" else generate_tet_mesh(n)
     cx = DdrComplex(mesh, k)
     ref = from_scratch(cx)
-    assert n_built(cx.cells, "pot_curl") < mesh.n_cells
+    view = oracles.views(cx)
+    assert n_built(view.cells, "pot_curl") < mesh.n_cells
     rtol = 1e-13 if k == 0 else 1e-12
-    for got, want in zip(cx.faces, ref.faces):
+    for got, want in zip(view.faces, ref.faces):
         for name in FACE_OPS:
             assert_close(getattr(got, name), getattr(want, name), rtol)
-    for got, want in zip(cx.cells, ref.cells):
+    for got, want in zip(view.cells, ref.cells):
         for name in CELL_OPS:
             assert_close(getattr(got, name), getattr(want, name), rtol)
         np.testing.assert_array_equal(got.rule.points, want.rule.points)
@@ -141,14 +143,14 @@ def test_operator_arrays_match_from_scratch(family, n, k):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cubic_meshes_build_few_contexts(n):
-    cx = DdrComplex(generate_cubic_mesh(n), 0)
-    assert n_built(cx.faces, "grad_mat") <= 10
-    assert n_built(cx.cells, "pot_curl") <= 4
+    view = oracles.views(DdrComplex(generate_cubic_mesh(n), 0))
+    assert n_built(view.faces, "grad_mat") <= 10
+    assert n_built(view.cells, "pot_curl") <= 4
 
 
 def test_placed_context_binds_its_own_geometry():
-    cx = DdrComplex(generate_cubic_mesh(2), 1)
-    for ctxs, entity in ((cx.faces, "face"), (cx.cells, "cell")):
+    view = oracles.views(DdrComplex(generate_cubic_mesh(2), 1))
+    for ctxs, entity in ((view.faces, "face"), (view.cells, "cell")):
         for ctx in ctxs:
             ent = getattr(ctx, entity)
             np.testing.assert_array_equal(ctx.geom.origin, ent.anchor)
@@ -159,9 +161,9 @@ def test_placed_context_binds_its_own_geometry():
 def test_translates_read_the_row_of_their_class():
     # a translate holds no copy: its arrays are its class's row of the
     # group's stacks, the one its first member reads
-    cx = DdrComplex(generate_cubic_mesh(2), 1)
+    view = oracles.views(DdrComplex(generate_cubic_mesh(2), 1))
     translates = 0
-    for ctxs, name in ((cx.faces, "grad_mat"), (cx.cells, "pot_curl")):
+    for ctxs, name in ((view.faces, "grad_mat"), (view.cells, "pot_curl")):
         for ctx in ctxs:
             first = ctxs[ctx.group.ids[ctx.group.rep[ctx.row]]]
             translates += first is not ctx
@@ -179,7 +181,7 @@ def test_cells_listing_faces_in_another_order():
     mesh = build_mesh(base.vertex_coords, [f.vertex_loop for f in base.faces],
                       [list(rng.permutation(c.faces)) for c in base.cells])
     cx = DdrComplex(mesh, 1)
-    assert n_built(cx.cells, "pot_curl") < mesh.n_cells
+    assert n_built(oracles.views(cx).cells, "pot_curl") < mesh.n_cells
     got, want = basis_free_values(cx), basis_free_values(from_scratch(cx))
     for name in want:
         assert_close(got[name], want[name])
@@ -196,9 +198,10 @@ def test_cells_on_faces_of_split_classes_still_share(monkeypatch):
         np.column_stack([face_keys(mesh, fids, ev),
                          [mesh.faces[f].anchor[2] > 0.5 for f in fids]])))
     cx = DdrComplex(generate_cubic_mesh(3), 2)
-    assert n_built(cx.cells, "pot_curl") < cx.mesh.n_cells
-    lower = [c for c in cx.cells if c.cell.anchor[2] < 2 / 3]
-    assert n_built(cx.cells, "pot_curl") == n_built(lower, "pot_curl")
+    cells = oracles.views(cx).cells
+    assert n_built(cells, "pot_curl") < cx.mesh.n_cells
+    lower = [c for c in cells if c.cell.anchor[2] < 2 / 3]
+    assert n_built(cells, "pot_curl") == n_built(lower, "pot_curl")
     got, want = basis_free_values(cx), basis_free_values(from_scratch(cx))
     for name in want:
         assert_close(got[name], want[name])
@@ -208,9 +211,9 @@ def test_cells_on_faces_of_split_classes_still_share(monkeypatch):
                                   jittered_kuhn_mesh])
 def test_non_congruent_meshes_share_nothing(make):
     mesh = make()
-    cx = DdrComplex(mesh, 1)
-    assert n_built(cx.faces, "grad_mat") == mesh.n_faces
-    assert n_built(cx.cells, "pot_curl") == mesh.n_cells
+    view = oracles.views(DdrComplex(mesh, 1))
+    assert n_built(view.faces, "grad_mat") == mesh.n_faces
+    assert n_built(view.cells, "pot_curl") == mesh.n_cells
 
 
 def test_prism_mesh_shares_only_translated_faces():
@@ -218,9 +221,10 @@ def test_prism_mesh_shares_only_translated_faces():
     # z = 0 and z = 1 of each prism are translates with the same numbering
     mesh = prism_mesh()
     cx = DdrComplex(mesh, 1)
-    assert n_built(cx.cells, "pot_curl") == 2
+    view = oracles.views(cx)
+    assert n_built(view.cells, "pot_curl") == 2
     owners = {}
-    for f, fctx in enumerate(cx.faces):
+    for f, fctx in enumerate(view.faces):
         owners.setdefault((id(fctx.group), fctx.row), []).append(f)
     shared = sorted(fs for fs in owners.values() if len(fs) > 1)
     assert shared == [[1, 2], [5, 6]]

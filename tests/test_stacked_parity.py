@@ -17,7 +17,6 @@ from conftest import (cube_pyramid_mesh, get_mesh, jittered_kuhn_mesh,
                       pentagon_prism_mesh)
 from ddrns import operators
 from ddrns import polyspaces as ps
-from ddrns import quadrature as quad
 from ddrns.operators import DdrComplex
 from ddrns.spaces import SpaceKind
 
@@ -53,8 +52,9 @@ def built(ctxs):
 def test_stacked_operators_match_per_entity_assembly(mesh, k):
     cx = DdrComplex(MESHES[mesh](), k)
     ref = oracles.per_entity_complex(cx)
-    for ctxs, refs, names in ((cx.faces, ref.faces, FACE_OPS),
-                              (cx.cells, ref.cells, CELL_OPS)):
+    view = oracles.views(cx)
+    for ctxs, refs, names in ((view.faces, ref.faces, FACE_OPS),
+                              (view.cells, ref.cells, CELL_OPS)):
         for i, ctx in built(ctxs):
             for name in names:
                 assert_close(getattr(ctx, name), getattr(refs[i], name))
@@ -121,25 +121,36 @@ def test_potential_kernel_matches_per_entity_assembly(mesh, k):
                                   "cube_pyramid"])
 def test_appendix_norms_match_per_entity_reference(mesh, k):
     # the group pieces of every face and cell against the hand-written
-    # per-entity norms, at random local vectors
+    # per-entity norms, at random local vectors: each member alone, and
+    # all members of a group in one call
     cx = DdrComplex(MESHES[mesh](), k)
     ref = oracles.per_entity_complex(cx)
     rng = np.random.default_rng(k)
-    for entities, kind in ((cx.faces, "face"), (cx.cells, "cell")):
-        for i, view in enumerate(entities):
-            v = rng.standard_normal(view.n_curl)
-            for s in (2.0, 4.0):
-                for norm in ("component", "potential"):
-                    name = f"{norm}_norm_{kind}"
-                    assert getattr(cx, name)(s, i, v) == pytest.approx(
-                        getattr(oracles, name)(ref, s, i, v), rel=1e-12)
+    view = oracles.views(cx)
+    for entities, groups, kind in ((view.faces, cx.face_groups, "face"),
+                                   (view.cells, cx.cell_groups, "cell")):
+        vs = [rng.standard_normal(e.n_curl) for e in entities]
+        for s in (2.0, 4.0):
+            for norm in ("component", "potential"):
+                group_norms = getattr(cx, f"{norm}_norms")
+                want = [getattr(oracles, f"{norm}_norm_{kind}")(ref, s, i, v)
+                        for i, v in enumerate(vs)]
+                for i, v in enumerate(vs):
+                    assert oracles.member_norm(
+                        group_norms, entities[i], s, v) == pytest.approx(
+                            want[i], rel=1e-12)
+                for g in groups:
+                    got = group_norms(s, g, np.arange(len(g.ids)),
+                                      np.array([vs[i] for i in g.ids]))
+                    assert got == pytest.approx([want[i] for i in g.ids],
+                                                rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("mesh", ["kuhn", "pentagon_prism"])
 def test_stacked_edges_match_per_edge_build(mesh, k):
     cx = DdrComplex(MESHES[mesh](), k)
-    for e, ectx in enumerate(cx.edges):
+    for e, ectx in enumerate(oracles.views(cx).edges):
         ref = oracles.ReferenceEdge(cx.mesh, e, k, ectx.rule.exactness_degree)
         for name in ("gram", "skeleton", "deriv"):
             assert_close(getattr(ectx, name), getattr(ref, name))
@@ -154,7 +165,8 @@ def test_rule_stacks_match_one_id_rules(mesh, k):
     for kind in ("edge", "face", "cell"):
         for g in getattr(cx, f"{kind}_groups"):
             for i, e in enumerate(g.ids.tolist()):
-                one = quad.rule_for(cx.mesh, kind, e, g.rule.exactness_degree)
+                one = oracles.rule_for(cx.mesh, kind, e,
+                                       g.rule.exactness_degree)
                 assert np.array_equal(g.points[i], one.points), (kind, e)
                 assert np.array_equal(g.weights[i], one.weights), (kind, e)
 
@@ -174,15 +186,17 @@ def test_each_rule_function_is_called_once_per_group(monkeypatch, family,
 
 def test_jittered_tets_build_one_group_each():
     cx = DdrComplex(jittered_kuhn_mesh(), 1)
-    assert len({id(e.group) for e in cx.edges}) == 1
-    assert len({id(f.group) for f in cx.faces}) == 1
+    view = oracles.views(cx)
+    assert len({id(e.group) for e in view.edges}) == 1
+    assert len({id(f.group) for f in view.faces}) == 1
     assert len({id(c.group) for c in cx.cells}) == 1
     assert [c.row for c in cx.cells] == list(range(cx.mesh.n_cells))
 
 
 def test_cell_groups_follow_face_loop_lengths():
     cx = DdrComplex(cube_pyramid_mesh(), 1)
-    assert len({id(f.group) for f in cx.faces}) == 2     # quads, triangles
+    faces = oracles.views(cx).faces
+    assert len({id(f.group) for f in faces}) == 2     # quads, triangles
     assert cx.cells[0].group is not cx.cells[1].group
 
 
@@ -234,12 +248,12 @@ def test_singular_gram_names_its_entity(monkeypatch):
     # a singular Gram in a group of faces raises with the face's id
     build = ps.build_subspace
 
-    def failing(geom, selector, degree, gram):
+    def failing(dim, selector, degree, gram):
         # a stack of more than 3 members: a face group of the mesh
         if selector == "Rc" and gram.ndim == 3 and len(gram) > 3:
             gram = gram.copy()
             gram[3] = 0.0
-        return build(geom, selector, degree, gram)
+        return build(dim, selector, degree, gram)
 
     monkeypatch.setattr(operators.ps, "build_subspace", failing)
     mesh = jittered_kuhn_mesh()
@@ -253,7 +267,7 @@ def test_cell_gram_summed_by_simplex_matches_one_product():
     # tet is one tetrahedron, the pentagon prism 30)
     for mesh in (jittered_kuhn_mesh(), pentagon_prism_mesh()):
         cx = DdrComplex(mesh, 2)
-        for c in cx.cells:
+        for c in oracles.views(cx).cells:
             assert_close(c.gram,
                          oracles.scalar_monomial_gram(c.geom, 4, c.rule),
                          1e-14)
