@@ -4,7 +4,8 @@ The local operators are dense matrices acting on entity-local DoF vectors
 (``LocalOperator`` style), with moment systems solved in entity-local
 orthonormal bases.  Edges, faces and cells are built by groups of alike
 entities: all edges in one group, faces by loop length, cells by the loop
-lengths of their faces.  A group (:class:`EdgeContext`,
+lengths of their faces and whether they are parallelepipeds, whose rule is
+one tensor block.  A group (:class:`EdgeContext`,
 :class:`FaceContext`, :class:`CellContext`) owns every member: the ids, the
 chart of each, the stack of their quadrature rules, placed by one call of
 the rule function, and ``row``, the stack row of each.  Faces or cells that
@@ -51,11 +52,13 @@ import scipy.sparse as sp
 
 from . import polyspaces as ps
 from .mesh import Mesh
-from .quadrature import QuadratureRule, cell_rule, edge_rule, face_rule
+from .quadrature import (QuadratureRule, cell_rule, edge_rule, face_rule,
+                         parallelepipeds)
 from .spaces import DofLayout, DofVector, SpaceKind
 
-# rule points per chunk of cells of the global potential kernel and norms,
-# so that their samples stay a few MiB on any mesh
+# rule points per chunk of cells of the global potential kernel, and of the
+# norm pieces counted over each member and its boundary slots, so that their
+# samples stay a few MiB on any mesh
 CHUNK_POINTS = 16384
 
 # ---------------------------------------------------------------------------
@@ -233,18 +236,27 @@ def _own_fields(g, members):
                            for b in subs], axis=-1)
 
 
-def _piece_norms(pieces, s, x) -> np.ndarray:
-    """The norms hw^{1/s} |A x|_{L^s(w)} (m, npieces) of m members at local
-    DoFs x (m, nloc) over pieces (h-weights hw (m,), rule weights w (m,
-    npts), operator A (m, npts[, d], nloc)), vectors measured pointwise in
-    the Euclidean norm; an Appendix norm sums them, hw = h^codim."""
-    out = []
-    for hw, w, A in pieces:
-        vals = (A.reshape(len(A), -1, A.shape[-1]) @ x[:, :, None]).reshape(
-            A.shape[:-1])
-        mag = np.abs(vals) if vals.ndim == 2 else np.linalg.norm(vals, axis=-1)
-        out.append((hw * np.sum(w * mag ** s, axis=1)) ** (1.0 / s))
-    return np.stack(out, axis=1)
+def _piece_norms(pieces, s, x, owner) -> np.ndarray:
+    """The norms hw^{1/s} |A x|_{L^s(w)} (n, npieces) of n vectors x (n,
+    nloc), vector j on member owner[j] of pieces (h-weights hw (m,), rule
+    weights w (m, npts), operator A (m, npts[, d], nloc) of m members),
+    vectors measured pointwise in the Euclidean norm; an Appendix norm sums
+    them, hw = h^codim.  The vectors of a member are the columns of one
+    product with its A."""
+    count = np.bincount(owner, minlength=len(pieces[0][0]))
+    order = np.argsort(owner, kind="stable")
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    X = np.zeros((len(count), x.shape[1], max(count.max(), 1)))
+    X[owner[order], :, rank] = x[order]
+    out = np.empty((len(owner), len(pieces)))
+    for i, (hw, w, A) in enumerate(pieces):
+        vals = (A.reshape(len(A), -1, A.shape[-1]) @ X).reshape(
+            A.shape[:-1] + X.shape[-1:])
+        mag = np.abs(vals) if vals.ndim == 3 else np.linalg.norm(vals, axis=2)
+        norms = (hw[:, None] * np.sum(w[..., None] * mag ** s, axis=1)) ** (
+            1.0 / s)
+        out[order, i] = norms[owner[order], rank]
+    return out
 
 
 class _Chart:
@@ -422,7 +434,9 @@ class _Group:
     def _rule_blocks(self):
         """The rule points and weights of the built members simplex by
         simplex of their rule, so that one block only is held at a time:
-        (slice of the rule, points (G, m, 3), weights (G, m))."""
+        (slice of the rule, points (G, m, 3), weights (G, m)).  A Duffy
+        simplex is one block; so is the whole tensor rule of a
+        parallelepiped."""
         parts = self.rule.n_simplices
         m = self.points.shape[1] // parts
         for i in range(parts):
@@ -625,10 +639,10 @@ class FaceContext(_Group):
 
 class CellContext(_Group):
     """The local operators of a group of cells cids whose faces have the
-    same loop lengths, as stacks along a leading row axis; row[i] is the
-    stack row of cell cids[i].  phi_k, the P^k basis at the rule points, is
-    kept for every member, since a translate may list its rule points in
-    another order."""
+    same loop lengths, all parallelepipeds or none, as stacks along a
+    leading row axis; row[i] is the stack row of cell cids[i].  phi_k, the
+    P^k basis at the rule points, is kept for every member, since a
+    translate may list its rule points in another order."""
 
     kind = "cell"
 
@@ -646,7 +660,8 @@ class CellContext(_Group):
         t = _cell_tables(mesh, layouts, self.ids[self.rep])
         self._sizes(layouts, t.glob)
         chart = self.chart[self.rep]
-        # the cell rule is summed and sampled one tetrahedron at a time
+        # the cell rule is summed and sampled one block at a time: a
+        # tetrahedron of a cone, or the whole rule of a parallelepiped
         self._bases(chart, chart.gram(self._rule_blocks(), k + 2),
                     [("G", k - 1), ("Gc", k), ("Gc", k + 1)])
         # evaluation caches kept small: scalar P^k basis at the rule points
@@ -957,9 +972,12 @@ def _project(basis, coeff, mono, wv) -> np.ndarray:
 # the assembled complex
 
 
-def _loop_lengths(mesh: Mesh, c: int) -> tuple:
-    return tuple(sorted(len(mesh.faces[f].vertex_loop)
-                        for f in mesh.cells[c].faces))
+def _cell_group_keys(mesh: Mesh) -> list:
+    """The group key of each cell: the sorted loop lengths of its faces,
+    and whether it is a parallelepiped, whose rule has one simplex."""
+    box = (parallelepipeds(mesh, range(mesh.n_cells))[:, 0] >= 0).tolist()
+    return [(tuple(sorted(len(mesh.faces[f].vertex_loop) for f in c.faces)),
+             b) for c, b in zip(mesh.cells, box)]
 
 
 class DdrComplex:
@@ -992,7 +1010,7 @@ class DdrComplex:
             CellContext(mesh, ids, row, k, ell, self.cell_degree, edges,
                         self._faces_by_length, self.layouts)
             for ids, row in _classes(
-                [_loop_lengths(mesh, c) for c in range(mesh.n_cells)],
+                _cell_group_keys(mesh),
                 lambda cids: _cell_keys(mesh, cids, edges.vertices))]
         self.cells = _views(mesh.n_cells, self.cell_groups)
         self._gram_cache = {}
@@ -1159,22 +1177,19 @@ class DdrComplex:
                if kind is SpaceKind.GRAD else group.phi_k[members])
         return _sampled(phi, getattr(group, f"pot_{kind.value}")[rows], x)
 
-    def _cell_chunks(self):
-        """(group, members) for chunks of members of each cell group of at
-        most CHUNK_POINTS rule points, or of one member that has more."""
+    def potential_chunks(self, kind, x):
+        """(group, members, values) of the kind potential of the DoFs x
+        (total_dim, ...) on chunks of the members of each cell group, of at
+        most CHUNK_POINTS rule points or one member that has more; see
+        potential_values."""
+        lay = self.layouts[SpaceKind(kind)]
         for g in self.cell_groups:
             n, npts = g.weights.shape
             step = max(1, CHUNK_POINTS // npts)
             for start in range(0, n, step):
-                yield g, np.arange(start, min(start + step, n))
-
-    def potential_chunks(self, kind, x):
-        """(group, members, values) of the kind potential of the DoFs x
-        (total_dim, ...) on each chunk of cells; see potential_values."""
-        lay = self.layouts[SpaceKind(kind)]
-        for g, members in self._cell_chunks():
-            yield g, members, self.potential_values(
-                kind, g, members, x[lay.cell_table(g.ids[members])])
+                members = np.arange(start, min(start + step, n))
+                yield g, members, self.potential_values(
+                    kind, g, members, x[lay.cell_table(g.ids[members])])
 
     def curl_potential_values(self, c: int, v_local: np.ndarray) -> np.ndarray:
         """Values (npts, 3) of the curl-space vector potential on cell c."""
@@ -1231,39 +1246,59 @@ class DdrComplex:
             pieces.append((s.hw, s.w, A))
         return pieces
 
+    def _piece_points(self, g) -> int:
+        """The rule points of one member of a face or cell group and of its
+        boundary slots, which its pieces are sampled at."""
+        edge = self.edge_groups[0].weights.shape[1]
+        if g.kind == "face":
+            return g.weights.shape[1] + g.loop_length * edge
+        c = self.mesh.cells[g.ids[0]]
+        return g.weights.shape[1] + len(c.edge_ids) * edge + sum(
+            self._faces_by_length[len(self.mesh.faces[f].vertex_loop)]
+            .weights.shape[1] for f in c.faces)
+
     def _member_norms(self, pieces, s, group, members, x) -> np.ndarray:
-        """Sums (m,) of the piece norms of members (m indices, repeats
-        allowed) of a face or cell group at local DoFs x (m, nloc), for
-        at most CHUNK_POINTS rule points of members at a time."""
-        step = max(1, CHUNK_POINTS // group.weights.shape[1])
-        members = np.asarray(members)
-        return np.concatenate([np.zeros(0)] + [
-            np.sum(_piece_norms(pieces(group, members[i:i + step]), s,
-                                x[i:i + step]), axis=1)
-            for i in range(0, len(members), step)])
+        """The piece norms (m, npieces) of members (m indices, repeats
+        allowed) of a face or cell group at local DoFs x (m, nloc).  The
+        pieces of each distinct member are built once, for at most
+        CHUNK_POINTS rule points of pieces at a time."""
+        uniq, owner = np.unique(np.asarray(members, dtype=np.int64),
+                                return_inverse=True)
+        owner = owner.ravel()
+        step = max(1, CHUNK_POINTS // self._piece_points(group))
+        out = np.zeros((0, 0))
+        for i in range(0, len(uniq), step):
+            sel = np.flatnonzero((owner >= i) & (owner < i + step))
+            norms = _piece_norms(pieces(group, uniq[i:i + step]), s, x[sel],
+                                 owner[sel] - i)
+            if i == 0:
+                out = np.empty((len(owner), norms.shape[1]))
+            out[sel] = norms
+        return out
 
     def component_norms(self, s: float, group, members, x) -> np.ndarray:
         """Component L^s norms (m,) of local CURL DoFs x (m, n_curl) on
         members of a face or cell group: the sum over the entity, its faces
         and its edges of the h^{(d-d')/s}-weighted component L^s norms."""
-        return self._member_norms(self._component_pieces, s, group, members,
-                                  x)
+        return np.sum(self._member_norms(self._component_pieces, s, group,
+                                         members, x), axis=1)
 
     def potential_norms(self, s: float, group, members, x) -> np.ndarray:
         """Potential-based L^s norms (m,) of local CURL DoFs x (m, n_curl)
         on members of a face or cell group: the CURL potential of a cell,
         or the tangential trace of a face, and its h-weighted mismatches
         with the traces on the boundary."""
-        return self._member_norms(self._potential_pieces, s, group, members,
-                                  x)
+        return np.sum(self._member_norms(self._potential_pieces, s, group,
+                                         members, x), axis=1)
 
     def _cells_norm(self, pieces, s: float, v: DofVector, power) -> float:
-        """(The sum over the chunks of cells of power(their piece norms (m,
-        npieces)) at the DoFs of a CURL vector v)^{1/s}."""
+        """(The sum over the cell groups of power(the piece norms (m,
+        npieces) of their members) at the DoFs of a CURL vector v)^{1/s}."""
         cl = self.layouts[SpaceKind.CURL]
-        return float(sum(power(_piece_norms(
-            pieces(g, m), s, v.values[cl.cell_table(g.ids[m])]))
-            for g, m in self._cell_chunks()) ** (1.0 / s))
+        return float(sum(power(self._member_norms(
+            pieces, s, g, np.arange(len(g.ids)),
+            v.values[cl.cell_table(g.ids)]))
+            for g in self.cell_groups) ** (1.0 / s))
 
     def ls_curl_norm(self, s: float, v: DofVector) -> float:
         """L^s-like norm on the curl space: cellwise potential plus h-weighted

@@ -123,6 +123,22 @@ def cube_pyramid_mesh():
     return msh.build_mesh(pts, faces, [[0, 1, 2, 3, 4, 5], [1, 6, 7, 8, 9]])
 
 
+def cube_frustum_mesh():
+    """The unit cube with a frustum on its top face: two hexahedra with the
+    same face loop lengths, a parallelepiped and one that is not affine."""
+    pts = np.array([
+        [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+        [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
+        [0.2, 0.2, 2], [0.8, 0.2, 2], [0.8, 0.8, 2], [0.2, 0.8, 2],
+    ], dtype=float)
+    faces = [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [1, 2, 6, 5],
+             [2, 3, 7, 6], [3, 0, 4, 7],
+             [8, 9, 10, 11], [4, 5, 9, 8], [5, 6, 10, 9], [6, 7, 11, 10],
+             [7, 4, 8, 11]]
+    return msh.build_mesh(pts, faces, [[0, 1, 2, 3, 4, 5],
+                                       [1, 6, 7, 8, 9, 10]])
+
+
 @pytest.fixture(scope="session")
 def cube1():
     return get_mesh("cubic", 1)

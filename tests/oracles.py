@@ -726,10 +726,12 @@ def reference_triangle_rule(verts, degree):
     return a[None, :] + np.outer(xi, b - a) + np.outer(eta, c - a), w * area2
 
 
-def reference_tet_rule(verts, degree):
+def reference_tet_rule(verts, degree, reference=quad._duffy_tet):
+    """The Duffy rule of a tetrahedron, or another reference rule of the
+    unit tetrahedron or cube placed by the same affine map."""
     a, b, c, d = verts
     vol6 = abs(np.dot(np.cross(b - a, c - a), d - a))
-    x1, x2, x3, w = quad._duffy_tet(max(degree, 0))
+    x1, x2, x3, w = reference(max(degree, 0))
     pts = (a[None, :] + np.outer(x1, b - a) + np.outer(x2, c - a)
            + np.outer(x3, d - a))
     return pts, w * vol6
@@ -745,14 +747,41 @@ def reference_triangles(mesh, fid):
             for i in range(len(loop))]
 
 
+def reference_parallelepiped(mesh, cid):
+    """The corners v_0, v_0 + a_1, v_0 + a_2, v_0 + a_3 (4, 3) of cell cid
+    if it is a parallelepiped x_0 + A xi, xi in {0, 1}^3, with v_0 its
+    first vertex and a_i its edges at v_0 in edge order; else None."""
+    c = mesh.cells[cid]
+    if len(c.vertex_ids) != 8 or any(len(mesh.faces[f].vertex_loop) != 4
+                                     for f in c.faces):
+        return None
+    v0 = c.vertex_ids[0]
+    ends = [mesh.edges[e].vertices for e in c.edge_ids]
+    others = [b if a == v0 else a for a, b in ends if v0 in (a, b)]
+    x = mesh.vertex_coords
+    corners = x[[v0, *others]]
+    tol = quad.PARALLELEPIPED_RTOL * c.diameter
+    box = [corners[0] + sum(s * (p - corners[0])
+                            for s, p in zip(xi, corners[1:]))
+           for xi in product((0, 1), repeat=3)]
+    hit = lambda p, pts: min(np.linalg.norm(p - q) for q in pts) <= tol
+    if len(others) == 3 and all(hit(p, x[c.vertex_ids]) for p in box) \
+            and all(hit(x[v], box) for v in c.vertex_ids):
+        return corners
+    return None
+
+
 def reference_rule(mesh, kind, index, degree):
     """Points and weights of a face or cell rule, one simplex at a time:
-    the triangles of a face; a tetrahedron coned from its vertex opposite
-    its first face over that face, and any other cell coned from its anchor
-    over the triangles of each face."""
+    the triangles of a face; the tensor Gauss rule of a parallelepiped; a
+    tetrahedron coned from its vertex opposite its first face over that
+    face, and any other cell coned from its anchor over the triangles of
+    each face."""
     if kind == "face":
         parts = [reference_triangle_rule(t, degree)
                  for t in reference_triangles(mesh, index)]
+    elif (box := reference_parallelepiped(mesh, index)) is not None:
+        parts = [reference_tet_rule(box, degree, quad._gauss_cube)]
     else:
         c = mesh.cells[index]
         if len(c.vertex_ids) == 4:

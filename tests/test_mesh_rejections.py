@@ -15,6 +15,7 @@ from ddrns import mesh as msh
 from ddrns import quadrature as quad
 
 import oracles
+from conftest import cube_frustum_mesh, prism_mesh, random_hex_mesh
 
 
 def cube_tables():
@@ -345,11 +346,22 @@ def test_degenerate_triangle_names_face_and_segment():
 
 
 def test_degenerate_tetrahedron_names_cell_face_and_segment():
-    m = built(cube_tables())
+    # a coned hexahedron (a cube takes the tensor rule)
+    m = random_hex_mesh()
     c = m.cells[0]
     c.anchor = m.faces[c.faces[2]].anchor.copy()
     with pytest.raises(quad.DegenerateSimplexError,
                        match=rf"^cell 0: zero-volume tetrahedron \(face {c.faces[2]}, segment 0\)$"):
+        quad.cell_rule(m, 0, 2)
+
+
+def test_flat_parallelepiped_names_its_cell():
+    # the top of the cube pressed onto its bottom: the corners still match
+    # x_0 + A xi, with a zero column
+    m = built(cube_tables())
+    m.vertex_coords[4:] = m.vertex_coords[:4]
+    with pytest.raises(quad.DegenerateSimplexError,
+                       match="^cell 0: zero-volume parallelepiped$"):
         quad.cell_rule(m, 0, 2)
 
 
@@ -382,7 +394,7 @@ def test_face_group_checks_the_area_of_every_member():
 
 
 def test_cell_group_names_its_degenerate_member_face_and_segment():
-    m = msh.generate_cubic_mesh(2)
+    m = prism_mesh()
     c = m.cells[1]
     c.anchor = m.faces[c.faces[2]].anchor.copy()
     with pytest.raises(quad.DegenerateSimplexError,
@@ -391,10 +403,24 @@ def test_cell_group_names_its_degenerate_member_face_and_segment():
 
 
 def test_cell_group_checks_the_volume_of_every_member():
-    m = msh.generate_cubic_mesh(2)
+    m = prism_mesh()
     m.cells[1].volume *= 2.0
     with pytest.raises(quad.DegenerateSimplexError,
                        match="^cell 1: cone decomposition does not recover the volume$"):
+        quad.cell_rule(m, [0, 1], 2)
+
+
+def test_parallelepiped_group_checks_the_volume_of_every_member():
+    m = msh.generate_cubic_mesh(2)
+    m.cells[1].volume *= 2.0
+    with pytest.raises(quad.DegenerateSimplexError,
+                       match="^cell 1: tensor rule does not recover the volume$"):
+        quad.cell_rule(m, [0, 1], 2)
+
+
+def test_a_cube_and_a_coned_hexahedron_cannot_share_a_group():
+    m = cube_frustum_mesh()
+    with pytest.raises(ValueError, match="same number of simplices"):
         quad.cell_rule(m, [0, 1], 2)
 
 

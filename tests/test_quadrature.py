@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddrns import quadrature as quad
-from conftest import (get_mesh, jittered_kuhn_mesh, pentagon_prism_mesh,
-                      prism_mesh, random_hex_mesh)
+from ddrns.operators import DdrComplex
+from conftest import (cube_frustum_mesh, get_mesh, jittered_kuhn_mesh,
+                      pentagon_prism_mesh, prism_mesh, random_hex_mesh)
 
 import oracles
 
@@ -55,12 +56,14 @@ EXACTNESS_MESHES = {
     "jittered_kuhn": lambda n: jittered_kuhn_mesh(n),
     "prism": lambda n: prism_mesh(),
     "pentagon_prism": lambda n: pentagon_prism_mesh(),
+    "random_hex": lambda n: random_hex_mesh(),
 }
 
 
 @pytest.mark.parametrize("family,n", [("cubic", 2), ("tet", 1),
                                       ("jittered_kuhn", 2), ("prism", 1),
-                                      ("pentagon_prism", 1)])
+                                      ("pentagon_prism", 1),
+                                      ("random_hex", 1)])
 @pytest.mark.parametrize("degree", [0, 1, 3, 5, 7, 9, 11, 12])
 def test_monomial_exactness_vs_oracle(family, n, degree):
     # invariant: every monomial up to the requested degree integrates to the
@@ -82,15 +85,39 @@ def test_monomial_exactness_vs_oracle(family, n, degree):
 @pytest.mark.parametrize("degree", range(13))
 def test_rules_take_the_fewest_points(degree):
     # (degree + 2) // 2 points per direction of each simplex; a triangle and
-    # a tetrahedron are their own simplex, a square is fanned into 4
-    # triangles and a cube coned into 24 tetrahedra, a prism into 14
+    # a tetrahedron are their own simplex, a cube takes the tensor rule as
+    # one, a square is fanned into 4 triangles, the random hexahedron coned
+    # into 24 tetrahedra and a prism into 14
     n = (degree + 2) // 2
     tet, cube, prism = get_mesh("tet", 1), get_mesh("cubic", 1), prism_mesh()
-    for mesh, cells, faces in ((tet, 1, 1), (cube, 24, 4), (prism, 14, 1)):
+    for mesh, cells, faces in ((tet, 1, 1), (cube, 1, 4), (prism, 14, 1),
+                               (random_hex_mesh(), 24, 4)):
         cell = quad.cell_rule(mesh, 0, degree)
         face = quad.face_rule(mesh, 1, degree)
         assert (cell.n_simplices, cell.n_points) == (cells, cells * n ** 3)
         assert (face.n_simplices, face.n_points) == (faces, faces * n ** 2)
+
+
+def test_a_cube_and_a_frustum_take_their_own_rules():
+    # a cube and a non-affine hexahedron sharing a face: the cube takes the
+    # tensor rule, the frustum its cone, in two cell groups of one rule size
+    m = cube_frustum_mesh()
+    cube, frustum = quad.cell_rule(m, 0, 4), quad.cell_rule(m, 1, 4)
+    assert (cube.n_simplices, cube.n_points) == (1, 27)
+    assert (frustum.n_simplices, frustum.n_points) == (24, 24 * 27)
+    cx = DdrComplex(m, 0)
+    assert len(cx.cell_groups) == 2
+    assert cx.cells[0].group is not cx.cells[1].group
+    for degree in range(13):
+        powers = np.array(list(oracles.all_powers(degree)))
+        for c in (0, 1):
+            r = quad.cell_rule(m, c, degree)
+            val = oracles.integrate(
+                r, np.prod(r.points[:, None, :] ** powers, axis=2))
+            # integrate_monomial of every power at once
+            ref = oracles.monomial_moments(m, "cell", c, degree)[
+                tuple(powers.T)]
+            assert val == pytest.approx(ref, rel=1e-12, abs=1e-13), (c, degree)
 
 
 def test_high_degree_prism_and_hex():

@@ -18,7 +18,7 @@ from conftest import (cube_pyramid_mesh, get_mesh, jittered_kuhn_mesh,
 from ddrns import operators
 from ddrns import polyspaces as ps
 from ddrns.operators import DdrComplex
-from ddrns.spaces import SpaceKind
+from ddrns.spaces import DofVector, SpaceKind
 
 FACE_OPS = ("grad_mat", "trace_mat", "curl_mat", "ttrace_mat", "uG_face",
             "serendipity_grad", "serendipity_curl", "gram")
@@ -95,10 +95,10 @@ def potentials_by_cell(cx, kind, x):
 
 @pytest.mark.parametrize("mesh,k", [
     *[(mesh, k) for mesh in MESHES for k in (0, 1, 2)],
-    # 64 cells of 864 rule points: one group spans several chunks
-    ("cubic4", 0)])
+    # 512 cells of 64 rule points: one group spans several chunks
+    ("cubic8", 1)])
 def test_potential_kernel_matches_per_entity_assembly(mesh, k):
-    cx = DdrComplex(get_mesh("cubic", 4) if mesh == "cubic4"
+    cx = DdrComplex(get_mesh("cubic", 8) if mesh == "cubic8"
                     else MESHES[mesh](), k)
     ref = oracles.per_entity_complex(cx)
     rng = np.random.default_rng(k)
@@ -107,7 +107,7 @@ def test_potential_kernel_matches_per_entity_assembly(mesh, k):
         x = rng.standard_normal(lay.total_dim)
         (got, chunks), (want, _) = (potentials_by_cell(c, kind, x)
                                     for c in (cx, ref))
-        if mesh == "cubic4":
+        if mesh == "cubic8":
             assert chunks > len(cx.cell_groups)
         for c in range(cx.mesh.n_cells):
             assert_close(got[c], want[c])
@@ -144,6 +144,47 @@ def test_appendix_norms_match_per_entity_reference(mesh, k):
                                       np.array([vs[i] for i in g.ids]))
                     assert got == pytest.approx([want[i] for i in g.ids],
                                                 rel=1e-12)
+
+
+def _recording_pieces(monkeypatch, cx, calls):
+    """Record the members and rule points of every pieces build of cx."""
+    for name in ("_component_pieces", "_potential_pieces"):
+        def recorded(g, members, build=getattr(cx, name)):
+            pieces = build(g, members)
+            calls.append((list(members), sum(w.size for _, w, _ in pieces)))
+            return pieces
+        monkeypatch.setattr(cx, name, recorded)
+
+
+def test_group_norms_build_each_distinct_member_once(monkeypatch):
+    cx = DdrComplex(get_mesh("cubic", 2), 1)
+    g = cx.cell_groups[0]
+    members = [0, 3, 0, 0, 5, 3]
+    x = np.random.default_rng(4).standard_normal((len(members), g.n_curl))
+    for norm in ("component", "potential"):
+        calls = []
+        _recording_pieces(monkeypatch, cx, calls)
+        got = getattr(cx, f"{norm}_norms")(2.0, g, members, x)
+        assert [m for c, _ in calls for m in c] == [0, 3, 5]
+        want = [oracles.member_norm(getattr(cx, f"{norm}_norms"),
+                                    cx.cells[g.ids[m]], 2.0, v)
+                for m, v in zip(members, x)]
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_norm_chunks_count_the_slot_points(monkeypatch):
+    # the boundary slots hold most of the points of a cell's pieces: each
+    # build of pieces stays within CHUNK_POINTS, or holds one member
+    cx = DdrComplex(get_mesh("cubic", 4), 1)
+    calls = []
+    _recording_pieces(monkeypatch, cx, calls)
+    v = np.random.default_rng(5).standard_normal(
+        cx.layouts[SpaceKind.CURL].total_dim)
+    cx.ls_curl_norm(2.0, DofVector(cx.layouts[SpaceKind.CURL], v))
+    cx.component_norm(2.0, DofVector(cx.layouts[SpaceKind.CURL], v))
+    assert len(calls) > 2 * len(cx.cell_groups)
+    for members, points in calls:
+        assert points <= operators.CHUNK_POINTS or len(members) == 1
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -262,10 +303,11 @@ def test_singular_gram_names_its_entity(monkeypatch):
 
 
 def test_cell_gram_summed_by_simplex_matches_one_product():
-    # a group sums each cell's Gram tetrahedron by tetrahedron, so that the
-    # monomials of one tetrahedron per cell are held at a time (a jittered
-    # tet is one tetrahedron, the pentagon prism 30)
-    for mesh in (jittered_kuhn_mesh(), pentagon_prism_mesh()):
+    # a group sums each cell's Gram block by block of its rule, so that the
+    # monomials of one block per cell are held at a time (a jittered tet is
+    # one tetrahedron, the pentagon prism 30, a cube one tensor block)
+    for mesh in (jittered_kuhn_mesh(), pentagon_prism_mesh(),
+                 get_mesh("cubic", 2)):
         cx = DdrComplex(mesh, 2)
         for c in oracles.views(cx).cells:
             assert_close(c.gram,
