@@ -1,4 +1,5 @@
-"""Polyhedral mesh: entities, incidence, orientations and geometric anchors.
+"""Polyhedral mesh: entities, incidence, orientations and geometric anchors,
+stored as arrays.
 
 Cells are open polyhedra bounded by planar polygonal faces, faces are bounded
 by straight edges, edges by vertices.  Every face carries a fixed unit normal
@@ -25,12 +26,24 @@ Python loop, over ints.  :func:`_validate` runs each check as one pass over
 all edges, faces or cells; the winding-number tests of a cell (its anchor
 and one point per face) take one kernel call.
 
-Meshes are immutable after construction and safe for concurrent reads.
+:class:`Mesh` keeps the arrays the build computes and no entity objects:
+each attribute is one array indexed by entity id (``face_anchor`` (nF, 3),
+``cell_volume`` (nT,), ...), and each table with one row of varying length
+per entity is a :class:`Ragged` of flat values and row offsets: the face
+loops, their edges, omega_FE and n_FE share the offsets of the loop
+segments, the cell faces and omega_TF those of the cell-face incidences.
+Readers take a group's rows at once (``mesh.face_anchor[fids]``,
+``mesh.cell_faces.rows(cids)``).
+
+Meshes are immutable after construction: nothing in ddrns writes the arrays
+after :func:`build_mesh` returns, and rows are views of them, so a mesh is
+safe for concurrent reads.  Writing an entry, to provoke a validation
+error say, changes that mesh for every reader.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,83 +64,83 @@ class Poly3ParseError(MeshError):
         self.lineno = lineno
 
 
-@dataclass
-class Vertex:
-    id: int
-    coords: np.ndarray  # (3,)
+class Ragged:
+    """A table of rows of different lengths: row i is
+    ``values[offsets[i]:offsets[i + 1]]``.  The values may carry trailing
+    axes, as the n_FE of the face segments do."""
+
+    def __init__(self, values: np.ndarray, offsets: np.ndarray):
+        self.values, self.offsets = values, offsets
+        self.lengths = np.diff(offsets)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i) -> np.ndarray:
+        """Row i, a view of the values."""
+        return self.values[self.offsets[i]:self.offsets[i + 1]]
+
+    def rows(self, ids) -> np.ndarray:
+        """Rows ids, all of one length n, as one (len(ids), n, ...) array."""
+        ids = np.asarray(ids, dtype=np.int64)
+        lens = self.lengths[ids]
+        n = int(lens[0]) if len(lens) else 0
+        if np.any(lens != n):
+            raise ValueError("rows of unequal length")
+        return self.values[self.offsets[ids][:, None] + np.arange(n)]
+
+    def concat(self, ids) -> np.ndarray:
+        """Rows ids, one after another."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return self.values[_ranges(self.offsets[ids], self.lengths[ids])]
+
+    def tolist(self) -> list:
+        return [self[i].tolist() for i in range(len(self))]
 
 
-@dataclass
-class Edge:
-    id: int
-    vertices: tuple[int, int]  # ordered; tangent points from first to second
-    tangent: np.ndarray        # unit
-    length: float
-    midpoint: np.ndarray
-
-
-@dataclass
-class Face:
-    id: int
-    vertex_loop: list[int]           # counter-clockwise as seen from the n_F side
-    edges: list[int]                 # one per loop segment
-    edge_signs: list[int]            # omega_FE
-    edge_normals: list[np.ndarray]   # n_FE per loop segment
-    normal: np.ndarray               # unit n_F
-    anchor: np.ndarray               # x_F
-    diameter: float                  # h_F
-    area: float
-    frame: np.ndarray                # (2,3) rows e1,e2; e1 x e2 = n_F
-    cells: list[int] = field(default_factory=list)
-    on_boundary: bool = False
-
-
-@dataclass
-class Cell:
-    id: int
-    faces: list[int]
-    face_signs: list[int]   # omega_TF
-    anchor: np.ndarray      # x_T
-    diameter: float         # h_T
-    volume: float
-    edge_ids: list[int] = field(default_factory=list)
-    vertex_ids: list[int] = field(default_factory=list)
-
-
+@dataclass(eq=False, repr=False)
 class Mesh:
     """Validated polyhedral mesh of a 3D domain.
 
     Built through :func:`build_mesh` (or the generators / the POLY3 reader,
     which delegate to it).  All orientation signs are derived, never read
-    from input, and are cross-checked by divergence-theorem closure.
+    from input, and are cross-checked by divergence-theorem closure.  Every
+    attribute of the edges, faces and cells is one array indexed by entity
+    id, or a :class:`Ragged` table with one row per entity.
     """
 
-    def __init__(self, vertices, edges, faces, cells):
-        self.vertices: list[Vertex] = vertices
-        self.edges: list[Edge] = edges
-        self.faces: list[Face] = faces
-        self.cells: list[Cell] = cells
-        self.vertex_coords = np.array([v.coords for v in vertices])
-        self.h = max(c.diameter for c in cells)
+    vertex_coords: np.ndarray      # (nV, 3)
+    edge_vertices: np.ndarray      # (nE, 2) ascending; t_E runs from the first
+    edge_tangent: np.ndarray       # (nE, 3) unit t_E
+    edge_length: np.ndarray        # (nE,)
+    edge_midpoint: np.ndarray      # (nE, 3)
+    face_loops: Ragged             # counter-clockwise seen from the n_F side
+    face_edges: Ragged             # the edge of each loop segment
+    face_edge_signs: Ragged        # omega_FE of each segment
+    face_edge_normals: Ragged      # n_FE of each segment, (3,) values
+    face_normal: np.ndarray        # (nF, 3) unit n_F
+    face_anchor: np.ndarray        # (nF, 3) x_F
+    face_diameter: np.ndarray      # (nF,) h_F
+    face_area: np.ndarray          # (nF,)
+    face_frame: np.ndarray         # (nF, 2, 3) rows e1, e2; e1 x e2 = n_F
+    face_cells: np.ndarray         # (nF, 2) ascending, -1 on the boundary
+    cell_faces: Ragged             # in input order
+    cell_face_signs: Ragged        # omega_TF of each face
+    cell_edges: Ragged             # ascending
+    cell_vertices: Ragged          # ascending
+    cell_anchor: np.ndarray        # (nT, 3) x_T
+    cell_diameter: np.ndarray      # (nT,) h_T
+    cell_volume: np.ndarray        # (nT,)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+    def __post_init__(self):
+        self.h = float(self.cell_diameter.max())
+        self.n_vertices, self.n_edges, self.n_faces, self.n_cells = map(
+            len, (self.vertex_coords, self.edge_vertices, self.face_normal,
+                  self.cell_volume))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.faces)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    def boundary_faces(self) -> list[int]:
-        return [f.id for f in self.faces if f.on_boundary]
+    def boundary_faces(self) -> np.ndarray:
+        """Ids of the faces on one cell only, ascending."""
+        return np.flatnonzero(self.face_cells[:, 1] < 0)
 
     def regularity_ratio(self) -> float:
         """min over cells of (inscribed-ball diameter) / h_T.
@@ -135,14 +148,12 @@ class Mesh:
         Reported for diagnostics only; never asserted.  The inscribed ball is
         taken centred at the cell anchor.
         """
-        worst = np.inf
-        for c in self.cells:
-            r = min(
-                abs(np.dot(c.anchor - self.faces[f].anchor, self.faces[f].normal))
-                for f in c.faces
-            )
-            worst = min(worst, 2.0 * r / c.diameter)
-        return float(worst)
+        t, f = self.cell_faces, self.cell_faces.values
+        owner = np.repeat(np.arange(len(t)), t.lengths)
+        r = np.abs(np.vecdot(self.cell_anchor[owner] - self.face_anchor[f],
+                             self.face_normal[f]))
+        return float(np.min(2.0 * np.minimum.reduceat(r, t.offsets[:-1])
+                            / self.cell_diameter))
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +197,26 @@ def _ordered_sums(terms: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum(table, axis=1)[:, -1]
 
 
-def loop_segments(loops) -> tuple[list[int], list[int]]:
-    """First and second vertex of every segment of the given vertex loops,
-    loop by loop: segment i of a loop runs from its vertex i to vertex i+1."""
-    cur = [v for loop in loops for v in loop]
-    nxt = [v for loop in loops for v in (*loop[1:], loop[0])]
+def _segments(loops: Ragged, fids) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in loops.values of the first and the second vertex of
+    every segment of faces fids, face by face: segment i of a loop runs
+    from its vertex i to vertex i+1."""
+    n = loops.lengths[fids]
+    cur = _ranges(loops.offsets[fids], n)
+    nxt = cur + 1
+    nxt[np.cumsum(n) - 1] = loops.offsets[fids]
     return cur, nxt
 
 
 def _boundary_triangles(mesh: Mesh, fids, signs) -> np.ndarray:
     """The oriented boundary of faces `fids` with signs `signs` as the fan
     triangles (x_F, v_i, v_i+1), reversed on faces of negative sign."""
-    loops = [mesh.faces[f].vertex_loop for f in fids]
-    cur, nxt = loop_segments(loops)
-    seg_face = np.repeat(np.arange(len(loops)), [len(loop) for loop in loops])
+    fids = np.asarray(fids, dtype=np.int64)
+    cur, nxt = (mesh.face_loops.values[i] for i in _segments(mesh.face_loops, fids))
+    seg_face = np.repeat(np.arange(len(fids)), mesh.face_loops.lengths[fids])
     flip = np.asarray(signs)[seg_face] < 0
     tris = np.empty((len(cur), 3, 3))
-    tris[:, 0] = np.array([mesh.faces[f].anchor for f in fids])[seg_face]
+    tris[:, 0] = mesh.face_anchor[fids][seg_face]
     tris[:, 1] = mesh.vertex_coords[np.where(flip, nxt, cur)]
     tris[:, 2] = mesh.vertex_coords[np.where(flip, cur, nxt)]
     return tris
@@ -278,14 +292,13 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
     for cid, fids in enumerate(cell_faces):
         if len(fids) == 0:
             raise MeshError(f"cell {cid}: no faces")
-    _id_table(cell_faces, "cell", "face", nf)
+    inc_face, _, inc_off = _id_table(cell_faces, "cell", "face", nf)
 
     # loop segments (face by face) and the edges they run along, numbered
     # by first appearance and stored as sorted vertex pairs
+    loops = Ragged(seg_v, loop_off)
     seg_face = np.repeat(np.arange(nf), loop_len)
-    nxt = np.arange(len(seg_v)) + 1
-    nxt[loop_off[1:] - 1] = loop_off[:-1]
-    seg_w = seg_v[nxt]
+    seg_w = seg_v[_segments(loops, np.arange(nf))[1]]
     lo, hi = np.minimum(seg_v, seg_w), np.maximum(seg_v, seg_w)
     _, first, inv = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
@@ -307,7 +320,7 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
     area, diam, frame = np.empty(nf), np.empty(nf), np.empty((nf, 2, 3))
     for n in np.unique(loop_len):
         fids = np.flatnonzero(loop_len == n)
-        pts = vcoords[seg_v[loop_off[fids, None] + np.arange(n)]]
+        pts = vcoords[loops.rows(fids)]
         nrm = np.sum(cross3(pts, np.roll(pts, -1, axis=1)), axis=1)
         size = _norm(nrm)
         if np.any(size == 0.0):
@@ -337,45 +350,40 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
         e1 /= _norm(e1)[:, None]
         normal[fids], anchor[fids], area[fids], diam[fids] = nrm, centroid, a_sum, d
         frame[fids] = np.stack([e1, cross3(nrm, e1)], axis=1)
-    seg_nfe = cross3(normal[seg_face], tangent[seg_edge])
 
-    vertices = [Vertex(i, vcoords[i]) for i in range(nv)]
-    edges = [Edge(i, (a, b), tangent[i], float(length[i]), midpoint[i])
-             for i, (a, b) in enumerate(ev.tolist())]
-    seg_edge_l, seg_sign_l = seg_edge.tolist(), seg_sign.tolist()
-    faces = []
-    for fid, (s, t) in enumerate(zip(loop_off[:-1].tolist(), loop_off[1:].tolist())):
-        faces.append(Face(fid, seg_v[s:t].tolist(), seg_edge_l[s:t], seg_sign_l[s:t],
-                          list(seg_nfe[s:t]), normal[fid], anchor[fid],
-                          float(diam[fid]), area[fid], frame[fid]))
+    face_edges, face_signs = Ragged(seg_edge, loop_off), Ragged(seg_sign, loop_off)
+    cells = _build_cells(vcoords, loops, face_edges, face_signs, normal, anchor,
+                         area, Ragged(inc_face, inc_off))
+    # the incident cells of each face, ascending
+    count = np.bincount(inc_face, minlength=nf)
+    if (f := _first((count == 0) | (count > 2))) is not None:
+        if count[f] == 0:
+            raise MeshError(f"face {f} not on the boundary of any cell")
+        raise MeshError(f"face {f} incident to {count[f]} cells")
+    order = np.argsort(inc_face, kind="stable")
+    inc_cell = np.repeat(np.arange(len(cell_faces)), np.diff(inc_off))
+    face_cells = np.full((nf, 2), -1, dtype=np.int64)
+    face_cells[inc_face[order], _ranges(np.zeros(nf, dtype=np.int64), count)] = \
+        inc_cell[order]
 
-    cells = _build_cells(faces, vcoords, cell_faces)
-    for c in cells:
-        for fid in c.faces:
-            faces[fid].cells.append(c.id)
-    for f in faces:
-        if len(f.cells) == 0:
-            raise MeshError(f"face {f.id} not on the boundary of any cell")
-        if len(f.cells) > 2:
-            raise MeshError(f"face {f.id} incident to {len(f.cells)} cells")
-        f.on_boundary = len(f.cells) == 1
-
-    mesh = Mesh(vertices, edges, faces, cells)
+    mesh = Mesh(vcoords, ev, tangent, length, midpoint, loops, face_edges, face_signs,
+                Ragged(cross3(normal[seg_face], tangent[seg_edge]), loop_off),
+                normal, anchor, diam, area, frame, face_cells, **cells)
     if validate:
         _validate(mesh)
     return mesh
 
 
-def _orient(cid: int, fids, faces) -> list[int]:
+def _orient(cid: int, fids, face_edges, face_signs) -> list[int]:
     """Signs of the faces of cell `cid` making its boundary one oriented
     surface: faces sharing an edge must traverse it oppositely.  A walk over
-    the face adjacency graph from the first face, which gets +1."""
+    the face adjacency graph from the first face, which gets +1.
+    face_edges and face_signs list the edges and omega_FE of every face."""
     edge_use: dict[int, list[int]] = {}
     loop_sign = {}
     for fid in fids:
-        f = faces[fid]
-        loop_sign[fid] = dict(zip(f.edges, f.edge_signs))
-        for e in f.edges:
+        loop_sign[fid] = dict(zip(face_edges[fid], face_signs[fid]))
+        for e in face_edges[fid]:
             edge_use.setdefault(e, []).append(fid)
     for e, use in edge_use.items():
         if len(use) != 2:
@@ -385,7 +393,7 @@ def _orient(cid: int, fids, faces) -> list[int]:
     stack = [fids[0]]
     while stack:
         fid = stack.pop()
-        for e in faces[fid].edges:
+        for e in face_edges[fid]:
             other = use[0] if (use := edge_use[e])[0] != fid else use[1]
             want = -sigma[fid] * loop_sign[fid][e] * loop_sign[other][e]
             if other in sigma:
@@ -400,17 +408,31 @@ def _orient(cid: int, fids, faces) -> list[int]:
     return [sigma[fid] for fid in fids]
 
 
-def _build_cells(faces, vcoords, cell_faces) -> list[Cell]:
+def _cell_union(table: Ragged, cell_faces: Ragged) -> Ragged:
+    """The distinct entries of the rows of table (one per face) over the
+    faces of each cell, ascending."""
+    inc_cell = np.repeat(np.arange(len(cell_faces)), cell_faces.lengths)
+    vals = table.concat(cell_faces.values)
+    n = int(vals.max(initial=0)) + 1
+    cell, val = np.divmod(np.unique(
+        np.repeat(inc_cell, table.lengths[cell_faces.values]) * n + vals), n)
+    counts = np.bincount(cell, minlength=len(cell_faces))
+    return Ragged(val, np.concatenate([[0], np.cumsum(counts)]))
+
+
+def _build_cells(vcoords, loops: Ragged, face_edges: Ragged, face_signs: Ragged,
+                 normal, anchor, area, cell_faces: Ragged) -> dict:
+    """The cell tables of :class:`Mesh`: omega_TF, edges, vertices, anchors,
+    diameters and volumes."""
     nc = len(cell_faces)
-    signs = [_orient(cid, list(fids), faces) for cid, fids in enumerate(cell_faces)]
+    edges_l, signs_l = face_edges.tolist(), face_signs.tolist()
+    signs = [_orient(cid, fids, edges_l, signs_l)
+             for cid, fids in enumerate(cell_faces.tolist())]
     # cell-face incidences, cell by cell in each cell's face order
-    inc_cell = np.repeat(np.arange(nc), [len(fids) for fids in cell_faces])
-    inc_face = np.array([f for fids in cell_faces for f in fids], dtype=np.int64)
+    inc_cell = np.repeat(np.arange(nc), cell_faces.lengths)
+    inc_face = cell_faces.values
     inc_sign = np.array([s for ss in signs for s in ss])
 
-    normal = np.array([f.normal for f in faces])
-    anchor = np.array([f.anchor for f in faces])
-    area = np.array([f.area for f in faces])
     flux = np.vecdot(anchor, normal) * area  # x_F . n_F |F|
     vol3 = _ordered_sums(inc_sign * flux[inc_face], inc_cell, nc)
     flip = vol3 < 0
@@ -422,12 +444,12 @@ def _build_cells(faces, vcoords, cell_faces) -> list[Cell]:
     # centroid by the divergence theorem: c_j = (1/2V) sum_F s_F int_F x_j^2 n_j,
     # each face fanned from its first vertex, int_tri x_j^2 n_j by the
     # degree-2 midpoint rule
-    loop_len = np.array([len(f.vertex_loop) for f in faces])
+    loop_len = loops.lengths
     tri_off = np.concatenate([[0], np.cumsum(loop_len - 2)])
     tri_terms = np.empty((tri_off[-1], 3))
     for n in np.unique(loop_len):
         fids = np.flatnonzero(loop_len == n)
-        pts = vcoords[np.array([faces[f].vertex_loop for f in fids])]
+        pts = vcoords[loops.rows(fids)]
         for i in range(1, n - 1):
             tri = np.stack([pts[:, 0], pts[:, i], pts[:, i + 1]], axis=1)
             a2 = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
@@ -439,23 +461,16 @@ def _build_cells(faces, vcoords, cell_faces) -> list[Cell]:
                              np.repeat(inc_cell, count), nc)
     centroid /= volume[:, None]
 
-    verts = [sorted({v for f in fids for v in faces[f].vertex_loop})
-             for fids in cell_faces]
+    verts = _cell_union(loops, cell_faces)
     diam = np.empty(nc)
-    nverts = np.array([len(v) for v in verts])
-    for n in np.unique(nverts):
-        cids = np.flatnonzero(nverts == n)
-        diam[cids] = _pair_diameters(vcoords[np.array([verts[c] for c in cids])])
-
-    inc_sign = inc_sign.tolist()
-    cells, s = [], 0
-    for cid, fids in enumerate(cell_faces):
-        t = s + len(fids)
-        cell_edges = sorted({e for f in fids for e in faces[f].edges})
-        cells.append(Cell(cid, list(fids), inc_sign[s:t], centroid[cid],
-                          float(diam[cid]), volume[cid], cell_edges, verts[cid]))
-        s = t
-    return cells
+    for n in np.unique(verts.lengths):
+        cids = np.flatnonzero(verts.lengths == n)
+        diam[cids] = _pair_diameters(vcoords[verts.rows(cids)])
+    return dict(cell_faces=cell_faces,
+                cell_face_signs=Ragged(inc_sign, cell_faces.offsets),
+                cell_edges=_cell_union(face_edges, cell_faces),
+                cell_vertices=verts, cell_anchor=centroid, cell_diameter=diam,
+                cell_volume=volume)
 
 
 def _first(mask) -> int | None:
@@ -466,29 +481,22 @@ def _first(mask) -> int | None:
 def _validate(mesh: Mesh) -> None:
     """Check the stored geometry and orientations, one array pass per check
     over all edges, faces or cells."""
-    V, faces, cells = mesh.vertex_coords, mesh.faces, mesh.cells
-    tangent = np.array([e.tangent for e in mesh.edges])
-    length = np.array([e.length for e in mesh.edges])
-    midpoint = np.array([e.midpoint for e in mesh.edges])
-    if (e := _first(np.abs(_norm(tangent) - 1.0) > UNIT_TOL)) is not None:
+    V, length = mesh.vertex_coords, mesh.edge_length
+    if (e := _first(np.abs(_norm(mesh.edge_tangent) - 1.0) > UNIT_TOL)) is not None:
         raise MeshError(f"edge {e}: tangent not unit")
 
-    normal = np.array([f.normal for f in faces])
-    anchor = np.array([f.anchor for f in faces])
-    area = np.array([f.area for f in faces])
-    fdiam = np.array([f.diameter for f in faces])
-    frame = np.array([f.frame for f in faces])
-    loop_len = np.array([len(f.vertex_loop) for f in faces])
-    seg_face = np.repeat(np.arange(len(faces)), loop_len)
-    seg_edge = np.array([e for f in faces for e in f.edges])
-    seg_sign = np.array([s for f in faces for s in f.edge_signs])
-    seg_nfe = np.array([n for f in faces for n in f.edge_normals])
+    normal, anchor, area = mesh.face_normal, mesh.face_anchor, mesh.face_area
+    fdiam, frame = mesh.face_diameter, mesh.face_frame
+    loop_len, nf = mesh.face_loops.lengths, mesh.n_faces
+    seg_face = np.repeat(np.arange(nf), loop_len)
+    seg_edge = mesh.face_edges.values
+    seg_sign = mesh.face_edge_signs.values
 
     # crossing-number test of each face anchor in the face's own frame
-    outside = np.zeros(len(faces), dtype=bool)
+    outside = np.zeros(nf, dtype=bool)
     for n in np.unique(loop_len):
         fids = np.flatnonzero(loop_len == n)
-        loops = np.array([faces[f].vertex_loop for f in fids])
+        loops = mesh.face_loops.rows(fids)
         q = np.matmul(V[loops] - anchor[fids, None], frame[fids].transpose(0, 2, 1))
         a, b = q, np.roll(q, -1, axis=1)
         cross = (a[..., 1] > 0.0) != (b[..., 1] > 0.0)
@@ -498,8 +506,9 @@ def _validate(mesh: Mesh) -> None:
     if (f := _first(outside)) is not None:
         raise MeshError(f"face {f}: anchor not strictly inside")
     # 2D divergence closure: sum_E omega_FE int_E (x - x_F).n_FE = 2|F|
-    acc = np.bincount(seg_face, minlength=len(faces), weights=seg_sign * np.vecdot(
-        midpoint[seg_edge] - anchor[seg_face], seg_nfe) * length[seg_edge])
+    acc = np.bincount(seg_face, minlength=nf, weights=seg_sign * np.vecdot(
+        mesh.edge_midpoint[seg_edge] - anchor[seg_face],
+        mesh.face_edge_normals.values) * length[seg_edge])
     if (f := _first(np.abs(acc - 2.0 * area) > CLOSURE_RTOL * 2.0 * area)) is not None:
         raise MeshError(f"face {f}: 2D divergence closure failed "
                         f"({acc[f]:.15g} vs {2 * area[f]:.15g})")
@@ -507,23 +516,21 @@ def _validate(mesh: Mesh) -> None:
         raise MeshError(f"face {seg_face[s]}: edge {seg_edge[s]} longer than "
                         "face diameter")
 
-    nc = len(cells)
-    inc_cell = np.repeat(np.arange(nc), [len(c.faces) for c in cells])
-    inc_face = np.array([f for c in cells for f in c.faces])
-    inc_sign = np.array([s for c in cells for s in c.face_signs])
-    volume = np.array([c.volume for c in cells])
-    cdiam = np.array([c.diameter for c in cells])
+    nc = mesh.n_cells
+    n_inc = mesh.cell_faces.lengths
+    inc_cell = np.repeat(np.arange(nc), n_inc)
+    inc_face, inc_sign = mesh.cell_faces.values, mesh.cell_face_signs.values
+    volume, cdiam = mesh.cell_volume, mesh.cell_diameter
     acc = np.bincount(inc_cell, minlength=nc, weights=inc_sign * np.vecdot(
         anchor[inc_face], normal[inc_face]) * area[inc_face])
     if (c := _first(np.abs(acc - 3.0 * volume) > CLOSURE_RTOL * 3.0 * volume)) is not None:
         raise MeshError(f"cell {c}: divergence closure failed "
                         f"({acc[c]:.15g} vs {3 * volume[c]:.15g})")
     # oriented boundary is a 2-cycle: each edge traversed once per direction
-    seg_off = np.concatenate([[0], np.cumsum(loop_len)])
     count = loop_len[inc_face]
-    seg = _ranges(seg_off[inc_face], count)
+    seg = _ranges(mesh.face_loops.offsets[inc_face], count)
     owner = np.repeat(inc_cell, count)
-    _, pair = np.unique(owner * len(mesh.edges) + seg_edge[seg], return_inverse=True)
+    _, pair = np.unique(owner * mesh.n_edges + seg_edge[seg], return_inverse=True)
     net = np.bincount(pair.ravel(), weights=-np.repeat(inc_sign, count) * seg_sign[seg])
     if (p := _first(net != 0)) is not None:
         raise MeshError(f"cell {owner[np.argmax(pair.ravel() == p)]}: boundary "
@@ -537,13 +544,12 @@ def _validate(mesh: Mesh) -> None:
     tri_off = np.concatenate([[0], np.cumsum(n_tri)])
     eps = 1e-6 * cdiam[inc_cell] * inc_sign
     probes = anchor[inc_face] - eps[:, None] * normal[inc_face]
-    n_inc = np.bincount(inc_cell, minlength=nc)
-    inc_off = np.concatenate([[0], np.cumsum(n_inc)])
+    inc_off = mesh.cell_faces.offsets
     # inside[c, 0] is the anchor of cell c, inside[c, 1 + i] its i-th probe
     inside = np.ones((nc, 1 + n_inc.max(initial=0)), dtype=bool)
     for nt, ni in set(zip(n_tri.tolist(), n_inc.tolist())):
         cids = np.flatnonzero((n_tri == nt) & (n_inc == ni))
-        pts = np.concatenate([np.array([cells[c].anchor for c in cids])[:, None],
+        pts = np.concatenate([mesh.cell_anchor[cids, None],
                               probes[inc_off[cids, None] + np.arange(ni)]], axis=1)
         ctris = tris[tri_off[cids, None] + np.arange(nt)]
         for j in range(1 + ni):
@@ -552,13 +558,13 @@ def _validate(mesh: Mesh) -> None:
         if not inside[c, 0]:
             raise MeshError(f"cell {c}: anchor not strictly inside")
         i = _first(~inside[c, 1:])
-        raise MeshError(f"cell {c}, face {cells[c].faces[i]}: omega_TF point "
+        raise MeshError(f"cell {c}, face {mesh.cell_faces[c][i]}: omega_TF point "
                         "test failed")
     if (i := _first(fdiam[inc_face] > cdiam[inc_cell] * (1 + 1e-12))) is not None:
         raise MeshError(f"cell {inc_cell[i]}: face {inc_face[i]} diameter "
                         "exceeds h_T")
-    on_two = np.array([len(f.cells) == 2 for f in faces])
-    parity = np.bincount(inc_face, weights=inc_sign, minlength=len(faces))
+    on_two = mesh.face_cells[:, 1] >= 0
+    parity = np.bincount(inc_face, weights=inc_sign, minlength=nf)
     if (f := _first(on_two & (parity != 0))) is not None:
         raise MeshError(f"interior face {f}: incident cells do not "
                         "carry opposite omega_TF")
@@ -568,53 +574,33 @@ def _validate(mesh: Mesh) -> None:
 # generators
 
 
-def generate_cubic_mesh(n: int) -> Mesh:
-    """Cartesian mesh of (0,1)^3 made of n^3 congruent cubes."""
+def _grid(n: int):
+    """The (n+1)^3 vertices of the grid on [0,1]^3, x fastest, and the id of
+    grid vertex (i, j, l)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    vid = lambda i, j, l: i + (n + 1) * (j + (n + 1) * l)
-    coords = np.array([[i / n, j / n, l / n]
-                       for l in range(n + 1) for j in range(n + 1)
-                       for i in range(n + 1)])
+    l, j, i = np.meshgrid(*[np.arange(n + 1)] * 3, indexing="ij")
+    coords = np.stack([i, j, l], axis=-1).reshape(-1, 3) / n
+    return coords, lambda i, j, l: i + (n + 1) * (j + (n + 1) * l)
 
-    face_loops = []
-    face_id = {}
 
-    def add_face(loop):
-        fid = len(face_loops)
-        face_loops.append(loop)
-        return fid
-
-    # x-normal faces: loop ccw seen from +x
-    for i in range(n + 1):
-        for j in range(n):
-            for l in range(n):
-                loop = [vid(i, j, l), vid(i, j + 1, l), vid(i, j + 1, l + 1),
-                        vid(i, j, l + 1)]
-                face_id["x", i, j, l] = add_face(loop)
-    for j in range(n + 1):
-        for i in range(n):
-            for l in range(n):
-                loop = [vid(i, j, l), vid(i, j, l + 1), vid(i + 1, j, l + 1),
-                        vid(i + 1, j, l)]
-                face_id["y", j, i, l] = add_face(loop)
-    for l in range(n + 1):
-        for i in range(n):
-            for j in range(n):
-                loop = [vid(i, j, l), vid(i + 1, j, l), vid(i + 1, j + 1, l),
-                        vid(i, j + 1, l)]
-                face_id["z", l, i, j] = add_face(loop)
-
-    cell_faces = []
-    for l in range(n):
-        for j in range(n):
-            for i in range(n):
-                cell_faces.append([
-                    face_id["x", i, j, l], face_id["x", i + 1, j, l],
-                    face_id["y", j, i, l], face_id["y", j + 1, i, l],
-                    face_id["z", l, i, j], face_id["z", l + 1, i, j],
-                ])
-    return build_mesh(coords, face_loops, cell_faces)
+def generate_cubic_mesh(n: int) -> Mesh:
+    """Cartesian mesh of (0,1)^3 made of n^3 congruent cubes."""
+    coords, vid = _grid(n)
+    # the faces normal to x, then y, then z: face (a, b, c) has a along its
+    # normal, and its loop is counter-clockwise seen from the + side
+    a, b, c = np.meshgrid(np.arange(n + 1), np.arange(n), np.arange(n),
+                          indexing="ij")
+    loops = np.concatenate([np.stack(v, axis=-1).reshape(-1, 4) for v in (
+        [vid(a, b, c), vid(a, b + 1, c), vid(a, b + 1, c + 1), vid(a, b, c + 1)],
+        [vid(b, a, c), vid(b, a, c + 1), vid(b + 1, a, c + 1), vid(b + 1, a, c)],
+        [vid(b, c, a), vid(b + 1, c, a), vid(b + 1, c + 1, a), vid(b, c + 1, a)])])
+    fid = lambda axis, a, b, c: ((axis * (n + 1) + a) * n + b) * n + c
+    l, j, i = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
+    cells = np.stack([fid(0, i, j, l), fid(0, i + 1, j, l), fid(1, j, i, l),
+                      fid(1, j + 1, i, l), fid(2, l, i, j), fid(2, l + 1, i, j)],
+                     axis=-1)
+    return build_mesh(coords, loops.tolist(), cells.reshape(-1, 6).tolist())
 
 
 _KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
@@ -622,41 +608,21 @@ _KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 def generate_tet_mesh(n: int) -> Mesh:
     """Kuhn split of the cubic mesh: each cube into 6 equal-volume tetrahedra."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vid = lambda i, j, l: i + (n + 1) * (j + (n + 1) * l)
-    coords = np.array([[i / n, j / n, l / n]
-                       for l in range(n + 1) for j in range(n + 1)
-                       for i in range(n + 1)])
-    tets = []
-    for l in range(n):
-        for j in range(n):
-            for i in range(n):
-                base = np.array([i, j, l])
-                for perm in _KUHN_PERMS:
-                    # path 0 -> e_{p2} -> e_{p2}+e_{p1} -> (1,1,1)
-                    steps = [np.zeros(3, dtype=int)]
-                    acc = np.zeros(3, dtype=int)
-                    for axis in (perm[2], perm[1], perm[0]):
-                        acc = acc.copy()
-                        acc[axis] += 1
-                        steps.append(acc)
-                    tets.append([vid(*(base + s)) for s in steps])
-
-    face_loops = []
-    face_index: dict[tuple[int, ...], int] = {}
-    cell_faces = []
-    for tet in tets:
-        fids = []
-        for excl in range(4):
-            tri = [tet[m] for m in range(4) if m != excl]
-            key = tuple(sorted(tri))
-            if key not in face_index:
-                face_index[key] = len(face_loops)
-                face_loops.append(tri)
-            fids.append(face_index[key])
-        cell_faces.append(fids)
-    return build_mesh(coords, face_loops, cell_faces)
+    coords, vid = _grid(n)
+    l, j, i = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
+    base = np.stack([i, j, l], axis=-1).reshape(-1, 1, 1, 3)
+    # the tetrahedron of permutation p runs 0 -> e_p2 -> e_p2 + e_p1 -> (1,1,1)
+    steps = np.cumsum(np.eye(3, dtype=int)[np.array(_KUHN_PERMS)[:, ::-1]], axis=1)
+    steps = np.concatenate([np.zeros((6, 1, 3), dtype=int), steps], axis=1)
+    tets = vid(*np.moveaxis(base + steps, -1, 0)).reshape(-1, 4)
+    # the face opposite each vertex, faces numbered by first appearance
+    tris = tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
+    _, first, inv = np.unique(np.sort(tris, axis=1), axis=0, return_index=True,
+                              return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return build_mesh(coords, tris[np.sort(first)].tolist(),
+                      rank[inv.ravel()].reshape(-1, 4).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +687,8 @@ def write_poly3(mesh: Mesh, path) -> None:
     with open(path, "w") as fh:
         fh.write("POLY3 1\n")
         fh.write(f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_cells}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(f"{x:.17g}" for x in v.coords) + "\n")
-        for f in mesh.faces:
-            fh.write(f"{len(f.vertex_loop)} " + " ".join(map(str, f.vertex_loop)) + "\n")
-        for c in mesh.cells:
-            fh.write(f"{len(c.faces)} " + " ".join(map(str, c.faces)) + "\n")
+        for x in mesh.vertex_coords:
+            fh.write(" ".join(f"{c:.17g}" for c in x) + "\n")
+        for table in (mesh.face_loops, mesh.cell_faces):
+            for row in table.tolist():
+                fh.write(f"{len(row)} " + " ".join(map(str, row)) + "\n")

@@ -291,19 +291,17 @@ def _cell_tables(mesh, layouts, cids):
     of their local DoFs for each space (rows of DofLayout.cell_table), their
     faces ordered by loop length and then id, with the loop lengths and
     omega_TF, and their edges."""
-    cells = [mesh.cells[c] for c in cids]
-    faces = np.array([c.faces for c in cells])
-    loops = np.array([[len(mesh.faces[f].vertex_loop) for f in c.faces]
-                      for c in cells])
+    faces = mesh.cell_faces.rows(cids)
+    loops = mesh.face_loops.lengths[faces]
     order = np.lexsort((faces, loops), axis=1)
     return SimpleNamespace(
         layouts=layouts,
         glob={kind: layouts[kind].cell_table(cids) for kind in SpaceKind},
         faces=np.take_along_axis(faces, order, 1),
         loops=np.take_along_axis(loops, order, 1),
-        sign=np.take_along_axis(np.array([c.face_signs for c in cells],
-                                         float), order, 1),
-        edges=np.array([c.edge_ids for c in cells]))
+        sign=np.take_along_axis(mesh.cell_face_signs.rows(cids).astype(float),
+                                order, 1),
+        edges=mesh.cell_edges.rows(cids))
 
 
 def _face_slots(t, face_groups, chart, degree, kinds=tuple(SpaceKind)):
@@ -391,12 +389,11 @@ def _face_edges(mesh, fids, layouts, edges, chart, degree):
     slot with omega_FE, and n_FE and the tangent in frame components."""
     glob = {kind: layouts[kind].face_table(fids)
             for kind in (SpaceKind.GRAD, SpaceKind.CURL)}
-    faces = [mesh.faces[f] for f in fids]
-    loop = np.array([f.edges for f in faces])
+    loop = mesh.face_edges.rows(fids)
     order = np.argsort(loop, axis=1)
-    sign = np.take_along_axis(
-        np.array([f.edge_signs for f in faces], float), order, 1)
-    nfe = np.take_along_axis(np.array([f.edge_normals for f in faces]),
+    sign = np.take_along_axis(mesh.face_edge_signs.rows(fids).astype(float),
+                              order, 1)
+    nfe = np.take_along_axis(mesh.face_edge_normals.rows(fids),
                              order[..., None], 1)
     slots = _edge_slots(np.take_along_axis(loop, order, 1), glob, layouts,
                         edges, chart, degree)
@@ -519,11 +516,11 @@ class EdgeContext(_Group):
 
     def __init__(self, mesh: Mesh, eids, k: int, rule_degree: int):
         self.k = k
-        edges = [mesh.edges[e] for e in eids]
-        self.tangent = np.array([e.tangent for e in edges])
-        length = np.array([e.length for e in edges])
-        self._members(eids, np.arange(len(edges)),
-                      _Chart(np.array([e.midpoint for e in edges]), length,
+        eids = np.asarray(eids)
+        self.tangent = mesh.edge_tangent[eids]
+        length = mesh.edge_length[eids]
+        self._members(eids, np.arange(len(eids)),
+                      _Chart(mesh.edge_midpoint[eids], length,
                              self.tangent[:, None], length),
                       edge_rule(mesh, eids, rule_degree))
         chart = self.chart
@@ -537,7 +534,7 @@ class EdgeContext(_Group):
         # skeleton reconstruction: [q(v_a), q(v_b), moments vs P^{k-1}] ->
         # coefficients in the P^{k+1}(E) orthonormal basis
         bkp1 = self.sca[k + 1]
-        self.vertices = np.array([e.vertices for e in edges])
+        self.vertices = mesh.edge_vertices[eids]
         A = np.concatenate([
             bkp1.values(chart.monomials(mesh.vertex_coords[self.vertices],
                                         k + 1)),
@@ -565,13 +562,12 @@ class FaceContext(_Group):
     def __init__(self, mesh: Mesh, fids, row, k: int, ell: int,
                  rule_degree: int, edge_group: EdgeContext, layouts):
         self.k, self.ell = k, ell
-        faces = [mesh.faces[f] for f in fids]
-        self._members(fids, row, _Chart(*(
-            np.array([getattr(f, name) for f in faces])
-            for name in ("anchor", "diameter", "frame", "area"))),
+        self._members(fids, row, _Chart(
+            mesh.face_anchor[fids], mesh.face_diameter[fids],
+            mesh.face_frame[fids], mesh.face_area[fids]),
                       face_rule(mesh, fids, rule_degree))
-        self.normal = np.array([f.normal for f in faces])
-        self.loop_length = len(faces[0].vertex_loop)
+        self.normal = mesh.face_normal[fids]
+        self.loop_length = int(mesh.face_loops.lengths[fids[0]])
         self.n_grad, self.n_curl = (
             layouts[kind].face_table(self.ids[:1]).shape[1]
             for kind in (SpaceKind.GRAD, SpaceKind.CURL))
@@ -640,23 +636,23 @@ class FaceContext(_Group):
 class CellContext(_Group):
     """The local operators of a group of cells cids whose faces have the
     same loop lengths, all parallelepipeds or none, as stacks along a
-    leading row axis; row[i] is the stack row of cell cids[i].  phi_k, the
-    P^k basis at the rule points, is kept for every member, since a
-    translate may list its rule points in another order."""
+    leading row axis; row[i] is the stack row of cell cids[i] and
+    corners[i] its row of :func:`parallelepipeds`.  phi_k, the P^k basis at
+    the rule points, is kept for every member, since a translate may list
+    its rule points in another order."""
 
     kind = "cell"
 
-    def __init__(self, mesh: Mesh, cids, row, k: int, ell: int,
+    def __init__(self, mesh: Mesh, cids, row, corners, k: int, ell: int,
                  rule_degree: int, edge_group: EdgeContext, face_groups,
                  layouts):
         self.k, self.ell = k, ell
-        cells = [mesh.cells[c] for c in cids]
+        cids = np.asarray(cids)
         self._members(cids, row, _Chart(
-            np.array([c.anchor for c in cells]),
-            np.array([c.diameter for c in cells]),
-            np.broadcast_to(np.eye(3), (len(cells), 3, 3)),
-            np.array([c.volume for c in cells])),
-                      cell_rule(mesh, cids, rule_degree))
+            mesh.cell_anchor[cids], mesh.cell_diameter[cids],
+            np.broadcast_to(np.eye(3), (len(cids), 3, 3)),
+            mesh.cell_volume[cids]),
+                      cell_rule(mesh, cids, rule_degree, corners))
         t = _cell_tables(mesh, layouts, self.ids[self.rep])
         self._sizes(layouts, t.glob)
         chart = self.chart[self.rep]
@@ -872,40 +868,36 @@ def _translation_keys(mesh: Mesh, verts, anchor, h, loops,
                       _positions(verts, edges).reshape(len(verts), -1)])
 
 
-def _face_keys(mesh: Mesh, fids, edge_vertices) -> np.ndarray:
-    """Translation keys of faces fids of one loop length; edge_vertices
-    (n_edges, 2) are the vertex ids of every edge."""
-    faces = [mesh.faces[f] for f in fids]
-    loops = np.array([f.vertex_loop for f in faces])
+def _face_keys(mesh: Mesh, fids) -> np.ndarray:
+    """Translation keys of faces fids of one loop length."""
+    loops = mesh.face_loops.rows(fids)
     return _translation_keys(
-        mesh, np.sort(loops, axis=1), np.array([f.anchor for f in faces]),
-        np.array([f.diameter for f in faces]), loops,
-        edge_vertices[np.sort([f.edges for f in faces], axis=1)])
+        mesh, np.sort(loops, axis=1), mesh.face_anchor[fids],
+        mesh.face_diameter[fids], loops,
+        mesh.edge_vertices[np.sort(mesh.face_edges.rows(fids), axis=1)])
 
 
-def _cell_keys(mesh: Mesh, cids, edge_vertices) -> np.ndarray:
+def _cell_keys(mesh: Mesh, cids) -> np.ndarray:
     """Translation keys of cells cids with the same face loop lengths: the
     loops of their faces in id order, with the loop lengths and omega_TF,
     which follows from the geometry of a valid mesh and is kept as a
     guard."""
-    cells = [mesh.cells[c] for c in cids]
-    faces = np.array([c.faces for c in cells])
+    cids = np.asarray(cids, dtype=np.int64)
+    faces = mesh.cell_faces.rows(cids)
     order = np.argsort(faces, axis=1)
-    faces = np.take_along_axis(faces, order, 1).tolist()
-    loops = [[mesh.faces[f].vertex_loop for f in row] for row in faces]
+    faces = np.take_along_axis(faces, order, 1)
     # a cell of another genus, with fewer vertices, repeats its last one;
     # its loops never name the repeats, so its row differs from the others
-    nv = max(len(c.vertex_ids) for c in cells)
-    verts = np.array([c.vertex_ids + c.vertex_ids[-1:]
-                      * (nv - len(c.vertex_ids)) for c in cells])
+    t = mesh.cell_vertices
+    nv = t.lengths[cids]
+    verts = t.values[t.offsets[cids, None]
+                     + np.minimum(np.arange(nv.max()), nv[:, None] - 1)]
     keys = _translation_keys(
-        mesh, verts, np.array([c.anchor for c in cells]),
-        np.array([c.diameter for c in cells]),
-        np.array([[v for loop in row for v in loop] for row in loops]),
-        edge_vertices[np.array([c.edge_ids for c in cells])])
-    signs = np.array([c.face_signs for c in cells])
-    return np.hstack([keys, [[len(loop) for loop in row] for row in loops],
-                      np.take_along_axis(signs, order, 1)])
+        mesh, verts, mesh.cell_anchor[cids], mesh.cell_diameter[cids],
+        mesh.face_loops.concat(faces.ravel()).reshape(len(cids), -1),
+        mesh.edge_vertices[mesh.cell_edges.rows(cids)])
+    return np.hstack([keys, mesh.face_loops.lengths[faces], np.take_along_axis(
+        mesh.cell_face_signs.rows(cids), order, 1)])
 
 
 def _classes(group_keys, keys) -> list:
@@ -972,12 +964,17 @@ def _project(basis, coeff, mono, wv) -> np.ndarray:
 # the assembled complex
 
 
-def _cell_group_keys(mesh: Mesh) -> list:
-    """The group key of each cell: the sorted loop lengths of its faces,
-    and whether it is a parallelepiped, whose rule has one simplex."""
-    box = (parallelepipeds(mesh, range(mesh.n_cells))[:, 0] >= 0).tolist()
-    return [(tuple(sorted(len(mesh.faces[f].vertex_loop) for f in c.faces)),
-             b) for c, b in zip(mesh.cells, box)]
+def _cell_group_keys(mesh: Mesh) -> tuple[list, np.ndarray]:
+    """The group key of each cell, the sorted loop lengths of its faces and
+    whether it is a parallelepiped, whose rule has one simplex; and the
+    rows of :func:`parallelepipeds` of all cells, for the cell rules."""
+    corners = parallelepipeds(mesh, np.arange(mesh.n_cells))
+    t = mesh.cell_faces
+    owner = np.repeat(np.arange(len(t)), t.lengths)
+    lens = mesh.face_loops.lengths[t.values]
+    lens = np.split(lens[np.lexsort((lens, owner))], t.offsets[1:-1])
+    return [(tuple(n.tolist()), b) for n, b in
+            zip(lens, (corners[:, 0] >= 0).tolist())], corners
 
 
 class DdrComplex:
@@ -1002,16 +999,16 @@ class DdrComplex:
         self.face_groups = [
             FaceContext(mesh, ids, row, k, ell, deg_bilin, edges,
                         self.layouts)
-            for ids, row in _classes(
-                [len(f.vertex_loop) for f in mesh.faces],
-                lambda fids: _face_keys(mesh, fids, edges.vertices))]
+            for ids, row in _classes(mesh.face_loops.lengths.tolist(),
+                                     lambda fids: _face_keys(mesh, fids))]
         self._faces_by_length = {g.loop_length: g for g in self.face_groups}
+        keys, corners = _cell_group_keys(mesh)
         self.cell_groups = [
-            CellContext(mesh, ids, row, k, ell, self.cell_degree, edges,
-                        self._faces_by_length, self.layouts)
-            for ids, row in _classes(
-                _cell_group_keys(mesh),
-                lambda cids: _cell_keys(mesh, cids, edges.vertices))]
+            CellContext(mesh, ids, row, corners[ids], k, ell,
+                        self.cell_degree, edges, self._faces_by_length,
+                        self.layouts)
+            for ids, row in _classes(keys,
+                                     lambda cids: _cell_keys(mesh, cids))]
         self.cells = _views(mesh.n_cells, self.cell_groups)
         self._gram_cache = {}
         self._op_cache = {}
@@ -1252,10 +1249,10 @@ class DdrComplex:
         edge = self.edge_groups[0].weights.shape[1]
         if g.kind == "face":
             return g.weights.shape[1] + g.loop_length * edge
-        c = self.mesh.cells[g.ids[0]]
-        return g.weights.shape[1] + len(c.edge_ids) * edge + sum(
-            self._faces_by_length[len(self.mesh.faces[f].vertex_loop)]
-            .weights.shape[1] for f in c.faces)
+        m, c = self.mesh, g.ids[0]
+        return g.weights.shape[1] + len(m.cell_edges[c]) * edge + sum(
+            self._faces_by_length[n].weights.shape[1]
+            for n in m.face_loops.lengths[m.cell_faces[c]].tolist())
 
     def _member_norms(self, pieces, s, group, members, x) -> np.ndarray:
         """The piece norms (m, npieces) of members (m indices, repeats

@@ -126,13 +126,12 @@ def edge_rule(mesh: Mesh, edge_ids, degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on each edge; edge_ids is one edge or a
     sequence of edges (see the module docstring)."""
     ids = _group(edge_ids)
-    edges = [mesh.edges[e] for e in ids.tolist()]
-    length = np.array([e.length for e in edges])
+    length = mesh.edge_length[ids]
     if np.any(length <= 0.0):
         raise DegenerateSimplexError(
             f"edge {ids[np.argmax(length <= 0.0)]} has zero length")
     x, w = _gl01(edge_rule_points(max(degree, 0)))
-    ends = mesh.vertex_coords[np.array([e.vertices for e in edges])]
+    ends = mesh.vertex_coords[mesh.edge_vertices[ids]]
     a, b = ends[:, 0], ends[:, 1]
     pts = a[:, None, :] + x[None, :, None] * (b - a)[:, None, :]
     return _one_or_stack(edge_ids, QuadratureRule(
@@ -227,18 +226,18 @@ def face_triangles(mesh: Mesh, face_ids):
     (v_0, v_1, v_2), a polygon the fan (x_F, v_i, v_i+1) of its segments.
     Returns the corners (T, 3, 3) and, for each triangle, the position of
     its face in face_ids and its segment (0 for a triangle)."""
-    faces = [mesh.faces[f] for f in face_ids]
-    n = np.array([len(f.vertex_loop) for f in faces])
+    face_ids = np.asarray(face_ids, dtype=np.int64)
+    n = mesh.face_loops.lengths[face_ids]
     count = np.where(n == 3, 1, n)
-    face = np.repeat(np.arange(len(faces)), count)
+    face = np.repeat(np.arange(len(face_ids)), count)
     segment = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
     start = np.cumsum(n) - n
-    loops = np.concatenate([f.vertex_loop for f in faces])
+    loops = mesh.face_loops.concat(face_ids)
     vertex = lambda j: mesh.vertex_coords[loops[start[face] + j % n[face]]]
     tri = (n[face] == 3).astype(int)
     corners = np.empty((len(face), 3, 3))
     corners[:, 0] = np.where(tri[:, None], vertex(segment),
-                             np.array([f.anchor for f in faces])[face])
+                             mesh.face_anchor[face_ids[face]])
     corners[:, 1] = vertex(segment + tri)
     corners[:, 2] = vertex(segment + tri + 1)
     return corners, face, segment
@@ -248,9 +247,8 @@ def face_rule(mesh: Mesh, face_ids, degree: int) -> QuadratureRule:
     """The rule of each face on its :func:`face_triangles`; face_ids is one
     face or a sequence of faces of one loop length."""
     ids = _group(face_ids)
-    faces = [mesh.faces[f] for f in ids.tolist()]
-    _per_member([len(f.vertex_loop) for f in faces], "face")
-    tris, face, segment = face_triangles(mesh, ids.tolist())
+    _per_member(mesh.face_loops.lengths[ids].tolist(), "face")
+    tris, face, segment = face_triangles(mesh, ids)
     try:
         pts, weights = triangle_rule(tris, degree)
     except DegenerateSimplexError as err:
@@ -259,7 +257,7 @@ def face_rule(mesh: Mesh, face_ids, degree: int) -> QuadratureRule:
             f"face {ids[face[i]]}: zero-area triangle (segment {segment[i]})"
         ) from None
     weights = weights.reshape(len(ids), -1)
-    _check_recovered("face", ids, weights, np.array([f.area for f in faces]),
+    _check_recovered("face", ids, weights, mesh.face_area[ids],
                      "fan decomposition does not recover the area")
     return _one_or_stack(face_ids, QuadratureRule(
         pts.reshape(weights.shape + (3,)), weights, degree,
@@ -281,17 +279,18 @@ def parallelepipeds(mesh: Mesh, cell_ids) -> np.ndarray:
     quadrilateral faces and its 8 vertices are x_0 + A xi, xi in {0, 1}^3,
     to PARALLELEPIPED_RTOL * h_T, with x_0 at v_0 and the columns of A its
     three edges."""
-    cells = [mesh.cells[c] for c in _group(cell_ids).tolist()]
-    out = np.full((len(cells), 4), -1, dtype=np.int64)
-    hexa = np.flatnonzero([
-        len(c.vertex_ids) == 8 and len(c.faces) == 6
-        and all(len(mesh.faces[f].vertex_loop) == 4 for f in c.faces)
-        for c in cells])
+    ids = _group(cell_ids)
+    out = np.full((len(ids), 4), -1, dtype=np.int64)
+    nf = mesh.cell_faces.lengths[ids]
+    quads = np.bincount(
+        np.repeat(np.arange(len(ids)), nf), minlength=len(ids),
+        weights=mesh.face_loops.lengths[mesh.cell_faces.concat(ids)] == 4)
+    hexa = np.flatnonzero((mesh.cell_vertices.lengths[ids] == 8) & (nf == 6)
+                          & (quads == 6))
     if not len(hexa):
         return out
-    verts = np.array([cells[i].vertex_ids for i in hexa])
-    ends = np.array([e.vertices for e in mesh.edges])[
-        np.array([cells[i].edge_ids for i in hexa])]
+    verts = mesh.cell_vertices.rows(ids[hexa])
+    ends = mesh.edge_vertices[mesh.cell_edges.rows(ids[hexa])]
     at0 = ends == verts[:, :1, None]
     # the first three edges at v_0 (a hexahedron has exactly three)
     first = np.argsort(~at0.any(axis=2), axis=1, kind="stable")[:, :3]
@@ -301,8 +300,7 @@ def parallelepipeds(mesh: Mesh, cell_ids) -> np.ndarray:
     A = x[corners[:, 1:]] - x[corners[:, :1]]
     box = x[corners[:, :1]] + _CORNERS @ A
     dist = np.linalg.norm(box[:, :, None] - x[verts][:, None], axis=-1)
-    tol = PARALLELEPIPED_RTOL * np.array([cells[i].diameter
-                                          for i in hexa])[:, None]
+    tol = PARALLELEPIPED_RTOL * mesh.cell_diameter[ids[hexa]][:, None]
     ok = ((at0.any(axis=2).sum(axis=1) == 3)
           & np.all(dist.min(axis=2) <= tol, axis=1)
           & np.all(dist.min(axis=1) <= tol, axis=1))
@@ -310,17 +308,19 @@ def parallelepipeds(mesh: Mesh, cell_ids) -> np.ndarray:
     return out
 
 
-def cell_rule(mesh: Mesh, cell_ids, degree: int) -> QuadratureRule:
+def cell_rule(mesh: Mesh, cell_ids, degree: int,
+              corners: np.ndarray | None = None) -> QuadratureRule:
     """The rule of each cell: a parallelepiped (see :func:`parallelepipeds`)
     takes the tensor Gauss rule as its one simplex; any other cell is split
     into tetrahedra, a tetrahedron being itself, the cone from its vertex
     opposite its first face, and any other cell the cone from x_T over the
     :func:`face_triangles` of its faces, face by face in the cell's own
     order.  cell_ids is one cell or a sequence of cells with the same
-    number of simplices."""
+    number of simplices; corners, their rows of :func:`parallelepipeds`,
+    are detected when not given."""
     ids = _group(cell_ids)
-    cells = [mesh.cells[c] for c in ids.tolist()]
-    corners = parallelepipeds(mesh, ids)
+    if corners is None:
+        corners = parallelepipeds(mesh, ids)
     if _per_member((corners[:, 0] >= 0).tolist(), "cell"):
         try:
             pts, weights = _affine_rule(mesh.vertex_coords[corners],
@@ -332,29 +332,34 @@ def cell_rule(mesh: Mesh, cell_ids, degree: int) -> QuadratureRule:
             ) from None
         n, what = 1, "tensor rule does not recover the volume"
     else:
-        pts, weights, n = _cone_rule(mesh, ids, cells, degree)
+        pts, weights, n = _cone_rule(mesh, ids, degree)
         what = "cone decomposition does not recover the volume"
     weights = weights.reshape(len(ids), -1)
-    _check_recovered("cell", ids, weights, np.array([c.volume for c in cells]),
-                     what)
+    _check_recovered("cell", ids, weights, mesh.cell_volume[ids], what)
     return _one_or_stack(cell_ids, QuadratureRule(
         pts.reshape(weights.shape + (3,)), weights, degree, n))
 
 
-def _cone_rule(mesh: Mesh, ids, cells, degree: int):
+def _cone_rule(mesh: Mesh, ids, degree: int):
     """The cones of cells ids (see :func:`cell_rule`): points, weights and
     the number of tetrahedra per cell."""
-    tet = [len(c.vertex_ids) == 4 for c in cells]
-    # the faces each member is coned over, member by member
-    cones = [c.faces[:1] if t else c.faces for c, t in zip(cells, tet)]
-    inc = [f for fs in cones for f in fs]
+    faces = mesh.cell_faces
+    nf = faces.lengths[ids]
+    tet = mesh.cell_vertices.lengths[ids] == 4
+    # the faces each member is coned over, member by member: the first of
+    # a tetrahedron, every face of another cell
+    member = np.repeat(np.arange(len(ids)), nf)
+    keep = ~tet[member]
+    keep[(np.cumsum(nf) - nf)[tet]] = True
+    inc = faces.concat(ids)[keep]
     tris, face, segment = face_triangles(mesh, inc)
-    member = np.repeat(np.arange(len(ids)), [len(fs) for fs in cones])[face]
+    member = member[keep][face]
     n = _per_member(np.bincount(member, minlength=len(ids)).tolist(), "cell")
-    apex = np.array([
-        mesh.vertex_coords[next(v for v in c.vertex_ids if v not in
-                                mesh.faces[c.faces[0]].vertex_loop)]
-        if t else c.anchor for c, t in zip(cells, tet)])
+    # the apex: the vertex of a tetrahedron off its first face, else x_T
+    apex, t = mesh.cell_anchor[ids], ids[tet]
+    apex[tet] = mesh.vertex_coords[
+        mesh.cell_vertices.rows(t).sum(axis=1)
+        - mesh.face_loops.rows(faces.values[faces.offsets[t]]).sum(axis=1)]
     tets = np.concatenate([apex[member][:, None], tris], axis=1)
     try:
         pts, weights = tet_rule(tets, degree)

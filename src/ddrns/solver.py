@@ -37,8 +37,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .operators import DdrComplex, _at_points
-from .spaces import (DofVector, SpaceKind, boundary_subspace_mask,
-                     classify_boundary)
+from .spaces import (BoundaryClassification, DofVector, SpaceKind,
+                     boundary_subspace_mask)
 
 
 class SolverError(Exception):
@@ -62,7 +62,8 @@ class BCRegion:
     """One boundary region: 'natural' (vorticity x n and u.n weakly) or
     'essential' (u x n and p strongly).
 
-    where: predicate on Face objects (checked on boundary faces only).
+    where: predicate on the face anchor x_F, a (3,) array (checked on
+        boundary faces only).
     flux: prescribed u.n for natural regions (None = homogeneous).
     velocity / pressure: data fields for essential regions.
     """
@@ -72,8 +73,8 @@ class BCRegion:
     velocity: object = None
     pressure: object = None
 
-    def contains(self, face) -> bool:
-        return True if self.where is None else bool(self.where(face))
+    def contains(self, anchor) -> bool:
+        return True if self.where is None else bool(self.where(anchor))
 
 
 @dataclass
@@ -101,12 +102,10 @@ def pressflux_bc() -> list[BCRegion]:
     """Mixed conditions: pressure -z on the x=0 bottom corner patch, unit
     inflow u.n = 1 on the x=1 bottom corner patch, homogeneous natural
     elsewhere (corner patches are (0, 0.25)^2 in (y, z))."""
-    def on_pressure_patch(face):
-        a = face.anchor
+    def on_pressure_patch(a):
         return abs(a[0]) < 1e-12 and a[1] < 0.25 and a[2] < 0.25
 
-    def on_flux_patch(face):
-        a = face.anchor
+    def on_flux_patch(a):
         return abs(a[0] - 1.0) < 1e-12 and a[1] < 0.25 and a[2] < 0.25
 
     return [
@@ -344,20 +343,14 @@ class NavierStokesSolver:
     # -- setup ---------------------------------------------------------------
     def _classify(self, mesh):
         regions = self.spec.regions
-
-        def classifier(face):
-            for r in regions:
-                if r.contains(face):
-                    return r.kind
-            return None
-
-        self.classification = classify_boundary(mesh, classifier)
-        self.region_of_face = {}
-        for fid in mesh.boundary_faces():
-            for r in regions:
-                if r.contains(mesh.faces[fid]):
-                    self.region_of_face[fid] = r
-                    break
+        # the first region of each boundary face, each where called once
+        fids = mesh.boundary_faces().tolist()
+        first = [next((r for r in regions if r.contains(mesh.face_anchor[f])),
+                      None) for f in fids]
+        self.classification = BoundaryClassification.of_tags(
+            mesh, fids, [None if r is None else r.kind for r in first])
+        self.region_of_face = {f: r for f, r in zip(fids, first)
+                               if r is not None}
         used = {id(r) for r in self.region_of_face.values()}
         for i, r in enumerate(regions):
             if (r.kind == "essential" or r.flux is not None) \
@@ -378,14 +371,12 @@ class NavierStokesSolver:
         for r in ess:
             uv = cx.interpolate_curl(r.velocity).values
             pv = cx.interpolate_grad(r.pressure).values
-            faces = [cx.mesh.faces[f] for f in
-                     self.classification.essential_faces
+            faces = [f for f in self.classification.essential_faces
                      if self.region_of_face[f] is r]
             # the entities of the region's faces, by dimension; CURL has no
             # vertex DoFs
-            ids = [np.unique([v for f in faces for v in f.vertex_loop]),
-                   np.unique([e for f in faces for e in f.edges]),
-                   [f.id for f in faces]]
+            ids = [np.unique(cx.mesh.face_loops.concat(faces)),
+                   np.unique(cx.mesh.face_edges.concat(faces)), faces]
             for fix, lay, vals in ((self.u_fix, self.ul, uv),
                                    (self.p_fix, self.pl, pv)):
                 for dim, ent in enumerate(ids):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -97,26 +97,25 @@ class DofLayout:
     def cell_table(self, cids) -> np.ndarray:
         """cell_indices of the cells cids, which have alike faces, one row
         each."""
-        cells = [self.mesh.cells[c] for c in cids]
-        return self._table([(0, [c.vertex_ids for c in cells]),
-                            (1, [c.edge_ids for c in cells]),
-                            (2, [sorted(c.faces) for c in cells]),
+        m = self.mesh
+        return self._table([(0, m.cell_vertices.rows(cids)),
+                            (1, m.cell_edges.rows(cids)),
+                            (2, np.sort(m.cell_faces.rows(cids), axis=1)),
                             (3, np.asarray(cids)[:, None])])
 
     def face_table(self, fids) -> np.ndarray:
         """Global indices of the face-local DoFs of the faces fids, which
         have one loop length, one row each: vertices and edges, each
         ascending by id, then the face block."""
-        faces = [self.mesh.faces[f] for f in fids]
-        return self._table([(0, [sorted(f.vertex_loop) for f in faces]),
-                            (1, [sorted(f.edges) for f in faces]),
+        m = self.mesh
+        return self._table([(0, np.sort(m.face_loops.rows(fids), axis=1)),
+                            (1, np.sort(m.face_edges.rows(fids), axis=1)),
                             (2, np.asarray(fids)[:, None])])
 
     def edge_table(self, eids) -> np.ndarray:
         """Global indices of the edge-local DoFs of the edges eids, one row
         each: the two vertices, ascending by id, then the edge block."""
-        return self._table([(0, [sorted(self.mesh.edges[e].vertices)
-                                 for e in eids]),
+        return self._table([(0, self.mesh.edge_vertices[eids]),
                             (1, np.asarray(eids)[:, None])])
 
     def cell_indices(self, c: int) -> np.ndarray:
@@ -188,44 +187,36 @@ def load_dofvector(layout: DofLayout, path) -> DofVector:
 
 @dataclass
 class BoundaryClassification:
-    """Boundary faces split into essential and natural sets."""
-    essential_faces: list[int] = field(default_factory=list)
-    natural_faces: list[int] = field(default_factory=list)
+    """Boundary faces split into essential and natural sets, with the edges
+    and vertices of the essential ones, each ascending."""
+    essential_faces: list[int]
+    natural_faces: list[int]
+    essential_edges: list[int]
+    essential_vertices: list[int]
 
-    @property
-    def essential_edges(self):
-        return self._edges
-
-    def finalise(self, mesh: Mesh):
-        edges, verts = set(), set()
-        for f in self.essential_faces:
-            edges.update(mesh.faces[f].edges)
-            verts.update(mesh.faces[f].vertex_loop)
-        self._edges = sorted(edges)
-        self._vertices = sorted(verts)
-        return self
-
-    @property
-    def essential_vertices(self):
-        return self._vertices
+    @classmethod
+    def of_tags(cls, mesh: Mesh, fids, tags) -> "BoundaryClassification":
+        """The classification of the boundary faces fids by their tags
+        ('essential' | 'natural'); any other tag raises."""
+        for fid, tag in zip(fids, tags):
+            if tag not in ("essential", "natural"):
+                raise ValueError(f"boundary face {fid} left unclassified "
+                                 f"(classifier returned {tag!r})")
+        ess = [f for f, tag in zip(fids, tags) if tag == "essential"]
+        return cls(ess, [f for f, tag in zip(fids, tags) if tag == "natural"],
+                   np.unique(mesh.face_edges.concat(ess)).tolist(),
+                   np.unique(mesh.face_loops.concat(ess)).tolist())
 
 
 def classify_boundary(mesh: Mesh, classifier) -> BoundaryClassification:
     """Apply a per-face classifier ('essential' | 'natural') to the boundary.
 
-    The classifier receives the Face object; returning anything else raises.
+    The classifier receives the face anchor x_F, a (3,) array; returning
+    anything else raises.
     """
-    out = BoundaryClassification()
-    for fid in mesh.boundary_faces():
-        tag = classifier(mesh.faces[fid])
-        if tag == "essential":
-            out.essential_faces.append(fid)
-        elif tag == "natural":
-            out.natural_faces.append(fid)
-        else:
-            raise ValueError(f"boundary face {fid} left unclassified "
-                             f"(classifier returned {tag!r})")
-    return out.finalise(mesh)
+    fids = mesh.boundary_faces().tolist()
+    return BoundaryClassification.of_tags(
+        mesh, fids, [classifier(mesh.face_anchor[f]) for f in fids])
 
 
 def boundary_subspace_mask(layout: DofLayout,

@@ -357,13 +357,14 @@ def run_property_suite(cases, seed: int = 0, n_random: int = 100):
 
         # mesh closure invariants (anchored at x_T so any flipped omega_TF
         # perturbs the identity)
-        ok = True
-        for c in cx.mesh.cells:
-            acc = sum(s * np.dot(cx.mesh.faces[f].anchor - c.anchor,
-                                 cx.mesh.faces[f].normal)
-                      * cx.mesh.faces[f].area for f, s in zip(c.faces, c.face_signs))
-            ok &= abs(acc - 3 * c.volume) <= 1e-10 * 3 * c.volume
-        record(f"divergence closure {tag}", ok)
+        m = cx.mesh
+        f, owner = m.cell_faces.values, np.repeat(np.arange(m.n_cells),
+                                                  m.cell_faces.lengths)
+        acc = np.bincount(owner, weights=m.cell_face_signs.values * np.vecdot(
+            m.face_anchor[f] - m.cell_anchor[owner], m.face_normal[f])
+            * m.face_area[f])
+        record(f"divergence closure {tag}", np.all(
+            np.abs(acc - 3 * m.cell_volume) <= 1e-10 * 3 * m.cell_volume))
 
         # scheme-level invariants on a small manufactured solve
         from .solutions import TrigSolution

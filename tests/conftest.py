@@ -106,8 +106,8 @@ def jittered_kuhn_mesh(n=2, seed=5):
     coords = base.vertex_coords.copy()
     free = (coords > 1e-12) & (coords < 1 - 1e-12)
     coords[free] += rng.uniform(-0.15 / n, 0.15 / n, size=int(free.sum()))
-    return msh.build_mesh(coords, [f.vertex_loop for f in base.faces],
-                      [c.faces for c in base.cells])
+    return msh.build_mesh(coords, base.face_loops.tolist(),
+                          base.cell_faces.tolist())
 
 
 def cube_pyramid_mesh():

@@ -19,15 +19,16 @@ the very end are computed entity by entity on such a complex, face by face
 and edge by edge, as DdrComplex did before it summed group pieces.
 
 The per-entity API that ddrns itself no longer needs, since every kernel
-reads groups, lives here for the tests: entity charts and bases bound to
-them, views of one entity read through its group's stacks (:func:`views`),
-the one-entity rule and its integral, the orientation point test, and the
-per-cell blocks of a solver.
+reads groups, lives here for the tests: records of one edge, face or
+cell read off the mesh arrays (:func:`records`), entity charts and bases
+bound to them, views of one entity read through its group's stacks
+(:func:`views`), the one-entity rule and its integral, the orientation
+point test, and the per-cell blocks of a solver.
 """
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from types import SimpleNamespace
 
@@ -88,22 +89,22 @@ def monomial_over_simplex(verts: np.ndarray, powers) -> float:
 
 
 def _edge_simplices(mesh, eid):
-    yield 1.0, mesh.vertex_coords[list(mesh.edges[eid].vertices)]
+    yield 1.0, mesh.vertex_coords[list(edge_record(mesh, eid).vertices)]
 
 
 def _face_simplices(mesh, fid):
     """Fan from the first loop vertex (not the library's anchor)."""
-    pts = mesh.vertex_coords[mesh.faces[fid].vertex_loop]
+    pts = mesh.vertex_coords[face_record(mesh, fid).vertex_loop]
     for i in range(1, len(pts) - 1):
         yield 1.0, np.array([pts[0], pts[i], pts[i + 1]])
 
 
 def _cell_simplices(mesh, cid):
     """Signed cones from the first cell vertex over oriented face fans."""
-    c = mesh.cells[cid]
+    c = cell_record(mesh, cid)
     apex = mesh.vertex_coords[c.vertex_ids[0]]
     for fid, sgn in zip(c.faces, c.face_signs):
-        pts = mesh.vertex_coords[mesh.faces[fid].vertex_loop]
+        pts = mesh.vertex_coords[face_record(mesh, fid).vertex_loop]
         loop = pts if sgn > 0 else pts[::-1]
         for i in range(1, len(loop) - 1):
             tri = np.array([loop[0], loop[i], loop[i + 1]])
@@ -143,6 +144,85 @@ def projection_normal_equations(points, weights, values, design):
 # orientation point test
 
 
+@dataclass
+class Edge:
+    id: int
+    vertices: tuple[int, int]  # ordered; tangent points from first to second
+    tangent: np.ndarray        # unit
+    length: float
+    midpoint: np.ndarray
+
+
+@dataclass
+class Face:
+    id: int
+    vertex_loop: list[int]           # counter-clockwise as seen from the n_F side
+    edges: list[int]                 # one per loop segment
+    edge_signs: list[int]            # omega_FE
+    edge_normals: list[np.ndarray]   # n_FE per loop segment
+    normal: np.ndarray               # unit n_F
+    anchor: np.ndarray               # x_F
+    diameter: float                  # h_F
+    area: float
+    frame: np.ndarray                # (2,3) rows e1,e2; e1 x e2 = n_F
+    cells: list[int] = field(default_factory=list)
+    on_boundary: bool = False
+
+
+@dataclass
+class Cell:
+    id: int
+    faces: list[int]
+    face_signs: list[int]   # omega_TF
+    anchor: np.ndarray      # x_T
+    diameter: float         # h_T
+    volume: float
+    edge_ids: list[int] = field(default_factory=list)
+    vertex_ids: list[int] = field(default_factory=list)
+
+
+def edge_record(mesh, e: int) -> Edge:
+    """Edge e of a mesh as one record, its arrays views of the mesh's."""
+    return Edge(e, tuple(mesh.edge_vertices[e].tolist()), mesh.edge_tangent[e],
+                float(mesh.edge_length[e]), mesh.edge_midpoint[e])
+
+
+def face_record(mesh, f: int) -> Face:
+    cells = mesh.face_cells[f]
+    return Face(f, mesh.face_loops[f].tolist(), mesh.face_edges[f].tolist(),
+                mesh.face_edge_signs[f].tolist(),
+                list(mesh.face_edge_normals[f]), mesh.face_normal[f],
+                mesh.face_anchor[f], float(mesh.face_diameter[f]),
+                mesh.face_area[f], mesh.face_frame[f],
+                cells[cells >= 0].tolist(), bool(cells[1] < 0))
+
+
+def cell_record(mesh, c: int) -> Cell:
+    return Cell(c, mesh.cell_faces[c].tolist(), mesh.cell_face_signs[c].tolist(),
+                mesh.cell_anchor[c], float(mesh.cell_diameter[c]),
+                mesh.cell_volume[c], mesh.cell_edges[c].tolist(),
+                mesh.cell_vertices[c].tolist())
+
+
+def records(mesh) -> SimpleNamespace:
+    """Every edge, face and cell of a mesh as records, by id, as
+    ``edges``, ``faces`` and ``cells``."""
+    return SimpleNamespace(
+        edges=[edge_record(mesh, e) for e in range(mesh.n_edges)],
+        faces=[face_record(mesh, f) for f in range(mesh.n_faces)],
+        cells=[cell_record(mesh, c) for c in range(mesh.n_cells)])
+
+
+def regularity_ratio(mesh) -> float:
+    """Mesh.regularity_ratio cell by cell and face by face."""
+    worst = np.inf
+    for c in records(mesh).cells:
+        r = min(abs(np.dot(c.anchor - mesh.face_anchor[f], mesh.face_normal[f]))
+                for f in c.faces)
+        worst = min(worst, 2.0 * r / c.diameter)
+    return float(worst)
+
+
 @dataclass(frozen=True)
 class EntityGeometry:
     """Local scaled coordinate chart of a mesh entity."""
@@ -161,19 +241,19 @@ class EntityGeometry:
 
 def edge_geometry(mesh, e) -> EntityGeometry:
     if isinstance(e, int):
-        e = mesh.edges[e]
+        e = edge_record(mesh, e)
     return EntityGeometry(e.midpoint, e.length, e.tangent[None, :], e.length)
 
 
 def face_geometry(mesh, f) -> EntityGeometry:
     if isinstance(f, int):
-        f = mesh.faces[f]
+        f = face_record(mesh, f)
     return EntityGeometry(f.anchor, f.diameter, f.frame, f.area)
 
 
 def cell_geometry(mesh, c) -> EntityGeometry:
     if isinstance(c, int):
-        c = mesh.cells[c]
+        c = cell_record(mesh, c)
     return EntityGeometry(c.anchor, c.diameter, np.eye(3), c.volume)
 
 
@@ -281,10 +361,10 @@ def views(cx):
                     c.origin[i], float(c.scale[i]), c.axes[i],
                     float(c.measure[i])))
         return out
-    m = cx.mesh
-    return SimpleNamespace(edges=of(cx.edge_groups, m.edges),
-                           faces=of(cx.face_groups, m.faces),
-                           cells=of(cx.cell_groups, m.cells))
+    rec = records(cx.mesh)
+    return SimpleNamespace(edges=of(cx.edge_groups, rec.edges),
+                           faces=of(cx.face_groups, rec.faces),
+                           cells=of(cx.cell_groups, rec.cells))
 
 
 def member_norm(norms, view, s, v) -> float:
@@ -323,12 +403,12 @@ def orientation_sign(mesh, cell_id: int, face_id: int) -> int:
     the closure and 2-cycle checks of the mesh validation catch that
     instead.
     """
-    cell = mesh.cells[cell_id]
+    cell = cell_record(mesh, cell_id)
     if face_id not in cell.faces:
         raise msh.MeshError(f"face {face_id} not on boundary of cell "
                             f"{cell_id}")
     stored = cell.face_signs[cell.faces.index(face_id)]
-    f = mesh.faces[face_id]
+    f = face_record(mesh, face_id)
     eps = 1e-6 * cell.diameter
     pts = f.anchor + np.outer([-eps * stored, eps * stored], f.normal)
     inside, outside = msh._winding_number(
@@ -639,7 +719,7 @@ def reference_geometry(vertex_coords, face_loops, cell_faces):
                 edge_index[key] = len(edges)
                 vec = vcoords[key[1]] - vcoords[key[0]]
                 length = float(np.linalg.norm(vec))
-                edges.append(msh.Edge(len(edges), key, vec / length, length,
+                edges.append(Edge(len(edges), key, vec / length, length,
                                       0.5 * (vcoords[key[0]] + vcoords[key[1]])))
 
     faces = []
@@ -667,7 +747,7 @@ def reference_geometry(vertex_coords, face_loops, cell_faces):
             face_edges.append(eid)
             signs.append(-1 if a == edges[eid].vertices[0] else 1)
             enormals.append(np.cross(normal, edges[eid].tangent))
-        faces.append(msh.Face(fid, list(loop), face_edges, signs, enormals,
+        faces.append(Face(fid, list(loop), face_edges, signs, enormals,
                               normal, centroid, diam, area, frame))
 
     cells = []
@@ -709,7 +789,7 @@ def reference_geometry(vertex_coords, face_loops, cell_faces):
         pts = vcoords[verts]
         diam = max(float(np.linalg.norm(p - q)) for i, p in enumerate(pts)
                    for q in pts[i + 1:])
-        cells.append(msh.Cell(cid, list(fids), [sigma[fid] for fid in fids],
+        cells.append(Cell(cid, list(fids), [sigma[fid] for fid in fids],
                               centroid, diam, volume, cell_edges, verts))
     for c in cells:
         for fid in c.faces:
@@ -739,7 +819,7 @@ def reference_tet_rule(verts, degree, reference=quad._duffy_tet):
 
 def reference_triangles(mesh, fid):
     """The triangles of a face: itself, or the fan from its anchor."""
-    f = mesh.faces[fid]
+    f = face_record(mesh, fid)
     loop = mesh.vertex_coords[f.vertex_loop]
     if len(loop) == 3:
         return [loop]
@@ -751,12 +831,12 @@ def reference_parallelepiped(mesh, cid):
     """The corners v_0, v_0 + a_1, v_0 + a_2, v_0 + a_3 (4, 3) of cell cid
     if it is a parallelepiped x_0 + A xi, xi in {0, 1}^3, with v_0 its
     first vertex and a_i its edges at v_0 in edge order; else None."""
-    c = mesh.cells[cid]
-    if len(c.vertex_ids) != 8 or any(len(mesh.faces[f].vertex_loop) != 4
+    c = cell_record(mesh, cid)
+    if len(c.vertex_ids) != 8 or any(len(face_record(mesh, f).vertex_loop) != 4
                                      for f in c.faces):
         return None
     v0 = c.vertex_ids[0]
-    ends = [mesh.edges[e].vertices for e in c.edge_ids]
+    ends = [edge_record(mesh, e).vertices for e in c.edge_ids]
     others = [b if a == v0 else a for a, b in ends if v0 in (a, b)]
     x = mesh.vertex_coords
     corners = x[[v0, *others]]
@@ -783,9 +863,9 @@ def reference_rule(mesh, kind, index, degree):
     elif (box := reference_parallelepiped(mesh, index)) is not None:
         parts = [reference_tet_rule(box, degree, quad._gauss_cube)]
     else:
-        c = mesh.cells[index]
+        c = cell_record(mesh, index)
         if len(c.vertex_ids) == 4:
-            loop = mesh.faces[c.faces[0]].vertex_loop
+            loop = face_record(mesh, c.faces[0]).vertex_loop
             apex = mesh.vertex_coords[[v for v in c.vertex_ids
                                        if v not in loop][0]]
             cones = [(apex, c.faces[0])]
@@ -874,7 +954,7 @@ def face_numbering(mesh, fid: int, k: int) -> SimpleNamespace:
     """The local numbering of face fid, keyed by global ids (match
     DofLayout.face_table): omega_FE, n_FE, the vertex positions and the
     GRAD and CURL slices of each edge."""
-    f = mesh.faces[fid]
+    f = face_record(mesh, fid)
     verts, edge_ids = sorted(f.vertex_loop), sorted(f.edges)
     nv = len(verts)
     return SimpleNamespace(
@@ -892,7 +972,7 @@ def cell_numbering(layouts, cid: int) -> SimpleNamespace:
     """The local numbering of cell cid, keyed by global ids: omega_TF, the
     cell-local columns of each face, edge and vertex in each space, and the
     trailing cell blocks."""
-    c = layouts[SpaceKind.GRAD].mesh.cells[cid]
+    c = cell_record(layouts[SpaceKind.GRAD].mesh, cid)
     glob = {kind: layouts[kind].cell_indices(cid) for kind in SpaceKind}
     n_grad, n_curl, n_div = (len(glob[kind]) for kind in SpaceKind)
 
@@ -938,7 +1018,7 @@ class ReferenceEdge:
 
     def __init__(self, mesh, eid, k, rule_degree):
         self.k = k
-        e = mesh.edges[eid]
+        e = edge_record(mesh, eid)
         self.edge = e
         self.h = e.length
         self.geom = edge_geometry(mesh, e)
@@ -1049,7 +1129,7 @@ class ReferenceFace(_ReferenceEntity):
         self._assemble(edge_ctx)
 
     def _place(self, mesh, fid, rule_degree):
-        f = mesh.faces[fid]
+        f = face_record(mesh, fid)
         self.face = f
         self.h = f.diameter
         self.geom = face_geometry(mesh, f)
@@ -1137,7 +1217,7 @@ class ReferenceCell(_ReferenceEntity):
         self._products(faces, edges, sample)
 
     def _place(self, mesh, cid, rule_degree, layouts):
-        c = mesh.cells[cid]
+        c = cell_record(mesh, cid)
         self.cell = c
         self.h = c.diameter
         self.geom = cell_geometry(mesh, c)

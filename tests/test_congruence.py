@@ -178,8 +178,8 @@ def test_cells_listing_faces_in_another_order():
     # differently; the placed context must evaluate on its own rule
     base = generate_cubic_mesh(2)
     rng = np.random.default_rng(2)
-    mesh = build_mesh(base.vertex_coords, [f.vertex_loop for f in base.faces],
-                      [list(rng.permutation(c.faces)) for c in base.cells])
+    mesh = build_mesh(base.vertex_coords, base.face_loops.tolist(),
+                      [list(rng.permutation(c)) for c in base.cell_faces.tolist()])
     cx = DdrComplex(mesh, 1)
     assert n_built(oracles.views(cx).cells, "pot_curl") < mesh.n_cells
     got, want = basis_free_values(cx), basis_free_values(from_scratch(cx))
@@ -194,9 +194,9 @@ def test_cells_on_faces_of_split_classes_still_share(monkeypatch):
     # the top layer, which differ from the others only in the classes of
     # their faces, are still placed from one built cell.
     face_keys = operators._face_keys
-    monkeypatch.setattr(operators, "_face_keys", lambda mesh, fids, ev: (
-        np.column_stack([face_keys(mesh, fids, ev),
-                         [mesh.faces[f].anchor[2] > 0.5 for f in fids]])))
+    monkeypatch.setattr(operators, "_face_keys", lambda mesh, fids: (
+        np.column_stack([face_keys(mesh, fids),
+                         mesh.face_anchor[fids, 2] > 0.5])))
     cx = DdrComplex(generate_cubic_mesh(3), 2)
     cells = oracles.views(cx).cells
     assert n_built(cells, "pot_curl") < cx.mesh.n_cells

@@ -1,6 +1,7 @@
 """The batched mesh geometry and quadrature rules against the per-entity
 references of `oracles`: ids, loops, signs and incidence exactly equal,
-float fields within 1e-15 relative, rule points and weights bit-identical."""
+float fields within 1e-15 relative, rule points and weights bit-identical.
+The mesh arrays are read entity by entity through `oracles` records."""
 
 import numpy as np
 import pytest
@@ -38,19 +39,19 @@ def assert_close(a, b, what):
 def test_geometry_matches_per_entity_reference(name):
     m = MESHES[name]()
     edges, faces, cells = oracles.reference_geometry(
-        m.vertex_coords, [f.vertex_loop for f in m.faces],
-        [c.faces for c in m.cells])
+        m.vertex_coords, m.face_loops.tolist(), m.cell_faces.tolist())
     assert len(edges) == m.n_edges
-    for e, r in zip(m.edges, edges):
+    rec = oracles.records(m)
+    for e, r in zip(rec.edges, edges):
         assert (e.id, tuple(e.vertices)) == (r.id, r.vertices)
         for field in ("tangent", "length", "midpoint"):
             assert_close(getattr(e, field), getattr(r, field), f"edge {e.id} {field}")
-    for f, r in zip(m.faces, faces):
+    for f, r in zip(rec.faces, faces):
         assert (f.id, f.vertex_loop, f.edges, f.edge_signs, f.cells, f.on_boundary) \
             == (r.id, r.vertex_loop, r.edges, r.edge_signs, r.cells, r.on_boundary)
         for field in ("edge_normals", "normal", "anchor", "diameter", "area", "frame"):
             assert_close(getattr(f, field), getattr(r, field), f"face {f.id} {field}")
-    for c, r in zip(m.cells, cells):
+    for c, r in zip(rec.cells, cells):
         assert (c.id, c.faces, c.face_signs, c.edge_ids, c.vertex_ids) \
             == (r.id, r.faces, r.face_signs, r.edge_ids, r.vertex_ids)
         for field in ("anchor", "diameter", "volume"):
@@ -83,10 +84,15 @@ def test_stacked_simplices_match_one_at_a_time():
         assert np.array_equal(w, np.concatenate([x for _, x in ref]))
 
 
+@pytest.mark.parametrize("name", MESHES)
+def test_regularity_ratio_matches_per_cell_reference(name):
+    m = MESHES[name]()
+    assert m.regularity_ratio() == oracles.regularity_ratio(m)
+
+
 def test_cubic_n8_translation_classes():
     m = msh.generate_cubic_mesh(8)
-    ev = np.array([e.vertices for e in m.edges])
-    face_keys = _face_keys(m, range(m.n_faces), ev)
-    cell_keys = _cell_keys(m, range(m.n_cells), ev)
+    face_keys = _face_keys(m, range(m.n_faces))
+    cell_keys = _cell_keys(m, range(m.n_cells))
     assert (len(np.unique(face_keys, axis=0)),
             len(np.unique(cell_keys, axis=0))) == (5, 4)

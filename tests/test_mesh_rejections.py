@@ -22,8 +22,7 @@ def cube_tables():
     """Vertex, face and cell tables of the unit cube, as the cubic generator
     lays them out (faces 0, 2, 4 lie in the planes x, y, z = 0)."""
     m = msh.generate_cubic_mesh(1)
-    return (m.vertex_coords.copy(), [list(f.vertex_loop) for f in m.faces],
-            [list(c.faces) for c in m.cells])
+    return m.vertex_coords.copy(), m.face_loops.tolist(), m.cell_faces.tolist()
 
 
 def tet_tables(pts):
@@ -224,7 +223,7 @@ def test_coplanarity_rejected():
 
 def test_non_unit_tangent_rejected():
     m = built(cube_tables())
-    m.edges[4].tangent = 2.0 * m.edges[4].tangent
+    m.edge_tangent[4] *= 2.0
     with pytest.raises(msh.MeshError, match="edge 4: tangent not unit"):
         msh._validate(m)
 
@@ -236,21 +235,21 @@ def test_face_anchor_outside_rejected():
 
 def test_face_closure_rejected():
     m = built(cube_tables())
-    m.faces[3].edge_signs[1] *= -1
+    m.face_edge_signs[3][1] *= -1
     with pytest.raises(msh.MeshError, match="face 3: 2D divergence closure failed"):
         msh._validate(m)
 
 
 def test_edge_longer_than_face_rejected():
     m = built(cube_tables())
-    m.faces[5].diameter *= 0.5
+    m.face_diameter[5] *= 0.5
     with pytest.raises(msh.MeshError, match="face 5: edge .* longer than face diameter"):
         msh._validate(m)
 
 
 def test_cell_closure_rejected():
     m = built(cube_tables())
-    m.cells[0].volume *= 2.0
+    m.cell_volume[0] *= 2.0
     with pytest.raises(msh.MeshError, match="cell 0: divergence closure failed"):
         msh._validate(m)
 
@@ -259,7 +258,7 @@ def test_boundary_not_a_two_cycle_rejected():
     # face 0 lies in x = 0, so flipping its sign leaves the closure sum
     # sum_F omega_TF (x_F . n_F)|F| unchanged; only the 2-cycle test sees it
     m = built(cube_tables())
-    m.cells[0].face_signs[0] *= -1
+    m.cell_face_signs[0][0] *= -1
     with pytest.raises(msh.MeshError, match="cell 0: boundary orientation is not a 2-cycle"):
         msh._validate(m)
 
@@ -279,7 +278,7 @@ def test_orientation_point_test_rejected():
 
 def test_face_wider_than_cell_rejected():
     m = built(cube_tables())
-    m.cells[0].diameter *= 0.5
+    m.cell_diameter[0] *= 0.5
     with pytest.raises(msh.MeshError, match="cell 0: face .* diameter exceeds h_T"):
         msh._validate(m)
 
@@ -296,8 +295,8 @@ def test_flipped_stored_sign_rejected_by_validation():
     # the point test of orientation_sign builds the boundary from the stored
     # signs, so it agrees with a flipped one; the validator must not
     m = built(cube_tables())
-    m.cells[0].face_signs[3] *= -1
-    assert oracles.orientation_sign(m, 0, 3) == m.cells[0].face_signs[3]
+    m.cell_face_signs[0][3] *= -1
+    assert oracles.orientation_sign(m, 0, 3) == m.cell_face_signs[0][3]
     with pytest.raises(msh.MeshError, match="cell 0: "):
         msh._validate(m)
 
@@ -315,7 +314,7 @@ def test_orientation_sign_disagreement_rejected():
 
 def test_edge_rule_length_check():
     m = built(cube_tables())
-    m.edges[2].length = 0.0
+    m.edge_length[2] = 0.0
     with pytest.raises(quad.DegenerateSimplexError, match="edge 2 has zero length"):
         quad.edge_rule(m, 2, 2)
 
@@ -338,8 +337,7 @@ def test_cell_rule_volume_check():
 
 def test_degenerate_triangle_names_face_and_segment():
     m = built(cube_tables())
-    f = m.faces[3]
-    f.anchor = m.vertex_coords[f.vertex_loop[2]].copy()
+    m.face_anchor[3] = m.vertex_coords[m.face_loops[3][2]]
     with pytest.raises(quad.DegenerateSimplexError,
                        match=r"^face 3: zero-area triangle \(segment 1\)$"):
         quad.face_rule(m, 3, 2)
@@ -348,10 +346,10 @@ def test_degenerate_triangle_names_face_and_segment():
 def test_degenerate_tetrahedron_names_cell_face_and_segment():
     # a coned hexahedron (a cube takes the tensor rule)
     m = random_hex_mesh()
-    c = m.cells[0]
-    c.anchor = m.faces[c.faces[2]].anchor.copy()
+    f = m.cell_faces[0][2]
+    m.cell_anchor[0] = m.face_anchor[f]
     with pytest.raises(quad.DegenerateSimplexError,
-                       match=rf"^cell 0: zero-volume tetrahedron \(face {c.faces[2]}, segment 0\)$"):
+                       match=rf"^cell 0: zero-volume tetrahedron \(face {f}, segment 0\)$"):
         quad.cell_rule(m, 0, 2)
 
 
@@ -371,15 +369,14 @@ def test_flat_parallelepiped_names_its_cell():
 
 def test_edge_group_names_its_zero_length_member():
     m = built(cube_tables())
-    m.edges[2].length = 0.0
+    m.edge_length[2] = 0.0
     with pytest.raises(quad.DegenerateSimplexError, match="^edge 2 has zero length$"):
         quad.edge_rule(m, [1, 2], 2)
 
 
 def test_face_group_names_its_degenerate_member_and_segment():
     m = built(cube_tables())
-    f = m.faces[3]
-    f.anchor = m.vertex_coords[f.vertex_loop[2]].copy()
+    m.face_anchor[3] = m.vertex_coords[m.face_loops[3][2]]
     with pytest.raises(quad.DegenerateSimplexError,
                        match=r"^face 3: zero-area triangle \(segment 1\)$"):
         quad.face_rule(m, [2, 3], 2)
@@ -387,7 +384,7 @@ def test_face_group_names_its_degenerate_member_and_segment():
 
 def test_face_group_checks_the_area_of_every_member():
     m = built(cube_tables())
-    m.faces[3].area = 2.0
+    m.face_area[3] = 2.0
     with pytest.raises(quad.DegenerateSimplexError,
                        match="^face 3: fan decomposition does not recover the area$"):
         quad.face_rule(m, [2, 3], 2)
@@ -395,16 +392,16 @@ def test_face_group_checks_the_area_of_every_member():
 
 def test_cell_group_names_its_degenerate_member_face_and_segment():
     m = prism_mesh()
-    c = m.cells[1]
-    c.anchor = m.faces[c.faces[2]].anchor.copy()
+    f = m.cell_faces[1][2]
+    m.cell_anchor[1] = m.face_anchor[f]
     with pytest.raises(quad.DegenerateSimplexError,
-                       match=rf"^cell 1: zero-volume tetrahedron \(face {c.faces[2]}, segment 0\)$"):
+                       match=rf"^cell 1: zero-volume tetrahedron \(face {f}, segment 0\)$"):
         quad.cell_rule(m, [0, 1], 2)
 
 
 def test_cell_group_checks_the_volume_of_every_member():
     m = prism_mesh()
-    m.cells[1].volume *= 2.0
+    m.cell_volume[1] *= 2.0
     with pytest.raises(quad.DegenerateSimplexError,
                        match="^cell 1: cone decomposition does not recover the volume$"):
         quad.cell_rule(m, [0, 1], 2)
@@ -412,7 +409,7 @@ def test_cell_group_checks_the_volume_of_every_member():
 
 def test_parallelepiped_group_checks_the_volume_of_every_member():
     m = msh.generate_cubic_mesh(2)
-    m.cells[1].volume *= 2.0
+    m.cell_volume[1] *= 2.0
     with pytest.raises(quad.DegenerateSimplexError,
                        match="^cell 1: tensor rule does not recover the volume$"):
         quad.cell_rule(m, [0, 1], 2)

@@ -133,8 +133,8 @@ def test_face_curl_constant_and_trace(cube1):
 def test_face_curl_analytic_rot_oracle(pentagon_cx):
     # planar field tangent to a face: curl matches the analytic 2D rot
     cx = pentagon_cx
-    f = next(f for f in cx.mesh.faces if len(f.vertex_loop) == 5)
-    fctx = oracles.views(cx).faces[f.id]
+    fid = int(np.flatnonzero(cx.mesh.face_loops.lengths == 5)[0])
+    fctx = oracles.views(cx).faces[fid]
     e1, e2 = fctx.geom.axes
     x0 = fctx.geom.origin
 
@@ -148,7 +148,7 @@ def test_face_curl_analytic_rot_oracle(pentagon_cx):
         t = (pts - x0) @ e2
         return 1.0 - s
     iv = cx.interpolate_curl(vfun)
-    loc = iv.values[cx.layouts[SpaceKind.CURL].face_table([f.id])[0]]
+    loc = iv.values[cx.layouts[SpaceKind.CURL].face_table([fid])[0]]
     vals = fctx.sca[cx.k].eval(fctx.rule.points) @ (fctx.curl_mat @ loc)
     ref = rot_ref(fctx.rule.points)
     assert np.abs(vals - ref).max() < 1e-11
@@ -156,7 +156,7 @@ def test_face_curl_analytic_rot_oracle(pentagon_cx):
 
 def test_element_divergence_examples(hex_cx):
     cx = hex_cx
-    x0 = cx.mesh.cells[0].anchor
+    x0 = cx.mesh.cell_anchor[0]
     iw = cx.interpolate_div(lambda pts: pts - x0)
     dl = cx.layouts[SpaceKind.DIV]
     cctx = oracles.views(cx).cells[0]
@@ -262,7 +262,7 @@ def _oracle_face_gradient(cx, fid, qloc):
 
 def test_face_gradient_vs_independent_basis_oracle(pentagon_cx):
     cx = pentagon_cx
-    fid = next(f.id for f in cx.mesh.faces if len(f.vertex_loop) == 5)
+    fid = int(np.flatnonzero(cx.mesh.face_loops.lengths == 5)[0])
     fctx = oracles.views(cx).faces[fid]
     rng = np.random.default_rng(8)
     qloc = rng.standard_normal(fctx.n_grad)
@@ -275,7 +275,7 @@ def test_face_gradient_vs_independent_basis_oracle(pentagon_cx):
 def test_scalar_trace_vs_independent_basis_oracle(pentagon_cx):
     cx = pentagon_cx
     k = cx.k
-    fid = next(f.id for f in cx.mesh.faces if len(f.vertex_loop) == 5)
+    fid = int(np.flatnonzero(cx.mesh.face_loops.lengths == 5)[0])
     view = oracles.views(cx)
     fctx = view.faces[fid]
     num = oracles.face_numbering(cx.mesh, fid, k)
@@ -377,7 +377,7 @@ def test_element_gradient_vs_monomial_oracle(hex_cx):
             fr = fctx.rule
             xi_f = g.local_coords(fr.points)
             wf = np.einsum("pm,mc->pc", ps.mono_eval(exps_k, xi_f), w)
-            wn = wf @ cx.mesh.faces[fid].normal
+            wn = wf @ cx.mesh.face_normal[fid]
             tr = fctx.sca[k + 1].eval(fr.points) @ (
                 fctx.trace_mat @ qloc[num.grad_face_map[fid]])
             rhs[j] += num.face_sign[fid] * np.sum(fr.weights * tr * wn)
@@ -553,15 +553,16 @@ def test_constant_field_potential_norms_are_closed_form(family, s):
     cvec = np.array([0.3, -1.2, 0.7])
     iv = cx.interpolate_curl(lambda pts: np.tile(cvec, (len(pts), 1)))
     cl = cx.layouts[SpaceKind.CURL]
-    face = cx.mesh.faces[0]
-    c_t = cvec - (cvec @ face.normal) * face.normal
+    normal = cx.mesh.face_normal[0]
+    c_t = cvec - (cvec @ normal) * normal
     assert oracles.member_norm(
         cx.potential_norms, oracles.views(cx).faces[0], s,
         iv.values[cl.face_table([0])[0]]) == \
-        pytest.approx(np.linalg.norm(c_t) * face.area ** (1 / s), rel=1e-12)
+        pytest.approx(np.linalg.norm(c_t) * cx.mesh.face_area[0] ** (1 / s),
+                      rel=1e-12)
     assert oracles.member_norm(
         cx.potential_norms, cx.cells[0], s,
-        iv.values[cl.cell_indices(0)]) == pytest.approx(np.linalg.norm(cvec) * cx.mesh.cells[0].volume
+        iv.values[cl.cell_indices(0)]) == pytest.approx(np.linalg.norm(cvec) * cx.mesh.cell_volume[0]
                       ** (1 / s), rel=1e-12)
 
 

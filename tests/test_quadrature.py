@@ -12,17 +12,16 @@ import oracles
 
 def test_edge_cubic_exact(cube1):
     r = oracles.rule_for(cube1, "edge", 0, 3)
-    e = cube1.edges[0]
-    a = cube1.vertex_coords[e.vertices[0]]
-    s = (r.points - a) @ e.tangent
+    a = cube1.vertex_coords[cube1.edge_vertices[0, 0]]
+    s = (r.points - a) @ cube1.edge_tangent[0]
     assert oracles.integrate(r, s**3) == pytest.approx(0.25, abs=1e-15)
     assert len(r.weights) == 2  # ceil((3+1)/2) Gauss points
 
 
 def test_unit_square_face(cube1):
-    f = next(f for f in cube1.faces
-             if abs(f.normal[2]) > 0.5 and abs(f.anchor[2]) < 1e-12)
-    r = oracles.rule_for(cube1, "face", f.id, 4)
+    f = np.flatnonzero((np.abs(cube1.face_normal[:, 2]) > 0.5)
+                       & (np.abs(cube1.face_anchor[:, 2]) < 1e-12))[0]
+    r = oracles.rule_for(cube1, "face", f, 4)
     v = r.points[:, 0]**2 * r.points[:, 1]**2
     assert oracles.integrate(r, v) == pytest.approx(1.0 / 9.0, abs=1e-14)
 
@@ -38,15 +37,15 @@ def test_unit_cube_cell(cube1):
 def test_weights_sum_to_measure(cube2, tet1):
     meshes = [cube2, tet1, prism_mesh(), random_hex_mesh()]
     for m in meshes:
-        for e in m.edges:
-            r = quad.edge_rule(m, e.id, 4)
-            assert r.weights.sum() == pytest.approx(e.length, rel=1e-13)
-        for f in m.faces:
-            r = quad.face_rule(m, f.id, 4)
-            assert r.weights.sum() == pytest.approx(f.area, rel=1e-12)
-        for c in m.cells:
-            r = quad.cell_rule(m, c.id, 4)
-            assert r.weights.sum() == pytest.approx(c.volume, rel=1e-12)
+        for e in range(m.n_edges):
+            r = quad.edge_rule(m, e, 4)
+            assert r.weights.sum() == pytest.approx(m.edge_length[e], rel=1e-13)
+        for f in range(m.n_faces):
+            r = quad.face_rule(m, f, 4)
+            assert r.weights.sum() == pytest.approx(m.face_area[f], rel=1e-12)
+        for c in range(m.n_cells):
+            r = quad.cell_rule(m, c, 4)
+            assert r.weights.sum() == pytest.approx(m.cell_volume[c], rel=1e-12)
 
 
 # family -> mesh of size n; the prisms are single meshes (n = 1)

@@ -149,9 +149,9 @@ def test_uniform_flow_reproduced_exactly():
     # known exact solution through the cube: u = e_x, p = 0
     ex = lambda pts: np.tile([1.0, 0.0, 0.0], (len(pts), 1))
     regions = [
-        BCRegion("essential", where=lambda f: abs(f.anchor[0]) < 1e-12,
+        BCRegion("essential", where=lambda x: abs(x[0]) < 1e-12,
                  velocity=ex, pressure=lambda pts: np.zeros(len(pts))),
-        BCRegion("natural", where=lambda f: abs(f.anchor[0] - 1) < 1e-12,
+        BCRegion("natural", where=lambda x: abs(x[0] - 1) < 1e-12,
                  flux=lambda pts: np.ones(len(pts))),
         BCRegion("natural"),
     ]
@@ -262,8 +262,8 @@ def test_pressflux_zero_flux_variant():
     # zero forcing and zero flux data with the essential patch: zero solution
     regions = [
         BCRegion("essential",
-                 where=lambda f: abs(f.anchor[0]) < 1e-12 and f.anchor[1] < 0.25
-                 and f.anchor[2] < 0.25,
+                 where=lambda x: abs(x[0]) < 1e-12 and x[1] < 0.25
+                 and x[2] < 0.25,
                  velocity=ZERO_F, pressure=lambda pts: np.zeros(len(pts))),
         BCRegion("natural"),
     ]
@@ -287,6 +287,33 @@ def test_empty_boundary_patch_fails_at_setup():
                  BCRegion("natural")]
     spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=flux_only)
     with pytest.raises(EmptyRegionError, match="region 0 \\(natural"):
+        NavierStokesSolver(cx, spec)
+
+
+def test_each_where_is_called_once_per_boundary_face():
+    cx = get_complex("cubic", 2, 0)
+    seen = []
+
+    def counted(x):
+        seen.append(tuple(x))
+        return True
+
+    spec = ProblemSpec(nu=0.01, forcing=ZERO_F,
+                       regions=[BCRegion("natural", where=counted)])
+    s = NavierStokesSolver(cx, spec)
+    assert len(seen) == len(cx.mesh.boundary_faces()) == 24
+    assert sorted(seen) == sorted(map(tuple, cx.mesh.face_anchor[
+        cx.mesh.boundary_faces()]))
+    assert s.classification.natural_faces == cx.mesh.boundary_faces().tolist()
+    assert set(s.region_of_face) == set(s.classification.natural_faces)
+
+
+def test_a_face_of_no_region_is_left_unclassified():
+    cx = get_complex("cubic", 2, 0)
+    spec = ProblemSpec(nu=0.01, forcing=ZERO_F,
+                       regions=[BCRegion("natural", where=lambda x: x[0] < 0.5)])
+    with pytest.raises(ValueError, match="boundary face .* left unclassified "
+                       r"\(classifier returned None\)"):
         NavierStokesSolver(cx, spec)
 
 

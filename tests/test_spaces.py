@@ -80,13 +80,13 @@ def test_dofs_of_no_entities(cube1):
 def test_shared_blocks_two_cells():
     m = prism_mesh()
     lay = DofLayout(m, SpaceKind.CURL, 1)
-    shared_face = next(f.id for f in m.faces if not f.on_boundary)
+    shared_face = np.flatnonzero(m.face_cells[:, 1] >= 0)[0]
     i0 = set(lay.cell_indices(0))
     i1 = set(lay.cell_indices(1))
     shared = i0 & i1
     assert set(lay.dofs(2, shared_face)) <= shared
     # shared edges contribute too
-    es = set(m.faces[shared_face].edges)
+    es = set(m.face_edges[shared_face].tolist())
     for e in es:
         assert set(lay.dofs(1, e)) <= shared
 
@@ -139,8 +139,7 @@ def test_boundary_mask_mixed_counts():
     # one boundary face, its 4 edges, its 4 vertices (hand count)
     mesh = get_mesh("cubic", 4)
 
-    def classifier(face):
-        a = face.anchor
+    def classifier(a):
         if abs(a[0]) < 1e-12 and a[1] < 0.25 and a[2] < 0.25:
             return "essential"
         return "natural"
@@ -197,17 +196,17 @@ def test_interpolate_edge_moments_vs_quad_oracle():
     iq = cx.interpolate_grad(fun)
     lay = cx.layouts[SpaceKind.GRAD]
     # pick an edge along x: moment vs adaptive 1D quadrature oracle
-    eid = next(e.id for e in cx.mesh.edges if abs(e.tangent[0]) > 0.9)
-    e = cx.mesh.edges[eid]
-    a = cx.mesh.vertex_coords[e.vertices[0]]
+    eid = np.flatnonzero(np.abs(cx.mesh.edge_tangent[:, 0]) > 0.9)[0]
+    tangent, length = cx.mesh.edge_tangent[eid], cx.mesh.edge_length[eid]
+    a = cx.mesh.vertex_coords[cx.mesh.edge_vertices[eid, 0]]
     ectx = oracles.views(cx).edges[eid]
     phi0 = ectx.sca[0]
 
     def integrand(s):
-        p = a + s * e.tangent
+        p = a + s * tangent
         return np.sin(2 * np.pi * p[0]) * phi0.eval(p[None, :])[0, 0]
 
-    ref, _ = scipy_quad(integrand, 0.0, e.length, epsabs=1e-13)
+    ref, _ = scipy_quad(integrand, 0.0, length, epsabs=1e-13)
     assert iq.values[lay.dofs(1, eid)][0] == pytest.approx(ref, abs=1e-9)
 
 
@@ -226,9 +225,9 @@ def test_interpolate_div_flux_oracle(cube1):
     iw = cx.interpolate_div(lambda pts: pts)  # w = (x, y, z)
     lay = cx.layouts[SpaceKind.DIV]
     for f, fctx in enumerate(oracles.views(cx).faces):
-        face = cx.mesh.faces[f]
         vals = fctx.sca[0].eval(fctx.rule.points) @ iw.values[lay.dofs(2, f)]
-        ref = face.anchor @ face.normal  # mean of x.n on a planar face
+        # mean of x.n on a planar face
+        ref = cx.mesh.face_anchor[f] @ cx.mesh.face_normal[f]
         np.testing.assert_allclose(vals, ref, atol=1e-13)
 
 
@@ -237,9 +236,8 @@ def test_interpolate_div_sign_convention(cube1):
     lay = cx.layouts[SpaceKind.DIV]
     iw = cx.interpolate_div(lambda pts: np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
     for f, fctx in enumerate(oracles.views(cx).faces):
-        face = cx.mesh.faces[f]
         vals = fctx.sca[0].eval(fctx.rule.points) @ iw.values[lay.dofs(2, f)]
-        np.testing.assert_allclose(vals, face.normal[2], atol=1e-14)
+        np.testing.assert_allclose(vals, cx.mesh.face_normal[f, 2], atol=1e-14)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

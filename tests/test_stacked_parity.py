@@ -15,8 +15,9 @@ import pytest
 import oracles
 from conftest import (cube_pyramid_mesh, get_mesh, jittered_kuhn_mesh,
                       pentagon_prism_mesh)
-from ddrns import operators
+from ddrns import operators, quadrature
 from ddrns import polyspaces as ps
+from ddrns.mesh import generate_cubic_mesh
 from ddrns.operators import DdrComplex
 from ddrns.spaces import DofVector, SpaceKind
 
@@ -223,6 +224,21 @@ def test_each_rule_function_is_called_once_per_group(monkeypatch, family,
         monkeypatch.setattr(operators, f"{kind}_rule", counted)
     cx = DdrComplex(get_mesh(family, n), k)
     assert calls == {kind: len(getattr(cx, f"{kind}_groups")) for kind in calls}
+
+
+def test_a_complex_detects_parallelepipeds_once(monkeypatch):
+    # the cell group keys detect them, and the cell rules reuse the corners
+    calls = []
+    detect = quadrature.parallelepipeds
+
+    def counted(*args):
+        calls.append(args)
+        return detect(*args)
+
+    for module in (operators, quadrature):
+        monkeypatch.setattr(module, "parallelepipeds", counted)
+    DdrComplex(generate_cubic_mesh(2), 0)
+    assert len(calls) == 1
 
 
 def test_jittered_tets_build_one_group_each():

@@ -171,12 +171,13 @@ def test_property_suite_fault_injection():
     # divergence-closure check
     mesh = get_mesh("cubic", 2)
     cx = DdrComplex(mesh, 0)
-    sign_backup = mesh.cells[0].face_signs[0]
-    mesh.cells[0].face_signs[0] = -sign_backup
+    signs = mesh.cell_face_signs[0]
+    sign_backup = signs[0]
+    signs[0] = -sign_backup
     try:
         results = verify.run_property_suite([cx], seed=0, n_random=5)
     finally:
-        mesh.cells[0].face_signs[0] = sign_backup
+        signs[0] = sign_backup
     failed = {r.name for r in results if not r.passed}
     assert any("divergence closure" in name for name in failed)
     assert all("divergence closure" in name for name in failed)
