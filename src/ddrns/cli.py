@@ -9,7 +9,8 @@ pressflux     mixed pressure/flux boundary conditions, discrete norms per level
 properties    structural property suite (exit code 3 on failure)
 constants     discrete Poincare/continuity/Sobolev estimates + chi diagnostic
 
-Exit codes: 0 success, 2 solver failure, 3 property failure, 4 config error.
+Exit codes: 0 success, 2 solver failure, 3 property failure, 4 config error
+(a malformed flag, setting or mesh file included).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, read_mesh
+from .mesh import (Mesh, MeshError, generate_cubic_mesh, generate_tet_mesh,
+                   read_mesh)
 from .operators import DdrComplex
 from .solutions import TrigSolution
 from .solver import (EmptyRegionError, NavierStokesSolver,
@@ -60,12 +62,16 @@ class RunConfig:
             raise ValueError("levels must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        if self.reynolds <= 0:
-            raise ValueError("re must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name, val in (("re", self.reynolds), ("tol", self.tol)):
+            if not np.isfinite(val) or val <= 0:
+                raise ValueError(f"{name} must be finite and positive")
+        if not np.isfinite(self.lam):
+            raise ValueError("lambda must be finite")
         if self.bc not in ("natural", "essential", "pressflux"):
             raise ValueError(f"unknown bc preset {self.bc!r}")
+        fam = self.mesh_family
+        if fam not in ("cubic", "tet") and not fam.startswith("file:"):
+            raise ValueError(f"unknown mesh family {fam!r}")
         return self
 
 
@@ -280,81 +286,62 @@ COMMANDS = {"convergence": cmd_convergence, "robustness": cmd_robustness,
             "constants": cmd_constants}
 
 
+# every setting of a run by its config-file key, which is also its flag
+# name: the RunConfig field, the conversion from the file's value or the
+# flag's text, and the flag's help; the _FILE_ONLY keys have no flag
+_CONFIG_KEYS = {
+    "cmd": ("command", str, "one of: " + ", ".join(COMMANDS)),
+    "mesh": ("mesh_family", str, "cubic | tet | file:<path>"),
+    "levels": ("levels", lambda v: [int(t) for t in str(v).split(",")],
+               "comma-separated ascending subdivision counts"),
+    "k": ("k", int, "polynomial degree"),
+    "re": ("reynolds", float, "Reynolds number"),
+    "nu": ("reynolds", lambda v: 1.0 / float(v), "viscosity"),
+    "lambda": ("lam", float, "pressure scaling"),
+    "bc": ("bc", str, "natural | essential | pressflux"),
+    "tol": ("tol", float, "Newton tolerance"),
+    "max_iter": ("max_iter", int, "Newton steps"),
+    "out": ("out_dir", str, "output directory"),
+    "seed": ("seed", int, "random seed")}
+_FILE_ONLY = ("nu", "max_iter")
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ddrns",
                                 description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--cmd", required=False, default=None,
-                   help="one of: " + ", ".join(COMMANDS))
     p.add_argument("--config", default=None,
                    help="key=value config file; flags override it")
-    p.add_argument("--mesh", default=None,
-                   help="cubic | tet | file:<path>")
-    p.add_argument("--levels", default=None,
-                   help="comma-separated ascending subdivision counts")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--re", type=float, default=None, help="Reynolds number")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="pressure scaling")
-    p.add_argument("--bc", default=None,
-                   choices=["natural", "essential", "pressflux"])
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel-levels", action="store_true", default=None)
+    for key, (_, _, text) in _CONFIG_KEYS.items():
+        if key not in _FILE_ONLY:
+            p.add_argument("--" + key, default=None, help=text)
+    p.add_argument("--parallel-levels", action="store_true")
     return p
 
 
-_CONFIG_KEYS = {"cmd": ("command", str), "mesh": ("mesh_family", str),
-                "k": ("k", int), "re": ("reynolds", float),
-                "nu": ("reynolds", lambda v: 1.0 / float(v)),
-                "lambda": ("lam", float), "bc": ("bc", str),
-                "tol": ("tol", float), "max_iter": ("max_iter", int),
-                "out": ("out_dir", str), "seed": ("seed", int)}
-
-
 def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command="properties")
-    if args.config:
-        file_vals = load_config(args.config)
-        for key, val in file_vals.items():
-            if key == "levels":
-                cfg.levels = [int(t) for t in str(val).split(",")]
-            elif key in _CONFIG_KEYS:
-                attr, conv = _CONFIG_KEYS[key]
-                setattr(cfg, attr, conv(val))
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    if args.cmd is not None:
-        cfg.command = args.cmd
-    if args.mesh is not None:
-        cfg.mesh_family = args.mesh
-    if args.levels is not None:
-        cfg.levels = [int(t) for t in args.levels.split(",")]
-    if args.k is not None:
-        cfg.k = args.k
-    if args.re is not None:
-        cfg.reynolds = args.re
-    if args.lam is not None:
-        cfg.lam = args.lam
-    if args.bc is not None:
-        cfg.bc = args.bc
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.parallel_levels:
-        cfg.parallel_levels = True
+    """The settings of the config file, then those of the flags given, so
+    that a flag wins, each converted by _CONFIG_KEYS."""
+    settings = list(load_config(args.config).items()) if args.config else []
+    settings += [(key, getattr(args, key)) for key in _CONFIG_KEYS
+                 if key not in _FILE_ONLY and getattr(args, key) is not None]
+    cfg = RunConfig(command="properties",
+                    parallel_levels=args.parallel_levels)
+    for key, val in settings:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        attr, conv, _ = _CONFIG_KEYS[key]
+        setattr(cfg, attr, conv(val))
     return cfg.validate()
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except (ValueError, OSError) as exc:
+        cfg = config_from_args(make_parser().parse_args(argv))
+    except SystemExit as exc:
+        # argparse has printed its error, or the help (exit code 0)
+        return 4 if exc.code else 0
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     np.random.seed(cfg.seed)  # property suites draw through explicit RNGs too
@@ -368,7 +355,8 @@ def main(argv=None) -> int:
 
     try:
         rc = COMMANDS[cfg.command](cfg, out, log)
-    except (verify.DimensionCapError, EmptyRegionError) as exc:
+    except (verify.DimensionCapError, EmptyRegionError, MeshError,
+            OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     (out / f"run_{cfg.command}.log").write_text("\n".join(log_lines) + "\n")

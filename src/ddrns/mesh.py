@@ -57,11 +57,15 @@ class MeshError(Exception):
 
 
 class Poly3ParseError(MeshError):
-    """Malformed POLY3 input; carries the offending line number."""
+    """Malformed POLY3 input; carries the offending line number, and is
+    rebuilt from both arguments when a worker process sends it back."""
 
     def __init__(self, lineno: int, message: str):
         super().__init__(f"POLY3 parse error at line {lineno}: {message}")
-        self.lineno = lineno
+        self.lineno, self.message = lineno, message
+
+    def __reduce__(self):
+        return type(self), (self.lineno, self.message)
 
 
 class Ragged:
@@ -187,6 +191,15 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(first - starts, counts)
 
 
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number of each of keys (values, or rows) when the distinct ones
+    are numbered by first appearance, and the index of each one's first."""
+    _, first, inv = np.unique(keys, axis=0, return_index=True,
+                              return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    return rank[inv.ravel()], np.sort(first)
+
+
 def _ordered_sums(terms: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     """Sum of the terms of each owner, added left to right in the given
     order (owners contiguous), as a loop over one owner's terms adds them."""
@@ -300,11 +313,8 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
     seg_face = np.repeat(np.arange(nf), loop_len)
     seg_w = seg_v[_segments(loops, np.arange(nf))[1]]
     lo, hi = np.minimum(seg_v, seg_w), np.maximum(seg_v, seg_w)
-    _, first, inv = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    seg_edge = rank[inv.ravel()]
-    ev = np.stack([lo, hi], axis=1)[np.sort(first)]
+    seg_edge, first = _first_appearance(lo * nv + hi)
+    ev = np.stack([lo, hi], axis=1)[first]
 
     vec = vcoords[ev[:, 1]] - vcoords[ev[:, 0]]
     length = _norm(vec)
@@ -617,12 +627,9 @@ def generate_tet_mesh(n: int) -> Mesh:
     tets = vid(*np.moveaxis(base + steps, -1, 0)).reshape(-1, 4)
     # the face opposite each vertex, faces numbered by first appearance
     tris = tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
-    _, first, inv = np.unique(np.sort(tris, axis=1), axis=0, return_index=True,
-                              return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return build_mesh(coords, tris[np.sort(first)].tolist(),
-                      rank[inv.ravel()].reshape(-1, 4).tolist())
+    face, first = _first_appearance(np.sort(tris, axis=1))
+    return build_mesh(coords, tris[first].tolist(),
+                      face.reshape(-1, 4).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,12 @@ discrete gradient and curl, the stabilised L2 products of the three spaces
 and the derived norms.
 
 The serendipity reduction runs in "DDR mode" only (eta_Y = 2, so
-ell_Y = k - 1): the complement-space moments that close the gradient and
+ell_Y = k - 1).  The groups read ell, and the moment space of every DoF
+block, from the layouts (``DofLayout.spaces``); no degree of a DoF block is
+set here.  The complement-space moments that close the gradient and
 tangential-trace systems are supplied by explicit integration-by-parts
 formulas on faces and cells, and by the directly-available complement
-components for the curl space.
+components for the curl space, whose Rc^{ell+1} block is Rc^k in this mode.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import polyspaces as ps
-from .mesh import Mesh
+from .mesh import Mesh, _first_appearance
 from .quadrature import (QuadratureRule, cell_rule, edge_rule, face_rule,
                          parallelepipeds)
 from .spaces import DofLayout, DofVector, SpaceKind
@@ -99,14 +101,6 @@ def _div_coeffs(V, dim, h):
                for a in range(dim))
 
 
-def _rot2_of_scalar(C, h):
-    """Vector rot on a face: (d2 m, -d1 m) in frame components."""
-    deg = ps._deg_of(2, C.shape[-1])
-    d1 = C @ ps.deriv_matrix(2, deg, 0).T / _per_scale(h)
-    d2 = C @ ps.deriv_matrix(2, deg, 1).T / _per_scale(h)
-    return np.stack([d2, -d1], axis=-1)
-
-
 def _curl3_coeffs(V, h):
     deg = ps._deg_of(3, V.shape[-2])
     D = [ps.deriv_matrix(3, deg, a).T / _per_scale(h) for a in range(3)]
@@ -141,12 +135,6 @@ def _positions(table, idx):
     shift = np.arange(n)[:, None] * (int(table.max(initial=0)) + 1)
     pos = np.searchsorted((table + shift).ravel(), idx.reshape(n, -1) + shift)
     return (pos - np.arange(n)[:, None] * table.shape[1]).reshape(idx.shape)
-
-
-def _tail(n, sizes) -> list:
-    """Slices of consecutive blocks of sizes that end n local DoFs."""
-    ends = n - sum(sizes) + np.cumsum([0, *sizes])
-    return [slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _flatten_points(vals, w):
@@ -227,13 +215,18 @@ def _sampled(phi, pot, x):
     return vals.reshape((m, npts) + (d,) * (d > 1) + x.shape[2:])
 
 
+def _moment_bases(g, blocks) -> list:
+    """The bases of the built members of a group g that the DoF blocks
+    [(selector, degree)] of a row of DofLayout.spaces are moments against."""
+    return [g.sca[l] if sel == "P" else g.sub[sel, l] for sel, l in blocks]
+
+
 def _own_fields(g, members):
-    """The R^{k-1} (+) Rc^{ell+1} fields of the own CURL DoFs, the trailing
-    block, of members of a face or cell group, in frame components at their
-    rule points: (m, npts, d, nown)."""
-    subs = (g.sub["R", g.k - 1], g.sub["Rc", g.ell + 1])
+    """The fields of the own CURL DoFs, the trailing blocks, of members of a
+    face or cell group, in frame components at their rule points: (m, npts,
+    d, nown)."""
     return np.concatenate([np.swapaxes(_at_points(g, members, b), -1, -2)
-                           for b in subs], axis=-1)
+                           for b in g.dof_bases[SpaceKind.CURL]], axis=-1)
 
 
 def _piece_norms(pieces, s, x, owner) -> np.ndarray:
@@ -452,43 +445,49 @@ class _Group:
                 f"{self.kind} {self.ids[self.rep[err.index]]}: {err}",
                 index=err.index) from None
 
-    def _bases(self, chart, gram, extra=()):
-        """Monomial Grams, scalar bases, P^k vector bases and the split
-        subspaces R^{k-1}, Rc^{ell+1}, R^k, Rc^k, Rc^{k+2} and extra of the
-        built members, whose charts are chart; every scalar basis is a
+    def _bases(self, chart, gram, layouts, extra=()):
+        """Monomial Grams and the bases of the built members, whose charts
+        are chart: the spaces of their DoF blocks of each kind, from the
+        rows of DofLayout.spaces (``dof_bases[kind]``, block after block),
+        the scalar P^k and P^{k+1}, the P^k vector basis, and the split
+        subspaces R^k, Rc^k, Rc^{k+2} and extra; every scalar basis is a
         leading block of the Gram at degree k + 2."""
-        k, ell, dim = self.k, self.ell, chart.dim
+        k, dim = self.k, chart.dim
         self.gram = gram
+        blocks = [b for lay in layouts.values() for b in lay.spaces[dim]]
         with self._naming_errors():
-            self.sca = {l: ps.build_scalar_basis(dim, l, gram)
-                        for l in {k - 1, k, k + 1, ell}}
-            # Rc^{ell+1} is Rc^k in DDR mode (ell = k - 1): each key is
-            # built once
+            self.sca = {l: ps.build_scalar_basis(dim, l, gram) for l in
+                        {k, k + 1, *(d for sel, d in blocks if sel == "P")}}
+            # a key named twice (Rc^{ell+1} is Rc^k in DDR mode) is built
+            # once
             self.sub = {
                 (sel, l): ps.build_subspace(dim, sel, l, gram)
-                for sel, l in dict.fromkeys([("R", k - 1), ("Rc", ell + 1),
-                                             ("R", k), ("Rc", k),
-                                             ("Rc", k + 2), *extra])}
+                for sel, l in dict.fromkeys([
+                    *(b for b in blocks if b[0] != "P"), ("R", k), ("Rc", k),
+                    ("Rc", k + 2), *extra])}
         self.vb = ps.tensor_vector_basis(self.sca[k], chart.dim)
+        self.dof_bases = {kind: _moment_bases(self, lay.spaces[dim])
+                          for kind, lay in layouts.items()}
 
-    def _gradient(self, chart, flux, own_cols):
+    def _gradient(self, chart, flux):
         """Serendipity moments, gradient and P^{k+1} potential of the local
         GRAD DoFs.
 
         flux[key] is the boundary term sum_b omega_b int_b (w . n_b) q_b for
         w in the basis sub[key], against the boundary traces q_b, for the
-        keys R^k, Rc^k and Rc^{k+2}; own_cols are the columns of the
-        entity's own P^ell moments q_Y.
+        keys R^k, Rc^k and Rc^{k+2}; the entity's own moments q_Y are its
+        GRAD DoF block.
         """
         k, gram, vb = self.k, self.gram, self.vb
+        pl, = self.dof_bases[SpaceKind.GRAD]
         d, h = chart.dim, chart.scale
         Rk, Rck = self.sub["R", k], self.sub["Rc", k]
         cRk2 = self.sub["Rc", k + 2]
         # int G q . tau = -int q_Y div tau + boundary term, tau in Rc^k
         sg = flux["Rc", k]
         if Rck.dim:
-            sg[..., own_cols] -= _inner_scalar(
-                gram, _div_coeffs(Rck.coeff, d, h), self.sca[self.ell].coeff)
+            sg[..., self.own[SpaceKind.GRAD][0]] -= _inner_scalar(
+                gram, _div_coeffs(Rck.coeff, d, h), pl.coeff)
         M = np.concatenate([Rk.coords_in(vb, gram), Rck.coords_in(vb, gram)],
                            axis=-2)
         grad = np.linalg.solve(M, np.concatenate([flux["R", k], sg], axis=-2))
@@ -497,6 +496,54 @@ class _Group:
                           self.sca[k + 1].coeff)
         rhs = flux["Rc", k + 2] - cRk2.coords_in(vb, gram) @ grad
         return sg, grad, np.linalg.solve(D, rhs)
+
+    def _sizes(self, glob):
+        """The local sizes n_<kind> of the local DoFs glob[kind] (G, n)
+        and, for each kind, the columns of the own DoF blocks, which end
+        the local numbering: each block's as a slice (``own[kind]``), all
+        of them as one index array (``interior[kind]``)."""
+        self.own, self.interior = {}, {}
+        for kind, g in glob.items():
+            n = g.shape[1]
+            setattr(self, f"n_{kind.value}", n)
+            sizes = [b.dim for b in self.dof_bases[kind]]
+            ends = n - sum(sizes) + np.cumsum([0, *sizes])
+            self.own[kind] = [slice(int(a), int(b))
+                              for a, b in zip(ends[:-1], ends[1:])]
+            self.interior[kind] = np.arange(ends[0], n)
+
+    def _by_parts(self, flux, kind, image):
+        """A curl or divergence of local DoFs by integration by parts,
+        against P^k test functions whose rot, curl or minus gradient is
+        image: the boundary term flux plus the moments of image against the
+        first own kind DoF block (R^{k-1} or G^{k-1})."""
+        first = self.dof_bases[kind][0]
+        if first.dim:
+            flux[..., self.own[kind][0]] += ps.vector_inner(
+                self.gram, image, first.coeff)
+        return flux
+
+    def _potential(self, images, rhs, kind):
+        """The P^k vector potential P of local kind DoFs from the system
+        [images of the tests; complement] P = [rhs; E]: rhs are the moments
+        of P against the vector polynomials images, and E reads its moments
+        against the space of the second own kind DoF block (Rc^{ell+1} =
+        Rc^k, or Gc^k) off that block.  Returns P and E."""
+        vb, gram = self.vb, self.gram
+        comp = self.dof_bases[kind][1]
+        E = np.zeros((len(self.rep), comp.dim, rhs.shape[-1]))
+        E[..., self.own[kind][1]] = np.eye(comp.dim)
+        M = np.concatenate([ps.coords_in_vector_basis(vb, images, gram),
+                            comp.coords_in(vb, gram)], axis=-2)
+        return np.linalg.solve(M, np.concatenate([rhs, E], axis=-2)), E
+
+    def _split(self, kind, image):
+        """The moments of P^k vector fields (coefficients image in vb)
+        against the spaces of the own kind DoF blocks, block after block:
+        the rows of a global operator that land on the members' own
+        DoFs."""
+        return np.concatenate([b.coords_in(self.vb, self.gram) @ image
+                               for b in self.dof_bases[kind]], axis=-2)
 
 
 class EdgeContext(_Group):
@@ -559,31 +606,24 @@ class FaceContext(_Group):
 
     kind = "face"
 
-    def __init__(self, mesh: Mesh, fids, row, k: int, ell: int,
-                 rule_degree: int, edge_group: EdgeContext, layouts):
-        self.k, self.ell = k, ell
+    def __init__(self, mesh: Mesh, fids, row, k: int, rule_degree: int,
+                 edge_group: EdgeContext, layouts):
+        self.k = k
         self._members(fids, row, _Chart(
             mesh.face_anchor[fids], mesh.face_diameter[fids],
             mesh.face_frame[fids], mesh.face_area[fids]),
                       face_rule(mesh, fids, rule_degree))
         self.normal = mesh.face_normal[fids]
         self.loop_length = int(mesh.face_loops.lengths[fids[0]])
-        self.n_grad, self.n_curl = (
-            layouts[kind].face_table(self.ids[:1]).shape[1]
-            for kind in (SpaceKind.GRAD, SpaceKind.CURL))
-        self.grad_face_slice, = _tail(self.n_grad,
-                                      layouts[SpaceKind.GRAD].face_subsizes)
-        self.curl_R_slice, self.curl_Rc_slice = _tail(
-            self.n_curl, layouts[SpaceKind.CURL].face_subsizes)
         chart = self.chart[self.rep]
-        self._bases(chart, chart.gram(self._rule_blocks(), k + 2))
+        self._bases(chart, chart.gram(self._rule_blocks(), k + 2), layouts)
+        self._sizes({kind: layouts[kind].face_table(self.ids[:1])
+                     for kind in (SpaceKind.GRAD, SpaceKind.CURL)})
         self._assemble(chart, _face_edges(mesh, self.ids[self.rep], layouts,
                                           edge_group, chart, k + 2))
 
     def _assemble(self, chart, edges):
-        k, gram, vb, h = self.k, self.gram, self.vb, chart.scale
-        Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
-        Rcd = self.sub["Rc", self.ell + 1]
+        k, gram, h = self.k, self.gram, chart.scale
         pk = self.sca[k]
 
         nm = ps.dim_poly(2, k + 1)
@@ -604,33 +644,21 @@ class FaceContext(_Group):
 
         # --- gradient, serendipity gradient moments and scalar trace --------
         self.serendipity_grad, self.grad_mat, self.trace_mat = self._gradient(
-            chart, flux, self.grad_face_slice)
+            chart, flux)
 
         # --- face curl --------------------------------------------------------
-        cm = -tflux
-        if Rkm.dim:
-            cm[..., self.curl_R_slice] += ps.vector_inner(
-                gram, _rot2_of_scalar(pk.coeff, h), Rkm.coeff)
-        self.curl_mat = cm
+        self.curl_mat = cm = self._by_parts(
+            -tflux, SpaceKind.CURL, ps.turn(_grad_coeffs(pk.coeff, 2, h)))
 
-        # --- serendipity curl moments: directly the Rc component -------------
-        sc = np.zeros((G, Rck.dim, self.n_curl))
-        sc[..., self.curl_Rc_slice] = np.eye(Rck.dim)
-        self.serendipity_curl = sc
-
-        # --- tangential trace -------------------------------------------------
+        # --- tangential trace; serendipity curl moments: the Rc block -------
         mono_test = np.eye(nm)[1:]                     # non-constant monomials
-        M = np.concatenate([
-            ps.coords_in_vector_basis(vb, _rot2_of_scalar(mono_test, h), gram),
-            Rck.coords_in(vb, gram)], axis=-2)
-        rhs = np.concatenate([
-            _inner_scalar(gram, mono_test, pk.coeff) @ cm + mflux, sc], axis=-2)
-        self.ttrace_mat = np.linalg.solve(M, rhs)
+        self.ttrace_mat, self.serendipity_curl = self._potential(
+            ps.turn(_grad_coeffs(mono_test, 2, h)),
+            _inner_scalar(gram, mono_test, pk.coeff) @ cm + mflux,
+            SpaceKind.CURL)
 
         # --- face blocks of the global gradient ------------------------------
-        self.uG_face = np.concatenate([Rkm.coords_in(vb, gram) @ self.grad_mat,
-                                       Rcd.coords_in(vb, gram) @ self.grad_mat],
-                                      axis=-2)
+        self.uG_face = self._split(SpaceKind.CURL, self.grad_mat)
 
 
 class CellContext(_Group):
@@ -643,23 +671,23 @@ class CellContext(_Group):
 
     kind = "cell"
 
-    def __init__(self, mesh: Mesh, cids, row, corners, k: int, ell: int,
+    def __init__(self, mesh: Mesh, cids, row, corners, k: int,
                  rule_degree: int, edge_group: EdgeContext, face_groups,
                  layouts):
-        self.k, self.ell = k, ell
+        self.k = k
         cids = np.asarray(cids)
         self._members(cids, row, _Chart(
             mesh.cell_anchor[cids], mesh.cell_diameter[cids],
             np.broadcast_to(np.eye(3), (len(cids), 3, 3)),
             mesh.cell_volume[cids]),
                       cell_rule(mesh, cids, rule_degree, corners))
-        t = _cell_tables(mesh, layouts, self.ids[self.rep])
-        self._sizes(layouts, t.glob)
         chart = self.chart[self.rep]
         # the cell rule is summed and sampled one block at a time: a
         # tetrahedron of a cone, or the whole rule of a parallelepiped
-        self._bases(chart, chart.gram(self._rule_blocks(), k + 2),
-                    [("G", k - 1), ("Gc", k), ("Gc", k + 1)])
+        self._bases(chart, chart.gram(self._rule_blocks(), k + 2), layouts,
+                    [("Gc", k + 1)])
+        t = _cell_tables(mesh, layouts, self.ids[self.rep])
+        self._sizes(t.glob)
         # evaluation caches kept small: scalar P^k basis at the rule points
         # of every member, each in the basis of its row, and the moment
         # tensor int phi_i phi_j phi_l of each row for the convective term
@@ -679,22 +707,9 @@ class CellContext(_Group):
         self._assemble(chart, face_slots(), edges)
         self._products(itertools.chain(edges, face_slots()))
 
-    def _sizes(self, layouts, glob):
-        """Local sizes, the trailing cell blocks and the interior DoFs."""
-        n = {kind: g.shape[1] for kind, g in glob.items()}
-        self.n_grad, self.n_curl, self.n_div = n.values()
-        (self.grad_cell,), (self.curl_R_cell, self.curl_Rc_cell), \
-            (self.div_G_cell, self.div_Gc_cell) = (
-                _tail(n[kind], layouts[kind].cell_subsizes) for kind in n)
-        self.interior = {kind: np.arange(n[kind] - layouts[kind].cell_block,
-                                         n[kind]) for kind in n}
-
     def _assemble(self, chart, faces, edges):
         k, gram, vb, h = self.k, self.gram, self.vb, chart.scale
         G = len(self.rep)
-        Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
-        Rcd = self.sub["Rc", self.ell + 1]
-        Gkm, Gck = self.sub["G", k - 1], self.sub["Gc", k]
         cGk1 = self.sub["Gc", k + 1]
         pk = self.sca[k]
         nm = ps.dim_poly(3, k + 1)
@@ -738,50 +753,29 @@ class CellContext(_Group):
 
         # --- element gradient, serendipity moments and gradient potential ----
         self.serendipity_grad, self.grad_mat, self.pot_grad = self._gradient(
-            chart, flux, self.grad_cell)
+            chart, flux)
 
-        # --- element curl -------------------------------------------------------
-        cm = cross_vb
-        if Rkm.dim:
-            cm[..., self.curl_R_cell] += ps.vector_inner(
-                gram, _curl3_coeffs(vb.coeff, h), Rkm.coeff)
-        self.curl_op = cm
-
-        # --- serendipity curl moments -------------------------------------------
-        sc = np.zeros((G, Rck.dim, self.n_curl))
-        sc[..., self.curl_Rc_cell] = np.eye(Rck.dim)
-        self.serendipity_curl = sc
-
-        # --- curl potential ------------------------------------------------------
-        curlw = _curl3_coeffs(cGk1.coeff, h)
-        M = np.concatenate([ps.coords_in_vector_basis(vb, curlw, gram),
-                            Rck.coords_in(vb, gram)], axis=-2)
-        rhs = np.concatenate([
-            ps.vector_inner(gram, cGk1.coeff, vb.coeff) @ cm - cross_g, sc],
-            axis=-2)
-        self.pot_curl = np.linalg.solve(M, rhs)
+        # --- element curl, serendipity curl moments and curl potential -------
+        self.curl_op = cm = self._by_parts(cross_vb, SpaceKind.CURL,
+                                           _curl3_coeffs(vb.coeff, h))
+        self.pot_curl, self.serendipity_curl = self._potential(
+            _curl3_coeffs(cGk1.coeff, h),
+            ps.vector_inner(gram, cGk1.coeff, vb.coeff) @ cm - cross_g,
+            SpaceKind.CURL)
 
         # --- divergence and its potential ----------------------------------------
-        if Gkm.dim:
-            dm[..., self.div_G_cell] -= ps.vector_inner(
-                gram, _grad_coeffs(pk.coeff, 3, h), Gkm.coeff)
-        self.div_op = dm
-
+        self.div_op = self._by_parts(dm, SpaceKind.DIV,
+                                     -_grad_coeffs(pk.coeff, 3, h))
         mono_test = np.eye(nm)[1:]
-        grad_test = _grad_coeffs(mono_test, 3, h)
-        M = np.concatenate([ps.coords_in_vector_basis(vb, grad_test, gram),
-                            Gck.coords_in(vb, gram)], axis=-2)
-        rhs = np.zeros((G, vb.dim, self.n_div))
-        rhs[:, :len(mono_test)] = mflux - _inner_scalar(gram, mono_test,
-                                                        pk.coeff) @ dm
-        rhs[:, len(mono_test):, self.div_Gc_cell] = np.eye(Gck.dim)
-        self.pot_div = np.linalg.solve(M, rhs)
+        self.pot_div, _ = self._potential(
+            _grad_coeffs(mono_test, 3, h),
+            mflux - _inner_scalar(gram, mono_test, pk.coeff) @ dm,
+            SpaceKind.DIV)
 
         # --- cell blocks of the global operators -----------------------------
-        uG[:, self.curl_R_cell] = Rkm.coords_in(vb, gram) @ self.grad_mat
-        uG[:, self.curl_Rc_cell] = Rcd.coords_in(vb, gram) @ self.grad_mat
-        uC[:, self.div_G_cell] = Gkm.coords_in(vb, gram) @ cm
-        uC[:, self.div_Gc_cell] = Gck.coords_in(vb, gram) @ cm
+        uG[:, self.interior[SpaceKind.CURL]] = self._split(SpaceKind.CURL,
+                                                           self.grad_mat)
+        uC[:, self.interior[SpaceKind.DIV]] = self._split(SpaceKind.DIV, cm)
         self.uG, self.uC = uG, uC
         self.convective_curl = self.pot_div @ uC   # C_h = P_div o uC, cellwise
 
@@ -908,14 +902,7 @@ def _classes(group_keys, keys) -> list:
     groups = {}
     for i, key in enumerate(group_keys):
         groups.setdefault(key, []).append(i)
-    out = []
-    for ids in groups.values():
-        _, first, inv = np.unique(keys(ids), axis=0, return_index=True,
-                                  return_inverse=True)
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(len(first))
-        out.append((ids, rank[inv.ravel()]))
-    return out
+    return [(ids, _first_appearance(keys(ids))[0]) for ids in groups.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -992,21 +979,18 @@ class DdrComplex:
         self.layouts = {kind: DofLayout(mesh, kind, k) for kind in SpaceKind}
         deg_bilin = 2 * k + 4
         self.cell_degree = max(2 * k + 4, 3 * k + 3)
-        ell = k - 1     # DDR-mode face and cell moment degree
         # one group of all edges: the stacks are indexed by edge id
         edges = EdgeContext(mesh, range(mesh.n_edges), k, deg_bilin)
         self.edge_groups = [edges]
         self.face_groups = [
-            FaceContext(mesh, ids, row, k, ell, deg_bilin, edges,
-                        self.layouts)
+            FaceContext(mesh, ids, row, k, deg_bilin, edges, self.layouts)
             for ids, row in _classes(mesh.face_loops.lengths.tolist(),
                                      lambda fids: _face_keys(mesh, fids))]
         self._faces_by_length = {g.loop_length: g for g in self.face_groups}
         keys, corners = _cell_group_keys(mesh)
         self.cell_groups = [
-            CellContext(mesh, ids, row, corners[ids], k, ell,
-                        self.cell_degree, edges, self._faces_by_length,
-                        self.layouts)
+            CellContext(mesh, ids, row, corners[ids], k, self.cell_degree,
+                        edges, self._faces_by_length, self.layouts)
             for ids, row in _classes(keys,
                                      lambda cids: _cell_keys(mesh, cids))]
         self.cells = _views(mesh.n_cells, self.cell_groups)
@@ -1014,69 +998,55 @@ class DdrComplex:
         self._op_cache = {}
 
     # -- interpolators ------------------------------------------------------
-    # fun is called once per entity kind, on the rule points of all its
-    # entities, and only when the kind's DoF block is not empty, so it is
-    # never evaluated at points whose values would be discarded.
-    def _interpolate(self, out, fun, entities):
-        """Fill out with the moments of fun on each (groups, block size,
-        offset, frame, bases) of entities, group by group; see
+    # fun is called once per entity dimension, on the rule points of all its
+    # entities, and only when the dimension's DoF block is not empty, so it
+    # is never evaluated at points whose values would be discarded.
+    def _interpolate(self, kind, fun, frames) -> DofVector:
+        """The kind interpolate of fun: the vertex values, and the moments
+        of fun on the edges, faces and cells, group by group, against the
+        bases of their DoF blocks (DofLayout.spaces).  frames[dim](g) is
+        (N, 3, nc), taking the values of fun to the nc components of the
+        bases of the group g of dimension dim; without frames[dim] the
+        bases are written in the components of fun.  See
         :func:`_moments`."""
-        for groups, block, offset, frame, bases in entities:
-            if block:
+        lay = self.layouts[kind]
+        out = DofVector.zeros(lay)
+        if lay.vertex_block:
+            out.values[:self.mesh.n_vertices] = fun(self.mesh.vertex_coords)
+        for dim, groups in enumerate((self.edge_groups, self.face_groups,
+                                      self.cell_groups), 1):
+            block = lay.dofs(dim, 0)    # the DoFs of the first entity
+            frame = frames.get(dim, lambda g: None)
+            if block.size:
                 points = np.concatenate([g.points.reshape(-1, 3)
                                          for g in groups])
                 vals = fun(points).reshape(len(points), -1)
                 n = sum(len(g.ids) for g in groups)
-                dofs = out.values[offset:offset + n * block].reshape(n, block)
-                start = 0
-                for g in groups:
-                    stop = start + g.weights.size
-                    dofs[g.ids] = _moments(g, vals[start:stop], frame(g),
-                                           bases(g))
-                    start = stop
+                dofs = out.values[block[0]:block[0] + n * block.size].reshape(
+                    n, block.size)
+                ends = np.cumsum([g.weights.size for g in groups])
+                for g, v in zip(groups, np.split(vals, ends[:-1])):
+                    dofs[g.ids] = _moments(g, v, frame(g),
+                                           _moment_bases(g, lay.spaces[dim]))
         return out
 
     def interpolate_grad(self, fun) -> DofVector:
-        """I_grad: vertex values and P^{k-1}/P^{ell} moments of a scalar field.
-
-        fun maps an (n, 3) array of points to (n,) values.
-        """
-        k = self.k
-        lay = self.layouts[SpaceKind.GRAD]
-        out = DofVector.zeros(lay)
-        out.values[:self.mesh.n_vertices] = fun(self.mesh.vertex_coords)
-        # edges, faces and cells alike: moments against P^{k-1} = P^{ell}
-        return self._interpolate(out, fun, [
-            (groups, block, offset, lambda g: None, lambda g: [g.sca[k - 1]])
-            for groups, block, offset in (
-                (self.edge_groups, lay.edge_block, lay.edge_offset),
-                (self.face_groups, lay.face_block, lay.face_offset),
-                (self.cell_groups, lay.cell_block, lay.cell_offset))])
+        """I_grad: vertex values and the edge, face and cell moments of a
+        scalar field.  fun maps an (n, 3) array of points to (n,) values."""
+        return self._interpolate(SpaceKind.GRAD, fun, {})
 
     def interpolate_curl(self, fun) -> DofVector:
         """I_curl of a vector field: edge tangential moments, face tangential
         R/Rc moments, cell R/Rc moments.  fun: (n, 3) points -> (n, 3)."""
-        k = self.k
-        lay = self.layouts[SpaceKind.CURL]
-        rot = lambda g: [g.sub["R", k - 1], g.sub["Rc", g.ell + 1]]
         # frame components: tangential on a face, all three on a cell
-        return self._interpolate(DofVector.zeros(lay), fun, [
-            (self.edge_groups, lay.edge_block, lay.edge_offset,
-             lambda g: g.tangent[:, :, None], lambda g: [g.sca[k]]),
-            (self.face_groups, lay.face_block, lay.face_offset,
-             lambda g: np.swapaxes(g.chart.axes, 1, 2), rot),
-            (self.cell_groups, lay.cell_block, lay.cell_offset,
-             lambda g: None, rot)])
+        return self._interpolate(SpaceKind.CURL, fun, {
+            1: lambda g: g.tangent[:, :, None],
+            2: lambda g: np.swapaxes(g.chart.axes, 1, 2)})
 
     def interpolate_div(self, fun) -> DofVector:
         """I_div of a vector field: face normal moments, cell G/Gc moments."""
-        k = self.k
-        lay = self.layouts[SpaceKind.DIV]
-        return self._interpolate(DofVector.zeros(lay), fun, [
-            (self.face_groups, lay.face_block, lay.face_offset,
-             lambda g: g.normal[:, :, None], lambda g: [g.sca[k]]),
-            (self.cell_groups, lay.cell_block, lay.cell_offset,
-             lambda g: None, lambda g: [g.sub["G", k - 1], g.sub["Gc", k]])])
+        return self._interpolate(SpaceKind.DIV, fun,
+                                 {2: lambda g: g.normal[:, :, None]})
 
     # -- global differential operators ---------------------------------------
     def global_gradient(self, q: DofVector) -> DofVector:

@@ -16,12 +16,14 @@ coefficient rows, orthonormalised against the entity's monomial Gram by the
 inverse of its Cholesky factor (:func:`_orthonormalise_gram`).  For P^l the
 family is the monomials themselves, so each scalar basis orthonormalises a
 leading block of the Gram at the entity's top degree.  For G/Gc/R/Rc^l the
-family is built once per (dim, selector, degree) on the unit chart: the
-generating family of the defining formula has integer entries, and its SVD
-gives orthonormal rows that span it, checked there against the analytic
-dimension.  Any L2-orthonormal basis of the subspace gives the same
-discrete problem; this one depends on the geometry only through the Gram,
-so translated entities get the same basis to rounding.
+family is built once per (dim, selector, degree) on the unit chart from two
+generators, the gradients of the monomials of degree l + 1 (G, R) and x
+times those of degree l - 1 (Gc, Rc), turned for R and Gc (:func:`turn`).
+Its entries are integers, and its SVD gives orthonormal rows that span it,
+checked against the analytic dimension.  Any L2-orthonormal basis of the
+subspace gives the same discrete problem; this one depends on the geometry
+only through the Gram, so translated entities get the same basis to
+rounding.
 
 Set-up cost.  ``DdrComplex`` builds its edges, faces and cells by groups of
 alike entities, so the kernels here take a stack of entities along a
@@ -332,75 +334,38 @@ def _deg_of(space_dim: int, nm: int) -> int:
 # ---------------------------------------------------------------------------
 # split subspaces
 
+def turn(v: np.ndarray) -> np.ndarray:
+    """Vector polynomials v ([...,] n, nm, d) turned: on a face (d = 2) by
+    -pi/2, (v_2, -v_1), which takes the gradient of a scalar to its rot;
+    on a cell (d = 3) crossed with each unit vector, the 3n members v x e_a
+    (a = x, y, z, member after member), since curl(f e_a) = grad f x e_a
+    and x x (m e_a) = (x m) x e_a."""
+    if v.shape[-1] == 2:
+        return np.stack([v[..., 1], -v[..., 0]], axis=-1)
+    x, y, z = np.moveaxis(v, -1, 0)
+    o = np.zeros_like(x)
+    out = np.stack([np.stack(c, axis=-1) for c in
+                    ((o, z, -y), (-z, o, x), (y, -x, o))], axis=-3)
+    return out.reshape(v.shape[:-3] + (-1,) + v.shape[-2:])
+
+
 def _unit_family(d: int, selector: str, degree: int) -> np.ndarray:
     """The generating family from the defining formula on a chart of scale
-    h = 1: gradients (faces: also rotors) or curls of the non-constant
-    monomials of degree + 1, or x times, crossed with or turned by, the
-    monomials of degree - 1.  Every entry is 0 or an integer."""
-    l = degree
-    if d == 2:
-        ncomp = 2
-    elif d == 3:
-        ncomp = 3
-    else:
+    h = 1, from one of two generators: for G and R the gradients of the
+    non-constant monomials of degree + 1, the columns of the stacked
+    derivative matrices; for Gc and Rc x times the monomials of degree - 1,
+    those of the stacked raise matrices.  R and Gc are their families
+    turned (:func:`turn`).  Every entry is 0 or an integer."""
+    if d not in (2, 3):
         raise ValueError("subspaces live on faces and cells only")
-
-    members = []
-    if selector == "G" or (selector == "R" and d == 2):
-        exps_src = monomial_exponents(d, l + 1)
-        nm_out = len(monomial_exponents(d, max(l, 0)))
-        D = [deriv_matrix(d, l + 1, a) for a in range(d)]
-        for i in range(len(exps_src)):
-            if exps_src[i].sum() == 0:
-                continue
-            e = np.zeros(len(exps_src))
-            e[i] = 1.0
-            grads = [Da @ e for Da in D]
-            if selector == "G":
-                members.append(np.stack(grads, axis=-1)[:nm_out])
-            else:  # rot = grad rotated by -pi/2: (d2, -d1)
-                members.append(np.stack([grads[1], -grads[0]], axis=-1)[:nm_out])
-    elif selector == "R" and d == 3:
-        exps_src = monomial_exponents(3, l + 1)
-        nm_out = len(monomial_exponents(3, max(l, 0)))
-        D = [deriv_matrix(3, l + 1, a) for a in range(3)]
-        for i in range(len(exps_src)):
-            if exps_src[i].sum() == 0:
-                continue
-            e = np.zeros(len(exps_src))
-            e[i] = 1.0
-            dx, dy, dz = (Da @ e for Da in D)
-            zero = np.zeros_like(dx)
-            # curl(f e_x), curl(f e_y), curl(f e_z)
-            members.append(np.stack([zero, dz, -dy], axis=-1)[:nm_out])
-            members.append(np.stack([-dz, zero, dx], axis=-1)[:nm_out])
-            members.append(np.stack([dy, -dx, zero], axis=-1)[:nm_out])
-    elif selector in ("Gc", "Rc"):
-        if l >= 1:
-            exps_src = monomial_exponents(d, l - 1)
-            R = [raise_matrix(d, l - 1, a) for a in range(d)]
-            pad = len(monomial_exponents(d, l)) - R[0].shape[0]
-            for i in range(len(exps_src)):
-                e = np.zeros(len(exps_src))
-                e[i] = 1.0
-                xi_m = [np.pad(Ra @ e, (0, pad)) for Ra in R]  # xi_a * m
-                if d == 2:
-                    if selector == "Rc":    # (x - x_F) m / h
-                        members.append(np.stack([xi_m[0], xi_m[1]], axis=-1))
-                    else:                   # (x - x_F)^perp m / h = (xi2, -xi1) m
-                        members.append(np.stack([xi_m[1], -xi_m[0]], axis=-1))
-                else:
-                    zero = np.zeros_like(xi_m[0])
-                    if selector == "Rc":
-                        members.append(np.stack(xi_m, axis=-1))
-                    else:  # (x - x_T) x (m e_a) / h for a = x, y, z
-                        members.append(np.stack([zero, xi_m[2], -xi_m[1]], axis=-1))
-                        members.append(np.stack([-xi_m[2], zero, xi_m[0]], axis=-1))
-                        members.append(np.stack([xi_m[1], -xi_m[0], zero], axis=-1))
-    if not members:
-        nm = len(monomial_exponents(d, max(l, 0)))
-        members = np.zeros((0, nm, ncomp))
-    return np.array(members)
+    l = max(degree, 0)
+    if selector in ("G", "R"):
+        gen = np.stack([deriv_matrix(d, degree + 1, a) for a in range(d)],
+                       axis=-1)[:dim_poly(d, l), 1:]
+    else:
+        gen = np.stack([raise_matrix(d, l - 1, a) for a in range(d)], axis=-1)
+    family = np.moveaxis(gen, 1, 0)
+    return turn(family) if selector in ("R", "Gc") else family
 
 
 @lru_cache(maxsize=None)

@@ -86,8 +86,8 @@ class ProblemSpec:
     exact_pressure: object = None
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
+        if not np.isfinite(self.nu) or self.nu <= 0:
+            raise ValueError("viscosity must be finite and positive")
 
 
 def natural_bc() -> list[BCRegion]:
@@ -162,8 +162,15 @@ HOPELESS_WINDOW = 3
 @dataclass
 class SolverOptions:
     tol: float = 1e-9
-    max_iter: int = 50
+    max_iter: int = 50      # Newton steps after the Stokes start
     condense: bool = True
+
+    def __post_init__(self):
+        # a NaN tolerance would pass every residual test
+        if not np.isfinite(self.tol) or self.tol <= 0:
+            raise ValueError("tol must be finite and positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
 
 @dataclass

@@ -1,11 +1,21 @@
 """Discrete space DoF layouts, coefficient vectors and boundary subspaces.
 
-Three spaces are carried through the build, mirroring the de Rham sequence:
+Three spaces are carried through the build, mirroring the de Rham sequence.
+GRAD holds the vertex values of a scalar unknown; each DoF block of an
+edge, face or cell is the moments of the unknown (CURL: its tangential
+components on edges and faces; DIV: its normal component on faces) against
+one polynomial space, declared once in ``DofLayout.spaces``:
 
-* GRAD: vertex values, edge/face/cell moments of a scalar unknown;
-* CURL: edge tangential moments plus rot-image / complement pairs on faces
-  and cells of a vector unknown;
-* DIV: face normal moments plus grad-image / complement pairs on cells.
+======  ==========  =======================  =====================
+kind    edges       faces                    cells
+======  ==========  =======================  =====================
+GRAD    P^{k-1}     P^ell                    P^ell
+CURL    P^k         R^{k-1} (+) Rc^{ell+1}   R^{k-1} (+) Rc^{ell+1}
+DIV     --          P^k                      G^{k-1} (+) Gc^k
+======  ==========  =======================  =====================
+
+The spaces are the DDR-mode serendipity reductions (eta_Y = 2 on faces and
+cells), so ell = k - 1; ``DofLayout.ell`` is the one place it is set.
 
 Global numbering is vertices, then edges, then faces, then cells, each in
 mesh id order; within an entity, basis order.  All DoF values are
@@ -36,8 +46,10 @@ class SpaceKind(str, Enum):
 class DofLayout:
     """Entity-blocked global numbering for one space kind and degree.
 
-    The spaces are the DDR-mode serendipity reductions (eta_Y = 2 on faces
-    and cells), so the face and cell moments have degree ell = k - 1.
+    ``spaces[dim]`` is the (selector, degree) of the moment space of each
+    DoF block of an entity of dimension dim (1 to 3), "P" for the full
+    polynomials, as in the module table: the block sizes, the interpolators
+    and the face and cell operators read it.  ``ell`` is set here only.
     """
 
     def __init__(self, mesh: Mesh, kind: SpaceKind, k: int):
@@ -46,46 +58,37 @@ class DofLayout:
         self.mesh = mesh
         self.kind = SpaceKind(kind)
         self.k = k
-        ell = k - 1
-
-        if self.kind == SpaceKind.GRAD:
-            self.vertex_block = 1
-            self.edge_block = dim_poly(1, k - 1)
-            self.face_subsizes = [dim_poly(2, ell)]
-            self.cell_subsizes = [dim_poly(3, ell)]
-        elif self.kind == SpaceKind.CURL:
-            self.vertex_block = 0
-            self.edge_block = dim_poly(1, k)
-            self.face_subsizes = [subspace_dim(2, "R", k - 1), dim_poly(2, ell)]
-            self.cell_subsizes = [subspace_dim(3, "R", k - 1), dim_poly(3, ell)]
-        elif self.kind == SpaceKind.DIV:
-            self.vertex_block = 0
-            self.edge_block = 0
-            self.face_subsizes = [dim_poly(2, k)]
-            self.cell_subsizes = [subspace_dim(3, "G", k - 1),
-                                  subspace_dim(3, "Gc", k)]
-        self.face_block = sum(self.face_subsizes)
-        self.cell_block = sum(self.cell_subsizes)
-
-        nv, ne, nf, nc = (mesh.n_vertices, mesh.n_edges, mesh.n_faces,
-                          mesh.n_cells)
-        self.vertex_offset = 0
-        self.edge_offset = nv * self.vertex_block
-        self.face_offset = self.edge_offset + ne * self.edge_block
-        self.cell_offset = self.face_offset + nf * self.face_block
-        self.total_dim = self.cell_offset + nc * self.cell_block
+        self.ell = ell = k - 1
+        self.spaces = {
+            SpaceKind.GRAD: {1: [("P", k - 1)], 2: [("P", ell)],
+                             3: [("P", ell)]},
+            SpaceKind.CURL: {1: [("P", k)], 2: [("R", k - 1), ("Rc", ell + 1)],
+                             3: [("R", k - 1), ("Rc", ell + 1)]},
+            SpaceKind.DIV: {1: [], 2: [("P", k)],
+                            3: [("G", k - 1), ("Gc", k)]}}[self.kind]
+        sizes = {dim: [dim_poly(dim, l) if sel == "P"
+                       else subspace_dim(dim, sel, l) for sel, l in blocks]
+                 for dim, blocks in self.spaces.items()}
+        self.vertex_block = int(self.kind is SpaceKind.GRAD)
+        self.edge_block = sum(sizes[1])
+        self.face_subsizes, self.cell_subsizes = sizes[2], sizes[3]
+        self.face_block, self.cell_block = sum(sizes[2]), sum(sizes[3])
+        # the block size and the first global DoF of each dimension
+        self._blocks = (self.vertex_block, self.edge_block, self.face_block,
+                        self.cell_block)
+        self._offsets = np.cumsum([0, *np.multiply(
+            [mesh.n_vertices, mesh.n_edges, mesh.n_faces, mesh.n_cells],
+            self._blocks)]).tolist()
+        self.total_dim = self._offsets[4]
 
     # -- global index ranges -----------------------------------------------
     def dofs(self, dim: int, ids) -> np.ndarray:
         """Global DoFs of the entities ids (integers, or an empty list) of
         one dimension, 0 for vertices up to 3 for cells: ids.shape +
         (block,)."""
-        block = (self.vertex_block, self.edge_block, self.face_block,
-                 self.cell_block)[dim]
-        offset = (self.vertex_offset, self.edge_offset, self.face_offset,
-                  self.cell_offset)[dim]
-        return (offset + np.asarray(ids, dtype=np.int64)[..., None] * block
-                + np.arange(block))
+        block = self._blocks[dim]
+        return (self._offsets[dim] + np.asarray(ids, dtype=np.int64)[..., None]
+                * block + np.arange(block))
 
     # -- local (restriction) index maps ------------------------------------
     def _table(self, parts) -> np.ndarray:

@@ -7,9 +7,10 @@ by fans anchored at a vertex rather than at the library's anchor points,
 and projections are recomputed by raw monomial normal equations.  The
 Newton kernels are the cell-by-cell loops that the solver's batched kernels
 are checked against.  The set-up references at the end are the
-``np.einsum`` contractions, generating families and per-entity
-interpolators that the set-up kernels of ddrns are checked against, with
-the per-entity sampling, Gram and projection helpers they use.  The
+``np.einsum`` contractions, the generating families built member by
+member, and the per-entity interpolators that the set-up kernels of ddrns
+are checked against, with the per-entity sampling, Gram and projection
+helpers they use.  The
 geometry references build mesh entities one at a time and quadrature rules
 one simplex at a time, as the batched passes of ddrns did before them.  The
 per-entity contexts at the end assemble the local operators of one face or
@@ -302,11 +303,8 @@ STACKED = {
 MEMBERS = {"edge": (), "face": (), "cell": ("phi_k",)}
 SHARED = {
     "edge": ("k",),
-    "face": ("k", "ell", "n_grad", "n_curl", "grad_face_slice",
-             "curl_R_slice", "curl_Rc_slice"),
-    "cell": ("k", "ell", "n_grad", "n_curl", "n_div", "grad_cell",
-             "curl_R_cell", "curl_Rc_cell", "div_G_cell", "div_Gc_cell",
-             "interior")}
+    "face": ("k", "n_grad", "n_curl", "own", "interior"),
+    "cell": ("k", "n_grad", "n_curl", "n_div", "own", "interior")}
 
 
 class View(EntityView):
@@ -595,6 +593,76 @@ def einsum_triple_moments(weights, phi):
     return np.einsum("p,pi,pj,pl->ijl", weights, phi, phi, phi, optimize=True)
 
 
+def unit_family(d: int, selector: str, degree: int) -> np.ndarray:
+    """The generating family of G/Gc/R/Rc^degree on a chart of scale h = 1,
+    member by member from the defining formulas: gradients (faces: also
+    rotors) or curls of the non-constant monomials of degree + 1, or x
+    times, crossed with or turned by, the monomials of degree - 1."""
+    l = degree
+    if d == 2:
+        ncomp = 2
+    elif d == 3:
+        ncomp = 3
+    else:
+        raise ValueError("subspaces live on faces and cells only")
+
+    members = []
+    if selector == "G" or (selector == "R" and d == 2):
+        exps_src = ps.monomial_exponents(d, l + 1)
+        nm_out = len(ps.monomial_exponents(d, max(l, 0)))
+        D = [ps.deriv_matrix(d, l + 1, a) for a in range(d)]
+        for i in range(len(exps_src)):
+            if exps_src[i].sum() == 0:
+                continue
+            e = np.zeros(len(exps_src))
+            e[i] = 1.0
+            grads = [Da @ e for Da in D]
+            if selector == "G":
+                members.append(np.stack(grads, axis=-1)[:nm_out])
+            else:  # rot = grad rotated by -pi/2: (d2, -d1)
+                members.append(np.stack([grads[1], -grads[0]], axis=-1)[:nm_out])
+    elif selector == "R" and d == 3:
+        exps_src = ps.monomial_exponents(3, l + 1)
+        nm_out = len(ps.monomial_exponents(3, max(l, 0)))
+        D = [ps.deriv_matrix(3, l + 1, a) for a in range(3)]
+        for i in range(len(exps_src)):
+            if exps_src[i].sum() == 0:
+                continue
+            e = np.zeros(len(exps_src))
+            e[i] = 1.0
+            dx, dy, dz = (Da @ e for Da in D)
+            zero = np.zeros_like(dx)
+            # curl(f e_x), curl(f e_y), curl(f e_z)
+            members.append(np.stack([zero, dz, -dy], axis=-1)[:nm_out])
+            members.append(np.stack([-dz, zero, dx], axis=-1)[:nm_out])
+            members.append(np.stack([dy, -dx, zero], axis=-1)[:nm_out])
+    elif selector in ("Gc", "Rc"):
+        if l >= 1:
+            exps_src = ps.monomial_exponents(d, l - 1)
+            R = [ps.raise_matrix(d, l - 1, a) for a in range(d)]
+            for i in range(len(exps_src)):
+                e = np.zeros(len(exps_src))
+                e[i] = 1.0
+                xi_m = [Ra @ e for Ra in R]  # xi_a * m
+                if d == 2:
+                    if selector == "Rc":    # (x - x_F) m / h
+                        members.append(np.stack([xi_m[0], xi_m[1]], axis=-1))
+                    else:                   # (x - x_F)^perp m / h = (xi2, -xi1) m
+                        members.append(np.stack([xi_m[1], -xi_m[0]], axis=-1))
+                else:
+                    zero = np.zeros_like(xi_m[0])
+                    if selector == "Rc":
+                        members.append(np.stack(xi_m, axis=-1))
+                    else:  # (x - x_T) x (m e_a) / h for a = x, y, z
+                        members.append(np.stack([zero, xi_m[2], -xi_m[1]], axis=-1))
+                        members.append(np.stack([-xi_m[2], zero, xi_m[0]], axis=-1))
+                        members.append(np.stack([xi_m[1], -xi_m[0], zero], axis=-1))
+    if not members:
+        nm = len(ps.monomial_exponents(d, max(l, 0)))
+        members = np.zeros((0, nm, ncomp))
+    return np.array(members)
+
+
 def scalar_monomial_gram(geom, degree, rule):
     """Monomial Gram of one entity at degree, from its quadrature rule."""
     return ps.monomial_gram(sample_monomials(geom, degree, rule.points),
@@ -684,7 +752,7 @@ def interpolate_per_entity(cx, kind, fun):
             (v.edges, lay.edge_block, dofs(1), lambda ctx, x:
              scalar(ctx, ctx.sca[k], x @ ctx.edge.tangent)),
             *[(ctxs, block, at, lambda ctx, x: vector(
-                ctx, (("R", k - 1), ("Rc", ctx.ell + 1)), x @ ctx.geom.axes.T))
+                ctx, (("R", k - 1), ("Rc", lay.ell + 1)), x @ ctx.geom.axes.T))
               for ctxs, block, at in (
                   (v.faces, lay.face_block, dofs(2)),
                   (v.cells, lay.cell_block, dofs(3)))]]

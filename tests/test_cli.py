@@ -59,6 +59,16 @@ def test_out_of_range_input_is_config_error(tmp_path):
     assert run_cli(base + ["--levels", "0,1"]) == 4
     assert run_cli(base + ["--levels", "1", "--tol", "-1"]) == 4
     assert run_cli(base + ["--levels", "1", "--tol", "0"]) == 4
+    # not finite: a NaN tolerance passed every residual test, so the Stokes
+    # start was written as the result after 0 Newton steps
+    base += ["--mesh", "cubic", "--levels", "4", "--k", "0"]
+    assert run_cli(base + ["--re", "nan"]) == 4
+    assert run_cli(base + ["--tol", "nan", "--re", "100"]) == 4
+    assert run_cli(base + ["--lambda", "inf"]) == 4
+    for nu in ("nan", "0"):
+        cfg = tmp_path / "nu.cfg"
+        cfg.write_text(f"nu = {nu}\n")
+        assert run_cli(base + ["--config", str(cfg)]) == 4
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -142,3 +152,29 @@ def test_empty_boundary_patch_is_config_error(tmp_path, capsys):
                   "--k", "0", "--re", "100", "--out", str(tmp_path)])
     assert rc == 4
     assert "matches no boundary face" in capsys.readouterr().err
+
+
+def test_argparse_errors_are_config_errors(tmp_path, capsys):
+    base = ["--cmd", "convergence", "--levels", "1", "--out", str(tmp_path)]
+    assert run_cli(base + ["--k", "abc"]) == 4
+    assert run_cli(base + ["--bc", "bogus"]) == 4
+    assert run_cli(base + ["--no-such-flag"]) == 4
+    assert run_cli(["--help"]) == 0
+    assert "--parallel-levels" in capsys.readouterr().out
+
+
+def test_bad_mesh_is_config_error(tmp_path):
+    base = ["--cmd", "properties", "--levels", "1", "--out", str(tmp_path)]
+    assert run_cli(base + ["--mesh", "bogus"]) == 4
+    assert run_cli(base + ["--mesh", f"file:{tmp_path / 'missing.poly3'}"]) == 4
+    bad = tmp_path / "bad.poly3"
+    bad.write_text("POLY3 1\n1 0 0\n0.0 0.0\n")
+    assert run_cli(base + ["--mesh", f"file:{bad}"]) == 4
+
+
+def test_malformed_mesh_in_a_worker_is_config_error(tmp_path):
+    bad = tmp_path / "bad.poly3"
+    bad.write_text("POLY3 1\n1 0 0\n0.0 0.0\n")
+    assert run_cli(["--cmd", "convergence", "--levels", "1,2",
+                    "--parallel-levels", "--mesh", f"file:{bad}",
+                    "--out", str(tmp_path)]) == 4

@@ -233,7 +233,9 @@ def _oracle_face_gradient(cx, fid, qloc):
 
     M = np.zeros((len(fam), 2 * nm))
     rhs = np.zeros(len(fam))
-    qface = fctx.sca[fctx.ell].eval(rule.points) @ qloc[fctx.grad_face_slice]
+    ell = cx.layouts[SpaceKind.GRAD].ell
+    qface = (fctx.sca[ell].eval(rule.points)
+             @ qloc[fctx.own[SpaceKind.GRAD][0]])
     for j, w in enumerate(fam):
         wv = np.einsum("pm,mc->pc", mono, w)
         for a in range(2):
@@ -364,8 +366,9 @@ def test_element_gradient_vs_monomial_oracle(hex_cx):
 
     M = np.zeros((len(fam), 3 * nm))
     rhs = np.zeros(len(fam))
-    qcell = (cctx.sca[cctx.ell].eval(rule.points)
-             @ qloc[cctx.grad_cell]) if cctx.ell >= 0 else 0.0
+    ell = cx.layouts[SpaceKind.GRAD].ell
+    qcell = (cctx.sca[ell].eval(rule.points)
+             @ qloc[cctx.own[SpaceKind.GRAD][0]]) if ell >= 0 else 0.0
     gl = cx.layouts[SpaceKind.GRAD]
     for j, w in enumerate(fam):
         wv = np.einsum("pm,mc->pc", mono, w)

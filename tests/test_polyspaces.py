@@ -191,3 +191,26 @@ def test_gram_orthonormalisation_paths():
     g3 = np.outer([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ps.BasisError):
         ps._orthonormalise_gram(g3)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("selector", ["G", "R", "Gc", "Rc"])
+def test_unit_family_matches_member_by_member_reference(d, selector):
+    # the two generators and the turn give the families of the defining
+    # formulas entry for entry, member order included
+    for degree in range(-1, 7):
+        got = ps._unit_family(d, selector, degree)
+        want = oracles.unit_family(d, selector, degree)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_turn_is_the_face_rot_and_the_cell_cross_products():
+    v = np.random.default_rng(4).standard_normal((2, 5, 4, 3))
+    # on a face: rotation by -pi/2, twice is minus the identity
+    face = v[..., :2]
+    assert np.array_equal(ps.turn(ps.turn(face)), -face)
+    assert np.abs(np.sum(ps.turn(face) * face, axis=-1)).max() == 0.0
+    # on a cell: v_i x e_a for a = x, y, z, member after member
+    want = np.cross(v[:, :, None], np.eye(3)[:, None]).reshape(2, 15, 4, 3)
+    assert np.array_equal(ps.turn(v), want)

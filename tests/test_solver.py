@@ -318,8 +318,9 @@ def test_a_face_of_no_region_is_left_unclassified():
 
 
 def test_invalid_problem_spec():
-    with pytest.raises(ValueError):
-        ProblemSpec(nu=0.0, forcing=ZERO_F)
+    for nu in (0.0, -1.0, float("nan"), np.inf):
+        with pytest.raises(ValueError, match="viscosity"):
+            ProblemSpec(nu=nu, forcing=ZERO_F)
 
 
 def test_load_config(tmp_path):
@@ -381,3 +382,16 @@ def test_pressflux_converges_to_reference_norms():
     assert errs[8][1] < errs[4][1]
     assert errs[8][0] < 0.12
     assert errs[8][1] < 0.05
+
+
+# -- option and problem checks ---------------------------------------------------
+
+@pytest.mark.parametrize("opts", [dict(tol=float("nan")), dict(tol=np.inf),
+                                  dict(tol=0.0), dict(tol=-1e-9),
+                                  dict(max_iter=-1)])
+def test_solver_options_reject_a_bad_tolerance_or_step_count(opts):
+    # a NaN tolerance would pass every residual test, and solve() would
+    # report the Stokes start as converged after 0 Newton steps
+    with pytest.raises(ValueError):
+        SolverOptions(**opts)
+    assert SolverOptions(max_iter=0).max_iter == 0

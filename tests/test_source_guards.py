@@ -17,3 +17,16 @@ def test_src_reads_the_mesh_arrays_not_entity_lists():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert not hits, hits
+
+
+def test_ell_is_set_in_spaces_only():
+    # DofLayout.ell is the one place the degree of the face and cell
+    # moments is set; operators and the other modules read it from the
+    # layouts (DofLayout.spaces)
+    pattern = re.compile(r"\bell\s*=\s*(self\.)?k\s*-\s*1\b")
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "spaces.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert not hits, hits
+    assert pattern.search((SRC / "spaces.py").read_text())
