@@ -133,11 +133,10 @@ def _run_levels(config: RunConfig, lams, log):
             for lam, r in zip(lams, reports):
                 log(f"  level n={n}"
                     + (f" lambda={lam:g}" if len(lams) > 1 else "")
-                    + f": h={r.h:.4f} E^d_u={r.err_u_discrete:.6e} "
-                    f"E^p_u={r.err_u_potential:.6e} "
-                    f"E^d_p={r.err_p_discrete:.6e} "
-                    f"E^p_p={r.err_p_potential:.6e} "
-                    f"(newton {r.newton_iterations} its)")
+                    + f": h={r.h:.4f} "
+                    + "".join(f"{name}={getattr(r, attr):.6e} "
+                              for name, attr in verify.ErrorReport.ERRORS)
+                    + f"(newton {r.newton_iterations} its)")
     per_lam = [list(reports) for reports in zip(*per_level)]
     for reports in per_lam:
         verify.attach_eoc(reports)
@@ -237,10 +236,8 @@ def cmd_pressflux(config: RunConfig, out: Path, log) -> int:
 
 
 def cmd_properties(config: RunConfig, out: Path, log) -> int:
-    cases = []
-    for n in config.levels:
-        mesh = build_mesh_for(config, n)
-        cases.append(DdrComplex(mesh, config.k))
+    cases = [DdrComplex(build_mesh_for(config, n), config.k)
+             for n in config.levels]
     results = verify.run_property_suite(cases, seed=config.seed)
     n_fail = 0
     for r in results:

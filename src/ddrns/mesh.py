@@ -21,10 +21,10 @@ triangles or faces of an entity are added in the entity's own order
 (:func:`_ordered_sums`), and dot products run the kernel of ``np.dot``, so
 each stored float is the one a computation of that entity alone gives, bit
 for bit (the per-entity construction in ``tests/oracles.py`` is the
-reference).  Only the orientation walk over each cell's face graph is a
-Python loop, over ints.  :func:`_validate` runs each check as one pass over
-all edges, faces or cells; the winding-number tests of a cell (its anchor
-and one point per face) take one kernel call.
+reference).  The face orientations of all cells come from one
+connected-components call (:func:`_orient`).  :func:`_validate` runs each
+check as one pass over all edges, faces or cells; the winding-number tests
+of a cell (its anchor and one point per face) take one kernel call.
 
 :class:`Mesh` keeps the arrays the build computes and no entity objects:
 each attribute is one array indexed by entity id (``face_anchor`` (nF, 3),
@@ -46,6 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 PLANARITY_RTOL = 1e-12
 CLOSURE_RTOL = 1e-10
@@ -384,38 +386,43 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
     return mesh
 
 
-def _orient(cid: int, fids, face_edges, face_signs) -> list[int]:
-    """Signs of the faces of cell `cid` making its boundary one oriented
-    surface: faces sharing an edge must traverse it oppositely.  A walk over
-    the face adjacency graph from the first face, which gets +1.
-    face_edges and face_signs list the edges and omega_FE of every face."""
-    edge_use: dict[int, list[int]] = {}
-    loop_sign = {}
-    for fid in fids:
-        loop_sign[fid] = dict(zip(face_edges[fid], face_signs[fid]))
-        for e in face_edges[fid]:
-            edge_use.setdefault(e, []).append(fid)
-    for e, use in edge_use.items():
-        if len(use) != 2:
-            raise MeshError(f"cell {cid}: edge {e} on {len(use)} faces "
-                            "(boundary not closed)")
-    sigma = {fids[0]: 1}
-    stack = [fids[0]]
-    while stack:
-        fid = stack.pop()
-        for e in face_edges[fid]:
-            other = use[0] if (use := edge_use[e])[0] != fid else use[1]
-            want = -sigma[fid] * loop_sign[fid][e] * loop_sign[other][e]
-            if other in sigma:
-                if sigma[other] != want:
-                    raise MeshError(f"cell {cid}: inconsistent face "
-                                    "orientations (non-orientable boundary)")
-            else:
-                sigma[other] = want
-                stack.append(other)
-    if len(sigma) != len(fids):
-        raise MeshError(f"cell {cid}: boundary not connected")
-    return [sigma[fid] for fid in fids]
+def _cell_edge_pairs(cell_faces: Ragged, face_edges: Ragged, n_edges: int):
+    """Each loop segment of the cell-face incidences, cell by cell: its
+    position in face_edges.values, incidence, cell and (cell, edge) pair."""
+    count = face_edges.lengths[cell_faces.values]
+    seg = _ranges(face_edges.offsets[cell_faces.values], count)
+    inc = np.repeat(np.arange(len(count)), count)
+    cell = np.repeat(np.arange(len(cell_faces)), cell_faces.lengths)[inc]
+    _, pair = np.unique(cell * n_edges + face_edges.values[seg], return_inverse=True)
+    return seg, inc, cell, pair.ravel()
+
+
+def _orient(cell_faces: Ragged, face_edges: Ragged, face_signs: Ragged):
+    """omega_TF of each incidence: +1 on a cell's first face and on each face whose node i,
+    not n + i, shares its component in the graph that joins, per (cell, edge) pair, the
+    signs (i for +1, n + i for -1) under which its two faces traverse the edge oppositely."""
+    seg, inc, cell, pair = _cell_edge_pairs(cell_faces, face_edges,
+                                            int(face_edges.values.max()) + 1)
+    n, use = len(cell_faces.values), np.bincount(pair)
+    if (s := _first(use[pair] != 2)) is not None:
+        raise MeshError(f"cell {cell[s]}: edge {face_edges.values[seg[s]]} on "
+                        f"{use[pair[s]]} faces (boundary not closed)")
+    a, b = np.argsort(pair, kind="stable").reshape(-1, 2).T
+    # equal omega_FE on a pair: +1 of one face joins -1 of the other
+    shift = n * (face_signs.values[seg[a]] == face_signs.values[seg[b]])
+    a, b = inc[a], inc[b]
+    label = connected_components(sp.coo_matrix((np.ones(2 * len(a)), (
+        np.r_[a, a + n], np.r_[b + shift, b + n - shift])), (2 * n, 2 * n)),
+        directed=False)[1]
+    first = cell_faces.offsets[:-1]
+    start = np.repeat(label[first], cell_faces.lengths)
+    plus, twisted = label[:n] == start, label[first] == label[first + n]
+    apart = ~np.logical_and.reduceat(plus | (label[n:] == start), first)
+    if (c := _first(twisted | apart)) is not None:
+        raise MeshError(f"cell {c}: inconsistent face orientations "
+                        "(non-orientable boundary)" if twisted[c] else
+                        f"cell {c}: boundary not connected")
+    return np.where(plus, 1, -1)
 
 
 def _cell_union(table: Ragged, cell_faces: Ragged) -> Ragged:
@@ -435,13 +442,9 @@ def _build_cells(vcoords, loops: Ragged, face_edges: Ragged, face_signs: Ragged,
     """The cell tables of :class:`Mesh`: omega_TF, edges, vertices, anchors,
     diameters and volumes."""
     nc = len(cell_faces)
-    edges_l, signs_l = face_edges.tolist(), face_signs.tolist()
-    signs = [_orient(cid, fids, edges_l, signs_l)
-             for cid, fids in enumerate(cell_faces.tolist())]
     # cell-face incidences, cell by cell in each cell's face order
-    inc_cell = np.repeat(np.arange(nc), cell_faces.lengths)
-    inc_face = cell_faces.values
-    inc_sign = np.array([s for ss in signs for s in ss])
+    inc_cell, inc_face = np.repeat(np.arange(nc), cell_faces.lengths), cell_faces.values
+    inc_sign = _orient(cell_faces, face_edges, face_signs)
 
     flux = np.vecdot(anchor, normal) * area  # x_F . n_F |F|
     vol3 = _ordered_sums(inc_sign * flux[inc_face], inc_cell, nc)
@@ -537,13 +540,10 @@ def _validate(mesh: Mesh) -> None:
         raise MeshError(f"cell {c}: divergence closure failed "
                         f"({acc[c]:.15g} vs {3 * volume[c]:.15g})")
     # oriented boundary is a 2-cycle: each edge traversed once per direction
-    count = loop_len[inc_face]
-    seg = _ranges(mesh.face_loops.offsets[inc_face], count)
-    owner = np.repeat(inc_cell, count)
-    _, pair = np.unique(owner * mesh.n_edges + seg_edge[seg], return_inverse=True)
-    net = np.bincount(pair.ravel(), weights=-np.repeat(inc_sign, count) * seg_sign[seg])
+    seg, inc, owner, pair = _cell_edge_pairs(mesh.cell_faces, mesh.face_edges, mesh.n_edges)
+    net = np.bincount(pair, weights=-inc_sign[inc] * seg_sign[seg])
     if (p := _first(net != 0)) is not None:
-        raise MeshError(f"cell {owner[np.argmax(pair.ravel() == p)]}: boundary "
+        raise MeshError(f"cell {owner[np.argmax(pair == p)]}: boundary "
                         "orientation is not a 2-cycle (inconsistent omega_TF)")
     # winding-number tests: the anchor, and each face anchor moved inward by
     # 1e-6 h_T, must lie inside; one kernel call per group of cells with

@@ -969,8 +969,9 @@ class DdrComplex:
 
     Construction builds the groups of edges (``edge_groups``), faces
     (``face_groups``) and cells (``cell_groups``), each row of a group
-    once; the object is immutable afterwards and safe to share between
+    once; the groups are immutable afterwards and safe to share between
     threads.  ``cells`` lists the :class:`EntityView` of each cell by id.
+    The global matrices are built on first use by one cached assembler.
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -994,8 +995,7 @@ class DdrComplex:
             for ids, row in _classes(keys,
                                      lambda cids: _cell_keys(mesh, cids))]
         self.cells = _views(mesh.n_cells, self.cell_groups)
-        self._gram_cache = {}
-        self._op_cache = {}
+        self._cache = {}
 
     # -- interpolators ------------------------------------------------------
     # fun is called once per entity dimension, on the rule points of all its
@@ -1057,55 +1057,45 @@ class DdrComplex:
         return DofVector(self.layouts[SpaceKind.DIV],
                          self.curl_matrix() @ v.values)
 
-    @staticmethod
-    def _matrix_from(blocks, nrows, ncols) -> sp.csr_matrix:
-        """Sparse matrix of stacked blocks (rows (N, m), cols (N, n),
-        B (N, m, n)): B[g] at rows[g] x cols[g], summed where they meet."""
-        data, ri, ci = [], [], []
-        for rows, cols, B in blocks:
-            ri.append(np.broadcast_to(rows[:, :, None], B.shape).ravel())
-            ci.append(np.broadcast_to(cols[:, None, :], B.shape).ravel())
-            data.append(B.ravel())
-        return sp.csr_matrix((np.concatenate(data),
-                              (np.concatenate(ri), np.concatenate(ci))),
-                             shape=(nrows, ncols))
+    def _assembled(self, key, rows: DofLayout, cols: DofLayout, blocks):
+        """The sparse matrix of key, built on the first call: the stacked
+        blocks (rows (N, m), cols (N, n), B (N, m, n)), each B[g] placed at
+        rows[g] x cols[g] of the DoFs of the layouts and summed where they
+        meet.  blocks is read on that first call only."""
+        if key not in self._cache:
+            data, ri, ci = [], [], []
+            for r, c, B in blocks:
+                ri.append(np.broadcast_to(r[:, :, None], B.shape).ravel())
+                ci.append(np.broadcast_to(c[:, None, :], B.shape).ravel())
+                data.append(B.ravel())
+            self._cache[key] = sp.csr_matrix(
+                (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
+                shape=(rows.total_dim, cols.total_dim))
+        return self._cache[key]
 
     def gradient_matrix(self) -> sp.csr_matrix:
         """Sparse matrix of the global discrete gradient."""
-        if "uG" not in self._op_cache:
-            gl = self.layouts[SpaceKind.GRAD]
-            cl = self.layouts[SpaceKind.CURL]
-
-            def blocks():
-                for g in self.edge_groups:
-                    yield (cl.dofs(1, g.ids), gl.edge_table(g.ids),
-                           g.deriv_skeleton[g.row])
-                for g in self.face_groups:
-                    yield cl.dofs(2, g.ids), gl.face_table(g.ids), \
-                        g.uG_face[g.row]
-                for g in self.cell_groups:
-                    yield (cl.dofs(3, g.ids), gl.cell_table(g.ids),
-                           g.uG[g.row, g.n_curl - cl.cell_block:])
-            self._op_cache["uG"] = self._matrix_from(
-                blocks(), cl.total_dim, gl.total_dim)
-        return self._op_cache["uG"]
+        gl = self.layouts[SpaceKind.GRAD]
+        cl = self.layouts[SpaceKind.CURL]
+        return self._assembled("uG", cl, gl, itertools.chain(
+            ((cl.dofs(1, g.ids), gl.edge_table(g.ids), g.deriv_skeleton[g.row])
+             for g in self.edge_groups),
+            ((cl.dofs(2, g.ids), gl.face_table(g.ids), g.uG_face[g.row])
+             for g in self.face_groups),
+            ((cl.dofs(3, g.ids), gl.cell_table(g.ids),
+              g.uG[g.row, g.n_curl - cl.cell_block:])
+             for g in self.cell_groups)))
 
     def curl_matrix(self) -> sp.csr_matrix:
         """Sparse matrix of the global discrete curl."""
-        if "uC" not in self._op_cache:
-            cl = self.layouts[SpaceKind.CURL]
-            dl = self.layouts[SpaceKind.DIV]
-
-            def blocks():
-                for g in self.face_groups:
-                    yield dl.dofs(2, g.ids), cl.face_table(g.ids), \
-                        g.curl_mat[g.row]
-                for g in self.cell_groups:
-                    yield (dl.dofs(3, g.ids), cl.cell_table(g.ids),
-                           g.uC[g.row, g.n_div - dl.cell_block:])
-            self._op_cache["uC"] = self._matrix_from(
-                blocks(), dl.total_dim, cl.total_dim)
-        return self._op_cache["uC"]
+        cl = self.layouts[SpaceKind.CURL]
+        dl = self.layouts[SpaceKind.DIV]
+        return self._assembled("uC", dl, cl, itertools.chain(
+            ((dl.dofs(2, g.ids), cl.face_table(g.ids), g.curl_mat[g.row])
+             for g in self.face_groups),
+            ((dl.dofs(3, g.ids), cl.cell_table(g.ids),
+              g.uC[g.row, g.n_div - dl.cell_block:])
+             for g in self.cell_groups)))
 
     # -- discrete L2 products and norms ---------------------------------------
     def l2_product(self, kind, x: DofVector, y: DofVector) -> float:
@@ -1114,16 +1104,13 @@ class DdrComplex:
     def gram_matrix(self, kind) -> sp.csr_matrix:
         """Sparse matrix of the stabilised L2 product of a space."""
         kind = SpaceKind(kind)
-        if kind not in self._gram_cache:
-            lay = self.layouts[kind]
+        lay = self.layouts[kind]
 
-            def blocks():
-                for g in self.cell_groups:
-                    idx = lay.cell_table(g.ids)
-                    yield idx, idx, getattr(g, f"product_{kind.value}")[g.row]
-            self._gram_cache[kind] = self._matrix_from(
-                blocks(), lay.total_dim, lay.total_dim)
-        return self._gram_cache[kind]
+        def blocks():
+            for g in self.cell_groups:
+                idx = lay.cell_table(g.ids)
+                yield idx, idx, getattr(g, f"product_{kind.value}")[g.row]
+        return self._assembled(kind, lay, lay, blocks())
 
     def norm(self, kind, x: DofVector) -> float:
         return float(np.sqrt(max(self.l2_product(kind, x, x), 0.0)))

@@ -50,11 +50,16 @@ class EmptyRegionError(ValueError):
 
 
 class NonConvergenceError(SolverError):
-    def __init__(self, diagnostics):
-        super().__init__(f"Newton failed to converge in "
-                         f"{diagnostics.iterations} iterations "
+    """Newton stopped above its tolerance; cause names the rule that gave
+    up: the max_iter cap, or a step that no damping try could improve."""
+
+    def __init__(self, diagnostics, cause: str):
+        super().__init__(f"Newton failed to converge: {cause} "
                          f"(last residual {diagnostics.residuals[-1]:.3e})")
-        self.diagnostics = diagnostics
+        self.diagnostics, self.cause = diagnostics, cause
+
+    def __reduce__(self):
+        return type(self), (self.diagnostics, self.cause)
 
 
 @dataclass
@@ -683,27 +688,26 @@ class NavierStokesSolver:
         rprev = None
         while rnorm > tol:
             if diag.iterations >= self.opts.max_iter:
-                diag.converged = False
-                raise NonConvergenceError(diag)
+                raise NonConvergenceError(
+                    diag, f"max_iter = {self.opts.max_iter} Newton steps taken")
+            diag.iterations += 1
             eta = _forcing_term(rnorm, rprev, tol)
             lam = PTC_LAMBDA0 * rnorm / r0
-            accepted = None
-            for _ in range(MAX_DAMPING + 1):
-                delta = self.newton_step(x, R, shift=lam, eta=eta)
-                cand = x + delta
+            # the first candidate below rnorm is taken
+            for attempt in range(MAX_DAMPING + 1):
+                if attempt:
+                    lam = 10.0 * lam if lam > 0 else 1e-2
+                cand = x + self.newton_step(x, R, shift=lam, eta=eta)
                 cand_R = self.residual(cand)
                 cand_norm = self.residual_norm(cand_R)
-                if accepted is None or cand_norm < accepted[2]:
-                    accepted = (cand, cand_R, cand_norm)
                 if cand_norm < rnorm:
                     break
-                lam = 10.0 * lam if lam > 0 else 1e-2
-            diag.iterations += 1
-            if accepted[2] >= rnorm:
-                diag.converged = False
-                raise NonConvergenceError(diag)
+            else:
+                raise NonConvergenceError(
+                    diag, f"no damping of step {diag.iterations} beat the "
+                    f"residual {rnorm:.3e}, up to shift lambda = {lam:.3e}")
             rprev = rnorm
-            x, R, rnorm = accepted
+            x, R, rnorm = cand, cand_R, cand_norm
             diag.residuals.append(rnorm)
         diag.converged = True
         return x

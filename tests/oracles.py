@@ -1507,7 +1507,7 @@ def per_entity_complex(cx):
                  for c in range(mesh.n_cells)]
     ref.face_groups = [GroupOfOne(f, i) for i, f in enumerate(ref.faces)]
     ref.cell_groups = [GroupOfOne(c, i) for i, c in enumerate(ref.cells)]
-    ref._gram_cache, ref._op_cache = {}, {}
+    ref._cache = {}
     return ref
 
 

@@ -172,6 +172,15 @@ def test_bad_mesh_is_config_error(tmp_path):
     assert run_cli(base + ["--mesh", f"file:{bad}"]) == 4
 
 
+def test_nonconvergence_in_a_worker_is_solver_failure(tmp_path):
+    cfg = tmp_path / "hard.cfg"
+    cfg.write_text("cmd = convergence\nmesh = tet\nlevels = 1,2\nmax_iter = 0\n")
+    assert run_cli(["--config", str(cfg), "--parallel-levels",
+                    "--out", str(tmp_path)]) == 2
+    log = (tmp_path / "run_convergence.log").read_text()
+    assert "solver failure: Newton failed to converge: max_iter = 0" in log
+
+
 def test_malformed_mesh_in_a_worker_is_config_error(tmp_path):
     bad = tmp_path / "bad.poly3"
     bad.write_text("POLY3 1\n1 0 0\n0.0 0.0\n")

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -240,9 +242,28 @@ def test_jacobian_finite_difference_slope():
 
 def test_nonconvergence_raises():
     _, _, s = make_solver("cubic", 4, 0, max_iter=0)
-    with pytest.raises(NonConvergenceError) as err:
+    with pytest.raises(NonConvergenceError, match="max_iter = 0") as err:
         s.solve()
     assert err.value.diagnostics.iterations == 0
+    # a --parallel-levels worker sends the error back pickled
+    back = pickle.loads(pickle.dumps(err.value))
+    assert (str(back), back.cause) == (str(err.value), err.value.cause)
+    assert back.diagnostics.residuals == err.value.diagnostics.residuals
+
+
+def test_nonconvergence_names_the_damping_that_gave_up():
+    # Re = 10 on one Kuhn cube at k=1: no shift lets step 3 lower the
+    # residual, long before the max_iter cap of 50
+    _, _, s = make_solver("tet", 1, 1, nu=0.1)
+    with pytest.raises(NonConvergenceError) as err:
+        s.solve()
+    diag = err.value.diagnostics
+    assert (diag.iterations, diag.converged) == (3, False)
+    assert len(diag.residuals) == 3
+    assert str(err.value).startswith(
+        "Newton failed to converge: no damping of step 3 beat the residual "
+        f"{diag.residuals[-1]:.3e}, up to shift lambda = ")
+    assert "max_iter" not in str(err.value)
 
 
 def test_singular_interior_block_names_cell():

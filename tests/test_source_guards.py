@@ -30,3 +30,12 @@ def test_ell_is_set_in_spaces_only():
             if pattern.search(line)]
     assert not hits, hits
     assert pattern.search((SRC / "spaces.py").read_text())
+
+
+def test_error_names_are_spelled_once():
+    # ErrorReport.ERRORS names the reported errors; the CSV columns, the
+    # observed orders and the CLI log lines read them from there
+    text = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    for name in ("E^d_u", "E^p_u", "E^d_p", "E^p_p"):
+        assert text.count(f'"{name}"') == 1, name
+        assert f"{name}=" not in text, name

@@ -166,6 +166,14 @@ def test_property_suite_passes():
     assert not failed, failed
 
 
+def test_property_suite_passes_on_one_cube_at_k1():
+    # the discrete velocity is round-off here (|u|_CURL ~ 3e-14), so the
+    # energy identity holds only to the round-off of |I_f|^2_CURL / nu
+    results = verify.run_property_suite([get_complex("cubic", 1, 1)], seed=0)
+    failed = [r for r in results if not r.passed]
+    assert not failed, failed
+
+
 def test_property_suite_fault_injection():
     # corrupting one orientation after operator assembly flips exactly the
     # divergence-closure check
