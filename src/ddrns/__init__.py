@@ -8,7 +8,7 @@ from .solutions import TrigSolution
 from .solver import (BCRegion, NavierStokesSolver, ProblemSpec, SolverOptions,
                      essential_bc, natural_bc, pressflux_bc)
 from .spaces import (DofLayout, DofVector, SpaceKind, boundary_subspace_mask,
-                     classify_boundary, load_dofvector, save_dofvector)
+                     classify_boundary)
 
 __all__ = [
     "Mesh", "MeshError", "Poly3ParseError", "generate_cubic_mesh",
@@ -16,7 +16,6 @@ __all__ = [
     "QuadratureRule", "TrigSolution", "BCRegion",
     "NavierStokesSolver", "ProblemSpec", "SolverOptions", "essential_bc",
     "natural_bc", "pressflux_bc", "DofLayout", "DofVector", "SpaceKind",
-    "boundary_subspace_mask", "classify_boundary", "load_dofvector",
-    "save_dofvector",
+    "boundary_subspace_mask", "classify_boundary",
 ]
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures as cf
 import contextlib
-import csv
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -160,7 +159,8 @@ def cmd_convergence(config: RunConfig, out: Path, log) -> int:
         log(f"solver failure: {exc}")
         return 2
     path = out / f"convergence_{_csv_tag(config)}_k{config.k}.csv"
-    verify.write_csv(reports, path)
+    verify.write_csv(path, verify.ErrorReport.CSV_COLUMNS,
+                     [r.csv_row() for r in reports])
     log(f"wrote {path}")
     for r in reports:
         if r.eoc:
@@ -177,21 +177,23 @@ def cmd_robustness(config: RunConfig, out: Path, log) -> int:
     except (SolverError, NonConvergenceError) as exc:
         log(f"solver failure: {exc}")
         return 2
+    # the two velocity errors at lambda and 100 lambda, and their relative
+    # difference
+    errors = list(zip(verify.ErrorReport.ERRORS[:2], ("reldiff", "reldiff_p")))
+    header = ["MeshSize"]
+    for (name, _), diff in errors:
+        header += [f"{name}(lam)", f"{name}(100lam)", diff]
+    rows = []
+    for a, b in zip(rep1, rep2):
+        row = [a.h]
+        for (_, attr), _ in errors:
+            x, y = getattr(a, attr), getattr(b, attr)
+            row += [x, y, abs(x - y) / x]
+        rows.append(row)
     path = out / f"robustness_{_csv_tag(config)}_k{config.k}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["MeshSize", "E^d_u(lam)", "E^d_u(100lam)", "reldiff",
-                    "E^p_u(lam)", "E^p_u(100lam)", "reldiff_p"])
-        for a, b in zip(rep1, rep2):
-            w.writerow([repr(a.h), repr(a.err_u_discrete), repr(b.err_u_discrete),
-                        repr(abs(a.err_u_discrete - b.err_u_discrete)
-                             / a.err_u_discrete),
-                        repr(a.err_u_potential), repr(b.err_u_potential),
-                        repr(abs(a.err_u_potential - b.err_u_potential)
-                             / a.err_u_potential)])
+    verify.write_csv(path, header, [list(map(repr, row)) for row in rows])
     log(f"wrote {path}")
-    worst = max(abs(a.err_u_discrete - b.err_u_discrete) / a.err_u_discrete
-                for a, b in zip(rep1, rep2))
+    worst = max(row[3] for row in rows)
     log(f"max velocity-error relative difference: {worst:.3e}")
     return 0
 
@@ -226,11 +228,8 @@ def cmd_pressflux(config: RunConfig, out: Path, log) -> int:
         log(f"  n={n}: |u|_curl-graph={graph_u:.8f} |p|_grad-graph={graph_p:.8f} "
             f"({result.diagnostics.iterations} newton its)")
     path = out / f"pressflux_k{config.k}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["MeshSize", "DimCondensed", "discN_HcurlVel",
-                    "discN_HgradPre", "NewtonIts"])
-        w.writerows(rows)
+    verify.write_csv(path, ["MeshSize", "DimCondensed", "discN_HcurlVel",
+                            "discN_HgradPre", "NewtonIts"], rows)
     log(f"wrote {path}")
     return 0
 
@@ -250,30 +249,29 @@ def cmd_properties(config: RunConfig, out: Path, log) -> int:
 
 def cmd_constants(config: RunConfig, out: Path, log) -> int:
     sol = TrigSolution(nu=1.0 / config.reynolds, lam=config.lam)
+    rows = []
+    for n in config.levels:
+        mesh = build_mesh_for(config, n)
+        cx = DdrComplex(mesh, config.k)
+        try:
+            rep = verify.constants_report(cx, exact=sol,
+                                          nu=1.0 / config.reynolds,
+                                          seed=config.seed)
+        except verify.DimensionCapError as exc:
+            log(f"n={n}: {exc}")
+            return 4
+        log(f"  n={n}: C_p={rep.poincare_curl:.4f} "
+            f"C_c_curl={rep.continuity_curl:.4f} "
+            f"C_c_div={rep.continuity_div:.4f} "
+            f"C_S>={rep.sobolev_lower_bound:.4f} chi={rep.chi:.4f}"
+            + ("  (chi > 0)" if rep.chi and rep.chi > 0 else "  (chi <= 0:"
+               " smallness regime not certified, logged only)"))
+        rows.append([repr(mesh.h), repr(rep.poincare_curl),
+                     repr(rep.continuity_curl), repr(rep.continuity_div),
+                     repr(rep.sobolev_lower_bound), repr(rep.chi)])
     path = out / f"constants_{_csv_tag(config)}_k{config.k}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["MeshSize", "C_poincare", "C_cont_curl", "C_cont_div",
-                    "C_sobolev_lb", "chi"])
-        for n in config.levels:
-            mesh = build_mesh_for(config, n)
-            cx = DdrComplex(mesh, config.k)
-            try:
-                rep = verify.constants_report(cx, exact=sol,
-                                              nu=1.0 / config.reynolds,
-                                              seed=config.seed)
-            except verify.DimensionCapError as exc:
-                log(f"n={n}: {exc}")
-                return 4
-            log(f"  n={n}: C_p={rep.poincare_curl:.4f} "
-                f"C_c_curl={rep.continuity_curl:.4f} "
-                f"C_c_div={rep.continuity_div:.4f} "
-                f"C_S>={rep.sobolev_lower_bound:.4f} chi={rep.chi:.4f}"
-                + ("  (chi > 0)" if rep.chi and rep.chi > 0 else "  (chi <= 0:"
-                   " smallness regime not certified, logged only)"))
-            w.writerow([repr(mesh.h), repr(rep.poincare_curl),
-                        repr(rep.continuity_curl), repr(rep.continuity_div),
-                        repr(rep.sobolev_lower_bound), repr(rep.chi)])
+    verify.write_csv(path, ["MeshSize", "C_poincare", "C_cont_curl",
+                            "C_cont_div", "C_sobolev_lb", "chi"], rows)
     log(f"wrote {path}")
     return 0
 

@@ -25,11 +25,8 @@ coefficients in the entity-local orthonormal bases built by
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -126,24 +123,6 @@ class DofLayout:
         vertices, edges, faces (each ascending by id), then the cell block."""
         return self.cell_table([c])[0]
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "k": self.k,
-            "eta": [2, 2],      # DDR mode: eta_Y on faces and cells
-            # the face and cell bases the coefficients are in: Cholesky
-            # orthonormalisations of fixed unit-chart families
-            "basis": "unit-family-cholesky",
-            "counts": [self.mesh.n_vertices, self.mesh.n_edges,
-                       self.mesh.n_faces, self.mesh.n_cells],
-            "blocks": [self.vertex_block, self.edge_block,
-                       self.face_subsizes, self.cell_subsizes],
-        }
-
-    def layout_hash(self) -> str:
-        blob = json.dumps(self.descriptor(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
 
 @dataclass
 class DofVector:
@@ -159,29 +138,6 @@ class DofVector:
     @classmethod
     def zeros(cls, layout: DofLayout) -> "DofVector":
         return cls(layout, np.zeros(layout.total_dim))
-
-    def copy(self) -> "DofVector":
-        return DofVector(self.layout, self.values.copy())
-
-
-def save_dofvector(vec: DofVector, path) -> None:
-    """Flat little-endian binary plus a JSON sidecar with the layout hash."""
-    path = Path(path)
-    vec.values.astype("<f8").tofile(path)
-    sidecar = {"layout_hash": vec.layout.layout_hash(),
-               "kind": vec.layout.kind.value, "k": vec.layout.k,
-               "n_dofs": vec.layout.total_dim}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
-
-
-def load_dofvector(layout: DofLayout, path) -> DofVector:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    if sidecar["layout_hash"] != layout.layout_hash():
-        raise ValueError("layout hash mismatch: file was written for a "
-                         "different space/mesh")
-    values = np.fromfile(path, dtype="<f8")
-    return DofVector(layout, values)
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,12 @@ def attach_eoc(reports: list[ErrorReport]) -> None:
                 cur.eoc[name] = float(np.log(a / b) / ratio)
 
 
-def write_csv(reports: list[ErrorReport], path) -> None:
+def write_csv(path, header, rows) -> None:
+    """The CSV table of the header and the rows, written in one go."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(ErrorReport.CSV_COLUMNS)
-        for r in reports:
-            w.writerow(r.csv_row())
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def compute_errors(cx: DdrComplex, u: DofVector, p: DofVector, exact) -> ErrorReport:
@@ -126,13 +126,19 @@ def _dense(mat) -> np.ndarray:
     return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
 
 
+def _capped_dim(cx: DdrComplex, kind: SpaceKind) -> int:
+    """The dimension of the kind space, refused above DENSE_CAP."""
+    n = cx.layouts[kind].total_dim
+    if n > DENSE_CAP:
+        raise DimensionCapError(f"{kind.name} dimension {n} exceeds the dense "
+                                f"cap {DENSE_CAP}")
+    return n
+
+
 def _complement_basis(cx: DdrComplex) -> np.ndarray:
     """Euclidean-orthonormal basis of the CURL-orthogonal complement of the
     image of the discrete gradient."""
-    n = cx.layouts[SpaceKind.CURL].total_dim
-    if n > DENSE_CAP:
-        raise DimensionCapError(f"CURL dimension {n} exceeds the dense cap "
-                                f"{DENSE_CAP}")
+    _capped_dim(cx, SpaceKind.CURL)
     G = _dense(cx.gradient_matrix())
     Mc = _dense(cx.gram_matrix(SpaceKind.CURL))
     A = G.T @ Mc                       # v in complement iff A v = 0
@@ -155,11 +161,8 @@ def estimate_poincare(cx: DdrComplex) -> float:
 
 def _continuity_constant(cx: DdrComplex, kind: SpaceKind) -> float:
     """Largest |P x|_L2 / |x| over the space: consistency part vs full norm."""
+    n = _capped_dim(cx, kind)
     lay = cx.layouts[kind]
-    if lay.total_dim > DENSE_CAP:
-        raise DimensionCapError(f"{kind.value} dimension {lay.total_dim} "
-                                f"exceeds the dense cap {DENSE_CAP}")
-    n = lay.total_dim
     Q = np.zeros((n, n))
     M = _dense(cx.gram_matrix(kind))
     for g in cx.cell_groups:
@@ -250,9 +253,7 @@ class ExactnessReport:
 def check_exactness(cx: DdrComplex) -> ExactnessReport:
     """Numerical rank bookkeeping: on trivial topology the kernel of the
     discrete curl is the image of the discrete gradient."""
-    n = cx.layouts[SpaceKind.CURL].total_dim
-    if n > DENSE_CAP:
-        raise DimensionCapError(f"CURL dimension {n} exceeds the dense cap")
+    n = _capped_dim(cx, SpaceKind.CURL)
     G = _dense(cx.gradient_matrix())
     C = _dense(cx.curl_matrix())
     sg = np.linalg.svd(G, compute_uv=False)

@@ -92,6 +92,18 @@ def test_constants_command(tmp_path):
     assert float(vals[1]) > 0 and float(vals[4]) > 0
 
 
+def test_constants_over_the_cap_writes_no_csv(tmp_path, monkeypatch):
+    # n=1 fits under the cap and n=2 does not: the command fails without
+    # leaving a CSV of the levels before the refused one
+    monkeypatch.setattr(verify, "DENSE_CAP", 20)
+    rc = run_cli(["--cmd", "constants", "--mesh", "cubic", "--levels", "1,2",
+                  "--k", "0", "--out", str(tmp_path)])
+    assert rc == 4
+    assert not (tmp_path / "constants_cubic_k0.csv").exists()
+    log = (tmp_path / "run_constants.log").read_text()
+    assert "n=2: CURL dimension 54 exceeds the dense cap 20" in log
+
+
 def test_robustness_command(tmp_path):
     rc = run_cli(["--cmd", "robustness", "--mesh", "cubic", "--levels", "2",
                   "--k", "0", "--out", str(tmp_path)])

@@ -34,8 +34,10 @@ def test_ell_is_set_in_spaces_only():
 
 def test_error_names_are_spelled_once():
     # ErrorReport.ERRORS names the reported errors; the CSV columns, the
-    # observed orders and the CLI log lines read them from there
+    # observed orders and the CLI log lines and headers read them from
+    # there, so no other string literal starts with a name
     text = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")))
     for name in ("E^d_u", "E^p_u", "E^d_p", "E^p_p"):
+        assert len(re.findall(f"[\"']{re.escape(name)}", text)) == 1, name
         assert text.count(f'"{name}"') == 1, name
         assert f"{name}=" not in text, name

@@ -93,7 +93,8 @@ def test_csv_output(tmp_path):
     verify.attach_eoc(reports)
     assert reports[1].eoc["E^d_u"] == pytest.approx(1.0)
     path = tmp_path / "out.csv"
-    verify.write_csv(reports, path)
+    verify.write_csv(path, verify.ErrorReport.CSV_COLUMNS,
+                     [r.csv_row() for r in reports])
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[:6] == ["MeshSize", "DimCondensed", "E^d_u",
                                       "E^p_u", "E^d_p", "E^p_p"]
@@ -141,11 +142,18 @@ def test_exactness_bookkeeping():
 
 
 def test_dimension_cap(monkeypatch):
-    monkeypatch.setattr(verify, "DENSE_CAP", 10)
-    with pytest.raises(verify.DimensionCapError):
-        verify.estimate_poincare(get_complex("cubic", 1, 0))
-    with pytest.raises(verify.DimensionCapError):
-        verify.check_exactness(get_complex("cubic", 1, 0))
+    # cubic n=1, k=0: CURL has 12 DoFs (edges), DIV 6 (faces); one message
+    # names the space, its dimension and the cap
+    monkeypatch.setattr(verify, "DENSE_CAP", 5)
+    cx = get_complex("cubic", 1, 0)
+    for estimate, kind, n in ((verify.estimate_poincare, "CURL", 12),
+                              (verify.check_exactness, "CURL", 12),
+                              (verify.estimate_continuity_curl, "CURL", 12),
+                              (verify.estimate_continuity_div, "DIV", 6)):
+        with pytest.raises(verify.DimensionCapError,
+                           match=f"^{kind} dimension {n} exceeds the dense "
+                                 f"cap 5$"):
+            estimate(cx)
 
 
 def test_constants_report_chi():
