@@ -23,9 +23,12 @@ Newton is inexact: iteration k solves its step only to a linear residual of
 eta_k |R_k|, with Eisenstat-Walker forcing terms eta_k.  Within one solve()
 call the last sparse LU preconditions GMRES for later steps, and a step is
 refactored only when GMRES cannot meet its forcing term; the factor is
-released when the call returns.  The Stokes start and the solve with a
-fresh factor are direct.  NewtonDiagnostics.linear_solves records each
-linear solve.
+released when the call returns.  Factors are made in float32 and every
+residual is float64: the Stokes start and the solve with a fresh factor
+are refined to float64 accuracy, and GMRES reaches its forcing term by the
+true residual (mixed-precision iterative refinement).  A system that the
+float32 factor cannot refine that far is refactored in float64.
+NewtonDiagnostics.linear_solves records each linear solve.
 """
 
 from __future__ import annotations
@@ -158,6 +161,17 @@ OVERSOLVE_FLOOR = 0.5
 # GMRES_RESTART.  Early rates understate later ones, and a false drop costs
 # a factorisation, several times the iterations it saves.  A dropped or
 # missed step has its matrix factored.
+# Factors are float32, which halves the bytes of each factor and of each
+# triangular solve; residuals stay float64 (Carson & Higham, SIAM J. Sci.
+# Comput. 40, 2018; Higham & Mary, Acta Numerica 31, 2022).  A fresh
+# factor's solve is refined while each sweep at least halves |b - A x|; if
+# that stops above DIRECT_ACCURACY |b|, the system is refactored in float64.
+# The first preconditioner application of each GMRES cycle is refined once
+# against the factored matrix, so that the cycle starts from a float64
+# accurate solve with that matrix; later applications are one float32
+# triangular solve each.  GMRES keeps the preconditioned vectors, so a
+# preconditioner that changes between iterations is sound (flexible GMRES).
+DIRECT_ACCURACY = 1e-12
 GMRES_RESTART = 30
 GMRES_AIM = 0.01
 HOPELESS_AFTER = 10
@@ -186,13 +200,17 @@ class NewtonDiagnostics:
     dim_condensed: int = 0
     dim_full: int = 0
     tolerance: float = 0.0    # the Newton tolerance tol * scale on |R|
+    # sparse LUs made; a float64 refactor counts as one more
     factorizations: int = 0
     # GMRES iterations of each step solved with a reused factor
     krylov_iterations: list = field(default_factory=list)
     # one dict per newton_step call, Stokes start and damping retries
     # included: its forcing term "eta" (0 asks for an exact solve), the
     # "gmres_iterations" it ran (those of a dropped cycle included),
-    # whether it "factored", and the "residual" |A x - b| / |R| it reached
+    # whether it "factored", the "precision" of the factor that gave its
+    # solution ("float32", or "float64" after a refactor), the
+    # "refinement_sweeps" it made (one per GMRES cycle, plus those of a
+    # fresh factor's solve), and the "residual" |A x - b| / |R| it reached
     linear_solves: list = field(default_factory=list)
 
 
@@ -294,35 +312,90 @@ def _gmres(A, b, psolve, bound):
 class _FactorReuse:
     """Condensed linear solves of one solve() call: the first system is
     factored; a later one is solved by GMRES preconditioned with the last
-    factor as far as its forcing term asks, else factored afresh."""
+    factor as far as its forcing term asks, else factored afresh.  A factor
+    is float32 unless its system needed the float64 refactor; `A` is the
+    matrix it factors."""
 
     def __init__(self):
-        self.lu = None
+        self.lu = self.A = None
+        self.dtype = np.float32
+        self.factorizations = 0
         self.records = []
 
     def solve(self, A, b, eta, rnorm):
         """x with |A x - b| <= eta rnorm by GMRES on the last factor, else
-        the direct solve of a fresh factor; each call is recorded."""
+        the refined solve of a fresh factor; each call is recorded."""
         bound = eta * rnorm
         x, its = (None, 0) if self.lu is None else \
-            _gmres(A, b, self.lu.solve, bound)
+            _gmres(A, b, self._cycle_preconditioner(), bound)
+        sweeps = int(its > 0)
         if x is not None:
             achieved = np.linalg.norm(A @ x - b)    # the true residual
             if achieved > bound:
                 x = None
         factored = x is None
         if factored:
-            self.lu = None     # released before splu allocates the next
-            try:
-                self.lu = spla.splu(A)
-            except RuntimeError as exc:
-                raise SolverError(f"singular condensed matrix: {exc}") from exc
-            x = self.lu.solve(b)
-            achieved = np.linalg.norm(A @ x - b)
+            for self.dtype in (np.float32, np.float64):
+                self.lu = None     # released before splu allocates the next
+                try:
+                    self.lu = spla.splu(A.astype(self.dtype, copy=False))
+                except RuntimeError as exc:
+                    if self.dtype == np.float32:
+                        continue
+                    raise SolverError(
+                        f"singular condensed matrix: {exc}") from exc
+                self.A = A
+                self.factorizations += 1
+                x, achieved, n = self._refined(b)
+                sweeps += n
+                if achieved <= DIRECT_ACCURACY * np.linalg.norm(b):
+                    break
         self.records.append({
             "eta": float(eta), "gmres_iterations": its, "factored": factored,
+            "precision": np.dtype(self.dtype).name,
+            "refinement_sweeps": sweeps,
             "residual": float(achieved / rnorm) if rnorm else 0.0})
         return x
+
+    def _triangular(self, r):
+        """One solve with the factor, of r scaled to unit norm so that a
+        float32 factor neither under- nor overflows."""
+        s = np.linalg.norm(r)
+        if s == 0.0:
+            return np.zeros_like(r)
+        return s * self.lu.solve((r / s).astype(self.dtype, copy=False))
+
+    def _refined(self, b):
+        """x from the factor, refined by float64 residuals while a sweep at
+        least halves |b - A x|; returns x, |b - A x| and the sweeps made."""
+        x = self._triangular(b)
+        r = b - self.A @ x
+        rn, sweeps = np.linalg.norm(r), 0
+        while rn > 0.0:
+            y = x + self._triangular(r)
+            ry = b - self.A @ y
+            ny = np.linalg.norm(ry)
+            sweeps += 1
+            halved = ny <= 0.5 * rn
+            if ny < rn:
+                x, r, rn = y, ry, ny
+            if not halved:
+                break
+        return x, rn, sweeps
+
+    def _cycle_preconditioner(self):
+        """The preconditioner of one GMRES cycle: a solve with the factor,
+        the first one refined once against the factored matrix."""
+        first = True
+
+        def psolve(v):
+            nonlocal first
+            z = self._triangular(v)
+            if first:
+                first = False
+                z += self._triangular(v - self.A @ z)
+            return z
+        return psolve
 
 
 class NavierStokesSolver:
@@ -664,9 +737,9 @@ class NavierStokesSolver:
         try:
             x = self._newton(diag)
         finally:
-            self._linear = linear.lu = None
+            self._linear = linear.lu = linear.A = None
             diag.linear_solves = recs = linear.records
-            diag.factorizations = sum(r["factored"] for r in recs)
+            diag.factorizations = linear.factorizations
             diag.krylov_iterations = [r["gmres_iterations"] for r in recs
                                       if not r["factored"]]
 

@@ -200,15 +200,17 @@ def test_hopeless_cycle_dropped_before_its_restart(events):
                   if "splu" in step]
     assert refactored                    # the refactor path ran
     for attempt, rec in refactored:
-        # each GMRES iteration solves once with the old factor
-        assert 0 < attempt < solver_mod.GMRES_RESTART
-        assert rec["factored"] and rec["gmres_iterations"] == attempt
+        # each GMRES iteration solves once with the old factor, and the
+        # first solve of the cycle is refined by one more
+        assert 0 < rec["gmres_iterations"] < solver_mod.GMRES_RESTART
+        assert rec["factored"] and rec["gmres_iterations"] + 1 == attempt
 
 
-def test_linear_solve_records():
+def test_linear_solve_records(events):
     """One record per newton_step call; a reused factor's step meets its
     forcing term by its true residual, and the forcing terms follow
-    Eisenstat-Walker choice 2 with the oversolving floor."""
+    Eisenstat-Walker choice 2 with the oversolving floor.  Each record
+    names its factor's precision and counts its refinement sweeps."""
     s = pressflux_solver(0)
     rnorms = []
     step = s.newton_step
@@ -219,7 +221,7 @@ def test_linear_solve_records():
     s.newton_step = noted
     diag = s.solve().diagnostics
     recs = diag.linear_solves
-    json.dumps(recs)
+    assert json.loads(json.dumps(recs)) == recs
     assert len(recs) == len(rnorms)
     assert sum(r["factored"] for r in recs) == diag.factorizations
     assert [r["gmres_iterations"] for r in recs if not r["factored"]] \
@@ -229,6 +231,23 @@ def test_linear_solve_records():
             recs[0]["factored"]) == (0.0, 0, True)
     for r in recs:
         assert r["residual"] <= (1e-10 if r["factored"] else r["eta"])
+    # no system needed the float64 refactor; a step solves once per GMRES
+    # iteration and per refinement sweep, and once more with a fresh factor
+    solves = [0]
+    for event in events:
+        if event == "step":
+            solves.append(0)
+        solves[-1] += event == "solve"
+    assert events.count("splu") == diag.factorizations
+    for r, n in zip(recs, solves[1:], strict=True):
+        assert r["precision"] == "float32"
+        assert type(r["refinement_sweeps"]) is int
+        assert n == r["gmres_iterations"] + r["refinement_sweeps"] \
+            + r["factored"]
+        cycles = r["gmres_iterations"] > 0
+        assert r["refinement_sweeps"] >= cycles + r["factored"]
+        if not r["factored"]:
+            assert r["refinement_sweeps"] == cycles
     # each Newton step's forcing term from the residual history
     res, tol = diag.residuals, diag.tolerance
     floored = set()
@@ -270,8 +289,60 @@ def test_pressflux_forcing_terms_match_factoring_every_step(k):
     got, want = s.solve(), ref.solve()
     g, w = got.diagnostics, want.diagnostics
     assert g.linear_solves and not all(r["factored"] for r in g.linear_solves)
+    # the factors are float32, the oracle's float64
+    assert {r["precision"] for r in g.linear_solves} == {"float32"}
     assert abs(g.iterations - w.iterations) <= 1
     assert g.residuals[-1] <= g.tolerance and w.residuals[-1] <= w.tolerance
     bar = 1e-10 if g.iterations == w.iterations else 1e-8
     assert rel(got.u.values, want.u.values) <= bar
     assert rel(got.p.values, want.p.values) <= bar
+
+
+class _DoubledFactor(_Factor):
+    """A factor whose solves are twice the true ones: refinement from it
+    swings between 2x and 0 and never halves the residual."""
+
+    def solve(self, b):
+        return 2.0 * super().solve(b)
+
+
+@pytest.mark.parametrize("broken", ["unrefinable", "singular"])
+def test_float32_factor_that_fails_is_refactored_in_float64(monkeypatch,
+                                                            broken):
+    """Every float32 factor either cannot be refined to float64 accuracy or
+    is reported singular: each fresh system is refactored in float64 with
+    the float32 factor dropped first, and Newton follows the oracle that
+    factors every step in float64."""
+    _, ref = trig_solver(get_complex("cubic", 4, 0))
+    ref.newton_step = partial(oracles.newton_step, ref)
+    want = ref.solve()
+    made = []
+    splu = spla.splu
+
+    def broken_splu(A):
+        assert all(f() is None for _, f in made), "old factor alive during splu"
+        if A.dtype == np.float32 and broken == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        f = (_DoubledFactor if A.dtype == np.float32 else _Factor)(splu(A))
+        made.append((A.dtype, weakref.ref(f)))
+        return f
+    monkeypatch.setattr(spla, "splu", broken_splu)
+    _, s = trig_solver(get_complex("cubic", 4, 0))
+    got = s.solve()
+    diag = got.diagnostics
+    recs = diag.linear_solves
+    fresh = sum(r["factored"] for r in recs)
+    per_system = [np.float32, np.float64] if broken == "unrefinable" \
+        else [np.float64]
+    assert [dtype for dtype, _ in made] == per_system * fresh
+    assert diag.factorizations == len(made)
+    assert all(f() is None for _, f in made)
+    assert diag.krylov_iterations                  # the float64 factor reused
+    for r in recs:
+        assert r["precision"] == "float64"
+        assert r["residual"] <= (1e-10 if r["factored"] else r["eta"])
+    # the float32 sweep that did not halve, then at least one in float64
+    assert recs[0]["refinement_sweeps"] >= len(per_system)
+    assert diag.iterations == want.diagnostics.iterations
+    assert rel(got.u.values, want.u.values) <= 1e-10
+    assert rel(got.p.values, want.p.values) <= 1e-10
