@@ -318,7 +318,7 @@ class _FactorReuse:
 
     def __init__(self):
         self.lu = self.A = None
-        self.dtype = np.float32
+        self.dtype = np.float32   # of the factor held
         self.factorizations = 0
         self.records = []
 
@@ -335,16 +335,16 @@ class _FactorReuse:
                 x = None
         factored = x is None
         if factored:
-            for self.dtype in (np.float32, np.float64):
+            for dtype in (np.float32, np.float64):
                 self.lu = None     # released before splu allocates the next
                 try:
-                    self.lu = spla.splu(A.astype(self.dtype, copy=False))
+                    self.lu = spla.splu(A.astype(dtype, copy=False))
                 except RuntimeError as exc:
-                    if self.dtype == np.float32:
+                    if dtype == np.float32:
                         continue
                     raise SolverError(
                         f"singular condensed matrix: {exc}") from exc
-                self.A = A
+                self.A, self.dtype = A, dtype
                 self.factorizations += 1
                 x, achieved, n = self._refined(b)
                 sweeps += n
