@@ -13,11 +13,13 @@ conditions pin the pressure instead).  Each Newton step statically condenses
 all cell-attached DoF blocks by per-cell Schur complements before the sparse
 solve; convergence is measured on the full uncondensed residual.
 
-The cells are taken in the cell groups of the complex: a group's blocks
-are its stacks read at the row of each cell (``group.ids``, ``group.row``),
-so the residual, the convective form, the cell Jacobians and the
-condensation run as a few batched array operations per group.  The
-sparsity pattern of the condensed system is built once per solver.
+The cells are taken in the cell groups of the complex, whose translates
+share a stack row: the solver holds each block once per row, with the row
+of each cell (``group.ids``, ``group.row``).  The residual, the convective
+form, the cell Jacobians, the condensation and the back-substitution walk
+a group's cells in chunks of at most CHUNK_BYTES of local matrices, as a
+few batched array operations per chunk.  The sparsity pattern of the
+condensed system is built once per solver.
 
 Newton is inexact: iteration k solves its step only to a linear residual of
 eta_k |R_k|, with Eisenstat-Walker forcing terms eta_k.  Within one solve()
@@ -176,6 +178,13 @@ GMRES_RESTART = 30
 GMRES_AIM = 0.01
 HOPELESS_AFTER = 10
 HOPELESS_WINDOW = 3
+# The cell kernels take a group's cells in chunks, so that no temporary
+# grows with the mesh and the heap memory of one chunk serves the next,
+# instead of fresh pages mapped and faulted in on every step.  A chunk holds
+# up to six arrays of its (cells, nloc, nloc) size at once (the Newton
+# matrices, the gathered blocks, the Schur complements, K_GI X, and the
+# index copy of np.add.at), and all of them take at most CHUNK_BYTES.
+CHUNK_BYTES = 6 << 20
 
 
 @dataclass
@@ -224,25 +233,33 @@ class Solution:
 
 @dataclass
 class _CellGroup:
-    """Cells with the same local sizes, whose blocks are stacked along a
-    leading cell axis so that each kernel runs once per group."""
+    """Cells with the same local sizes: their blocks once per stack row,
+    the row of each cell, and per-cell index tables."""
     cells: np.ndarray     # cell ids
-    blocks: dict          # name -> (cells, ...) stacked cell blocks
-    gx: np.ndarray        # (cells, nloc) global indices of the local unknowns
+    row: np.ndarray       # stack row of each cell
+    stacks: dict          # name -> (rows, ...) blocks, one per row
+    tables: dict          # name -> (cells, ...): idxu, idxp, gx and c_loc
     loc_int: np.ndarray   # local unknowns condensed out
     loc_ret: np.ndarray   # local unknowns kept in the condensed system
+    chunks: list          # (cells, at) per chunk within CHUNK_BYTES
     slot: np.ndarray = None   # condensed-matrix entry of each kept block entry
 
+    def blocks(self, cells, at) -> dict:
+        """The blocks and tables of a chunk's cells, by name; the blocks
+        are the stacks at `at` (_rows)."""
+        return {**{name: a[cells] for name, a in self.tables.items()},
+                **{name: a[at] for name, a in self.stacks.items()}}
 
-def _take(stack, pos):
-    """The blocks at stack positions pos, one per cell: the stack itself
-    when it is taken whole and in order, one broadcast view when every cell
-    shares one block, a gathered copy otherwise."""
-    if np.array_equal(pos, np.arange(len(stack))):
-        return stack
-    if np.all(pos == pos[0]):
-        return np.broadcast_to(stack[pos[0]], (len(pos),) + stack.shape[1:])
-    return stack[pos]
+
+def _rows(rows):
+    """Where a chunk reads the stacks, from the rows of its cells: a view of
+    their one row, which the kernels broadcast over the cells, or of their
+    consecutive rows; else the rows, gathered into a copy."""
+    if np.all(rows == rows[0]):
+        return slice(rows[0], rows[0] + 1)
+    if np.all(np.diff(rows) == 1):
+        return slice(rows[0], rows[-1] + 1)
+    return rows
 
 
 def _mv(A, x):
@@ -257,9 +274,9 @@ def _crossmat(v):
 
 def _moment_matrix(S, N):
     """sum_i S[g, i, j, l] N[g, i, e, c] as (G, 3nb, 3nb) with rows (l, c)
-    and columns (j, e): the test side on the rows."""
-    G, nb = S.shape[:2]
-    T = S.reshape(G, nb, nb * nb).transpose(0, 2, 1) @ N.reshape(G, nb, 9)
+    and columns (j, e): the test side on the rows.  S may be one block."""
+    G, nb = len(N), S.shape[1]
+    T = S.reshape(-1, nb, nb * nb).transpose(0, 2, 1) @ N.reshape(G, nb, 9)
     return (T.reshape(G, nb, nb, 3, 3).transpose(0, 2, 4, 1, 3)
             .reshape(G, 3 * nb, 3 * nb))
 
@@ -472,9 +489,8 @@ class NavierStokesSolver:
         self.rhs_mom = cx.gram_matrix(SpaceKind.CURL) @ self.i_f.values
 
     def _cell_blocks(self):
-        """Take the blocks of the cells from the stacks of the cell groups
-        of the complex.  A group's stacks hold one block per row, and
-        group.row gives the row of each of its cells."""
+        """Hold the blocks of each cell group of the complex once per row:
+        its stacks, and the viscous and pressure blocks formed from them."""
         cx = self.cx
         nu = self.spec.nu
         ones = None
@@ -486,21 +502,18 @@ class NavierStokesSolver:
         nmu = 1 if self.use_multiplier else 0
         self.groups = []
         for grp in cx.cell_groups:
-            ids, pos = grp.ids, grp.row
+            ids = grp.ids
             idxu = self.ul.cell_table(ids)
             idxp = self.pl.cell_table(ids)
-            blocks = {
-                "idxu": idxu, "idxp": idxp,
-                "visc": _take(nu * np.swapaxes(grp.uC, 1, 2) @ grp.product_div
-                              @ grp.uC, pos),
-                "B": _take(grp.product_curl @ grp.uG, pos),
-                "Mc": _take(grp.product_curl, pos),
-                "CH": _take(grp.convective_curl, pos),
-                "P": _take(grp.pot_curl, pos),
-                "S": _take(grp.tri_tensor, pos),
+            stacks = {
+                "visc": nu * np.swapaxes(grp.uC, 1, 2) @ grp.product_div
+                @ grp.uC,
+                "B": grp.product_curl @ grp.uG,
+                "Mc": grp.product_curl,
+                "CH": grp.convective_curl,
+                "P": grp.pot_curl,
+                "S": grp.tri_tensor,
             }
-            if nmu:
-                blocks["c_loc"] = _mv(_take(grp.product_grad, pos), ones[idxp])
             gx = np.hstack([idxu, self.n_u + idxp,
                             np.full((len(ids), nmu), self.n_x - 1)])
             interior = grp.interior
@@ -508,8 +521,17 @@ class NavierStokesSolver:
                                        grp.n_curl + interior[SpaceKind.GRAD]])
                        if self.opts.condense else np.zeros(0, dtype=int))
             loc_ret = np.setdiff1d(np.arange(gx.shape[1]), loc_int)
-            self.groups.append(_CellGroup(ids, blocks, gx,
-                                          loc_int, loc_ret))
+            step = max(1, CHUNK_BYTES // (6 * 8 * gx.shape[1] ** 2))
+            cuts = [slice(i, i + step) for i in range(0, len(ids), step)]
+            group = _CellGroup(ids, grp.row, stacks,
+                               {"idxu": idxu, "idxp": idxp, "gx": gx},
+                               loc_int, loc_ret,
+                               [(c, _rows(grp.row[c])) for c in cuts])
+            if nmu:
+                group.tables["c_loc"] = np.concatenate([
+                    _mv(grp.product_grad[at], ones[idxp[sl]])
+                    for sl, at in group.chunks])
+            self.groups.append(group)
 
     def _boundary_terms(self):
         """Natural flux data: mass-row load sum_F int_F g gamma_F q, with one
@@ -539,7 +561,7 @@ class NavierStokesSolver:
         column that is fixed)."""
         interior = np.zeros(self.n_x, dtype=bool)
         for grp in self.groups:
-            interior[grp.gx[:, grp.loc_int]] = True
+            interior[grp.tables["gx"][:, grp.loc_int]] = True
         self.cond_dofs = np.flatnonzero(self.free & ~interior)
         self.dim_condensed = nc = len(self.cond_dofs)
         pos = np.full(self.n_x, -1, dtype=np.int64)
@@ -547,7 +569,7 @@ class NavierStokesSolver:
         dropped = nc * nc
         keys = []
         for grp in self.groups:
-            r = pos[grp.gx[:, grp.loc_ret]]
+            r = pos[grp.tables["gx"][:, grp.loc_ret]]
             key = r[:, None, :] * nc + r[:, :, None]    # column-major order
             key[(r[:, None, :] < 0) | (r[:, :, None] < 0)] = dropped
             keys.append(key.ravel())
@@ -568,7 +590,7 @@ class NavierStokesSolver:
         self._indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys // nc, minlength=nc))])
         for grp, part in zip(self.groups, np.split(slot, np.cumsum(sizes)[:-1])):
-            grp.slot = part
+            grp.slot = part.reshape(len(grp.cells), -1)
 
     # -- state vector helpers -------------------------------------------------
     def initial_state(self) -> np.ndarray:
@@ -589,11 +611,11 @@ class NavierStokesSolver:
         """Per cell, the P^k moments g[l, c] = int phi_l (C_h a x P b)_c of
         the convective field: (G, nb, 3)."""
         S = blk["S"]
-        G, nb = S.shape[:2]
+        G, nb = len(ua), S.shape[1]
         a = _mv(blk["CH"], ua).reshape(G, nb, 1, 3)
         b = _mv(blk["P"], ub).reshape(G, 1, nb, 3)
         cr = np.cross(a, b).reshape(G, nb * nb, 3)
-        return S.reshape(G, nb * nb, nb).transpose(0, 2, 1) @ cr
+        return S.reshape(-1, nb * nb, nb).transpose(0, 2, 1) @ cr
 
     @staticmethod
     def _jacobian(blk, U, with_convection: bool):
@@ -602,7 +624,7 @@ class NavierStokesSolver:
         J = blk["visc"]
         if with_convection:
             S, P, CH = blk["S"], blk["P"], blk["CH"]
-            G, nb = S.shape[:2]
+            G, nb = len(U), S.shape[1]
             a = _mv(CH, U).reshape(G, nb, 3)
             b = _mv(P, U).reshape(G, nb, 3)
             # derivative in the second argument: sum_i S_ijl (a_i x db_j)
@@ -617,11 +639,12 @@ class NavierStokesSolver:
         """t(a; b, v) over global CURL coefficient arrays."""
         acc = 0.0
         for grp in self.groups:
-            blk = grp.blocks
-            idx = blk["idxu"]
-            w = _mv(blk["P"], v[idx])
-            g = self._convection(blk, ua[idx], ub[idx])
-            acc += np.sum(g.reshape(w.shape) * w)
+            for sl, at in grp.chunks:
+                blk = grp.blocks(sl, at)
+                idx = blk["idxu"]
+                w = _mv(blk["P"], v[idx])
+                g = self._convection(blk, ua[idx], ub[idx])
+                acc += np.sum(g.reshape(w.shape) * w)
         return float(acc)
 
     def residual(self, x: np.ndarray, with_convection: bool = True) -> np.ndarray:
@@ -630,16 +653,18 @@ class NavierStokesSolver:
         Rm = R[:self.n_u]
         Rq = R[self.n_u:self.n_u + self.n_p]
         for grp in self.groups:
-            blk = grp.blocks
-            iu, ip = blk["idxu"], blk["idxp"]
-            U = u[iu]
-            row = _mv(blk["visc"], U) + _mv(blk["B"], p[ip])
-            if with_convection:
-                g = self._convection(blk, U, U).reshape(len(U), -1)
-                row += _mv(blk["P"].transpose(0, 2, 1), g)
-            Rm += np.bincount(iu.ravel(), row.ravel(), minlength=self.n_u)
-            Rq -= np.bincount(ip.ravel(), _mv(blk["B"].transpose(0, 2, 1),
-                                              U).ravel(), minlength=self.n_p)
+            iu, ip = grp.tables["idxu"], grp.tables["idxp"]
+            mom, mass = np.empty(iu.shape), np.empty(ip.shape)
+            for sl, at in grp.chunks:
+                blk = grp.blocks(sl, at)
+                U = u[blk["idxu"]]
+                mom[sl] = _mv(blk["visc"], U) + _mv(blk["B"], p[blk["idxp"]])
+                if with_convection:
+                    g = self._convection(blk, U, U).reshape(len(U), -1)
+                    mom[sl] += _mv(blk["P"].transpose(0, 2, 1), g)
+                mass[sl] = _mv(blk["B"].transpose(0, 2, 1), U)
+            Rm += np.bincount(iu.ravel(), mom.ravel(), minlength=self.n_u)
+            Rq -= np.bincount(ip.ravel(), mass.ravel(), minlength=self.n_p)
         Rm -= self.rhs_mom
         Rq += self.flux_vec
         if self.use_multiplier:
@@ -651,11 +676,10 @@ class NavierStokesSolver:
         return float(np.linalg.norm(R[self.free]))
 
     # -- Newton step with static condensation ------------------------------------
-    def _cell_matrices(self, grp, u, with_convection, shift):
-        """Local Newton matrices of a group's cells: (G, nloc, nloc) over
+    def _cell_matrices(self, blk, u, with_convection, shift):
+        """Local Newton matrices of a chunk's cells: (G, nloc, nloc) over
         (u, p, multiplier) unknowns."""
-        blk = grp.blocks
-        G, nloc = grp.gx.shape
+        G, nloc = blk["gx"].shape
         nu_loc = blk["idxu"].shape[1]
         p_loc = slice(nu_loc, nu_loc + blk["idxp"].shape[1])
         K = np.zeros((G, nloc, nloc))
@@ -675,33 +699,42 @@ class NavierStokesSolver:
 
         Returns the condensed matrix on the fixed pattern, its right-hand
         side, and per group the interior solution operator
-        X = KII^{-1} [KIG | rI] that the back-substitution needs.  The
-        stacked local matrices die here, before the factorisation."""
+        X = KII^{-1} [KIG | rI] that the back-substitution needs.  Each
+        chunk's local matrices die within its turn of the loop, once its
+        Schur complements are added into the matrix entries."""
         u = x[:self.n_u]
         rhs = np.where(self.free, -R, 0.0)
         data = np.zeros(self._nnz + 1)
         back = []
         for grp in self.groups:
-            K = self._cell_matrices(grp, u, with_convection, shift)
             li, lr = grp.loc_int, grp.loc_ret
             if len(li):
-                KII = K[:, li[:, None], li]
-                KIx = np.concatenate([K[:, li[:, None], lr],
-                                      rhs[grp.gx[:, li]][..., None]], axis=2)
-                try:
-                    X = np.linalg.solve(KII, KIx)
-                except np.linalg.LinAlgError as exc:
-                    bad = grp.cells[np.argmin(np.linalg.matrix_rank(KII))]
-                    raise SolverError(
-                        f"singular cell-interior block of cell {bad} during "
-                        "static condensation") from exc
-                KGI = K[:, lr[:, None], li]
-                K = K[:, lr[:, None], lr] - KGI @ X[..., :-1]
-                rhs -= np.bincount(grp.gx[:, lr].ravel(),
-                                   _mv(KGI, X[..., -1]).ravel(),
-                                   minlength=self.n_x)
+                X = np.empty((len(grp.cells), len(li), len(lr) + 1))
+                corr = np.empty((len(grp.cells), len(lr)))
+            for sl, at in grp.chunks:
+                blk = grp.blocks(sl, at)
+                K = self._cell_matrices(blk, u, with_convection, shift)
+                if len(li):
+                    KII = K[:, li[:, None], li]
+                    KIx = np.concatenate([K[:, li[:, None], lr],
+                                          rhs[blk["gx"][:, li]][..., None]],
+                                         axis=2)
+                    try:
+                        X[sl] = np.linalg.solve(KII, KIx)
+                    except np.linalg.LinAlgError as exc:
+                        bad = grp.cells[sl][
+                            np.argmin(np.linalg.matrix_rank(KII))]
+                        raise SolverError(
+                            f"singular cell-interior block of cell {bad} "
+                            "during static condensation") from exc
+                    KGI = K[:, lr[:, None], li]
+                    K = K[:, lr[:, None], lr] - KGI @ X[sl, :, :-1]
+                    corr[sl] = _mv(KGI, X[sl, :, -1])
+                np.add.at(data, grp.slot[sl].ravel(), K.ravel())
+            if len(li):
+                rhs -= np.bincount(grp.tables["gx"][:, lr].ravel(),
+                                   corr.ravel(), minlength=self.n_x)
                 back.append((grp, X))
-            data += np.bincount(grp.slot, K.ravel(), minlength=self._nnz + 1)
         A = sp.csc_matrix((data[:-1], self._indices, self._indptr),
                           shape=(self.dim_condensed, self.dim_condensed))
         return A, rhs[self.cond_dofs], back
@@ -717,8 +750,10 @@ class NavierStokesSolver:
         delta[self.cond_dofs] = (self._linear or _FactorReuse()).solve(
             A, b, eta, self.residual_norm(R))
         for grp, X in back:
-            d_ret = delta[grp.gx[:, grp.loc_ret]]
-            delta[grp.gx[:, grp.loc_int]] = X[..., -1] - _mv(X[..., :-1], d_ret)
+            for sl, _ in grp.chunks:
+                gx = grp.tables["gx"][sl]
+                delta[gx[:, grp.loc_int]] = X[sl, :, -1] - _mv(
+                    X[sl, :, :-1], delta[gx[:, grp.loc_ret]])
         return delta
 
     # -- driver ---------------------------------------------------------------

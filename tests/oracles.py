@@ -423,11 +423,13 @@ def orientation_sign(mesh, cell_id: int, face_id: int) -> int:
 
 def solver_cells(s) -> list:
     """The blocks of each cell of the solver s, by cell id: dicts of views
-    into the stacks of its cell groups."""
+    into the stacks of its cell groups, read at the cell's row, and into
+    its per-cell tables."""
     cells = [None] * s.cx.mesh.n_cells
     for grp in s.groups:
-        for i, c in enumerate(grp.cells):
-            cells[c] = {name: a[i] for name, a in grp.blocks.items()}
+        for i, (c, r) in enumerate(zip(grp.cells, grp.row)):
+            cells[c] = {name: a[i] for name, a in grp.tables.items()}
+            cells[c].update((name, a[r]) for name, a in grp.stacks.items())
     return cells
 
 

@@ -3,6 +3,7 @@ the lifetime of the sparse factor reused within one solve() call, and the
 forcing terms that set how far each reused-factor step is solved."""
 
 import json
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -68,6 +69,88 @@ def test_kernels_match_per_cell_reference(mesh, k):
             tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(A))
             assert rel(s.newton_step(x, R, shift=shift),
                        oracles.newton_step(s, x, R, shift=shift)) <= tol
+
+
+def owned_block_bytes(s) -> int:
+    """Bytes of the float cell blocks (rank 3 and up) that the solver's
+    groups hold apart from the complex's stacks; a broadcast view counts
+    the memory under it once."""
+    theirs = [a for g in s.cx.cell_groups for a in vars(g).values()
+              if isinstance(a, np.ndarray)]
+    total = 0
+    for grp in s.groups:
+        for v in vars(grp).values():
+            for a in (v.values() if isinstance(v, dict) else [v]):
+                if (isinstance(a, np.ndarray) and a.dtype.kind == "f"
+                        and a.ndim >= 3
+                        and not any(np.may_share_memory(a, b) for b in theirs)):
+                    lo, hi = np.lib.array_utils.byte_bounds(a)
+                    total += hi - lo
+    return total
+
+
+def test_cell_blocks_are_held_once_per_row():
+    # the cubes of cubic n=4 and n=6 fall into the same four stack rows
+    solvers = [trig_solver(get_complex("cubic", n, 1))[1] for n in (4, 6)]
+    assert [[len(g.rep) for g in s.cx.cell_groups] for s in solvers] == [[4]] * 2
+    held = [owned_block_bytes(s) for s in solvers]
+    assert 0 < held[0] == held[1]
+
+
+def test_chunked_kernels_match_one_cell_chunks(monkeypatch):
+    # one cell per chunk: every chunk reads a single row, which the kernels
+    # broadcast, where the default chunks gather the rows of several cells
+    cx = get_complex("cubic", 4, 1)
+    _, s = trig_solver(cx)
+    assert len(s.groups[0].chunks) > 1
+    monkeypatch.setattr(solver_mod, "CHUNK_BYTES", 0)
+    _, one = trig_solver(cx)
+    assert len(one.groups[0].chunks) == len(one.groups[0].cells)
+    x = np.random.default_rng(2).standard_normal(s.n_x)
+    R = s.residual(x)
+    assert rel(one.residual(x), R) <= 1e-14
+    assert rel(one.newton_step(x, R, shift=0.5),
+               s.newton_step(x, R, shift=0.5)) <= 1e-12
+
+
+def test_condensation_memory_is_bounded(monkeypatch):
+    # the memory a Newton step takes beyond the arrays it returns or keeps
+    # (the matrix entries, the right-hand side and the interior solution
+    # operators) stays within the chunk budget as the mesh grows; the
+    # linear solve between condensation and back-substitution is not
+    # counted
+    solve = solver_mod._FactorReuse.solve
+    condense = NavierStokesSolver._condense
+    peaks, kept = [], []
+
+    def untraced_solve(self, A, b, eta, rnorm):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        x = solve(self, A, b, eta, rnorm)
+        tracemalloc.reset_peak()
+        return x
+
+    def noted_condense(self, *args):
+        A, b, back = condense(self, *args)
+        kept.append(A.data.nbytes + 8 + b.nbytes + 8 * self.n_x
+                    + sum(X.nbytes for _, X in back))
+        return A, b, back
+    monkeypatch.setattr(solver_mod._FactorReuse, "solve", untraced_solve)
+    monkeypatch.setattr(NavierStokesSolver, "_condense", noted_condense)
+    for n in (4, 6):
+        _, s = trig_solver(get_complex("cubic", n, 1))
+        x = s.initial_state() + np.random.default_rng(n).standard_normal(s.n_x)
+        R = s.residual(x)
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s.newton_step(x, R, shift=0.5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2   # condensation, then back-substitution
+        for peak in peaks:
+            assert peak - base - kept[-1] <= solver_mod.CHUNK_BYTES
 
 
 def test_trig_solve_matches_factoring_every_step():
