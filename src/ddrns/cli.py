@@ -30,8 +30,7 @@ from .operators import DdrComplex
 from .solutions import TrigSolution
 from .solver import (EmptyRegionError, NavierStokesSolver,
                      NonConvergenceError, ProblemSpec, SolverError,
-                     SolverOptions, natural_bc, pressflux_bc, essential_bc,
-                     load_config)
+                     SolverOptions, natural_bc, pressflux_bc, essential_bc)
 from .spaces import SpaceKind
 from . import verify
 
@@ -61,9 +60,11 @@ class RunConfig:
             raise ValueError("levels must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        for name, val in (("re", self.reynolds), ("tol", self.tol)):
-            if not np.isfinite(val) or val <= 0:
-                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ValueError("seed must be in [0, 2**32)")
+        if not np.isfinite(self.reynolds) or self.reynolds <= 0:
+            raise ValueError("re must be finite and positive")
+        SolverOptions(self.tol, self.max_iter)  # refuses a bad tol, max_iter
         if not np.isfinite(self.lam):
             raise ValueError("lambda must be finite")
         if self.bc not in ("natural", "essential", "pressflux"):
@@ -282,12 +283,12 @@ COMMANDS = {"convergence": cmd_convergence, "robustness": cmd_robustness,
 
 
 # every setting of a run by its config-file key, which is also its flag
-# name: the RunConfig field, the conversion from the file's value or the
-# flag's text, and the flag's help; the _FILE_ONLY keys have no flag
+# name: the RunConfig field, the conversion from the text of the file's
+# value or of the flag, and the flag's help; the _FILE_ONLY keys have no flag
 _CONFIG_KEYS = {
     "cmd": ("command", str, "one of: " + ", ".join(COMMANDS)),
     "mesh": ("mesh_family", str, "cubic | tet | file:<path>"),
-    "levels": ("levels", lambda v: [int(t) for t in str(v).split(",")],
+    "levels": ("levels", lambda v: [int(t) for t in v.split(",")],
                "comma-separated ascending subdivision counts"),
     "k": ("k", int, "polynomial degree"),
     "re": ("reynolds", float, "Reynolds number"),
@@ -314,10 +315,26 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+def read_config(path) -> list[tuple[str, str]]:
+    """The (key, text) pairs of a flat key=value file, in file order;
+    '#' comments and blank lines are skipped."""
+    pairs = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"bad config line (expected key=value): {raw!r}")
+            key, val = (t.strip() for t in line.split("=", 1))
+            pairs.append((key, val))
+    return pairs
+
+
 def config_from_args(args) -> RunConfig:
     """The settings of the config file, then those of the flags given, so
-    that a flag wins, each converted by _CONFIG_KEYS."""
-    settings = list(load_config(args.config).items()) if args.config else []
+    that a flag wins, each converted from its text by _CONFIG_KEYS."""
+    settings = read_config(args.config) if args.config else []
     settings += [(key, getattr(args, key)) for key in _CONFIG_KEYS
                  if key not in _FILE_ONLY and getattr(args, key) is not None]
     cfg = RunConfig(command="properties",

@@ -1244,28 +1244,3 @@ class DdrComplex:
         with the traces on the boundary."""
         return np.sum(self._member_norms(self._potential_pieces, s, group,
                                          members, x), axis=1)
-
-    def _cells_norm(self, pieces, s: float, v: DofVector, power) -> float:
-        """(The sum over the cell groups of power(the piece norms (m,
-        npieces) of their members) at the DoFs of a CURL vector v)^{1/s}."""
-        cl = self.layouts[SpaceKind.CURL]
-        return float(sum(power(self._member_norms(
-            pieces, s, g, np.arange(len(g.ids)),
-            v.values[cl.cell_table(g.ids)]))
-            for g in self.cell_groups) ** (1.0 / s))
-
-    def ls_curl_norm(self, s: float, v: DofVector) -> float:
-        """L^s-like norm on the curl space: cellwise potential plus h-weighted
-        trace mismatches, all to the power s, summed and rooted."""
-        return self._cells_norm(self._potential_pieces, s, v,
-                                lambda n: np.sum(n ** s))
-
-    def component_norm(self, s: float, v: DofVector) -> float:
-        """Global component L^s norm on the curl space."""
-        return self._cells_norm(self._component_pieces, s, v,
-                                lambda n: np.sum(np.sum(n, axis=1) ** s))
-
-    def potential_norm(self, s: float, v: DofVector) -> float:
-        """Global potential-based L^s norm on the curl space."""
-        return self._cells_norm(self._potential_pieces, s, v,
-                                lambda n: np.sum(np.sum(n, axis=1) ** s))

@@ -68,10 +68,6 @@ class QuadratureRule:
     exactness_degree: int
     n_simplices: int = 1
 
-    @property
-    def n_points(self) -> int:
-        return self.weights.shape[-1]
-
     def __getitem__(self, i) -> "QuadratureRule":
         """The rule of member i of a stack."""
         return QuadratureRule(self.points[i], self.weights[i],

@@ -191,7 +191,6 @@ CHUNK_BYTES = 6 << 20
 class SolverOptions:
     tol: float = 1e-9
     max_iter: int = 50      # Newton steps after the Stokes start
-    condense: bool = True
 
     def __post_init__(self):
         # a NaN tolerance would pass every residual test
@@ -517,9 +516,8 @@ class NavierStokesSolver:
             gx = np.hstack([idxu, self.n_u + idxp,
                             np.full((len(ids), nmu), self.n_x - 1)])
             interior = grp.interior
-            loc_int = (np.concatenate([interior[SpaceKind.CURL],
-                                       grp.n_curl + interior[SpaceKind.GRAD]])
-                       if self.opts.condense else np.zeros(0, dtype=int))
+            loc_int = np.concatenate([interior[SpaceKind.CURL],
+                                      grp.n_curl + interior[SpaceKind.GRAD]])
             loc_ret = np.setdiff1d(np.arange(gx.shape[1]), loc_int)
             step = max(1, CHUNK_BYTES // (6 * 8 * gx.shape[1] ** 2))
             cuts = [slice(i, i + step) for i in range(0, len(ids), step)]
@@ -820,24 +818,3 @@ class NavierStokesSolver:
         diag.converged = True
         return x
 
-
-def load_config(path) -> dict:
-    """Flat key=value solver configuration; '#' comments, blank lines ok."""
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line (expected key=value): {raw!r}")
-            key, val = (t.strip() for t in line.split("=", 1))
-            for conv in (int, float):
-                try:
-                    out[key] = conv(val)
-                    break
-                except ValueError:
-                    continue
-            else:
-                out[key] = val
-    return out

@@ -239,30 +239,6 @@ def estimate_sobolev_lower_bound(cx: DdrComplex, samples: int = 12,
     return float(best)
 
 
-@dataclass
-class ExactnessReport:
-    rank_gradient: int
-    nullity_curl: int
-    dim_curl_space: int
-
-    @property
-    def exact(self) -> bool:
-        return self.rank_gradient == self.nullity_curl
-
-
-def check_exactness(cx: DdrComplex) -> ExactnessReport:
-    """Numerical rank bookkeeping: on trivial topology the kernel of the
-    discrete curl is the image of the discrete gradient."""
-    n = _capped_dim(cx, SpaceKind.CURL)
-    G = _dense(cx.gradient_matrix())
-    C = _dense(cx.curl_matrix())
-    sg = np.linalg.svd(G, compute_uv=False)
-    rank_g = int(np.sum(sg > 1e-10 * sg[0]))
-    sc = np.linalg.svd(C, compute_uv=False)
-    rank_c = int(np.sum(sc > 1e-10 * sc[0]))
-    return ExactnessReport(rank_g, n - rank_c, n)
-
-
 def constants_report(cx: DdrComplex, exact=None, nu: float = 1.0,
                      seed: int = 0) -> ConstantsReport:
     cp = estimate_poincare(cx)

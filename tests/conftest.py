@@ -31,6 +31,14 @@ def _release_complexes():
     _COMPLEX_CACHE.clear()
 
 
+def assert_close(a, b, rtol=1e-13):
+    """a and b have one shape and max |a - b| <= rtol max |b|."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    if b.size:
+        assert np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(b)), 1e-300)
+
+
 def random_tet_mesh(seed: int = 7):
     """Single well-shaped random tetrahedron."""
     rng = np.random.default_rng(seed)

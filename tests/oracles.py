@@ -30,6 +30,7 @@ point test, and the per-cell blocks of a solver.
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from types import SimpleNamespace
 
@@ -38,6 +39,7 @@ import numpy as np
 from ddrns import mesh as msh
 from ddrns import polyspaces as ps
 from ddrns import quadrature as quad
+from ddrns import verify
 from ddrns.operators import EntityView, _Chart, _triple_moments
 from ddrns.quadrature import cell_rule, face_rule
 from ddrns.spaces import DofVector, SpaceKind
@@ -81,12 +83,6 @@ def simplex_moments(verts: np.ndarray, degree: int) -> np.ndarray:
     scale = (math.factorial(d) * meas * np.prod(fact[p], axis=0)
              / fact[total + d])
     return np.where(total <= degree, scale * series, 0.0)
-
-
-def monomial_over_simplex(verts: np.ndarray, powers) -> float:
-    """Exact integral of prod_j x_j^powers[j] over the simplex with the given
-    vertices ((d+1, 3) array), by :func:`simplex_moments`."""
-    return float(simplex_moments(verts, int(sum(powers)))[tuple(powers)])
 
 
 def _edge_simplices(mesh, eid):
@@ -372,6 +368,45 @@ def member_norm(norms, view, s, v) -> float:
     return float(norms(s, view.group, [view.index], v[None])[0])
 
 
+def _cells_norm(cx, norms, s: float, v: DofVector) -> float:
+    """(The sum over the cell groups of every entry of norms(s, group,
+    members, x) ** s, at the local DoFs x of a CURL vector v)^{1/s}."""
+    cl = cx.layouts[SpaceKind.CURL]
+    return float(sum(np.sum(norms(s, g, np.arange(len(g.ids)),
+                                  v.values[cl.cell_table(g.ids)]) ** s)
+                     for g in cx.cell_groups) ** (1.0 / s))
+
+
+def ls_curl_norm(cx, s: float, v: DofVector) -> float:
+    """L^s-like norm on the curl space: cellwise potential plus h-weighted
+    trace mismatches, all to the power s, summed and rooted."""
+    return _cells_norm(cx, partial(cx._member_norms, cx._potential_pieces),
+                       s, v)
+
+
+def component_norm(cx, s: float, v: DofVector) -> float:
+    """Global component L^s norm on the curl space."""
+    return _cells_norm(cx, cx.component_norms, s, v)
+
+
+def potential_norm(cx, s: float, v: DofVector) -> float:
+    """Global potential-based L^s norm on the curl space."""
+    return _cells_norm(cx, cx.potential_norms, s, v)
+
+
+def check_exactness(cx) -> SimpleNamespace:
+    """Numerical rank bookkeeping: on trivial topology the kernel of the
+    discrete curl is the image of the discrete gradient, so rank_gradient
+    equals nullity_curl (exact).  The dense SVDs are refused above
+    verify.DENSE_CAP."""
+    n = verify._capped_dim(cx, SpaceKind.CURL)
+    rank_g, rank_c = (
+        int(np.linalg.matrix_rank(verify._dense(mat), rtol=1e-10))
+        for mat in (cx.gradient_matrix(), cx.curl_matrix()))
+    return SimpleNamespace(rank_gradient=rank_g, nullity_curl=n - rank_c,
+                           dim_curl_space=n, exact=rank_g == n - rank_c)
+
+
 def rule_for(mesh, kind: str, index: int, degree: int):
     """Quadrature rule on one mesh entity, exact to the given total degree."""
     if degree < 0:
@@ -503,18 +538,20 @@ def cell_jacobian(s, cell, ul, with_convection):
     return J
 
 
-def newton_step(s, x, R, with_convection=True, shift=0.0, eta=0.0):
+def newton_step(s, x, R, with_convection=True, shift=0.0, eta=0.0,
+                condense=True):
     """Solve (J + shift M_curl) delta = -R cell by cell: each cell's interior
     block is eliminated by its Schur complement, the condensed system is
-    factored afresh, and the interior values are back-substituted.  Every
-    step is solved exactly, whatever its forcing term eta."""
+    factored afresh, and the interior values are back-substituted; with
+    condense=False the full system of the free unknowns is factored
+    instead.  Every step is solved exactly, whatever its forcing term
+    eta."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     u, p, mu = s.split(x)
     free = s.free
     nmu = 1 if s.use_multiplier else 0
-    condense = s.opts.condense
     interior = np.zeros(s.n_x, dtype=bool)
     int_loc = []
     cells = solver_cells(s)
@@ -1527,7 +1564,7 @@ def _own_field(ctx, v, slices):
     """The R^{k-1} (+) Rc^{ell+1} field, at the rule points of a reference
     face or cell, whose two coefficient blocks are v[slices[0]] and
     v[slices[1]]."""
-    comp = np.zeros((ctx.rule.n_points, ctx.geom.dim))
+    comp = np.zeros((ctx.rule.weights.shape[-1], ctx.geom.dim))
     for key, sl in zip((("R", ctx.k - 1), ("Rc", ctx.ell + 1)), slices):
         if ctx.sub[key].dim:
             comp += np.einsum("pbc,b->pc", ctx.sub[key].eval(ctx.rule.points),

@@ -236,7 +236,7 @@ def test_criterion_7_energy_and_apriori(trig_runs):
 def test_criterion_8_exactness(k):
     defects = []
     for family, n in MESH_SET:
-        rep = verify.check_exactness(get_complex(family, n, k))
+        rep = oracles.check_exactness(get_complex(family, n, k))
         defects.append(rep.rank_gradient - rep.nullity_curl)
     report(f"8 [exactness bookkeeping, k={k}]", all(d == 0 for d in defects),
            f"rank uG - dim ker uC = {defects} on cubic n=1,2 and tet n=1")

@@ -17,8 +17,8 @@ from conftest import (cube_pyramid_mesh, get_complex, get_mesh,
 from ddrns import solver as solver_mod
 from ddrns.operators import DdrComplex
 from ddrns.solutions import TrigSolution
-from ddrns.solver import (NavierStokesSolver, ProblemSpec, SolverOptions,
-                          natural_bc, pressflux_bc)
+from ddrns.solver import (NavierStokesSolver, ProblemSpec, natural_bc,
+                          pressflux_bc)
 
 MESHES = {"pentagon_prism": pentagon_prism_mesh, "random_hex": random_hex_mesh,
           "kuhn1": lambda: get_mesh("tet", 1),
@@ -30,45 +30,46 @@ def rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def trig_solver(cx, condense=True):
+def trig_solver(cx):
     sol = TrigSolution()
     spec = ProblemSpec(nu=1.0, forcing=sol.forcing, regions=natural_bc())
-    return sol, NavierStokesSolver(cx, spec, SolverOptions(condense=condense))
+    return sol, NavierStokesSolver(cx, spec)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("mesh", list(MESHES))
 def test_kernels_match_per_cell_reference(mesh, k):
     cx = DdrComplex(MESHES[mesh](), k)
+    sol, s = trig_solver(cx)
     if mesh == "cube_pyramid":
-        assert len(trig_solver(cx)[1].groups) == 2
+        assert len(s.groups) == 2
     rng = np.random.default_rng(k)
-    for condense in (True, False):
-        sol, s = trig_solver(cx, condense)
-        x = rng.standard_normal(s.n_x)
-        for conv in (True, False):
-            assert rel(s.residual(x, conv),
-                       oracles.residual(s, x, conv)) <= 1e-12
-        ua, ub, v = (rng.standard_normal(s.n_u) for _ in range(3))
-        ref = oracles.trilinear(s, ua, ub, v)
-        assert abs(s.trilinear(ua, ub, v) - ref) <= 1e-12 * abs(ref)
-        u = x[:s.n_u]
-        for cell in oracles.solver_cells(s):
-            ul = u[cell["idxu"]]
-            assert rel(oracles.kernel_jacobian(s, cell, ul, True),
-                       oracles.cell_jacobian(s, cell, ul, True)) <= 1e-12
-        # one Newton step at the interpolate of the exact solution
-        x = s.initial_state()
-        x[:s.n_u] = cx.interpolate_curl(sol.velocity).values
-        x[s.n_u:s.n_u + s.n_p] = cx.interpolate_grad(sol.pressure).values
-        R = s.residual(x)
-        for shift in (0.0, 0.5):
-            # a step is a linear solve: rounding in the summation order of
-            # its matrix is amplified by the condition number
-            A = s._condense(x, R, True, shift)[0].toarray()
-            tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(A))
-            assert rel(s.newton_step(x, R, shift=shift),
-                       oracles.newton_step(s, x, R, shift=shift)) <= tol
+    x = rng.standard_normal(s.n_x)
+    for conv in (True, False):
+        assert rel(s.residual(x, conv), oracles.residual(s, x, conv)) <= 1e-12
+    ua, ub, v = (rng.standard_normal(s.n_u) for _ in range(3))
+    ref = oracles.trilinear(s, ua, ub, v)
+    assert abs(s.trilinear(ua, ub, v) - ref) <= 1e-12 * abs(ref)
+    u = x[:s.n_u]
+    for cell in oracles.solver_cells(s):
+        ul = u[cell["idxu"]]
+        assert rel(oracles.kernel_jacobian(s, cell, ul, True),
+                   oracles.cell_jacobian(s, cell, ul, True)) <= 1e-12
+    # one Newton step at the interpolate of the exact solution, against the
+    # per-cell reference with and without static condensation
+    x = s.initial_state()
+    x[:s.n_u] = cx.interpolate_curl(sol.velocity).values
+    x[s.n_u:s.n_u + s.n_p] = cx.interpolate_grad(sol.pressure).values
+    R = s.residual(x)
+    for shift in (0.0, 0.5):
+        # a step is a linear solve: rounding in the summation order of
+        # its matrix is amplified by the condition number
+        A = s._condense(x, R, True, shift)[0].toarray()
+        tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(A))
+        step = s.newton_step(x, R, shift=shift)
+        for condense in (True, False):
+            assert rel(step, oracles.newton_step(
+                s, x, R, shift=shift, condense=condense)) <= tol, condense
 
 
 def owned_block_bytes(s) -> int:
@@ -179,6 +180,12 @@ class _Factor:
         return self.lu.solve(b)
 
 
+def pressflux_solver(k):
+    cx = get_complex("cubic", 4, k)
+    spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=pressflux_bc())
+    return NavierStokesSolver(cx, spec)
+
+
 @pytest.fixture
 def factors(monkeypatch):
     """Weak references to every factor made; each factorisation first
@@ -224,9 +231,7 @@ def test_factor_reused_within_and_released_after_solve(factors, steps):
 
 def test_pressflux_takes_refactor_path(factors):
     # Re=100 on cubic n=4, k=0: a reused factor fails GMRES at least once
-    cx = get_complex("cubic", 4, 0)
-    spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=pressflux_bc())
-    diag = NavierStokesSolver(cx, spec).solve().diagnostics
+    diag = pressflux_solver(0).solve().diagnostics
     assert diag.factorizations >= 2
     assert abs(diag.iterations - 9) <= 1   # 9 when every step was factored
     assert all(f() is None for f in factors)
@@ -240,12 +245,6 @@ def test_factor_released_when_newton_fails(factors):
     assert err.value.diagnostics.factorizations == 1
     assert s._linear is None
     assert all(f() is None for f in factors)
-
-
-def pressflux_solver(k):
-    cx = get_complex("cubic", 4, k)
-    spec = ProblemSpec(nu=0.01, forcing=ZERO_F, regions=pressflux_bc())
-    return NavierStokesSolver(cx, spec)
 
 
 @pytest.fixture

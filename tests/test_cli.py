@@ -1,3 +1,5 @@
+import pytest
+
 from ddrns import cli
 from ddrns import verify
 
@@ -80,6 +82,58 @@ def test_config_file_roundtrip(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 3\n")
     assert run_cli(["--config", str(bad), "--out", str(tmp_path)]) == 4
+
+
+def test_read_config(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("""# solver options
+k = 1
+mesh = cubic
+levels = 2,4
+re = 100
+lambda = 2.5
+bc = pressflux
+tol = 1e-8
+max_iter = 30
+""")
+    assert cli.read_config(path) == [
+        ("k", "1"), ("mesh", "cubic"), ("levels", "2,4"), ("re", "100"),
+        ("lambda", "2.5"), ("bc", "pressflux"), ("tol", "1e-8"),
+        ("max_iter", "30")]
+    cfg = cli.config_from_args(cli.make_parser().parse_args(["--config",
+                                                             str(path)]))
+    assert cfg == cli.RunConfig("properties", "cubic", [2, 4], k=1,
+                                reynolds=100.0, lam=2.5, bc="pressflux",
+                                tol=1e-8, max_iter=30)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("just words\n")
+    with pytest.raises(ValueError):
+        cli.read_config(bad)
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("k", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("max_iter", "3.9", "invalid literal for int() with base 10: '3.9'"),
+    ("seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("max_iter", "-1", "max_iter must be >= 0"),
+    ("seed", "-1", "seed must be in [0, 2**32)"),
+    ("seed", str(2 ** 32), "seed must be in [0, 2**32)")],
+    ids=["k=2.5", "max_iter=3.9", "seed=1.5", "max_iter=-1", "seed=-1",
+         "seed=2**32"])
+def test_bad_values_fail_at_validate_in_files_as_in_flags(tmp_path, capsys,
+                                                          key, value, error):
+    # a config-file value is converted and checked as the flag's text is:
+    # a value that a flag refuses is a configuration error in a file too,
+    # not an integer part run in its place or a failure inside the command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cmd = properties\nlevels = 1\n{key} = {value}\n")
+    runs = [["--config", str(cfg)]]
+    if key not in cli._FILE_ONLY:
+        runs.append(["--cmd", "properties", "--levels", "1", f"--{key}", value])
+    for args in runs:
+        assert run_cli(args + ["--out", str(tmp_path)]) == 4
+        assert error in capsys.readouterr().err
+    assert not (tmp_path / "run_properties.log").exists()
 
 
 def test_constants_command(tmp_path):

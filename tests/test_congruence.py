@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (jittered_kuhn_mesh, pentagon_prism_mesh, prism_mesh,
-                      random_hex_mesh)
+from conftest import (assert_close, jittered_kuhn_mesh, pentagon_prism_mesh,
+                      prism_mesh, random_hex_mesh)
 from ddrns import operators, verify
 from ddrns.mesh import build_mesh, generate_cubic_mesh, generate_tet_mesh
 from ddrns.operators import DdrComplex
@@ -51,15 +51,6 @@ def vector_field(pts):
     x, y, z = pts.T
     return np.stack([np.sin(y + 0.3 * z), x * z ** 2 - np.cos(x),
                      np.exp(0.5 * x) * y], axis=-1)
-
-
-def assert_close(a, b, rtol=RTOL):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    assert a.shape == b.shape
-    if b.size == 0:
-        return
-    scale = max(np.max(np.abs(b)), 1e-300)
-    assert np.max(np.abs(a - b)) <= rtol * scale
 
 
 def basis_free_values(cx: DdrComplex) -> dict:
@@ -105,12 +96,12 @@ def test_shared_complex_matches_from_scratch(family, n, k):
 
     got, want = basis_free_values(cx), basis_free_values(ref)
     for name in want:
-        assert_close(got[name], want[name])
+        assert_close(got[name], want[name], RTOL)
 
     errs, its = trig_solve(cx)
     ref_errs, ref_its = trig_solve(ref)
     assert its == ref_its
-    assert_close(errs, ref_errs)
+    assert_close(errs, ref_errs, RTOL)
 
 
 FACE_OPS = ("grad_mat", "trace_mat", "curl_mat", "ttrace_mat", "uG_face",
@@ -184,7 +175,7 @@ def test_cells_listing_faces_in_another_order():
     assert n_built(oracles.views(cx).cells, "pot_curl") < mesh.n_cells
     got, want = basis_free_values(cx), basis_free_values(from_scratch(cx))
     for name in want:
-        assert_close(got[name], want[name])
+        assert_close(got[name], want[name], RTOL)
 
 
 def test_cells_on_faces_of_split_classes_still_share(monkeypatch):
@@ -204,7 +195,7 @@ def test_cells_on_faces_of_split_classes_still_share(monkeypatch):
     assert n_built(cells, "pot_curl") == n_built(lower, "pot_curl")
     got, want = basis_free_values(cx), basis_free_values(from_scratch(cx))
     for name in want:
-        assert_close(got[name], want[name])
+        assert_close(got[name], want[name], RTOL)
 
 
 @pytest.mark.parametrize("make", [random_hex_mesh, pentagon_prism_mesh,
@@ -230,4 +221,4 @@ def test_prism_mesh_shares_only_translated_faces():
     assert shared == [[1, 2], [5, 6]]
     got, want = basis_free_values(cx), basis_free_values(from_scratch(cx))
     for name in want:
-        assert_close(got[name], want[name])
+        assert_close(got[name], want[name], RTOL)

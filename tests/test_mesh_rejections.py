@@ -55,14 +55,19 @@ def built(tables):
     return msh.build_mesh(*tables, validate=False)
 
 
+def assert_rejected(match, *tables):
+    """build_mesh refuses the tables with a MeshError that matches match."""
+    with pytest.raises(msh.MeshError, match=match):
+        msh.build_mesh(*tables)
+
+
 # ---------------------------------------------------------------------------
 # tables rejected before any geometry
 
 
 def test_coordinate_shape_rejected():
     coords, loops, cells = cube_tables()
-    with pytest.raises(msh.MeshError, match=r"shape \(nV, 3\)"):
-        msh.build_mesh(coords[:, :2], loops, cells)
+    assert_rejected(r"shape \(nV, 3\)", coords[:, :2], loops, cells)
 
 
 @pytest.mark.parametrize("bad", [8, 100, -1])
@@ -70,8 +75,7 @@ def test_vertex_id_out_of_range_rejected(bad):
     # -1 would index the last vertex; the loop must not be read that way
     coords, loops, cells = cube_tables()
     loops[3][1] = bad
-    with pytest.raises(msh.MeshError, match=f"face 3: vertex id {bad} out of range"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected(f"face 3: vertex id {bad} out of range", coords, loops, cells)
 
 
 def test_negative_vertex_id_rejected_on_a_coplanar_wrap():
@@ -79,50 +83,43 @@ def test_negative_vertex_id_rejected_on_a_coplanar_wrap():
     # the wrapped loop would be a sound triangle
     coords, loops, cells = cube_tables()
     loops.append([0, 1, -6])
-    with pytest.raises(msh.MeshError, match="face 6: vertex id -6 out of range"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("face 6: vertex id -6 out of range", coords, loops, cells)
 
 
 @pytest.mark.parametrize("bad", [6, -1])
 def test_face_id_out_of_range_rejected(bad):
     coords, loops, cells = cube_tables()
     cells[0][2] = bad
-    with pytest.raises(msh.MeshError, match=f"cell 0: face id {bad} out of range"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected(f"cell 0: face id {bad} out of range", coords, loops, cells)
 
 
 def test_short_loop_rejected():
     coords, loops, cells = cube_tables()
     loops[1] = loops[1][:2]
-    with pytest.raises(msh.MeshError, match="face 1: fewer than 3 vertices"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("face 1: fewer than 3 vertices", coords, loops, cells)
 
 
 def test_repeated_vertex_in_loop_rejected():
     coords, loops, cells = cube_tables()
     loops[2] = loops[2] + [loops[2][1]]
-    with pytest.raises(msh.MeshError, match="face 2: vertex .* repeated"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("face 2: vertex .* repeated", coords, loops, cells)
 
 
 def test_non_integer_ids_rejected():
     coords, loops, cells = cube_tables()
     loops[0][1] = 2.0
-    with pytest.raises(msh.MeshError, match="vertex ids must be integers"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("vertex ids must be integers", coords, loops, cells)
 
 
 def test_empty_cell_rejected():
     coords, loops, cells = cube_tables()
-    with pytest.raises(msh.MeshError, match="cell 1: no faces"):
-        msh.build_mesh(coords, loops, cells + [[]])
+    assert_rejected("cell 1: no faces", coords, loops, cells + [[]])
 
 
 def test_repeated_face_in_cell_rejected():
     coords, loops, cells = cube_tables()
     cells[0].append(cells[0][3])
-    with pytest.raises(msh.MeshError, match="cell 0: face 3 repeated"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("cell 0: face 3 repeated", coords, loops, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +129,19 @@ def test_repeated_face_in_cell_rejected():
 def test_non_finite_coordinates_rejected():
     coords, loops, cells = cube_tables()
     coords[5, 1] = np.nan
-    with pytest.raises(msh.MeshError, match="non-finite"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("non-finite", coords, loops, cells)
 
 
 def test_zero_length_edge_rejected():
     coords, loops, cells = cube_tables()
     coords[1] = coords[0]
-    with pytest.raises(msh.MeshError, match="zero-length edge"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("zero-length edge", coords, loops, cells)
 
 
 def test_zero_newell_normal_rejected():
     # face 0 runs along one straight line
     tables = tet_tables([[0, 0, 0], [1, 1, 0], [3, 3, 0], [0, 0, 1]])
-    with pytest.raises(msh.MeshError, match="zero Newell normal"):
-        msh.build_mesh(*tables)
+    assert_rejected("zero Newell normal", *tables)
 
 
 def test_non_positive_area_rejected():
@@ -155,8 +149,7 @@ def test_non_positive_area_rejected():
     # its Newell normal nonzero, and the fan area against that normal is <= 0
     p0, d = np.array([0.1, 0.2, 0.3]), np.array([0.1, 1.0, 0.3])
     tables = tet_tables([p0, p0 + d, p0 + 3 * d, [1, 0, 0]])
-    with pytest.raises(msh.MeshError, match="non-positive face area"):
-        msh.build_mesh(*tables)
+    assert_rejected("non-positive face area", *tables)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +159,7 @@ def test_non_positive_area_rejected():
 def test_open_cell_boundary_rejected():
     coords, loops, cells = cube_tables()
     cells[0] = cells[0][:-1]
-    with pytest.raises(msh.MeshError, match="boundary not closed"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("boundary not closed", coords, loops, cells)
 
 
 def test_non_orientable_cell_boundary_rejected():
@@ -177,8 +169,7 @@ def test_non_orientable_cell_boundary_rejected():
     coords = rng.uniform(-1, 1, size=(6, 3))
     loops = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1],
              [1, 2, 4], [2, 3, 5], [3, 4, 1], [4, 5, 2], [5, 1, 3]]
-    with pytest.raises(msh.MeshError, match="non-orientable"):
-        msh.build_mesh(coords, loops, [list(range(10))])
+    assert_rejected("non-orientable", coords, loops, [list(range(10))])
 
 
 def test_disconnected_cell_boundary_rejected():
@@ -186,28 +177,24 @@ def test_disconnected_cell_boundary_rejected():
     coords, loops, _ = tet_tables([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     coords = np.vstack([coords, coords + 5.0])
     loops = loops + [[v + 4 for v in loop] for loop in loops]
-    with pytest.raises(msh.MeshError, match="boundary not connected"):
-        msh.build_mesh(coords, loops, [list(range(8))])
+    assert_rejected("boundary not connected", coords, loops, [list(range(8))])
 
 
 def test_zero_volume_cell_rejected():
     # a triangle and its reverse close up a flat cell
     coords = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    with pytest.raises(msh.MeshError, match="non-positive volume"):
-        msh.build_mesh(coords, [[0, 1, 2], [0, 2, 1]], [[0, 1]])
+    assert_rejected("non-positive volume", coords, [[0, 1, 2], [0, 2, 1]], [[0, 1]])
 
 
 def test_face_on_no_cell_rejected():
     coords, loops, cells = cube_tables()
     loops.append([0, 1, 3])
-    with pytest.raises(msh.MeshError, match="face 6 not on the boundary of any cell"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("face 6 not on the boundary of any cell", coords, loops, cells)
 
 
 def test_face_on_three_cells_rejected():
     coords, loops, cells = cube_tables()
-    with pytest.raises(msh.MeshError, match="face 0 incident to 3 cells"):
-        msh.build_mesh(coords, loops, cells * 3)
+    assert_rejected("face 0 incident to 3 cells", coords, loops, cells * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +204,7 @@ def test_face_on_three_cells_rejected():
 def test_coplanarity_rejected():
     coords, loops, cells = cube_tables()
     coords[7, 2] += 0.1
-    with pytest.raises(msh.MeshError, match="not coplanar"):
-        msh.build_mesh(coords, loops, cells)
+    assert_rejected("not coplanar", coords, loops, cells)
 
 
 def test_non_unit_tangent_rejected():
@@ -229,8 +215,7 @@ def test_non_unit_tangent_rejected():
 
 
 def test_face_anchor_outside_rejected():
-    with pytest.raises(msh.MeshError, match=r"face 0: anchor not strictly inside"):
-        msh.build_mesh(*prism_tables(L_OUTLINE))
+    assert_rejected(r"face 0: anchor not strictly inside", *prism_tables(L_OUTLINE))
 
 
 def test_face_closure_rejected():
@@ -265,15 +250,13 @@ def test_boundary_not_a_two_cycle_rejected():
 
 def test_cell_anchor_outside_rejected():
     tables = prism_tables(L_SPLIT_OUTLINE, bottoms=L_SPLIT_CAPS)
-    with pytest.raises(msh.MeshError, match=r"cell 0: anchor not strictly inside"):
-        msh.build_mesh(*tables)
+    assert_rejected(r"cell 0: anchor not strictly inside", *tables)
 
 
 def test_orientation_point_test_rejected():
     # a slab thinner than the 1e-6 h_T displacement of the point test
     tables = prism_tables([(0, 0), (1, 0), (1, 1), (0, 1)], height=1e-8)
-    with pytest.raises(msh.MeshError, match="omega_TF point test failed"):
-        msh.build_mesh(*tables)
+    assert_rejected("omega_TF point test failed", *tables)
 
 
 def test_face_wider_than_cell_rejected():
@@ -287,8 +270,7 @@ def test_interior_face_sign_parity_rejected():
     # the same cube twice: each copy is a sound cell, but every face is then
     # interior with the same omega_TF on both sides
     coords, loops, cells = cube_tables()
-    with pytest.raises(msh.MeshError, match="interior face 0: incident cells do not"):
-        msh.build_mesh(coords, loops, cells * 2)
+    assert_rejected("interior face 0: incident cells do not", coords, loops, cells * 2)
 
 
 def test_flipped_stored_sign_rejected_by_validation():

@@ -117,7 +117,7 @@ def test_pentagon_face_subspaces():
 def test_projection_constant_and_idempotence(cube_cell):
     _, geom, rule = cube_cell
     b0 = oracles.scalar_basis(geom, 0, rule)
-    coef = oracles.project_scalar(b0, rule, np.ones(rule.n_points))
+    coef = oracles.project_scalar(b0, rule, np.ones(rule.weights.shape[-1]))
     recon = b0.eval(rule.points) @ coef
     assert np.abs(recon - 1.0).max() < 1e-13
 
@@ -151,7 +151,7 @@ def test_projector_contraction(cube_cell):
     b2 = oracles.scalar_basis(geom, 2, rule)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        vals = rng.standard_normal(rule.n_points)
+        vals = rng.standard_normal(rule.weights.shape[-1])
         coef = oracles.project_scalar(b2, rule, vals)
         norm_proj = np.linalg.norm(coef)
         norm_f = np.sqrt(np.sum(rule.weights * vals**2))
@@ -169,8 +169,8 @@ def test_projection_linearity(alpha, beta):
     rule = quad.cell_rule(m, 0, 6)
     b = oracles.scalar_basis(geom, 2, rule)
     rng = np.random.default_rng(4)
-    f = rng.standard_normal(rule.n_points)
-    g = rng.standard_normal(rule.n_points)
+    f = rng.standard_normal(rule.weights.shape[-1])
+    g = rng.standard_normal(rule.weights.shape[-1])
     lhs = oracles.project_scalar(b, rule, alpha * f + beta * g)
     rhs = alpha * oracles.project_scalar(b, rule, f) + beta * oracles.project_scalar(b, rule, g)
     assert np.abs(lhs - rhs).max() < 1e-10 * (1 + abs(alpha) + abs(beta))

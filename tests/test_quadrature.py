@@ -93,8 +93,8 @@ def test_rules_take_the_fewest_points(degree):
                                (random_hex_mesh(), 24, 4)):
         cell = quad.cell_rule(mesh, 0, degree)
         face = quad.face_rule(mesh, 1, degree)
-        assert (cell.n_simplices, cell.n_points) == (cells, cells * n ** 3)
-        assert (face.n_simplices, face.n_points) == (faces, faces * n ** 2)
+        assert (cell.n_simplices, len(cell.weights)) == (cells, cells * n ** 3)
+        assert (face.n_simplices, len(face.weights)) == (faces, faces * n ** 2)
 
 
 def test_a_cube_and_a_frustum_take_their_own_rules():
@@ -102,8 +102,8 @@ def test_a_cube_and_a_frustum_take_their_own_rules():
     # tensor rule, the frustum its cone, in two cell groups of one rule size
     m = cube_frustum_mesh()
     cube, frustum = quad.cell_rule(m, 0, 4), quad.cell_rule(m, 1, 4)
-    assert (cube.n_simplices, cube.n_points) == (1, 27)
-    assert (frustum.n_simplices, frustum.n_points) == (24, 24 * 27)
+    assert (cube.n_simplices, len(cube.weights)) == (1, 27)
+    assert (frustum.n_simplices, len(frustum.weights)) == (24, 24 * 27)
     cx = DdrComplex(m, 0)
     assert len(cx.cell_groups) == 2
     assert cx.cells[0].group is not cx.cells[1].group

@@ -11,20 +11,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (get_mesh, jittered_kuhn_mesh, pentagon_prism_mesh,
-                      random_tet_mesh)
+from conftest import (assert_close, get_mesh, jittered_kuhn_mesh,
+                      pentagon_prism_mesh, random_tet_mesh)
 from ddrns import polyspaces as ps
 from ddrns.operators import DdrComplex, _triple_moments
 from ddrns.solutions import TrigSolution
 from ddrns.spaces import SpaceKind
 
 RNG_SEED = 20261018
-
-
-def assert_close(a, b, rtol=1e-13):
-    assert a.shape == b.shape
-    if b.size:
-        assert np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(b)), 1e-300)
 
 
 @pytest.mark.parametrize("ncomp", [2, 3])

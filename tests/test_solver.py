@@ -7,7 +7,7 @@ from ddrns.operators import DdrComplex
 from ddrns.solutions import TrigSolution
 from ddrns.solver import (BCRegion, EmptyRegionError, NavierStokesSolver,
                           NonConvergenceError, ProblemSpec, SolverError,
-                          SolverOptions, essential_bc, load_config, natural_bc,
+                          SolverOptions, essential_bc, natural_bc,
                           pressflux_bc)
 from ddrns.spaces import DofVector, SpaceKind
 from conftest import get_complex
@@ -177,17 +177,13 @@ def test_stokes_limit_single_linear_solve():
 
 
 def test_condensation_matches_full_solve():
-    sol = TrigSolution()
-    cx = get_complex("cubic", 1, 1)
-    spec = ProblemSpec(nu=1.0, forcing=sol.forcing, regions=natural_bc())
-    s_c = NavierStokesSolver(cx, spec, SolverOptions(condense=True))
-    s_f = NavierStokesSolver(cx, spec, SolverOptions(condense=False))
-    x = s_c.initial_state()
-    R = s_c.residual(x, with_convection=False)
-    d_c = s_c.newton_step(x, R, with_convection=False)
-    d_f = s_f.newton_step(x, R, with_convection=False)
+    _, _, s = make_solver("cubic", 1, 1)
+    x = s.initial_state()
+    R = s.residual(x, with_convection=False)
+    d_c = s.newton_step(x, R, with_convection=False)
+    d_f = oracles.newton_step(s, x, R, with_convection=False, condense=False)
     assert np.abs(d_c - d_f).max() < 1e-9 * (np.abs(d_f).max() + 1)
-    assert s_c.dim_condensed < s_f.dim_condensed
+    assert s.dim_condensed < int(s.free.sum())
 
 
 def test_manufactured_solve_converges_quickly():
@@ -212,10 +208,7 @@ def test_energy_identity_and_incompressibility():
 
 def test_jacobian_finite_difference_slope():
     # single-cell problem: directional FD error decays at first order in eps
-    sol = TrigSolution()
-    cx = get_complex("cubic", 1, 1)
-    spec = ProblemSpec(nu=1.0, forcing=sol.forcing, regions=natural_bc())
-    s = NavierStokesSolver(cx, spec)
+    _, _, s = make_solver("cubic", 1, 1)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(s.n_x)
     d = rng.standard_normal(s.n_x)
@@ -347,28 +340,6 @@ def test_invalid_problem_spec():
     for nu in (0.0, -1.0, float("nan"), np.inf):
         with pytest.raises(ValueError, match="viscosity"):
             ProblemSpec(nu=nu, forcing=ZERO_F)
-
-
-def test_load_config(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("""# solver options
-k = 1
-mesh = cubic
-levels = 2,4
-re = 100
-lambda = 2.5
-bc = pressflux
-tol = 1e-8
-max_iter = 30
-""")
-    cfg = load_config(path)
-    assert cfg == {"k": 1, "mesh": "cubic", "levels": "2,4", "re": 100,
-                   "lambda": 2.5, "bc": "pressflux", "tol": 1e-8,
-                   "max_iter": 30}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just words\n")
-    with pytest.raises(ValueError):
-        load_config(bad)
 
 
 def test_solve_on_general_polyhedra():

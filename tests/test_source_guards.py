@@ -1,11 +1,15 @@
 """Guards on the source of ddrns itself."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import ddrns
+from ddrns import cli
+from ddrns.solver import SolverOptions
 
 SRC = Path(ddrns.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_src_reads_the_mesh_arrays_not_entity_lists():
@@ -41,3 +45,22 @@ def test_error_names_are_spelled_once():
         assert len(re.findall(f"[\"']{re.escape(name)}", text)) == 1, name
         assert text.count(f'"{name}"') == 1, name
         assert f"{name}=" not in text, name
+
+
+def test_every_src_name_has_a_caller():
+    # a def or class of src/ddrns that src/, bench/ and scripts/ mention
+    # only at its definition serves the tests alone, which keep their own
+    # in tests/oracles.py; regularity_ratio waits for the run record
+    # (ROADMAP item 6)
+    text = "\n".join(path.read_text()
+                     for top in (SRC, REPO / "bench", REPO / "scripts")
+                     for path in sorted(top.rglob("*.py")))
+    defined = {name for path in SRC.glob("*.py") for name in
+               re.findall(r"^\s*(?:def|class)\s+(\w+)", path.read_text(),
+                          re.M)}
+    unused = {name for name in defined if not re.fullmatch("__.*__", name)
+              and len(re.findall(rf"\b{name}\b", text)) == 1}
+    assert unused == {"regularity_ratio"}, sorted(unused)
+    # and each solver option is a setting of a run
+    fields = {f.name for f in dataclasses.fields(SolverOptions)}
+    assert fields <= {attr for attr, _, _ in cli._CONFIG_KEYS.values()}
