@@ -817,4 +817,3 @@ class NavierStokesSolver:
             diag.residuals.append(rnorm)
         diag.converged = True
         return x
-

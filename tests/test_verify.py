@@ -6,9 +6,8 @@ from ddrns.operators import DdrComplex
 from ddrns.solutions import TrigSolution
 from ddrns.solver import NavierStokesSolver, ProblemSpec, natural_bc
 from ddrns.spaces import SpaceKind
-from conftest import get_complex, get_mesh
-
 import oracles
+from conftest import get_complex, get_mesh
 
 
 class PolyExact:
