@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures as cf
 import contextlib
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -317,11 +318,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 def read_config(path) -> list[tuple[str, str]]:
     """The (key, text) pairs of a flat key=value file, in file order;
-    '#' comments and blank lines are skipped."""
+    blank lines and comments, from a '#' that starts the line or follows
+    whitespace, are skipped ('file:runs#2/m.poly' keeps its '#')."""
     pairs = []
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -335,6 +337,9 @@ def config_from_args(args) -> RunConfig:
     """The settings of the config file, then those of the flags given, so
     that a flag wins, each converted from its text by _CONFIG_KEYS."""
     settings = read_config(args.config) if args.config else []
+    if {"re", "nu"} <= {key for key, _ in settings}:
+        raise ValueError("the config file sets both 're' and 'nu'; "
+                         "give one of them")
     settings += [(key, getattr(args, key)) for key in _CONFIG_KEYS
                  if key not in _FILE_ONLY and getattr(args, key) is not None]
     cfg = RunConfig(command="properties",

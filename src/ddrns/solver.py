@@ -178,6 +178,12 @@ GMRES_RESTART = 30
 GMRES_AIM = 0.01
 HOPELESS_AFTER = 10
 HOPELESS_WINDOW = 3
+# A factor is of D_r A D_c, the condensed matrix A with its momentum rows
+# divided by nu and its pressure and multiplier columns multiplied by nu (a
+# Stokes block at nu = 1, on the pattern of A).  Its columns are ordered by
+# minimum degree on A + A^T at k <= 1 up to MINIMUM_DEGREE_DIM unknowns, else
+# by COLAMD: beyond them minimum degree was slower on some meshes (README).
+MINIMUM_DEGREE_DIM = 6000
 # The cell kernels take a group's cells in chunks, so that no temporary
 # grows with the mesh and the heap memory of one chunk serves the next,
 # instead of fresh pages mapped and faulted in on every step.  A chunk holds
@@ -218,7 +224,8 @@ class NewtonDiagnostics:
     # whether it "factored", the "precision" of the factor that gave its
     # solution ("float32", or "float64" after a refactor), the
     # "refinement_sweeps" it made (one per GMRES cycle, plus those of a
-    # fresh factor's solve), and the "residual" |A x - b| / |R| it reached
+    # fresh factor's solve), and the "residual" |A x - b| / |R| it reached;
+    # one that factored names its "ordering" and the "nnz" of its factor
     linear_solves: list = field(default_factory=list)
 
 
@@ -330,9 +337,10 @@ class _FactorReuse:
     factored; a later one is solved by GMRES preconditioned with the last
     factor as far as its forcing term asks, else factored afresh.  A factor
     is float32 unless its system needed the float64 refactor; `A` is the
-    matrix it factors."""
+    matrix it stands for, of which the first m rows are momentum rows."""
 
-    def __init__(self):
+    def __init__(self, m, nu, splu_kw):
+        self.m, self.nu, self.splu_kw = m, nu, splu_kw
         self.lu = self.A = None
         self.dtype = np.float32   # of the factor held
         self.factorizations = 0
@@ -354,7 +362,8 @@ class _FactorReuse:
             for dtype in (np.float32, np.float64):
                 self.lu = None     # released before splu allocates the next
                 try:
-                    self.lu = spla.splu(A.astype(dtype, copy=False))
+                    self.lu = spla.splu(self._scaled(A, dtype),
+                                        **self.splu_kw)
                 except RuntimeError as exc:
                     if dtype == np.float32:
                         continue
@@ -370,16 +379,29 @@ class _FactorReuse:
             "eta": float(eta), "gmres_iterations": its, "factored": factored,
             "precision": np.dtype(self.dtype).name,
             "refinement_sweeps": sweeps,
-            "residual": float(achieved / rnorm) if rnorm else 0.0})
+            "residual": float(achieved / rnorm) if rnorm else 0.0,
+            **({"ordering": self.splu_kw.get("permc_spec", "COLAMD"),
+                "nnz": int(self.lu.nnz)} if factored else {})})
         return x
 
+    def _scaled(self, A, dtype):
+        """D_r A D_c in dtype, on the pattern of A, explicit zeros kept."""
+        F = A.astype(dtype)
+        F.data[F.indptr[self.m]:] *= self.nu
+        np.divide(F.data, self.nu, out=F.data, where=F.indices < self.m)
+        return F
+
     def _triangular(self, r):
-        """One solve with the factor, of r scaled to unit norm so that a
-        float32 factor neither under- nor overflows."""
+        """x = D_c solve(D_r r) with the factor, of r scaled to unit norm so
+        that a float32 factor neither under- nor overflows."""
         s = np.linalg.norm(r)
         if s == 0.0:
             return np.zeros_like(r)
-        return s * self.lu.solve((r / s).astype(self.dtype, copy=False))
+        v = r / s
+        v[:self.m] /= self.nu
+        x = s * self.lu.solve(v.astype(self.dtype, copy=False))
+        x[self.m:] *= self.nu
+        return x
 
     def _refined(self, b):
         """x from the factor, refined by float64 residuals while a sweep at
@@ -745,7 +767,7 @@ class NavierStokesSolver:
         a linear residual of at most eta |R| when a factor is reused."""
         A, b, back = self._condense(x, R, with_convection, shift)
         delta = np.zeros(self.n_x)
-        delta[self.cond_dofs] = (self._linear or _FactorReuse()).solve(
+        delta[self.cond_dofs] = (self._linear or self._factor_reuse()).solve(
             A, b, eta, self.residual_norm(R))
         for grp, X in back:
             for sl, _ in grp.chunks:
@@ -753,6 +775,14 @@ class NavierStokesSolver:
                 delta[gx[:, grp.loc_int]] = X[sl, :, -1] - _mv(
                     X[sl, :, :-1], delta[gx[:, grp.loc_ret]])
         return delta
+
+    def _factor_reuse(self) -> _FactorReuse:
+        """The linear solves of this solver (see MINIMUM_DEGREE_DIM)."""
+        return _FactorReuse(
+            int(np.searchsorted(self.cond_dofs, self.n_u)), self.spec.nu,
+            dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+            if self.cx.k <= 1 and self.dim_condensed <= MINIMUM_DEGREE_DIM
+            else {})
 
     # -- driver ---------------------------------------------------------------
     def solve(self) -> Solution:
@@ -766,7 +796,7 @@ class NavierStokesSolver:
                                  dim_condensed=self.dim_condensed,
                                  tolerance=self.opts.tol * scale)
 
-        self._linear = linear = _FactorReuse()
+        self._linear = linear = self._factor_reuse()
         try:
             x = self._newton(diag)
         finally:

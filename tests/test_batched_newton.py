@@ -173,6 +173,7 @@ class _Factor:
     def __init__(self, lu, log=None):
         self.lu = lu
         self.log = log
+        self.nnz = lu.nnz
 
     def solve(self, b):
         if self.log is not None:
@@ -193,9 +194,9 @@ def factors(monkeypatch):
     made = []
     splu = spla.splu
 
-    def watched_splu(A):
+    def watched_splu(A, **kw):
         assert all(f() is None for f in made), "old factor alive during splu"
-        f = _Factor(splu(A))
+        f = _Factor(splu(A, **kw))
         made.append(weakref.ref(f))
         return f
     monkeypatch.setattr(spla, "splu", watched_splu)
@@ -254,9 +255,9 @@ def events(monkeypatch):
     log = []
     splu, step = spla.splu, NavierStokesSolver.newton_step
 
-    def logged_splu(A):
+    def logged_splu(A, **kw):
         log.append("splu")
-        return _Factor(splu(A), log)
+        return _Factor(splu(A, **kw), log)
 
     def logged_step(self, *args, **kwargs):
         log.append("step")
@@ -330,6 +331,11 @@ def test_linear_solve_records(events):
         assert r["refinement_sweeps"] >= cycles + r["factored"]
         if not r["factored"]:
             assert r["refinement_sweeps"] == cycles
+            assert "ordering" not in r and "nnz" not in r
+        else:
+            # the ordering of k = 0 and the fill of the factor
+            assert r["ordering"] == "MMD_AT_PLUS_A"
+            assert type(r["nnz"]) is int and r["nnz"] > 0
     # each Newton step's forcing term from the residual history
     res, tol = diag.residuals, diag.tolerance
     floored = set()
@@ -341,6 +347,45 @@ def test_linear_solve_records(events):
         floored.add(floor > ew and floor < 0.1)
     assert floored == {True, False}   # the floor set some steps, not all
     assert diag.residuals[-1] <= tol
+
+
+@pytest.mark.parametrize("n, k, ordering", [
+    (4, 1, "MMD_AT_PLUS_A"),    # 1986 condensed unknowns
+    (2, 2, "COLAMD"),
+    (6, 1, "COLAMD"),           # 6014, above MINIMUM_DEGREE_DIM
+])
+def test_ordering_follows_the_degree_and_size(n, k, ordering):
+    _, s = trig_solver(get_complex("cubic", n, k))
+    assert (s.dim_condensed <= solver_mod.MINIMUM_DEGREE_DIM) == (n < 6)
+    kw = s._factor_reuse().splu_kw
+    assert kw.get("permc_spec", "COLAMD") == ordering
+
+
+def test_pressflux_k1_factor_fills_less():
+    # at nu = 0.01 the unscaled matrix under COLAMD filled 1.47 M, and
+    # unscaled under minimum degree 1.81 M; scaled under it, 0.75 M
+    diag = pressflux_solver(1).solve().diagnostics
+    factored = [r for r in diag.linear_solves if r["factored"]]
+    assert factored
+    assert all(r["nnz"] <= 0.9e6 for r in factored)
+
+
+def test_scaled_factor_solves_the_unscaled_system():
+    """The Stokes start of the pressure/flux problem at nu = 0.01: the
+    float32 factor of the nu-scaled matrix solves the unscaled one to
+    DIRECT_ACCURACY by its true residual, with no float64 refactor."""
+    s = pressflux_solver(1)
+    x = s.initial_state()
+    R = s.residual(x, with_convection=False)
+    A, b, _ = s._condense(x, R, False, 0.0)
+    linear = s._factor_reuse()
+    assert linear.nu == 0.01 and 0 < linear.m < A.shape[0]
+    y = linear.solve(A, b, 0.0, s.residual_norm(R))
+    rec, = linear.records
+    assert (rec["factored"], rec["precision"]) == (True, "float32")
+    assert linear.factorizations == 1
+    assert np.linalg.norm(A @ y - b) \
+        <= solver_mod.DIRECT_ACCURACY * np.linalg.norm(b)
 
 
 def test_step_missing_its_bound_is_refactored(monkeypatch):
@@ -401,11 +446,12 @@ def test_float32_factor_that_fails_is_refactored_in_float64(monkeypatch,
     made = []
     splu = spla.splu
 
-    def broken_splu(A):
+    def broken_splu(A, **kw):
         assert all(f() is None for _, f in made), "old factor alive during splu"
         if A.dtype == np.float32 and broken == "singular":
             raise RuntimeError("Factor is exactly singular")
-        f = (_DoubledFactor if A.dtype == np.float32 else _Factor)(splu(A))
+        f = (_DoubledFactor if A.dtype == np.float32 else _Factor)(
+            splu(A, **kw))
         made.append((A.dtype, weakref.ref(f)))
         return f
     monkeypatch.setattr(spla, "splu", broken_splu)

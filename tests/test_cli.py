@@ -111,6 +111,32 @@ max_iter = 30
         cli.read_config(bad)
 
 
+def test_hash_inside_a_value_is_kept(tmp_path):
+    # a '#' starts a comment only at the start of a line or after whitespace
+    path = tmp_path / "run.cfg"
+    path.write_text("#comment\nmesh = file:runs#2/m.poly  # trailing\n"
+                    "k = 1\t# after a tab\n  # indented comment\n")
+    assert cli.read_config(path) == [("mesh", "file:runs#2/m.poly"),
+                                     ("k", "1")]
+    cfg = cli.config_from_args(cli.make_parser().parse_args(["--config",
+                                                             str(path)]))
+    assert cfg.mesh_family == "file:runs#2/m.poly"
+
+
+def test_re_and_nu_in_one_config_file_is_config_error(tmp_path, capsys):
+    both = tmp_path / "both.cfg"
+    both.write_text("re = 100\nnu = 0.5\n")
+    assert run_cli(["--config", str(both), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "'re'" in err and "'nu'" in err
+    # a flag still overrides the file's value
+    one = tmp_path / "nu.cfg"
+    one.write_text("nu = 0.5\n")
+    cfg = cli.config_from_args(cli.make_parser().parse_args(
+        ["--config", str(one), "--re", "100"]))
+    assert cfg.reynolds == 100.0
+
+
 @pytest.mark.parametrize("key, value, error", [
     ("k", "2.5", "invalid literal for int() with base 10: '2.5'"),
     ("max_iter", "3.9", "invalid literal for int() with base 10: '3.9'"),
