@@ -16,8 +16,10 @@ it, whether a gain is shown (:func:`summarise`), and the traced per-layer
 figures.  A run that
 exits with an error is listed under ``crashed`` by seed and counted in
 ``failed`` for its side; its pair is left out of the metrics, and the
-other pairs are measured as usual.  It also records
-the line counts of ``src/`` and ``tests/`` on both sides.  Workloads
+other pairs are measured as usual.  It also records, for both sides, the
+commit and whether the checkout has uncommitted changes
+(:func:`tree_state`), and the line counts of ``src/`` and ``tests/``.
+Workloads
 already in an existing BENCH_<tag>.json are kept, so several invocations
 fill one file.
 
@@ -90,6 +92,19 @@ def calibrate(repeats: int = 5) -> dict:
         return round(min(times), 5)
     return {"matmul_600_s": best(lambda: A @ A),
             "splu_laplace3d_20_s": best(lambda: spla.splu(lap))}
+
+
+def tree_state(checkout: Path) -> dict:
+    """The commit checked out (``git rev-parse HEAD``) and whether the
+    work tree has uncommitted changes, each None outside a git work
+    tree."""
+    def git(*args):
+        out = subprocess.run(["git", *args], cwd=checkout,
+                             capture_output=True, text=True)
+        return None if out.returncode else out.stdout.strip()
+    status = git("status", "--porcelain")
+    return {"head": git("rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status)}
 
 
 def line_count(checkout: Path, pattern: str) -> int:
@@ -199,6 +214,7 @@ def main(argv=None) -> int:
         },
         "command": ("python3 bench/run.py --workload <w> --seed <n> "
                     f"--seconds {args.seconds:g} --trace <t>"),
+        "trees": {side: tree_state(c) for side, c in checkouts.items()},
         # tests_lines shows code moved into tests/ rather than deleted
         "src_lines": {side: line_count(c, "src/ddrns/*.py")
                       for side, c in checkouts.items()},

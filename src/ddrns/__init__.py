@@ -7,8 +7,7 @@ from .quadrature import QuadratureRule
 from .solutions import TrigSolution
 from .solver import (BCRegion, NavierStokesSolver, ProblemSpec, SolverOptions,
                      essential_bc, natural_bc, pressflux_bc)
-from .spaces import (DofLayout, DofVector, SpaceKind, boundary_subspace_mask,
-                     classify_boundary)
+from .spaces import DofLayout, DofVector, SpaceKind, boundary_subspace_mask
 
 __all__ = [
     "Mesh", "MeshError", "Poly3ParseError", "generate_cubic_mesh",
@@ -16,6 +15,6 @@ __all__ = [
     "QuadratureRule", "TrigSolution", "BCRegion",
     "NavierStokesSolver", "ProblemSpec", "SolverOptions", "essential_bc",
     "natural_bc", "pressflux_bc", "DofLayout", "DofVector", "SpaceKind",
-    "boundary_subspace_mask", "classify_boundary",
+    "boundary_subspace_mask",
 ]
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ properties    structural property suite (exit code 3 on failure)
 constants     discrete Poincare/continuity/Sobolev estimates + chi diagnostic
 
 Exit codes: 0 success, 2 solver failure, 3 property failure, 4 config error
-(a malformed flag, setting or mesh file included).
+(a malformed flag, setting or mesh file included, and a mesh cell that the
+bases or quadrature rules cannot handle).
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .mesh import (Mesh, MeshError, generate_cubic_mesh, generate_tet_mesh,
                    read_mesh)
 from .operators import DdrComplex
 from .solutions import TrigSolution
-from .solver import (EmptyRegionError, NavierStokesSolver,
-                     NonConvergenceError, ProblemSpec, SolverError,
-                     SolverOptions, natural_bc, pressflux_bc, essential_bc)
+from .polyspaces import BasisError
+from .quadrature import DegenerateSimplexError
+from .solver import (EmptyRegionError, NavierStokesSolver, ProblemSpec,
+                     SolverError, SolverOptions, natural_bc, pressflux_bc,
+                     essential_bc)
 from .spaces import SpaceKind
 from . import verify
 
@@ -157,7 +160,7 @@ def cmd_convergence(config: RunConfig, out: Path, log) -> int:
         f"k={config.k} Re={config.reynolds} lambda={config.lam}")
     try:
         (reports,) = _run_levels(config, [config.lam], log)
-    except (SolverError, NonConvergenceError) as exc:
+    except SolverError as exc:
         log(f"solver failure: {exc}")
         return 2
     path = out / f"convergence_{_csv_tag(config)}_k{config.k}.csv"
@@ -176,7 +179,7 @@ def cmd_robustness(config: RunConfig, out: Path, log) -> int:
     try:
         rep1, rep2 = _run_levels(config, [config.lam, 100.0 * config.lam],
                                  log)
-    except (SolverError, NonConvergenceError) as exc:
+    except SolverError as exc:
         log(f"solver failure: {exc}")
         return 2
     # the two velocity errors at lambda and 100 lambda, and their relative
@@ -214,7 +217,7 @@ def cmd_pressflux(config: RunConfig, out: Path, log) -> int:
                                                   max_iter=config.max_iter))
         try:
             result = solver.solve()
-        except (SolverError, NonConvergenceError) as exc:
+        except SolverError as exc:
             log(f"solver failure at n={n}: {exc}")
             return 2
         u, p = result.u, result.p
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
     try:
         rc = COMMANDS[cfg.command](cfg, out, log)
     except (verify.DimensionCapError, EmptyRegionError, MeshError,
-            OSError) as exc:
+            BasisError, DegenerateSimplexError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     (out / f"run_{cfg.command}.log").write_text("\n".join(log_lines) + "\n")

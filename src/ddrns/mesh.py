@@ -25,6 +25,9 @@ reference).  The face orientations of all cells come from one
 connected-components call (:func:`_orient`).  :func:`_validate` runs each
 check as one pass over all edges, faces or cells; the winding-number tests
 of a cell (its anchor and one point per face) take one kernel call.
+:func:`face_triangles` is the one triangulation of the faces: the
+winding-number tests orient its triangles by omega_TF, and the face and
+cell quadrature rules place their points on them.
 
 :class:`Mesh` keeps the arrays the build computes and no entity objects:
 each attribute is one array indexed by entity id (``face_anchor`` (nF, 3),
@@ -166,15 +169,6 @@ class Mesh:
 # batched geometry kernels
 
 
-def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product over the last axis: the products and differences of
-    np.cross, so the same bits, without its per-call axis handling."""
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0],
-                    axis=-1)
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     # np.vecdot runs the kernel of np.dot, so each row's norm carries the
     # bits of np.linalg.norm applied to that row alone
@@ -223,18 +217,26 @@ def _segments(loops: Ragged, fids) -> tuple[np.ndarray, np.ndarray]:
     return cur, nxt
 
 
-def _boundary_triangles(mesh: Mesh, fids, signs) -> np.ndarray:
-    """The oriented boundary of faces `fids` with signs `signs` as the fan
-    triangles (x_F, v_i, v_i+1), reversed on faces of negative sign."""
-    fids = np.asarray(fids, dtype=np.int64)
-    cur, nxt = (mesh.face_loops.values[i] for i in _segments(mesh.face_loops, fids))
-    seg_face = np.repeat(np.arange(len(fids)), mesh.face_loops.lengths[fids])
-    flip = np.asarray(signs)[seg_face] < 0
-    tris = np.empty((len(cur), 3, 3))
-    tris[:, 0] = mesh.face_anchor[fids][seg_face]
-    tris[:, 1] = mesh.vertex_coords[np.where(flip, nxt, cur)]
-    tris[:, 2] = mesh.vertex_coords[np.where(flip, cur, nxt)]
-    return tris
+def face_triangles(mesh: Mesh, face_ids):
+    """The triangles of faces face_ids, face by face: a triangle is itself
+    (v_0, v_1, v_2), a polygon the fan (x_F, v_i, v_i+1) of its segments.
+    Returns the corners (T, 3, 3) and, for each triangle, the position of
+    its face in face_ids and its segment (0 for a triangle)."""
+    face_ids = np.asarray(face_ids, dtype=np.int64)
+    n = mesh.face_loops.lengths[face_ids]
+    count = np.where(n == 3, 1, n)
+    face = np.repeat(np.arange(len(face_ids)), count)
+    segment = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+    start = np.cumsum(n) - n
+    loops = mesh.face_loops.concat(face_ids)
+    vertex = lambda j: mesh.vertex_coords[loops[start[face] + j % n[face]]]
+    tri = (n[face] == 3).astype(int)
+    corners = np.empty((len(face), 3, 3))
+    corners[:, 0] = np.where(tri[:, None], vertex(segment),
+                             mesh.face_anchor[face_ids[face]])
+    corners[:, 1] = vertex(segment + tri)
+    corners[:, 2] = vertex(segment + tri + 1)
+    return corners, face, segment
 
 
 def _winding_number(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -245,7 +247,7 @@ def _winding_number(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     a, b, c = (tris[..., None, :, i, :] - points[..., :, None, :]
                for i in range(3))
     la, lb, lc = _norm(a), _norm(b), _norm(c)
-    num = np.vecdot(a, cross3(b, c))
+    num = np.vecdot(a, np.cross(b, c))
     den = (la * lb * lc + np.vecdot(a, b) * lc + np.vecdot(b, c) * la
            + np.vecdot(a, c) * lb)
     return np.sum(2.0 * np.arctan2(num, den), axis=-1) / (4.0 * np.pi)
@@ -333,7 +335,7 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
     for n in np.unique(loop_len):
         fids = np.flatnonzero(loop_len == n)
         pts = vcoords[loops.rows(fids)]
-        nrm = np.sum(cross3(pts, np.roll(pts, -1, axis=1)), axis=1)
+        nrm = np.sum(np.cross(pts, np.roll(pts, -1, axis=1)), axis=1)
         size = _norm(nrm)
         if np.any(size == 0.0):
             raise MeshError(f"face {fids[np.argmax(size == 0.0)]}: degenerate face "
@@ -342,7 +344,7 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
         # fan from the first vertex, triangle by triangle
         p0, a_sum, c_sum = pts[:, 0], 0.0, 0.0
         for i in range(1, n - 1):
-            a = 0.5 * np.vecdot(cross3(pts[:, i] - p0, pts[:, i + 1] - p0), nrm)
+            a = 0.5 * np.vecdot(np.cross(pts[:, i] - p0, pts[:, i + 1] - p0), nrm)
             a_sum = a_sum + a
             c_sum = c_sum + a[:, None] * (p0 + pts[:, i] + pts[:, i + 1]) / 3.0
         if np.any(a_sum <= 0.0):
@@ -361,7 +363,7 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
         e1 = e1 - np.vecdot(e1, nrm)[:, None] * nrm
         e1 /= _norm(e1)[:, None]
         normal[fids], anchor[fids], area[fids], diam[fids] = nrm, centroid, a_sum, d
-        frame[fids] = np.stack([e1, cross3(nrm, e1)], axis=1)
+        frame[fids] = np.stack([e1, np.cross(nrm, e1)], axis=1)
 
     face_edges, face_signs = Ragged(seg_edge, loop_off), Ragged(seg_sign, loop_off)
     cells = _build_cells(vcoords, loops, face_edges, face_signs, normal, anchor,
@@ -379,7 +381,7 @@ def build_mesh(vertex_coords, face_loops, cell_faces, validate: bool = True) -> 
         inc_cell[order]
 
     mesh = Mesh(vcoords, ev, tangent, length, midpoint, loops, face_edges, face_signs,
-                Ragged(cross3(normal[seg_face], tangent[seg_edge]), loop_off),
+                Ragged(np.cross(normal[seg_face], tangent[seg_edge]), loop_off),
                 normal, anchor, diam, area, frame, face_cells, **cells)
     if validate:
         _validate(mesh)
@@ -465,7 +467,7 @@ def _build_cells(vcoords, loops: Ragged, face_edges: Ragged, face_signs: Ragged,
         pts = vcoords[loops.rows(fids)]
         for i in range(1, n - 1):
             tri = np.stack([pts[:, 0], pts[:, i], pts[:, i + 1]], axis=1)
-            a2 = cross3(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            a2 = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
             mids = 0.5 * (tri + np.roll(tri, -1, axis=1))
             tri_terms[tri_off[fids] + i - 1] = 0.5 * (a2 / 2.0) * np.mean(mids**2, axis=1)
     count = loop_len[inc_face] - 2
@@ -549,8 +551,11 @@ def _validate(mesh: Mesh) -> None:
     # 1e-6 h_T, must lie inside; one kernel call per group of cells with
     # equal triangle and face counts and per point, so that one point of
     # each cell meets the cell's triangles at a time
-    tris = _boundary_triangles(mesh, inc_face, inc_sign)
-    n_tri = np.bincount(owner, minlength=nc)
+    tris, tri_inc, _ = face_triangles(mesh, inc_face)
+    # the boundary oriented: reversed on faces of negative sign
+    flip = inc_sign[tri_inc] < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    n_tri = np.bincount(inc_cell[tri_inc], minlength=nc)
     tri_off = np.concatenate([[0], np.cumsum(n_tri)])
     eps = 1e-6 * cdiam[inc_cell] * inc_sign
     probes = anchor[inc_face] - eps[:, None] * normal[inc_face]

@@ -488,13 +488,14 @@ class _Group:
         if Rck.dim:
             sg[..., self.own[SpaceKind.GRAD][0]] -= _inner_scalar(
                 gram, _div_coeffs(Rck.coeff, d, h), pl.coeff)
-        M = np.concatenate([Rk.coords_in(vb, gram), Rck.coords_in(vb, gram)],
-                           axis=-2)
+        M = np.concatenate([ps.vector_inner(gram, b.coeff, vb.coeff)
+                            for b in (Rk, Rck)], axis=-2)
         grad = np.linalg.solve(M, np.concatenate([flux["R", k], sg], axis=-2))
         # int P q div w = -int G q . w + boundary term, w in Rc^{k+2}
         D = _inner_scalar(gram, _div_coeffs(cRk2.coeff, d, h),
                           self.sca[k + 1].coeff)
-        rhs = flux["Rc", k + 2] - cRk2.coords_in(vb, gram) @ grad
+        rhs = (flux["Rc", k + 2]
+               - ps.vector_inner(gram, cRk2.coeff, vb.coeff) @ grad)
         return sg, grad, np.linalg.solve(D, rhs)
 
     def _sizes(self, glob):
@@ -533,8 +534,9 @@ class _Group:
         comp = self.dof_bases[kind][1]
         E = np.zeros((len(self.rep), comp.dim, rhs.shape[-1]))
         E[..., self.own[kind][1]] = np.eye(comp.dim)
-        M = np.concatenate([ps.coords_in_vector_basis(vb, images, gram),
-                            comp.coords_in(vb, gram)], axis=-2)
+        M = np.concatenate([ps.vector_inner(gram, images, vb.coeff),
+                            ps.vector_inner(gram, comp.coeff, vb.coeff)],
+                           axis=-2)
         return np.linalg.solve(M, np.concatenate([rhs, E], axis=-2)), E
 
     def _split(self, kind, image):
@@ -542,8 +544,9 @@ class _Group:
         against the spaces of the own kind DoF blocks, block after block:
         the rows of a global operator that land on the members' own
         DoFs."""
-        return np.concatenate([b.coords_in(self.vb, self.gram) @ image
-                               for b in self.dof_bases[kind]], axis=-2)
+        return np.concatenate(
+            [ps.vector_inner(self.gram, b.coeff, self.vb.coeff) @ image
+             for b in self.dof_bases[kind]], axis=-2)
 
 
 class EdgeContext(_Group):
@@ -1011,23 +1014,20 @@ class DdrComplex:
         :func:`_moments`."""
         lay = self.layouts[kind]
         out = DofVector.zeros(lay)
-        if lay.vertex_block:
-            out.values[:self.mesh.n_vertices] = fun(self.mesh.vertex_coords)
+        vertices = lay.dofs(0, np.arange(self.mesh.n_vertices))
+        if vertices.size:
+            out.values[vertices[:, 0]] = fun(self.mesh.vertex_coords)
         for dim, groups in enumerate((self.edge_groups, self.face_groups,
                                       self.cell_groups), 1):
-            block = lay.dofs(dim, 0)    # the DoFs of the first entity
             frame = frames.get(dim, lambda g: None)
-            if block.size:
+            if lay.dofs(dim, 0).size:
                 points = np.concatenate([g.points.reshape(-1, 3)
                                          for g in groups])
                 vals = fun(points).reshape(len(points), -1)
-                n = sum(len(g.ids) for g in groups)
-                dofs = out.values[block[0]:block[0] + n * block.size].reshape(
-                    n, block.size)
                 ends = np.cumsum([g.weights.size for g in groups])
                 for g, v in zip(groups, np.split(vals, ends[:-1])):
-                    dofs[g.ids] = _moments(g, v, frame(g),
-                                           _moment_bases(g, lay.spaces[dim]))
+                    out.values[lay.dofs(dim, g.ids)] = _moments(
+                        g, v, frame(g), _moment_bases(g, lay.spaces[dim]))
         return out
 
     def interpolate_grad(self, fun) -> DofVector:
@@ -1083,7 +1083,7 @@ class DdrComplex:
             ((cl.dofs(2, g.ids), gl.face_table(g.ids), g.uG_face[g.row])
              for g in self.face_groups),
             ((cl.dofs(3, g.ids), gl.cell_table(g.ids),
-              g.uG[g.row, g.n_curl - cl.cell_block:])
+              g.uG[g.row[:, None], g.interior[SpaceKind.CURL]])
              for g in self.cell_groups)))
 
     def curl_matrix(self) -> sp.csr_matrix:
@@ -1094,7 +1094,7 @@ class DdrComplex:
             ((dl.dofs(2, g.ids), cl.face_table(g.ids), g.curl_mat[g.row])
              for g in self.face_groups),
             ((dl.dofs(3, g.ids), cl.cell_table(g.ids),
-              g.uC[g.row, g.n_div - dl.cell_block:])
+              g.uC[g.row[:, None], g.interior[SpaceKind.DIV]])
              for g in self.cell_groups)))
 
     # -- discrete L2 products and norms ---------------------------------------

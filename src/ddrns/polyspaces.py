@@ -36,7 +36,8 @@ leading axis:
   substitution.  The factor bounds each Gram's condition number, and only
   the Grams past GRAM_COND_LIMIT take the eigen fallback.
 - Inner products of vector polynomials are two reshaped matmuls
-  (:func:`vector_inner`), with no einsum path search per call.
+  (:func:`vector_inner`), with no einsum path search per call; against
+  an orthonormal basis they are the coordinates of a member of its span.
 - The exponent tables are graded, so monomials sampled once at a top
   degree give every basis of lower degree its values from their leading
   columns (:meth:`ScalarBasis.values`).
@@ -210,15 +211,6 @@ class VectorBasis:
         vals = mono[..., :nm] @ flat
         return vals.reshape(vals.shape[:-1] + (nb, nc))
 
-    def coords_in(self, target: "VectorBasis", gram: np.ndarray) -> np.ndarray:
-        """Inner products of this basis against an orthonormal target basis.
-
-        gram is the entity monomial Gram at a degree covering both bases.
-        When the members lie in the target span these are exact coordinates,
-        otherwise the L2 projection's.
-        """
-        return coords_in_vector_basis(target, self.coeff, gram)
-
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
     """Inverses of a stack (G, n, n) of lower-triangular factors, by forward
@@ -313,13 +305,6 @@ def vector_inner(gram: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     GA = np.moveaxis(GA.reshape(GA.shape[:-2] + (mb, na, nc)), -3, -1)
     GA = GA.reshape(GA.shape[:-3] + (na, nc * mb))
     return GA @ np.swapaxes(B, -3, -1).reshape(*lb, nc * mb, nb)
-
-
-def coords_in_vector_basis(vb: VectorBasis, coeff: np.ndarray,
-                           gram: np.ndarray) -> np.ndarray:
-    """Inner products of vector polynomials ([G,] nf, nm, ncomp) against an
-    orthonormal vector basis of the same entity -> ([G,] nf, nb)."""
-    return vector_inner(gram, coeff, vb.coeff)
 
 
 @lru_cache(maxsize=None)

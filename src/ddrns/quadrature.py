@@ -9,12 +9,12 @@ and each simplex carries a collapsed (Duffy) tensor rule: Gauss-Jacobi
 points in the collapsed directions, whose weights (1 - u)^1 and (1 - u)^2
 absorb the collapse Jacobian, and Gauss-Legendre in the last one, with as
 many points per direction (Stroud 1971; Karniadakis & Sherwin 2005, sec.
-4.1).  :func:`face_triangles` triangulates every face once, for face and
-cell rules alike: a triangle is itself, a polygon the fan from its anchor,
-a parallelogram included.  A cell that is not a parallelepiped is the cone
-from its anchor over the triangles of its faces, except a tetrahedron,
-which is its own single simplex; so a simplicial mesh has one simplex per
-face and per cell.  All rules are exact for polynomials up to the requested
+4.1).  The mesh's :func:`face_triangles` triangulates every face, for
+face and cell rules alike: a triangle is itself, a polygon the fan from
+its anchor, a parallelogram included.  A cell that is not a
+parallelepiped is the cone from its anchor over the triangles of its
+faces, except a tetrahedron, which is its own simplex; so a simplicial
+mesh has one simplex per face and per cell.  All rules are exact for polynomials up to the requested
 total degree, and each carries its number of simplices per member
 (``n_simplices``), its points coming simplex by simplex.
 
@@ -44,7 +44,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .mesh import Mesh, cross3
+from .mesh import Mesh, face_triangles
 
 
 class DegenerateSimplexError(Exception):
@@ -158,7 +158,7 @@ def triangle_rule(verts: np.ndarray, degree: int):
     triangle): points (m*n, 3) and weights (m*n,), triangle by triangle."""
     v = np.asarray(verts, dtype=float).reshape(-1, 3, 3)
     a, ab, ac = v[:, 0], v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-    cr = cross3(ab, ac)
+    cr = np.cross(ab, ac)
     # np.vecdot runs the kernel of np.dot, so each triangle's area carries
     # the bits of the one-at-a-time np.linalg.norm
     area2 = np.sqrt(np.vecdot(cr, cr))
@@ -209,34 +209,12 @@ def _affine_rule(verts, reference, what: str):
     v = np.asarray(verts, dtype=float).reshape(-1, 4, 3)
     a = v[:, 0]
     ab, ac, ad = v[:, 1] - a, v[:, 2] - a, v[:, 3] - a
-    vol6 = np.abs(np.vecdot(cross3(ab, ac), ad))
+    vol6 = np.abs(np.vecdot(np.cross(ab, ac), ad))
     _check_measure(vol6, what)
     x1, x2, x3, w = reference
     pts = (a[:, None, :] + x1[None, :, None] * ab[:, None, :]
            + x2[None, :, None] * ac[:, None, :] + x3[None, :, None] * ad[:, None, :])
     return pts.reshape(-1, 3), (w[None, :] * vol6[:, None]).ravel()
-
-
-def face_triangles(mesh: Mesh, face_ids):
-    """The triangles of faces face_ids, face by face: a triangle is itself
-    (v_0, v_1, v_2), a polygon the fan (x_F, v_i, v_i+1) of its segments.
-    Returns the corners (T, 3, 3) and, for each triangle, the position of
-    its face in face_ids and its segment (0 for a triangle)."""
-    face_ids = np.asarray(face_ids, dtype=np.int64)
-    n = mesh.face_loops.lengths[face_ids]
-    count = np.where(n == 3, 1, n)
-    face = np.repeat(np.arange(len(face_ids)), count)
-    segment = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
-    start = np.cumsum(n) - n
-    loops = mesh.face_loops.concat(face_ids)
-    vertex = lambda j: mesh.vertex_coords[loops[start[face] + j % n[face]]]
-    tri = (n[face] == 3).astype(int)
-    corners = np.empty((len(face), 3, 3))
-    corners[:, 0] = np.where(tri[:, None], vertex(segment),
-                             mesh.face_anchor[face_ids[face]])
-    corners[:, 1] = vertex(segment + tri)
-    corners[:, 2] = vertex(segment + tri + 1)
-    return corners, face, segment
 
 
 def face_rule(mesh: Mesh, face_ids, degree: int) -> QuadratureRule:

@@ -167,17 +167,6 @@ class BoundaryClassification:
                    np.unique(mesh.face_loops.concat(ess)).tolist())
 
 
-def classify_boundary(mesh: Mesh, classifier) -> BoundaryClassification:
-    """Apply a per-face classifier ('essential' | 'natural') to the boundary.
-
-    The classifier receives the face anchor x_F, a (3,) array; returning
-    anything else raises.
-    """
-    fids = mesh.boundary_faces().tolist()
-    return BoundaryClassification.of_tags(
-        mesh, fids, [classifier(mesh.face_anchor[f]) for f in fids])
-
-
 def boundary_subspace_mask(layout: DofLayout,
                            classification: BoundaryClassification) -> np.ndarray:
     """Mask (True = constrained) of the DoFs zeroed by essential conditions.

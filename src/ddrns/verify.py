@@ -122,10 +122,6 @@ class ConstantsReport:
     chi: float | None = None   # data-smallness diagnostic (can be negative)
 
 
-def _dense(mat) -> np.ndarray:
-    return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
-
-
 def _capped_dim(cx: DdrComplex, kind: SpaceKind) -> int:
     """The dimension of the kind space, refused above DENSE_CAP."""
     n = cx.layouts[kind].total_dim
@@ -139,8 +135,8 @@ def _complement_basis(cx: DdrComplex) -> np.ndarray:
     """Euclidean-orthonormal basis of the CURL-orthogonal complement of the
     image of the discrete gradient."""
     _capped_dim(cx, SpaceKind.CURL)
-    G = _dense(cx.gradient_matrix())
-    Mc = _dense(cx.gram_matrix(SpaceKind.CURL))
+    G = cx.gradient_matrix().toarray()
+    Mc = cx.gram_matrix(SpaceKind.CURL).toarray()
     A = G.T @ Mc                       # v in complement iff A v = 0
     _, sv, vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(sv > 1e-10 * sv[0]))
@@ -150,21 +146,21 @@ def _complement_basis(cx: DdrComplex) -> np.ndarray:
 def estimate_poincare(cx: DdrComplex) -> float:
     """Largest |v|_CURL / |uC v|_DIV over the complement of Im uG."""
     Z = _complement_basis(cx)
-    Mc = _dense(cx.gram_matrix(SpaceKind.CURL))
-    Md = _dense(cx.gram_matrix(SpaceKind.DIV))
-    C = _dense(cx.curl_matrix())
+    Mc = cx.gram_matrix(SpaceKind.CURL).toarray()
+    Md = cx.gram_matrix(SpaceKind.DIV).toarray()
+    C = cx.curl_matrix().toarray()
     A = Z.T @ Mc @ Z
     B = Z.T @ (C.T @ Md @ C) @ Z
     ev = sla.eigh(A, B, eigvals_only=True)
     return float(np.sqrt(ev[-1]))
 
 
-def _continuity_constant(cx: DdrComplex, kind: SpaceKind) -> float:
+def estimate_continuity(cx: DdrComplex, kind: SpaceKind) -> float:
     """Largest |P x|_L2 / |x| over the space: consistency part vs full norm."""
     n = _capped_dim(cx, kind)
     lay = cx.layouts[kind]
     Q = np.zeros((n, n))
-    M = _dense(cx.gram_matrix(kind))
+    M = cx.gram_matrix(kind).toarray()
     for g in cx.cell_groups:
         # the potential maps local DoFs to coefficients in an orthonormal
         # P^k basis, so pot^T pot is its L2 Gram
@@ -176,14 +172,6 @@ def _continuity_constant(cx: DdrComplex, kind: SpaceKind) -> float:
     return float(np.sqrt(max(ev[-1], 0.0)))
 
 
-def estimate_continuity_curl(cx: DdrComplex) -> float:
-    return _continuity_constant(cx, SpaceKind.CURL)
-
-
-def estimate_continuity_div(cx: DdrComplex) -> float:
-    return _continuity_constant(cx, SpaceKind.DIV)
-
-
 def estimate_sobolev_lower_bound(cx: DdrComplex, samples: int = 12,
                                  ascent_steps: int = 40,
                                  seed: int = 0) -> float:
@@ -192,8 +180,8 @@ def estimate_sobolev_lower_bound(cx: DdrComplex, samples: int = 12,
     by random restarts plus projected gradient ascent on the quotient.
     The maximisation is non-quadratic; only a lower bound is claimed."""
     Z = _complement_basis(cx)
-    Md = _dense(cx.gram_matrix(SpaceKind.DIV))
-    C = _dense(cx.curl_matrix())
+    Md = cx.gram_matrix(SpaceKind.DIV).toarray()
+    C = cx.curl_matrix().toarray()
     B = Z.T @ (C.T @ Md @ C) @ Z
 
     # the L4 functional's pieces, once: the potentials of the columns of Z
@@ -242,8 +230,8 @@ def estimate_sobolev_lower_bound(cx: DdrComplex, samples: int = 12,
 def constants_report(cx: DdrComplex, exact=None, nu: float = 1.0,
                      seed: int = 0) -> ConstantsReport:
     cp = estimate_poincare(cx)
-    cc = estimate_continuity_curl(cx)
-    cd = estimate_continuity_div(cx)
+    cc = estimate_continuity(cx, SpaceKind.CURL)
+    cd = estimate_continuity(cx, SpaceKind.DIV)
     cs = estimate_sobolev_lower_bound(cx, seed=seed)
     chi = None
     if exact is not None:

@@ -401,7 +401,7 @@ def check_exactness(cx) -> SimpleNamespace:
     verify.DENSE_CAP."""
     n = verify._capped_dim(cx, SpaceKind.CURL)
     rank_g, rank_c = (
-        int(np.linalg.matrix_rank(verify._dense(mat), rtol=1e-10))
+        int(np.linalg.matrix_rank(mat.toarray(), rtol=1e-10))
         for mat in (cx.gradient_matrix(), cx.curl_matrix()))
     return SimpleNamespace(rank_gradient=rank_g, nullity_curl=n - rank_c,
                            dim_curl_space=n, exact=rank_g == n - rank_c)
@@ -444,8 +444,10 @@ def orientation_sign(mesh, cell_id: int, face_id: int) -> int:
     f = face_record(mesh, face_id)
     eps = 1e-6 * cell.diameter
     pts = f.anchor + np.outer([-eps * stored, eps * stored], f.normal)
-    inside, outside = msh._winding_number(
-        pts, msh._boundary_triangles(mesh, cell.faces, cell.face_signs)) > 0.5
+    tris, face, _ = msh.face_triangles(mesh, cell.faces)
+    flip = np.asarray(cell.face_signs)[face] < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    inside, outside = msh._winding_number(pts, tris) > 0.5
     if not inside or outside:
         raise msh.MeshError(
             f"orientation ambiguity: point test disagrees with closure-validated "
@@ -1189,6 +1191,10 @@ class _ReferenceEntity:
             (sign, ctx.rule.weights, test(ctx), *tr[kind])
             for sign, ctx, tr in pieces])
 
+    def _coords(self, coeff):
+        """Inner products of vector polynomials against the P^k basis."""
+        return ps.vector_inner(self.gram, coeff, self.vb.coeff)
+
     def _gradient(self, grad_flux, own_cols):
         """Serendipity moments, gradient and P^{k+1} potential of the local
         GRAD DoFs.
@@ -1197,7 +1203,7 @@ class _ReferenceEntity:
         for w in the basis sub, against the boundary traces q_b; own_cols are
         the columns of the entity's own P^ell moments q_Y.
         """
-        k, g, gram, vb = self.k, self.geom, self.gram, self.vb
+        k, g, gram = self.k, self.geom, self.gram
         Rk, Rck = self.sub["R", k], self.sub["Rc", k]
         cRk2 = self.sub["Rc", k + 2]
         # int G q . tau = -int q_Y div tau + boundary term, tau in Rc^k
@@ -1206,13 +1212,12 @@ class _ReferenceEntity:
             sg[:, own_cols] -= _inner_scalar(
                 gram, _div_coeffs(Rck.coeff, g.dim, g.scale),
                 self.sca[self.ell].coeff)
-        M = np.vstack([Rk.coords_in(vb, gram), Rck.coords_in(vb, gram)])
+        M = np.vstack([self._coords(Rk.coeff), self._coords(Rck.coeff)])
         grad = np.linalg.solve(M, np.vstack([grad_flux(Rk), sg]))
         # int P q div w = -int G q . w + boundary term, w in Rc^{k+2}
         D = _inner_scalar(gram, _div_coeffs(cRk2.coeff, g.dim, g.scale),
                           self.sca[k + 1].coeff)
-        rhs = (grad_flux(cRk2)
-               - ps.coords_in_vector_basis(vb, cRk2.coeff, gram) @ grad)
+        rhs = grad_flux(cRk2) - self._coords(cRk2.coeff) @ grad
         return sg, grad, np.linalg.solve(D, rhs)
 
 
@@ -1263,7 +1268,7 @@ class ReferenceFace(_ReferenceEntity):
             SpaceKind.DIV: sample(self.sca[k], rule)}
 
     def _assemble(self, edge_ctx):
-        k, g, gram, vb = self.k, self.geom, self.gram, self.vb
+        k, g, gram = self.k, self.geom, self.gram
         Rck, Rkm = self.sub["Rc", k], self.sub["R", k - 1]
         Rcd = self.sub["Rc", self.ell + 1]
         sample = Sampler(g, k + 2)
@@ -1297,8 +1302,7 @@ class ReferenceFace(_ReferenceEntity):
         nm = ps.dim_poly(2, k + 1)
         mono_test = np.eye(nm)[1:]                     # non-constant monomials
         rot_test = _rot2_of_scalar(mono_test, g.scale)
-        M = np.vstack([ps.coords_in_vector_basis(vb, rot_test, gram),
-                       Rck.coords_in(vb, gram)])
+        M = np.vstack([self._coords(rot_test), self._coords(Rck.coeff)])
         rhs = np.vstack([
             _inner_scalar(gram, mono_test, self.sca[k].coeff) @ cm
             + self._flux(edges, SpaceKind.CURL, len(mono_test),
@@ -1307,8 +1311,8 @@ class ReferenceFace(_ReferenceEntity):
         self.ttrace_mat = np.linalg.solve(M, rhs)
 
         # --- face blocks of the global gradient ------------------------------
-        self.uG_face = np.vstack([Rkm.coords_in(vb, gram) @ self.grad_mat,
-                                  Rcd.coords_in(vb, gram) @ self.grad_mat])
+        self.uG_face = np.vstack([self._coords(Rkm.coeff) @ self.grad_mat,
+                                  self._coords(Rcd.coeff) @ self.grad_mat])
 
 
 class ReferenceCell(_ReferenceEntity):
@@ -1397,11 +1401,8 @@ class ReferenceCell(_ReferenceEntity):
 
         # --- curl potential ------------------------------------------------------
         curlw = _curl3_coeffs(cGk1.coeff, g.scale)
-        M = np.vstack([ps.coords_in_vector_basis(vb, curlw, gram),
-                       Rck.coords_in(vb, gram)])
-        rhs = np.vstack([
-            ps.vector_inner(gram, cGk1.coeff, vb.coeff) @ cm - cross_flux(cGk1),
-            sc])
+        M = np.vstack([self._coords(curlw), self._coords(Rck.coeff)])
+        rhs = np.vstack([self._coords(cGk1.coeff) @ cm - cross_flux(cGk1), sc])
         self.pot_curl = np.linalg.solve(M, rhs)
 
         # --- divergence and its potential ----------------------------------------
@@ -1415,8 +1416,7 @@ class ReferenceCell(_ReferenceEntity):
         nm = ps.dim_poly(3, k + 1)
         mono_test = np.eye(nm)[1:]
         grad_test = _grad_coeffs(mono_test, 3, g.scale)
-        M = np.vstack([ps.coords_in_vector_basis(vb, grad_test, gram),
-                       Gck.coords_in(vb, gram)])
+        M = np.vstack([self._coords(grad_test), self._coords(Gck.coeff)])
         rhs = np.zeros((vb.dim, self.n_div))
         rhs[:len(mono_test)] = self._flux(
             faces, SpaceKind.DIV, len(mono_test),
@@ -1437,10 +1437,10 @@ class ReferenceCell(_ReferenceEntity):
                self.grad_face_map[f][None, :]] = fctx.uG_face
             uC[self.div_face_map[f][:, None], self.curl_face_map[f][None, :]] \
                 = fctx.curl_mat
-        uG[self.curl_R_cell] = Rkm.coords_in(vb, gram) @ self.grad_mat
-        uG[self.curl_Rc_cell] = Rcd.coords_in(vb, gram) @ self.grad_mat
-        uC[self.div_G_cell] = Gkm.coords_in(vb, gram) @ cm
-        uC[self.div_Gc_cell] = Gck.coords_in(vb, gram) @ cm
+        uG[self.curl_R_cell] = self._coords(Rkm.coeff) @ self.grad_mat
+        uG[self.curl_Rc_cell] = self._coords(Rcd.coeff) @ self.grad_mat
+        uC[self.div_G_cell] = self._coords(Gkm.coeff) @ cm
+        uC[self.div_Gc_cell] = self._coords(Gck.coeff) @ cm
         self.uG, self.uC = uG, uC
         self.convective_curl = self.pot_div @ uC   # C_h = P_div o uC, cellwise
 

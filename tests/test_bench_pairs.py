@@ -1,6 +1,7 @@
 """The no-regression reading of scripts/bench_pairs.py on synthetic runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,13 @@ def test_a_crashed_run_is_recorded_and_the_other_pairs_are_kept(tmp_path):
     wall = out["metrics"]["wall_s"]
     assert wall["parent_runs"] == wall["change_runs"] == [1.0, 3.0]
     assert out["traced_seed1"]["change"] == {"wall_s": 1.0}
+
+
+def test_each_side_names_its_tree(tmp_path):
+    assert bench_pairs.tree_state(tmp_path) == {"head": None, "dirty": None}
+    subprocess.run("git init -q && git -c user.name=a -c user.email=a commit -q"
+                   " --allow-empty -m a", shell=True, cwd=tmp_path, check=True)
+    clean = bench_pairs.tree_state(tmp_path)
+    assert len(clean["head"]) == 40 and clean["dirty"] is False
+    (tmp_path / "a").write_text("a")
+    assert bench_pairs.tree_state(tmp_path) == dict(clean, dirty=True)

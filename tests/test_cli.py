@@ -255,13 +255,18 @@ def test_argparse_errors_are_config_errors(tmp_path, capsys):
     assert "--parallel-levels" in capsys.readouterr().out
 
 
-def test_bad_mesh_is_config_error(tmp_path):
+def test_bad_mesh_is_config_error(tmp_path, capsys):
     base = ["--cmd", "properties", "--levels", "1", "--out", str(tmp_path)]
     assert run_cli(base + ["--mesh", "bogus"]) == 4
     assert run_cli(base + ["--mesh", f"file:{tmp_path / 'missing.poly3'}"]) == 4
     bad = tmp_path / "bad.poly3"
     bad.write_text("POLY3 1\n1 0 0\n0.0 0.0\n")
     assert run_cli(base + ["--mesh", f"file:{bad}"]) == 4
+    # a sliver passes the mesh validation, but its Gram at k=2 is singular
+    bad.write_text("POLY3 1\n4 4 1\n0 0 0\n1 0 0\n0 1 0\n.3 .3 1e-4\n3 0 2 1\n"
+                   "3 0 1 3\n3 1 2 3\n3 0 3 2\n4 0 1 2 3\n")
+    assert run_cli(base + ["--mesh", f"file:{bad}", "--k", "2"]) == 4
+    assert "config error: cell 0: Gram" in capsys.readouterr().err
 
 
 def test_nonconvergence_in_a_worker_is_solver_failure(tmp_path):

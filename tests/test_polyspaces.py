@@ -80,14 +80,14 @@ def test_direct_decomposition_ranks(cube_cell, square_face):
         for im, co in (("G", "Gc"), ("R", "Rc")):
             a = oracles.subspace(geom, im, l, gram_c)
             b = oracles.subspace(geom, co, l, gram_c)
-            stack = np.vstack([a.coords_in(parent_c, gram_c),
-                               b.coords_in(parent_c, gram_c)])
+            stack = np.vstack([ps.vector_inner(gram_c, s.coeff, parent_c.coeff)
+                               for s in (a, b)])
             assert np.linalg.matrix_rank(stack, tol=1e-10) == 3 * ps.dim_poly(3, l)
             if l <= 4 - 1:
                 a2 = oracles.subspace(fgeom, im, l, gram_f)
                 b2 = oracles.subspace(fgeom, co, l, gram_f)
-                stack = np.vstack([a2.coords_in(parent_f, gram_f),
-                                   b2.coords_in(parent_f, gram_f)])
+                stack = np.vstack([ps.vector_inner(gram_f, s.coeff, parent_f.coeff)
+                                   for s in (a2, b2)])
                 assert np.linalg.matrix_rank(stack, tol=1e-10) \
                     == 2 * ps.dim_poly(2, l)
 

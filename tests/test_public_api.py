@@ -7,7 +7,7 @@ PUBLIC = {
     "QuadratureRule", "TrigSolution", "BCRegion", "NavierStokesSolver",
     "ProblemSpec", "SolverOptions", "essential_bc", "natural_bc",
     "pressflux_bc", "DofLayout", "DofVector", "SpaceKind",
-    "boundary_subspace_mask", "classify_boundary"}
+    "boundary_subspace_mask"}
 
 
 def test_public_api_is_pinned():

@@ -33,8 +33,6 @@ def test_vector_inner_matches_einsum(ncomp):
         B = rng.standard_normal((nb, mb, ncomp))
         ref = oracles.einsum_vector_inner(gram, A, B)
         assert_close(ps.vector_inner(gram, A, B), ref)
-        vb = ps.VectorBasis(0, ncomp, B)
-        assert_close(ps.coords_in_vector_basis(vb, A, gram), ref)
 
 
 def test_vector_inner_on_empty_blocks():

@@ -12,14 +12,17 @@ SRC = Path(ddrns.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
 
 
+def src_lines(pattern, skip=()):
+    return [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py")) if path.name not in skip
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+
+
 def test_src_reads_the_mesh_arrays_not_entity_lists():
     # the mesh keeps one array per attribute; a per-entity gather such as
     # `[f.anchor for f in mesh.faces]` has nothing left to read
-    pattern = re.compile(r"mesh\.(vertices|edges|faces|cells)\b")
-    hits = [f"{path.name}:{i}: {line.strip()}"
-            for path in sorted(SRC.glob("*.py"))
-            for i, line in enumerate(path.read_text().splitlines(), 1)
-            if pattern.search(line)]
+    hits = src_lines(r"mesh\.(vertices|edges|faces|cells)\b")
     assert not hits, hits
 
 
@@ -27,13 +30,23 @@ def test_ell_is_set_in_spaces_only():
     # DofLayout.ell is the one place the degree of the face and cell
     # moments is set; operators and the other modules read it from the
     # layouts (DofLayout.spaces)
-    pattern = re.compile(r"\bell\s*=\s*(self\.)?k\s*-\s*1\b")
-    hits = [f"{path.name}:{i}: {line.strip()}"
-            for path in sorted(SRC.glob("*.py")) if path.name != "spaces.py"
-            for i, line in enumerate(path.read_text().splitlines(), 1)
-            if pattern.search(line)]
+    pattern = r"\bell\s*=\s*(self\.)?k\s*-\s*1\b"
+    hits = src_lines(pattern, skip=("spaces.py",))
     assert not hits, hits
-    assert pattern.search((SRC / "spaces.py").read_text())
+    assert re.search(pattern, (SRC / "spaces.py").read_text())
+
+
+def test_block_sizes_are_read_in_spaces_only():
+    # DoF positions come from DofLayout.dofs and the groups' interior columns
+    hits = src_lines(r"\b(vertex|edge|face|cell)_(block|subsizes)\b",
+                     skip=("spaces.py",))
+    assert not hits, hits
+
+
+def test_numpy_floor_has_vecdot():
+    # np.vecdot came with NumPy 2.0
+    floor = re.search(r'"numpy>=(\d+)', (REPO / "pyproject.toml").read_text())
+    assert not src_lines(r"\bnp\.vecdot\(") or int(floor[1]) >= 2
 
 
 def test_error_names_are_spelled_once():

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from ddrns import polyspaces as ps
-from ddrns.spaces import (DofLayout, DofVector, SpaceKind,
-                          boundary_subspace_mask, classify_boundary)
+from ddrns.spaces import (BoundaryClassification, DofLayout, DofVector,
+                          SpaceKind, boundary_subspace_mask)
 from conftest import get_complex, get_mesh, prism_mesh
 
 import oracles
@@ -123,12 +123,12 @@ def test_block_sizes_are_the_dimensions_of_the_moment_bases(k):
 
 
 def test_boundary_masks_cube(cube1):
-    cls = classify_boundary(cube1, lambda f: "natural")
+    cls = BoundaryClassification.of_tags(cube1, range(6), ["natural"] * 6)
     for kind in SpaceKind:
         mask = boundary_subspace_mask(DofLayout(cube1, kind, 0), cls)
         assert mask.sum() == 0
 
-    cls = classify_boundary(cube1, lambda f: "essential")
+    cls = BoundaryClassification.of_tags(cube1, range(6), ["essential"] * 6)
     assert boundary_subspace_mask(DofLayout(cube1, SpaceKind.GRAD, 0),
                                   cls).sum() == 8
     assert boundary_subspace_mask(DofLayout(cube1, SpaceKind.CURL, 0),
@@ -141,13 +141,10 @@ def test_boundary_mask_mixed_counts():
     # the pressure-patch region of the mixed test on the n=4 Cartesian mesh:
     # one boundary face, its 4 edges, its 4 vertices (hand count)
     mesh = get_mesh("cubic", 4)
-
-    def classifier(a):
-        if abs(a[0]) < 1e-12 and a[1] < 0.25 and a[2] < 0.25:
-            return "essential"
-        return "natural"
-
-    cls = classify_boundary(mesh, classifier)
+    fids = mesh.boundary_faces().tolist()
+    cls = BoundaryClassification.of_tags(mesh, fids, [
+        "essential" if abs(a[0]) < 1e-12 and a[1] < 0.25 and a[2] < 0.25
+        else "natural" for a in mesh.face_anchor[fids]])
     assert len(cls.essential_faces) == 1
     assert len(cls.essential_edges) == 4
     assert len(cls.essential_vertices) == 4
@@ -157,11 +154,6 @@ def test_boundary_mask_mixed_counts():
     c = boundary_subspace_mask(DofLayout(mesh, SpaceKind.CURL, k), cls)
     assert c.sum() == 4 * (k + 1) + ps.subspace_dim(2, "R", k - 1) \
         + ps.dim_poly(2, k - 1)
-
-
-def test_unclassified_face_raises(cube1):
-    with pytest.raises(ValueError, match="unclassified"):
-        classify_boundary(cube1, lambda f: None)
 
 
 def test_bad_layout_args(cube1):

@@ -147,14 +147,15 @@ def test_dimension_cap(monkeypatch):
     # names the space, its dimension and the cap
     monkeypatch.setattr(verify, "DENSE_CAP", 5)
     cx = get_complex("cubic", 1, 0)
-    for estimate, kind, n in ((verify.estimate_poincare, "CURL", 12),
-                              (oracles.check_exactness, "CURL", 12),
-                              (verify.estimate_continuity_curl, "CURL", 12),
-                              (verify.estimate_continuity_div, "DIV", 6)):
+    for estimate, args, kind, n in (
+            (verify.estimate_poincare, (), "CURL", 12),
+            (oracles.check_exactness, (), "CURL", 12),
+            (verify.estimate_continuity, (SpaceKind.CURL,), "CURL", 12),
+            (verify.estimate_continuity, (SpaceKind.DIV,), "DIV", 6)):
         with pytest.raises(verify.DimensionCapError,
                            match=f"^{kind} dimension {n} exceeds the dense "
                                  f"cap 5$"):
-            estimate(cx)
+            estimate(cx, *args)
 
 
 def test_constants_report_chi():
