@@ -19,9 +19,8 @@ exits with an error is listed under ``crashed`` by seed and counted in
 other pairs are measured as usual.  It also records, for both sides, the
 commit and whether the checkout has uncommitted changes
 (:func:`tree_state`), and the line counts of ``src/`` and ``tests/``.
-Workloads
-already in an existing BENCH_<tag>.json are kept, so several invocations
-fill one file.
+Workloads already in an existing BENCH_<tag>.json are kept, so several
+invocations fill one file.
 
 The ``machine`` block names the platform and times two fixed calibration
 kernels before and after the pairs (:func:`calibrate`), so that files made
