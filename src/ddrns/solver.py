@@ -19,7 +19,9 @@ of each cell (``group.ids``, ``group.row``).  The residual, the convective
 form, the cell Jacobians, the condensation and the back-substitution walk
 a group's cells in chunks of at most CHUNK_BYTES of local matrices, as a
 few batched array operations per chunk.  The sparsity pattern of the
-condensed system is built once per solver.
+condensed system is built once per solver, on entity blocks: one key is
+sorted per pair of a cell's vertex, edge and face blocks, not per pair of
+unknowns.
 
 Newton is inexact: iteration k solves its step only to a linear residual of
 eta_k |R_k|, with Eisenstat-Walker forcing terms eta_k.  Within one solve()
@@ -578,39 +580,65 @@ class NavierStokesSolver:
         solver: the free unknowns that are not condensed out, and for each
         group the entry of the condensed matrix that each entry of its
         Schur complements adds into (one past the last entry for a row or
-        column that is fixed)."""
+        column that is fixed).  The unknowns of an entity in one space are
+        kept or fixed as a block, and each pair of blocks fills a rectangle."""
         interior = np.zeros(self.n_x, dtype=bool)
         for grp in self.groups:
             interior[grp.tables["gx"][:, grp.loc_int]] = True
         self.cond_dofs = np.flatnonzero(self.free & ~interior)
         self.dim_condensed = nc = len(self.cond_dofs)
-        pos = np.full(self.n_x, -1, dtype=np.int64)
+        pos = np.full(self.n_x, nc, dtype=np.int64)   # nc: not condensed
         pos[self.cond_dofs] = np.arange(nc)
-        dropped = nc * nc
-        keys = []
+        head = np.arange(self.n_x)   # the first unknown of each block
+        m = self.cx.mesh
+        for lay, at in ((self.ul, 0), (self.pl, self.n_u)):
+            for dim, n in enumerate((m.n_vertices, m.n_edges, m.n_faces)):
+                d = at + lay.dofs(dim, np.arange(n))
+                head[d] = d[:, :1]
+        start = pos[head[self.cond_dofs]]
+        keys, blocks = [], []
         for grp in self.groups:
-            r = pos[grp.tables["gx"][:, grp.loc_ret]]
-            key = r[:, None, :] * nc + r[:, :, None]    # column-major order
-            key[(r[:, None, :] < 0) | (r[:, :, None] < 0)] = dropped
-            keys.append(key.ravel())
+            g = grp.tables["gx"][:, grp.loc_ret]
+            off = (g[0] - head[g[0]]).astype(np.int32)   # within its block
+            r = pos[g]
+            rb = r[:, off == 0]
+            # column-major keys; each cell's run ascends but at fixed blocks
+            keys.append((rb[:, :, None] * (nc + 1) + rb[:, None, :]).ravel())
+            blocks.append((r, np.cumsum(off == 0) - 1, off))
         sizes = [len(k) for k in keys]
         keys = np.concatenate(keys)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        slot = np.empty(len(keys), dtype=np.int32)
-        slot[order] = np.cumsum(first, dtype=np.int32) - 1
-        del order
+        first = np.r_[True, keys[1:] != keys[:-1]]
+        slot = np.cumsum(first, dtype=np.int32) - 1
         keys = keys[first]
-        keys = keys[keys != dropped]
-        self._nnz = len(keys)
-        self._indices = (keys % nc).astype(np.int32)
-        self._indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // nc, minlength=nc))])
-        for grp, part in zip(self.groups, np.split(slot, np.cumsum(sizes)[:-1])):
-            grp.slot = part.reshape(len(grp.cells), -1)
+        col = keys // (nc + 1)
+        row = keys - col * (nc + 1)
+        # rows of the distinct pairs before each, and before each column
+        nrow = np.bincount(start, minlength=nc + 1).astype(np.int32)[row]
+        upto = np.cumsum(np.append(0, nrow), dtype=np.int32)
+        excl = upto[np.searchsorted(col, np.arange(nc + 2))]
+        count = np.diff(excl)[start]
+        self._indptr = np.concatenate([[0], np.cumsum(count)])
+        self._nnz = nnz = int(self._indptr[-1])
+        ptr = self._indptr.astype(np.int32)
+        # a pair's first row in its column (a fixed pair: >= nnz below)
+        rank = np.where(row < nc, upto[:-1] - excl[col], nnz - ptr[col])
+        slot[order] = rank[slot]
+        del order
+        # each column of a block holds the rows of the block's pairs
+        rows = np.arange(upto[-1], dtype=np.int32) + np.repeat(
+            (row - upto[:-1]).astype(np.int32), nrow)
+        self._indices = rows[np.arange(nnz, dtype=np.int32) - np.repeat(
+            ptr[:-1] - excl[start], count)]
+        for grp, (r, bl, off), part in zip(
+                self.groups, blocks, np.split(slot, np.cumsum(sizes)[:-1])):
+            part = part.reshape(len(r), bl[-1] + 1, -1)
+            grp.slot = np.empty((len(r), len(bl) ** 2), dtype=np.int32)
+            for sl, _ in grp.chunks:
+                np.minimum(part[sl][:, bl, bl[:, None]] + off[:, None]
+                           + ptr[r[sl]][:, None], nnz,
+                           out=grp.slot[sl].reshape(-1, len(bl), len(bl)))
 
     # -- state vector helpers -------------------------------------------------
     def initial_state(self) -> np.ndarray:

@@ -6,7 +6,8 @@ multinomial expansion plus the Dirichlet formula), entities are decomposed
 by fans anchored at a vertex rather than at the library's anchor points,
 and projections are recomputed by raw monomial normal equations.  The
 Newton kernels are the cell-by-cell loops that the solver's batched kernels
-are checked against.  The set-up references at the end are the
+are checked against, and the condensed pattern is the DoF-pair build that
+the solver's entity-block build is checked against.  The set-up references at the end are the
 ``np.einsum`` contractions, the generating families built member by
 member, and the per-entity interpolators that the set-up kernels of ddrns
 are checked against, with the per-entity sampling, Gram and projection
@@ -619,6 +620,46 @@ def newton_step(s, x, R, with_convection=True, shift=0.0, eta=0.0,
     for g_int, g_ret, KII, KIG, rI in back:
         delta[g_int] = np.linalg.solve(KII, rI - KIG @ delta[g_ret])
     return delta
+
+
+def condensed_pattern(s) -> SimpleNamespace:
+    """The condensed unknowns and CSC pattern of the solver s, built as
+    NavierStokesSolver built them before it worked on entity blocks: one
+    int64 key per Schur-complement entry of every cell, stable-argsorted.
+    Fields: cond_dofs, dim_condensed, nnz, indices, indptr, and slots, the
+    slot table of each cell group (nnz for a fixed row or column)."""
+    interior = np.zeros(s.n_x, dtype=bool)
+    for grp in s.groups:
+        interior[grp.tables["gx"][:, grp.loc_int]] = True
+    cond_dofs = np.flatnonzero(s.free & ~interior)
+    nc = len(cond_dofs)
+    pos = np.full(s.n_x, -1, dtype=np.int64)
+    pos[cond_dofs] = np.arange(nc)
+    dropped = nc * nc
+    keys = []
+    for grp in s.groups:
+        r = pos[grp.tables["gx"][:, grp.loc_ret]]
+        key = r[:, None, :] * nc + r[:, :, None]    # column-major order
+        key[(r[:, None, :] < 0) | (r[:, :, None] < 0)] = dropped
+        keys.append(key.ravel())
+    sizes = [len(k) for k in keys]
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    slot = np.empty(len(keys), dtype=np.int32)
+    slot[order] = np.cumsum(first, dtype=np.int32) - 1
+    keys = keys[first]
+    keys = keys[keys != dropped]
+    return SimpleNamespace(
+        cond_dofs=cond_dofs, dim_condensed=nc, nnz=len(keys),
+        indices=(keys % nc).astype(np.int32),
+        indptr=np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // nc, minlength=nc))]),
+        slots=[part.reshape(len(grp.cells), -1) for grp, part in
+               zip(s.groups, np.split(slot, np.cumsum(sizes)[:-1]))])
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ import scipy.sparse.linalg as spla
 
 import oracles
 from conftest import (cube_pyramid_mesh, get_complex, get_mesh,
-                      pentagon_prism_mesh, random_hex_mesh)
+                      jittered_kuhn_mesh, pentagon_prism_mesh,
+                      random_hex_mesh)
 from ddrns import solver as solver_mod
 from ddrns.operators import DdrComplex
 from ddrns.solutions import TrigSolution
-from ddrns.solver import (NavierStokesSolver, ProblemSpec, natural_bc,
-                          pressflux_bc)
+from ddrns.solver import (NavierStokesSolver, ProblemSpec, essential_bc,
+                          natural_bc, pressflux_bc)
 
 MESHES = {"pentagon_prism": pentagon_prism_mesh, "random_hex": random_hex_mesh,
           "kuhn1": lambda: get_mesh("tet", 1),
@@ -152,6 +153,62 @@ def test_condensation_memory_is_bounded(monkeypatch):
         assert len(peaks) == 2   # condensation, then back-substitution
         for peak in peaks:
             assert peak - base - kept[-1] <= solver_mod.CHUNK_BYTES
+
+
+def essential_solver(cx):
+    sol = TrigSolution()
+    spec = ProblemSpec(nu=1.0, forcing=sol.forcing,
+                       regions=essential_bc(sol.velocity, sol.pressure))
+    return NavierStokesSolver(cx, spec)
+
+
+PATTERN_CASES = {
+    **{f"cubic2-k{k}": partial(lambda k: trig_solver(
+        get_complex("cubic", 2, k))[1], k) for k in range(4)},
+    **{f"pressflux-cubic4-k{k}": partial(lambda k: pressflux_solver(k), k)
+       for k in (1, 2)},
+    "essential-cubic2-k1": lambda: essential_solver(get_complex("cubic", 2, 1)),
+    "jittered-kuhn2-k1": lambda: trig_solver(
+        DdrComplex(jittered_kuhn_mesh(), 1))[1],
+    **{f"{name}-k{k}": partial(lambda mesh, k: trig_solver(
+        DdrComplex(mesh(), k))[1], mesh, k)
+       for name, mesh in (("pentagon_prism", pentagon_prism_mesh),
+                          ("cube_pyramid", cube_pyramid_mesh))
+       for k in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", list(PATTERN_CASES))
+def test_condensed_pattern_matches_the_dof_pair_build(case):
+    # the entity-block build against the DoF-pair build it replaced, in
+    # values and dtype; fixed blocks leave entries at nnz
+    s = PATTERN_CASES[case]()
+    ref = oracles.condensed_pattern(s)
+    assert (s.dim_condensed, s._nnz) == (ref.dim_condensed, ref.nnz)
+    assert type(s._nnz) is type(ref.nnz)
+    for got, want in [(s.cond_dofs, ref.cond_dofs), (s._indices, ref.indices),
+                      (s._indptr, ref.indptr),
+                      *zip([g.slot for g in s.groups], ref.slots)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    fixed = any((g.slot == s._nnz).any() for g in s.groups)
+    assert fixed == (case.startswith(("pressflux", "essential")))
+    assert s.use_multiplier != fixed
+
+
+def test_the_pattern_sorts_one_key_per_block_pair(monkeypatch):
+    # pressflux-cubic-k2: each of the 64 cubes has 44 entity blocks, the 12
+    # edge and 6 face blocks of CURL and the 8 vertex, 12 edge and 6 face
+    # blocks of GRAD, so 64 * 44**2 = 123,904 keys; one key per pair of
+    # unknowns is 1,149,184
+    s = pressflux_solver(2)
+    sizes = []
+    for name in ("argsort", "sort"):
+        def watched(a, *args, _sort=getattr(np, name), **kw):
+            sizes.append(np.size(a))
+            return _sort(a, *args, **kw)
+        monkeypatch.setattr(np, name, watched)
+    s._condensed_pattern()
+    assert sizes and max(sizes) <= 64 * 44 ** 2
 
 
 def test_trig_solve_matches_factoring_every_step():

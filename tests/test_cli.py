@@ -15,6 +15,14 @@ def test_properties_pass(tmp_path):
     assert (tmp_path / "run_properties.log").exists()
 
 
+def test_properties_pass_at_k2_on_kuhn_tets(tmp_path):
+    # the energy identity holds to its 1e-10 bound once the suite's Newton
+    # solve is converged past it (at tol 1e-9 it stopped 4.9e-10 short)
+    rc = run_cli(["--cmd", "properties", "--mesh", "tet", "--levels", "1",
+                  "--k", "2", "--out", str(tmp_path)])
+    assert rc == 0
+
+
 def test_properties_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "run_property_suite",
                         lambda cases, seed=0: [verify.PropertyResult("x", False)])
