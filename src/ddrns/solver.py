@@ -19,9 +19,7 @@ of each cell (``group.ids``, ``group.row``).  The residual, the convective
 form, the cell Jacobians, the condensation and the back-substitution walk
 a group's cells in chunks of at most CHUNK_BYTES of local matrices, as a
 few batched array operations per chunk.  The sparsity pattern of the
-condensed system is built once per solver, on entity blocks: one key is
-sorted per pair of a cell's vertex, edge and face blocks, not per pair of
-unknowns.
+condensed system is built once per solver, from pairs of entity blocks.
 
 Newton is inexact: iteration k solves its step only to a linear residual of
 eta_k |R_k|, with Eisenstat-Walker forcing terms eta_k.  Within one solve()

@@ -7,13 +7,13 @@ by fans anchored at a vertex rather than at the library's anchor points,
 and projections are recomputed by raw monomial normal equations.  The
 Newton kernels are the cell-by-cell loops that the solver's batched kernels
 are checked against, and the condensed pattern is the DoF-pair build that
-the solver's entity-block build is checked against.  The set-up references at the end are the
-``np.einsum`` contractions, the generating families built member by
-member, and the per-entity interpolators that the set-up kernels of ddrns
-are checked against, with the per-entity sampling, Gram and projection
-helpers they use.  The
-geometry references build mesh entities one at a time and quadrature rules
-one simplex at a time, as the batched passes of ddrns did before them.  The
+the solver's entity-block build is checked against.  The set-up
+references at the end are the ``np.einsum`` contractions, the generating
+families built member by member, and the per-entity interpolators that the
+set-up kernels of ddrns are checked against, with the per-entity
+sampling, Gram and projection helpers they use.  The geometry references
+build mesh entities one at a time and quadrature rules one simplex at a
+time, as the batched passes of ddrns did before them.  The
 per-entity contexts at the end assemble the local operators of one face or
 cell at a time, as DdrComplex did before it built them by stacked groups;
 per_entity_complex presents them as groups of one.  The Appendix norms at

@@ -165,8 +165,8 @@ def essential_solver(cx):
 PATTERN_CASES = {
     **{f"cubic2-k{k}": partial(lambda k: trig_solver(
         get_complex("cubic", 2, k))[1], k) for k in range(4)},
-    **{f"pressflux-cubic4-k{k}": partial(lambda k: pressflux_solver(k), k)
-       for k in (1, 2)},
+    "pressflux-cubic4-k1": lambda: pressflux_solver(1),
+    "pressflux-cubic4-k2": lambda: pressflux_solver(2),
     "essential-cubic2-k1": lambda: essential_solver(get_complex("cubic", 2, 1)),
     "jittered-kuhn2-k1": lambda: trig_solver(
         DdrComplex(jittered_kuhn_mesh(), 1))[1],

@@ -17,7 +17,8 @@ def test_properties_pass(tmp_path):
 
 def test_properties_pass_at_k2_on_kuhn_tets(tmp_path):
     # the energy identity holds to its 1e-10 bound once the suite's Newton
-    # solve is converged past it (at tol 1e-9 it stopped 4.9e-10 short)
+    # solve is converged past it; at tol 1e-9 its two sides differed by
+    # 4.9e-10 relative
     rc = run_cli(["--cmd", "properties", "--mesh", "tet", "--levels", "1",
                   "--k", "2", "--out", str(tmp_path)])
     assert rc == 0
