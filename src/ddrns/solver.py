@@ -180,9 +180,11 @@ HOPELESS_AFTER = 10
 HOPELESS_WINDOW = 3
 # A factor is of D_r A D_c, the condensed matrix A with its momentum rows
 # divided by nu and its pressure and multiplier columns multiplied by nu (a
-# Stokes block at nu = 1, on the pattern of A).  Its columns are ordered by
-# minimum degree on A + A^T at k <= 1 up to MINIMUM_DEGREE_DIM unknowns, else
-# by COLAMD: beyond them minimum degree was slower on some meshes (README).
+# Stokes block at nu = 1, on the pattern of A), whose diagonal is a good
+# pivot: every factor keeps a diagonal pivot down to 0.1 of its column's
+# largest entry.  Its columns are ordered by minimum degree on A + A^T at
+# k <= 1 up to MINIMUM_DEGREE_DIM unknowns, else by COLAMD: beyond them
+# minimum degree was slower on some meshes (README).
 MINIMUM_DEGREE_DIM = 6000
 # The cell kernels take a group's cells in chunks, so that no temporary
 # grows with the mesh and the heap memory of one chunk serves the next,
@@ -337,7 +339,8 @@ class _FactorReuse:
     factored; a later one is solved by GMRES preconditioned with the last
     factor as far as its forcing term asks, else factored afresh.  A factor
     is float32 unless its system needed the float64 refactor; `A` is the
-    matrix it stands for, of which the first m rows are momentum rows."""
+    matrix it stands for, of which the first m rows are momentum rows.
+    Every splu takes splu_kw: its column ordering and pivot threshold."""
 
     def __init__(self, m, nu, splu_kw):
         self.m, self.nu, self.splu_kw = m, nu, splu_kw
@@ -380,7 +383,7 @@ class _FactorReuse:
             "precision": np.dtype(self.dtype).name,
             "refinement_sweeps": sweeps,
             "residual": float(achieved / rnorm) if rnorm else 0.0,
-            **({"ordering": self.splu_kw.get("permc_spec", "COLAMD"),
+            **({"ordering": self.splu_kw["permc_spec"],
                 "nnz": int(self.lu.nnz)} if factored else {})})
         return x
 
@@ -807,9 +810,9 @@ class NavierStokesSolver:
         """The linear solves of this solver (see MINIMUM_DEGREE_DIM)."""
         return _FactorReuse(
             int(np.searchsorted(self.cond_dofs, self.n_u)), self.spec.nu,
-            dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
-            if self.cx.k <= 1 and self.dim_condensed <= MINIMUM_DEGREE_DIM
-            else {})
+            dict(permc_spec="MMD_AT_PLUS_A" if self.cx.k <= 1
+                 and self.dim_condensed <= MINIMUM_DEGREE_DIM else "COLAMD",
+                 diag_pivot_thresh=0.1))
 
     # -- driver ---------------------------------------------------------------
     def solve(self) -> Solution:

@@ -415,7 +415,22 @@ def test_ordering_follows_the_degree_and_size(n, k, ordering):
     _, s = trig_solver(get_complex("cubic", n, k))
     assert (s.dim_condensed <= solver_mod.MINIMUM_DEGREE_DIM) == (n < 6)
     kw = s._factor_reuse().splu_kw
-    assert kw.get("permc_spec", "COLAMD") == ordering
+    assert kw["permc_spec"] == ordering
+    assert kw["diag_pivot_thresh"] == 0.1   # one pivot rule for both
+
+
+@pytest.mark.parametrize("make, bound", [
+    # COLAMD at 6014 unknowns: 7.33 M under partial pivoting, 5.64 M here
+    (lambda: trig_solver(get_complex("cubic", 6, 1))[1], 6.0e6),
+    # COLAMD at k = 2: 6.39 M under partial pivoting, 5.93 M here
+    (lambda: pressflux_solver(2), 6.2e6),
+], ids=["cubic6-k1", "pressflux-k2"])
+def test_colamd_factor_keeps_diagonal_pivots(make, bound):
+    factored = [r for r in make().solve().diagnostics.linear_solves
+                if r["factored"]]
+    assert factored
+    assert all(r["ordering"] == "COLAMD" and r["precision"] == "float32"
+               and r["nnz"] <= bound for r in factored)
 
 
 def test_pressflux_k1_factor_fills_less():
